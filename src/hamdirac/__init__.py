@@ -50,7 +50,15 @@ from .embedding import (
     pullback_total_lagrangian,
     select_embedding,
 )
-from .numerics import ReducedField, SingularShooting, Trajectory, compile_field, integrate, solve_iota
+from .numerics import (
+    ReducedField,
+    ShootingNotConverged,
+    SingularShooting,
+    Trajectory,
+    compile_field,
+    integrate,
+    solve_iota,
+)
 from .sysfile import SystemFile, load_system_file, parse_system_file
 from .report import Analysis, PipelineOptions, build_report, run_pipeline
 
@@ -75,6 +83,7 @@ __all__ = [
     "PhaseSpace",
     "PipelineOptions",
     "ReducedField",
+    "ShootingNotConverged",
     "SingularShooting",
     "Symbol",
     "SymbolTable",

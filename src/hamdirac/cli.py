@@ -9,7 +9,16 @@ Subcommands mirror the three analysis steps plus numerics:
     verify-chart check S^T J S = J for a chart matrix in a JSON file
 
 Exit codes: 0 ok, 2 input error, 3 unsupported shape, 4 inconsistent
-theory/gauge, 5 constraint budget exceeded.
+theory/gauge, 5 constraint budget exceeded, 1 analysis or numerics failure.
+simulate fails with 1 in two documented ways:
+
+    error: resonant interval [T1, T2]: dQ(t2)/dP(t1) has condition number K > 6.71e+07; ...
+        the endpoint data cannot determine the initial momenta; K is taken
+        relative to the whole Jacobian dy(t2)/dP(t1), and the bound is
+        1/sqrt(machine epsilon), whatever the scale of the data
+    error: shooting iteration did not converge after N iterations (relative residual R)
+        Newton on a non-quadratic Hamiltonian did not bring max|Q(t2) - Q2|
+        down to 1e-10 of the state's scale
 """
 
 from __future__ import annotations
@@ -101,7 +110,7 @@ def _build_parser():
                     help="initial value for a gauge position fixed at t1 only")
     sp.add_argument("--t1", default="0")
     sp.add_argument("--t2", required=True)
-    sp.add_argument("--step", type=float, default=1e-3)
+    sp.add_argument("--step", default="1e-3")
     sp.set_defaults(func=_cmd_simulate)
 
     sp = sub.add_parser("verify-chart", help="check S^T J S = J for a JSON chart matrix")
@@ -158,20 +167,22 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _parse_time(text: str) -> float:
+def _parse_real(text: str, what: str) -> float:
+    """A finite real given as a decimal or as an expression in rationals and pi."""
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        pass
-    table = SymbolTable()
-    pi = table.register("pi", "parameter")
-    from .parser import parse_expr
+        table = SymbolTable()
+        pi = table.register("pi", "parameter")
+        from .parser import parse_expr
 
-    try:
-        e = parse_expr(text, table)
-    except Exception as exc:
-        raise InputError(f"bad time value {text!r}: {exc}") from exc
-    return e.eval_float({pi: math.pi})
+        try:
+            value = parse_expr(text, table).eval_float({pi: math.pi})
+        except (ParseError, ExprError, ArithmeticError, RecursionError) as exc:
+            raise InputError(f"bad {what} {text!r}: {exc}") from exc
+    if not math.isfinite(value):
+        raise InputError(f"bad {what} {text!r}: not a finite number")
+    return value
 
 
 def _cmd_simulate(args) -> int:
@@ -183,22 +194,25 @@ def _cmd_simulate(args) -> int:
         )
     reduced_h = reduced_hamiltonian(an)
     field = compile_field(reduced_h, [(q.symbol, an.chart.conjugate(q).symbol) for q in q_rows])
-    t1 = _parse_time(args.t1)
-    t2 = _parse_time(args.t2)
+    t1 = _parse_real(args.t1, "time value")
+    t2 = _parse_real(args.t2, "time value")
+    step = _parse_real(args.step, "--step")
+    if step <= 0:
+        raise InputError(f"--step must be positive, got {args.step!r}")
     boundary = {}
     for item in args.bc:
         name, _, vals = item.partition("=")
         v1, _, v2 = vals.partition(":")
         if not v2:
             raise InputError(f"--bc wants Q=V1:V2, got {item!r}")
-        boundary[name.strip()] = (float(v1), float(v2))
+        boundary[name.strip()] = (_parse_real(v1, "--bc value"), _parse_real(v2, "--bc value"))
     init_only = {}
     for item in args.xi:
         name, _, val = item.partition("=")
         if not val:
             raise InputError(f"--xi wants NAME=VAL, got {item!r}")
-        init_only[name.strip()] = float(val)
-    sol = solve_iota(field, boundary, t1, t2, step=args.step, init_only=init_only)
+        init_only[name.strip()] = _parse_real(val, "--xi value")
+    sol = solve_iota(field, boundary, t1, t2, step=step, init_only=init_only)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(sol.trajectory.csv())
@@ -209,6 +223,7 @@ def _cmd_simulate(args) -> int:
         "initial_state": list(sol.initial_state),
         "constants": {k: (list(v) if isinstance(v, tuple) else v) for k, v in sol.constants.items()},
         "residual": sol.residual,
+        "condition": sol.condition,
     }
     sys.stdout.write(json.dumps(out, indent=2) + "\n")
     return 0

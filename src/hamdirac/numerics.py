@@ -3,7 +3,11 @@
 The reduced Hamilton equations are compiled to plain float closures, a
 fixed-step RK4 integrator produces deterministic trajectories, and a shooting
 Newton iteration realizes the endpoint-to-constants map: given positions at
-both ends it reconstructs the missing initial momenta.  For the unit
+both ends it reconstructs the missing initial momenta.  Each Newton step takes
+the end state and its exact Jacobian with respect to the initial momenta from
+one source: for a quadratic H the N-step RK4 propagator (one matrix, built by
+repeated squaring, so shooting is a single linear solve), otherwise the
+variational equations integrated alongside the state.  For the unit
 oscillator the classical A/B constants of Q(t) = A e^{it} + B e^{-it} are
 reported as well.
 """
@@ -17,13 +21,23 @@ from fractions import Fraction
 
 from .expr import Expr
 
+# Shooting is refused when the condition number of dQ(t2)/dP(t1), taken
+# relative to the whole Jacobian dy(t2)/dP(t1), exceeds 1/sqrt(machine
+# epsilon) = 2**26 (about 6.7e7): past it fewer than half of a double's
+# significant digits of P(t1) survive the rounding of the end state.
+MAX_CONDITION = 2.0**26
+
 
 class NumericsError(Exception):
     pass
 
 
 class SingularShooting(NumericsError):
-    pass
+    """Resonant interval: the endpoint data cannot determine the momenta."""
+
+
+class ShootingNotConverged(NumericsError):
+    """Newton ran out of iterations before the residual met its tolerance."""
 
 
 @dataclass
@@ -33,6 +47,8 @@ class ReducedField:
     energy: object  # H(y) -> float
     h_expr: Expr
     oscillator_like: bool  # 1 dof, unit frequency, no linear terms
+    jac: object = None  # jac(y) -> rows of d(rhs)/dy, from the exact Hessian of H
+    linear: tuple | None = None  # (A, c) with rhs = A y + c when H is quadratic
 
     @property
     def dim(self):
@@ -40,7 +56,7 @@ class ReducedField:
 
 
 def compile_field(h_reduced: Expr, pairs, params: dict | None = None) -> ReducedField:
-    """Compile (dQ, dP) = (dH/dP, -dH/dQ) into float closures.
+    """Compile (dQ, dP) = (dH/dP, -dH/dQ) and its Jacobian into float closures.
 
     params supplies float values for any parameter symbols left in H;
     anything else loose (an unfixed gauge coordinate, a multiplier) is an
@@ -59,26 +75,28 @@ def compile_field(h_reduced: Expr, pairs, params: dict | None = None) -> Reduced
         names[q.index] = f"y[{2 * k}]"
         names[p.index] = f"y[{2 * k + 1}]"
 
+    slots = [s for q, p in pairs for s in (q, p)]
     comps = []
     for q, p in pairs:
         comps.append(h.diff(p))
         comps.append(-h.diff(q))
+    grads = [[c.diff(s) for s in slots] for c in comps]
     body = ", ".join(_expr_to_py(c, names) for c in comps)
     rhs = eval(f"lambda t, y: ({body}{',' if len(comps) == 1 else ''})")  # noqa: S307 - generated from exact expressions
     energy = eval(f"lambda y: ({_expr_to_py(h, names)})")  # noqa: S307
+    rows = ", ".join("(" + ", ".join(_expr_to_py(g, names) for g in row) + ",)" for row in grads)
+    jac = eval(f"lambda y: ({rows},)")  # noqa: S307
 
-    osc = False
-    if len(pairs) == 1:
-        q, p = pairs[0]
-        a = h.diff(q).diff(q) / 2
-        c = h.diff(p).diff(p) / 2
-        b = h.diff(q).diff(p)
-        lin_q = h.diff(q).substitute({q: Expr.const(table, 0), p: Expr.const(table, 0)})
-        lin_p = h.diff(p).substitute({q: Expr.const(table, 0), p: Expr.const(table, 0)})
-        if all(e.is_constant() for e in (a, b, c, lin_q, lin_p)):
-            w2 = 4 * a.constant_value() * c.constant_value() - b.constant_value() ** 2
-            osc = w2 == 1 and lin_q.constant_value() == 0 and lin_p.constant_value() == 0
-    return ReducedField(list(pairs), rhs, energy, h, osc)
+    # quadratic H, decided exactly: the field is affine, y' = A y + c
+    linear, osc = None, False
+    if h.is_polynomial() and all(sum(e for _i, e in mono) <= 2 for mono in h.num):
+        zero = {s: Expr.const(table, 0) for s in slots}
+        a = [[g.constant_value() for g in row] for row in grads]
+        c = [comp.substitute(zero).constant_value() for comp in comps]
+        linear = ([[float(v) for v in row] for row in a], [float(v) for v in c])
+        # one pair with det A = H_QQ H_PP - H_QP^2 = 1 and no linear terms
+        osc = len(pairs) == 1 and a[0][0] * a[1][1] - a[0][1] * a[1][0] == 1 and not any(c)
+    return ReducedField(list(pairs), rhs, energy, h, osc, jac, linear)
 
 
 def _expr_to_py(e: Expr, names: dict) -> str:
@@ -126,14 +144,19 @@ class Trajectory:
         return "\n".join(lines) + "\n"
 
 
-def integrate(field: ReducedField, init, t1: float, t2: float, step: float) -> Trajectory:
-    """Classical fixed-step RK4 from t1 to t2 (step adjusted to land on t2)."""
-    if step <= 0:
+def _grid(t1: float, t2: float, step: float):
+    """Step count and step length of the fixed RK4 grid (step adjusted to land on t2)."""
+    if not step > 0:
         raise NumericsError("step must be positive")
     if t2 <= t1:
         raise NumericsError("t2 must exceed t1")
     nsteps = max(1, math.ceil((t2 - t1) / step - 1e-12))
-    h = (t2 - t1) / nsteps
+    return nsteps, (t2 - t1) / nsteps
+
+
+def integrate(field: ReducedField, init, t1: float, t2: float, step: float) -> Trajectory:
+    """Classical fixed-step RK4 from t1 to t2 (step adjusted to land on t2)."""
+    nsteps, h = _grid(t1, t2, step)
     rhs = field.rhs
     y = tuple(float(v) for v in init)
     if len(y) != field.dim:
@@ -162,12 +185,73 @@ def integrate(field: ReducedField, init, t1: float, t2: float, step: float) -> T
     return Trajectory(times, states, energies, field.pairs)
 
 
+def rk4_propagator(field: ReducedField, t1: float, t2: float, step: float) -> list:
+    """The N-step RK4 map of a quadratic H as one (2m+1)-square matrix.
+
+    With G = h [[A, c], [0, 0]] one RK4 step of y' = A y + c is exactly
+    [y; 1] -> R [y; 1], R = I + G + G^2/2 + G^3/6 + G^4/24; the grid is the one
+    `integrate` uses, and R^N comes from O(log N) products by repeated squaring.
+    """
+    if field.linear is None:
+        raise NumericsError("the RK4 propagator needs a quadratic Hamiltonian")
+    nsteps, h = _grid(t1, t2, step)
+    a, c = field.linear
+    g = [[h * v for v in row] + [h * ci] for row, ci in zip(a, c)] + [[0.0] * (len(c) + 1)]
+    eye = [[float(i == j) for j in range(len(g))] for i in range(len(g))]
+    r = eye
+    for k in (4, 3, 2, 1):  # Horner: I + G (I + G/2 (I + G/3 (I + G/4)))
+        r = [[e + v / k for e, v in zip(er, gr)] for er, gr in zip(eye, _matmul(g, r))]
+    out = None
+    while nsteps:
+        if nsteps & 1:
+            out = r if out is None else _matmul(out, r)
+        nsteps >>= 1
+        if nsteps:
+            r = _matmul(r, r)
+    return out
+
+
+@dataclass
+class _Variational:
+    """State followed by the columns dy/dP_k(t1), laid out for `integrate`."""
+
+    pairs: list
+    rhs: object
+    energy: object
+    dim: int
+
+
+def rk4_variational(field: ReducedField, init, t1: float, t2: float, step: float):
+    """End state y(t2) and Phi = dy(t2)/dP(t1) (rows: state, columns: momenta).
+
+    The variational equations Phi' = Df(y) Phi ride along the state through
+    one `integrate` call, so Phi is the exact derivative of the discrete RK4
+    map, not a finite-difference estimate.
+    """
+    n, m = field.dim, len(field.pairs)
+    rhs, jac = field.rhs, field.jac
+
+    def aug(t, z):
+        y = z[:n]
+        d = jac(y)
+        out = list(rhs(t, y))
+        for k in range(n, n + n * m, n):
+            col = z[k : k + n]
+            out += [sum(a * b for a, b in zip(row, col)) for row in d]
+        return out
+
+    z0 = list(init) + [float(i == 2 * k + 1) for k in range(m) for i in range(n)]
+    z = integrate(_Variational(field.pairs, aug, lambda z: 0.0, n + n * m), z0, t1, t2, step).states[-1]
+    return z[:n], [[z[n + k * n + i] for k in range(m)] for i in range(n)]
+
+
 @dataclass
 class IotaSolution:
     initial_state: tuple  # full (Q1, P1, ...) at t1
     constants: dict  # name -> float, the integral-constant parametrization
     trajectory: Trajectory
     residual: float
+    condition: float  # of dQ(t2)/dP(t1) relative to dy(t2)/dP(t1), at the solution
 
 
 def solve_iota(
@@ -183,8 +267,14 @@ def solve_iota(
     """Shooting solve of the two-point problem Q(t1), Q(t2) -> initial state.
 
     boundary maps each position symbol name to (value at t1, value at t2).
-    Newton iterates on the unknown initial momenta; a singular shooting
-    Jacobian (e.g. a resonant interval) is rejected.
+    Newton iterates on the unknown initial momenta with the exact Jacobian of
+    the RK4 map: from the propagator for a quadratic H (one step solves it),
+    from the variational equations otherwise.  A shooting block whose
+    condition number exceeds MAX_CONDITION (a resonant interval) raises
+    SingularShooting.  The residual max|Q(t2) - Q2| must fall to tol times the
+    state's scale (the largest of |Q1|, |Q2|, |P(t1)|, |y(t2)|), checked
+    once more on the single RK4 integration at the solved momenta that
+    supplies the trajectory; otherwise ShootingNotConverged.
     """
     m = len(field.pairs)
     if m == 0:
@@ -196,37 +286,44 @@ def solve_iota(
     q1 = [float(boundary[nm][0]) for nm in names]
     q2 = [float(boundary[nm][1]) for nm in names]
 
-    def shoot(pvec):
-        y0 = []
-        for k in range(m):
-            y0 += [q1[k], pvec[k]]
-        traj = integrate(field, y0, t1, t2, step)
-        yend = traj.states[-1]
-        return [yend[2 * k] - q2[k] for k in range(m)], traj
+    def start(pvec):
+        return [v for qa, pa in zip(q1, pvec) for v in (qa, pa)]
+
+    if field.linear is not None:
+        prop = rk4_propagator(field, t1, t2, step)[: 2 * m]
+        phi = [[row[2 * k + 1] for k in range(m)] for row in prop]
+
+        def shoot(pvec):
+            y0 = start(pvec) + [1.0]
+            return [sum(a * b for a, b in zip(row, y0)) for row in prop], phi
+
+    else:
+
+        def shoot(pvec):
+            return rk4_variational(field, start(pvec), t1, t2, step)
+
+    def residual(pvec, yend):
+        res = [yend[2 * k] - q2[k] for k in range(m)]
+        scale = max(abs(v) for v in (*q1, *q2, *pvec, *yend))
+        return res, max(abs(r) for r in res), scale
 
     p = [0.0] * m
-    res, traj = shoot(p)
     it = 0
-    scale = max(1.0, max(abs(v) for v in q1 + q2))
-    while max(abs(r) for r in res) > tol:
+    while True:
+        yend, phi = shoot(p)
+        res, worst, scale = residual(p, yend)
+        delta, cond = _newton_step(phi, res, t1, t2)
+        if worst <= tol * scale:
+            break
         if it >= max_iter:
-            raise NumericsError("shooting iteration did not converge")
-        jac = [[0.0] * m for _ in range(m)]
-        eps = 1e-7 * scale
-        for j in range(m):
-            pj = list(p)
-            pj[j] += eps
-            rj, _ = shoot(pj)
-            for i in range(m):
-                jac[i][j] = (rj[i] - res[i]) / eps
-        delta = _dense_solve(jac, [-r for r in res])
-        if delta is None:
-            raise SingularShooting(
-                f"singular shooting Jacobian on [{t1}, {t2}]; endpoint data cannot determine the constants"
-            )
+            raise ShootingNotConverged(_not_converged(it, worst, scale))
         p = [a + d for a, d in zip(p, delta)]
-        res, traj = shoot(p)
         it += 1
+
+    traj = integrate(field, start(p), t1, t2, step)
+    res, worst, scale = residual(p, traj.states[-1])
+    if worst > tol * scale:
+        raise ShootingNotConverged(_not_converged(it, worst, scale))
 
     constants = {}
     for k, (qs, ps) in enumerate(field.pairs):
@@ -241,26 +338,54 @@ def solve_iota(
         b_const = (qb * cmath.exp(-1j * t1) - qa * cmath.exp(-1j * t2)) / (2j * s)
         constants["A"] = _tidy_complex(a_const)
         constants["B"] = _tidy_complex(b_const)
-    init_state = []
-    for k in range(m):
-        init_state += [q1[k], p[k]]
-    return IotaSolution(tuple(init_state), constants, traj, max(abs(r) for r in res))
+    return IotaSolution(tuple(start(p)), constants, traj, worst, cond)
+
+
+def _not_converged(iterations, worst, scale):
+    # scale > 0 here: a zero scale forces a zero residual
+    return f"shooting iteration did not converge after {iterations} iterations (relative residual {worst / scale:.3g})"
+
+
+def _newton_step(phi, res, t1, t2):
+    """Newton update B^-1 (-res) for the block B = dQ(t2)/dP(t1), and its condition.
+
+    The condition is |Phi| |B^-1| in the max-row-sum norm, Phi = dy(t2)/dP(t1)
+    the full Jacobian: it does not change when the boundary data and the state
+    are scaled together.
+    """
+    m = len(res)
+    inv = _inverse([phi[2 * i] for i in range(m)])
+    cond = math.inf
+    if inv is not None:
+        cond = _norm(phi) * _norm(inv)
+    if not cond <= MAX_CONDITION:
+        raise SingularShooting(
+            f"resonant interval [{t1}, {t2}]: dQ(t2)/dP(t1) has condition number {cond:.3g} "
+            f"> {MAX_CONDITION:.3g}; endpoint data cannot determine the constants"
+        )
+    return [-sum(a * r for a, r in zip(row, res)) for row in inv], cond
 
 
 def _tidy_complex(z):
     return z.real if abs(z.imag) < 1e-12 else (z.real, z.imag)
 
 
-def _dense_solve(a, b):
-    # pivots below the finite-difference noise floor mean a singular map
-    n = len(b)
-    m = [list(map(float, a[i])) + [float(b[i])] for i in range(n)]
+def _norm(a):
+    return max(sum(abs(v) for v in row) for row in a)
+
+
+def _matmul(a, b):
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
+def _inverse(a):
+    """Gauss-Jordan inverse with partial pivoting; None on an exactly zero pivot."""
+    n = len(a)
+    m = [list(a[i]) + [float(i == j) for j in range(n)] for i in range(n)]
     for c in range(n):
-        piv, best = None, 0.0
-        for i in range(c, n):
-            if abs(m[i][c]) > best:
-                piv, best = i, abs(m[i][c])
-        if piv is None or best < 1e-6:
+        piv = max(range(c, n), key=lambda i: abs(m[i][c]))
+        if m[piv][c] == 0.0:
             return None
         m[c], m[piv] = m[piv], m[c]
         p = m[c][c]
@@ -269,4 +394,4 @@ def _dense_solve(a, b):
             if i != c and m[i][c]:
                 f = m[i][c]
                 m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return [m[i][n] for i in range(n)]
+    return [row[n:] for row in m]

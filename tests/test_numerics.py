@@ -3,7 +3,15 @@ import math
 import pytest
 
 from hamdirac import SymbolTable, compile_field, integrate, parse_expr, solve_iota
-from hamdirac.numerics import NumericsError, SingularShooting
+from hamdirac import numerics
+from hamdirac.numerics import (
+    MAX_CONDITION,
+    NumericsError,
+    ShootingNotConverged,
+    SingularShooting,
+    rk4_propagator,
+    rk4_variational,
+)
 
 from conftest import rng_for
 
@@ -148,3 +156,143 @@ def test_field_evaluation_matches_symbolic():
         sym = float(h.eval_fraction({q: qq, p: pp}))
         num = field.energy((float(qq), float(pp)))
         assert abs(sym - num) <= 1e-14 * max(1.0, abs(sym))
+
+
+def analytic_p(q1, q2, t):
+    # unit oscillator: Q(t) = Q1 cos t + P(t1) sin t
+    return (q2 - q1 * math.cos(t)) / math.sin(t)
+
+
+def test_solve_iota_near_resonant_interval_matches_closed_form():
+    t, field = oscillator()
+    sol = solve_iota(field, {"Q": (1.0, 0.0)}, 0.0, 3.1415, step=1e-3)
+    want = analytic_p(1.0, 0.0, 3.1415)
+    assert abs(sol.initial_state[1] - want) <= 1e-8 * abs(want)
+    assert 1e4 < sol.condition < 1.2e4  # 1 / sin(3.1415)
+
+
+def test_solve_iota_just_past_resonance_solved_or_rejected_with_condition():
+    t, field = oscillator()
+    t2 = math.pi + 1e-6
+    try:
+        sol = solve_iota(field, {"Q": (1.0, 0.0)}, 0.0, t2, step=1e-3)
+    except SingularShooting as exc:
+        assert "condition number" in str(exc)
+        return
+    want = analytic_p(1.0, 0.0, t2)
+    assert abs(sol.initial_state[1] - want) <= 1e-7 * abs(want)
+
+
+def test_solve_iota_singular_message_names_condition_and_bound():
+    t, field = oscillator()
+    with pytest.raises(SingularShooting) as info:
+        solve_iota(field, {"Q": (1.0, 0.0)}, 0.0, math.pi, step=1e-3)
+    msg = str(info.value)
+    assert "resonant interval" in msg and "condition number" in msg
+    assert f"{MAX_CONDITION:.3g}" in msg
+
+
+def test_solve_iota_decision_is_scale_invariant():
+    t, field = oscillator()
+    for t2 in (1.0, 3.1415, math.pi + 1e-6, math.pi + 1e-9, math.pi):
+        outcomes = []
+        for scale in (1e-6, 1.0, 1e6):
+            try:
+                sol = solve_iota(field, {"Q": (0.75 * scale, -0.5 * scale)}, 0.0, t2, step=1e-3)
+                outcomes.append(sol.initial_state[1] / scale)
+            except SingularShooting:
+                outcomes.append(None)
+        if outcomes[1] is None:
+            assert outcomes == [None, None, None], t2
+        else:
+            assert all(o is not None and abs(o - outcomes[1]) <= 1e-9 * abs(outcomes[1]) for o in outcomes), t2
+
+
+def test_solve_iota_not_converged_is_its_own_error():
+    t = SymbolTable()
+    q = t.position("Q")
+    p = t.register("P", "momentum")
+    field = compile_field(parse_expr("(1/4)*P^2 + Q^2 + (1/4)*Q^4", t), [(q, p)])
+    with pytest.raises(ShootingNotConverged) as info:
+        solve_iota(field, {"Q": (0.5, 0.25)}, 0.0, 1.5, step=1e-3, max_iter=0)
+    assert not isinstance(info.value, SingularShooting)
+    assert "did not converge after 0 iterations" in str(info.value)
+    assert "relative residual" in str(info.value)
+    sol = solve_iota(field, {"Q": (0.5, 0.25)}, 0.0, 1.5, step=1e-3)
+    assert abs(sol.trajectory.states[-1][0] - 0.25) <= 1e-10
+
+
+def random_quadratic(rng, m):
+    t = SymbolTable()
+    pairs = [(t.position(f"Q{k}"), t.register(f"P{k}", "momentum")) for k in range(1, m + 1)]
+    slots = [s.name for pair in pairs for s in pair]
+    terms = []
+    for i, a in enumerate(slots):
+        for b in slots[i:]:
+            terms.append(f"({rng.randint(-4, 4)}/{rng.randint(1, 4)})*{a}*{b}")
+        terms.append(f"({rng.randint(-4, 4)}/{rng.randint(1, 4)})*{a}")  # affine shift, like 2*eps*P
+    return pairs, compile_field(parse_expr(" + ".join(terms), t), pairs)
+
+
+def test_rk4_propagator_matches_stepwise_integration():
+    rng = rng_for("propagator-oracle")
+    for trial in range(12):
+        m = 1 + trial % 2
+        pairs, field = random_quadratic(rng, m)
+        assert field.linear is not None
+        t2 = rng.uniform(0.5, 2.0)
+        step = rng.choice((1e-3, 7e-3, 0.05))
+        prop = rk4_propagator(field, 0.0, t2, step)
+        y0 = [rng.uniform(-2, 2) for _ in range(2 * m)]
+        want = integrate(field, y0, 0.0, t2, step).states[-1]
+        got = [sum(a * b for a, b in zip(row, y0 + [1.0])) for row in prop[: 2 * m]]
+        scale = max(abs(v) for v in want)
+        assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12 * scale, (trial, got, want)
+        assert prop[2 * m] == [0.0] * (2 * m) + [1.0]
+
+
+def test_rk4_propagator_carries_affine_shift():
+    t, field = oscillator("(1/2)*Q^2 + (1/2)*P^2 + 2*eps*P", params={"eps": 0.25}, extra=("eps",))
+    prop = rk4_propagator(field, 0.0, 1.3, 1e-3)
+    want = integrate(field, (0.4, -0.3), 0.0, 1.3, 1e-3).states[-1]
+    got = [sum(a * b for a, b in zip(row, (0.4, -0.3, 1.0))) for row in prop[:2]]
+    assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12 * max(abs(v) for v in want)
+
+
+def test_variational_jacobian_matches_central_differences():
+    t = SymbolTable()
+    pairs = [(t.position("Q1"), t.register("P1", "momentum")), (t.position("Q2"), t.register("P2", "momentum"))]
+    h = parse_expr("(1/2)*P1^2 + (1/4)*P2^2 + Q1^2 + (1/2)*Q2^2 + (1/4)*Q1^4 + (1/3)*Q1*Q2^3 - P1*Q2", t)
+    field = compile_field(h, pairs)
+    assert field.linear is None
+    rng = rng_for("variational-oracle")
+    eps = 1e-5
+    for _ in range(3):
+        y0 = [rng.uniform(-0.6, 0.6) for _ in range(4)]
+        yend, phi = rk4_variational(field, y0, 0.0, 1.2, 1e-3)
+        assert list(yend) == list(integrate(field, y0, 0.0, 1.2, 1e-3).states[-1])
+        for k in range(2):
+            plus, minus = list(y0), list(y0)
+            plus[2 * k + 1] += eps
+            minus[2 * k + 1] -= eps
+            hi = integrate(field, plus, 0.0, 1.2, 1e-3).states[-1]
+            lo = integrate(field, minus, 0.0, 1.2, 1e-3).states[-1]
+            for i in range(4):
+                fd = (hi[i] - lo[i]) / (2 * eps)
+                assert abs(phi[i][k] - fd) <= 1e-6 * max(1.0, abs(fd)), (i, k, phi[i][k], fd)
+
+
+def test_quadratic_shooting_integrates_once(monkeypatch):
+    calls = []
+    real = numerics.integrate
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(numerics, "integrate", counting)
+    pairs, field = random_quadratic(rng_for("count-integrations"), 2)
+    sol = solve_iota(field, {"Q1": (0.3, -0.2), "Q2": (0.1, 0.4)}, 0.0, 0.7, step=1e-3)
+    assert len(calls) == 1
+    assert sol.trajectory.states[-1][0] == pytest.approx(-0.2, abs=1e-10)
+    assert sol.trajectory.states[-1][2] == pytest.approx(0.4, abs=1e-10)

@@ -214,6 +214,43 @@ def test_cli_simulate_l4_matches_l2(tmp_path, capsys):
         assert max(abs(float(x[1]) - float(y[1])) for x, y in zip(rows_a, rows_o)) < 1e-8
 
 
+def test_cli_simulate_parses_bc_and_xi_like_times(capsys):
+    runs = {}
+    for spec in ("Q1=0.5:0", "Q1=1/2:0", "Q1=pi/4:0", "Q1=0.7853981633974483:0"):
+        assert main(["simulate", fixture("l2.sys"), "--bc", spec, "--t2", "1"]) == 0
+        runs[spec] = json.loads(capsys.readouterr().out)["initial_state"]
+    assert runs["Q1=1/2:0"] == runs["Q1=0.5:0"]
+    assert runs["Q1=pi/4:0"] == runs["Q1=0.7853981633974483:0"]
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--bc", "Q1=half:0", "--t2", "1"],
+        ["--bc", "Q1=1:1/0", "--t2", "1"],
+        ["--bc", "Q1=1:inf", "--t2", "1"],
+        ["--bc", "Q1=:0", "--t2", "1"],
+        ["--bc", "Q1=1:0", "--t2", "1", "--xi", "Z=(1"],
+        ["--bc", "Q1=1:0", "--t2", "2^2000"],
+        ["--bc", "Q1=1:0", "--t2", "(" * 3000 + "1" + ")" * 3000],
+        ["--bc", "Q1=1:0", "--t2", "1", "--step", "nan"],
+        ["--bc", "Q1=1:0", "--t2", "1", "--step", "0"],
+    ],
+)
+def test_cli_simulate_unparsable_values_exit_2(extra, capsys):
+    assert main(["simulate", fixture("l2.sys"), *extra]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_cli_simulate_resonant_and_near_resonant(capsys):
+    assert main(["simulate", fixture("l2.sys"), "--bc", "Q1=1:0", "--t2", "pi"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: resonant interval") and "condition number" in err
+    assert main(["simulate", fixture("l2.sys"), "--bc", "Q1=1:0", "--t2", "3.1415"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert 1e4 < out["condition"] < 1e5
+
+
 def test_cli_reports_genericity_pivots(tmp_path, capsys):
     f = tmp_path / "curved.sys"
     f.write_text("system curved\ncoordinates q1\norder 1\nL = (1/2)*q1^2*d(q1)^2\n", encoding="utf-8")
