@@ -16,9 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .dirac import DiracResult, DiracError
+from . import qq
+from .dirac import DiracResult, DiracError, poisson
 from .expr import Expr, ExprError
 from .lagrangian import PhaseSpace, UnsupportedShape
 
@@ -105,14 +104,6 @@ class CanonicalChart:
         raise ChartError(f"chart row {row.name} has no conjugate")
 
 
-def _bracket(u, v, n):
-    """Poisson bracket of two covectors over z = (q1..qn, p1..pn)."""
-    s = Fraction(0)
-    for i in range(n):
-        s += u[i] * v[n + i] - u[n + i] * v[i]
-    return s
-
-
 def _as_covector(expr: Expr, phase: PhaseSpace):
     try:
         coeffs, offset = expr.linear_form(phase.z_order())
@@ -127,8 +118,8 @@ def _as_covector(expr: Expr, phase: PhaseSpace):
 def _project_pair(x, xoff, pair, n):
     """Symplectic projection of x off a unit-bracket pair (e, f)."""
     (e, eoff), (f, foff) = pair
-    a = _bracket(x, f, n)
-    b = _bracket(x, e, n)
+    a = qq.bracket(x, f, n)
+    b = qq.bracket(x, e, n)
     nx = [xi - a * ei + b * fi for xi, ei, fi in zip(x, e, f)]
     noff = xoff - a * eoff + b * foff
     return nx, noff
@@ -156,7 +147,7 @@ def build_chart(result: DiracResult) -> CanonicalChart:
         e, eoff = pool.pop(0)
         partner = None
         for k, (f, foff) in enumerate(pool):
-            br = _bracket(e, f, n)
+            br = qq.bracket(e, f, n)
             if br:
                 partner = (k, f, foff, br)
                 break
@@ -183,12 +174,12 @@ def build_chart(result: DiracResult) -> CanonicalChart:
             rhs.append(Fraction(0))
             rows.append(_sympl_grad(f, n))
             rhs.append(Fraction(0))
-        x = _frac_solve(rows, rhs)
+        x = qq.solve(rows, rhs)
         if x is None:
             raise DiracError("no conjugate for a first-class momentum; classification bug")
         xoff = Fraction(0)
         for b in range(a):
-            c = _bracket(xi_rows[b][0], x, n)
+            c = qq.bracket(xi_rows[b][0], x, n)
             if c:
                 pb, pboff, _g = psi[b]
                 x = [xi - c * pi for xi, pi in zip(x, pb)]
@@ -227,7 +218,7 @@ def build_chart(result: DiracResult) -> CanonicalChart:
         pvec = None
         for s in seeds[start:]:
             y = project_all(list(s))
-            br = _bracket(qvec, y, n)
+            br = qq.bracket(qvec, y, n)
             if br:
                 pvec = [c / br for c in y]
                 break
@@ -242,26 +233,6 @@ def build_chart(result: DiracResult) -> CanonicalChart:
     if not ok:
         raise DiracError(f"internal: built chart fails S^T J S = J at {violations[:3]}")
     return chart
-
-
-def _embedded_velocity(chart: CanonicalChart, result: DiracResult, row_expr: Expr):
-    """Velocity of an affine phase function, transformed to chart symbols and
-    restricted to the embedded subspace (all constraint and gauge coordinates
-    at zero, free multipliers dropped)."""
-    from .dirac import poisson
-
-    table = chart.table
-    ht = result.total_hamiltonian(substitute_solved=True)
-    vel = poisson(row_expr, ht, result.phase)
-    vel_c = transform(vel, chart)
-    subs = {}
-    for r in chart.rows:
-        if r.role in ("Q", "P"):
-            continue
-        subs[r.symbol] = Expr.const(table, 0)
-    for z in result.free_multipliers:
-        subs[z] = Expr.const(table, 0)
-    return vel_c.substitute(subs) if subs else vel_c
 
 
 def _static_correct(chart: CanonicalChart, result: DiracResult):
@@ -280,20 +251,31 @@ def _static_correct(chart: CanonicalChart, result: DiracResult):
         return
     qp_syms = [r.symbol for r in qp_rows]
     targets = [r for r in chart.rows if r.role == "Xi" and (r.generation or 1) > 1]
+    ht = result.total_hamiltonian(substitute_solved=True)
+    cp = chart.chart_phase()
+    zero = Expr.const(table, 0)
+    # the embedded subspace: constraint and gauge coordinates at zero, free multipliers dropped
+    embedded = {r.symbol: zero for r in chart.rows if r.role not in ("Q", "P")}
+    embedded.update({z: zero for z in result.free_multipliers})
+    zero_qp = {s: zero for s in qp_syms}
     for xi in targets:
         try:
-            defect = _embedded_velocity(chart, result, xi.expr(table, chart.phase))
+            ht_c = transform(ht, chart)
+
+            def velocity(row):
+                return poisson(Expr.sym(table, row.symbol), ht_c, cp).substitute(embedded)
+
+            defect = velocity(xi)
             if defect.is_zero():
                 continue
-            basis = [_embedded_velocity(chart, result, w.expr(table, chart.phase)) for w in qp_rows]
-            zero_qp = {s: Expr.const(table, 0) for s in qp_syms}
+            basis = [velocity(w) for w in qp_rows]
             rows_sys, rhs = [], []
             for s in qp_syms:
-                rows_sys.append([Fraction(b.diff(s).constant_value()) for b in basis])
-                rhs.append(-Fraction(defect.diff(s).constant_value()))
-            rows_sys.append([Fraction(b.substitute(zero_qp).constant_value()) for b in basis])
-            rhs.append(-Fraction(defect.substitute(zero_qp).constant_value()))
-            alpha = _frac_solve(rows_sys, rhs)
+                rows_sys.append([b.diff(s).constant_value() for b in basis])
+                rhs.append(-defect.diff(s).constant_value())
+            rows_sys.append([b.substitute(zero_qp).constant_value() for b in basis])
+            rhs.append(-defect.substitute(zero_qp).constant_value())
+            alpha = qq.solve(rows_sys, rhs)
         except ExprError:
             alpha = None
         if alpha is None:
@@ -306,7 +288,7 @@ def _static_correct(chart: CanonicalChart, result: DiracResult):
         xi.offset = xi.offset + sum(a * w.offset for a, w in zip(alpha, qp_rows))
         psi = chart.conjugate(xi)
         for w in qp_rows:
-            lam = -_bracket(xi.coeffs, w.coeffs, n)
+            lam = -qq.bracket(xi.coeffs, w.coeffs, n)
             if lam:
                 w.coeffs = [c + lam * p for c, p in zip(w.coeffs, psi.coeffs)]
                 w.offset = w.offset + lam * psi.offset
@@ -315,40 +297,6 @@ def _static_correct(chart: CanonicalChart, result: DiracResult):
 def _sympl_grad(c, n):
     """Row r with r . x = <x, c> for the symplectic pairing."""
     return list(c[n:]) + [-ci for ci in c[:n]]
-
-
-def _frac_solve(rows, rhs):
-    """Particular solution of a rational linear system (free vars zero)."""
-    m = len(rows)
-    if m == 0:
-        return None
-    cols = len(rows[0])
-    a = [list(map(Fraction, rows[i])) + [Fraction(rhs[i])] for i in range(m)]
-    piv = {}
-    used = set()
-    for c in range(cols):
-        src = None
-        for i in range(m):
-            if i not in used and a[i][c]:
-                src = i
-                break
-        if src is None:
-            continue
-        used.add(src)
-        p = a[src][c]
-        a[src] = [x / p for x in a[src]]
-        for i in range(m):
-            if i != src and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[src])]
-        piv[c] = src
-    for i in range(m):
-        if i not in used and a[i][cols]:
-            return None
-    x = [Fraction(0)] * cols
-    for c, i in piv.items():
-        x[c] = a[i][cols]
-    return x
 
 
 def _assemble_rows(table, psi, xi_rows, theta_pairs, qp_pairs):
@@ -416,6 +364,8 @@ def verify_chart(matrix, mode="exact", tol=1e-12):
                     violations.append((i, k, delta))
         return (not violations), violations, (max((abs(d) for _, _, d in violations), default=Fraction(0)))
     if mode == "float":
+        import numpy as np
+
         s = np.array([[float(x) for x in row] for row in matrix], dtype=float)
         j = np.zeros((dim, dim))
         j[:n, n:] = np.eye(n)
@@ -431,11 +381,13 @@ def verify_chart(matrix, mode="exact", tol=1e-12):
 
 
 def transform(e: Expr, chart: CanonicalChart) -> Expr:
-    """Rewrite a phase-space expression in chart symbols (exact charts only)."""
+    """Rewrite a phase-space expression in chart symbols.
+
+    Exact canonical charts only (S^T J S = J, as every chart leaving
+    build_chart or the supplied-chart import is), so S^-1 has a closed form.
+    """
     table = chart.table
-    n = chart.n
-    s = chart.matrix()
-    inv = _frac_inverse(s)
+    inv = qq.symplectic_inverse(chart.matrix())
     z = chart.phase.z_order()
     subs = {}
     for i, zi in enumerate(z):
@@ -447,30 +399,6 @@ def transform(e: Expr, chart: CanonicalChart) -> Expr:
         subs[zi] = acc
     return e.substitute(subs)
 
-
-def _frac_inverse(matrix):
-    dim = len(matrix)
-    a = [[Fraction(x) for x in row] + [Fraction(1 if k == i else 0) for k in range(dim)] for i, row in enumerate(matrix)]
-    for c in range(dim):
-        src = None
-        for i in range(c, dim):
-            if a[i][c]:
-                src = i
-                break
-        if src is None:
-            raise ChartError("chart matrix is singular")
-        a[c], a[src] = a[src], a[c]
-        p = a[c][c]
-        a[c] = [x / p for x in a[c]]
-        for i in range(dim):
-            if i != c and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return [row[dim:] for row in a]
-
-
-# ---------------------------------------------------------------------------
-# float-mode helpers (irrational charts, e.g. 1/sqrt(2) normalizations)
 
 # ---------------------------------------------------------------------------
 # integrability and budgets
@@ -554,6 +482,8 @@ def integral_constant_budget(result: DiracResult, plan) -> ConstantBudget:
 
 
 def float_bracket_table(matrix):
+    import numpy as np
+
     dim = len(matrix)
     n = dim // 2
     s = np.array([[float(x) for x in row] for row in matrix], dtype=float)
@@ -594,6 +524,8 @@ def _fmono_mul(m1, m2):
 
 def _float_replacements(matrix, offsets=None):
     """Linear FloatPoly replacement for each original phase coordinate."""
+    import numpy as np
+
     dim = len(matrix)
     s = np.array([[float(x) for x in row] for row in matrix], dtype=float)
     inv = np.linalg.inv(s)

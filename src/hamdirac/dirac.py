@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import qq
 from .expr import Expr, ExprError
 from .lagrangian import FirstOrderSystem, PhaseSpace, UnsupportedShape
 from .linalg import ExprMatrix, rank
@@ -50,7 +51,7 @@ class ClassRep:
     expr: Expr
     klass: str
     generation: int
-    coeffs: list  # combination over the discovery-order constraint list
+    coeffs: list  # Fractions: combination over the discovery-order constraint list
 
 
 @dataclass
@@ -107,20 +108,9 @@ class WeakReducer:
 
     def __init__(self, constraint_exprs, phase: PhaseSpace):
         self.phase = phase
-        table = phase.table
         syms = phase.z_order()
-        rows = []
-        for e in constraint_exprs:
-            if e.is_zero():
-                continue
-            try:
-                coeffs, offset = e.linear_form(syms)
-            except ExprError as exc:
-                raise UnsupportedShape(
-                    f"constraint {e} is not affine with constant coefficients; weak reduction unsupported"
-                ) from exc
-            rows.append(([Fraction(c) for c in coeffs], Fraction(offset)))
-        self.subs = _affine_rref(rows, syms, table)
+        rows = _affine_rows([e for e in constraint_exprs if not e.is_zero()], syms)
+        self.subs = _affine_rref(rows, syms, phase.table)
 
     def reduce(self, e: Expr) -> Expr:
         if not self.subs:
@@ -128,44 +118,38 @@ class WeakReducer:
         return e.substitute(self.subs)
 
 
+def _affine_rows(exprs, syms):
+    """Each expression as a rational row [coefficients over syms..., offset]."""
+    rows = []
+    for e in exprs:
+        try:
+            coeffs, offset = e.linear_form(syms)
+        except ExprError as exc:
+            raise UnsupportedShape(
+                f"constraint {e} is not affine with constant coefficients; weak reduction unsupported"
+            ) from exc
+        rows.append([Fraction(c) for c in coeffs] + [Fraction(offset)])
+    return rows
+
+
 def _affine_rref(rows, syms, table):
-    """RREF of affine constraint rows; returns pivot-symbol substitution map."""
-    work = [([Fraction(c) for c in coeffs], Fraction(off)) for coeffs, off in rows]
-    order = sorted(range(len(syms)), key=lambda k: -syms[k].index)
-    used = set()
-    pivots = {}
-    for k in order:
-        src_i = None
-        for i, (coeffs, _off) in enumerate(work):
-            if i not in used and coeffs[k]:
-                src_i = i
-                break
-        if src_i is None:
-            continue
-        used.add(src_i)
-        coeffs, off = work[src_i]
-        piv = coeffs[k]
-        coeffs = [c / piv for c in coeffs]
-        off = off / piv
-        work[src_i] = (coeffs, off)
-        for i, (c2, o2) in enumerate(work):
-            if i == src_i or not c2[k]:
-                continue
-            f = c2[k]
-            work[i] = ([a - f * b for a, b in zip(c2, coeffs)], o2 - f * off)
-        pivots[k] = src_i
-    for i, (coeffs, off) in enumerate(work):
+    """RREF of augmented affine rows, highest symbol index first; returns the
+    pivot-symbol substitution map."""
+    n = len(syms)
+    pivots = qq.rref(rows, sorted(range(n), key=lambda k: -syms[k].index))
+    used = set(pivots.values())
+    for i, row in enumerate(rows):
         if i in used:
             continue
-        if any(coeffs):
+        if any(row[:n]):
             raise DiracError("internal: affine reduction left an unpivoted row")
-        if off:
+        if row[n]:
             raise InconsistentTheory("constraint set has no common solution")
     subs = {}
-    for k, src_i in pivots.items():
-        coeffs, off = work[src_i]  # fully reduced: only free symbols remain
-        rhs = Expr.const(table, -off)
-        for j, c in enumerate(coeffs):
+    for k, i in pivots.items():
+        row = rows[i]  # fully reduced: only free symbols remain
+        rhs = Expr.const(table, -row[n])
+        for j, c in enumerate(row[:n]):
             if j == k or not c:
                 continue
             rhs = rhs - Expr.const(table, c) * Expr.sym(table, syms[j])
@@ -382,20 +366,19 @@ def classify(result: DiracResult, pivot_log: list | None = None) -> DiracResult:
         result.classified = True
         return result
 
-    reducer = WeakReducer([c.expr for c in cons], phase)
-    gram = [[reducer.reduce(poisson(cons[i].expr, cons[j].expr, phase)) for j in range(m)] for i in range(m)]
-    g = ExprMatrix.from_rows(gram)
-    s_count = rank(g, pivot_log=pivot_log)
+    cov = [row[:-1] for row in _affine_rows([c.expr for c in cons], phase.z_order())]
+    gram = [[qq.bracket(a, b, phase.n) for b in cov] for a in cov]
+    kernel = _gram_kernel(gram, cons)
+    f_count = len(kernel)
+    s_count = m - f_count  # the rank of the Gram matrix
     if s_count % 2:
         raise DiracError("second-class count came out odd; classification bug")
-    f_count = m - s_count
     result.S, result.F = s_count, f_count
     result.dof = dof(phase.n, f_count, s_count)
 
     for i, c in enumerate(cons):
-        c.klass = "first" if all(gram[i][j].is_zero() for j in range(m)) else "second"
+        c.klass = "second" if any(gram[i]) else "first"
 
-    kernel = _echelon_kernel(g, cons, table)
     first_reps = []
     for vec, gen in kernel:
         expr = _combine(vec, cons, table)
@@ -405,8 +388,8 @@ def classify(result: DiracResult, pivot_log: list | None = None) -> DiracResult:
     second_reps = []
     basis = [r.coeffs for r in first_reps]
     for j in range(m):
-        e_j = [Expr.const(table, 1 if k == j else 0) for k in range(m)]
-        if _independent(basis + [r.coeffs for r in second_reps] + [e_j], table):
+        e_j = _unit(j, m)
+        if _independent(basis + [r.coeffs for r in second_reps] + [e_j]):
             second_reps.append(ClassRep(cons[j].expr, "second", cons[j].generation, e_j))
         if len(second_reps) == s_count:
             break
@@ -422,65 +405,46 @@ def classify(result: DiracResult, pivot_log: list | None = None) -> DiracResult:
 
 
 def _first_support(vec):
-    for i, c in enumerate(vec):
-        if not c.is_zero():
-            return i
-    return len(vec)
+    return next((i for i, c in enumerate(vec) if c), len(vec))
+
+
+def _unit(j, m):
+    return [Fraction(1 if k == j else 0) for k in range(m)]
 
 
 def _combine(vec, cons, table):
     out = Expr.const(table, 0)
     for c, con in zip(vec, cons):
-        if not c.is_zero():
-            out = out + c * con.expr
+        if c:
+            out = out + con.expr * c
     return out
 
 
-def _independent(vectors, table):
-    mat = ExprMatrix.from_rows([[v for v in vec] for vec in vectors])
-    return rank(mat) == len(vectors)
+def _independent(vectors):
+    return qq.rank(vectors) == len(vectors)
 
 
-def _echelon_kernel(g: ExprMatrix, cons, table):
-    """Kernel basis of the Gram matrix, echelonized so each vector's support
-    reaches the lowest possible generation; returns (vector, generation) pairs."""
-    from .linalg import null_space
+def _gram_kernel(gram, cons):
+    """Kernel basis of the Gram matrix, one vector per free column of its RREF,
+    scaled to a leading 1; returns (vector, generation of its support) pairs.
 
-    raw = null_space(g)
-    if not raw:
-        return []
-    m = g.cols
-    # RREF over reversed column order: pivots land on late (high-generation)
-    # constraints, leaving vectors whose residual support is as early as possible.
-    vecs = [list(v) for v in raw]
-    pivots = {}
-    for col in reversed(range(m)):
-        src = None
-        for v in vecs:
-            if id(v) in pivots.values():
-                continue
-            if not v[col].is_zero():
-                src = v
-                break
-        if src is None:
-            continue
-        piv = src[col]
-        src[:] = [c / piv for c in src]
-        for v in vecs:
-            if v is src or v[col].is_zero():
-                continue
-            f = v[col]
-            v[:] = [a - f * b for a, b in zip(v, src)]
-        pivots[col] = id(src)
+    A vector's support is its free column plus pivot columns left of it, so
+    it ends as early as the kernel allows: the basis is already in echelon
+    form over the reversed column order.
+    """
+    m = len(gram)
+    g = [list(row) for row in gram]
+    pivots = qq.rref(g, range(m))
     out = []
-    for v in vecs:
-        support = [i for i, c in enumerate(v) if not c.is_zero()]
-        if not support:
+    for free in range(m):
+        if free in pivots:
             continue
+        v = _unit(free, m)
+        for col, i in pivots.items():
+            v[col] = -g[i][free]
+        support = [i for i, c in enumerate(v) if c]
         lead = v[support[0]]
-        v = [c / lead for c in v]
-        gen = max(cons[i].generation for i in support)
-        out.append((v, gen))
+        out.append(([c / lead for c in v], max(cons[i].generation for i in support)))
     return out
 
 
@@ -510,8 +474,8 @@ def _resolve_multipliers(result: DiracResult, pivot_log=None):
     complement = []
     fc_vecs = [v for v, _ in prim_fc]
     for j in range(m1):
-        e_j = [Expr.const(table, 1 if k == j else 0) for k in range(m1)]
-        if _independent(fc_vecs + [v for v, _ in complement] + [e_j], table):
+        e_j = _unit(j, m1)
+        if _independent(fc_vecs + [v for v, _ in complement] + [e_j]):
             complement.append((e_j, prim_cons[j].expr))
         if len(prim_fc) + len(complement) == m1:
             break

@@ -9,7 +9,7 @@ the primary first-class momenta to be pinned to zero in advance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .chart import CanonicalChart, transform
@@ -75,7 +75,8 @@ def resolve_plan(
     epsilon: dict | None = None,
     gauge_conditions: dict | None = None,
 ) -> EmbeddingPlan:
-    """Fill in the fixed-coordinate values and gauge data for a chart.
+    """A copy of `plan` with the fixed-coordinate values and gauge data for a
+    chart filled in; `plan` itself is left untouched.
 
     epsilon maps chart row names to rational values (default 0, the limit
     that restores the constraint surface).  For quasi-canonical kinds the
@@ -91,6 +92,7 @@ def resolve_plan(
         raise EmbeddingError(f"unknown embedding kind {plan.kind!r}")
     roles = _FIXED_ROLES[plan.kind]
     fixed = {}
+    preconditions = list(plan.preconditions)
     primary_psi = _primary_psi_names(chart)
     for row in chart.rows:
         if row.role not in roles:
@@ -101,11 +103,11 @@ def resolve_plan(
                 raise EmbeddingError(
                     f"{row.name} is a primary first-class momentum; quasi-canonical embeddings pin it to 0"
                 )
-            plan.preconditions.append(f"{row.name} := 0 imposed in advance")
+            preconditions.append(f"{row.name} := 0 imposed in advance")
         fixed[row.name] = val
     if epsilon:
         raise EmbeddingError(f"epsilon overrides for coordinates not fixed by {plan.kind}: {sorted(epsilon)}")
-    plan.fixed = fixed
+    plan = replace(plan, fixed=fixed, preconditions=preconditions)
     if plan.gauge_fixed:
         if gauge_conditions:
             plan.gauge_multiplier_solutions = dict(gauge_conditions)
@@ -212,7 +214,7 @@ def pullback_total_lagrangian(result: DiracResult, chart: CanonicalChart, plan: 
         if plan.kind.endswith("_tilde") and row.name in primary_psi:
             subs[row.symbol] = Expr.const(table, 0)
             continue
-        eps = table.register_fresh(f"eps_{row.name}", "parameter")
+        eps = _epsilon_symbol(table, row.name)
         subs[row.symbol] = Expr.sym(table, eps)
         eps_values[eps] = Fraction(plan.fixed[row.name])
     minus_h = -(ht_c.substitute(subs)) if subs else -ht_c
@@ -238,6 +240,15 @@ def pullback_total_lagrangian(result: DiracResult, chart: CanonicalChart, plan: 
     constant = _constant_part(value)
     lagrangian = kinetic + value - Expr.const(table, constant)
     return PullbackLagrangian(kinetic, minus_h, td, eps_values, lagrangian, constant)
+
+
+def _epsilon_symbol(table, row_name):
+    """The parameter eps_<row>: registered by the first pullback, reused by
+    later ones; underscores are appended past names held by other kinds."""
+    name = f"eps_{row_name}"
+    while name in table and table[name].kind != "parameter":
+        name += "_"
+    return table.register(name, "parameter")
 
 
 def _constant_part(e: Expr) -> Fraction:

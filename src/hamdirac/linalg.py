@@ -1,5 +1,11 @@
 """Matrices over the rational-function field: rank, kernel, linear solving.
 
+These serve the steps whose entries may be non-constant: the Legendre
+velocity solve (its leftover rows become the primary constraints) and the
+rank check on the primary Jacobian.  Constant-coefficient elimination lives
+in `qq`; the multiplier system keeps its own pivot policy in
+`dirac._eliminate`.
+
 Rank semantics are generic: any entry that is not identically zero is an
 acceptable pivot (the analysis works on the open dense region where pivots do
 not vanish).  Every non-constant pivot chosen along the way can be logged so
@@ -100,33 +106,6 @@ def rank(m: ExprMatrix, pivot_log: list | None = None) -> int:
                 a[i][j] = (p * a[i][j] - a[i][col] * a[r][j]) / prev
             a[i][col] = Expr.const(table, 0)
         prev = p
-        r += 1
-        if r == m.rows:
-            break
-    return r
-
-
-def rank_naive(m: ExprMatrix) -> int:
-    """Plain Gaussian elimination over the field; cross-check for rank()."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    a = [m.row(i) for i in range(m.rows)]
-    r = 0
-    for col in range(m.cols):
-        piv = None
-        for i in range(r, m.rows):
-            if not a[i][col].is_zero():
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        for i in range(r + 1, m.rows):
-            if a[i][col].is_zero():
-                continue
-            f = a[i][col] / a[r][col]
-            for j in range(col, m.cols):
-                a[i][j] = a[i][j] - f * a[r][j]
         r += 1
         if r == m.rows:
             break

@@ -1,0 +1,78 @@
+"""Exact linear algebra over the rationals: the one Gauss-Jordan kernel.
+
+Every constant-coefficient elimination of the analysis runs through `rref`:
+weak reduction against affine constraints, the Gram-matrix rank and kernel
+of classification, the chart's conjugate solves and span checks.  The caller
+chooses the column order; each column pivots on the first row not yet used
+that is nonzero there, and rows never move, so a call site's pivots (and
+with them the report bytes) depend only on the order it asks for.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+
+def rref(rows, cols):
+    """Reduce `rows` (lists of Fractions) in place, visiting columns in the
+    order given; returns {column: pivot row index} in visit order.
+
+    Entries beyond the visited columns (an augmented right-hand side, say)
+    are carried along by the row operations.
+    """
+    used = set()
+    pivots = {}
+    for c in cols:
+        src = next((i for i, r in enumerate(rows) if i not in used and r[c]), None)
+        if src is None:
+            continue
+        used.add(src)
+        p = rows[src][c]
+        prow = rows[src] = [x / p for x in rows[src]]
+        for i, r in enumerate(rows):
+            f = r[c]
+            if i != src and f:
+                rows[i] = [x - f * y for x, y in zip(r, prow)]
+        pivots[c] = src
+    return pivots
+
+
+def rank(vectors) -> int:
+    if not vectors:
+        return 0
+    rows = [[Fraction(x) for x in v] for v in vectors]
+    return len(rref(rows, range(len(rows[0]))))
+
+
+def solve(rows, rhs):
+    """Particular solution of rows . x = rhs (free variables zero), or None
+    when the system is inconsistent.  `rows` must not be empty."""
+    cols = len(rows[0])
+    a = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    pivots = rref(a, range(cols))
+    used = set(pivots.values())
+    if any(a[i][cols] for i in range(len(a)) if i not in used):
+        return None
+    x = [Fraction(0)] * cols
+    for c, i in pivots.items():
+        x[c] = a[i][cols]
+    return x
+
+
+def bracket(u, v, n):
+    """Poisson bracket of two covectors over z = (q1..qn, p1..pn)."""
+    s = Fraction(0)
+    for i in range(n):
+        s += u[i] * v[n + i] - u[n + i] * v[i]
+    return s
+
+
+def symplectic_inverse(s):
+    """S^-1 = -J S^T J for a 2n-square S with S^T J S = J (not checked).
+
+    Entry (i, k) is sign(i) sign(k) S[k'][i'], where i' is the conjugate
+    index of i (i + n or i - n) and sign is + on the position half.
+    """
+    n = len(s) // 2
+    conj = [(i + n, 1) if i < n else (i - n, -1) for i in range(2 * n)]
+    return [[si * sk * s[kc][ic] for kc, sk in conj] for ic, si in conj]

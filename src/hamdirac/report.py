@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from . import qq
 from .chart import (
     CanonicalChart,
     ChartRow,
@@ -29,7 +30,7 @@ from .embedding import (
     resolve_plan,
     select_embedding,
 )
-from .expr import Expr, ExprError
+from .expr import Expr, ExprError, _frac_str
 from .lagrangian import LagrangianSystem, counter_term, legendre, ostrogradsky_reduce, pons_reduce
 from .parser import parse_expr
 from .symbols import SymbolTable
@@ -238,37 +239,12 @@ def _covector(expr, phase):
     return [Fraction(c) for c in coeffs]
 
 
-def _frac_rank(vectors):
-    if not vectors:
-        return 0
-    rows = [list(map(Fraction, v)) for v in vectors]
-    cols = len(rows[0])
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-    return r
-
-
 def _same_span(a, b):
-    return _frac_rank(a) == _frac_rank(b) == _frac_rank(a + b)
+    return qq.rank(a) == qq.rank(b) == qq.rank(a + b)
 
 
 def _in_span(basis, v):
-    return _frac_rank(basis) == _frac_rank(basis + [v])
+    return qq.rank(basis) == qq.rank(basis + [v])
 
 
 # ---------------------------------------------------------------------------
@@ -386,11 +362,6 @@ def chart_to_json(chart: CanonicalChart, phase, table, source: str) -> dict:
         ],
         "notes": list(chart.notes),
     }
-
-
-def _frac_str(v: Fraction) -> str:
-    v = Fraction(v)
-    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
 def report_json(rep: dict) -> str:

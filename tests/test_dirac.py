@@ -214,3 +214,33 @@ def test_l4_pons_chain(l4_pons):
     by_expr = {str(c.expr): c.expr for c in res.constraints}
     for (a, b), v in brackets.items():
         assert str(poisson(by_expr[a], by_expr[b], fos.phase)) == v
+
+
+def test_gram_kernel_matches_sympy_nullspace():
+    """The first-class combinations are sympy's nullspace basis (one vector per
+    free column), each scaled to a leading 1, with the latest generation on
+    its support."""
+    import random
+    from fractions import Fraction
+    from types import SimpleNamespace
+
+    import sympy
+
+    from hamdirac.dirac import _gram_kernel
+
+    rng = random.Random("gram-kernel")
+    for _ in range(80):
+        m = rng.randint(1, 7)
+        gram = [[Fraction(0)] * m for _ in range(m)]
+        for i in range(m):
+            for j in range(i + 1, m):
+                if rng.random() < 0.4:
+                    gram[i][j] = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+                    gram[j][i] = -gram[i][j]
+        gens = sorted(rng.randint(1, 3) for _ in range(m))
+        cons = [SimpleNamespace(generation=g) for g in gens]
+        want = []
+        for v in sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in gram]).nullspace():
+            support = [i for i in range(m) if v[i] != 0]
+            want.append(([Fraction(str(x / v[support[0]])) for x in v], max(gens[i] for i in support)))
+        assert _gram_kernel(gram, cons) == want

@@ -274,3 +274,37 @@ def test_pullback_kinetic_matrix_nondegenerate(l2, l3, l4_ssok, l4_pons):
             h = h.substitute({e: Expr.const(t, v) for e, v in pb.eps_values.items()})
         hess = ExprMatrix.from_rows([[h.diff(a).diff(b) for b in p_rows] for a in p_rows])
         assert rank(hess) == len(p_rows)
+
+
+def test_resolve_plan_returns_a_new_plan(l3):
+    t, fos, res = l3
+    ch = build_chart(res)
+    for gauge in (False, True):
+        plan = select_embedding(res, gauge)
+        first = resolve_plan(plan, res, ch)
+        second = resolve_plan(plan, res, ch)
+        assert plan.preconditions == [] and plan.fixed == {} and plan.gauge_multiplier_solutions == {}
+        assert first is not plan and first.preconditions == second.preconditions
+        if not gauge:
+            assert second.preconditions == ["Psi1 := 0 imposed in advance"]
+        else:
+            assert len(second.preconditions) == len(res.free_multipliers)
+
+
+def test_pullback_epsilon_names_are_stable(l3):
+    t, fos, res, ch, plan = planned(l3)
+    names = [sorted(e.name for e in pullback_total_lagrangian(res, ch, plan).eps_values)]
+    size = len(t)
+    for _ in range(2):
+        names.append(sorted(e.name for e in pullback_total_lagrangian(res, ch, plan).eps_values))
+    assert names[0] == names[1] == names[2] and "eps_ThU1" in names[0]
+    assert len(t) == size
+
+
+def test_pullback_epsilon_name_taken_by_another_kind(l2):
+    t, fos, res, ch, plan = planned(l2)
+    t.register("eps_ThU1", "momentum")
+    for _ in range(2):
+        pb = pullback_total_lagrangian(res, ch, plan)
+        assert sorted(e.name for e in pb.eps_values) == ["eps_ThD1", "eps_ThU1_"]
+    assert t["eps_ThU1_"].kind == "parameter"

@@ -2,9 +2,31 @@ from fractions import Fraction
 
 from hamdirac import ExprMatrix, SymbolTable, null_space, parse_expr, rank, solve_linear
 from hamdirac.expr import Expr
-from hamdirac.linalg import rank_naive
 
 from conftest import random_poly, rng_for
+
+
+def rank_naive(m: ExprMatrix) -> int:
+    """Plain Gaussian elimination over the field; oracle for the Bareiss rank()."""
+    if m.rows == 0 or m.cols == 0:
+        return 0
+    a = [m.row(i) for i in range(m.rows)]
+    r = 0
+    for col in range(m.cols):
+        piv = next((i for i in range(r, m.rows) if not a[i][col].is_zero()), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        for i in range(r + 1, m.rows):
+            if a[i][col].is_zero():
+                continue
+            f = a[i][col] / a[r][col]
+            for j in range(col, m.cols):
+                a[i][j] = a[i][j] - f * a[r][j]
+        r += 1
+        if r == m.rows:
+            break
+    return r
 
 
 def const_matrix(table, rows):

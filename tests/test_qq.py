@@ -1,0 +1,160 @@
+"""The exact elimination kernel against oracles that share no code with it.
+
+sympy supplies rref, rank and consistency; products and inverses of the
+symplectic checks are plain list arithmetic written here.
+"""
+
+import random
+from fractions import Fraction
+from importlib import resources
+
+import sympy
+
+from hamdirac import build_chart, qq
+from hamdirac.report import PipelineOptions, run_pipeline
+from hamdirac.sysfile import load_system_file
+
+
+def random_matrix(rng, rows, cols):
+    """Small rationals, with zero rows, duplicate rows and dependent rows mixed in."""
+    m = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(cols)] for _ in range(rows)]
+    for i in range(rows):
+        roll = rng.random()
+        if roll < 0.15:
+            m[i] = [Fraction(0)] * cols
+        elif roll < 0.3 and i:
+            m[i] = list(m[rng.randrange(i)])
+        elif roll < 0.45 and i >= 2:
+            a, b = rng.sample(range(i), 2)
+            s, t = Fraction(rng.randint(-2, 2), rng.randint(1, 2)), Fraction(rng.randint(-2, 2))
+            m[i] = [s * x + t * y for x, y in zip(m[a], m[b])]
+    if rng.random() < 0.3:  # a zero column too
+        k = rng.randrange(cols)
+        for row in m:
+            row[k] = Fraction(0)
+    return m
+
+
+def to_sympy(m):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in m])
+
+
+def matrices(name, count=60):
+    rng = random.Random(name)
+    for _ in range(count):
+        yield rng, random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
+
+
+def test_rref_matches_sympy_in_natural_and_permuted_order():
+    for rng, m in matrices("qq-rref"):
+        cols = len(m[0])
+        for order in (list(range(cols)), rng.sample(range(cols), cols)):
+            work = [list(row) for row in m]
+            pivots = qq.rref(work, order)
+            want, want_pivots = to_sympy([[row[c] for c in order] for row in m]).rref()
+            assert [order.index(c) for c in pivots] == list(want_pivots)
+            # rows keep their index: pivot rows hold the reduced rows, the rest are zero
+            if pivots:
+                got = [[work[i][c] for c in order] for i in pivots.values()]
+                assert to_sympy(got) == want[: len(pivots), :]
+            used = set(pivots.values())
+            assert all(not any(work[i]) for i in range(len(m)) if i not in used)
+
+
+def test_rref_pivot_rule_first_unused_row():
+    rows = [[Fraction(0), Fraction(2)], [Fraction(3), Fraction(1)], [Fraction(3), Fraction(1)]]
+    assert qq.rref(rows, [0, 1]) == {0: 1, 1: 0}
+    assert rows == [[0, 1], [1, 0], [0, 0]]
+    rows = [[Fraction(0), Fraction(2)], [Fraction(3), Fraction(1)]]
+    assert qq.rref(rows, [1, 0]) == {1: 0, 0: 1}
+
+
+def test_rank_matches_sympy():
+    deficient = 0
+    for _rng, m in matrices("qq-rank"):
+        r = to_sympy(m).rank()
+        assert qq.rank(m) == r
+        deficient += r < min(len(m), len(m[0]))
+    assert deficient >= 10  # the generator does reach rank-deficient matrices
+    assert qq.rank([]) == 0
+
+
+def test_solve_satisfies_or_reports_inconsistency():
+    for rng, m in matrices("qq-solve"):
+        cols = len(m[0])
+        if rng.random() < 0.5:
+            x0 = [Fraction(rng.randint(-3, 3)) for _ in range(cols)]
+            rhs = [sum(a * x for a, x in zip(row, x0)) for row in m]
+        else:
+            rhs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in m]
+        a = to_sympy(m)
+        consistent = a.rank() == a.row_join(to_sympy([[b] for b in rhs])).rank()
+        x = qq.solve(m, rhs)
+        assert (x is not None) == consistent
+        if x is not None:
+            assert [sum(a * xi for a, xi in zip(row, x)) for row in m] == rhs
+
+
+def matmul(a, b):
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def identity(dim):
+    return [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
+
+
+def j_matrix(n):
+    return [[Fraction(1 if j == i + n else -1 if i == j + n else 0) for j in range(2 * n)] for i in range(2 * n)]
+
+
+def transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
+def shear(rng, n, lower):
+    """[[I, A], [0, I]] (or its lower twin) with A symmetric: symplectic."""
+    a = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            a[i][j] = a[j][i] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    s = identity(2 * n)
+    for i in range(n):
+        for j in range(n):
+            if lower:
+                s[n + i][j] = a[i][j]
+            else:
+                s[i][n + j] = a[i][j]
+    return s
+
+
+def test_symplectic_inverse_on_random_shear_products():
+    rng = random.Random("qq-symplectic")
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        s = identity(2 * n)
+        for _ in range(rng.randint(1, 5)):
+            s = matmul(s, shear(rng, n, lower=rng.random() < 0.5))
+        if rng.random() < 0.3:
+            s = matmul(s, j_matrix(n))
+        assert matmul(transpose(s), matmul(j_matrix(n), s)) == j_matrix(n)
+        assert matmul(qq.symplectic_inverse(s), s) == identity(2 * n)
+
+
+def test_symplectic_inverse_on_fixture_charts(l1, l2, l3, l4_ssok, l4_pons):
+    charts = [build_chart(res) for _t, _fos, res in (l1, l2, l3, l4_ssok, l4_pons)]
+    for name in ("cawley", "l2", "l3", "l4"):  # l3's chart is the supplied one
+        sysfile = load_system_file(str(resources.files("hamdirac") / "fixtures" / f"{name}.sys"))
+        charts.append(run_pipeline(sysfile, PipelineOptions(), stage="chart").chart)
+    pons = load_system_file(str(resources.files("hamdirac") / "fixtures" / "l4.sys"))
+    charts.append(run_pipeline(pons, PipelineOptions(path="pons"), stage="chart").chart)
+    for chart in charts:
+        s = chart.matrix()
+        assert matmul(qq.symplectic_inverse(s), s) == identity(len(s))
+
+
+def test_bracket_is_the_canonical_pairing():
+    # {q1, p1} = 1, {p1, q1} = -1, {q1, q2} = 0 over z = (q1, q2, p1, p2)
+    e = identity(4)
+    assert qq.bracket(e[0], e[2], 2) == 1
+    assert qq.bracket(e[2], e[0], 2) == -1
+    assert qq.bracket(e[0], e[1], 2) == 0
