@@ -58,6 +58,7 @@ class CanonicalChart:
     phase: PhaseSpace
     rows: list  # position block then momentum block, canonical role order
     notes: list = None
+    hamiltonian: Expr | None = None  # transformed H_T, kept by report.attach_embedding
 
     def __post_init__(self):
         if self.notes is None:
@@ -115,16 +116,6 @@ def _as_covector(expr: Expr, phase: PhaseSpace):
     return [Fraction(c) for c in coeffs], Fraction(offset)
 
 
-def _project_pair(x, xoff, pair, n):
-    """Symplectic projection of x off a unit-bracket pair (e, f)."""
-    (e, eoff), (f, foff) = pair
-    a = qq.bracket(x, f, n)
-    b = qq.bracket(x, e, n)
-    nx = [xi - a * ei + b * fi for xi, ei, fi in zip(x, e, f)]
-    noff = xoff - a * eoff + b * foff
-    return nx, noff
-
-
 def build_chart(result: DiracResult) -> CanonicalChart:
     """Symplectic Gram-Schmidt completion of the classified constraints."""
     if not result.classified:
@@ -137,29 +128,24 @@ def build_chart(result: DiracResult) -> CanonicalChart:
     for rep in result.first_class:
         coeffs, off = _as_covector(rep.expr, phase)
         psi.append((coeffs, off, rep.generation))
-    pool = []
+    pool = []  # integer rows, the offset carried as entry 2n
     for rep in result.second_class:
         coeffs, off = _as_covector(rep.expr, phase)
-        pool.append((coeffs, off))
+        pool.append(qq.to_row(coeffs + [off]))
 
-    theta_pairs = []
+    theta_rows = []
     while pool:
-        e, eoff = pool.pop(0)
-        partner = None
-        for k, (f, foff) in enumerate(pool):
-            br = qq.bracket(e, f, n)
+        e = pool.pop(0)
+        for k, f in enumerate(pool):
+            br = qq.row_bracket(e, f, n)
             if br:
-                partner = (k, f, foff, br)
                 break
-        if partner is None:
+        else:
             raise DiracError("degenerate second-class pairing; classification bug")
-        k, f, foff, br = partner
-        pool.pop(k)
-        f = [c / br for c in f]
-        foff = foff / br
-        pair = ((e, eoff), (f, foff))
-        pool = [_project_pair(x, xoff, pair, n) for x, xoff in pool]
-        theta_pairs.append(pair)
+        f = qq.row_div(pool.pop(k), br)
+        pool = [qq.row_project(x, e, f, n) for x in pool]
+        theta_rows.append((e, f))
+    theta_pairs = [tuple((v[:-1], v[-1]) for v in map(qq.from_row, pair)) for pair in theta_rows]
 
     # conjugate positions for the first-class momenta
     xi_rows = []
@@ -186,45 +172,27 @@ def build_chart(result: DiracResult) -> CanonicalChart:
                 xoff = xoff - c * pboff
         xi_rows.append((x, xoff))
 
-    placed_pairs = list(theta_pairs)
-    for (xi, xoff), (pc, poff, _g) in zip(xi_rows, psi):
-        placed_pairs.append(((xi, xoff), (pc, poff)))
-
+    # each standard-basis seed is projected once through the placed pairs,
+    # then through each (Q, P) pair as it is found; zero seeds are dropped
+    placed = theta_rows + [(qq.to_row(xi), qq.to_row(pc)) for (xi, _xo), (pc, _po, _g) in zip(xi_rows, psi)]
+    seeds = [([int(i == k) for k in range(2 * n)], 1) for i in range(2 * n)]
+    for e, f in placed:
+        seeds = [qq.row_project(s, e, f, n) for s in seeds]
     qp_pairs = []
-    want = n - len(psi) - len(theta_pairs)
-    seeds = []
-    for i in range(2 * n):
-        v = [Fraction(0)] * (2 * n)
-        v[i] = Fraction(1)
-        seeds.append(v)
-
-    def project_all(x):
-        xo = Fraction(0)
-        for pair in placed_pairs + qp_pairs:
-            x, xo = _project_pair(x, xo, pair, n)
-        return x
-
-    while len(qp_pairs) < want:
-        qvec = None
-        start = 0
-        for i, s in enumerate(seeds):
-            p = project_all(list(s))
-            if any(p):
-                qvec = p
-                start = i + 1
-                break
-        if qvec is None:
+    for _ in range(n - len(psi) - len(theta_pairs)):
+        seeds = [s for s in seeds if any(s[0])]
+        if not seeds:
             raise DiracError("symplectic completion ran out of directions")
-        pvec = None
-        for s in seeds[start:]:
-            y = project_all(list(s))
-            br = qq.bracket(qvec, y, n)
+        q = seeds[0]
+        for y in seeds[1:]:
+            br = qq.row_bracket(q, y, n)
             if br:
-                pvec = [c / br for c in y]
                 break
-        if pvec is None:
+        else:
             raise DiracError("no symplectic partner found; completion bug")
-        qp_pairs.append(((qvec, Fraction(0)), (pvec, Fraction(0))))
+        p = qq.row_div(y, br)
+        seeds = [qq.row_project(s, q, p, n) for s in seeds]
+        qp_pairs.append(((qq.from_row(q), Fraction(0)), (qq.from_row(p), Fraction(0))))
 
     rows = _assemble_rows(table, psi, xi_rows, theta_pairs, qp_pairs)
     chart = CanonicalChart(phase, rows)

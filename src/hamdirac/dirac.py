@@ -91,10 +91,20 @@ class DiracResult:
 
 
 def poisson(f: Expr, g: Expr, phase: PhaseSpace) -> Expr:
-    """Canonical Poisson bracket sum_i (df/dq_i dg/dp_i - df/dp_i dg/dq_i)."""
+    """Canonical Poisson bracket sum_i (df/dq_i dg/dp_i - df/dp_i dg/dq_i).
+
+    A product is formed only where f depends on one slot of the pair and g
+    on the other (numerator or denominator); every skipped product is exactly
+    zero and the rest are summed in pair order, so the result is the same
+    Expr, dict order included, as the full sum's.
+    """
+    fs, gs = ({s.index for s in e.free_symbols()} for e in (f, g))
     out = Expr.const(phase.table, 0)
     for q, p in phase.pairs:
-        out = out + f.diff(q) * g.diff(p) - f.diff(p) * g.diff(q)
+        if q.index in fs and p.index in gs:
+            out = out + f.diff(q) * g.diff(p)
+        if p.index in fs and q.index in gs:
+            out = out - f.diff(p) * g.diff(q)
     return out
 
 
@@ -148,12 +158,11 @@ def _affine_rref(rows, syms, table):
     subs = {}
     for k, i in pivots.items():
         row = rows[i]  # fully reduced: only free symbols remain
-        rhs = Expr.const(table, -row[n])
+        rhs = {(): -row[n]} if row[n] else {}
         for j, c in enumerate(row[:n]):
-            if j == k or not c:
-                continue
-            rhs = rhs - Expr.const(table, c) * Expr.sym(table, syms[j])
-        subs[syms[k]] = rhs
+            if j != k and c:
+                rhs[((syms[j].index, 1),)] = -c
+        subs[syms[k]] = Expr(table, rhs, _normalized=True)
     return subs
 
 

@@ -119,6 +119,14 @@ def resolve_plan(
     return plan
 
 
+def _chart_hamiltonian(result: DiracResult, chart: CanonicalChart) -> Expr:
+    """H_T (solved multipliers in) in chart symbols: the chart's own copy if
+    it carries one, else transformed here."""
+    if chart.hamiltonian is not None:
+        return chart.hamiltonian
+    return transform(result.total_hamiltonian(substitute_solved=True), chart)
+
+
 def _primary_psi_names(chart: CanonicalChart):
     return {r.name for r in chart.rows if r.role == "Psi" and (r.generation or 1) == 1}
 
@@ -126,7 +134,7 @@ def _primary_psi_names(chart: CanonicalChart):
 def _gauge_velocities(result: DiracResult, chart: CanonicalChart, plan: EmbeddingPlan):
     """Velocities of the Xi rows on the embedded subspace, multipliers symbolic."""
     table = chart.table
-    ht_c = transform(result.total_hamiltonian(substitute_solved=True), chart)
+    ht_c = _chart_hamiltonian(result, chart)
     cp = chart.chart_phase()
     subs = {}
     for row in chart.rows:
@@ -201,7 +209,7 @@ class PullbackLagrangian:
 
 def pullback_total_lagrangian(result: DiracResult, chart: CanonicalChart, plan: EmbeddingPlan) -> PullbackLagrangian:
     table = chart.table
-    ht_c = transform(result.total_hamiltonian(substitute_solved=True), chart)
+    ht_c = _chart_hamiltonian(result, chart)
     if plan.gauge_fixed and plan.gauge_multiplier_solutions:
         ht_c = ht_c.substitute(plan.gauge_multiplier_solutions)
 
@@ -263,7 +271,7 @@ def effective_hamiltonian(result: DiracResult, chart: CanonicalChart) -> Expr:
     if result.F == 0:
         raise EmbeddingError("effective Hamiltonian needs first-class constraints")
     table = chart.table
-    ht_c = transform(result.total_hamiltonian(substitute_solved=True), chart)
+    ht_c = _chart_hamiltonian(result, chart)
     subs = {}
     for row in chart.rows_by_role("Psi"):
         if (row.generation or 1) == 1:

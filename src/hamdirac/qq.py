@@ -11,6 +11,8 @@ with them the report bytes) depend only on the order it asks for.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
 
 def rref(rows, cols):
@@ -65,6 +67,50 @@ def bracket(u, v, n):
     for i in range(n):
         s += u[i] * v[n + i] - u[n + i] * v[i]
     return s
+
+
+# Integer rows: a covector as (nums, den) standing for [x / den for x in nums],
+# den > 0 and gcd(den, *nums) = 1, so a vector has exactly one row.  Brackets
+# and projections on them are integer arithmetic plus one gcd per result.
+
+def to_row(values):
+    den = lcm(*(v.denominator for v in values))
+    return _primitive([v.numerator * (den // v.denominator) for v in values], den)
+
+
+def from_row(row):
+    nums, den = row
+    return [Fraction(x, den) for x in nums]
+
+
+def _primitive(nums, den):
+    g = gcd(den, *nums)
+    return ([x // g for x in nums], den // g) if g > 1 else (nums, den)
+
+
+def _pair(a, b, n):
+    return sum(map(mul, a[:n], b[n : 2 * n])) - sum(map(mul, a[n : 2 * n], b[:n]))
+
+
+def row_bracket(u, v, n):
+    """`bracket` of two integer rows; entries past 2n are ignored."""
+    return Fraction(_pair(u[0], v[0], n), u[1] * v[1])
+
+
+def row_div(row, c):
+    """row / c for a nonzero Fraction c."""
+    p, q = (c.numerator, c.denominator) if c > 0 else (-c.numerator, -c.denominator)
+    return _primitive([x * q for x in row[0]], row[1] * p)
+
+
+def row_project(x, e, f, n):
+    """x - <x, f> e + <x, e> f: x projected off a pair with <e, f> = 1."""
+    (xs, dx), (es, de), (fs, df) = x, e, f
+    a, b = _pair(xs, fs, n), _pair(xs, es, n)
+    if not (a or b):
+        return x
+    k = de * df
+    return _primitive([xi * k - a * ei + b * fi for xi, ei, fi in zip(xs, es, fs)], dx * k)
 
 
 def symplectic_inverse(s):

@@ -262,3 +262,112 @@ def test_integral_constant_budgets(l1, l2, l3):
     assert (bud.total, bud.occupied, bud.free) == (8, 4, 4)
     bud = integral_constant_budget(res, select_embedding(res, gauge_fixing=True))
     assert (bud.total, bud.occupied, bud.free) == (8, 6, 2)
+
+
+# ---------------------------------------------------------------------------
+# the cached integer-row completion against the from-scratch Fraction one
+
+
+def _pairing(u, v, n):
+    return sum(u[i] * v[n + i] - u[n + i] * v[i] for i in range(n))
+
+
+def _project_off(x, e, f, n):
+    a, b = _pairing(x, f, n), _pairing(x, e, n)
+    return [xi - a * ei + b * fi for xi, ei, fi in zip(x, e, f)]
+
+
+def reference_chart(res):
+    """build_chart as first written: Fraction covectors (offset as entry 2n),
+    and every (Q, P) pair found by projecting every seed from scratch through
+    every pair placed so far.  Rows are assembled and statically corrected by
+    the package's `_assemble_rows` and `_static_correct`, which sit outside
+    the pairing and the completion."""
+    from hamdirac import qq
+    from hamdirac.chart import _assemble_rows, _static_correct
+
+    phase, n = res.phase, res.phase.n
+
+    def covector(expr):
+        coeffs, off = expr.linear_form(phase.z_order())
+        return [Fraction(c) for c in coeffs] + [Fraction(off)]
+
+    pool = [covector(r.expr) for r in res.second_class]
+    theta = []
+    while pool:
+        e = pool.pop(0)
+        k = next(k for k, f in enumerate(pool) if _pairing(e, f, n))
+        f = pool.pop(k)
+        br = _pairing(e, f, n)
+        f = [c / br for c in f]
+        pool = [_project_off(x, e, f, n) for x in pool]
+        theta.append((e, f))
+
+    psi = [covector(r.expr) for r in res.first_class]
+    grad = lambda c: c[n : 2 * n] + [-x for x in c[:n]]  # grad(c) . x = <x, c>
+    xis = []
+    for a in range(len(psi)):
+        rows = [grad(c) for c in psi] + [grad(v) for pair in theta for v in pair]
+        rhs = [Fraction(int(b == a)) for b in range(len(psi))] + [Fraction(0)] * (2 * len(theta))
+        x = qq.solve(rows, rhs) + [Fraction(0)]
+        for b in range(a):
+            c = _pairing(xis[b], x, n)
+            x = [xi - c * pi for xi, pi in zip(x, psi[b])]
+        xis.append(x)
+
+    placed = theta + list(zip(xis, psi))
+    seeds = [[Fraction(int(i == k)) for k in range(2 * n)] for i in range(2 * n)]
+    qp = []
+
+    def project_all(x):
+        for e, f in placed + qp:
+            x = _project_off(x, e, f, n)
+        return x
+
+    while len(qp) < n - len(psi) - len(theta):
+        i, q = next((i, p) for i, p in enumerate(map(project_all, seeds)) if any(p))
+        for y in map(project_all, seeds[i + 1 :]):
+            if _pairing(q, y, n):
+                qp.append((q, [c / _pairing(q, y, n) for c in y]))
+                break
+
+    split = lambda v: (v[: 2 * n], v[2 * n] if len(v) > 2 * n else Fraction(0))
+    chart = CanonicalChart(
+        phase,
+        _assemble_rows(
+            res.table,
+            [(*split(c), r.generation) for c, r in zip(psi, res.first_class)],
+            [split(x) for x in xis],
+            [(split(e), split(f)) for e, f in theta],
+            [(split(q), split(p)) for q, p in qp],
+        ),
+    )
+    _static_correct(chart, res)
+    return chart
+
+
+L3_BLOCK = "(1/2)*({1} + d({2}) + d({3}))^2 + (1/2)*(d({4}) - d({2}))^2 + (1/2)*({1} + 2*{2})*({1} + 2*{4})"
+FAMILY_RATIONALS = [Fraction(s * a, b) for s in (1, -1) for a in (1, 2, 3) for b in (1, 2, 4) if a != b]
+
+
+def l3_family(kind, k, rng):
+    """k copies of L3: scaled blocks (gauge) or blocks coupled in a chain (coupled)."""
+    names = [f"x{b}_{i}" for b in range(1, k + 1) for i in range(1, 5)]
+    terms = []
+    for b in range(k):
+        block = L3_BLOCK.format(None, *names[4 * b : 4 * b + 4])
+        terms.append(f"({rng.choice(FAMILY_RATIONALS)})*({block})" if kind == "gauge" else block)
+        if kind == "coupled" and b:
+            terms.append(f"({rng.choice(FAMILY_RATIONALS)})*x{b}_2*x{b + 1}_4")
+    return analyzed(" + ".join(terms), names)
+
+
+def test_cached_completion_matches_from_scratch(l1, l2, l3, l4_ssok, l4_pons):
+    rng = rng_for("chart-families")
+    cases = [("l1", l1), ("l2", l2), ("l3", l3), ("l4_ssok", l4_ssok), ("l4_pons", l4_pons)]
+    cases += [(f"{kind}{k}", l3_family(kind, k, rng)) for kind in ("coupled", "gauge") for k in (1, 2, 3)]
+    for name, (_t, _fos, res) in cases:
+        built, want = build_chart(res), reference_chart(res)
+        assert built.matrix() == want.matrix(), name
+        assert built.offsets() == want.offsets(), name
+        assert built.notes == want.notes, name

@@ -244,3 +244,37 @@ def test_gram_kernel_matches_sympy_nullspace():
             support = [i for i in range(m) if v[i] != 0]
             want.append(([Fraction(str(x / v[support[0]])) for x in v], max(gens[i] for i in support)))
         assert _gram_kernel(gram, cons) == want
+
+
+def dense_poisson(f, g, phase):
+    """The bracket summed over every pair, no skipping."""
+    out = Expr.const(phase.table, 0)
+    for q, p in phase.pairs:
+        out = out + f.diff(q) * g.diff(p) - f.diff(p) * g.diff(q)
+    return out
+
+
+def test_sparse_poisson_equals_dense_sum():
+    # operands over random subsets of three pairs, a third of them rational
+    # functions; the sparse bracket must be the same Expr down to dict order
+    t = SymbolTable()
+    qs = [t.position(f"q{i}") for i in (1, 2, 3)]
+    ps = [t.register(f"p{i}", "momentum") for i in (1, 2, 3)]
+    phase = PhaseSpace(t, tuple(zip(qs, ps)))
+    slots = qs + ps
+    rng = rng_for("sparse-poisson")
+
+    def operand():
+        syms = rng.sample(slots, rng.randint(1, len(slots)))
+        e = random_poly(t, syms, rng, max_degree=2, terms=3)
+        if rng.random() < 0.35:
+            den = random_poly(t, rng.sample(slots, rng.randint(1, 3)), rng, max_degree=1, terms=2)
+            if not den.is_zero():
+                e = e / den
+        return e
+
+    for _ in range(300):
+        f, g = operand(), operand()
+        got, want = poisson(f, g, phase), dense_poisson(f, g, phase)
+        assert list(got.num.items()) == list(want.num.items())
+        assert list(got.den.items()) == list(want.den.items())

@@ -4,6 +4,11 @@ tests/golden/<fixture>.<stage>.json holds the exact `hamdirac <stage>` output
 for each bundled fixture (l4 also under --path pons).  A golden file changes
 only together with a CHANGES.md line that explains the diff; regenerate one
 with `hamdirac <stage> src/hamdirac/fixtures/<fixture>.sys > tests/golden/...`.
+
+coupled2.sys and gauge2.sys are two-block L3 families (8 coordinates) kept
+beside their reports: coupled2 pairs four second-class pairs and completes
+four (Q, P) pairs; gauge2 (F = S = 4) statically corrects two secondary gauge
+rows, and under --gauge-fixing (gauge2.gauge.report.json) derives the gauge.
 """
 
 import subprocess
@@ -31,6 +36,20 @@ def test_report_bytes_match_golden(fixture, stage, extra, tmp_path):
     path = str(resources.files("hamdirac") / "fixtures" / f"{fixture}.sys")
     assert main([stage, path, *extra, "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / golden_name(fixture, stage, extra)).read_bytes()
+
+
+FAMILY_CASES = [("coupled2", []), ("gauge2", []), ("gauge2", ["--gauge-fixing"])]
+
+
+def family_golden_name(system, extra):
+    return f"{system}.{'gauge.' if extra else ''}report.json"
+
+
+@pytest.mark.parametrize("system,extra", FAMILY_CASES, ids=[family_golden_name(*c) for c in FAMILY_CASES])
+def test_family_report_bytes_match_golden(system, extra, tmp_path):
+    out = tmp_path / "out.json"
+    assert main(["report", str(GOLDEN / f"{system}.sys"), *extra, "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / family_golden_name(system, extra)).read_bytes()
 
 
 def test_cli_import_does_not_load_numpy():

@@ -4,6 +4,7 @@ sympy supplies rref, rank and consistency; products and inverses of the
 symplectic checks are plain list arithmetic written here.
 """
 
+import math
 import random
 from fractions import Fraction
 from importlib import resources
@@ -158,3 +159,43 @@ def test_bracket_is_the_canonical_pairing():
     assert qq.bracket(e[0], e[2], 2) == 1
     assert qq.bracket(e[2], e[0], 2) == -1
     assert qq.bracket(e[0], e[1], 2) == 0
+
+
+def random_covector(rng, size):
+    """Small rationals with zeros mixed in, sometimes all zero."""
+    if rng.random() < 0.1:
+        return [Fraction(0)] * size
+    return [Fraction(rng.randint(-6, 6), rng.randint(1, 9)) if rng.random() < 0.7 else Fraction(0) for _ in range(size)]
+
+
+def test_integer_rows_round_trip():
+    rng = random.Random("qq-rows")
+    for _ in range(200):
+        v = random_covector(rng, rng.randint(1, 9))
+        nums, den = qq.to_row(v)
+        assert den > 0 and all(isinstance(x, int) for x in nums)
+        assert math.gcd(den, *nums) == 1  # primitive: one row per vector
+        assert qq.from_row((nums, den)) == v
+        c = Fraction(rng.choice((-3, -1, 2, 5)), rng.randint(1, 4))
+        assert qq.from_row(qq.row_div((nums, den), c)) == [x / c for x in v]
+        assert qq.row_div((nums, den), c)[1] > 0
+
+
+def test_integer_bracket_and_projection_match_fractions():
+    rng = random.Random("qq-row-bracket")
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        u, v, x = (random_covector(rng, 2 * n) for _ in range(3))
+        assert qq.row_bracket(qq.to_row(u), qq.to_row(v), n) == qq.bracket(u, v, n)
+        # an offset past 2n rides along and stays out of the bracket
+        assert qq.row_bracket(qq.to_row(u + [Fraction(7, 3)]), qq.to_row(v + [Fraction(-2)]), n) == qq.bracket(u, v, n)
+        br = sum(u[i] * v[n + i] - u[n + i] * v[i] for i in range(n))
+        if not br:
+            continue
+        e, f = u, [c / br for c in v]  # <e, f> = 1
+        a = sum(x[i] * f[n + i] - x[n + i] * f[i] for i in range(n))
+        b = sum(x[i] * e[n + i] - x[n + i] * e[i] for i in range(n))
+        want = [xi - a * ei + b * fi for xi, ei, fi in zip(x, e, f)]
+        got = qq.from_row(qq.row_project(qq.to_row(x), qq.to_row(e), qq.to_row(f), n))
+        assert got == want
+        assert qq.bracket(got, e, n) == 0 and qq.bracket(got, f, n) == 0
