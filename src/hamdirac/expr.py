@@ -20,6 +20,7 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 CONST_MONO = ()
+_ONE_POLY = {CONST_MONO: ONE}  # the denominator of every polynomial Expr
 
 
 class ExprError(Exception):
@@ -369,6 +370,8 @@ class Expr:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
+        if self.den == _ONE_POLY == o.den:
+            return Expr(self.table, _padd(self.num, o.num), _normalized=True)
         num = _padd(_pmul(self.num, o.den), _pmul(o.num, self.den))
         return Expr(self.table, num, _pmul(self.den, o.den))
 
@@ -390,6 +393,8 @@ class Expr:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
+        if self.den == _ONE_POLY == o.den:
+            return Expr(self.table, _pmul(self.num, o.num), _normalized=True)
         return Expr(self.table, _pmul(self.num, o.num), _pmul(self.den, o.den))
 
     __rmul__ = __mul__

@@ -7,9 +7,11 @@ both ends it reconstructs the missing initial momenta.  Each Newton step takes
 the end state and its exact Jacobian with respect to the initial momenta from
 one source: for a quadratic H the N-step RK4 propagator (one matrix, built by
 repeated squaring, so shooting is a single linear solve), otherwise the
-variational equations integrated alongside the state.  For the unit
-oscillator the classical A/B constants of Q(t) = A e^{it} + B e^{-it} are
-reported as well.
+variational equations integrated alongside the state.  For a quadratic H,
+`integrate` steps by the same one-step matrix R that the propagator squares,
+so a trajectory costs one matrix-vector product per step; other fields run
+the four RK4 stages.  For the unit oscillator the classical A/B constants of
+Q(t) = A e^{it} + B e^{-it} are reported as well.
 """
 
 from __future__ import annotations
@@ -127,21 +129,11 @@ class Trajectory:
     pairs: list
 
     def csv(self) -> str:
-        header = ["t"]
-        for q, _p in self.pairs:
-            header.append(q.name)
-        for _q, p in self.pairs:
-            header.append(p.name)
-        header.append("H")
-        lines = [",".join(header)]
-        m = len(self.pairs)
-        for t, y, h in zip(self.times, self.states, self.energies):
-            rec = [repr(t)]
-            rec += [repr(y[2 * k]) for k in range(m)]
-            rec += [repr(y[2 * k + 1]) for k in range(m)]
-            rec.append(repr(h))
-            lines.append(",".join(rec))
-        return "\n".join(lines) + "\n"
+        names = [q.name for q, _p in self.pairs] + [p.name for _q, p in self.pairs]
+        row = ",".join(["%r"] * (len(names) + 2)) + "\n"
+        lines = [",".join(["t", *names, "H"]) + "\n"]
+        lines += [row % (t, *y[0::2], *y[1::2], h) for t, y, h in zip(self.times, self.states, self.energies)]
+        return "".join(lines)
 
 
 def _grid(t1: float, t2: float, step: float):
@@ -155,19 +147,39 @@ def _grid(t1: float, t2: float, step: float):
 
 
 def integrate(field: ReducedField, init, t1: float, t2: float, step: float) -> Trajectory:
-    """Classical fixed-step RK4 from t1 to t2 (step adjusted to land on t2)."""
+    """Classical fixed-step RK4 from t1 to t2 (step adjusted to land on t2).
+
+    An affine field (quadratic H) advances by the one-step matrix R that
+    `rk4_propagator` raises to the N-th power: the same map as the four
+    stages, one matrix-vector product per step.
+    """
     nsteps, h = _grid(t1, t2, step)
-    rhs = field.rhs
     y = tuple(float(v) for v in init)
     if len(y) != field.dim:
         raise NumericsError(f"state dimension {len(y)} != {field.dim}")
+    advance = _stage_step(field.rhs, h) if field.linear is None else _affine_step(_step_matrix(field, h))
+    energy = field.energy
     times = [t1]
     states = [y]
-    energies = [field.energy(y)]
+    energies = [energy(y)]
     t = t1
+    for i in range(nsteps):
+        y = advance(t, y)
+        t = t1 + (i + 1) * h
+        if not all(map(math.isfinite, y)):
+            raise NumericsError(f"non-finite state at t = {t}")
+        times.append(t)
+        states.append(y)
+        energies.append(energy(y))
+    return Trajectory(times, states, energies, field.pairs)
+
+
+def _stage_step(rhs, h):
+    """One classical RK4 step through the four stages of rhs."""
     half = h / 2.0
     sixth = h / 6.0
-    for i in range(nsteps):
+
+    def advance(t, y):
         k1 = rhs(t, y)
         y2 = tuple(a + half * b for a, b in zip(y, k1))
         k2 = rhs(t + half, y2)
@@ -175,32 +187,48 @@ def integrate(field: ReducedField, init, t1: float, t2: float, step: float) -> T
         k3 = rhs(t + half, y3)
         y4 = tuple(a + h * b for a, b in zip(y, k3))
         k4 = rhs(t + h, y4)
-        y = tuple(a + sixth * (b1 + 2 * b2 + 2 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
-        t = t1 + (i + 1) * h
-        if any(not math.isfinite(v) for v in y):
-            raise NumericsError(f"non-finite state at t = {t}")
-        times.append(t)
-        states.append(y)
-        energies.append(field.energy(y))
-    return Trajectory(times, states, energies, field.pairs)
+        return tuple(a + sixth * (b1 + 2 * b2 + 2 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
+
+    return advance
+
+
+def _affine_step(r):
+    """The step y -> R [y; 1] as one generated closure.
+
+    Every term is kept, zero coefficients included, so a non-finite component
+    reaches every row as it does through the dense product.
+    """
+    n = len(r) - 1  # even, so the body is a tuple (empty for n = 0)
+    rows = ", ".join(" + ".join(f"{r[i][j]!r}*y[{j}]" for j in range(n)) + f" + {r[i][n]!r}" for i in range(n))
+    return eval(f"lambda t, y: ({rows})", {"inf": math.inf, "nan": math.nan})  # noqa: S307 - generated from floats
+
+
+def _step_matrix(field: ReducedField, h: float) -> list:
+    """One RK4 step of y' = A y + c as the (2m+1)-square matrix R acting on [y; 1].
+
+    With G = h [[A, c], [0, 0]], R = I + G + G^2/2 + G^3/6 + G^4/24, built by
+    Horner: I + G (I + G/2 (I + G/3 (I + G/4))).
+    """
+    a, c = field.linear
+    g = [[h * v for v in row] + [h * ci] for row, ci in zip(a, c)] + [[0.0] * (len(c) + 1)]
+    eye = [[float(i == j) for j in range(len(g))] for i in range(len(g))]
+    r = eye
+    for k in (4, 3, 2, 1):
+        r = [[e + v / k for e, v in zip(er, gr)] for er, gr in zip(eye, _matmul(g, r))]
+    return r
 
 
 def rk4_propagator(field: ReducedField, t1: float, t2: float, step: float) -> list:
     """The N-step RK4 map of a quadratic H as one (2m+1)-square matrix.
 
-    With G = h [[A, c], [0, 0]] one RK4 step of y' = A y + c is exactly
-    [y; 1] -> R [y; 1], R = I + G + G^2/2 + G^3/6 + G^4/24; the grid is the one
-    `integrate` uses, and R^N comes from O(log N) products by repeated squaring.
+    One RK4 step of y' = A y + c is exactly [y; 1] -> R [y; 1] with R from
+    `_step_matrix`; the grid is the one `integrate` uses, and R^N comes from
+    O(log N) products by repeated squaring.
     """
     if field.linear is None:
         raise NumericsError("the RK4 propagator needs a quadratic Hamiltonian")
     nsteps, h = _grid(t1, t2, step)
-    a, c = field.linear
-    g = [[h * v for v in row] + [h * ci] for row, ci in zip(a, c)] + [[0.0] * (len(c) + 1)]
-    eye = [[float(i == j) for j in range(len(g))] for i in range(len(g))]
-    r = eye
-    for k in (4, 3, 2, 1):  # Horner: I + G (I + G/2 (I + G/3 (I + G/4)))
-        r = [[e + v / k for e, v in zip(er, gr)] for er, gr in zip(eye, _matmul(g, r))]
+    r = _step_matrix(field, h)
     out = None
     while nsteps:
         if nsteps & 1:
@@ -219,6 +247,7 @@ class _Variational:
     rhs: object
     energy: object
     dim: int
+    linear: None = None  # never affine: integrate runs the stages
 
 
 def rk4_variational(field: ReducedField, init, t1: float, t2: float, step: float):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from hamdirac import SymbolTable, parse_expr
-from hamdirac.expr import CyclicRules, Expr, ZeroDenominator
+from hamdirac.expr import CyclicRules, Expr, ZeroDenominator, _padd, _pmul
 from hamdirac.parser import ParseError, UnknownSymbol
 
 from conftest import random_poly, rng_for
@@ -123,6 +123,35 @@ def test_ring_axioms_random():
         assert a * (b + c) == a * b + a * c
         assert a * b == b * a
         assert a - a == Expr.const(t, 0)
+
+
+def test_polynomial_add_mul_match_general_path():
+    # polynomial operands skip the products by the denominator 1; the result
+    # must be the general quotient rule's Expr down to dict key order
+    t = table3()
+    syms = [t["q1"], t["q2"], t["q3"], t["d(q1)"]]
+    rng = rng_for("polynomial-fast-path")
+
+    def general_add(a, b):
+        return Expr(t, _padd(_pmul(a.num, b.den), _pmul(b.num, a.den)), _pmul(a.den, b.den))
+
+    def general_mul(a, b):
+        return Expr(t, _pmul(a.num, b.num), _pmul(a.den, b.den))
+
+    def same(got, want):
+        assert list(got.num.items()) == list(want.num.items())
+        assert list(got.den.items()) == list(want.den.items())
+
+    for _ in range(200):
+        a = random_poly(t, syms, rng)
+        b = rng.choice([random_poly(t, syms, rng), -a, Expr.const(t, 0), Expr.const(t, Fraction(-3, 2))])
+        assert a.is_polynomial() and b.is_polynomial()
+        same(a + b, general_add(a, b))
+        same(b + a, general_add(b, a))
+        same(a * b, general_mul(a, b))
+        same(b * a, general_mul(b, a))
+        same(a + 2, general_add(a, Expr.const(t, 2)))
+        same(a * 0, general_mul(a, Expr.const(t, 0)))
 
 
 def test_diff_linear_and_leibniz_random():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -249,6 +250,70 @@ def test_rk4_propagator_matches_stepwise_integration():
         scale = max(abs(v) for v in want)
         assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12 * scale, (trial, got, want)
         assert prop[2 * m] == [0.0] * (2 * m) + [1.0]
+
+
+def test_affine_integrate_matches_stagewise_path():
+    # the affine field steps by R; linear=None sends the same field through the stages
+    rng = rng_for("affine-integrate")
+    for m in (1, 2):
+        for step in (1e-3, 7e-3, 0.05):
+            for _ in range(3):
+                pairs, field = random_quadratic(rng, m)
+                assert field.linear is not None
+                t1 = rng.uniform(-1.0, 1.0)
+                t2 = t1 + rng.uniform(0.5, 2.0)
+                y0 = [rng.uniform(-2, 2) for _ in range(2 * m)]
+                got = integrate(field, y0, t1, t2, step)
+                want = integrate(dataclasses.replace(field, linear=None), y0, t1, t2, step)
+                assert got.times == want.times
+                assert len(got.states) == len(want.states) == len(got.energies)
+                scale = max(abs(v) for y in want.states for v in y)
+                for a, b in zip(got.states, want.states):
+                    assert max(abs(x - y) for x, y in zip(a, b)) <= 1e-10 * scale, (m, step, a, b)
+
+
+def test_affine_and_stagewise_overflow_name_the_same_t():
+    # Q grows as e^(t/1000) and P decays, so H = Q*P/1000 stays finite and no
+    # stage overflows before the state does
+    t = SymbolTable()
+    pairs = [(t.position("Q"), t.register("P", "momentum"))]
+    field = compile_field(parse_expr("(1/1000)*Q*P", t), pairs)
+    assert field.linear is not None
+    messages = []
+    for f in (field, dataclasses.replace(field, linear=None)):
+        with pytest.raises(NumericsError) as info:
+            integrate(f, (1.0, 1.0), 0.0, 1e6, 50.0)
+        messages.append(str(info.value))
+    assert messages[0].startswith("non-finite state at t = ")
+    assert messages[0] == messages[1]
+
+
+def per_field_csv(traj):
+    # the writer as it was: one repr per field and one join per row
+    header = ["t"] + [q.name for q, _p in traj.pairs] + [p.name for _q, p in traj.pairs] + ["H"]
+    lines = [",".join(header)]
+    m = len(traj.pairs)
+    for t, y, h in zip(traj.times, traj.states, traj.energies):
+        rec = [repr(t)]
+        rec += [repr(y[2 * k]) for k in range(m)]
+        rec += [repr(y[2 * k + 1]) for k in range(m)]
+        rec.append(repr(h))
+        lines.append(",".join(rec))
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_bytes_match_per_field_writer():
+    rng = rng_for("csv-bytes")
+    special = (-0.0, 1e-300, 1e300, 0.1)
+    for m in (1, 2):
+        pairs, field = random_quadratic(rng, m)
+        traj = integrate(field, [rng.uniform(-2, 2) for _ in range(2 * m)], 0.0, 0.3, 0.05)
+        for i, v in enumerate(special):
+            traj.times.append(v)
+            traj.states.append(tuple(special[(i + k) % 4] for k in range(2 * m)))
+            traj.energies.append(special[(i + 1) % 4])
+        assert traj.csv().splitlines()[0] == ",".join(["t", *(f"Q{k}" for k in range(1, m + 1)), *(f"P{k}" for k in range(1, m + 1)), "H"])
+        assert traj.csv().encode() == per_field_csv(traj).encode()
 
 
 def test_rk4_propagator_carries_affine_shift():
