@@ -91,12 +91,6 @@ class CanonicalChart:
         pairs = tuple((p.symbol, m.symbol) for p, m in zip(self.position_rows(), self.momentum_rows()))
         return PhaseSpace(self.table, pairs)
 
-    def row_named(self, name):
-        for r in self.rows:
-            if r.name == name:
-                return r
-        raise ChartError(f"no chart row named {name!r}")
-
     def conjugate(self, row: ChartRow) -> ChartRow:
         want = ROLE_CONJUGATE[row.role]
         for r in self.rows:
@@ -113,7 +107,7 @@ def _as_covector(expr: Expr, phase: PhaseSpace):
             f"constraint {expr} is nonlinear; build_chart handles the linear case only "
             f"(supply a chart and use verify_chart instead)"
         ) from exc
-    return [Fraction(c) for c in coeffs], Fraction(offset)
+    return coeffs, offset
 
 
 def build_chart(result: DiracResult) -> CanonicalChart:
@@ -339,10 +333,10 @@ def verify_chart(matrix, mode="exact", tol=1e-12):
         j[:n, n:] = np.eye(n)
         j[n:, :n] = -np.eye(n)
         dev = s.T @ j @ s - j
-        maxdev = float(np.max(np.abs(dev)))
+        maxdev = float(np.max(np.abs(dev), initial=0.0))
         violations = []
-        if maxdev > tol:
-            idx = np.argwhere(np.abs(dev) > tol)
+        if not maxdev <= tol:  # NaN counts as a violation
+            idx = np.argwhere(~(np.abs(dev) <= tol))
             violations = [(int(i), int(k), float(dev[i, k])) for i, k in idx]
         return (not violations), violations, maxdev
     raise ChartError(f"unknown verify mode {mode!r}")
@@ -387,15 +381,13 @@ def frobenius_check(result: DiracResult) -> "FrobeniusReport":
     respect the 2n budget."""
     if not result.classified:
         raise ChartError("classify the Dirac result before the Frobenius check")
-    from .dirac import WeakReducer
-
     phase = result.phase
     table = result.table
     free = result.free_multipliers
     fc_primaries = result.rebased_primaries[: result.primary_fc_count]
     if len(free) != len(fc_primaries):
         raise DiracError("free multipliers out of sync with first-class primaries")
-    reducer = WeakReducer([c.expr for c in result.constraints], phase)
+    reducer = result.reducer
     residuals = []
     ok = True
     for q in phase.positions:

@@ -241,23 +241,31 @@ def reduced_hamiltonian(an: Analysis):
     return h
 
 
+def _chart_entry(v, i, k, mode):
+    """Entry (i, k) of a verify-chart matrix: a Fraction, or a float in float mode."""
+    try:
+        if isinstance(v, bool) or not isinstance(v, (int, float, str)):
+            raise TypeError
+        x = Fraction(v)
+        if mode == "float":
+            return float(x) if isinstance(v, str) else float(v)
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise InputError(f"matrix entry [{i}][{k}] = {v!r} is not a finite number") from exc
+    if isinstance(v, float) and not v.is_integer():
+        raise InputError("non-integer float entries need --mode float")
+    return x
+
+
 def _cmd_verify_chart(args) -> int:
     with open(args.file, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    if "matrix" not in data:
+    if not isinstance(data, dict) or "matrix" not in data:
         raise InputError("chart JSON needs a 'matrix' field")
+    rows = data["matrix"]
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise InputError("chart 'matrix' must be a list of rows, each a list of numbers")
     mode = args.mode or data.get("mode", "exact")
-    matrix = []
-    for row in data["matrix"]:
-        out = []
-        for v in row:
-            if mode == "exact":
-                if isinstance(v, float) and not v.is_integer():
-                    raise InputError("non-integer float entries need --mode float")
-                out.append(Fraction(v))
-            else:
-                out.append(float(Fraction(v)) if isinstance(v, str) else float(v))
-        matrix.append(out)
+    matrix = [[_chart_entry(v, i, k, mode) for k, v in enumerate(row)] for i, row in enumerate(rows)]
     ok, violations, maxdev = verify_chart(matrix, mode=mode, tol=args.tol)
     out = {
         "mode": mode,

@@ -72,6 +72,7 @@ class DiracResult:
     flags: list = field(default_factory=list)
     genericity_pivots: list = field(default_factory=list)
     classified: bool = False
+    reducer: WeakReducer | None = field(default=None, compare=False, repr=False)  # of `constraints`, from dirac_iterate
 
     @property
     def table(self):
@@ -138,7 +139,7 @@ def _affine_rows(exprs, syms):
             raise UnsupportedShape(
                 f"constraint {e} is not affine with constant coefficients; weak reduction unsupported"
             ) from exc
-        rows.append([Fraction(c) for c in coeffs] + [Fraction(offset)])
+        rows.append(coeffs + [offset])
     return rows
 
 
@@ -240,8 +241,8 @@ def dirac_iterate(fos: FirstOrderSystem, pivot_log: list | None = None) -> Dirac
     result = DiracResult(phase, h, constraints, multiplier_symbols=zetas, rebased_primaries=list(prim_exprs))
     flags = result.flags
 
+    reducer = WeakReducer(prim_exprs, phase)
     for _round in range(2 * n + 2):
-        reducer = WeakReducer([c.expr for c in constraints], phase)
         rows = _consistency_rows(constraints, prim_exprs, zetas, h, phase, reducer)
         solved, residues = _eliminate(rows, zetas, table, pivot_log)
         new_any = False
@@ -277,6 +278,7 @@ def dirac_iterate(fos: FirstOrderSystem, pivot_log: list | None = None) -> Dirac
 
     result.multiplier_solutions = solved
     result.free_multipliers = [z for z in zetas if z not in solved]
+    result.reducer = reducer
     return result
 
 
@@ -302,9 +304,22 @@ def _pivot_quality(e: Expr):
 def _eliminate(rows, zetas, table, pivot_log=None):
     """Solve the affine multiplier system; returns ({zeta: Expr}, residues).
 
-    Residues are (source_constraint_index, zeta-free expression) pairs for the
-    rows whose multiplier content was fully consumed.
+    Gauss-Jordan: each solved multiplier is substituted into the remaining
+    rows and into the earlier solutions at once, so every solution ends up
+    over the free multipliers only.  Residues are (source_constraint_index,
+    zeta-free expression) pairs for the rows whose multiplier content was
+    fully consumed.
     """
+    zero = Expr.const(table, 0)
+
+    def substitute(coeffs, const, col, sol_coeffs, sol_const):
+        f = coeffs[col]
+        if f.is_zero():
+            return coeffs, const
+        coeffs = [c + f * sc for c, sc in zip(coeffs, sol_coeffs)]
+        coeffs[col] = zero
+        return coeffs, const + f * sol_const
+
     work = [(idx, list(coeffs), const) for idx, coeffs, const in rows]
     solutions = {}
     for col in range(len(zetas)):
@@ -322,36 +337,14 @@ def _eliminate(rows, zetas, table, pivot_log=None):
         piv = coeffs[col]
         if pivot_log is not None and not piv.is_constant():
             pivot_log.append(piv)
-        sol_const = -const / piv
-        sol_coeffs = [-c / piv for c in coeffs]
-        sol_coeffs[col] = Expr.const(table, 0)
-        solutions[col] = (sol_const, sol_coeffs)
-        new_work = []
-        for idx2, coeffs2, const2 in work:
-            f = coeffs2[col]
-            if not f.is_zero():
-                const2 = const2 + f * sol_const
-                coeffs2 = [c2 + f * sc for c2, sc in zip(coeffs2, sol_coeffs)]
-                coeffs2[col] = Expr.const(table, 0)
-            new_work.append((idx2, coeffs2, const2))
-        work = new_work
-    # back-substitute solved columns into each other
-    changed = True
-    while changed:
-        changed = False
-        for col, (sc, scoeffs) in list(solutions.items()):
-            for col2, (sc2, scoeffs2) in solutions.items():
-                if col2 == col:
-                    continue
-                f = scoeffs[col2]
-                if not f.is_zero():
-                    sc = sc + f * sc2
-                    scoeffs = [a + f * b for a, b in zip(scoeffs, scoeffs2)]
-                    scoeffs[col2] = Expr.const(table, 0)
-                    solutions[col] = (sc, scoeffs)
-                    changed = True
+        sol = ([-c / piv for c in coeffs], -const / piv)
+        sol[0][col] = zero
+        work = [(idx2, *substitute(coeffs2, const2, col, *sol)) for idx2, coeffs2, const2 in work]
+        for col2, (coeffs2, const2) in solutions.items():
+            solutions[col2] = substitute(coeffs2, const2, col, *sol)
+        solutions[col] = sol
     solved = {}
-    for col, (sc, scoeffs) in solutions.items():
+    for col, (scoeffs, sc) in solutions.items():
         val = sc
         for j, c in enumerate(scoeffs):
             if not c.is_zero():
@@ -394,16 +387,10 @@ def classify(result: DiracResult, pivot_log: list | None = None) -> DiracResult:
         first_reps.append(ClassRep(expr, "first", gen, vec))
     first_reps.sort(key=lambda r: (r.generation, _first_support(r.coeffs)))
 
-    second_reps = []
-    basis = [r.coeffs for r in first_reps]
-    for j in range(m):
-        e_j = _unit(j, m)
-        if _independent(basis + [r.coeffs for r in second_reps] + [e_j]):
-            second_reps.append(ClassRep(cons[j].expr, "second", cons[j].generation, e_j))
-        if len(second_reps) == s_count:
-            break
-    if len(second_reps) != s_count:
-        raise DiracError("internal: could not complete second-class representatives")
+    second_reps = [
+        ClassRep(cons[j].expr, "second", cons[j].generation, _unit(j, m))
+        for j in _unit_complement([r.coeffs for r in first_reps], m, s_count)
+    ]
 
     result.first_class = first_reps
     result.second_class = second_reps
@@ -429,8 +416,16 @@ def _combine(vec, cons, table):
     return out
 
 
-def _independent(vectors):
-    return qq.rank(vectors) == len(vectors)
+def _unit_complement(basis, m, k):
+    """The first k unit directions e_j, by increasing j, that are independent
+    of `basis` and of each earlier one: the columns that are not pivots of
+    the basis's RREF with columns visited last to first.
+
+    Column j is a pivot exactly when e_j lies in the span of the basis and
+    e_0..e_{j-1}, so one RREF decides every candidate.
+    """
+    pivots = qq.rref([list(v) for v in basis], range(m - 1, -1, -1))
+    return [j for j in range(m) if j not in pivots][:k]
 
 
 def _gram_kernel(gram, cons):
@@ -480,22 +475,14 @@ def _resolve_multipliers(result: DiracResult, pivot_log=None):
         if rep.generation == 1:
             vec = [rep.coeffs[c_idx] for c_idx, c in enumerate(result.constraints) if c.generation == 1]
             prim_fc.append((vec, rep.expr))
-    complement = []
-    fc_vecs = [v for v, _ in prim_fc]
-    for j in range(m1):
-        e_j = _unit(j, m1)
-        if _independent(fc_vecs + [v for v, _ in complement] + [e_j]):
-            complement.append((e_j, prim_cons[j].expr))
-        if len(prim_fc) + len(complement) == m1:
-            break
+    complement = _unit_complement([v for v, _ in prim_fc], m1, m1 - len(prim_fc))
 
-    rebased = [e for _, e in prim_fc] + [e for _, e in complement]
+    rebased = [e for _, e in prim_fc] + [prim_cons[j].expr for j in complement]
     result.rebased_primaries = rebased
     result.primary_fc_count = len(prim_fc)
     zetas = result.multiplier_symbols
 
-    reducer = WeakReducer([c.expr for c in result.constraints], phase)
-    rows = _consistency_rows(result.constraints, rebased, zetas, result.H, phase, reducer)
+    rows = _consistency_rows(result.constraints, rebased, zetas, result.H, phase, result.reducer)
     solved, residues = _eliminate(rows, zetas, table, pivot_log)
     for _idx, residue in residues:
         if not residue.is_zero():

@@ -202,10 +202,6 @@ class PullbackLagrangian:
     lagrangian: Expr  # kinetic + minus_h at the epsilon values, constant removed
     constant: Fraction  # the removed additive constant
 
-    @property
-    def eps_form(self) -> Expr:
-        return self.kinetic + self.minus_h
-
 
 def pullback_total_lagrangian(result: DiracResult, chart: CanonicalChart, plan: EmbeddingPlan) -> PullbackLagrangian:
     table = chart.table

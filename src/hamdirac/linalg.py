@@ -2,13 +2,14 @@
 
 These serve the steps whose entries may be non-constant: the Legendre
 velocity solve (its leftover rows become the primary constraints) and the
-rank check on the primary Jacobian.  Constant-coefficient elimination lives
-in `qq`; the multiplier system keeps its own pivot policy in
-`dirac._eliminate`.
+rank check on the primary Jacobian.  `solve_linear` is the one elimination
+here: the rank and the kernel are read off its solution of A x = 0.
+Constant-coefficient elimination lives in `qq`; the multiplier system keeps
+its own pivot policy in `dirac._eliminate`.
 
 Rank semantics are generic: any entry that is not identically zero is an
 acceptable pivot (the analysis works on the open dense region where pivots do
-not vanish).  Every non-constant pivot chosen along the way can be logged so
+not vanish).  `solve_linear` can log every non-constant pivot it chooses so
 reports can surface the genericity assumptions.
 """
 
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .expr import Expr, _pgcd, _pdiv_exact, _pmul, _pconst
+from .expr import Expr
 
 
 class LinalgError(Exception):
@@ -46,12 +47,6 @@ class ExprMatrix:
     def row(self, i):
         return list(self.entries[i])
 
-    def col(self, j):
-        return [self.entries[i][j] for i in range(self.rows)]
-
-    def transpose(self) -> "ExprMatrix":
-        return ExprMatrix(self.cols, self.rows, [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)])
-
     def matvec(self, v):
         out = []
         for i in range(self.rows):
@@ -66,50 +61,6 @@ class ExprMatrix:
         return self.rows == self.cols and all(
             self.entries[i][j] == self.entries[j][i] for i in range(self.rows) for j in range(i)
         )
-
-
-def _clear_denominators(row):
-    """Scale a row of Exprs to polynomials (common denominator multiplied out)."""
-    if not row:
-        return row
-    table = row[0].table
-    den = _pconst(1)
-    for e in row:
-        g = _pgcd(den, e.den)
-        den = _pmul(_pdiv_exact(den, g), e.den)
-    return [Expr(e.table, _pmul(e.num, _pdiv_exact(den, e.den)), _normalized=False) for e in row]
-
-
-def rank(m: ExprMatrix, pivot_log: list | None = None) -> int:
-    """Generic rank by fraction-free (Bareiss) elimination."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    a = [_clear_denominators(m.row(i)) for i in range(m.rows)]
-    table = m.entries[0][0].table
-    one = Expr.const(table, 1)
-    prev = one
-    r = 0
-    for col in range(m.cols):
-        piv = None
-        for i in range(r, m.rows):
-            if not a[i][col].is_zero():
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        p = a[r][col]
-        if pivot_log is not None and not p.is_constant():
-            pivot_log.append(p)
-        for i in range(r + 1, m.rows):
-            for j in range(col + 1, m.cols):
-                a[i][j] = (p * a[i][j] - a[i][col] * a[r][j]) / prev
-            a[i][col] = Expr.const(table, 0)
-        prev = p
-        r += 1
-        if r == m.rows:
-            break
-    return r
 
 
 @dataclass
@@ -193,11 +144,19 @@ def solve_linear(a: ExprMatrix, b: list, pivot_log: list | None = None, prefer_l
     return LinearSolution(particular, kernel, sorted(pivot_of_col), free_cols, witnesses, witness_rows)
 
 
+def _homogeneous(m: ExprMatrix) -> LinearSolution:
+    return solve_linear(m, [Expr.const(m.entries[0][0].table, 0)] * m.rows)
+
+
+def rank(m: ExprMatrix) -> int:
+    """Generic rank: the pivot count of `solve_linear` on A x = 0."""
+    if m.rows == 0 or m.cols == 0:
+        return 0
+    return len(_homogeneous(m).pivot_cols)
+
+
 def null_space(m: ExprMatrix) -> list:
     """Basis of the right kernel; size cols - rank."""
     if m.rows == 0:
         raise LinalgError("null_space needs at least one row")
-    table = m.entries[0][0].table
-    zero_b = [Expr.const(table, 0) for _ in range(m.rows)]
-    sol = solve_linear(m, zero_b)
-    return sol.kernel_basis
+    return _homogeneous(m).kernel_basis

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import qq
 from .chart import (
@@ -195,7 +194,7 @@ def _import_chart(an: Analysis) -> CanonicalChart:
             raise InputError(f"chart row {name} (line {lineno}): {exc}") from exc
         if (role, idx) in by_role:
             raise InputError(f"duplicate chart row {name}")
-        by_role[(role, idx)] = ChartRow(role, idx, [Fraction(c) for c in coeffs], Fraction(offset), sym)
+        by_role[(role, idx)] = ChartRow(role, idx, coeffs, offset, sym)
 
     counts = {r: max((i for (rr, i) in by_role if rr == r), default=0) for r in ("Xi", "Psi", "ThU", "ThD", "Q", "P")}
     if counts["Xi"] != counts["Psi"] or counts["ThU"] != counts["ThD"] or counts["Q"] != counts["P"]:
@@ -238,8 +237,7 @@ def _import_chart(an: Analysis) -> CanonicalChart:
 
 
 def _covector(expr, phase):
-    coeffs, _off = expr.linear_form(phase.z_order())
-    return [Fraction(c) for c in coeffs]
+    return expr.linear_form(phase.z_order())[0]
 
 
 def _same_span(a, b):

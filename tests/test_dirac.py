@@ -278,3 +278,173 @@ def test_sparse_poisson_equals_dense_sum():
         got, want = poisson(f, g, phase), dense_poisson(f, g, phase)
         assert list(got.num.items()) == list(want.num.items())
         assert list(got.den.items()) == list(want.den.items())
+
+
+def greedy_unit_complement(basis, m, k):
+    """The greedy completion: take e_j, by increasing j, whenever it raises the rank."""
+    from fractions import Fraction
+
+    from hamdirac import qq
+
+    chosen = []
+    for j in range(m):
+        if len(chosen) == k:
+            break
+        e_j = [Fraction(int(i == j)) for i in range(m)]
+        vecs = basis + [[Fraction(int(i == c)) for i in range(m)] for c in chosen] + [e_j]
+        if qq.rank(vecs) == len(vecs):
+            chosen.append(j)
+    return chosen
+
+
+def test_unit_complement_matches_greedy_rank_loop():
+    import random
+    from fractions import Fraction
+
+    from hamdirac import qq
+    from hamdirac.dirac import _unit_complement
+
+    rng = random.Random("unit-complement")
+    assert _unit_complement([], 4, 4) == [0, 1, 2, 3]
+    assert _unit_complement([], 4, 2) == [0, 1]
+    assert _unit_complement([], 3, 0) == []
+    for _ in range(300):
+        m = rng.randint(1, 7)
+        size = rng.randint(0, m)
+        basis = []
+        while len(basis) < size:  # independent, sparse, small entries
+            v = [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) if rng.random() < 0.5 else Fraction(0) for _ in range(m)]
+            if qq.rank(basis + [v]) == len(basis) + 1:
+                basis.append(v)
+        k = rng.randint(0, m - size)
+        before = [list(v) for v in basis]
+        got = _unit_complement(basis, m, k)
+        assert got == greedy_unit_complement(basis, m, k)
+        assert basis == before  # the basis is not reduced in place
+        assert qq.rank(basis + [[Fraction(int(i == j)) for i in range(m)] for j in got]) == size + k
+
+
+def eliminate_fixpoint(rows, zetas, table):
+    """The multiplier solve with back-substitution repeated until nothing
+    changes; oracle for the one-pass Gauss-Jordan `_eliminate`."""
+    from hamdirac.dirac import _pivot_quality
+
+    work = [(idx, list(coeffs), const) for idx, coeffs, const in rows]
+    solutions = {}
+    for col in range(len(zetas)):
+        best = None
+        for k, (idx, coeffs, const) in enumerate(work):
+            if coeffs[col].is_zero():
+                continue
+            q = (*_pivot_quality(coeffs[col]), idx, k)
+            if best is None or q < best[0]:
+                best = (q, k)
+        if best is None:
+            continue
+        _, k = best
+        idx, coeffs, const = work.pop(k)
+        piv = coeffs[col]
+        sol_const = -const / piv
+        sol_coeffs = [-c / piv for c in coeffs]
+        sol_coeffs[col] = Expr.const(table, 0)
+        solutions[col] = (sol_const, sol_coeffs)
+        new_work = []
+        for idx2, coeffs2, const2 in work:
+            f = coeffs2[col]
+            if not f.is_zero():
+                const2 = const2 + f * sol_const
+                coeffs2 = [c2 + f * sc for c2, sc in zip(coeffs2, sol_coeffs)]
+                coeffs2[col] = Expr.const(table, 0)
+            new_work.append((idx2, coeffs2, const2))
+        work = new_work
+    changed = True
+    while changed:
+        changed = False
+        for col, (sc, scoeffs) in list(solutions.items()):
+            for col2, (sc2, scoeffs2) in solutions.items():
+                if col2 == col:
+                    continue
+                f = scoeffs[col2]
+                if not f.is_zero():
+                    sc = sc + f * sc2
+                    scoeffs = [a + f * b for a, b in zip(scoeffs, scoeffs2)]
+                    scoeffs[col2] = Expr.const(table, 0)
+                    solutions[col] = (sc, scoeffs)
+                    changed = True
+    solved = {}
+    for col, (sc, scoeffs) in solutions.items():
+        val = sc
+        for j, c in enumerate(scoeffs):
+            if not c.is_zero():
+                val = val + c * Expr.sym(table, zetas[j])
+        solved[zetas[col]] = val
+    return solved, [(idx, const) for idx, coeffs, const in work]
+
+
+def test_eliminate_matches_fixpoint_back_substitution():
+    # seeded multiplier systems: constant and symbolic coefficients, zero
+    # columns, and dependent rows whose constants disagree (nonzero residues)
+    from fractions import Fraction
+
+    from hamdirac.dirac import _eliminate
+
+    t, phase = phase2()
+    syms = [s for q, p in phase.pairs for s in (q, p)]
+    rng = rng_for("eliminate-gauss-jordan")
+    residue_systems = 0
+    for trial in range(150):
+        zetas = [t.register_fresh(f"z{j + 1}", "multiplier") for j in range(rng.randint(1, 4))]
+        symbolic = trial % 3 == 0
+
+        def coeff():
+            r = rng.random()
+            if r < 0.35:
+                return Expr.const(t, 0)
+            if symbolic and r < 0.55:
+                return random_poly(t, syms, rng, max_degree=1, terms=2)
+            return Expr.const(t, Fraction(rng.choice([-2, -1, 1, 1, 2, 3]), rng.randint(1, 2)))
+
+        rows = []
+        for idx in range(rng.randint(1, 5)):
+            if rows and rng.random() < 0.3:  # a multiple of an earlier row, new constant
+                _, base, _ = rng.choice(rows)
+                f = Expr.const(t, Fraction(rng.randint(1, 3)))
+                coeffs = [c * f for c in base]
+            else:
+                coeffs = [coeff() for _ in zetas]
+            rows.append((idx, coeffs, random_poly(t, syms, rng, max_degree=1, terms=2)))
+        got = _eliminate(rows, zetas, t)
+        want = eliminate_fixpoint(rows, zetas, t)
+        assert list(got[0].items()) == list(want[0].items())
+        assert got[1] == want[1]
+        residue_systems += any(not r.is_zero() for _, r in got[1])
+    assert residue_systems > 20
+
+
+def test_weak_reducer_built_once_per_constraint_set(monkeypatch):
+    # dirac_iterate builds one reducer before its loop and one per accepted
+    # constraint; classification and the Frobenius check reuse the last one
+    from importlib import resources
+    from pathlib import Path
+
+    from hamdirac import dirac
+    from hamdirac.report import run_pipeline
+    from hamdirac.sysfile import load_system_file
+
+    builds = []
+    init = dirac.WeakReducer.__init__
+
+    def counting_init(self, exprs, phase):
+        builds.append(tuple(str(e) for e in exprs))
+        init(self, exprs, phase)
+
+    monkeypatch.setattr(dirac.WeakReducer, "__init__", counting_init)
+    fixtures = resources.files("hamdirac") / "fixtures"
+    golden = Path(__file__).resolve().parent / "golden"
+    for path, distinct in ((fixtures / "l3.sys", 3), (fixtures / "cawley.sys", 3), (golden / "coupled3.sys", 9)):
+        builds.clear()
+        an = run_pipeline(load_system_file(path), stage="report")
+        assert len(builds) == len(set(builds)) == distinct, path
+        res = an.result
+        assert builds[-1] == tuple(str(c.expr) for c in res.constraints)
+        assert res.reducer.subs == dirac.WeakReducer([c.expr for c in res.constraints], res.phase).subs

@@ -195,3 +195,16 @@ def test_linear_form_and_affine_split():
     const, coeffs = parse_expr("q2*q1 + q3 + 7", t).split_affine([t["q1"]])
     assert const == parse_expr("q3 + 7", t)
     assert coeffs[t["q1"]] == parse_expr("q2", t)
+
+
+def test_linear_form_yields_fractions():
+    # callers use the row and the offset as Fractions without wrapping them
+    t = table3()
+    syms = [t["q1"], t["q2"], t["q3"]]
+    q1 = Expr.sym(t, syms[0])
+    texts = ("2*q1 - q3 + 5", "(2/3)*q2 - (1/2)*q1 + 1/7", "q1", "0", "3", "q2 - q2")
+    built = (Expr.const(t, 3), Expr.const(t, 0), q1 * 2 + 5, q1 * Expr.const(t, 2) / 4 - 1)
+    for e in [parse_expr(text, t) for text in texts] + list(built):
+        row, off = e.linear_form(syms)
+        assert all(type(c) is Fraction for c in row), e
+        assert type(off) is Fraction, e

@@ -9,6 +9,8 @@ coupled2.sys and gauge2.sys are two-block L3 families (8 coordinates) kept
 beside their reports: coupled2 pairs four second-class pairs and completes
 four (Q, P) pairs; gauge2 (F = S = 4) statically corrects two secondary gauge
 rows, and under --gauge-fixing (gauge2.gauge.report.json) derives the gauge.
+coupled3.sys and gauge3.sys are the three-block families (12 coordinates),
+the size of the coupled and gauge benchmark workloads.
 """
 
 import subprocess
@@ -38,7 +40,11 @@ def test_report_bytes_match_golden(fixture, stage, extra, tmp_path):
     assert out.read_bytes() == (GOLDEN / golden_name(fixture, stage, extra)).read_bytes()
 
 
-FAMILY_CASES = [("coupled2", []), ("gauge2", []), ("gauge2", ["--gauge-fixing"])]
+FAMILY_CASES = [
+    (system, extra)
+    for k in (2, 3)
+    for system, extra in ((f"coupled{k}", []), (f"gauge{k}", []), (f"gauge{k}", ["--gauge-fixing"]))
+]
 
 
 def family_golden_name(system, extra):

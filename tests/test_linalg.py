@@ -7,7 +7,7 @@ from conftest import random_poly, rng_for
 
 
 def rank_naive(m: ExprMatrix) -> int:
-    """Plain Gaussian elimination over the field; oracle for the Bareiss rank()."""
+    """Plain Gaussian elimination over the field; oracle for rank()."""
     if m.rows == 0 or m.cols == 0:
         return 0
     a = [m.row(i) for i in range(m.rows)]
@@ -160,3 +160,44 @@ def test_fraction_free_handles_rational_entries():
     m = ExprMatrix.from_rows([[half_over_q, Expr.const(t, 1)], [Expr.const(t, 1), parse_expr("2*q1", t)]])
     assert rank(m) == 1
     assert rank_naive(m) == 1
+
+
+def test_rank_matches_sympy_on_rational_function_matrices():
+    # M = L R with an identity block in L and in R has rank exactly r; rows
+    # scaled by rational functions and rows and columns shuffled
+    import sympy
+
+    t = SymbolTable()
+    syms = [t.position(n) for n in ("q1", "q2")]
+    sp = sympy.symbols("q1 q2")
+    rng = rng_for("rank-sympy")
+
+    def entry():
+        e = random_poly(t, syms, rng, max_degree=1, terms=2)
+        if rng.random() < 0.3:
+            den = random_poly(t, syms, rng, max_degree=1, terms=2)
+            if not den.is_zero():
+                e = e / den
+        return e
+
+    def to_sympy(e):
+        return sympy.sympify(str(e).replace("^", "**"), locals=dict(zip(("q1", "q2"), sp)))
+
+    one, zero = Expr.const(t, 1), Expr.const(t, 0)
+    for _ in range(25):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        r = rng.randint(0, min(rows, cols))
+        left = [[one if i == j else zero for j in range(r)] for i in range(r)]
+        left += [[entry() for _ in range(r)] for _ in range(rows - r)]
+        right = [[one if i == j else zero for j in range(r)] + [entry() for _ in range(cols - r)] for i in range(r)]
+        m = [[sum((left[i][k] * right[k][j] for k in range(r)), zero) for j in range(cols)] for i in range(rows)]
+        for i in range(rows):
+            scale = entry()
+            if not scale.is_zero():
+                m[i] = [e * scale for e in m[i]]
+        rng.shuffle(m)
+        perm = list(range(cols))
+        rng.shuffle(perm)
+        m = [[row[j] for j in perm] for row in m]
+        assert rank(ExprMatrix.from_rows(m)) == r
+        assert sympy.Matrix([[to_sympy(e) for e in row] for row in m]).rank(simplify=True) == r

@@ -282,3 +282,35 @@ def test_cli_verify_chart(tmp_path, capsys):
     assert main(["verify-chart", str(broken)]) == 1
     rep = json.loads(capsys.readouterr().out)
     assert rep["canonical"] is False and rep["violations"]
+
+
+@pytest.mark.parametrize(
+    "text,named",
+    [
+        ('{"matrix": [[NaN, 0], [0, 1]], "mode": "float"}', "[0][0] = nan"),
+        ('{"matrix": [[1, 0], [0, Infinity]], "mode": "float"}', "[1][1] = inf"),
+        ('{"matrix": [[1, "a"], [0, 1]]}', "[0][1] = 'a'"),
+        ('{"matrix": [[1, 0], ["1/0", 1]]}', "[1][0] = '1/0'"),
+        ('{"matrix": 5}', "'matrix' must be a list of rows"),
+    ],
+    ids=["nan", "infinity", "letter", "zero-denominator", "not-a-list"],
+)
+def test_cli_verify_chart_rejects_non_numbers(tmp_path, capsys, text, named):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text, encoding="utf-8")
+    assert main(["verify-chart", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and named in captured.err
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_verify_chart_float_edge_cases():
+    from hamdirac import verify_chart
+
+    for bad in (math.nan, math.inf):
+        ok, violations, maxdev = verify_chart([[bad, 0.0], [0.0, 1.0]], mode="float")
+        assert not ok and violations and not maxdev <= 1e-12
+    # the 0 x 0 chart is canonical in both modes
+    assert verify_chart([], mode="float") == (True, [], 0.0)
+    assert verify_chart([], mode="exact")[0]
