@@ -13,13 +13,13 @@ handled in a float-only verification mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import qq
 from .dirac import DiracResult, DiracError, poisson
 from .expr import Expr, ExprError
-from .lagrangian import PhaseSpace, UnsupportedShape
+from .lagrangian import PhaseSpace
 
 
 class ChartError(Exception):
@@ -57,12 +57,8 @@ class ChartRow:
 class CanonicalChart:
     phase: PhaseSpace
     rows: list  # position block then momentum block, canonical role order
-    notes: list = None
+    notes: list = field(default_factory=list)
     hamiltonian: Expr | None = None  # transformed H_T, kept by report.attach_embedding
-
-    def __post_init__(self):
-        if self.notes is None:
-            self.notes = []
 
     @property
     def n(self):
@@ -99,17 +95,6 @@ class CanonicalChart:
         raise ChartError(f"chart row {row.name} has no conjugate")
 
 
-def _as_covector(expr: Expr, phase: PhaseSpace):
-    try:
-        coeffs, offset = expr.linear_form(phase.z_order())
-    except ExprError as exc:
-        raise UnsupportedShape(
-            f"constraint {expr} is nonlinear; build_chart handles the linear case only "
-            f"(supply a chart and use verify_chart instead)"
-        ) from exc
-    return coeffs, offset
-
-
 def build_chart(result: DiracResult) -> CanonicalChart:
     """Symplectic Gram-Schmidt completion of the classified constraints."""
     if not result.classified:
@@ -120,12 +105,9 @@ def build_chart(result: DiracResult) -> CanonicalChart:
 
     psi = []
     for rep in result.first_class:
-        coeffs, off = _as_covector(rep.expr, phase)
+        *coeffs, off = qq.from_row(rep.row)
         psi.append((coeffs, off, rep.generation))
-    pool = []  # integer rows, the offset carried as entry 2n
-    for rep in result.second_class:
-        coeffs, off = _as_covector(rep.expr, phase)
-        pool.append(qq.to_row(coeffs + [off]))
+    pool = [rep.row for rep in result.second_class]  # integer rows, the offset carried as entry 2n
 
     theta_rows = []
     while pool:
@@ -287,14 +269,6 @@ def _assemble_rows(table, psi, xi_rows, theta_pairs, qp_pairs):
 # ---------------------------------------------------------------------------
 # verification
 
-def _j_matrix(n):
-    j = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        j[i][n + i] = Fraction(1)
-        j[n + i][i] = Fraction(-1)
-    return j
-
-
 def verify_chart(matrix, mode="exact", tol=1e-12):
     """Check S^T J S = J.
 
@@ -306,22 +280,12 @@ def verify_chart(matrix, mode="exact", tol=1e-12):
         raise ChartError("chart matrix must be square with even dimension")
     n = dim // 2
     if mode == "exact":
-        s = [[Fraction(x) for x in row] for row in matrix]
-        j = _j_matrix(n)
-        # J S first (sparse J), then S^T (J S)
-        js = [[s[a - n][k] if a >= n else Fraction(0) for k in range(dim)] for a in range(dim)]
-        for i in range(n):
-            for k in range(dim):
-                js[i][k] = s[n + i][k]
-                js[n + i][k] = -s[i][k]
+        # (S^T J S)_ik is the bracket of columns i and k; J_ik is +1 at k = i + n, -1 at i = k + n
+        cols = [qq.to_row([Fraction(x) for x in col]) for col in zip(*matrix)]
         violations = []
-        for i in range(dim):
-            for k in range(dim):
-                acc = Fraction(0)
-                for a in range(dim):
-                    if s[a][i]:
-                        acc += s[a][i] * js[a][k]
-                delta = acc - j[i][k]
+        for i, u in enumerate(cols):
+            for k, v in enumerate(cols):
+                delta = qq.row_bracket(u, v, n) - (k == i + n) + (i == k + n)
                 if delta:
                     violations.append((i, k, delta))
         return (not violations), violations, (max((abs(d) for _, _, d in violations), default=Fraction(0)))

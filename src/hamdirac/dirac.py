@@ -1,8 +1,14 @@
 """Poisson brackets, weak equality, and the consistency iteration.
 
+Each constraint is affine with constant coefficients and is turned into its
+exact row once, when it is accepted (`_affine_row`, stored as
+`Constraint.row`).  The bracket of two constraints is then the constant
+`qq.row_bracket` of their rows; only the bracket with the Hamiltonian is a
+symbolic Poisson bracket.
+
 The iteration keeps the joint multiplier system honest: each round it forms
 the time derivative of *every* constraint against the total Hamiltonian,
-weak-reduces all coefficients, solves the affine system in the multipliers,
+weak-reduces its bracket with H, solves the affine system in the multipliers,
 and turns leftover multiplier-free residues into new constraints.  A round
 that adds nothing terminates the procedure.
 
@@ -20,7 +26,6 @@ from fractions import Fraction
 from . import qq
 from .expr import Expr, ExprError
 from .lagrangian import FirstOrderSystem, PhaseSpace, UnsupportedShape
-from .linalg import ExprMatrix, rank
 
 
 class DiracError(Exception):
@@ -40,6 +45,7 @@ class Constraint:
     expr: Expr
     chain: int
     generation: int
+    row: tuple  # `expr` as a qq integer row over (q1..qn, p1..pn, offset)
     klass: str = "unclassified"
     name: str = ""
 
@@ -52,6 +58,7 @@ class ClassRep:
     klass: str
     generation: int
     coeffs: list  # Fractions: combination over the discovery-order constraint list
+    row: tuple  # `expr` as a qq integer row, like Constraint.row
 
 
 @dataclass
@@ -70,7 +77,6 @@ class DiracResult:
     S: int = 0
     dof: int = -1
     flags: list = field(default_factory=list)
-    genericity_pivots: list = field(default_factory=list)
     classified: bool = False
     reducer: WeakReducer | None = field(default=None, compare=False, repr=False)  # of `constraints`, from dirac_iterate
 
@@ -112,16 +118,16 @@ def poisson(f: Expr, g: Expr, phase: PhaseSpace) -> Expr:
 class WeakReducer:
     """Substitution engine for weak equality against affine constraints.
 
-    Each constraint is solved for its highest-index phase symbol; the
-    triangularized ensemble is applied as one simultaneous substitution, so a
-    weakly vanishing expression reduces to the exact zero normal form.
+    Built from the constraints' rows (`_affine_row`).  Each constraint is
+    solved for its highest-index phase symbol; the triangularized ensemble is
+    applied as one simultaneous substitution, so a weakly vanishing
+    expression reduces to the exact zero normal form.
     """
 
-    def __init__(self, constraint_exprs, phase: PhaseSpace):
+    def __init__(self, rows, phase: PhaseSpace):
         self.phase = phase
         syms = phase.z_order()
-        rows = _affine_rows([e for e in constraint_exprs if not e.is_zero()], syms)
-        self.subs = _affine_rref(rows, syms, phase.table)
+        self.subs = _affine_rref([qq.from_row(r) for r in rows], syms, phase.table)
 
     def reduce(self, e: Expr) -> Expr:
         if not self.subs:
@@ -129,18 +135,15 @@ class WeakReducer:
         return e.substitute(self.subs)
 
 
-def _affine_rows(exprs, syms):
-    """Each expression as a rational row [coefficients over syms..., offset]."""
-    rows = []
-    for e in exprs:
-        try:
-            coeffs, offset = e.linear_form(syms)
-        except ExprError as exc:
-            raise UnsupportedShape(
-                f"constraint {e} is not affine with constant coefficients; weak reduction unsupported"
-            ) from exc
-        rows.append(coeffs + [offset])
-    return rows
+def _affine_row(e: Expr, syms):
+    """The constraint e as a qq integer row [coefficients over syms..., offset]."""
+    try:
+        coeffs, offset = e.linear_form(syms)
+    except ExprError as exc:
+        raise UnsupportedShape(
+            f"constraint {e} is not affine with constant coefficients; weak reduction unsupported"
+        ) from exc
+    return qq.to_row(coeffs + [offset])
 
 
 def _affine_rref(rows, syms, table):
@@ -168,8 +171,9 @@ def _affine_rref(rows, syms, table):
 
 
 def weak_reduce(e: Expr, constraints, phase: PhaseSpace) -> Expr:
-    exprs = [c.expr if isinstance(c, Constraint) else c for c in constraints]
-    return WeakReducer(exprs, phase).reduce(e)
+    syms = phase.z_order()
+    rows = [c.row if isinstance(c, Constraint) else _affine_row(c, syms) for c in constraints]
+    return WeakReducer(rows, phase).reduce(e)
 
 
 def _normalize_candidate(expr: Expr, table):
@@ -224,27 +228,29 @@ def _monic_affine(e: Expr) -> Expr:
     return e / lead if lead is not None else e
 
 
-def dirac_iterate(fos: FirstOrderSystem, pivot_log: list | None = None) -> DiracResult:
+def dirac_iterate(fos: FirstOrderSystem) -> DiracResult:
     phase = fos.phase
     table = phase.table
     n = phase.n
     h = fos.H
+    syms = phase.z_order()
 
     prim_exprs = list(fos.primaries)
-    if prim_exprs:
-        jac = ExprMatrix.from_rows([[e.diff(s) for s in phase.z_order()] for e in prim_exprs])
-        if rank(jac) != len(prim_exprs):
-            raise DiracError("primary constraints are not independent")
-
-    constraints = [Constraint(e, chain=i, generation=1, name=f"phi{i + 1}_1") for i, e in enumerate(prim_exprs)]
+    constraints = [
+        Constraint(e, chain=i, generation=1, row=_affine_row(e, syms), name=f"phi{i + 1}_1")
+        for i, e in enumerate(prim_exprs)
+    ]
+    prim_rows = [c.row for c in constraints]
+    if qq.rank([qq.from_row(r)[:-1] for r in prim_rows]) != len(prim_rows):
+        raise DiracError("primary constraints are not independent")
     zetas = [table.register_fresh(f"zeta{i + 1}", "multiplier") for i in range(len(prim_exprs))]
     result = DiracResult(phase, h, constraints, multiplier_symbols=zetas, rebased_primaries=list(prim_exprs))
     flags = result.flags
 
-    reducer = WeakReducer(prim_exprs, phase)
+    reducer = WeakReducer(prim_rows, phase)
     for _round in range(2 * n + 2):
-        rows = _consistency_rows(constraints, prim_exprs, zetas, h, phase, reducer)
-        solved, residues = _eliminate(rows, zetas, table, pivot_log)
+        rows = _consistency_rows(constraints, prim_rows, h, phase, reducer)
+        solved, residues = _eliminate(rows, zetas, table)
         new_any = False
         tips = {c.chain: c for c in constraints}  # last write wins: discovery order
         for src_idx, residue in residues:
@@ -262,11 +268,12 @@ def dirac_iterate(fos: FirstOrderSystem, pivot_log: list | None = None) -> Dirac
             gen = tip.generation + 1
             if src is not tip:
                 flags.append(f"non-tip constraint {src.name} produced a new condition")
-            newc = Constraint(cand, chain=src.chain, generation=gen, name=f"phi{src.chain + 1}_{gen}")
+            row = _affine_row(cand, syms)
+            newc = Constraint(cand, chain=src.chain, generation=gen, row=row, name=f"phi{src.chain + 1}_{gen}")
             constraints.append(newc)
             tips[src.chain] = newc
             new_any = True
-            reducer = WeakReducer([c.expr for c in constraints], phase)
+            reducer = WeakReducer([c.row for c in constraints], phase)
         if len(constraints) > 2 * n:
             raise BudgetExceeded(
                 f"{len(constraints)} constraints exceed the 2n = {2 * n} budget; no consistent dynamics"
@@ -282,12 +289,17 @@ def dirac_iterate(fos: FirstOrderSystem, pivot_log: list | None = None) -> Dirac
     return result
 
 
-def _consistency_rows(constraints, prim_exprs, zetas, h, phase, reducer):
-    """One weak-reduced consistency row per constraint: const + sum(coeff_a zeta_a)."""
+def _consistency_rows(constraints, prim_rows, h, phase, reducer):
+    """One consistency row per constraint: const + sum(coeff_a zeta_a).
+
+    const is the weak-reduced bracket with H; each coeff_a is the constant
+    bracket of two affine rows, {c, prim_a} = qq.row_bracket.
+    """
+    table, n = phase.table, phase.n
     rows = []
     for idx, c in enumerate(constraints):
         const = reducer.reduce(poisson(c.expr, h, phase))
-        coeffs = [reducer.reduce(poisson(c.expr, p, phase)) for p in prim_exprs]
+        coeffs = [Expr.const(table, qq.row_bracket(c.row, p, n)) for p in prim_rows]
         if const.is_zero() and all(x.is_zero() for x in coeffs):
             continue
         rows.append((idx, coeffs, const))
@@ -301,7 +313,7 @@ def _pivot_quality(e: Expr):
     return (1, 0)
 
 
-def _eliminate(rows, zetas, table, pivot_log=None):
+def _eliminate(rows, zetas, table):
     """Solve the affine multiplier system; returns ({zeta: Expr}, residues).
 
     Gauss-Jordan: each solved multiplier is substituted into the remaining
@@ -335,8 +347,6 @@ def _eliminate(rows, zetas, table, pivot_log=None):
         _, k = best
         idx, coeffs, const = work.pop(k)
         piv = coeffs[col]
-        if pivot_log is not None and not piv.is_constant():
-            pivot_log.append(piv)
         sol = ([-c / piv for c in coeffs], -const / piv)
         sol[0][col] = zero
         work = [(idx2, *substitute(coeffs2, const2, col, *sol)) for idx2, coeffs2, const2 in work]
@@ -357,7 +367,7 @@ def _eliminate(rows, zetas, table, pivot_log=None):
 # ---------------------------------------------------------------------------
 # classification
 
-def classify(result: DiracResult, pivot_log: list | None = None) -> DiracResult:
+def classify(result: DiracResult) -> DiracResult:
     phase = result.phase
     table = result.table
     cons = result.constraints
@@ -368,8 +378,7 @@ def classify(result: DiracResult, pivot_log: list | None = None) -> DiracResult:
         result.classified = True
         return result
 
-    cov = [row[:-1] for row in _affine_rows([c.expr for c in cons], phase.z_order())]
-    gram = [[qq.bracket(a, b, phase.n) for b in cov] for a in cov]
+    gram = [[qq.row_bracket(a.row, b.row, phase.n) for b in cons] for a in cons]
     kernel = _gram_kernel(gram, cons)
     f_count = len(kernel)
     s_count = m - f_count  # the rank of the Gram matrix
@@ -383,19 +392,18 @@ def classify(result: DiracResult, pivot_log: list | None = None) -> DiracResult:
 
     first_reps = []
     for vec, gen in kernel:
-        expr = _combine(vec, cons, table)
-        first_reps.append(ClassRep(expr, "first", gen, vec))
+        first_reps.append(ClassRep(_combine(vec, cons, table), "first", gen, vec, _combine_row(vec, cons)))
     first_reps.sort(key=lambda r: (r.generation, _first_support(r.coeffs)))
 
     second_reps = [
-        ClassRep(cons[j].expr, "second", cons[j].generation, _unit(j, m))
+        ClassRep(cons[j].expr, "second", cons[j].generation, _unit(j, m), cons[j].row)
         for j in _unit_complement([r.coeffs for r in first_reps], m, s_count)
     ]
 
     result.first_class = first_reps
     result.second_class = second_reps
 
-    _resolve_multipliers(result, pivot_log)
+    _resolve_multipliers(result)
     result.classified = True
     return result
 
@@ -414,6 +422,12 @@ def _combine(vec, cons, table):
         if c:
             out = out + con.expr * c
     return out
+
+
+def _combine_row(vec, cons):
+    """The row of `_combine(vec, cons, ...)`, from the constraints' rows."""
+    parts = [[c * x for x in qq.from_row(con.row)] for c, con in zip(vec, cons) if c]
+    return qq.to_row([sum(col) for col in zip(*parts)])
 
 
 def _unit_complement(basis, m, k):
@@ -452,7 +466,7 @@ def _gram_kernel(gram, cons):
     return out
 
 
-def _resolve_multipliers(result: DiracResult, pivot_log=None):
+def _resolve_multipliers(result: DiracResult):
     """Re-express the multiplier system over the classified primary basis.
 
     First-class primary combinations keep free multipliers; the rest are
@@ -474,16 +488,16 @@ def _resolve_multipliers(result: DiracResult, pivot_log=None):
     for rep in result.first_class:
         if rep.generation == 1:
             vec = [rep.coeffs[c_idx] for c_idx, c in enumerate(result.constraints) if c.generation == 1]
-            prim_fc.append((vec, rep.expr))
+            prim_fc.append((vec, rep))
     complement = _unit_complement([v for v, _ in prim_fc], m1, m1 - len(prim_fc))
 
-    rebased = [e for _, e in prim_fc] + [prim_cons[j].expr for j in complement]
-    result.rebased_primaries = rebased
+    rebased = [rep for _, rep in prim_fc] + [prim_cons[j] for j in complement]
+    result.rebased_primaries = [r.expr for r in rebased]
     result.primary_fc_count = len(prim_fc)
     zetas = result.multiplier_symbols
 
-    rows = _consistency_rows(result.constraints, rebased, zetas, result.H, phase, result.reducer)
-    solved, residues = _eliminate(rows, zetas, table, pivot_log)
+    rows = _consistency_rows(result.constraints, [r.row for r in rebased], result.H, phase, result.reducer)
+    solved, residues = _eliminate(rows, zetas, table)
     for _idx, residue in residues:
         if not residue.is_zero():
             raise DiracError("internal: rebased multiplier system left an unexplained residue")

@@ -1,11 +1,11 @@
 """Matrices over the rational-function field: rank, kernel, linear solving.
 
-These serve the steps whose entries may be non-constant: the Legendre
-velocity solve (its leftover rows become the primary constraints) and the
-rank check on the primary Jacobian.  `solve_linear` is the one elimination
-here: the rank and the kernel are read off its solution of A x = 0.
-Constant-coefficient elimination lives in `qq`; the multiplier system keeps
-its own pivot policy in `dirac._eliminate`.
+These serve the step whose entries may be non-constant: the Legendre
+velocity solve (its leftover rows become the primary constraints).
+`solve_linear` is the one elimination here: the rank and the kernel are read
+off its solution of A x = 0.  Constant-coefficient elimination, the primary
+constraints' independence check included, lives in `qq`; the multiplier
+system keeps its own pivot policy in `dirac._eliminate`.
 
 Rank semantics are generic: any entry that is not identically zero is an
 acceptable pivot (the analysis works on the open dense region where pivots do

@@ -1,8 +1,8 @@
 """Exact linear algebra over the rationals: the one Gauss-Jordan kernel.
 
 Every constant-coefficient elimination of the analysis runs through `rref`:
-weak reduction against affine constraints, the Gram-matrix rank and kernel
-of classification, the chart's conjugate solves and span checks.  The caller
+weak reduction against affine constraints, the primaries' independence
+check, the Gram-matrix rank and kernel of classification, the chart's conjugate solves and span checks.  The caller
 chooses the column order; each column pivots on the first row not yet used
 that is nonzero there, and rows never move, so a call site's pivots (and
 with them the report bytes) depend only on the order it asks for.

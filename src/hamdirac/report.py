@@ -104,7 +104,7 @@ def analyze_system(sysfile: SystemFile, options: PipelineOptions | None = None) 
         raise InputError("path option applies to order-2 systems only")
 
     fos = legendre(reduced, pivot_log=pivot_log)
-    result = classify(dirac_iterate(fos, pivot_log=pivot_log), pivot_log=pivot_log)
+    result = classify(dirac_iterate(fos))
     an = Analysis(sysfile, options, table, system, reduced, path, w, l_red, fos, result, pivot_log=pivot_log)
     an.frobenius = frobenius_check(result)
     return an
@@ -221,23 +221,19 @@ def _import_chart(an: Analysis) -> CanonicalChart:
         raise InputError(f"supplied chart fails S^T J S = J (entry {i},{k} off by {delta})")
 
     result = an.result
-    fc_cov = [_covector(rep.expr, phase) for rep in result.first_class]
+    fc_cov = [qq.from_row(rep.row)[:-1] for rep in result.first_class]
     psi_cov = [r.coeffs for r in chart.rows_by_role("Psi")]
     if not _same_span(fc_cov, psi_cov):
         raise InputError("supplied Psi rows do not span the first-class constraints")
-    all_cov = [_covector(c.expr, phase) for c in result.constraints]
+    all_cov = [qq.from_row(c.row)[:-1] for c in result.constraints]
     theta_cov = [r.coeffs for r in chart.rows_by_role("ThU")] + [r.coeffs for r in chart.rows_by_role("ThD")]
     if not _same_span(all_cov, psi_cov + theta_cov):
         raise InputError("supplied Psi/Theta rows do not span the constraint set")
 
-    prim_cov = [_covector(c.expr, phase) for c in result.constraints if c.generation == 1]
+    prim_cov = [qq.from_row(c.row)[:-1] for c in result.constraints if c.generation == 1]
     for r in chart.rows_by_role("Psi"):
         r.generation = 1 if _in_span(prim_cov, r.coeffs) else 2
     return chart
-
-
-def _covector(expr, phase):
-    return expr.linear_form(phase.z_order())[0]
 
 
 def _same_span(a, b):
@@ -297,7 +293,7 @@ def build_report(an: Analysis, stage: str = "report") -> dict:
             "budget": {"used": fr.budget_used, "total": fr.budget_total, "ok": fr.budget_ok},
         }
     rep["flags"] = list(result.flags)
-    rep["genericity_pivots"] = sorted({str(p) for p in an.pivot_log if not p.is_constant()})
+    rep["genericity_pivots"] = sorted({str(p) for p in an.pivot_log})
 
     if stage == "analyze" or an.chart is None:
         return rep

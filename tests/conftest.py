@@ -61,6 +61,22 @@ def l4_pons():
     return analyzed(L4_SRC, ["q"], order=2, path="pons")
 
 
+L3_BLOCK = "(1/2)*({1} + d({2}) + d({3}))^2 + (1/2)*(d({4}) - d({2}))^2 + (1/2)*({1} + 2*{2})*({1} + 2*{4})"
+FAMILY_RATIONALS = [Fraction(s * a, b) for s in (1, -1) for a in (1, 2, 3) for b in (1, 2, 4) if a != b]
+
+
+def l3_family(kind, k, rng):
+    """k copies of L3: scaled blocks (gauge) or blocks coupled in a chain (coupled)."""
+    names = [f"x{b}_{i}" for b in range(1, k + 1) for i in range(1, 5)]
+    terms = []
+    for b in range(k):
+        block = L3_BLOCK.format(None, *names[4 * b : 4 * b + 4])
+        terms.append(f"({rng.choice(FAMILY_RATIONALS)})*({block})" if kind == "gauge" else block)
+        if kind == "coupled" and b:
+            terms.append(f"({rng.choice(FAMILY_RATIONALS)})*x{b}_2*x{b + 1}_4")
+    return analyzed(" + ".join(terms), names)
+
+
 def random_poly(table, symbols, rng, max_degree=3, terms=4, coeff_range=4):
     """Random polynomial with small rational coefficients, exact arithmetic."""
     e = Expr.const(table, 0)

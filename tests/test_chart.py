@@ -18,7 +18,7 @@ from hamdirac.chart import CanonicalChart, ChartRow, float_bracket_table
 from hamdirac.expr import Expr
 from hamdirac.lagrangian import UnsupportedShape
 
-from conftest import analyzed, random_poly, rng_for
+from conftest import analyzed, l3_family, random_poly, rng_for
 
 
 ALL = ["l1", "l2", "l3", "l4_ssok", "l4_pons"]
@@ -102,6 +102,72 @@ def test_verify_chart_flags_broken_pairing():
     ok, violations, _ = verify_chart(eye, mode="exact")
     assert not ok
     assert any({i, j} == {0, 2} for i, j, _ in violations)
+
+
+def verify_chart_exact_loop(matrix):
+    """verify_chart's exact mode as the product loop: J S, then S^T (J S) - J."""
+    dim = len(matrix)
+    n = dim // 2
+    s = [[Fraction(x) for x in row] for row in matrix]
+    j = [[Fraction(0)] * dim for _ in range(dim)]
+    for i in range(n):
+        j[i][n + i] = Fraction(1)
+        j[n + i][i] = Fraction(-1)
+    js = [[s[a - n][k] if a >= n else Fraction(0) for k in range(dim)] for a in range(dim)]
+    for i in range(n):
+        for k in range(dim):
+            js[i][k] = s[n + i][k]
+            js[n + i][k] = -s[i][k]
+    violations = []
+    for i in range(dim):
+        for k in range(dim):
+            acc = Fraction(0)
+            for a in range(dim):
+                if s[a][i]:
+                    acc += s[a][i] * js[a][k]
+            delta = acc - j[i][k]
+            if delta:
+                violations.append((i, k, delta))
+    return (not violations), violations, max((abs(d) for _, _, d in violations), default=Fraction(0))
+
+
+def random_symplectic(rng, n):
+    """A product of elementary symplectic maps with small rational parameters:
+    the shears q_i += c p_i and p_i += c q_i, and q_i += c q_j with p_j -= c p_i."""
+    dim = 2 * n
+    s = [[Fraction(int(i == k)) for k in range(dim)] for i in range(dim)]
+    for _ in range(rng.randint(1, 3 * n)):
+        c = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+        i, j = rng.randrange(n), rng.randrange(n)
+        kind = rng.randrange(3)
+        if kind == 0:
+            s[i] = [x + c * y for x, y in zip(s[i], s[n + i])]
+        elif kind == 1:
+            s[n + i] = [x + c * y for x, y in zip(s[n + i], s[i])]
+        elif i != j:
+            s[i] = [x + c * y for x, y in zip(s[i], s[j])]
+            s[n + j] = [x - c * y for x, y in zip(s[n + j], s[n + i])]
+    return s
+
+
+def test_verify_chart_exact_matches_product_loop():
+    # seeded symplectic matrices, one entry of each perturbed, random
+    # matrices and the empty matrix, up to 10 x 10
+    rng = rng_for("verify-chart-columns")
+    cases = [[]]
+    for _ in range(100):
+        n = rng.randint(1, 5)
+        s = random_symplectic(rng, n)
+        broken = [list(row) for row in s]
+        broken[rng.randrange(2 * n)][rng.randrange(2 * n)] += Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 2))
+        noise = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(2 * n)] for _ in range(2 * n)]
+        cases += [s, broken, noise]
+    canonical = 0
+    for m in cases:
+        got = verify_chart(m, mode="exact")
+        assert got == verify_chart_exact_loop(m)
+        canonical += got[0]
+    assert 100 <= canonical < len(cases) - 150
 
 
 def test_verify_chart_sqrt2_l2_float():
@@ -344,22 +410,6 @@ def reference_chart(res):
     )
     _static_correct(chart, res)
     return chart
-
-
-L3_BLOCK = "(1/2)*({1} + d({2}) + d({3}))^2 + (1/2)*(d({4}) - d({2}))^2 + (1/2)*({1} + 2*{2})*({1} + 2*{4})"
-FAMILY_RATIONALS = [Fraction(s * a, b) for s in (1, -1) for a in (1, 2, 3) for b in (1, 2, 4) if a != b]
-
-
-def l3_family(kind, k, rng):
-    """k copies of L3: scaled blocks (gauge) or blocks coupled in a chain (coupled)."""
-    names = [f"x{b}_{i}" for b in range(1, k + 1) for i in range(1, 5)]
-    terms = []
-    for b in range(k):
-        block = L3_BLOCK.format(None, *names[4 * b : 4 * b + 4])
-        terms.append(f"({rng.choice(FAMILY_RATIONALS)})*({block})" if kind == "gauge" else block)
-        if kind == "coupled" and b:
-            terms.append(f"({rng.choice(FAMILY_RATIONALS)})*x{b}_2*x{b + 1}_4")
-    return analyzed(" + ".join(terms), names)
 
 
 def test_cached_completion_matches_from_scratch(l1, l2, l3, l4_ssok, l4_pons):

@@ -15,7 +15,7 @@ from hamdirac.expr import Expr
 from hamdirac.lagrangian import PhaseSpace
 from hamdirac.linalg import ExprMatrix, rank
 
-from conftest import make_system, random_poly, rng_for
+from conftest import FAMILY_RATIONALS, L3_SRC, analyzed, l3_family, make_system, random_poly, rng_for
 
 
 def phase2():
@@ -434,9 +434,9 @@ def test_weak_reducer_built_once_per_constraint_set(monkeypatch):
     builds = []
     init = dirac.WeakReducer.__init__
 
-    def counting_init(self, exprs, phase):
-        builds.append(tuple(str(e) for e in exprs))
-        init(self, exprs, phase)
+    def counting_init(self, rows, phase):
+        builds.append(tuple((tuple(nums), den) for nums, den in rows))
+        init(self, rows, phase)
 
     monkeypatch.setattr(dirac.WeakReducer, "__init__", counting_init)
     fixtures = resources.files("hamdirac") / "fixtures"
@@ -446,5 +446,41 @@ def test_weak_reducer_built_once_per_constraint_set(monkeypatch):
         an = run_pipeline(load_system_file(path), stage="report")
         assert len(builds) == len(set(builds)) == distinct, path
         res = an.result
-        assert builds[-1] == tuple(str(c.expr) for c in res.constraints)
-        assert res.reducer.subs == dirac.WeakReducer([c.expr for c in res.constraints], res.phase).subs
+        assert builds[-1] == tuple((tuple(c.row[0]), c.row[1]) for c in res.constraints)
+        assert res.reducer.subs == dirac.WeakReducer([c.row for c in res.constraints], res.phase).subs
+
+
+def test_rows_match_linear_forms_and_expr_brackets(l1, l2, l3, l4_ssok, l4_pons):
+    # every stored row is its expression's linear form, and the row bracket
+    # of any two constraints or representatives is their weak-reduced Expr
+    # Poisson bracket; the linear terms added to L3 give constraint offsets
+    from pathlib import Path
+
+    from hamdirac import qq
+    from hamdirac.report import run_pipeline
+    from hamdirac.sysfile import load_system_file
+
+    golden = Path(__file__).resolve().parent / "golden"
+    rng = rng_for("constraint-rows")
+    results = [trip[2] for trip in (l1, l2, l3, l4_ssok, l4_pons)]
+    results += [
+        run_pipeline(load_system_file(golden / f"{name}.sys"), stage="analyze").result
+        for name in ("coupled2", "gauge2", "coupled3", "gauge3")
+    ]
+    results += [l3_family(kind, k, rng)[2] for kind in ("coupled", "gauge") for k in (1, 2, 2)]
+    results.append(analyzed("(1/2)*d(q1)^2 + d(q2)", ["q1", "q2"])[2])
+    for _ in range(3):
+        a, b = rng.choice(FAMILY_RATIONALS), rng.choice(FAMILY_RATIONALS)
+        results.append(analyzed(f"{L3_SRC} + ({a})*d(q3) + ({b})*q4", ["q1", "q2", "q3", "q4"])[2])
+    for res in results:
+        phase = res.phase
+        z = phase.z_order()
+        items = res.constraints + res.first_class + res.second_class
+        for item in items:
+            coeffs, offset = item.expr.linear_form(z)
+            assert qq.from_row(item.row) == coeffs + [offset], item.expr
+        # res.reducer is weak_reduce's reducer for res.constraints, built once
+        for a in items:
+            for b in items:
+                br = res.reducer.reduce(poisson(a.expr, b.expr, phase))
+                assert br.is_constant() and br.constant_value() == qq.row_bracket(a.row, b.row, phase.n)

@@ -19,7 +19,7 @@ from hamdirac import (
     verify_chart,
     weak_reduce,
 )
-from hamdirac.dirac import InconsistentTheory, WeakReducer
+from hamdirac.dirac import InconsistentTheory, WeakReducer, _affine_row
 from hamdirac.embedding import resolve_plan
 from hamdirac.expr import Expr
 
@@ -143,8 +143,9 @@ def test_inconsistent_offset_constraints():
     from hamdirac.lagrangian import PhaseSpace
 
     phase = PhaseSpace(t, ((q, p),))
+    rows = [_affine_row(parse_expr(text, t), phase.z_order()) for text in ("q", "q - 1")]
     with pytest.raises(InconsistentTheory):
-        WeakReducer([parse_expr("q", t), parse_expr("q - 1", t)], phase)
+        WeakReducer(rows, phase)
 
 
 def test_brackets_with_offset_rows_match_canonical_pattern():

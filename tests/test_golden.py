@@ -1,7 +1,11 @@
 """Report bytes pinned against committed golden files.
 
 tests/golden/<fixture>.<stage>.json holds the exact `hamdirac <stage>` output
-for each bundled fixture (l4 also under --path pons).  A golden file changes
+for each bundled fixture (l4 also under --path pons).  Two `report` goldens
+pin the gauge-fixing paths: l3.gauge.report.json under
+`--gauge-fixing zeta1=-P1` (a supplied chart with supplied gauge conditions)
+and cawley.gauge.report.json under `--gauge-fixing` (a gauge derived on a
+system whose constraints are all first class).  A golden file changes
 only together with a CHANGES.md line that explains the diff; regenerate one
 with `hamdirac <stage> src/hamdirac/fixtures/<fixture>.sys > tests/golden/...`.
 
@@ -26,10 +30,14 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 CASES = [(f, stage, []) for f in ("cawley", "l2", "l3", "l4") for stage in ("analyze", "chart", "report")]
 CASES.append(("l4", "report", ["--path", "pons"]))
+CASES.append(("l3", "report", ["--gauge-fixing", "zeta1=-P1"]))
+CASES.append(("cawley", "report", ["--gauge-fixing"]))
+
+EXTRA_TAGS = {"--path": "pons.", "--gauge-fixing": "gauge."}
 
 
 def golden_name(fixture, stage, extra):
-    return f"{fixture}.{'pons.' if extra else ''}{stage}.json"
+    return f"{fixture}.{EXTRA_TAGS[extra[0]] if extra else ''}{stage}.json"
 
 
 @pytest.mark.parametrize("fixture,stage,extra", CASES, ids=[golden_name(*c) for c in CASES])

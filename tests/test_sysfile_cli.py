@@ -169,6 +169,22 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "lagrangian,constraint",
+    [("d(q1)*q2^2 + d(q1)*q1", "-1*q2^2 - q1 + p1"), ("(1/2)*d(q1)^2 + q2*(q1^2 + 1)", "q1^2 + 1")],
+    ids=["primary", "secondary"],
+)
+def test_cli_non_affine_constraint_exits_3(tmp_path, capsys, lagrangian, constraint):
+    f = tmp_path / "curved.sys"
+    f.write_text(f"system curved\ncoordinates q1 q2\norder 1\nL = {lagrangian}\n", encoding="utf-8")
+    assert main(["analyze", str(f)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"unsupported: constraint {constraint} is not affine with constant coefficients; weak reduction unsupported\n"
+    )
+
+
 def test_cli_simulate_l2(tmp_path, capsys):
     csv_path = tmp_path / "traj.csv"
     rc = main(
