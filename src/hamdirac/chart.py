@@ -7,6 +7,10 @@ conjugate position row solved inside the remaining symplectic complement; the
 leftover complement is completed into physical (Q, P) pairs with unit
 brackets.  All of it over exact rationals.
 
+The correction pass never transforms H_T: a chart row's velocity is the row
+against H_T's Hamiltonian field, written in (Q, P) by `_chart_map`, the
+affine map z -> chart symbols that `transform` substitutes.
+
 Charts with irrational entries (the usual 1/sqrt(2) normalizations) are
 handled in a float-only verification mode.
 """
@@ -17,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import qq
-from .dirac import DiracResult, DiracError, poisson
+from .dirac import DiracResult, DiracError, field_bracket, hamilton_field
 from .expr import Expr, ExprError
 from .lagrangian import PhaseSpace
 
@@ -26,8 +30,6 @@ class ChartError(Exception):
     pass
 
 
-ROLE_POSITION = ("Xi", "ThU", "Q")
-ROLE_MOMENTUM = ("Psi", "ThD", "P")
 ROLE_CONJUGATE = {"Xi": "Psi", "Psi": "Xi", "ThU": "ThD", "ThD": "ThU", "Q": "P", "P": "Q"}
 
 
@@ -45,12 +47,10 @@ class ChartRow:
         return self.symbol.name
 
     def expr(self, table, phase) -> Expr:
-        z = phase.z_order()
-        e = Expr.const(table, self.offset)
-        for c, s in zip(self.coeffs, z):
-            if c:
-                e = e + Expr.const(table, c) * Expr.sym(table, s)
-        return e
+        poly = {((s.index, 1),): Fraction(c) for c, s in zip(self.coeffs, phase.z_order()) if c}
+        if self.offset:
+            poly[()] = Fraction(self.offset)
+        return Expr(table, poly, _normalized=True)
 
 
 @dataclass
@@ -123,22 +123,20 @@ def build_chart(result: DiracResult) -> CanonicalChart:
         theta_rows.append((e, f))
     theta_pairs = [tuple((v[:-1], v[-1]) for v in map(qq.from_row, pair)) for pair in theta_rows]
 
-    # conjugate positions for the first-class momenta
+    # conjugate positions for the first-class momenta: <x_a, psi_b> = delta_ab
+    # and <x_a, theta> = 0, one right-hand-side column per a in one elimination
+    f_count = len(psi)
+    grads = [pc for pc, _off, _g in psi] + [v for pair in theta_pairs for v, _o in pair]
+    system = [_sympl_grad(c, n) + [Fraction(int(b == a)) for a in range(f_count)] for b, c in enumerate(grads)]
+    pivots = qq.rref(system, range(2 * n)) if psi else {}
+    used = set(pivots.values())
+    if any(any(row[2 * n :]) for i, row in enumerate(system) if i not in used):
+        raise DiracError("no conjugate for a first-class momentum; classification bug")
     xi_rows = []
-    for a in range(len(psi)):
-        rows = []
-        rhs = []
-        for b, (pc, _off, _g) in enumerate(psi):
-            rows.append(_sympl_grad(pc, n))
-            rhs.append(Fraction(1 if b == a else 0))
-        for (e, _eo), (f, _fo) in theta_pairs:
-            rows.append(_sympl_grad(e, n))
-            rhs.append(Fraction(0))
-            rows.append(_sympl_grad(f, n))
-            rhs.append(Fraction(0))
-        x = qq.solve(rows, rhs)
-        if x is None:
-            raise DiracError("no conjugate for a first-class momentum; classification bug")
+    for a in range(f_count):
+        x = [Fraction(0)] * (2 * n)
+        for col, i in pivots.items():
+            x[col] = system[i][2 * n + a]
         xoff = Fraction(0)
         for b in range(a):
             c = qq.bracket(xi_rows[b][0], x, n)
@@ -187,39 +185,32 @@ def _static_correct(chart: CanonicalChart, result: DiracResult):
     removed by shifting the row inside the physical block and compensating
     the physical rows with multiples of the paired momentum, which keeps the
     bracket table canonical.  Failure to solve is recorded, not fatal.
+
+    A row's velocity is its coefficients against the Hamiltonian field of
+    H_T at free multipliers zero (its part free of them), taken once, written
+    on the embedded subspace (every chart coordinate but Q and P at zero) and
+    read as an affine form over (Q, P).
     """
     n = chart.n
-    table = chart.table
     qp_rows = [r for r in chart.rows if r.role in ("Q", "P")]
-    if not qp_rows:
+    targets = [r for r in chart.rows if r.role == "Xi" and (r.generation or 1) > 1]
+    if not (qp_rows and targets):
         return
     qp_syms = [r.symbol for r in qp_rows]
-    targets = [r for r in chart.rows if r.role == "Xi" and (r.generation or 1) > 1]
-    ht = result.total_hamiltonian(substitute_solved=True)
-    cp = chart.chart_phase()
-    zero = Expr.const(table, 0)
-    # the embedded subspace: constraint and gauge coordinates at zero, free multipliers dropped
-    embedded = {r.symbol: zero for r in chart.rows if r.role not in ("Q", "P")}
-    embedded.update({z: zero for z in result.free_multipliers})
-    zero_qp = {s: zero for s in qp_syms}
+    ht, _ = result.total_hamiltonian(substitute_solved=True).split_affine(result.free_multipliers)
+    field = hamilton_field(ht, chart.phase)
+
+    def velocity(row, embedded):
+        return field_bracket(row.coeffs, field, chart.table).substitute(embedded).linear_form(qp_syms)
+
     for xi in targets:
+        embedded = _chart_map(chart, ("Q", "P"))
         try:
-            ht_c = transform(ht, chart)
-
-            def velocity(row):
-                return poisson(Expr.sym(table, row.symbol), ht_c, cp).substitute(embedded)
-
-            defect = velocity(xi)
-            if defect.is_zero():
+            coeffs, offset = velocity(xi, embedded)
+            if not (offset or any(coeffs)):
                 continue
-            basis = [velocity(w) for w in qp_rows]
-            rows_sys, rhs = [], []
-            for s in qp_syms:
-                rows_sys.append([b.diff(s).constant_value() for b in basis])
-                rhs.append(-defect.diff(s).constant_value())
-            rows_sys.append([b.substitute(zero_qp).constant_value() for b in basis])
-            rhs.append(-defect.substitute(zero_qp).constant_value())
-            alpha = qq.solve(rows_sys, rhs)
+            columns = [c + [off] for c, off in (velocity(w, embedded) for w in qp_rows)]
+            alpha = qq.solve(list(zip(*columns)), [-x for x in coeffs + [offset]])
         except ExprError:
             alpha = None
         if alpha is None:
@@ -312,18 +303,26 @@ def transform(e: Expr, chart: CanonicalChart) -> Expr:
     Exact canonical charts only (S^T J S = J, as every chart leaving
     build_chart or the supplied-chart import is), so S^-1 has a closed form.
     """
-    table = chart.table
+    return e.substitute(_chart_map(chart))
+
+
+def _chart_map(chart: CanonicalChart, roles=None) -> dict:
+    """z_i = sum_j (S^-1)_ij (Y_j - offset_j) for each phase symbol z_i, one
+    polynomial per coordinate; rows outside `roles` (default: all) are set to
+    zero, so only their offsets remain."""
     inv = qq.symplectic_inverse(chart.matrix())
-    z = chart.phase.z_order()
-    subs = {}
-    for i, zi in enumerate(z):
-        acc = Expr.const(table, 0)
-        for jj, row in enumerate(chart.rows):
-            c = inv[i][jj]
+    out = {}
+    for zi, inv_row in zip(chart.phase.z_order(), inv):
+        poly, shift = {}, Fraction(0)
+        for c, row in zip(inv_row, chart.rows):
             if c:
-                acc = acc + Expr.const(table, c) * (Expr.sym(table, row.symbol) - Expr.const(table, row.offset))
-        subs[zi] = acc
-    return e.substitute(subs)
+                shift -= c * row.offset
+                if roles is None or row.role in roles:
+                    poly[((row.symbol.index, 1),)] = c
+        if shift:
+            poly[()] = shift
+        out[zi] = Expr(chart.table, poly, _normalized=True)
+    return out
 
 
 # ---------------------------------------------------------------------------

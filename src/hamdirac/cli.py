@@ -87,11 +87,11 @@ def _build_parser():
 
     sp = sub.add_parser("analyze", help="constraint structure and degrees of freedom")
     common(sp)
-    sp.set_defaults(func=_cmd_analyze)
+    sp.set_defaults(func=_cmd_stage, stage="analyze")
 
     sp = sub.add_parser("chart", help="analysis plus the canonical chart")
     common(sp)
-    sp.set_defaults(func=_cmd_chart)
+    sp.set_defaults(func=_cmd_stage, stage="chart")
 
     sp = sub.add_parser("report", help="full report with embedding and boundary conditions")
     common(sp)
@@ -100,7 +100,7 @@ def _build_parser():
     sp.add_argument("--fix-endpoint", choices=["t1", "t2"], default=None)
     sp.add_argument("--epsilon", action="append", default=[], metavar="NAME=RATIONAL",
                     help="off-surface value for a fixed chart coordinate")
-    sp.set_defaults(func=_cmd_report)
+    sp.set_defaults(func=_cmd_stage, stage="report")
 
     sp = sub.add_parser("simulate", help="integrate the reduced system between endpoint data")
     common(sp)
@@ -149,21 +149,10 @@ def _emit(args, text: str):
         sys.stdout.write(text)
 
 
-def _cmd_analyze(args) -> int:
-    an = run_pipeline(load_system_file(args.file), _options(args), stage="analyze")
-    _emit(args, report_json(build_report(an, "analyze")))
-    return 0
-
-
-def _cmd_chart(args) -> int:
-    an = run_pipeline(load_system_file(args.file), _options(args), stage="chart")
-    _emit(args, report_json(build_report(an, "chart")))
-    return 0
-
-
-def _cmd_report(args) -> int:
-    an = run_pipeline(load_system_file(args.file), _options(args), stage="report")
-    _emit(args, report_json(build_report(an, "report")))
+def _cmd_stage(args) -> int:
+    """analyze, chart and report: the pipeline up to the stage, as JSON."""
+    an = run_pipeline(load_system_file(args.file), _options(args), stage=args.stage)
+    _emit(args, report_json(build_report(an, args.stage)))
     return 0
 
 

@@ -3,8 +3,8 @@
 Each constraint is affine with constant coefficients and is turned into its
 exact row once, when it is accepted (`_affine_row`, stored as
 `Constraint.row`).  The bracket of two constraints is then the constant
-`qq.row_bracket` of their rows; only the bracket with the Hamiltonian is a
-symbolic Poisson bracket.
+`qq.row_bracket` of their rows, and a constraint's bracket with H is its row
+against H's Hamiltonian field {z_k, H}, taken once (`hamilton_field`).
 
 The iteration keeps the joint multiplier system honest: each round it forms
 the time derivative of *every* constraint against the total Hamiltonian,
@@ -98,7 +98,8 @@ class DiracResult:
 
 
 def poisson(f: Expr, g: Expr, phase: PhaseSpace) -> Expr:
-    """Canonical Poisson bracket sum_i (df/dq_i dg/dp_i - df/dp_i dg/dq_i).
+    """Canonical Poisson bracket sum_i (df/dq_i dg/dp_i - df/dp_i dg/dq_i), for
+    library use (the pipeline brackets only linear functions, via the field).
 
     A product is formed only where f depends on one slot of the pair and g
     on the other (numerator or denominator); every skipped product is exactly
@@ -112,6 +113,22 @@ def poisson(f: Expr, g: Expr, phase: PhaseSpace) -> Expr:
             out = out + f.diff(q) * g.diff(p)
         if p.index in fs and q.index in gs:
             out = out - f.diff(p) * g.diff(q)
+    return out
+
+
+def hamilton_field(h: Expr, phase: PhaseSpace) -> list:
+    """The brackets {z_k, h} over z = (q1..qn, p1..pn): dh/dp_1..dh/dp_n,
+    then -dh/dq_1..-dh/dq_n."""
+    return [h.diff(p) for p in phase.momenta] + [-h.diff(q) for q in phase.positions]
+
+
+def field_bracket(coeffs, field, table) -> Expr:
+    """{X, h} for X affine with constant `coeffs` over z, from h's
+    `hamilton_field`; entries past 2n (an offset) have no bracket."""
+    out = Expr.const(table, 0)
+    for c, f in zip(coeffs, field):
+        if c:
+            out = out + f * c
     return out
 
 
@@ -248,8 +265,9 @@ def dirac_iterate(fos: FirstOrderSystem) -> DiracResult:
     flags = result.flags
 
     reducer = WeakReducer(prim_rows, phase)
+    field = hamilton_field(h, phase)
     for _round in range(2 * n + 2):
-        rows = _consistency_rows(constraints, prim_rows, h, phase, reducer)
+        rows = _consistency_rows(constraints, prim_rows, field, phase, reducer)
         solved, residues = _eliminate(rows, zetas, table)
         new_any = False
         tips = {c.chain: c for c in constraints}  # last write wins: discovery order
@@ -289,16 +307,17 @@ def dirac_iterate(fos: FirstOrderSystem) -> DiracResult:
     return result
 
 
-def _consistency_rows(constraints, prim_rows, h, phase, reducer):
+def _consistency_rows(constraints, prim_rows, field, phase, reducer):
     """One consistency row per constraint: const + sum(coeff_a zeta_a).
 
-    const is the weak-reduced bracket with H; each coeff_a is the constant
-    bracket of two affine rows, {c, prim_a} = qq.row_bracket.
+    const is the weak-reduced bracket with H, the constraint's row against
+    H's `field`; each coeff_a is the constant bracket of two affine rows,
+    {c, prim_a} = qq.row_bracket.
     """
     table, n = phase.table, phase.n
     rows = []
     for idx, c in enumerate(constraints):
-        const = reducer.reduce(poisson(c.expr, h, phase))
+        const = reducer.reduce(field_bracket(qq.from_row(c.row), field, table))
         coeffs = [Expr.const(table, qq.row_bracket(c.row, p, n)) for p in prim_rows]
         if const.is_zero() and all(x.is_zero() for x in coeffs):
             continue
@@ -496,7 +515,8 @@ def _resolve_multipliers(result: DiracResult):
     result.primary_fc_count = len(prim_fc)
     zetas = result.multiplier_symbols
 
-    rows = _consistency_rows(result.constraints, [r.row for r in rebased], result.H, phase, result.reducer)
+    field = hamilton_field(result.H, phase)
+    rows = _consistency_rows(result.constraints, [r.row for r in rebased], field, phase, result.reducer)
     solved, residues = _eliminate(rows, zetas, table)
     for _idx, residue in residues:
         if not residue.is_zero():

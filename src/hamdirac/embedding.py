@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .chart import CanonicalChart, transform
-from .dirac import DiracResult, poisson
+from .dirac import DiracResult
 from .expr import Expr
 
 
@@ -132,22 +132,11 @@ def _primary_psi_names(chart: CanonicalChart):
 
 
 def _gauge_velocities(result: DiracResult, chart: CanonicalChart, plan: EmbeddingPlan):
-    """Velocities of the Xi rows on the embedded subspace, multipliers symbolic."""
-    table = chart.table
+    """Velocities of the Xi rows on the embedded subspace, multipliers symbolic:
+    {Xi, H_T} = dH_T/dPsi in the chart, Psi the conjugate momentum."""
     ht_c = _chart_hamiltonian(result, chart)
-    cp = chart.chart_phase()
-    subs = {}
-    for row in chart.rows:
-        if row.role in ("Q", "P"):
-            continue
-        subs[row.symbol] = Expr.const(table, Fraction(plan.fixed.get(row.name, 0)))
-    out = []
-    for row in chart.rows:
-        if row.role != "Xi":
-            continue
-        vel = poisson(Expr.sym(table, row.symbol), ht_c, cp)
-        out.append((row, vel.substitute(subs)))
-    return out
+    subs = {r.symbol: Fraction(plan.fixed.get(r.name, 0)) for r in chart.rows if r.role not in ("Q", "P")}
+    return [(r, ht_c.diff(chart.conjugate(r).symbol).substitute(subs)) for r in chart.rows_by_role("Xi")]
 
 
 def derive_gauge(result: DiracResult, chart: CanonicalChart, plan: EmbeddingPlan) -> dict:

@@ -560,6 +560,7 @@ def _check_acyclic(rules):
 
     for i in graph:
         visit(i)
+    del visit  # it refers to itself: free the cycle now, not at the next gc pass
 
 
 def _psubstitute(table, poly, idx_rules) -> Expr:

@@ -2,7 +2,8 @@
 
 Every constant-coefficient elimination of the analysis runs through `rref`:
 weak reduction against affine constraints, the primaries' independence
-check, the Gram-matrix rank and kernel of classification, the chart's conjugate solves and span checks.  The caller
+check, the Gram-matrix rank and kernel of classification, the chart's
+conjugate positions (one elimination for all) and span checks.  The caller
 chooses the column order; each column pivots on the first row not yet used
 that is nonzero there, and rows never move, so a call site's pivots (and
 with them the report bytes) depend only on the order it asks for.
@@ -121,4 +122,4 @@ def symplectic_inverse(s):
     """
     n = len(s) // 2
     conj = [(i + n, 1) if i < n else (i - n, -1) for i in range(2 * n)]
-    return [[si * sk * s[kc][ic] for kc, sk in conj] for ic, si in conj]
+    return [[s[kc][ic] if si == sk else -s[kc][ic] for kc, sk in conj] for ic, si in conj]

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -18,7 +19,7 @@ from hamdirac.chart import CanonicalChart, ChartRow, float_bracket_table
 from hamdirac.expr import Expr
 from hamdirac.lagrangian import UnsupportedShape
 
-from conftest import analyzed, l3_family, random_poly, rng_for
+from conftest import FAMILY_RATIONALS, L3_SRC, analyzed, l3_family, random_poly, rng_for
 
 
 ALL = ["l1", "l2", "l3", "l4_ssok", "l4_pons"]
@@ -421,3 +422,149 @@ def test_cached_completion_matches_from_scratch(l1, l2, l3, l4_ssok, l4_pons):
         assert built.matrix() == want.matrix(), name
         assert built.offsets() == want.offsets(), name
         assert built.notes == want.notes, name
+
+
+# ---------------------------------------------------------------------------
+# the static correction against the transform-then-bracket one
+
+
+def expr_sum_transform(e, chart):
+    """transform with each coordinate's replacement summed term by term."""
+    from hamdirac import qq
+
+    table = chart.table
+    inv = qq.symplectic_inverse(chart.matrix())
+    subs = {}
+    for i, zi in enumerate(chart.phase.z_order()):
+        acc = Expr.const(table, 0)
+        for c, row in zip(inv[i], chart.rows):
+            if c:
+                acc = acc + Expr.const(table, c) * (Expr.sym(table, row.symbol) - Expr.const(table, row.offset))
+        subs[zi] = acc
+    return e.substitute(subs)
+
+
+def transform_then_bracket_correct(chart, result):
+    """The static correction as first written: H_T transformed into the chart
+    again before every target row, each velocity a Poisson bracket there."""
+    from hamdirac import qq
+    from hamdirac.expr import ExprError
+
+    n, table = chart.n, chart.table
+    qp_rows = [r for r in chart.rows if r.role in ("Q", "P")]
+    if not qp_rows:
+        return
+    qp_syms = [r.symbol for r in qp_rows]
+    targets = [r for r in chart.rows if r.role == "Xi" and (r.generation or 1) > 1]
+    ht = result.total_hamiltonian(substitute_solved=True)
+    cp = chart.chart_phase()
+    zero = Expr.const(table, 0)
+    embedded = {r.symbol: zero for r in chart.rows if r.role not in ("Q", "P")}
+    embedded.update({z: zero for z in result.free_multipliers})
+    zero_qp = {s: zero for s in qp_syms}
+    for xi in targets:
+        try:
+            ht_c = expr_sum_transform(ht, chart)
+            velocity = lambda row: poisson(Expr.sym(table, row.symbol), ht_c, cp).substitute(embedded)
+            defect = velocity(xi)
+            if defect.is_zero():
+                continue
+            basis = [velocity(w) for w in qp_rows]
+            rows_sys = [[b.diff(s).constant_value() for b in basis] for s in qp_syms]
+            rhs = [-defect.diff(s).constant_value() for s in qp_syms]
+            rows_sys.append([b.substitute(zero_qp).constant_value() for b in basis])
+            rhs.append(-defect.substitute(zero_qp).constant_value())
+            alpha = qq.solve(rows_sys, rhs)
+        except ExprError:
+            alpha = None
+        if alpha is None:
+            chart.notes.append(
+                f"{xi.name}: physical content of its velocity could not be absorbed; "
+                f"canonical embeddings may be unavailable in this chart"
+            )
+            continue
+        xi.coeffs = [c + sum(a * w.coeffs[k] for a, w in zip(alpha, qp_rows)) for k, c in enumerate(xi.coeffs)]
+        xi.offset = xi.offset + sum(a * w.offset for a, w in zip(alpha, qp_rows))
+        psi = chart.conjugate(xi)
+        for w in qp_rows:
+            lam = -qq.bracket(xi.coeffs, w.coeffs, n)
+            if lam:
+                w.coeffs = [c + lam * p for c, p in zip(w.coeffs, psi.coeffs)]
+                w.offset = w.offset + lam * psi.offset
+
+
+def test_static_correct_matches_transform_then_bracket(monkeypatch):
+    # every chart build runs both corrections on twin copies of the
+    # uncorrected chart; they must leave the same rows and notes
+    import dataclasses
+    from pathlib import Path
+
+    from hamdirac import chart as chart_mod
+    from hamdirac.report import run_pipeline
+    from hamdirac.sysfile import load_system_file
+
+    real = chart_mod._static_correct
+    seen = []
+
+    def both(chart, result):
+        twin = CanonicalChart(chart.phase, [dataclasses.replace(r, coeffs=list(r.coeffs)) for r in chart.rows])
+        before = twin.matrix(), twin.offsets()
+        transform_then_bracket_correct(twin, result)
+        real(chart, result)
+        assert chart.matrix() == twin.matrix()
+        assert chart.offsets() == twin.offsets()
+        assert chart.notes == twin.notes
+        seen.append(((chart.matrix(), chart.offsets()) != before, bool(chart.notes)))
+
+    monkeypatch.setattr(chart_mod, "_static_correct", both)
+    rng = rng_for("static-correction")
+    for k in (1, 2, 3):
+        for _ in range(2):
+            build_chart(l3_family("gauge", k, rng)[2])
+    # linear terms give chart rows offsets: velocity terms d(q1), d(q3) are
+    # absorbed, while the potential q4 leaves a constant velocity and a note
+    for extra in ("d(q1)", "d(q2)", "q4"):
+        a, b = rng.sample(FAMILY_RATIONALS, 2)
+        build_chart(analyzed(f"{L3_SRC} + ({a})*{extra} + ({b})*d(q3)", ["q1", "q2", "q3", "q4"])[2])
+    golden = Path(__file__).resolve().parent / "golden"
+    for path in (resources.files("hamdirac") / "fixtures" / "cawley.sys", golden / "gauge2.sys", golden / "l3quartic.sys"):
+        run_pipeline(load_system_file(path), stage="chart")
+    assert len(seen) == 12
+    assert any(corrected for corrected, _ in seen[:6])
+    assert seen[6:9] == [(True, False), (True, False), (False, True)]
+    assert seen[-1] == (False, True)  # l3quartic: nothing absorbed, one note
+
+
+def test_report_transforms_once_and_never_brackets(monkeypatch):
+    # the pipeline takes every {X, H} from a Hamiltonian field, and the
+    # report transforms H_T into the chart once, for the whole embedding step
+    import sys
+    from pathlib import Path
+
+    from hamdirac import chart as chart_mod
+    from hamdirac import dirac
+    from hamdirac.report import PipelineOptions, run_pipeline
+    from hamdirac.sysfile import load_system_file
+
+    calls = {"transform": 0, "poisson": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name, fn in (("transform", chart_mod.transform), ("poisson", dirac.poisson)):
+        for mod in [m for key, m in sys.modules.items() if key.split(".")[0] == "hamdirac"]:
+            if getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counting(name, fn))
+    golden = Path(__file__).resolve().parent / "golden"
+    cawley = resources.files("hamdirac") / "fixtures" / "cawley.sys"
+    cases = [(golden / "gauge3.sys", False), (golden / "gauge3.sys", True), (golden / "l3quartic.sys", False),
+             (cawley, False), (cawley, True)]
+    for path, gauge_fixing in cases:
+        for stage in ("analyze", "chart", "report"):
+            calls.update(transform=0, poisson=0)
+            run_pipeline(load_system_file(path), PipelineOptions(gauge_fixing=gauge_fixing), stage=stage)
+            assert calls == {"transform": int(stage == "report"), "poisson": 0}, (str(path), gauge_fixing, stage)

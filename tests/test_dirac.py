@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from hamdirac import (
@@ -278,6 +280,36 @@ def test_sparse_poisson_equals_dense_sum():
         got, want = poisson(f, g, phase), dense_poisson(f, g, phase)
         assert list(got.num.items()) == list(want.num.items())
         assert list(got.den.items()) == list(want.den.items())
+
+
+def test_field_bracket_equals_poisson():
+    # {X, H} of an affine X (with an offset, carried past the 2n entries the
+    # field pairs with) is X's coefficients against H's Hamiltonian field;
+    # H is a random polynomial or, a third of the time, a rational function
+    from hamdirac.dirac import field_bracket, hamilton_field
+
+    t = SymbolTable()
+    qs = [t.position(f"q{i}") for i in (1, 2, 3)]
+    ps = [t.register(f"p{i}", "momentum") for i in (1, 2, 3)]
+    phase = PhaseSpace(t, tuple(zip(qs, ps)))
+    slots = qs + ps
+    rng = rng_for("field-bracket")
+    small = lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    for _ in range(150):
+        h = random_poly(t, rng.sample(slots, rng.randint(1, len(slots))), rng, max_degree=3, terms=4)
+        if rng.random() < 0.35:
+            den = random_poly(t, rng.sample(slots, rng.randint(1, 3)), rng, max_degree=1, terms=2)
+            if not den.is_zero():
+                h = h / den
+        field = hamilton_field(h, phase)
+        assert field == [poisson(Expr.sym(t, z), h, phase) for z in phase.z_order()]
+        for _ in range(3):
+            coeffs = [small() if rng.random() < 0.6 else Fraction(0) for _ in slots]
+            offset = small()
+            x = Expr.const(t, offset)
+            for c, z in zip(coeffs, slots):
+                x = x + Expr.sym(t, z) * c
+            assert field_bracket(coeffs + [offset], field, t) == poisson(x, h, phase)
 
 
 def greedy_unit_complement(basis, m, k):

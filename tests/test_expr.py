@@ -96,6 +96,23 @@ def test_substitute_swap_is_rejected_as_cyclic():
     assert e == parse_expr("q1^2 + 2*q1 + 1", t)
 
 
+def test_substitute_leaves_no_reference_cycle():
+    # the rule-cycle check must not leave garbage that only the cyclic
+    # collector can free: a report makes hundreds of substitutions
+    import gc
+
+    t = table3()
+    q1, q2 = t["q1"], t["q2"]
+    e = parse_expr("q1*q2 + q3", t)
+    gc.collect()
+    gc.disable()
+    try:
+        assert e.substitute({q1: parse_expr("q2 + 1", t), q2: Expr.const(t, 3)}) == parse_expr("3*q2 + 3 + q3", t)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_is_zero_and_degree():
     t = table3()
     assert (parse_expr("q1", t) - parse_expr("q1", t)).is_zero()

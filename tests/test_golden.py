@@ -14,7 +14,9 @@ beside their reports: coupled2 pairs four second-class pairs and completes
 four (Q, P) pairs; gauge2 (F = S = 4) statically corrects two secondary gauge
 rows, and under --gauge-fixing (gauge2.gauge.report.json) derives the gauge.
 coupled3.sys and gauge3.sys are the three-block families (12 coordinates),
-the size of the coupled and gauge benchmark workloads.
+the size of the coupled and gauge benchmark workloads.  l3quartic.sys is L3
+plus a quartic potential: its static correction fails, so its chart and
+report goldens pin the chart note that records the failure.
 """
 
 import subprocess
@@ -64,6 +66,15 @@ def test_family_report_bytes_match_golden(system, extra, tmp_path):
     out = tmp_path / "out.json"
     assert main(["report", str(GOLDEN / f"{system}.sys"), *extra, "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / family_golden_name(system, extra)).read_bytes()
+
+
+@pytest.mark.parametrize("stage", ["chart", "report"])
+def test_quartic_bytes_match_golden(stage, tmp_path):
+    out = tmp_path / "out.json"
+    assert main([stage, str(GOLDEN / "l3quartic.sys"), "--out", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    assert "Xi2: physical content of its velocity could not be absorbed; " in text
+    assert out.read_bytes() == (GOLDEN / f"l3quartic.{stage}.json").read_bytes()
 
 
 def test_cli_import_does_not_load_numpy():

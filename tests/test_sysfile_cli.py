@@ -185,6 +185,18 @@ def test_cli_non_affine_constraint_exits_3(tmp_path, capsys, lagrangian, constra
     )
 
 
+def test_cli_unfreezable_gauge_exits_4(capsys):
+    # l3quartic's static correction leaves Xi2 moving with -Q1, which no
+    # free multiplier can cancel, so deriving the gauge fails
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent / "golden" / "l3quartic.sys"
+    assert main(["report", str(path), "--gauge-fixing"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "inconsistent: Xi2 cannot be frozen: velocity -Q1 has no multiplier handle\n"
+
+
 def test_cli_simulate_l2(tmp_path, capsys):
     csv_path = tmp_path / "traj.csv"
     rc = main(
