@@ -9,7 +9,8 @@ brackets.  All of it over exact rationals.
 
 The correction pass never transforms H_T: a chart row's velocity is the row
 against H_T's Hamiltonian field, written in (Q, P) by `_chart_map`, the
-affine map z -> chart symbols that `transform` substitutes.
+affine map z -> chart symbols that `transform` substitutes, read off the
+closed-form S^-1 of the chart's integer rows.
 
 Charts with irrational entries (the usual 1/sqrt(2) normalizations) are
 handled in a float-only verification mode.
@@ -132,23 +133,21 @@ def build_chart(result: DiracResult) -> CanonicalChart:
     used = set(pivots.values())
     if any(any(row[2 * n :]) for i, row in enumerate(system) if i not in used):
         raise DiracError("no conjugate for a first-class momentum; classification bug")
-    xi_rows = []
+    xi_rows = []  # integer rows, the offset carried as entry 2n
     for a in range(f_count):
-        x = [Fraction(0)] * (2 * n)
+        x = [Fraction(0)] * (2 * n + 1)
         for col, i in pivots.items():
             x[col] = system[i][2 * n + a]
-        xoff = Fraction(0)
-        for b in range(a):
-            c = qq.bracket(xi_rows[b][0], x, n)
+        x = qq.to_row(x)
+        for xb, rep_b in zip(xi_rows, result.first_class):
+            c = qq.row_bracket(xb, x, n)
             if c:
-                pb, pboff, _g = psi[b]
-                x = [xi - c * pi for xi, pi in zip(x, pb)]
-                xoff = xoff - c * pboff
-        xi_rows.append((x, xoff))
+                x = qq.row_add(x, -c, rep_b.row)
+        xi_rows.append(x)
 
     # each standard-basis seed is projected once through the placed pairs,
     # then through each (Q, P) pair as it is found; zero seeds are dropped
-    placed = theta_rows + [(qq.to_row(xi), qq.to_row(pc)) for (xi, _xo), (pc, _po, _g) in zip(xi_rows, psi)]
+    placed = theta_rows + [(xi, rep.row) for xi, rep in zip(xi_rows, result.first_class)]
     seeds = [([int(i == k) for k in range(2 * n)], 1) for i in range(2 * n)]
     for e, f in placed:
         seeds = [qq.row_project(s, e, f, n) for s in seeds]
@@ -168,7 +167,8 @@ def build_chart(result: DiracResult) -> CanonicalChart:
         seeds = [qq.row_project(s, q, p, n) for s in seeds]
         qp_pairs.append(((qq.from_row(q), Fraction(0)), (qq.from_row(p), Fraction(0))))
 
-    rows = _assemble_rows(table, psi, xi_rows, theta_pairs, qp_pairs)
+    xi_pairs = [(v[:-1], v[-1]) for v in map(qq.from_row, xi_rows)]
+    rows = _assemble_rows(table, psi, xi_pairs, theta_pairs, qp_pairs)
     chart = CanonicalChart(phase, rows)
     _static_correct(chart, result)
     ok, violations, _ = verify_chart(chart.matrix(), mode="exact")
@@ -188,10 +188,12 @@ def _static_correct(chart: CanonicalChart, result: DiracResult):
 
     A row's velocity is its coefficients against the Hamiltonian field of
     H_T at free multipliers zero (its part free of them), taken once, written
-    on the embedded subspace (every chart coordinate but Q and P at zero) and
-    read as an affine form over (Q, P).
+    on the embedded subspace (every chart coordinate but Q and P at zero, by
+    `_chart_map`) and read as an affine form over (Q, P).  The rows are qq
+    integer rows while it runs, and a correction rewrites only the rows it
+    changes.
     """
-    n = chart.n
+    n, table = chart.n, chart.table
     qp_rows = [r for r in chart.rows if r.role in ("Q", "P")]
     targets = [r for r in chart.rows if r.role == "Xi" and (r.generation or 1) > 1]
     if not (qp_rows and targets):
@@ -199,12 +201,14 @@ def _static_correct(chart: CanonicalChart, result: DiracResult):
     qp_syms = [r.symbol for r in qp_rows]
     ht, _ = result.total_hamiltonian(substitute_solved=True).split_affine(result.free_multipliers)
     field = hamilton_field(ht, chart.phase)
+    rows = _integer_rows(chart)
 
     def velocity(row, embedded):
-        return field_bracket(row.coeffs, field, chart.table).substitute(embedded).linear_form(qp_syms)
+        nums, den = rows[row.symbol]
+        return (field_bracket(nums, field, table) * Fraction(1, den)).substitute(embedded).linear_form(qp_syms)
 
     for xi in targets:
-        embedded = _chart_map(chart, ("Q", "P"))
+        embedded = _chart_map(chart, rows, ("Q", "P"))
         try:
             coeffs, offset = velocity(xi, embedded)
             if not (offset or any(coeffs)):
@@ -219,14 +223,52 @@ def _static_correct(chart: CanonicalChart, result: DiracResult):
                 f"canonical embeddings may be unavailable in this chart"
             )
             continue
-        xi.coeffs = [c + sum(a * w.coeffs[k] for a, w in zip(alpha, qp_rows)) for k, c in enumerate(xi.coeffs)]
-        xi.offset = xi.offset + sum(a * w.offset for a, w in zip(alpha, qp_rows))
-        psi = chart.conjugate(xi)
+        x = rows[xi.symbol]
+        for a, w in zip(alpha, qp_rows):
+            if a:
+                x = qq.row_add(x, a, rows[w.symbol])
+        rows[xi.symbol] = x
+        psi = rows[chart.conjugate(xi).symbol]
         for w in qp_rows:
-            lam = -qq.bracket(xi.coeffs, w.coeffs, n)
+            lam = -qq.row_bracket(x, rows[w.symbol], n)
             if lam:
-                w.coeffs = [c + lam * p for c, p in zip(w.coeffs, psi.coeffs)]
-                w.offset = w.offset + lam * psi.offset
+                rows[w.symbol] = qq.row_add(rows[w.symbol], lam, psi)
+    for r in targets + qp_rows:
+        *r.coeffs, r.offset = qq.from_row(rows[r.symbol])
+
+
+def _integer_rows(chart: CanonicalChart) -> dict:
+    """Each chart row as a qq integer row, its offset carried as entry 2n."""
+    return {r.symbol: qq.to_row(list(r.coeffs) + [r.offset]) for r in chart.rows}
+
+
+def _chart_map(chart: CanonicalChart, rows, roles=None) -> dict:
+    """z_i = sum_j (S^-1)_ij (Y_j - offset_j) for each phase symbol z_i, one
+    polynomial per coordinate, from the chart's qq integer `rows` (offset as
+    entry 2n); chart coordinates outside `roles` (default: all) are set to
+    zero, so only their offsets remain.  By S^-1 = -J S^T J the column of a
+    position is the symplectic gradient of its conjugate momentum's row, and
+    that of a momentum minus its conjugate position's."""
+    n = chart.n
+    polys = [{} for _ in range(2 * n)]
+    shift = [Fraction(0)] * (2 * n)
+    for a, b in zip(chart.position_rows(), chart.momentum_rows()):
+        for y, (nums, den), sign in ((a, rows[b.symbol], 1), (b, rows[a.symbol], -1)):
+            off = Fraction(rows[y.symbol][0][2 * n], rows[y.symbol][1])
+            keep = roles is None or y.role in roles
+            if not (keep or off):
+                continue
+            mono = ((y.symbol.index, 1),)
+            for i, x in enumerate(_sympl_grad(nums[: 2 * n], n)):
+                if x:
+                    c = Fraction(sign * x, den)
+                    shift[i] -= c * off
+                    if keep:
+                        polys[i][mono] = c
+    for poly, c in zip(polys, shift):
+        if c:
+            poly[()] = c
+    return {z: Expr(chart.table, p, _normalized=True) for z, p in zip(chart.phase.z_order(), polys)}
 
 
 def _sympl_grad(c, n):
@@ -303,26 +345,7 @@ def transform(e: Expr, chart: CanonicalChart) -> Expr:
     Exact canonical charts only (S^T J S = J, as every chart leaving
     build_chart or the supplied-chart import is), so S^-1 has a closed form.
     """
-    return e.substitute(_chart_map(chart))
-
-
-def _chart_map(chart: CanonicalChart, roles=None) -> dict:
-    """z_i = sum_j (S^-1)_ij (Y_j - offset_j) for each phase symbol z_i, one
-    polynomial per coordinate; rows outside `roles` (default: all) are set to
-    zero, so only their offsets remain."""
-    inv = qq.symplectic_inverse(chart.matrix())
-    out = {}
-    for zi, inv_row in zip(chart.phase.z_order(), inv):
-        poly, shift = {}, Fraction(0)
-        for c, row in zip(inv_row, chart.rows):
-            if c:
-                shift -= c * row.offset
-                if roles is None or row.role in roles:
-                    poly[((row.symbol.index, 1),)] = c
-        if shift:
-            poly[()] = shift
-        out[zi] = Expr(chart.table, poly, _normalized=True)
-    return out
+    return e.substitute(_chart_map(chart, _integer_rows(chart)))
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,15 @@ The iteration keeps the joint multiplier system honest: each round it forms
 the time derivative of *every* constraint against the total Hamiltonian,
 weak-reduces its bracket with H, solves the affine system in the multipliers,
 and turns leftover multiplier-free residues into new constraints.  A round
-that adds nothing terminates the procedure.
+that adds nothing terminates the procedure.  The weak reducer is built once
+from the primaries and extended by each accepted constraint's row; the last
+round's reduced brackets with H are kept for classification.
 
 Classification re-bases the constraint set using the kernel of the bracket
 Gram matrix, so first-class representatives are genuine gauge directions and
 the multiplier solution splits cleanly into free (first-class primary) and
-uniquely solved (second-class primary) parts.
+uniquely solved (second-class primary) parts; only the multiplier
+coefficients over the re-based primaries are new, so it reduces nothing.
 """
 
 from __future__ import annotations
@@ -79,6 +82,7 @@ class DiracResult:
     flags: list = field(default_factory=list)
     classified: bool = False
     reducer: WeakReducer | None = field(default=None, compare=False, repr=False)  # of `constraints`, from dirac_iterate
+    h_brackets: list = field(default_factory=list, compare=False, repr=False)  # weak-reduced {c, H} per constraint
 
     @property
     def table(self):
@@ -135,16 +139,62 @@ def field_bracket(coeffs, field, table) -> Expr:
 class WeakReducer:
     """Substitution engine for weak equality against affine constraints.
 
-    Built from the constraints' rows (`_affine_row`).  Each constraint is
-    solved for its highest-index phase symbol; the triangularized ensemble is
-    applied as one simultaneous substitution, so a weakly vanishing
-    expression reduces to the exact zero normal form.
+    Keeps the RREF of the constraints' rows (`_affine_row`), highest symbol
+    index first, as qq integer rows with pivot entry 1: each constraint is
+    solved for its highest-index phase symbol, and the triangularized
+    ensemble is applied as one simultaneous substitution, so a weakly
+    vanishing expression reduces to the exact zero normal form.
+
+    Built once by `qq.rref`; `extend` adds one row in O(mn).  An RREF over a
+    fixed column order is unique, so `subs` is then a fresh build's, dict
+    order included.
     """
 
     def __init__(self, rows, phase: PhaseSpace):
         self.phase = phase
-        syms = phase.z_order()
-        self.subs = _affine_rref([qq.from_row(r) for r in rows], syms, phase.table)
+        self._syms = syms = phase.z_order()
+        n = len(syms)
+        self._order = sorted(range(n), key=lambda k: -syms[k].index)
+        work = [qq.from_row(r) for r in rows]
+        pivots = qq.rref(work, self._order)
+        used = set(pivots.values())
+        for i, row in enumerate(work):
+            if i in used:
+                continue
+            if any(row[:n]):
+                raise DiracError("internal: affine reduction left an unpivoted row")
+            if row[n]:
+                raise InconsistentTheory("constraint set has no common solution")
+        self._rows = {k: qq.to_row(work[i]) for k, i in pivots.items()}
+        self._rhs = {}
+        self._update(self._rows)
+
+    def extend(self, row):
+        """Add one constraint row: reduce it by the pivot rows, scale it to a
+        leading 1, and clear its pivot column from the other rows."""
+        for k, p in self._rows.items():
+            if row[0][k]:
+                row = qq.row_add(row, Fraction(-row[0][k], row[1]), p)
+        nums, den = row
+        k = next((k for k in self._order if nums[k]), None)
+        if k is None:
+            if nums[-1]:
+                raise InconsistentTheory("constraint set has no common solution")
+            return
+        row = qq.row_div(row, Fraction(nums[k], den))
+        changed = {j: qq.row_add(p, Fraction(-p[0][k], p[1]), row) for j, p in self._rows.items() if p[0][k]}
+        changed[k] = row
+        self._rows.update(changed)
+        self._update(changed)
+
+    def _update(self, changed):
+        """Right-hand sides of the changed pivot rows; `subs` in pivot order."""
+        syms, n = self._syms, len(self._syms)
+        for k, (nums, den) in changed.items():
+            rhs = {(): Fraction(-nums[n], den)} if nums[n] else {}
+            rhs.update({((syms[j].index, 1),): Fraction(-c, den) for j, c in enumerate(nums[:n]) if c and j != k})
+            self._rhs[k] = Expr(self.phase.table, rhs, _normalized=True)
+        self.subs = {syms[k]: self._rhs[k] for k in self._order if k in self._rows}
 
     def reduce(self, e: Expr) -> Expr:
         if not self.subs:
@@ -161,30 +211,6 @@ def _affine_row(e: Expr, syms):
             f"constraint {e} is not affine with constant coefficients; weak reduction unsupported"
         ) from exc
     return qq.to_row(coeffs + [offset])
-
-
-def _affine_rref(rows, syms, table):
-    """RREF of augmented affine rows, highest symbol index first; returns the
-    pivot-symbol substitution map."""
-    n = len(syms)
-    pivots = qq.rref(rows, sorted(range(n), key=lambda k: -syms[k].index))
-    used = set(pivots.values())
-    for i, row in enumerate(rows):
-        if i in used:
-            continue
-        if any(row[:n]):
-            raise DiracError("internal: affine reduction left an unpivoted row")
-        if row[n]:
-            raise InconsistentTheory("constraint set has no common solution")
-    subs = {}
-    for k, i in pivots.items():
-        row = rows[i]  # fully reduced: only free symbols remain
-        rhs = {(): -row[n]} if row[n] else {}
-        for j, c in enumerate(row[:n]):
-            if j != k and c:
-                rhs[((syms[j].index, 1),)] = -c
-        subs[syms[k]] = Expr(table, rhs, _normalized=True)
-    return subs
 
 
 def weak_reduce(e: Expr, constraints, phase: PhaseSpace) -> Expr:
@@ -267,7 +293,8 @@ def dirac_iterate(fos: FirstOrderSystem) -> DiracResult:
     reducer = WeakReducer(prim_rows, phase)
     field = hamilton_field(h, phase)
     for _round in range(2 * n + 2):
-        rows = _consistency_rows(constraints, prim_rows, field, phase, reducer)
+        brackets = [reducer.reduce(field_bracket(qq.from_row(c.row), field, table)) for c in constraints]
+        rows = _consistency_rows(constraints, brackets, prim_rows, phase)
         solved, residues = _eliminate(rows, zetas, table)
         new_any = False
         tips = {c.chain: c for c in constraints}  # last write wins: discovery order
@@ -291,7 +318,7 @@ def dirac_iterate(fos: FirstOrderSystem) -> DiracResult:
             constraints.append(newc)
             tips[src.chain] = newc
             new_any = True
-            reducer = WeakReducer([c.row for c in constraints], phase)
+            reducer.extend(row)
         if len(constraints) > 2 * n:
             raise BudgetExceeded(
                 f"{len(constraints)} constraints exceed the 2n = {2 * n} budget; no consistent dynamics"
@@ -304,20 +331,20 @@ def dirac_iterate(fos: FirstOrderSystem) -> DiracResult:
     result.multiplier_solutions = solved
     result.free_multipliers = [z for z in zetas if z not in solved]
     result.reducer = reducer
+    result.h_brackets = brackets  # the last round added nothing: these are the final ones
     return result
 
 
-def _consistency_rows(constraints, prim_rows, field, phase, reducer):
+def _consistency_rows(constraints, brackets, prim_rows, phase):
     """One consistency row per constraint: const + sum(coeff_a zeta_a).
 
-    const is the weak-reduced bracket with H, the constraint's row against
-    H's `field`; each coeff_a is the constant bracket of two affine rows,
-    {c, prim_a} = qq.row_bracket.
+    const is the constraint's weak-reduced bracket with H (its row against
+    H's Hamiltonian field), given in `brackets`; each coeff_a is the constant
+    bracket of two affine rows, {c, prim_a} = qq.row_bracket.
     """
     table, n = phase.table, phase.n
     rows = []
-    for idx, c in enumerate(constraints):
-        const = reducer.reduce(field_bracket(qq.from_row(c.row), field, table))
+    for idx, (c, const) in enumerate(zip(constraints, brackets, strict=True)):
         coeffs = [Expr.const(table, qq.row_bracket(c.row, p, n)) for p in prim_rows]
         if const.is_zero() and all(x.is_zero() for x in coeffs):
             continue
@@ -515,8 +542,7 @@ def _resolve_multipliers(result: DiracResult):
     result.primary_fc_count = len(prim_fc)
     zetas = result.multiplier_symbols
 
-    field = hamilton_field(result.H, phase)
-    rows = _consistency_rows(result.constraints, [r.row for r in rebased], field, phase, result.reducer)
+    rows = _consistency_rows(result.constraints, result.h_brackets, [r.row for r in rebased], phase)
     solved, residues = _eliminate(rows, zetas, table)
     for _idx, residue in residues:
         if not residue.is_zero():

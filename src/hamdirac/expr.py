@@ -7,6 +7,10 @@ equality, which makes ``is_zero`` and expression comparison exact decisions.
 
 Monomial order: graded lex, earlier-registered symbols more significant.
 The denominator of a normal form is monic with respect to that order.
+
+Substitution of polynomial rules works on the dicts alone (`_phorner`: one
+grouping of the monomials, Horner in one rule symbol at a time, one
+accumulator); rules with a denominator go term by term through Expr.
 """
 
 from __future__ import annotations
@@ -88,8 +92,9 @@ def _pneg(a):
     return {m: -c for m, c in a.items()}
 
 
-def _pmul(a, b):
-    out = {}
+def _pmul(a, b, out=None):
+    """a * b, added into `out` in place when it is given."""
+    out = {} if out is None else out
     for m1, c1 in a.items():
         for m2, c2 in b.items():
             m = _mono_mul(m1, m2)
@@ -321,7 +326,8 @@ class Expr:
 
     @staticmethod
     def const(table: SymbolTable, c) -> "Expr":
-        return Expr(table, _pconst(Fraction(c)), _normalized=True) if Fraction(c) else Expr(table, {}, _normalized=True)
+        c = Fraction(c)
+        return Expr(table, {CONST_MONO: c} if c else {}, _normalized=True)
 
     @staticmethod
     def sym(table: SymbolTable, s: Symbol) -> "Expr":
@@ -416,11 +422,7 @@ class Expr:
             return NotImplemented
         if k < 0:
             return Expr.const(self.table, 1) / self ** (-k)
-        num, den = _pconst(1), _pconst(1)
-        for _ in range(k):
-            num = _pmul(num, self.num)
-            den = _pmul(den, self.den)
-        return Expr(self.table, num, den, _normalized=True)
+        return Expr(self.table, _ppow(self.num, k), _ppow(self.den, k), _normalized=True)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -451,8 +453,13 @@ class Expr:
         if not rules:
             return self
         _check_acyclic(rules)
-        idx_rules = {s.index: (e if isinstance(e, Expr) else Expr.const(self.table, e)) for s, e in rules.items()}
+        used = _pvars(self.num) | _pvars(self.den)
+        idx_rules = {
+            s.index: (e if isinstance(e, Expr) else Expr.const(self.table, e)) for s, e in rules.items() if s.index in used
+        }
         num = _psubstitute(self.table, self.num, idx_rules)
+        if self.den == _ONE_POLY:
+            return num
         den = _psubstitute(self.table, self.den, idx_rules)
         if den.is_zero():
             raise ZeroDenominator("substitution produced zero denominator")
@@ -537,14 +544,16 @@ class Expr:
 
 
 def _check_acyclic(rules):
-    keys = {s.index: s for s in rules}
+    keys = {s.index for s in rules}
     graph = {}
     for s, e in rules.items():
         if not isinstance(e, Expr):
             graph[s.index] = set()
             continue
-        deps = (_pvars(e.num) | _pvars(e.den)) & set(keys)
+        deps = (_pvars(e.num) | _pvars(e.den)) & keys
         graph[s.index] = deps - {s.index}
+    if not any(graph.values()):
+        return
     seen, stack = set(), set()
 
     def visit(i):
@@ -564,6 +573,10 @@ def _check_acyclic(rules):
 
 
 def _psubstitute(table, poly, idx_rules) -> Expr:
+    """poly with every rule applied at once; polynomial rules go through
+    `_phorner`, rules with a denominator term by term through Expr."""
+    if all(r.den == _ONE_POLY for r in idx_rules.values()):
+        return Expr(table, _phorner(poly, {i: r.num for i, r in idx_rules.items()}), _normalized=True)
     acc = Expr.const(table, 0)
     for m, c in poly.items():
         term = Expr.const(table, c)
@@ -574,6 +587,48 @@ def _psubstitute(table, poly, idx_rules) -> Expr:
             term = term * rep ** e
         acc = acc + term
     return acc
+
+
+def _phorner(poly, rules):
+    """Simultaneous substitution of polynomial `rules` ({index: poly}).
+
+    The monomials are grouped once into a tree, each level keyed by the
+    (index, exponent) of the lowest rule symbol left, the leaf (key None)
+    holding the rest.  A node's value is its leaf plus, per symbol v, Horner's
+    R_v^e1 (c_1 + R_v^(e2-e1) (c_2 + ...)) over its children, added into the
+    leaf's dict.  For a quadratic form this is the congruence T^T (A T).
+    """
+    tree = {}
+    for m, c in poly.items():
+        node, rest = tree, []
+        for i, e in m:
+            if i in rules:
+                node = node.setdefault((i, e), {})
+            else:
+                rest.append((i, e))
+        node.setdefault(None, {})[tuple(rest)] = c
+    return _horner(tree, rules)
+
+
+def _horner(node, rules):
+    out = node.pop(None, {})
+    by_var = {}
+    for v, e in sorted(node):
+        by_var.setdefault(v, []).append(e)
+    for v, exps in by_var.items():
+        r = rules[v]
+        acc = _horner(node[(v, exps[-1])], rules)
+        for hi, lo in zip(exps[:0:-1], exps[-2::-1]):
+            acc = _pmul(acc, _ppow(r, hi - lo), _horner(node[(v, lo)], rules))
+        _pmul(acc, _ppow(r, exps[0]), out)
+    return out
+
+
+def _ppow(a, k):
+    out = _pconst(1)
+    for _ in range(k):
+        out = _pmul(out, a)
+    return out
 
 
 def _peval(poly, vals):

@@ -1,8 +1,8 @@
 """Exact linear algebra over the rationals: the one Gauss-Jordan kernel.
 
 Every constant-coefficient elimination of the analysis runs through `rref`:
-weak reduction against affine constraints, the primaries' independence
-check, the Gram-matrix rank and kernel of classification, the chart's
+the first weak reducer of an analysis (later constraints extend its RREF one
+integer row at a time, `row_add`), the primaries' independence check, the Gram-matrix rank and kernel of classification, the chart's
 conjugate positions (one elimination for all) and span checks.  The caller
 chooses the column order; each column pivots on the first row not yet used
 that is nonzero there, and rows never move, so a call site's pivots (and
@@ -62,14 +62,6 @@ def solve(rows, rhs):
     return x
 
 
-def bracket(u, v, n):
-    """Poisson bracket of two covectors over z = (q1..qn, p1..pn)."""
-    s = Fraction(0)
-    for i in range(n):
-        s += u[i] * v[n + i] - u[n + i] * v[i]
-    return s
-
-
 # Integer rows: a covector as (nums, den) standing for [x / den for x in nums],
 # den > 0 and gcd(den, *nums) = 1, so a vector has exactly one row.  Brackets
 # and projections on them are integer arithmetic plus one gcd per result.
@@ -94,7 +86,8 @@ def _pair(a, b, n):
 
 
 def row_bracket(u, v, n):
-    """`bracket` of two integer rows; entries past 2n are ignored."""
+    """Poisson bracket of two integer rows as covectors over
+    z = (q1..qn, p1..pn); entries past 2n are ignored."""
     return Fraction(_pair(u[0], v[0], n), u[1] * v[1])
 
 
@@ -102,6 +95,13 @@ def row_div(row, c):
     """row / c for a nonzero Fraction c."""
     p, q = (c.numerator, c.denominator) if c > 0 else (-c.numerator, -c.denominator)
     return _primitive([x * q for x in row[0]], row[1] * p)
+
+
+def row_add(x, c, y):
+    """x + c y for a Fraction c."""
+    (xs, dx), (ys, dy) = x, y
+    kx, ky = c.denominator * dy, c.numerator * dx
+    return _primitive([xi * kx + yi * ky for xi, yi in zip(xs, ys)], dx * kx)
 
 
 def row_project(x, e, f, n):
@@ -112,14 +112,3 @@ def row_project(x, e, f, n):
         return x
     k = de * df
     return _primitive([xi * k - a * ei + b * fi for xi, ei, fi in zip(xs, es, fs)], dx * k)
-
-
-def symplectic_inverse(s):
-    """S^-1 = -J S^T J for a 2n-square S with S^T J S = J (not checked).
-
-    Entry (i, k) is sign(i) sign(k) S[k'][i'], where i' is the conjugate
-    index of i (i + n or i - n) and sign is + on the position half.
-    """
-    n = len(s) // 2
-    conj = [(i + n, 1) if i < n else (i - n, -1) for i in range(2 * n)]
-    return [[s[kc][ic] if si == sk else -s[kc][ic] for kc, sk in conj] for ic, si in conj]

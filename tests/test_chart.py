@@ -433,7 +433,12 @@ def expr_sum_transform(e, chart):
     from hamdirac import qq
 
     table = chart.table
-    inv = qq.symplectic_inverse(chart.matrix())
+    s = chart.matrix()
+    dim = len(s)
+    # S^-1 by Gauss-Jordan on [S | I], not by the closed form the chart map uses
+    aug = [list(row) + [Fraction(int(i == k)) for k in range(dim)] for i, row in enumerate(s)]
+    pivots = qq.rref(aug, range(dim))
+    inv = [aug[pivots[i]][dim:] for i in range(dim)]
     subs = {}
     for i, zi in enumerate(chart.phase.z_order()):
         acc = Expr.const(table, 0)
@@ -487,7 +492,7 @@ def transform_then_bracket_correct(chart, result):
         xi.offset = xi.offset + sum(a * w.offset for a, w in zip(alpha, qp_rows))
         psi = chart.conjugate(xi)
         for w in qp_rows:
-            lam = -qq.bracket(xi.coeffs, w.coeffs, n)
+            lam = -_pairing(xi.coeffs, w.coeffs, n)
             if lam:
                 w.coeffs = [c + lam * p for c, p in zip(w.coeffs, psi.coeffs)]
                 w.offset = w.offset + lam * psi.offset

@@ -454,8 +454,9 @@ def test_eliminate_matches_fixpoint_back_substitution():
 
 
 def test_weak_reducer_built_once_per_constraint_set(monkeypatch):
-    # dirac_iterate builds one reducer before its loop and one per accepted
-    # constraint; classification and the Frobenius check reuse the last one
+    # dirac_iterate builds one reducer from the primaries and extends it by
+    # each constraint it accepts; classification and the Frobenius check
+    # reuse it, and it ends equal to a fresh build over every row
     from importlib import resources
     from pathlib import Path
 
@@ -463,23 +464,136 @@ def test_weak_reducer_built_once_per_constraint_set(monkeypatch):
     from hamdirac.report import run_pipeline
     from hamdirac.sysfile import load_system_file
 
-    builds = []
-    init = dirac.WeakReducer.__init__
+    builds, extensions = [], []
+    init, extend = dirac.WeakReducer.__init__, dirac.WeakReducer.extend
 
     def counting_init(self, rows, phase):
-        builds.append(tuple((tuple(nums), den) for nums, den in rows))
+        builds.append(list(rows))
         init(self, rows, phase)
 
+    def counting_extend(self, row):
+        extensions.append(row)
+        extend(self, row)
+
     monkeypatch.setattr(dirac.WeakReducer, "__init__", counting_init)
+    monkeypatch.setattr(dirac.WeakReducer, "extend", counting_extend)
     fixtures = resources.files("hamdirac") / "fixtures"
     golden = Path(__file__).resolve().parent / "golden"
-    for path, distinct in ((fixtures / "l3.sys", 3), (fixtures / "cawley.sys", 3), (golden / "coupled3.sys", 9)):
+    for path, accepted in ((fixtures / "l3.sys", 2), (fixtures / "cawley.sys", 2), (golden / "coupled3.sys", 8)):
         builds.clear()
+        extensions.clear()
         an = run_pipeline(load_system_file(path), stage="report")
-        assert len(builds) == len(set(builds)) == distinct, path
         res = an.result
-        assert builds[-1] == tuple((tuple(c.row[0]), c.row[1]) for c in res.constraints)
-        assert res.reducer.subs == dirac.WeakReducer([c.row for c in res.constraints], res.phase).subs
+        m1 = len(res.primaries())
+        assert builds == [[c.row for c in res.constraints[:m1]]], path
+        assert extensions == [c.row for c in res.constraints[m1:]], path
+        assert len(extensions) == accepted, path
+        fresh = dirac.WeakReducer([c.row for c in res.constraints], res.phase)
+        assert list(res.reducer.subs.items()) == list(fresh.subs.items())
+
+
+def _affine_row_sets(rng, n, count):
+    """Random affine row sets over 2n symbols plus an offset, as qq integer
+    rows: sparse rows, combinations of earlier rows (dependent, or with a
+    shifted offset: inconsistent), and the zero row."""
+    from hamdirac import qq
+
+    for _ in range(count):
+        rows = []
+        for _ in range(rng.randint(1, 2 * n + 2)):
+            kind = rng.random()
+            if rows and kind < 0.25:
+                a, b = rng.choice(rows), rng.choice(rows)
+                fa, fb = Fraction(rng.randint(-2, 2), rng.randint(1, 2)), Fraction(rng.randint(-2, 2))
+                v = [fa * x + fb * y for x, y in zip(qq.from_row(a), qq.from_row(b))]
+                if kind < 0.05:
+                    v[-1] += 1
+            elif kind < 0.3:
+                v = [Fraction(0)] * (2 * n + 1)
+            else:
+                v = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.4 else Fraction(0)
+                     for _ in range(2 * n + 1)]
+            rows.append(qq.to_row(v))
+        yield rows
+
+
+def test_weak_reducer_extension_matches_fresh_build():
+    # extending a reducer one row at a time keeps the RREF a fresh build over
+    # the same rows would give: the same subs, key order included, and the
+    # same InconsistentTheory; every row reduces to zero under the result
+    from hamdirac.dirac import WeakReducer
+
+    t = SymbolTable()
+    n = 3
+    qs = [t.position(f"q{i}") for i in range(1, n + 1)]
+    ps = [t.register(f"p{i}", "momentum") for i in range(1, n + 1)]
+    phase = PhaseSpace(t, tuple(zip(qs, ps)))
+    syms = phase.z_order()
+    rng = rng_for("reducer-extension")
+    outcomes = {"consistent": 0, "inconsistent": 0}
+
+    def fresh(rows):
+        try:
+            return WeakReducer(rows, phase)
+        except InconsistentTheory:
+            return None
+
+    for rows in _affine_row_sets(rng, n, 150):
+        split = rng.randint(0, len(rows))
+        grown = fresh(rows[:split])
+        for k in range(split, len(rows)):
+            if grown is None:
+                break
+            try:
+                grown.extend(rows[k])
+            except InconsistentTheory:
+                grown = None
+            want = fresh(rows[: k + 1])
+            assert (grown is None) == (want is None)
+            if grown is not None:
+                assert list(grown.subs.items()) == list(want.subs.items())
+        if grown is None:
+            outcomes["inconsistent"] += 1
+            continue
+        outcomes["consistent"] += 1
+        assert not set(grown.subs) & {s for e in grown.subs.values() for s in e.free_symbols()}
+        for nums, den in rows:
+            expr = Expr(t, {((s.index, 1),): Fraction(c, den) for s, c in zip(syms, nums) if c}, _normalized=True)
+            assert grown.reduce(expr + Fraction(nums[-1], den)).is_zero()
+    assert min(outcomes.values()) > 20
+
+
+def test_classify_makes_no_weak_reduction(monkeypatch):
+    # classification re-bases the multiplier system on the brackets with H
+    # that dirac_iterate's last round reduced: it reduces nothing itself
+    from pathlib import Path
+
+    from hamdirac import dirac, report
+    from hamdirac.sysfile import load_system_file
+
+    calls = {"all": 0, "classify": 0}
+    inside = []
+    reduce, classify = dirac.WeakReducer.reduce, dirac.classify
+
+    def counting_reduce(self, e):
+        calls["all"] += 1
+        calls["classify"] += bool(inside)
+        return reduce(self, e)
+
+    def marked_classify(result):
+        inside.append(True)
+        try:
+            return classify(result)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(dirac.WeakReducer, "reduce", counting_reduce)
+    monkeypatch.setattr(report, "classify", marked_classify)
+    golden = Path(__file__).resolve().parent / "golden"
+    an = report.run_pipeline(load_system_file(golden / "gauge3.sys"), stage="report")
+    assert an.result.F == 6
+    # 18 in the iteration's rounds, 6 candidate checks, 12 in frobenius_check
+    assert calls == {"all": 36, "classify": 0}
 
 
 def test_rows_match_linear_forms_and_expr_brackets(l1, l2, l3, l4_ssok, l4_pons):

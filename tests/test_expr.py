@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from hamdirac import SymbolTable, parse_expr
-from hamdirac.expr import CyclicRules, Expr, ZeroDenominator, _padd, _pmul
+from hamdirac.expr import CyclicRules, Expr, ZeroDenominator, _padd, _pmul, _psubstitute
 from hamdirac.parser import ParseError, UnknownSymbol
 
 from conftest import random_poly, rng_for
@@ -111,6 +111,61 @@ def test_substitute_leaves_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def termwise_psubstitute(table, poly, idx_rules):
+    """`_psubstitute` as first written: one Expr per term, one ** per factor."""
+    acc = Expr.const(table, 0)
+    for m, c in poly.items():
+        term = Expr.const(table, c)
+        for i, e in m:
+            rep = idx_rules.get(i)
+            term = term * (Expr.sym(table, table[i]) if rep is None else rep) ** e
+        acc = acc + term
+    return acc
+
+
+def test_horner_substitution_matches_termwise():
+    # polynomial rules go through the one-dict Horner expansion; it must give
+    # the term-by-term result on polynomials of degree <= 4 with multipliers
+    # (no rule), self-referencing, constant and rational rules, and a rule
+    # set with a cycle must still be rejected
+    t = table3()
+    zeta = t.register("zeta1", "multiplier")
+    syms = [t["q1"], t["q2"], t["q3"], t["d(q1)"], zeta]
+    keys = syms[:4]
+    rng = rng_for("horner-substitution")
+
+    def rule(key):
+        # a rule mentions itself, later keys and zeta only: the set is acyclic
+        body = [key, zeta] + [k for k in keys if k.index > key.index]
+        kind = rng.choice(["poly", "poly", "self", "const", "rational"])
+        if kind == "const":
+            return Expr.const(t, Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+        if kind == "self":
+            return Expr.sym(t, key) + random_poly(t, body, rng, max_degree=2)
+        e = random_poly(t, body, rng, max_degree=2)
+        if kind == "rational":
+            den = random_poly(t, body, rng, max_degree=1, terms=2)
+            return e / den if not den.is_zero() else e
+        return e
+
+    polynomial_cases = 0
+    for case in range(200):
+        rules = {k: rule(k) for k in rng.sample(keys, rng.randint(1, len(keys)))}
+        idx_rules = {k.index: v for k, v in rules.items()}
+        polynomial = all(v.is_polynomial() for v in rules.values())
+        polynomial_cases += polynomial
+        # the term-by-term gcds of rational rules grow fast with the degree
+        e = random_poly(t, syms, rng, max_degree=4 if polynomial else 2, terms=6 if polynomial else 3)
+        got, want = _psubstitute(t, e.num, idx_rules), termwise_psubstitute(t, e.num, idx_rules)
+        assert got.num == want.num and got.den == want.den
+        got = e.substitute(rules)
+        assert got.num == want.num and got.den == want.den
+        a, b = rng.sample(keys, 2)
+        with pytest.raises(CyclicRules):
+            e.substitute({**rules, a: Expr.sym(t, b) + 1, b: Expr.sym(t, a)})
+    assert 50 < polynomial_cases < 180
 
 
 def test_is_zero_and_degree():

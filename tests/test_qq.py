@@ -11,7 +11,10 @@ from importlib import resources
 
 import sympy
 
-from hamdirac import build_chart, qq
+from hamdirac import SymbolTable, build_chart, qq, transform
+from hamdirac.chart import CanonicalChart, ChartRow, _chart_map, _integer_rows
+from hamdirac.expr import Expr
+from hamdirac.lagrangian import PhaseSpace
 from hamdirac.report import PipelineOptions, run_pipeline
 from hamdirac.sysfile import load_system_file
 
@@ -138,7 +141,7 @@ def test_symplectic_inverse_on_random_shear_products():
         if rng.random() < 0.3:
             s = matmul(s, j_matrix(n))
         assert matmul(transpose(s), matmul(j_matrix(n), s)) == j_matrix(n)
-        assert matmul(qq.symplectic_inverse(s), s) == identity(2 * n)
+        assert matmul(chart_inverse(chart_of(s)), s) == identity(2 * n)
 
 
 def test_symplectic_inverse_on_fixture_charts(l1, l2, l3, l4_ssok, l4_pons):
@@ -150,15 +153,36 @@ def test_symplectic_inverse_on_fixture_charts(l1, l2, l3, l4_ssok, l4_pons):
     charts.append(run_pipeline(pons, PipelineOptions(path="pons"), stage="chart").chart)
     for chart in charts:
         s = chart.matrix()
-        assert matmul(qq.symplectic_inverse(s), s) == identity(len(s))
+        assert matmul(chart_inverse(chart), s) == identity(len(s))
+        # with the offsets: each chart row's expression transforms to its symbol
+        for row in chart.rows:
+            assert transform(row.expr(chart.table, chart.phase), chart) == Expr.sym(chart.table, row.symbol)
+
+
+def chart_of(s):
+    """A chart whose rows are those of S, all offsets zero."""
+    n = len(s) // 2
+    t = SymbolTable()
+    qs = [t.position(f"q{i}") for i in range(n)]
+    ps = [t.register(f"p{i}", "momentum") for i in range(n)]
+    roles = ["Q"] * n + ["P"] * n
+    rows = [ChartRow(role, j % n + 1, list(r), Fraction(0), t.position(f"Y{j}")) for j, (role, r) in enumerate(zip(roles, s))]
+    return CanonicalChart(PhaseSpace(t, tuple(zip(qs, ps))), rows)
+
+
+def chart_inverse(chart):
+    """S^-1 read off the chart map that `transform` substitutes: entry (i, j)
+    is the coefficient of chart symbol j in phase coordinate i."""
+    zmap = _chart_map(chart, _integer_rows(chart))
+    return [[zmap[z].num.get(((r.symbol.index, 1),), Fraction(0)) for r in chart.rows] for z in chart.phase.z_order()]
 
 
 def test_bracket_is_the_canonical_pairing():
     # {q1, p1} = 1, {p1, q1} = -1, {q1, q2} = 0 over z = (q1, q2, p1, p2)
-    e = identity(4)
-    assert qq.bracket(e[0], e[2], 2) == 1
-    assert qq.bracket(e[2], e[0], 2) == -1
-    assert qq.bracket(e[0], e[1], 2) == 0
+    e = [qq.to_row(v) for v in identity(4)]
+    assert qq.row_bracket(e[0], e[2], 2) == 1
+    assert qq.row_bracket(e[2], e[0], 2) == -1
+    assert qq.row_bracket(e[0], e[1], 2) == 0
 
 
 def random_covector(rng, size):
@@ -186,16 +210,31 @@ def test_integer_bracket_and_projection_match_fractions():
     for _ in range(200):
         n = rng.randint(1, 5)
         u, v, x = (random_covector(rng, 2 * n) for _ in range(3))
-        assert qq.row_bracket(qq.to_row(u), qq.to_row(v), n) == qq.bracket(u, v, n)
+        br = pairing(u, v, n)
+        assert qq.row_bracket(qq.to_row(u), qq.to_row(v), n) == br
         # an offset past 2n rides along and stays out of the bracket
-        assert qq.row_bracket(qq.to_row(u + [Fraction(7, 3)]), qq.to_row(v + [Fraction(-2)]), n) == qq.bracket(u, v, n)
-        br = sum(u[i] * v[n + i] - u[n + i] * v[i] for i in range(n))
+        assert qq.row_bracket(qq.to_row(u + [Fraction(7, 3)]), qq.to_row(v + [Fraction(-2)]), n) == br
         if not br:
             continue
         e, f = u, [c / br for c in v]  # <e, f> = 1
-        a = sum(x[i] * f[n + i] - x[n + i] * f[i] for i in range(n))
-        b = sum(x[i] * e[n + i] - x[n + i] * e[i] for i in range(n))
+        a, b = pairing(x, f, n), pairing(x, e, n)
         want = [xi - a * ei + b * fi for xi, ei, fi in zip(x, e, f)]
         got = qq.from_row(qq.row_project(qq.to_row(x), qq.to_row(e), qq.to_row(f), n))
         assert got == want
-        assert qq.bracket(got, e, n) == 0 and qq.bracket(got, f, n) == 0
+        assert pairing(got, e, n) == 0 and pairing(got, f, n) == 0
+
+
+def pairing(u, v, n):
+    """The Poisson bracket of two Fraction covectors over z = (q1..qn, p1..pn)."""
+    return sum((u[i] * v[n + i] - u[n + i] * v[i] for i in range(n)), Fraction(0))
+
+
+def test_row_add_matches_fractions():
+    rng = random.Random("qq-row-add")
+    for _ in range(200):
+        size = rng.randint(1, 9)
+        x, y = random_covector(rng, size), random_covector(rng, size)
+        c = Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+        got = qq.row_add(qq.to_row(x), c, qq.to_row(y))
+        assert qq.from_row(got) == [a + c * b for a, b in zip(x, y)]
+        assert got[1] > 0 and math.gcd(got[1], *got[0]) == 1
