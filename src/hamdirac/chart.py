@@ -313,14 +313,15 @@ def verify_chart(matrix, mode="exact", tol=1e-12):
         raise ChartError("chart matrix must be square with even dimension")
     n = dim // 2
     if mode == "exact":
-        # (S^T J S)_ik is the bracket of columns i and k; J_ik is +1 at k = i + n, -1 at i = k + n
+        # (S^T J S)_ik is the bracket of columns i and k; J_ik is +1 at k = i + n, -1 at i = k + n.
+        # Both sides are antisymmetric: bracket i < k only, entry (k, i) is the negative, the diagonal 0.
         cols = [qq.to_row([Fraction(x) for x in col]) for col in zip(*matrix)]
-        violations = []
+        dev = [[0] * dim for _ in range(dim)]
         for i, u in enumerate(cols):
-            for k, v in enumerate(cols):
-                delta = qq.row_bracket(u, v, n) - (k == i + n) + (i == k + n)
-                if delta:
-                    violations.append((i, k, delta))
+            for k in range(i + 1, dim):
+                delta = qq.row_bracket(u, cols[k], n) - (k == i + n)
+                dev[i][k], dev[k][i] = delta, -delta
+        violations = [(i, k, d) for i, row in enumerate(dev) for k, d in enumerate(row) if d]
         return (not violations), violations, (max((abs(d) for _, _, d in violations), default=Fraction(0)))
     if mode == "float":
         import numpy as np

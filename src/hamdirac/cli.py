@@ -204,7 +204,7 @@ def _cmd_simulate(args) -> int:
     sol = solve_iota(field, boundary, t1, t2, step=step, init_only=init_only)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(sol.trajectory.csv())
+            sol.trajectory.write_csv(fh)
     out = {
         "system": an.sysfile.name,
         "t1": t1,

@@ -7,16 +7,19 @@ both ends it reconstructs the missing initial momenta.  Each Newton step takes
 the end state and its exact Jacobian with respect to the initial momenta from
 one source: for a quadratic H the N-step RK4 propagator (one matrix, built by
 repeated squaring, so shooting is a single linear solve), otherwise the
-variational equations integrated alongside the state.  For a quadratic H,
-`integrate` steps by the same one-step matrix R that the propagator squares,
-so a trajectory costs one matrix-vector product per step; other fields run
-the four RK4 stages.  For the unit oscillator the classical A/B constants of
-Q(t) = A e^{it} + B e^{-it} are reported as well.
+variational equations integrated alongside the state, by one compiled
+function that evaluates each Jacobian entry once per stage.  For a quadratic
+H, `integrate` steps by the same one-step matrix R that the propagator
+squares, so a trajectory costs one matrix-vector product per step; other
+fields run the four RK4 stages.  `Trajectory.write_csv` streams a trajectory
+to a file in fixed blocks of rows.  For the unit oscillator the classical A/B
+constants of Q(t) = A e^{it} + B e^{-it} are reported as well.
 """
 
 from __future__ import annotations
 
 import cmath
+import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,6 +31,10 @@ from .expr import Expr
 # epsilon) = 2**26 (about 6.7e7): past it fewer than half of a double's
 # significant digits of P(t1) survive the rounding of the end state.
 MAX_CONDITION = 2.0**26
+
+# Trajectory.write_csv formats and writes this many rows at a time, so the
+# text in memory stays a few hundred kB however long the trajectory is.
+CSV_BLOCK_ROWS = 4096
 
 
 class NumericsError(Exception):
@@ -49,7 +56,7 @@ class ReducedField:
     energy: object  # H(y) -> float
     h_expr: Expr
     oscillator_like: bool  # 1 dof, unit frequency, no linear terms
-    jac: object = None  # jac(y) -> rows of d(rhs)/dy, from the exact Hessian of H
+    variational: object = None  # variational(t, z) -> dz for z = (y, dy/dP_1, ..., dy/dP_m)
     linear: tuple | None = None  # (A, c) with rhs = A y + c when H is quadratic
 
     @property
@@ -58,7 +65,7 @@ class ReducedField:
 
 
 def compile_field(h_reduced: Expr, pairs, params: dict | None = None) -> ReducedField:
-    """Compile (dQ, dP) = (dH/dP, -dH/dQ) and its Jacobian into float closures.
+    """Compile (dQ, dP) = (dH/dP, -dH/dQ) and its variational system into float closures.
 
     params supplies float values for any parameter symbols left in H;
     anything else loose (an unfixed gauge coordinate, a multiplier) is an
@@ -86,8 +93,7 @@ def compile_field(h_reduced: Expr, pairs, params: dict | None = None) -> Reduced
     body = ", ".join(_expr_to_py(c, names) for c in comps)
     rhs = eval(f"lambda t, y: ({body}{',' if len(comps) == 1 else ''})")  # noqa: S307 - generated from exact expressions
     energy = eval(f"lambda y: ({_expr_to_py(h, names)})")  # noqa: S307
-    rows = ", ".join("(" + ", ".join(_expr_to_py(g, names) for g in row) + ",)" for row in grads)
-    jac = eval(f"lambda y: ({rows},)")  # noqa: S307
+    variational = _variational_field(comps, grads, names)
 
     # quadratic H, decided exactly: the field is affine, y' = A y + c
     linear, osc = None, False
@@ -98,7 +104,28 @@ def compile_field(h_reduced: Expr, pairs, params: dict | None = None) -> Reduced
         linear = ([[float(v) for v in row] for row in a], [float(v) for v in c])
         # one pair with det A = H_QQ H_PP - H_QP^2 = 1 and no linear terms
         osc = len(pairs) == 1 and a[0][0] * a[1][1] - a[0][1] * a[1][0] == 1 and not any(c)
-    return ReducedField(list(pairs), rhs, energy, h, osc, jac, linear)
+    return ReducedField(list(pairs), rhs, energy, h, osc, variational, linear)
+
+
+def _variational_field(comps, grads, names):
+    """The field followed by Phi' = Df(y) Phi, Phi's m columns dy/dP_k stacked after y.
+
+    One generated function: each entry of Df, from the exact Hessian of H, is
+    evaluated once per call and multiplied into every column. Each product
+    sum starts from 0 and adds left to right, zero entries included, as
+    `sum(a * b ...)` over a row and a column does on CPython up to 3.11
+    (3.12 compensates float sums), so every float equals that dense
+    product's.
+    """
+    n = len(comps)
+    lines = [f"    d{i}_{j} = {_expr_to_py(g, names)}\n" for i, row in enumerate(grads) for j, g in enumerate(row)]
+    out = [_expr_to_py(c, names) for c in comps]
+    for base in range(n, n + n * (n // 2), n):
+        out += ["0" + "".join(f" + d{i}_{j}*y[{base + j}]" for j in range(n)) for i in range(n)]
+    src = "def variational(t, y):\n" + "".join(lines) + "    return (" + "".join(f"{e}, " for e in out) + ")\n"
+    scope = {}
+    exec(src, scope)  # noqa: S102 - generated from exact expressions
+    return scope["variational"]
 
 
 def _expr_to_py(e: Expr, names: dict) -> str:
@@ -128,12 +155,22 @@ class Trajectory:
     energies: list
     pairs: list
 
+    def write_csv(self, fh) -> None:
+        """Write the header, then the rows in blocks of CSV_BLOCK_ROWS, one `write` per block.
+
+        Columns are t, the positions, the momenta and H, each value its repr.
+        """
+        fh.write(",".join(["t", *(q.name for q, _p in self.pairs), *(p.name for _q, p in self.pairs), "H"]) + "\n")
+        for start in range(0, len(self.times), CSV_BLOCK_ROWS):
+            stop = start + CSV_BLOCK_ROWS
+            comps = list(zip(*self.states[start:stop]))
+            cols = [self.times[start:stop], *comps[0::2], *comps[1::2], self.energies[start:stop]]
+            fh.write("\n".join(map(",".join, zip(*(map(repr, c) for c in cols)))) + "\n")
+
     def csv(self) -> str:
-        names = [q.name for q, _p in self.pairs] + [p.name for _q, p in self.pairs]
-        row = ",".join(["%r"] * (len(names) + 2)) + "\n"
-        lines = [",".join(["t", *names, "H"]) + "\n"]
-        lines += [row % (t, *y[0::2], *y[1::2], h) for t, y, h in zip(self.times, self.states, self.energies)]
-        return "".join(lines)
+        buf = io.StringIO()
+        self.write_csv(buf)
+        return buf.getvalue()
 
 
 def _grid(t1: float, t2: float, step: float):
@@ -254,23 +291,12 @@ def rk4_variational(field: ReducedField, init, t1: float, t2: float, step: float
     """End state y(t2) and Phi = dy(t2)/dP(t1) (rows: state, columns: momenta).
 
     The variational equations Phi' = Df(y) Phi ride along the state through
-    one `integrate` call, so Phi is the exact derivative of the discrete RK4
-    map, not a finite-difference estimate.
+    one `integrate` call of `field.variational`, so Phi is the exact
+    derivative of the discrete RK4 map, not a finite-difference estimate.
     """
     n, m = field.dim, len(field.pairs)
-    rhs, jac = field.rhs, field.jac
-
-    def aug(t, z):
-        y = z[:n]
-        d = jac(y)
-        out = list(rhs(t, y))
-        for k in range(n, n + n * m, n):
-            col = z[k : k + n]
-            out += [sum(a * b for a, b in zip(row, col)) for row in d]
-        return out
-
     z0 = list(init) + [float(i == 2 * k + 1) for k in range(m) for i in range(n)]
-    z = integrate(_Variational(field.pairs, aug, lambda z: 0.0, n + n * m), z0, t1, t2, step).states[-1]
+    z = integrate(_Variational(field.pairs, field.variational, lambda z: 0.0, n + n * m), z0, t1, t2, step).states[-1]
     return z[:n], [[z[n + k * n + i] for k in range(m)] for i in range(n)]
 
 

@@ -1,11 +1,14 @@
 import dataclasses
+import functools
 import math
+import tracemalloc
 
 import pytest
 
 from hamdirac import SymbolTable, compile_field, integrate, parse_expr, solve_iota
 from hamdirac import numerics
 from hamdirac.numerics import (
+    CSV_BLOCK_ROWS,
     MAX_CONDITION,
     NumericsError,
     ShootingNotConverged,
@@ -302,18 +305,58 @@ def per_field_csv(traj):
     return "\n".join(lines) + "\n"
 
 
+class ListSink:
+    def __init__(self):
+        self.parts = []
+
+    def write(self, text):
+        self.parts.append(text)
+
+
 def test_csv_bytes_match_per_field_writer():
     rng = rng_for("csv-bytes")
     special = (-0.0, 1e-300, 1e300, 0.1)
     for m in (1, 2):
-        pairs, field = random_quadratic(rng, m)
-        traj = integrate(field, [rng.uniform(-2, 2) for _ in range(2 * m)], 0.0, 0.3, 0.05)
-        for i, v in enumerate(special):
-            traj.times.append(v)
-            traj.states.append(tuple(special[(i + k) % 4] for k in range(2 * m)))
-            traj.energies.append(special[(i + 1) % 4])
-        assert traj.csv().splitlines()[0] == ",".join(["t", *(f"Q{k}" for k in range(1, m + 1)), *(f"P{k}" for k in range(1, m + 1)), "H"])
-        assert traj.csv().encode() == per_field_csv(traj).encode()
+        # a short trajectory, and one of more than two blocks with the special
+        # rows straddling the first block boundary
+        for t2, at in ((0.3, None), ((2 * CSV_BLOCK_ROWS + 37) * 1e-3, CSV_BLOCK_ROWS - 2)):
+            pairs, field = random_quadratic(rng, m)
+            traj = integrate(field, [rng.uniform(-2, 2) for _ in range(2 * m)], 0.0, t2, 0.05 if at is None else 1e-3)
+            for i, v in enumerate(special):
+                pos = len(traj.times) if at is None else at + i
+                traj.times.insert(pos, v)
+                traj.states.insert(pos, tuple(special[(i + k) % 4] for k in range(2 * m)))
+                traj.energies.insert(pos, special[(i + 1) % 4])
+            assert traj.csv().splitlines()[0] == ",".join(["t", *(f"Q{k}" for k in range(1, m + 1)), *(f"P{k}" for k in range(1, m + 1)), "H"])
+            assert traj.csv().encode() == per_field_csv(traj).encode()
+            sink = ListSink()
+            traj.write_csv(sink)
+            assert len(sink.parts) == 1 + math.ceil(len(traj.times) / CSV_BLOCK_ROWS)
+            assert "".join(sink.parts) == traj.csv()
+        assert len(traj.times) > 2 * CSV_BLOCK_ROWS
+
+
+def test_write_csv_memory_is_bounded():
+    # l2's reduced field over [0, 100]: 100k steps, a 6.5 MB text when built whole
+    t, field = oscillator()
+    traj = integrate(field, (1.0, 0.0), 0.0, 100.0, 1e-3)
+
+    class CountingSink:
+        size = 0
+
+        def write(self, text):
+            self.size += len(text)
+
+    sink = CountingSink()
+    tracemalloc.start()
+    try:
+        traj.write_csv(sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj.times) == 100_001
+    assert sink.size == len(traj.csv()) > 6_000_000
+    assert peak < 2_000_000, peak
 
 
 def test_rk4_propagator_carries_affine_shift():
@@ -361,3 +404,119 @@ def test_quadratic_shooting_integrates_once(monkeypatch):
     assert len(calls) == 1
     assert sol.trajectory.states[-1][0] == pytest.approx(-0.2, abs=1e-10)
     assert sol.trajectory.states[-1][2] == pytest.approx(0.4, abs=1e-10)
+
+
+def random_anharmonic(rng, m):
+    # quadratic part plus sparse cubic and quartic terms: never affine
+    t = SymbolTable()
+    pairs = [(t.position(f"Q{k}"), t.register(f"P{k}", "momentum")) for k in range(1, m + 1)]
+    slots = [s.name for pair in pairs for s in pair]
+    terms = [f"(1/2)*{p.name}^2 + (1/2)*{q.name}^2" for q, p in pairs]
+    for _ in range(2 * m):
+        a, b, c = (rng.choice(slots) for _ in range(3))
+        terms.append(f"({rng.randint(-3, 3) or 1}/{rng.randint(2, 6)})*{a}*{b}*{c}")
+    terms.append(f"(1/4)*{rng.choice(slots)}^4")
+    return pairs, compile_field(parse_expr(" + ".join(terms), t), pairs)
+
+
+def dense_variational(field):
+    """rk4_variational's augmented field as it was: the whole Jacobian built at
+    each stage from the exact Hessian, then Df(y) times each column."""
+    pairs = field.pairs
+    slots = [s for pair in pairs for s in pair]
+    names = {s.index: f"y[{i}]" for i, s in enumerate(slots)}
+    comps = [c for q, p in pairs for c in (field.h_expr.diff(p), -field.h_expr.diff(q))]
+    rows = ", ".join("(" + ", ".join(numerics._expr_to_py(c.diff(s), names) for s in slots) + ",)" for c in comps)
+    jac = eval(f"lambda y: ({rows},)")
+    n, m = len(slots), len(pairs)
+
+    def dot(row, col):
+        # sum(a * b for ...) on floats before Python 3.12: from 0, left to right
+        return functools.reduce(lambda acc, ab: acc + ab[0] * ab[1], zip(row, col), 0)
+
+    def aug(t, z):
+        y = z[:n]
+        d = jac(y)
+        out = list(field.rhs(t, y))
+        for k in range(n, n + n * m, n):
+            col = z[k : k + n]
+            out += [dot(row, col) for row in d]
+        return out
+
+    return aug, jac
+
+
+def dense_rk4_variational(field, init, t1, t2, step):
+    aug, _jac = dense_variational(field)
+    n, m = field.dim, len(field.pairs)
+    z0 = list(init) + [float(i == 2 * k + 1) for k in range(m) for i in range(n)]
+    z = integrate(numerics._Variational(field.pairs, aug, lambda z: 0.0, n + n * m), z0, t1, t2, step).states[-1]
+    return z[:n], [[z[n + k * n + i] for k in range(m)] for i in range(n)]
+
+
+def test_compiled_variational_field_equals_dense_product():
+    rng = rng_for("variational-compiled")
+    fields = []
+    for m in (1, 2, 3):
+        for _ in range(3):
+            fields.append(random_anharmonic(rng, m))
+    t = SymbolTable()
+    pairs = [(t.position("Q1"), t.register("P1", "momentum")), (t.position("Q2"), t.register("P2", "momentum"))]
+    # separable: d(dQ/dt)/dQ and d(dP/dt)/dP vanish, and the blocks do not couple in P
+    separable = compile_field(parse_expr("(1/2)*P1^2 + (1/3)*P2^2 + (1/4)*Q1^4 + Q1*Q2^3", t), pairs)
+    _aug, jac = dense_variational(separable)
+    assert sum(v == 0.0 for row in jac((0.3, -0.2, 0.7, 0.1)) for v in row) >= 8
+    fields.append((pairs, separable))
+    t = SymbolTable()
+    pairs = [(t.position("Q"), t.register("P", "momentum"))]
+    rational = compile_field(parse_expr("P^2/(2*(1 + Q^2)) + (1/2)*Q^2", t), pairs)
+    assert not rational.h_expr.is_polynomial()
+    fields.append((pairs, rational))
+    for pairs, field in fields:
+        assert field.linear is None
+        m = len(pairs)
+        y0 = [rng.uniform(-0.5, 0.5) for _ in range(2 * m)]
+        t1 = rng.uniform(-0.5, 0.5)
+        z = [rng.uniform(-1, 1) for _ in range(2 * m + 2 * m * m)]
+        aug, _jac = dense_variational(field)
+        assert tuple(field.variational(t1, tuple(z))) == tuple(aug(t1, tuple(z)))
+        # a zero entry times inf is nan: no product may be dropped
+        z[-1] = math.inf
+        assert list(map(repr, field.variational(t1, tuple(z)))) == list(map(repr, aug(t1, tuple(z))))
+        got = rk4_variational(field, y0, t1, t1 + 0.4, 0.01)
+        want = dense_rk4_variational(field, y0, t1, t1 + 0.4, 0.01)
+        assert list(got[0]) == list(want[0]) and got[1] == want[1], (m, field.h_expr)
+        assert all(map(math.isfinite, got[0]))
+
+
+def test_non_quadratic_shooting_steps_only_compiled_closures(monkeypatch):
+    t = SymbolTable()
+    q = t.position("Q")
+    p = t.register("P", "momentum")
+    field = compile_field(parse_expr("(1/4)*P^2 + Q^2 + (1/4)*Q^4", t), [(q, p)])
+    assert field.linear is None and not hasattr(field, "jac")
+    calls = {"rhs": 0, "variational": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapped
+
+    field = dataclasses.replace(field, rhs=counting("rhs", field.rhs), variational=counting("variational", field.variational))
+    fields = []
+    real = numerics.integrate
+
+    def recording(f, *args):
+        fields.append(f)
+        return real(f, *args)
+
+    monkeypatch.setattr(numerics, "integrate", recording)
+    sol = solve_iota(field, {"Q": (0.5, 0.25)}, 0.0, 1.5, step=1e-3)
+    assert abs(sol.trajectory.states[-1][0] - 0.25) <= 1e-10
+    # Newton integrates the augmented system by the variational closure alone;
+    # one plain integration at the solved momenta supplies the trajectory
+    assert len(fields) >= 3 and fields[-1] is field
+    assert all(f.rhs is field.variational for f in fields[:-1])
+    assert calls == {"rhs": 4 * 1500, "variational": 4 * 1500 * (len(fields) - 1)}

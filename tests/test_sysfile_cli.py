@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from importlib import resources
@@ -240,6 +241,41 @@ def test_cli_simulate_l4_matches_l2(tmp_path, capsys):
         assert len(rows_a) == len(rows_o)
         # physical configurations agree up to the chart relabeling
         assert max(abs(float(x[1]) - float(y[1])) for x, y in zip(rows_a, rows_o)) < 1e-8
+
+
+QUARTIC_SYS = (
+    "system anharmonic\ncoordinates q1 q2\norder 1\n"
+    "L = q1*d(q2) - q2*d(q1) - q1^2 - q2^2 - (1/2)*q1^4\n"
+)
+
+
+@pytest.mark.parametrize(
+    "system, bc, t2, stdout_sha, csv_sha",
+    [
+        # quadratic H: shooting by the RK4 propagator, the trajectory by its step matrix
+        (None, "Q1=1:0", "pi/2",
+         "b97c131cd44ca5cfc2ef79cb4f5fe6249beb06cb8b34ca42eadbec51815ca2a0",
+         "6132da814d614710f8127a4404901bbca9ff12ad4730ec48bd1fa7e977f182f1"),
+        # quartic H: Newton on the variational equations
+        (QUARTIC_SYS, "Q1=0.5:0.25", "3/2",
+         "ffeab371aeca393e7886ac3c5c9c0905b37c5f00634d6afdc9d631ee31bb478c",
+         "be532a4cea9e5cfaf5bd1a243d34f6ed41e1a7e0337df9ec75fa2d56c4d10bfc"),
+    ],
+)
+def test_cli_simulate_bytes_pinned(tmp_path, capsys, system, bc, t2, stdout_sha, csv_sha):
+    # digests of CPython 3.11 runs: the last bits of the floats follow its
+    # left-to-right float sum() and the platform's pow
+    if system is None:
+        path = fixture("l2.sys")
+    else:
+        path = tmp_path / "quartic.sys"
+        path.write_text(system, encoding="utf-8")
+    csv_path = tmp_path / "traj.csv"
+    assert main(["simulate", str(path), "--bc", bc, "--t2", t2, "--out", str(csv_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == stdout_sha
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == csv_sha
 
 
 def test_cli_simulate_parses_bc_and_xi_like_times(capsys):
