@@ -10,7 +10,7 @@ Subcommands mirror the three analysis steps plus numerics:
 
 Exit codes: 0 ok, 2 input error, 3 unsupported shape, 4 inconsistent
 theory/gauge, 5 constraint budget exceeded, 1 analysis or numerics failure.
-simulate fails with 1 in two documented ways:
+simulate fails with 1 in three documented ways:
 
     error: resonant interval [T1, T2]: dQ(t2)/dP(t1) has condition number K > 6.71e+07; ...
         the endpoint data cannot determine the initial momenta; K is taken
@@ -19,6 +19,9 @@ simulate fails with 1 in two documented ways:
     error: shooting iteration did not converge after N iterations (relative residual R)
         Newton on a non-quadratic Hamiltonian did not bring max|Q(t2) - Q2|
         down to 1e-10 of the state's scale
+    error: non-finite state at t = T
+        the integrated state, or a power on the way to it, left the floats
+        at the RK4 step ending at grid time T (T = t1: the initial state)
 """
 
 from __future__ import annotations

@@ -8,12 +8,14 @@ the end state and its exact Jacobian with respect to the initial momenta from
 one source: for a quadratic H the N-step RK4 propagator (one matrix, built by
 repeated squaring, so shooting is a single linear solve), otherwise the
 variational equations integrated alongside the state, by one compiled
-function that evaluates each Jacobian entry once per stage.  For a quadratic
-H, `integrate` steps by the same one-step matrix R that the propagator
-squares, so a trajectory costs one matrix-vector product per step; other
-fields run the four RK4 stages.  `Trajectory.write_csv` streams a trajectory
-to a file in fixed blocks of rows.  For the unit oscillator the classical A/B
-constants of Q(t) = A e^{it} + B e^{-it} are reported as well.
+function that evaluates each Jacobian entry once per stage.  `integrate`
+runs the whole step loop as one generated function over unpacked state
+components: for a quadratic H it steps by the same one-step matrix R that the
+propagator squares, one matrix-vector product per step; other fields run the
+four RK4 stages.  `Trajectory.write_csv` streams a trajectory to a file in
+fixed blocks of rows, formatting each distinct energy of a block once.  For
+the unit oscillator the classical A/B constants of Q(t) = A e^{it} + B e^{-it}
+are reported as well.
 """
 
 from __future__ import annotations
@@ -159,18 +161,34 @@ class Trajectory:
         """Write the header, then the rows in blocks of CSV_BLOCK_ROWS, one `write` per block.
 
         Columns are t, the positions, the momenta and H, each value its repr.
+        H is a first integral, so a block repeats few distinct energies: each
+        is formatted once per block.
         """
         fh.write(",".join(["t", *(q.name for q, _p in self.pairs), *(p.name for _q, p in self.pairs), "H"]) + "\n")
         for start in range(0, len(self.times), CSV_BLOCK_ROWS):
             stop = start + CSV_BLOCK_ROWS
             comps = list(zip(*self.states[start:stop]))
-            cols = [self.times[start:stop], *comps[0::2], *comps[1::2], self.energies[start:stop]]
-            fh.write("\n".join(map(",".join, zip(*(map(repr, c) for c in cols)))) + "\n")
+            cols = [map(repr, c) for c in (self.times[start:stop], *comps[0::2], *comps[1::2])]
+            cols.append(_repr_column(self.energies[start:stop]))
+            fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
 
     def csv(self) -> str:
         buf = io.StringIO()
         self.write_csv(buf)
         return buf.getvalue()
+
+
+def _repr_column(values):
+    """map(repr, values), taking the repr of each distinct value once.
+
+    0.0 and -0.0 are one key but print differently, so a column holding
+    either is formatted value by value.  A nan is its own key (nan != nan;
+    dict lookup matches it by identity), so it maps to its own repr.
+    """
+    memo = dict.fromkeys(values)
+    if 0.0 in memo:
+        return map(repr, values)
+    return map(dict(zip(memo, map(repr, memo))).__getitem__, values)
 
 
 def _grid(t1: float, t2: float, step: float):
@@ -186,58 +204,80 @@ def _grid(t1: float, t2: float, step: float):
 def integrate(field: ReducedField, init, t1: float, t2: float, step: float) -> Trajectory:
     """Classical fixed-step RK4 from t1 to t2 (step adjusted to land on t2).
 
-    An affine field (quadratic H) advances by the one-step matrix R that
+    The whole step loop is one generated function over unpacked locals.  An
+    affine field (quadratic H) advances by the one-step matrix R that
     `rk4_propagator` raises to the N-th power: the same map as the four
-    stages, one matrix-vector product per step.
+    stages, one matrix-vector product per step.  Any other field runs the
+    four stages of `field.rhs`.  A state that is not finite, or a power that
+    overflows on the way to it, raises NumericsError naming the grid time of
+    the step.
     """
     nsteps, h = _grid(t1, t2, step)
     y = tuple(float(v) for v in init)
     if len(y) != field.dim:
         raise NumericsError(f"state dimension {len(y)} != {field.dim}")
-    advance = _stage_step(field.rhs, h) if field.linear is None else _affine_step(_step_matrix(field, h))
-    energy = field.energy
-    times = [t1]
-    states = [y]
-    energies = [energy(y)]
-    t = t1
-    for i in range(nsteps):
-        y = advance(t, y)
-        t = t1 + (i + 1) * h
-        if not all(map(math.isfinite, y)):
-            raise NumericsError(f"non-finite state at t = {t}")
-        times.append(t)
-        states.append(y)
-        energies.append(energy(y))
+    loop = _stage_loop(field.dim) if field.linear is None else _affine_loop(_step_matrix(field, h))
+    times, states, energies = [t1], [y], []
+    try:
+        energies.append(field.energy(y))
+        loop(field.rhs, field.energy, y, t1, h, nsteps, times.append, states.append, energies.append)
+    except OverflowError:
+        # a `**` in a generated field overflowed while computing state k
+        k = len(energies)
+        raise NumericsError(f"non-finite state at t = {t1 + k * h if k else t1}") from None
     return Trajectory(times, states, energies, field.pairs)
 
 
-def _stage_step(rhs, h):
-    """One classical RK4 step through the four stages of rhs."""
-    half = h / 2.0
-    sixth = h / 6.0
+def _step_loop(n, update, stages="", setup=""):
+    """One generated function running the whole step loop over the components y0, y1, ...
 
-    def advance(t, y):
-        k1 = rhs(t, y)
-        y2 = tuple(a + half * b for a, b in zip(y, k1))
-        k2 = rhs(t + half, y2)
-        y3 = tuple(a + half * b for a, b in zip(y, k2))
-        k3 = rhs(t + half, y3)
-        y4 = tuple(a + h * b for a, b in zip(y, k3))
-        k4 = rhs(t + h, y4)
-        return tuple(a + sixth * (b1 + 2 * b2 + 2 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
+    Each step runs `stages`, assigns the components the `update` tuple, takes
+    its grid time t1 + (i+1)*h, checks every component is finite and appends
+    the time, the state and its energy.
+    """
+    ys = "".join(f"y{j}, " for j in range(n))
+    finite = " and ".join(f"isfinite(y{j})" for j in range(n)) or "True"
+    src = (
+        "def loop(rhs, energy, y, t1, h, nsteps, add_t, add_y, add_e):\n"
+        f"    ({ys}) = y\n    t = t1\n{setup}"
+        f"    for i in range(nsteps):\n{stages}"
+        f"        ({ys}) = ({update})\n"
+        "        t = t1 + (i + 1) * h\n"
+        f"        if not ({finite}):\n"
+        '            raise NumericsError(f"non-finite state at t = {t}")\n'
+        f"        y = ({ys})\n"
+        "        add_t(t)\n        add_y(y)\n        add_e(energy(y))\n"
+    )
+    scope = {"isfinite": math.isfinite, "NumericsError": NumericsError, "inf": math.inf, "nan": math.nan}
+    exec(src, scope)  # noqa: S102 - generated from the dimension and float constants
+    return scope["loop"]
 
-    return advance
+
+def _stage_loop(n):
+    """RK4 through the four stages of rhs for an n-component state.
+
+    Each stage state and the update are written out per component, in the
+    float order a + half*k, t + half, a + sixth*(k1 + 2*k2 + 2*k3 + k4).
+    """
+
+    def stage(s, t, coef=None):
+        ks = "".join(f"k{s}_{j}, " for j in range(n))
+        arg = "y" if coef is None else "(" + "".join(f"y{j} + {coef}*k{s - 1}_{j}, " for j in range(n)) + ")"
+        return f"        ({ks}) = rhs({t}, {arg})\n"
+
+    stages = stage(1, "t") + stage(2, "t + half", "half") + stage(3, "t + half", "half") + stage(4, "t + h", "h")
+    update = "".join(f"y{j} + sixth*(k1_{j} + 2*k2_{j} + 2*k3_{j} + k4_{j}), " for j in range(n))
+    return _step_loop(n, update, stages, "    half = h / 2.0\n    sixth = h / 6.0\n")
 
 
-def _affine_step(r):
-    """The step y -> R [y; 1] as one generated closure.
+def _affine_loop(r):
+    """The step y -> R [y; 1], row by row.
 
     Every term is kept, zero coefficients included, so a non-finite component
     reaches every row as it does through the dense product.
     """
-    n = len(r) - 1  # even, so the body is a tuple (empty for n = 0)
-    rows = ", ".join(" + ".join(f"{r[i][j]!r}*y[{j}]" for j in range(n)) + f" + {r[i][n]!r}" for i in range(n))
-    return eval(f"lambda t, y: ({rows})", {"inf": math.inf, "nan": math.nan})  # noqa: S307 - generated from floats
+    n = len(r) - 1
+    return _step_loop(n, "".join(" + ".join(f"{r[i][j]!r}*y{j}" for j in range(n)) + f" + {r[i][n]!r}, " for i in range(n)))
 
 
 def _step_matrix(field: ReducedField, h: float) -> list:

@@ -334,6 +334,21 @@ def test_csv_bytes_match_per_field_writer():
             assert len(sink.parts) == 1 + math.ceil(len(traj.times) / CSV_BLOCK_ROWS)
             assert "".join(sink.parts) == traj.csv()
         assert len(traj.times) > 2 * CSV_BLOCK_ROWS
+        # energy columns for the per-block memo, straddling the first block
+        # boundary: repeated values, 0.0 beside -0.0, nan (one object twice,
+        # and a second nan object) and both infinities
+        nan = float("nan")
+        repeated = traj.energies[CSV_BLOCK_ROWS - 20]
+        block0 = (0.0, repeated, -0.0, nan, math.inf, -0.0, repeated, 0.0)
+        block1 = (nan, repeated, -math.inf, nan, float("nan"), math.inf, repeated, 0.1, 0.1)
+        for i, e in enumerate(block0 + block1):
+            traj.energies[CSV_BLOCK_ROWS - len(block0) + i] = e
+        # the last block repeats -0.0 alone
+        traj.energies[-3:] = [-0.0, repeated, -0.0]
+        assert traj.csv().encode() == per_field_csv(traj).encode()
+        rows = traj.csv().splitlines()[CSV_BLOCK_ROWS - len(block0) + 1 : CSV_BLOCK_ROWS + len(block1) + 1]
+        assert [row.rsplit(",", 1)[1] for row in rows] == list(map(repr, block0 + block1))
+        assert [row.rsplit(",", 1)[1] for row in traj.csv().splitlines()[-3:]] == ["-0.0", repr(repeated), "-0.0"]
 
 
 def test_write_csv_memory_is_bounded():
@@ -520,3 +535,84 @@ def test_non_quadratic_shooting_steps_only_compiled_closures(monkeypatch):
     assert len(fields) >= 3 and fields[-1] is field
     assert all(f.rhs is field.variational for f in fields[:-1])
     assert calls == {"rhs": 4 * 1500, "variational": 4 * 1500 * (len(fields) - 1)}
+
+
+def closure_stage_step(rhs, h):
+    # the step closures integrate used before its loop was generated
+    half = h / 2.0
+    sixth = h / 6.0
+
+    def advance(t, y):
+        k1 = rhs(t, y)
+        y2 = tuple(a + half * b for a, b in zip(y, k1))
+        k2 = rhs(t + half, y2)
+        y3 = tuple(a + half * b for a, b in zip(y, k2))
+        k3 = rhs(t + half, y3)
+        y4 = tuple(a + h * b for a, b in zip(y, k3))
+        k4 = rhs(t + h, y4)
+        return tuple(a + sixth * (b1 + 2 * b2 + 2 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
+
+    return advance
+
+
+def closure_affine_step(r):
+    n = len(r) - 1
+    rows = ", ".join(" + ".join(f"{r[i][j]!r}*y[{j}]" for j in range(n)) + f" + {r[i][n]!r}" for i in range(n))
+    return eval(f"lambda t, y: ({rows})", {"inf": math.inf, "nan": math.nan})
+
+
+def closure_integrate(field, init, t1, t2, step):
+    """integrate as it was: one closure call per step, then the check and the appends."""
+    nsteps, h = numerics._grid(t1, t2, step)
+    y = tuple(float(v) for v in init)
+    advance = closure_stage_step(field.rhs, h) if field.linear is None else closure_affine_step(numerics._step_matrix(field, h))
+    times, states, energies = [t1], [y], [field.energy(y)]
+    t = t1
+    for i in range(nsteps):
+        y = advance(t, y)
+        t = t1 + (i + 1) * h
+        if not all(map(math.isfinite, y)):
+            raise NumericsError(f"non-finite state at t = {t}")
+        times.append(t)
+        states.append(y)
+        energies.append(field.energy(y))
+    return times, states, energies
+
+
+def test_generated_loop_equals_closure_steps():
+    rng = rng_for("generated-loop")
+    runs = []
+    for m in (1, 2, 3):
+        for _ in range(2):
+            pairs, field = random_anharmonic(rng, m)
+            n = field.dim
+            y0 = [rng.uniform(-0.5, 0.5) for _ in range(n)]
+            t1 = rng.uniform(-1.0, 1.0)
+            runs.append((field, y0, t1, t1 + rng.uniform(0.2, 0.6), rng.choice((1e-3, 7e-3))))
+            # its variational system, as rk4_variational integrates it
+            z0 = y0 + [float(i == 2 * k + 1) for k in range(m) for i in range(n)]
+            aug = numerics._Variational(pairs, field.variational, lambda z: 0.0, n + n * m)
+            runs.append((aug, z0, t1, t1 + 0.3, 0.01))
+    for m in (1, 2, 3):
+        for _ in range(2):
+            pairs, field = random_quadratic(rng, m)
+            assert field.linear is not None
+            runs.append((field, [rng.uniform(-2, 2) for _ in range(2 * m)], 0.0, rng.uniform(0.5, 2.0), rng.choice((1e-3, 0.05))))
+    for field, y0, t1, t2, step in runs:
+        got = integrate(field, y0, t1, t2, step)
+        times, states, energies = closure_integrate(field, y0, t1, t2, step)
+        assert got.times == times
+        assert got.states == states, (field.dim, field.linear is None)
+        assert got.energies == energies
+        assert all(map(math.isfinite, states[-1]))
+    # Q grows as e^(t/1000) to overflow, through R and through the stages
+    t = SymbolTable()
+    pairs = [(t.position("Q"), t.register("P", "momentum"))]
+    field = compile_field(parse_expr("(1/1000)*Q*P", t), pairs)
+    for f in (field, dataclasses.replace(field, linear=None)):
+        messages = []
+        for run in (integrate, closure_integrate):
+            with pytest.raises(NumericsError) as info:
+                run(f, (1.0, 1.0), 0.0, 1e6, 50.0)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1] == "non-finite state at t = 709800.0"

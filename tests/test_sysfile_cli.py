@@ -256,6 +256,10 @@ QUARTIC_SYS = (
         (None, "Q1=1:0", "pi/2",
          "b97c131cd44ca5cfc2ef79cb4f5fe6249beb06cb8b34ca42eadbec51815ca2a0",
          "6132da814d614710f8127a4404901bbca9ff12ad4730ec48bd1fa7e977f182f1"),
+        # five CSV blocks, each energy column holding repeated values
+        (None, "Q1=1:0", "20",
+         "f2c99a638cb32b3a5f40e11c98287e020f6856dcb9b74de502dea6c5cf555ea1",
+         "95d0cfd1b838b83bce21003d550907dd5bba01e20afcd0eaf0c3b46bfd2c38a6"),
         # quartic H: Newton on the variational equations
         (QUARTIC_SYS, "Q1=0.5:0.25", "3/2",
          "ffeab371aeca393e7886ac3c5c9c0905b37c5f00634d6afdc9d631ee31bb478c",
@@ -276,6 +280,28 @@ def test_cli_simulate_bytes_pinned(tmp_path, capsys, system, bc, t2, stdout_sha,
     assert captured.err == ""
     assert hashlib.sha256(captured.out.encode()).hexdigest() == stdout_sha
     assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == csv_sha
+
+
+@pytest.mark.parametrize(
+    "system, bc, t2, t",
+    [
+        # Q1**4 overflows in the variational field during the first step
+        (QUARTIC_SYS, "Q1=1e80:1", "3/2", "0.001"),
+        # Q1**2 overflows in the energy of the initial state
+        (None, "Q1=1e200:1", "1", "0.0"),
+    ],
+    ids=["quartic-variational", "l2-energy"],
+)
+def test_cli_simulate_overflowing_power_exits_1(tmp_path, capsys, system, bc, t2, t):
+    if system is None:
+        path = fixture("l2.sys")
+    else:
+        path = tmp_path / "quartic.sys"
+        path.write_text(system, encoding="utf-8")
+    assert main(["simulate", str(path), "--bc", bc, "--t2", t2]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: non-finite state at t = {t}\n"
 
 
 def test_cli_simulate_parses_bc_and_xi_like_times(capsys):
