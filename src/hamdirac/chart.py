@@ -4,8 +4,8 @@ The linear construction: second-class representatives are paired by a
 symplectic Gram-Schmidt sweep with one member of each pair rescaled to a unit
 bracket; every first-class representative becomes a momentum row and gets a
 conjugate position row solved inside the remaining symplectic complement; the
-leftover complement is completed into physical (Q, P) pairs with unit
-brackets.  All of it over exact rationals.
+same sweep completes the leftover complement into physical (Q, P) pairs.
+All of it over exact rationals.
 
 The correction pass never transforms H_T: a chart row's velocity is the row
 against H_T's Hamiltonian field, written in (Q, P) by `_chart_map`, the
@@ -110,18 +110,7 @@ def build_chart(result: DiracResult) -> CanonicalChart:
         psi.append((coeffs, off, rep.generation))
     pool = [rep.row for rep in result.second_class]  # integer rows, the offset carried as entry 2n
 
-    theta_rows = []
-    while pool:
-        e = pool.pop(0)
-        for k, f in enumerate(pool):
-            br = qq.row_bracket(e, f, n)
-            if br:
-                break
-        else:
-            raise DiracError("degenerate second-class pairing; classification bug")
-        f = qq.row_div(pool.pop(k), br)
-        pool = [qq.row_project(x, e, f, n) for x in pool]
-        theta_rows.append((e, f))
+    theta_rows = _symplectic_pairs(pool, n)
     theta_pairs = [tuple((v[:-1], v[-1]) for v in map(qq.from_row, pair)) for pair in theta_rows]
 
     # conjugate positions for the first-class momenta: <x_a, psi_b> = delta_ab
@@ -146,26 +135,15 @@ def build_chart(result: DiracResult) -> CanonicalChart:
         xi_rows.append(x)
 
     # each standard-basis seed is projected once through the placed pairs,
-    # then through each (Q, P) pair as it is found; zero seeds are dropped
+    # then through each (Q, P) pair as it is found
     placed = theta_rows + [(xi, rep.row) for xi, rep in zip(xi_rows, result.first_class)]
     seeds = [([int(i == k) for k in range(2 * n)], 1) for i in range(2 * n)]
     for e, f in placed:
         seeds = [qq.row_project(s, e, f, n) for s in seeds]
-    qp_pairs = []
-    for _ in range(n - len(psi) - len(theta_pairs)):
-        seeds = [s for s in seeds if any(s[0])]
-        if not seeds:
-            raise DiracError("symplectic completion ran out of directions")
-        q = seeds[0]
-        for y in seeds[1:]:
-            br = qq.row_bracket(q, y, n)
-            if br:
-                break
-        else:
-            raise DiracError("no symplectic partner found; completion bug")
-        p = qq.row_div(y, br)
-        seeds = [qq.row_project(s, q, p, n) for s in seeds]
-        qp_pairs.append(((qq.from_row(q), Fraction(0)), (qq.from_row(p), Fraction(0))))
+    qp_rows = _symplectic_pairs(seeds, n)
+    if 2 * len(theta_rows) != len(pool) or f_count + len(theta_rows) + len(qp_rows) != n:
+        raise DiracError("symplectic Gram-Schmidt left rows unpaired; classification bug")
+    qp_pairs = [((qq.from_row(q), Fraction(0)), (qq.from_row(p), Fraction(0))) for q, p in qp_rows]
 
     xi_pairs = [(v[:-1], v[-1]) for v in map(qq.from_row, xi_rows)]
     rows = _assemble_rows(table, psi, xi_pairs, theta_pairs, qp_pairs)
@@ -175,6 +153,24 @@ def build_chart(result: DiracResult) -> CanonicalChart:
     if not ok:
         raise DiracError(f"internal: built chart fails S^T J S = J at {violations[:3]}")
     return chart
+
+
+def _symplectic_pairs(rows, n):
+    """Symplectic Gram-Schmidt on qq integer rows: the first nonzero row e is
+    paired with the first later row it brackets with, rescaled to <e, f> = 1,
+    and the rest are projected off the pair; rows that reach zero are dropped.
+    Stops when no row is left or e brackets with none."""
+    pairs = []
+    rows = [r for r in rows if any(r[0])]
+    while rows:
+        e = rows.pop(0)
+        k, br = next(((k, br) for k, f in enumerate(rows) if (br := qq.row_bracket(e, f, n))), (None, 0))
+        if not br:
+            break
+        f = qq.row_div(rows.pop(k), br)
+        rows = [x for x in (qq.row_project(x, e, f, n) for x in rows) if any(x[0])]
+        pairs.append((e, f))
+    return pairs
 
 
 def _static_correct(chart: CanonicalChart, result: DiracResult):
@@ -363,9 +359,10 @@ class FrobeniusReport:
 
 def frobenius_check(result: DiracResult) -> "FrobeniusReport":
     """Hamilton-side integrability: the free-multiplier 1-form residuals
-    -sum_alpha zeta^alpha dPhi_alpha/dq_i must weakly vanish per position
-    coordinate, identically in the multipliers, and the constraint count must
-    respect the 2n budget."""
+    -sum_alpha zeta^alpha dPhi_alpha/dq_i must vanish per position coordinate,
+    and the constraint count must respect the 2n budget.  The constraints are
+    affine with constant coefficients, so no residual can vanish only weakly:
+    nothing is reduced."""
     if not result.classified:
         raise ChartError("classify the Dirac result before the Frobenius check")
     phase = result.phase
@@ -374,19 +371,13 @@ def frobenius_check(result: DiracResult) -> "FrobeniusReport":
     fc_primaries = result.rebased_primaries[: result.primary_fc_count]
     if len(free) != len(fc_primaries):
         raise DiracError("free multipliers out of sync with first-class primaries")
-    reducer = result.reducer
     residuals = []
-    ok = True
     for q in phase.positions:
         r = Expr.const(table, 0)
         for z, prim in zip(free, fc_primaries):
             r = r - Expr.sym(table, z) * prim.diff(q)
-        r = reducer.reduce(r)
-        if not r.is_zero():
-            const, coeffs = r.split_affine(free)
-            if not const.is_zero() or any(not reducer.reduce(c).is_zero() for c in coeffs.values()):
-                ok = False
         residuals.append((q.name, r))
+    ok = all(r.is_zero() for _name, r in residuals)
     used = len(result.constraints)
     total = 2 * phase.n
     budget_ok = used <= total

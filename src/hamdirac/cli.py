@@ -20,8 +20,12 @@ simulate fails with 1 in three documented ways:
         Newton on a non-quadratic Hamiltonian did not bring max|Q(t2) - Q2|
         down to 1e-10 of the state's scale
     error: non-finite state at t = T
-        the integrated state, or a power on the way to it, left the floats
-        at the RK4 step ending at grid time T (T = t1: the initial state)
+        the integrated state, or a power or division by zero on the way to
+        it, left the floats at the RK4 step ending at grid time T (T = t1:
+        the initial state)
+
+simulate exits 2 when a --bc name is not a physical position Q of the chart,
+or a --xi name is not a gauge position fixed at t1 only.
 """
 
 from __future__ import annotations
@@ -204,6 +208,13 @@ def _cmd_simulate(args) -> int:
         if not val:
             raise InputError(f"--xi wants NAME=VAL, got {item!r}")
         init_only[name.strip()] = _parse_real(val, "--xi value")
+    for flag, given, allowed, what in (
+        ("--bc", boundary, [q.name for q in q_rows], "a physical position"),
+        ("--xi", init_only, an.boundary.fix_initial_only, "a gauge position fixed at t1 only"),
+    ):
+        stray = [nm for nm in given if nm not in allowed]
+        if stray:
+            raise InputError(f"{flag} {', '.join(stray)}: not {what} (these are: {', '.join(allowed) or 'none'})")
     sol = solve_iota(field, boundary, t1, t2, step=step, init_only=init_only)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -8,8 +8,9 @@ against H's Hamiltonian field {z_k, H}, taken once (`hamilton_field`).
 
 The iteration keeps the joint multiplier system honest: each round it forms
 the time derivative of *every* constraint against the total Hamiltonian,
-weak-reduces its bracket with H, solves the affine system in the multipliers,
-and turns leftover multiplier-free residues into new constraints.  A round
+weak-reduces its bracket with H, solves the affine system in the multipliers
+(Fraction coefficients, Expr right-hand sides: Gauss-Jordan over Q), and
+turns leftover multiplier-free residues into new constraints.  A round
 that adds nothing terminates the procedure.  The weak reducer is built once
 from the primaries and extended by each accepted constraint's row; the last
 round's reduced brackets with H are kept for classification.
@@ -81,7 +82,6 @@ class DiracResult:
     dof: int = -1
     flags: list = field(default_factory=list)
     classified: bool = False
-    reducer: WeakReducer | None = field(default=None, compare=False, repr=False)  # of `constraints`, from dirac_iterate
     h_brackets: list = field(default_factory=list, compare=False, repr=False)  # weak-reduced {c, H} per constraint
 
     @property
@@ -294,7 +294,7 @@ def dirac_iterate(fos: FirstOrderSystem) -> DiracResult:
     field = hamilton_field(h, phase)
     for _round in range(2 * n + 2):
         brackets = [reducer.reduce(field_bracket(qq.from_row(c.row), field, table)) for c in constraints]
-        rows = _consistency_rows(constraints, brackets, prim_rows, phase)
+        rows = _consistency_rows(constraints, brackets, prim_rows, n)
         solved, residues = _eliminate(rows, zetas, table)
         new_any = False
         tips = {c.chain: c for c in constraints}  # last write wins: discovery order
@@ -330,71 +330,56 @@ def dirac_iterate(fos: FirstOrderSystem) -> DiracResult:
 
     result.multiplier_solutions = solved
     result.free_multipliers = [z for z in zetas if z not in solved]
-    result.reducer = reducer
     result.h_brackets = brackets  # the last round added nothing: these are the final ones
     return result
 
 
-def _consistency_rows(constraints, brackets, prim_rows, phase):
+def _consistency_rows(constraints, brackets, prim_rows, n):
     """One consistency row per constraint: const + sum(coeff_a zeta_a).
 
     const is the constraint's weak-reduced bracket with H (its row against
-    H's Hamiltonian field), given in `brackets`; each coeff_a is the constant
+    H's Hamiltonian field), given in `brackets`; each coeff_a is the Fraction
     bracket of two affine rows, {c, prim_a} = qq.row_bracket.
     """
-    table, n = phase.table, phase.n
     rows = []
     for idx, (c, const) in enumerate(zip(constraints, brackets, strict=True)):
-        coeffs = [Expr.const(table, qq.row_bracket(c.row, p, n)) for p in prim_rows]
-        if const.is_zero() and all(x.is_zero() for x in coeffs):
+        coeffs = [qq.row_bracket(c.row, p, n) for p in prim_rows]
+        if const.is_zero() and not any(coeffs):
             continue
         rows.append((idx, coeffs, const))
     return rows
 
 
-def _pivot_quality(e: Expr):
-    if e.is_constant():
-        v = e.constant_value()
-        return (0, 0) if abs(v) == 1 else (0, 1)
-    return (1, 0)
-
-
 def _eliminate(rows, zetas, table):
     """Solve the affine multiplier system; returns ({zeta: Expr}, residues).
 
-    Gauss-Jordan: each solved multiplier is substituted into the remaining
-    rows and into the earlier solutions at once, so every solution ends up
-    over the free multipliers only.  Residues are (source_constraint_index,
-    zeta-free expression) pairs for the rows whose multiplier content was
-    fully consumed.
+    Rows are (source constraint index, Fraction coefficients, Expr constant).
+    Gauss-Jordan over Q, pivoting on a unit coefficient first, then on the
+    earliest source row; each solved multiplier is substituted into the
+    remaining rows and the earlier solutions at once, so every solution ends
+    up over the free multipliers only.  Residues are (source index, zeta-free
+    expression) pairs for the rows whose multiplier content was consumed.
     """
-    zero = Expr.const(table, 0)
 
     def substitute(coeffs, const, col, sol_coeffs, sol_const):
         f = coeffs[col]
-        if f.is_zero():
+        if not f:
             return coeffs, const
         coeffs = [c + f * sc for c, sc in zip(coeffs, sol_coeffs)]
-        coeffs[col] = zero
+        coeffs[col] = 0
         return coeffs, const + f * sol_const
 
-    work = [(idx, list(coeffs), const) for idx, coeffs, const in rows]
+    work = list(rows)
     solutions = {}
     for col in range(len(zetas)):
-        best = None
-        for k, (idx, coeffs, const) in enumerate(work):
-            if coeffs[col].is_zero():
-                continue
-            q = (*_pivot_quality(coeffs[col]), idx, k)
-            if best is None or q < best[0]:
-                best = (q, k)
-        if best is None:
+        live = [k for k, (_idx, coeffs, _const) in enumerate(work) if coeffs[col]]
+        if not live:
             continue
-        _, k = best
+        k = min(live, key=lambda k: (abs(work[k][1][col]) != 1, work[k][0]))
         idx, coeffs, const = work.pop(k)
         piv = coeffs[col]
         sol = ([-c / piv for c in coeffs], -const / piv)
-        sol[0][col] = zero
+        sol[0][col] = 0
         work = [(idx2, *substitute(coeffs2, const2, col, *sol)) for idx2, coeffs2, const2 in work]
         for col2, (coeffs2, const2) in solutions.items():
             solutions[col2] = substitute(coeffs2, const2, col, *sol)
@@ -403,7 +388,7 @@ def _eliminate(rows, zetas, table):
     for col, (scoeffs, sc) in solutions.items():
         val = sc
         for j, c in enumerate(scoeffs):
-            if not c.is_zero():
+            if c:
                 val = val + c * Expr.sym(table, zetas[j])
         solved[zetas[col]] = val
     residues = [(idx, const) for idx, coeffs, const in work]
@@ -418,12 +403,6 @@ def classify(result: DiracResult) -> DiracResult:
     table = result.table
     cons = result.constraints
     m = len(cons)
-    if m == 0:
-        result.F = result.S = 0
-        result.dof = dof(phase.n, 0, 0)
-        result.classified = True
-        return result
-
     gram = [[qq.row_bracket(a.row, b.row, phase.n) for b in cons] for a in cons]
     kernel = _gram_kernel(gram, cons)
     f_count = len(kernel)
@@ -519,17 +498,9 @@ def _resolve_multipliers(result: DiracResult):
     solved uniquely.  Without first-class content the original primary basis
     is kept untouched.
     """
-    phase = result.phase
     table = result.table
     prim_cons = result.primaries()
     m1 = len(prim_cons)
-    if m1 == 0:
-        result.rebased_primaries = []
-        result.multiplier_solutions = {}
-        result.free_multipliers = []
-        result.primary_fc_count = 0
-        return
-
     prim_fc = []
     for rep in result.first_class:
         if rep.generation == 1:
@@ -542,7 +513,7 @@ def _resolve_multipliers(result: DiracResult):
     result.primary_fc_count = len(prim_fc)
     zetas = result.multiplier_symbols
 
-    rows = _consistency_rows(result.constraints, result.h_brackets, [r.row for r in rebased], phase)
+    rows = _consistency_rows(result.constraints, result.h_brackets, [r.row for r in rebased], result.phase.n)
     solved, residues = _eliminate(rows, zetas, table)
     for _idx, residue in residues:
         if not residue.is_zero():

@@ -209,8 +209,8 @@ def integrate(field: ReducedField, init, t1: float, t2: float, step: float) -> T
     `rk4_propagator` raises to the N-th power: the same map as the four
     stages, one matrix-vector product per step.  Any other field runs the
     four stages of `field.rhs`.  A state that is not finite, or a power that
-    overflows on the way to it, raises NumericsError naming the grid time of
-    the step.
+    overflows or a denominator that vanishes on the way to it, raises
+    NumericsError naming the grid time of the step.
     """
     nsteps, h = _grid(t1, t2, step)
     y = tuple(float(v) for v in init)
@@ -221,8 +221,8 @@ def integrate(field: ReducedField, init, t1: float, t2: float, step: float) -> T
     try:
         energies.append(field.energy(y))
         loop(field.rhs, field.energy, y, t1, h, nsteps, times.append, states.append, energies.append)
-    except OverflowError:
-        # a `**` in a generated field overflowed while computing state k
+    except (OverflowError, ZeroDivisionError):
+        # a `**` in a generated field overflowed, or a denominator vanished, while computing state k
         k = len(energies)
         raise NumericsError(f"non-finite state at t = {t1 + k * h if k else t1}") from None
     return Trajectory(times, states, energies, field.pairs)

@@ -2,8 +2,13 @@
 
 Every constant-coefficient elimination of the analysis runs through `rref`:
 the first weak reducer of an analysis (later constraints extend its RREF one
-integer row at a time, `row_add`), the primaries' independence check, the Gram-matrix rank and kernel of classification, the chart's
-conjugate positions (one elimination for all) and span checks.  The caller
+integer row at a time, `row_add`), the primaries' independence check, the
+Gram-matrix rank and kernel of classification, the chart's conjugate
+positions (one elimination for all), its static correction (`solve`) and the
+report's span checks (`rank`).  The multiplier solve (`dirac._eliminate`)
+is Gauss-Jordan over Q too, on Fraction coefficients, but keeps its own
+pivot policy and Expr right-hand sides; the chart pairs its rows with
+`row_bracket`, `row_div` and `row_project`.  The caller
 chooses the column order; each column pivots on the first row not yet used
 that is nonzero there, and rows never move, so a call site's pivots (and
 with them the report bytes) depend only on the order it asks for.

@@ -302,6 +302,46 @@ def test_frobenius_reports(l1, l3):
         assert all(e.is_zero() for _name, e in fr.residuals)
 
 
+def test_frobenius_residuals_from_rows_without_reduction(monkeypatch, l1, l2, l3, l4_ssok, l4_pons):
+    # each residual is -sum_a zeta_a (row of the a-th first-class primary)[i],
+    # built here from the classified rows; the verdict is that all are zero,
+    # and no weak reduction is made
+    from pathlib import Path
+
+    from hamdirac import dirac, qq
+    from hamdirac.report import run_pipeline
+    from hamdirac.sysfile import load_system_file
+
+    results = [trip[2] for trip in (l1, l2, l3, l4_ssok, l4_pons)]
+    rng = rng_for("frobenius-rows")
+    results += [l3_family(kind, k, rng)[2] for kind in ("coupled", "gauge") for k in (1, 2, 3)]
+    golden = Path(__file__).resolve().parent / "golden"
+    totalderiv = run_pipeline(load_system_file(golden / "totalderiv.sys"), stage="analyze").result
+    results.append(totalderiv)
+
+    def no_reduce(self, e):
+        raise AssertionError("frobenius_check made a weak reduction")
+
+    monkeypatch.setattr(dirac.WeakReducer, "reduce", no_reduce)
+    verdicts = []
+    for res in results:
+        t, phase = res.table, res.phase
+        fc_rows = [rep.row for rep in res.first_class if rep.generation == 1]
+        zetas = res.multiplier_symbols[: len(fc_rows)]
+        fr = frobenius_check(res)
+        want = []
+        for i, q in enumerate(phase.positions):
+            r = Expr.const(t, 0)
+            for z, row in zip(zetas, fc_rows):
+                r = r - Expr.sym(t, z) * qq.from_row(row)[i]
+            want.append((q.name, r))
+        assert fr.residuals == want
+        assert fr.verdict == all(r.is_zero() for _name, r in want)
+        verdicts.append(fr.verdict)
+    assert verdicts.count(False) == 1 and not frobenius_check(totalderiv).verdict
+    assert [str(r) for _name, r in frobenius_check(totalderiv).residuals] == ["2*zeta2", "2*zeta1", "0"]
+
+
 def test_frobenius_vacuous_on_unconstrained():
     t, fos, res = analyzed("(1/2)*d(q1)^2", ["q1"])
     fr = frobenius_check(res)

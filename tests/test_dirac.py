@@ -358,35 +358,29 @@ def test_unit_complement_matches_greedy_rank_loop():
 
 def eliminate_fixpoint(rows, zetas, table):
     """The multiplier solve with back-substitution repeated until nothing
-    changes; oracle for the one-pass Gauss-Jordan `_eliminate`."""
-    from hamdirac.dirac import _pivot_quality
+    changes; oracle for the one-pass Gauss-Jordan `_eliminate`.
 
+    Pivot policy: in each column, a row whose coefficient is +1 or -1 if
+    there is one, else the row with the earliest source index."""
     work = [(idx, list(coeffs), const) for idx, coeffs, const in rows]
     solutions = {}
     for col in range(len(zetas)):
-        best = None
-        for k, (idx, coeffs, const) in enumerate(work):
-            if coeffs[col].is_zero():
-                continue
-            q = (*_pivot_quality(coeffs[col]), idx, k)
-            if best is None or q < best[0]:
-                best = (q, k)
-        if best is None:
+        live = [(abs(coeffs[col]) != 1, idx, k) for k, (idx, coeffs, const) in enumerate(work) if coeffs[col] != 0]
+        if not live:
             continue
-        _, k = best
-        idx, coeffs, const = work.pop(k)
+        idx, coeffs, const = work.pop(min(live)[2])
         piv = coeffs[col]
         sol_const = -const / piv
         sol_coeffs = [-c / piv for c in coeffs]
-        sol_coeffs[col] = Expr.const(table, 0)
+        sol_coeffs[col] = Fraction(0)
         solutions[col] = (sol_const, sol_coeffs)
         new_work = []
         for idx2, coeffs2, const2 in work:
             f = coeffs2[col]
-            if not f.is_zero():
+            if f != 0:
                 const2 = const2 + f * sol_const
                 coeffs2 = [c2 + f * sc for c2, sc in zip(coeffs2, sol_coeffs)]
-                coeffs2[col] = Expr.const(table, 0)
+                coeffs2[col] = Fraction(0)
             new_work.append((idx2, coeffs2, const2))
         work = new_work
     changed = True
@@ -397,50 +391,44 @@ def eliminate_fixpoint(rows, zetas, table):
                 if col2 == col:
                     continue
                 f = scoeffs[col2]
-                if not f.is_zero():
+                if f != 0:
                     sc = sc + f * sc2
                     scoeffs = [a + f * b for a, b in zip(scoeffs, scoeffs2)]
-                    scoeffs[col2] = Expr.const(table, 0)
+                    scoeffs[col2] = Fraction(0)
                     solutions[col] = (sc, scoeffs)
                     changed = True
     solved = {}
     for col, (sc, scoeffs) in solutions.items():
         val = sc
         for j, c in enumerate(scoeffs):
-            if not c.is_zero():
-                val = val + c * Expr.sym(table, zetas[j])
+            if c != 0:
+                val = val + Expr.const(table, c) * Expr.sym(table, zetas[j])
         solved[zetas[col]] = val
     return solved, [(idx, const) for idx, coeffs, const in work]
 
 
 def test_eliminate_matches_fixpoint_back_substitution():
-    # seeded multiplier systems: constant and symbolic coefficients, zero
-    # columns, and dependent rows whose constants disagree (nonzero residues)
-    from fractions import Fraction
-
+    # seeded multiplier systems over Q: zero columns, unit and non-unit
+    # pivots, and dependent rows whose constants disagree (nonzero residues)
     from hamdirac.dirac import _eliminate
 
     t, phase = phase2()
     syms = [s for q, p in phase.pairs for s in (q, p)]
     rng = rng_for("eliminate-gauss-jordan")
     residue_systems = 0
-    for trial in range(150):
+    for _ in range(150):
         zetas = [t.register_fresh(f"z{j + 1}", "multiplier") for j in range(rng.randint(1, 4))]
-        symbolic = trial % 3 == 0
 
         def coeff():
-            r = rng.random()
-            if r < 0.35:
-                return Expr.const(t, 0)
-            if symbolic and r < 0.55:
-                return random_poly(t, syms, rng, max_degree=1, terms=2)
-            return Expr.const(t, Fraction(rng.choice([-2, -1, 1, 1, 2, 3]), rng.randint(1, 2)))
+            if rng.random() < 0.35:
+                return Fraction(0)
+            return Fraction(rng.choice([-2, -1, 1, 1, 2, 3]), rng.randint(1, 2))
 
         rows = []
         for idx in range(rng.randint(1, 5)):
             if rows and rng.random() < 0.3:  # a multiple of an earlier row, new constant
                 _, base, _ = rng.choice(rows)
-                f = Expr.const(t, Fraction(rng.randint(1, 3)))
+                f = Fraction(rng.randint(1, 3))
                 coeffs = [c * f for c in base]
             else:
                 coeffs = [coeff() for _ in zetas]
@@ -453,10 +441,24 @@ def test_eliminate_matches_fixpoint_back_substitution():
     assert residue_systems > 20
 
 
+def test_eliminate_prefers_a_unit_pivot():
+    # rows 2*z + a and z + b: z pivots on the unit row 1 although row 0 is
+    # earlier, so z = -b and row 0 keeps the residue a - 2*b
+    from hamdirac.dirac import _eliminate
+
+    t, phase = phase2()
+    (q1, p1), _ = phase.pairs
+    a, b = Expr.sym(t, q1), Expr.sym(t, p1)
+    z = t.register_fresh("z1", "multiplier")
+    solved, residues = _eliminate([(0, [Fraction(2)], a), (1, [Fraction(1)], b)], [z], t)
+    assert solved == {z: -b}
+    assert residues == [(0, a - 2 * b)]
+
+
 def test_weak_reducer_built_once_per_constraint_set(monkeypatch):
     # dirac_iterate builds one reducer from the primaries and extends it by
-    # each constraint it accepts; classification and the Frobenius check
-    # reuse it, and it ends equal to a fresh build over every row
+    # each constraint it accepts; nothing after the iteration builds another,
+    # and it ends equal to a fresh build over every row
     from importlib import resources
     from pathlib import Path
 
@@ -464,11 +466,12 @@ def test_weak_reducer_built_once_per_constraint_set(monkeypatch):
     from hamdirac.report import run_pipeline
     from hamdirac.sysfile import load_system_file
 
-    builds, extensions = [], []
+    builds, extensions, reducers = [], [], []
     init, extend = dirac.WeakReducer.__init__, dirac.WeakReducer.extend
 
     def counting_init(self, rows, phase):
         builds.append(list(rows))
+        reducers.append(self)
         init(self, rows, phase)
 
     def counting_extend(self, row):
@@ -482,14 +485,16 @@ def test_weak_reducer_built_once_per_constraint_set(monkeypatch):
     for path, accepted in ((fixtures / "l3.sys", 2), (fixtures / "cawley.sys", 2), (golden / "coupled3.sys", 8)):
         builds.clear()
         extensions.clear()
+        reducers.clear()
         an = run_pipeline(load_system_file(path), stage="report")
         res = an.result
         m1 = len(res.primaries())
         assert builds == [[c.row for c in res.constraints[:m1]]], path
         assert extensions == [c.row for c in res.constraints[m1:]], path
         assert len(extensions) == accepted, path
+        (reducer,) = reducers
         fresh = dirac.WeakReducer([c.row for c in res.constraints], res.phase)
-        assert list(res.reducer.subs.items()) == list(fresh.subs.items())
+        assert list(reducer.subs.items()) == list(fresh.subs.items())
 
 
 def _affine_row_sets(rng, n, count):
@@ -592,8 +597,8 @@ def test_classify_makes_no_weak_reduction(monkeypatch):
     golden = Path(__file__).resolve().parent / "golden"
     an = report.run_pipeline(load_system_file(golden / "gauge3.sys"), stage="report")
     assert an.result.F == 6
-    # 18 in the iteration's rounds, 6 candidate checks, 12 in frobenius_check
-    assert calls == {"all": 36, "classify": 0}
+    # 18 in the iteration's rounds, 6 candidate checks
+    assert calls == {"all": 24, "classify": 0}
 
 
 def test_rows_match_linear_forms_and_expr_brackets(l1, l2, l3, l4_ssok, l4_pons):
@@ -603,6 +608,7 @@ def test_rows_match_linear_forms_and_expr_brackets(l1, l2, l3, l4_ssok, l4_pons)
     from pathlib import Path
 
     from hamdirac import qq
+    from hamdirac.dirac import WeakReducer
     from hamdirac.report import run_pipeline
     from hamdirac.sysfile import load_system_file
 
@@ -625,8 +631,8 @@ def test_rows_match_linear_forms_and_expr_brackets(l1, l2, l3, l4_ssok, l4_pons)
         for item in items:
             coeffs, offset = item.expr.linear_form(z)
             assert qq.from_row(item.row) == coeffs + [offset], item.expr
-        # res.reducer is weak_reduce's reducer for res.constraints, built once
+        reducer = WeakReducer([c.row for c in res.constraints], phase)
         for a in items:
             for b in items:
-                br = res.reducer.reduce(poisson(a.expr, b.expr, phase))
+                br = reducer.reduce(poisson(a.expr, b.expr, phase))
                 assert br.is_constant() and br.constant_value() == qq.row_bracket(a.row, b.row, phase.n)

@@ -17,6 +17,13 @@ coupled3.sys and gauge3.sys are the three-block families (12 coordinates),
 the size of the coupled and gauge benchmark workloads.  l3quartic.sys is L3
 plus a quartic potential: its static correction fails, so its chart and
 report goldens pin the chart note that records the failure.
+
+totalderiv.sys (L = 2*d(q3)^2 + 2*q2*d(q1) + 2*q1*d(q2)) is the one golden
+with a failing Frobenius verdict: its two primaries p1 - 2*q2 and p2 - 2*q1
+are first class and depend on q, so the residuals are q1: 2*zeta2 and
+q2: 2*zeta1.  Regenerate its goldens with
+`hamdirac <stage> tests/golden/totalderiv.sys > tests/golden/totalderiv.<stage>.json`
+for the stages analyze and report.
 """
 
 import subprocess
@@ -75,6 +82,14 @@ def test_quartic_bytes_match_golden(stage, tmp_path):
     text = out.read_text(encoding="utf-8")
     assert "Xi2: physical content of its velocity could not be absorbed; " in text
     assert out.read_bytes() == (GOLDEN / f"l3quartic.{stage}.json").read_bytes()
+
+
+@pytest.mark.parametrize("stage", ["analyze", "report"])
+def test_totalderiv_bytes_match_golden(stage, tmp_path):
+    out = tmp_path / "out.json"
+    assert main([stage, str(GOLDEN / "totalderiv.sys"), "--out", str(out)]) == 0
+    assert '"verdict": "fail"' in out.read_text(encoding="utf-8")
+    assert out.read_bytes() == (GOLDEN / f"totalderiv.{stage}.json").read_bytes()
 
 
 def test_cli_import_does_not_load_numpy():

@@ -247,6 +247,8 @@ QUARTIC_SYS = (
     "system anharmonic\ncoordinates q1 q2\norder 1\n"
     "L = q1*d(q2) - q2*d(q1) - q1^2 - q2^2 - (1/2)*q1^4\n"
 )
+# H = (Q1^4/2 + P1^2/2)/Q1^2: the compiled field divides by Q1^2
+RATIONAL_SYS = "system rational\ncoordinates q1\norder 1\nL = (1/2)*q1^2*d(q1)^2 - (1/2)*q1^2\n"
 
 
 @pytest.mark.parametrize(
@@ -289,8 +291,10 @@ def test_cli_simulate_bytes_pinned(tmp_path, capsys, system, bc, t2, stdout_sha,
         (QUARTIC_SYS, "Q1=1e80:1", "3/2", "0.001"),
         # Q1**2 overflows in the energy of the initial state
         (None, "Q1=1e200:1", "1", "0.0"),
+        # Q1 = 0 makes a denominator of the variational field vanish in the first step
+        (RATIONAL_SYS, "Q1=0:1", "1", "0.001"),
     ],
-    ids=["quartic-variational", "l2-energy"],
+    ids=["quartic-variational", "l2-energy", "rational-division-by-zero"],
 )
 def test_cli_simulate_overflowing_power_exits_1(tmp_path, capsys, system, bc, t2, t):
     if system is None:
@@ -302,6 +306,29 @@ def test_cli_simulate_overflowing_power_exits_1(tmp_path, capsys, system, bc, t2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: non-finite state at t = {t}\n"
+
+
+@pytest.mark.parametrize(
+    "system, extra, named",
+    [
+        ("l2.sys", ["--bc", "Q1=1:0", "--bc", "Q9=5:5"], "--bc Q9: not a physical position (these are: Q1)"),
+        ("l2.sys", ["--bc", "Q1=1:0", "--xi", "Foo=3"], "--xi Foo: not a gauge position fixed at t1 only (these are: none)"),
+        ("l3.sys", ["--bc", "Q1=1:0", "--xi", "Xi1=3"], "--xi Xi1: not a gauge position fixed at t1 only (these are: Xi2)"),
+    ],
+    ids=["bc-not-a-position", "xi-without-gauge", "xi-never-fixed"],
+)
+def test_cli_simulate_rejects_unknown_names(capsys, system, extra, named):
+    assert main(["simulate", fixture(system), *extra, "--t2", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {named}\n"
+
+
+def test_cli_simulate_accepts_initial_only_gauge_position(capsys):
+    assert main(["simulate", fixture("l3.sys"), "--bc", "Q1=1:0", "--xi", "Xi2=1/2", "--t2", "1"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["constants"]["Xi2(t1)"] == 0.5
+    assert hashlib.sha256(out.encode()).hexdigest() == "45945ded32841b27d820fc05323ef4b472674303fd058b6ba1a7db7f47da64fb"
 
 
 def test_cli_simulate_parses_bc_and_xi_like_times(capsys):
