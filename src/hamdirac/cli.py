@@ -24,8 +24,9 @@ simulate fails with 1 in three documented ways:
         it, left the floats at the RK4 step ending at grid time T (T = t1:
         the initial state)
 
-simulate exits 2 when a --bc name is not a physical position Q of the chart,
-or a --xi name is not a gauge position fixed at t1 only.
+simulate exits 2 when a physical position Q of the chart has no --bc, a --bc
+name is not such a position, or a --xi name is not a gauge position fixed at
+t1 only.
 """
 
 from __future__ import annotations
@@ -215,6 +216,9 @@ def _cmd_simulate(args) -> int:
         stray = [nm for nm in given if nm not in allowed]
         if stray:
             raise InputError(f"{flag} {', '.join(stray)}: not {what} (these are: {', '.join(allowed) or 'none'})")
+    missing = [q.name for q in q_rows if q.name not in boundary]
+    if missing:
+        raise InputError(f"--bc missing for {', '.join(missing)}: every physical position needs Q=V1:V2")
     sol = solve_iota(field, boundary, t1, t2, step=step, init_only=init_only)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -12,10 +12,13 @@ function that evaluates each Jacobian entry once per stage.  `integrate`
 runs the whole step loop as one generated function over unpacked state
 components: for a quadratic H it steps by the same one-step matrix R that the
 propagator squares, one matrix-vector product per step; other fields run the
-four RK4 stages.  `Trajectory.write_csv` streams a trajectory to a file in
-fixed blocks of rows, formatting each distinct energy of a block once.  For
-the unit oscillator the classical A/B constants of Q(t) = A e^{it} + B e^{-it}
-are reported as well.
+four RK4 stages.  A `Trajectory` holds flat `array('d')` columns: the
+times, the energies and one column per state component, which the loop
+appends to one float at a time; `Trajectory.state(i)` reads row i back as a
+tuple.  `Trajectory.write_csv` streams a trajectory to a file in fixed
+blocks of rows sliced from the columns, formatting each distinct energy of a
+block once.  For the unit oscillator the classical A/B constants of
+Q(t) = A e^{it} + B e^{-it} are reported as well.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import cmath
 import io
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -152,10 +156,14 @@ def _expr_to_py(e: Expr, names: dict) -> str:
 
 @dataclass
 class Trajectory:
-    times: list
-    states: list  # tuples, layout (Q1, P1, Q2, P2, ...)
-    energies: list
+    times: array  # array('d') of grid times
+    columns: list  # one array('d') per state component, layout (Q1, P1, Q2, P2, ...)
+    energies: array  # array('d'), H at each row
     pairs: list
+
+    def state(self, i) -> tuple:
+        """The state at row i (negative i counts from the end), layout (Q1, P1, Q2, P2, ...)."""
+        return tuple(c[i] for c in self.columns)
 
     def write_csv(self, fh) -> None:
         """Write the header, then the rows in blocks of CSV_BLOCK_ROWS, one `write` per block.
@@ -165,11 +173,11 @@ class Trajectory:
         is formatted once per block.
         """
         fh.write(",".join(["t", *(q.name for q, _p in self.pairs), *(p.name for _q, p in self.pairs), "H"]) + "\n")
+        order = (self.times, *self.columns[0::2], *self.columns[1::2])
         for start in range(0, len(self.times), CSV_BLOCK_ROWS):
-            stop = start + CSV_BLOCK_ROWS
-            comps = list(zip(*self.states[start:stop]))
-            cols = [map(repr, c) for c in (self.times[start:stop], *comps[0::2], *comps[1::2])]
-            cols.append(_repr_column(self.energies[start:stop]))
+            block = slice(start, start + CSV_BLOCK_ROWS)
+            cols = [map(repr, c[block]) for c in order]
+            cols.append(_repr_column(self.energies[block].tolist()))
             fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
 
     def csv(self) -> str:
@@ -178,12 +186,14 @@ class Trajectory:
         return buf.getvalue()
 
 
-def _repr_column(values):
+def _repr_column(values: list):
     """map(repr, values), taking the repr of each distinct value once.
 
     0.0 and -0.0 are one key but print differently, so a column holding
     either is formatted value by value.  A nan is its own key (nan != nan;
-    dict lookup matches it by identity), so it maps to its own repr.
+    dict lookup matches it by identity), so it maps to its own repr; that
+    needs the very objects of `values`, hence a list, not an array, whose
+    every read makes a new float.
     """
     memo = dict.fromkeys(values)
     if 0.0 in memo:
@@ -217,15 +227,15 @@ def integrate(field: ReducedField, init, t1: float, t2: float, step: float) -> T
     if len(y) != field.dim:
         raise NumericsError(f"state dimension {len(y)} != {field.dim}")
     loop = _stage_loop(field.dim) if field.linear is None else _affine_loop(_step_matrix(field, h))
-    times, states, energies = [t1], [y], []
+    times, columns, energies = array("d", [t1]), [array("d", [v]) for v in y], array("d")
     try:
         energies.append(field.energy(y))
-        loop(field.rhs, field.energy, y, t1, h, nsteps, times.append, states.append, energies.append)
+        loop(field.rhs, field.energy, y, t1, h, nsteps, times.append, [c.append for c in columns], energies.append)
     except (OverflowError, ZeroDivisionError):
         # a `**` in a generated field overflowed, or a denominator vanished, while computing state k
         k = len(energies)
         raise NumericsError(f"non-finite state at t = {t1 + k * h if k else t1}") from None
-    return Trajectory(times, states, energies, field.pairs)
+    return Trajectory(times, columns, energies, field.pairs)
 
 
 def _step_loop(n, update, stages="", setup=""):
@@ -233,20 +243,23 @@ def _step_loop(n, update, stages="", setup=""):
 
     Each step runs `stages`, assigns the components the `update` tuple, takes
     its grid time t1 + (i+1)*h, checks every component is finite and appends
-    the time, the state and its energy.
+    the time, each component to its own column and the state's energy.
     """
     ys = "".join(f"y{j}, " for j in range(n))
+    adds = "".join(f"add_y{j}, " for j in range(n))
     finite = " and ".join(f"isfinite(y{j})" for j in range(n)) or "True"
     src = (
-        "def loop(rhs, energy, y, t1, h, nsteps, add_t, add_y, add_e):\n"
-        f"    ({ys}) = y\n    t = t1\n{setup}"
+        "def loop(rhs, energy, y, t1, h, nsteps, add_t, add_ys, add_e):\n"
+        f"    ({ys}) = y\n    ({adds}) = add_ys\n    t = t1\n{setup}"
         f"    for i in range(nsteps):\n{stages}"
         f"        ({ys}) = ({update})\n"
         "        t = t1 + (i + 1) * h\n"
         f"        if not ({finite}):\n"
         '            raise NumericsError(f"non-finite state at t = {t}")\n'
         f"        y = ({ys})\n"
-        "        add_t(t)\n        add_y(y)\n        add_e(energy(y))\n"
+        "        add_t(t)\n"
+        + "".join(f"        add_y{j}(y{j})\n" for j in range(n))
+        + "        add_e(energy(y))\n"
     )
     scope = {"isfinite": math.isfinite, "NumericsError": NumericsError, "inf": math.inf, "nan": math.nan}
     exec(src, scope)  # noqa: S102 - generated from the dimension and float constants
@@ -336,7 +349,7 @@ def rk4_variational(field: ReducedField, init, t1: float, t2: float, step: float
     """
     n, m = field.dim, len(field.pairs)
     z0 = list(init) + [float(i == 2 * k + 1) for k in range(m) for i in range(n)]
-    z = integrate(_Variational(field.pairs, field.variational, lambda z: 0.0, n + n * m), z0, t1, t2, step).states[-1]
+    z = integrate(_Variational(field.pairs, field.variational, lambda z: 0.0, n + n * m), z0, t1, t2, step).state(-1)
     return z[:n], [[z[n + k * n + i] for k in range(m)] for i in range(n)]
 
 
@@ -416,7 +429,7 @@ def solve_iota(
         it += 1
 
     traj = integrate(field, start(p), t1, t2, step)
-    res, worst, scale = residual(p, traj.states[-1])
+    res, worst, scale = residual(p, traj.state(-1))
     if worst > tol * scale:
         raise ShootingNotConverged(_not_converged(it, worst, scale))
 

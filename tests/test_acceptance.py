@@ -309,8 +309,8 @@ def test_criterion_5_iota():
             qa, qb = rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)
             sol = solve_iota(field, {"Q": (qa, qb)}, 0.0, 2.0, step=1e-3)
             redo = integrate(field, sol.initial_state, 0.0, 2.0, 1e-3)
-            _assert(abs(redo.states[0][0] - qa) < 1e-9)
-            _assert(abs(redo.states[-1][0] - qb) < 1e-9)
+            _assert(abs(redo.state(0)[0] - qa) < 1e-9)
+            _assert(abs(redo.state(-1)[0] - qb) < 1e-9)
 
     checks.append(("iota round trip reproduces both boundary values to 1e-9", round_trip))
 

@@ -81,7 +81,7 @@ def test_two_dof_shooting():
     assert abs(sol.initial_state[1] - 0.0) < 1e-8
     assert abs(sol.initial_state[3] - 1.0) < 1e-8
     redo = integrate(field, sol.initial_state, 0.0, math.pi / 2, 1e-3)
-    assert abs(redo.states[-1][0]) < 1e-9 and abs(redo.states[-1][2] - 1.0) < 1e-9
+    assert abs(redo.state(-1)[0]) < 1e-9 and abs(redo.state(-1)[2] - 1.0) < 1e-9
 
 
 def test_constraint_with_constant_offset():

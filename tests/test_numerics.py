@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import math
 import tracemalloc
+from array import array
 
 import pytest
 
@@ -13,6 +14,7 @@ from hamdirac.numerics import (
     NumericsError,
     ShootingNotConverged,
     SingularShooting,
+    Trajectory,
     rk4_propagator,
     rk4_variational,
 )
@@ -30,6 +32,12 @@ def oscillator(hamiltonian="(1/2)*Q^2 + (1/2)*P^2", params=None, extra=()):
     h = parse_expr(hamiltonian, t)
     field = compile_field(h, [(q, p)], params={syms[n]: v for n, v in (params or {}).items()})
     return t, field
+
+
+def rows(traj):
+    """Every state of traj as a tuple, after checking each column is as long as the times."""
+    assert all(len(c) == len(traj.times) for c in (*traj.columns, traj.energies))
+    return [traj.state(i) for i in range(len(traj.times))]
 
 
 def test_compile_field_oscillator():
@@ -84,17 +92,17 @@ def test_compile_field_matches_finite_differences():
 def test_rk4_oscillator_closed_forms():
     t, field = oscillator()
     traj = integrate(field, (1.0, 0.0), 0.0, 2 * math.pi, 1e-3)
-    qf, pf = traj.states[-1]
+    qf, pf = traj.state(-1)
     assert abs(qf - 1.0) < 1e-8 and abs(pf) < 1e-8
     traj = integrate(field, (1.0, 0.0), 0.0, math.pi / 2, 1e-3)
-    qf, pf = traj.states[-1]
+    qf, pf = traj.state(-1)
     assert abs(qf) < 1e-8 and abs(pf + 1.0) < 1e-8
 
 
 def test_rk4_zero_field_constant_trajectory():
     t, field = oscillator("3/4")
     traj = integrate(field, (2.0, -1.0), 0.0, 1.0, 0.1)
-    assert all(s == (2.0, -1.0) for s in traj.states)
+    assert all(s == (2.0, -1.0) for s in rows(traj))
 
 
 def test_rk4_energy_drift_hundred_periods():
@@ -125,7 +133,7 @@ def test_solve_iota_zero_boundary_null_trajectory():
     t, field = oscillator()
     sol = solve_iota(field, {"Q": (0.0, 0.0)}, 0.0, 1.0, step=1e-3)
     assert abs(sol.constants["A"]) < 1e-9 and abs(sol.constants["B"]) < 1e-9
-    assert max(abs(v) for s in sol.trajectory.states for v in s) < 1e-9
+    assert max(abs(v) for s in rows(sol.trajectory) for v in s) < 1e-9
 
 
 def test_solve_iota_round_trip_random():
@@ -135,8 +143,8 @@ def test_solve_iota_round_trip_random():
         qa, qb = rng.uniform(-2, 2), rng.uniform(-2, 2)
         sol = solve_iota(field, {"Q": (qa, qb)}, 0.0, 1.0, step=1e-3)
         redo = integrate(field, sol.initial_state, 0.0, 1.0, 1e-3)
-        assert abs(redo.states[0][0] - qa) < 1e-9
-        assert abs(redo.states[-1][0] - qb) < 1e-9
+        assert abs(redo.state(0)[0] - qa) < 1e-9
+        assert abs(redo.state(-1)[0] - qb) < 1e-9
 
 
 def test_solve_iota_resonant_interval_rejected():
@@ -223,7 +231,7 @@ def test_solve_iota_not_converged_is_its_own_error():
     assert "did not converge after 0 iterations" in str(info.value)
     assert "relative residual" in str(info.value)
     sol = solve_iota(field, {"Q": (0.5, 0.25)}, 0.0, 1.5, step=1e-3)
-    assert abs(sol.trajectory.states[-1][0] - 0.25) <= 1e-10
+    assert abs(sol.trajectory.state(-1)[0] - 0.25) <= 1e-10
 
 
 def random_quadratic(rng, m):
@@ -248,7 +256,7 @@ def test_rk4_propagator_matches_stepwise_integration():
         step = rng.choice((1e-3, 7e-3, 0.05))
         prop = rk4_propagator(field, 0.0, t2, step)
         y0 = [rng.uniform(-2, 2) for _ in range(2 * m)]
-        want = integrate(field, y0, 0.0, t2, step).states[-1]
+        want = integrate(field, y0, 0.0, t2, step).state(-1)
         got = [sum(a * b for a, b in zip(row, y0 + [1.0])) for row in prop[: 2 * m]]
         scale = max(abs(v) for v in want)
         assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12 * scale, (trial, got, want)
@@ -269,9 +277,10 @@ def test_affine_integrate_matches_stagewise_path():
                 got = integrate(field, y0, t1, t2, step)
                 want = integrate(dataclasses.replace(field, linear=None), y0, t1, t2, step)
                 assert got.times == want.times
-                assert len(got.states) == len(want.states) == len(got.energies)
-                scale = max(abs(v) for y in want.states for v in y)
-                for a, b in zip(got.states, want.states):
+                got_rows, want_rows = rows(got), rows(want)
+                assert len(got_rows) == len(want_rows) == len(got.energies)
+                scale = max(abs(v) for y in want_rows for v in y)
+                for a, b in zip(got_rows, want_rows):
                     assert max(abs(x - y) for x, y in zip(a, b)) <= 1e-10 * scale, (m, step, a, b)
 
 
@@ -296,7 +305,7 @@ def per_field_csv(traj):
     header = ["t"] + [q.name for q, _p in traj.pairs] + [p.name for _q, p in traj.pairs] + ["H"]
     lines = [",".join(header)]
     m = len(traj.pairs)
-    for t, y, h in zip(traj.times, traj.states, traj.energies):
+    for t, y, h in zip(traj.times, rows(traj), traj.energies):
         rec = [repr(t)]
         rec += [repr(y[2 * k]) for k in range(m)]
         rec += [repr(y[2 * k + 1]) for k in range(m)]
@@ -313,6 +322,11 @@ class ListSink:
         self.parts.append(text)
 
 
+def from_lists(times, states, energies, pairs):
+    # a Trajectory whose rows were edited as lists, converted to columns
+    return Trajectory(array("d", times), [array("d", c) for c in zip(*states)], array("d", energies), pairs)
+
+
 def test_csv_bytes_match_per_field_writer():
     rng = rng_for("csv-bytes")
     special = (-0.0, 1e-300, 1e300, 0.1)
@@ -322,11 +336,13 @@ def test_csv_bytes_match_per_field_writer():
         for t2, at in ((0.3, None), ((2 * CSV_BLOCK_ROWS + 37) * 1e-3, CSV_BLOCK_ROWS - 2)):
             pairs, field = random_quadratic(rng, m)
             traj = integrate(field, [rng.uniform(-2, 2) for _ in range(2 * m)], 0.0, t2, 0.05 if at is None else 1e-3)
+            times, states, energies = list(traj.times), rows(traj), list(traj.energies)
             for i, v in enumerate(special):
-                pos = len(traj.times) if at is None else at + i
-                traj.times.insert(pos, v)
-                traj.states.insert(pos, tuple(special[(i + k) % 4] for k in range(2 * m)))
-                traj.energies.insert(pos, special[(i + 1) % 4])
+                pos = len(times) if at is None else at + i
+                times.insert(pos, v)
+                states.insert(pos, tuple(special[(i + k) % 4] for k in range(2 * m)))
+                energies.insert(pos, special[(i + 1) % 4])
+            traj = from_lists(times, states, energies, traj.pairs)
             assert traj.csv().splitlines()[0] == ",".join(["t", *(f"Q{k}" for k in range(1, m + 1)), *(f"P{k}" for k in range(1, m + 1)), "H"])
             assert traj.csv().encode() == per_field_csv(traj).encode()
             sink = ListSink()
@@ -338,17 +354,24 @@ def test_csv_bytes_match_per_field_writer():
         # boundary: repeated values, 0.0 beside -0.0, nan (one object twice,
         # and a second nan object) and both infinities
         nan = float("nan")
-        repeated = traj.energies[CSV_BLOCK_ROWS - 20]
+        repeated = energies[CSV_BLOCK_ROWS - 20]
         block0 = (0.0, repeated, -0.0, nan, math.inf, -0.0, repeated, 0.0)
         block1 = (nan, repeated, -math.inf, nan, float("nan"), math.inf, repeated, 0.1, 0.1)
         for i, e in enumerate(block0 + block1):
-            traj.energies[CSV_BLOCK_ROWS - len(block0) + i] = e
+            energies[CSV_BLOCK_ROWS - len(block0) + i] = e
         # the last block repeats -0.0 alone
-        traj.energies[-3:] = [-0.0, repeated, -0.0]
+        energies[-3:] = [-0.0, repeated, -0.0]
+        traj = from_lists(times, states, energies, traj.pairs)
         assert traj.csv().encode() == per_field_csv(traj).encode()
-        rows = traj.csv().splitlines()[CSV_BLOCK_ROWS - len(block0) + 1 : CSV_BLOCK_ROWS + len(block1) + 1]
-        assert [row.rsplit(",", 1)[1] for row in rows] == list(map(repr, block0 + block1))
+        rows_out = traj.csv().splitlines()[CSV_BLOCK_ROWS - len(block0) + 1 : CSV_BLOCK_ROWS + len(block1) + 1]
+        assert [row.rsplit(",", 1)[1] for row in rows_out] == list(map(repr, block0 + block1))
         assert [row.rsplit(",", 1)[1] for row in traj.csv().splitlines()[-3:]] == ["-0.0", repr(repeated), "-0.0"]
+        # an array column hands out a new float on every read, so its nans
+        # are never one object: a block of nans and a repeated value, no zero
+        short = from_lists(times[:6], states[:6], [nan, 1.5, nan, 1.5, nan, -2.5], traj.pairs)
+        assert short.energies[0] is not short.energies[0]
+        assert short.csv().encode() == per_field_csv(short).encode()
+        assert [row.rsplit(",", 1)[1] for row in short.csv().splitlines()[1:]] == ["nan", "1.5", "nan", "1.5", "nan", "-2.5"]
 
 
 def test_write_csv_memory_is_bounded():
@@ -374,10 +397,24 @@ def test_write_csv_memory_is_bounded():
     assert peak < 2_000_000, peak
 
 
+def test_integrate_memory_is_bounded():
+    # 100,001 rows of t, Q, P and H at 8 bytes a value: 3.2 MB of columns,
+    # where a float object per value and a tuple per state took 17.6 MB
+    t, field = oscillator()
+    tracemalloc.start()
+    try:
+        traj = integrate(field, (1.0, 0.0), 0.0, 100.0, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj.times) == len(rows(traj)) == 100_001
+    assert peak < 5_000_000, peak
+
+
 def test_rk4_propagator_carries_affine_shift():
     t, field = oscillator("(1/2)*Q^2 + (1/2)*P^2 + 2*eps*P", params={"eps": 0.25}, extra=("eps",))
     prop = rk4_propagator(field, 0.0, 1.3, 1e-3)
-    want = integrate(field, (0.4, -0.3), 0.0, 1.3, 1e-3).states[-1]
+    want = integrate(field, (0.4, -0.3), 0.0, 1.3, 1e-3).state(-1)
     got = [sum(a * b for a, b in zip(row, (0.4, -0.3, 1.0))) for row in prop[:2]]
     assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12 * max(abs(v) for v in want)
 
@@ -393,13 +430,13 @@ def test_variational_jacobian_matches_central_differences():
     for _ in range(3):
         y0 = [rng.uniform(-0.6, 0.6) for _ in range(4)]
         yend, phi = rk4_variational(field, y0, 0.0, 1.2, 1e-3)
-        assert list(yend) == list(integrate(field, y0, 0.0, 1.2, 1e-3).states[-1])
+        assert list(yend) == list(integrate(field, y0, 0.0, 1.2, 1e-3).state(-1))
         for k in range(2):
             plus, minus = list(y0), list(y0)
             plus[2 * k + 1] += eps
             minus[2 * k + 1] -= eps
-            hi = integrate(field, plus, 0.0, 1.2, 1e-3).states[-1]
-            lo = integrate(field, minus, 0.0, 1.2, 1e-3).states[-1]
+            hi = integrate(field, plus, 0.0, 1.2, 1e-3).state(-1)
+            lo = integrate(field, minus, 0.0, 1.2, 1e-3).state(-1)
             for i in range(4):
                 fd = (hi[i] - lo[i]) / (2 * eps)
                 assert abs(phi[i][k] - fd) <= 1e-6 * max(1.0, abs(fd)), (i, k, phi[i][k], fd)
@@ -417,8 +454,8 @@ def test_quadratic_shooting_integrates_once(monkeypatch):
     pairs, field = random_quadratic(rng_for("count-integrations"), 2)
     sol = solve_iota(field, {"Q1": (0.3, -0.2), "Q2": (0.1, 0.4)}, 0.0, 0.7, step=1e-3)
     assert len(calls) == 1
-    assert sol.trajectory.states[-1][0] == pytest.approx(-0.2, abs=1e-10)
-    assert sol.trajectory.states[-1][2] == pytest.approx(0.4, abs=1e-10)
+    assert sol.trajectory.state(-1)[0] == pytest.approx(-0.2, abs=1e-10)
+    assert sol.trajectory.state(-1)[2] == pytest.approx(0.4, abs=1e-10)
 
 
 def random_anharmonic(rng, m):
@@ -465,7 +502,7 @@ def dense_rk4_variational(field, init, t1, t2, step):
     aug, _jac = dense_variational(field)
     n, m = field.dim, len(field.pairs)
     z0 = list(init) + [float(i == 2 * k + 1) for k in range(m) for i in range(n)]
-    z = integrate(numerics._Variational(field.pairs, aug, lambda z: 0.0, n + n * m), z0, t1, t2, step).states[-1]
+    z = integrate(numerics._Variational(field.pairs, aug, lambda z: 0.0, n + n * m), z0, t1, t2, step).state(-1)
     return z[:n], [[z[n + k * n + i] for k in range(m)] for i in range(n)]
 
 
@@ -529,7 +566,7 @@ def test_non_quadratic_shooting_steps_only_compiled_closures(monkeypatch):
 
     monkeypatch.setattr(numerics, "integrate", recording)
     sol = solve_iota(field, {"Q": (0.5, 0.25)}, 0.0, 1.5, step=1e-3)
-    assert abs(sol.trajectory.states[-1][0] - 0.25) <= 1e-10
+    assert abs(sol.trajectory.state(-1)[0] - 0.25) <= 1e-10
     # Newton integrates the augmented system by the variational closure alone;
     # one plain integration at the solved momenta supplies the trajectory
     assert len(fields) >= 3 and fields[-1] is field
@@ -601,9 +638,9 @@ def test_generated_loop_equals_closure_steps():
     for field, y0, t1, t2, step in runs:
         got = integrate(field, y0, t1, t2, step)
         times, states, energies = closure_integrate(field, y0, t1, t2, step)
-        assert got.times == times
-        assert got.states == states, (field.dim, field.linear is None)
-        assert got.energies == energies
+        assert list(got.times) == times
+        assert rows(got) == states, (field.dim, field.linear is None)
+        assert list(got.energies) == energies
         assert all(map(math.isfinite, states[-1]))
     # Q grows as e^(t/1000) to overflow, through R and through the stages
     t = SymbolTable()

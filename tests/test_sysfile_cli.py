@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -189,8 +190,6 @@ def test_cli_non_affine_constraint_exits_3(tmp_path, capsys, lagrangian, constra
 def test_cli_unfreezable_gauge_exits_4(capsys):
     # l3quartic's static correction leaves Xi2 moving with -Q1, which no
     # free multiplier can cancel, so deriving the gauge fails
-    from pathlib import Path
-
     path = Path(__file__).resolve().parent / "golden" / "l3quartic.sys"
     assert main(["report", str(path), "--gauge-fixing"]) == 4
     captured = capsys.readouterr()
@@ -322,6 +321,19 @@ def test_cli_simulate_rejects_unknown_names(capsys, system, extra, named):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {named}\n"
+
+
+@pytest.mark.parametrize(
+    "system, extra, missing",
+    [("l2.sys", [], "Q1"), ("gauge2.sys", ["--bc", "Q1=1:0"], "Q2"), ("gauge2.sys", [], "Q1, Q2")],
+    ids=["l2-none", "gauge2-one-of-two", "gauge2-none"],
+)
+def test_cli_simulate_missing_bc_exits_2(capsys, system, extra, missing):
+    path = fixture(system) if system == "l2.sys" else str(Path(__file__).resolve().parent / "golden" / system)
+    assert main(["simulate", path, *extra, "--t2", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --bc missing for {missing}: every physical position needs Q=V1:V2\n"
 
 
 def test_cli_simulate_accepts_initial_only_gauge_position(capsys):
