@@ -8,9 +8,13 @@ same sweep completes the leftover complement into physical (Q, P) pairs.
 All of it over exact rationals.
 
 The correction pass never transforms H_T: a chart row's velocity is the row
-against H_T's Hamiltonian field, written in (Q, P) by `_chart_map`, the
-affine map z -> chart symbols that `transform` substitutes, read off the
-closed-form S^-1 of the chart's integer rows.
+against H_T's Hamiltonian field, written in (Q, P) through `_inverse_map`, the
+affine map z -> chart symbols that `transform` substitutes (`_chart_map`),
+read off the closed-form S^-1 of the chart's integer rows.  For an H_T of
+degree <= 2 the field is one integer matrix and the velocity stays on
+integers until its coefficients are read; otherwise it is an Expr.  Exact
+verification decides each entry of S^T J S on the integer pairing of two
+columns.
 
 Charts with irrational entries (the usual 1/sqrt(2) normalizations) are
 handled in a float-only verification mode.
@@ -22,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import qq
-from .dirac import DiracResult, DiracError, field_bracket, hamilton_field
+from .dirac import DiracResult, DiracError, field_bracket, hamilton_field, quadratic_field, row_field_bracket
 from .expr import Expr, ExprError
 from .lagrangian import PhaseSpace
 
@@ -116,17 +120,20 @@ def build_chart(result: DiracResult) -> CanonicalChart:
     # conjugate positions for the first-class momenta: <x_a, psi_b> = delta_ab
     # and <x_a, theta> = 0, one right-hand-side column per a in one elimination
     f_count = len(psi)
-    grads = [pc for pc, _off, _g in psi] + [v for pair in theta_pairs for v, _o in pair]
-    system = [_sympl_grad(c, n) + [Fraction(int(b == a)) for a in range(f_count)] for b, c in enumerate(grads)]
-    pivots = qq.rref(system, range(2 * n)) if psi else {}
+    grads = [rep.row for rep in result.first_class] + [v for pair in theta_rows for v in pair]
+    system = [
+        qq._primitive(_sympl_grad(nums[: 2 * n], n) + [den * (b == a) for a in range(f_count)], den)
+        for b, (nums, den) in enumerate(grads)
+    ]
+    pivots = qq.rref_rows(system, range(2 * n)) if psi else {}
     used = set(pivots.values())
-    if any(any(row[2 * n :]) for i, row in enumerate(system) if i not in used):
+    if any(any(nums[2 * n :]) for i, (nums, _den) in enumerate(system) if i not in used):
         raise DiracError("no conjugate for a first-class momentum; classification bug")
     xi_rows = []  # integer rows, the offset carried as entry 2n
     for a in range(f_count):
         x = [Fraction(0)] * (2 * n + 1)
         for col, i in pivots.items():
-            x[col] = system[i][2 * n + a]
+            x[col] = Fraction(system[i][0][2 * n + a], system[i][1])
         x = qq.to_row(x)
         for xb, rep_b in zip(xi_rows, result.first_class):
             c = qq.row_bracket(xb, x, n)
@@ -184,10 +191,12 @@ def _static_correct(chart: CanonicalChart, result: DiracResult):
 
     A row's velocity is its coefficients against the Hamiltonian field of
     H_T at free multipliers zero (its part free of them), taken once, written
-    on the embedded subspace (every chart coordinate but Q and P at zero, by
-    `_chart_map`) and read as an affine form over (Q, P).  The rows are qq
-    integer rows while it runs, and a correction rewrites only the rows it
-    changes.
+    on the embedded subspace (every chart coordinate but Q and P at zero) and
+    read as an affine form over (Q, P).  For an H_T of degree <= 2 the field
+    is one integer matrix (`quadratic_field`) and the velocity its row times
+    the integer columns of S^-1 (`_inverse_map`); otherwise it is an Expr
+    substituted with `_chart_map`.  The rows are qq integer rows while it
+    runs, and a correction rewrites only the rows it changes.
     """
     n, table = chart.n, chart.table
     qp_rows = [r for r in chart.rows if r.role in ("Q", "P")]
@@ -196,15 +205,41 @@ def _static_correct(chart: CanonicalChart, result: DiracResult):
         return
     qp_syms = [r.symbol for r in qp_rows]
     ht, _ = result.total_hamiltonian(substitute_solved=True).split_affine(result.free_multipliers)
-    field = hamilton_field(ht, chart.phase)
+    qfield = quadratic_field(ht, chart.phase)
+    field = hamilton_field(ht, chart.phase) if qfield is None else None
     rows = _integer_rows(chart)
 
+    def embedding():
+        if qfield is None:
+            return _chart_map(chart, rows, ("Q", "P"))
+        # the integer columns of S^-1 for (Q, P), transposed: z_i -> [(index in qp_rows, entry)]
+        kept, shift = _inverse_map(chart, rows, ("Q", "P"))
+        at = {w.symbol: j for j, w in enumerate(qp_rows)}
+        by_z, dens = [[] for _ in shift], [0] * len(qp_rows)
+        for y, col, den in kept:
+            dens[at[y.symbol]] = den
+            for i, x in enumerate(col):
+                if x:
+                    by_z[i].append((at[y.symbol], x))
+        return by_z, dens, shift
+
     def velocity(row, embedded):
-        nums, den = rows[row.symbol]
-        return (field_bracket(nums, field, table) * Fraction(1, den)).substitute(embedded).linear_form(qp_syms)
+        if qfield is None:
+            nums, den = rows[row.symbol]
+            return (field_bracket(nums, field, table) * Fraction(1, den)).substitute(embedded).linear_form(qp_syms)
+        by_z, dens, shift = embedded
+        b, den = row_field_bracket(rows[row.symbol], qfield)
+        acc, offset = [0] * len(dens), Fraction(b[2 * n], den)
+        for x, entries, sh in zip(b, by_z, shift):
+            if x:
+                for j, c in entries:
+                    acc[j] += x * c
+                if sh:
+                    offset += Fraction(x, den) * sh
+        return [Fraction(a, den * d) for a, d in zip(acc, dens)], offset
 
     for xi in targets:
-        embedded = _chart_map(chart, rows, ("Q", "P"))
+        embedded = embedding()
         try:
             coeffs, offset = velocity(xi, embedded)
             if not (offset or any(coeffs)):
@@ -238,29 +273,39 @@ def _integer_rows(chart: CanonicalChart) -> dict:
     return {r.symbol: qq.to_row(list(r.coeffs) + [r.offset]) for r in chart.rows}
 
 
-def _chart_map(chart: CanonicalChart, rows, roles=None) -> dict:
-    """z_i = sum_j (S^-1)_ij (Y_j - offset_j) for each phase symbol z_i, one
-    polynomial per coordinate, from the chart's qq integer `rows` (offset as
-    entry 2n); chart coordinates outside `roles` (default: all) are set to
-    zero, so only their offsets remain.  By S^-1 = -J S^T J the column of a
-    position is the symplectic gradient of its conjugate momentum's row, and
-    that of a momentum minus its conjugate position's."""
+def _inverse_map(chart: CanonicalChart, rows, roles=None):
+    """z = sum_y (S^-1)_y (Y_y - offset_y), read off the chart's qq integer
+    `rows` (offset as entry 2n), with the chart coordinates outside `roles`
+    (default: all) set to zero, so only their offsets remain.  Returns
+    ([(y, column of S^-1 as integers over z, its denominator)] for the kept
+    rows y, pair by pair; the constant shift over z as Fractions).  By
+    S^-1 = -J S^T J the column of a position is the symplectic gradient of its
+    conjugate momentum's row, and that of a momentum minus its conjugate
+    position's."""
     n = chart.n
-    polys = [{} for _ in range(2 * n)]
-    shift = [Fraction(0)] * (2 * n)
+    kept, shift = [], [Fraction(0)] * (2 * n)
     for a, b in zip(chart.position_rows(), chart.momentum_rows()):
         for y, (nums, den), sign in ((a, rows[b.symbol], 1), (b, rows[a.symbol], -1)):
+            col = [sign * x for x in _sympl_grad(nums[: 2 * n], n)]
             off = Fraction(rows[y.symbol][0][2 * n], rows[y.symbol][1])
-            keep = roles is None or y.role in roles
-            if not (keep or off):
-                continue
-            mono = ((y.symbol.index, 1),)
-            for i, x in enumerate(_sympl_grad(nums[: 2 * n], n)):
-                if x:
-                    c = Fraction(sign * x, den)
-                    shift[i] -= c * off
-                    if keep:
-                        polys[i][mono] = c
+            if off:
+                for i, x in enumerate(col):
+                    if x:
+                        shift[i] -= Fraction(x, den) * off
+            if roles is None or y.role in roles:
+                kept.append((y, col, den))
+    return kept, shift
+
+
+def _chart_map(chart: CanonicalChart, rows, roles=None) -> dict:
+    """`_inverse_map` as one polynomial per phase symbol z_i."""
+    kept, shift = _inverse_map(chart, rows, roles)
+    polys = [{} for _ in shift]
+    for y, col, den in kept:
+        mono = ((y.symbol.index, 1),)
+        for i, x in enumerate(col):
+            if x:
+                polys[i][mono] = Fraction(x, den)
     for poly, c in zip(polys, shift):
         if c:
             poly[()] = c
@@ -311,13 +356,20 @@ def verify_chart(matrix, mode="exact", tol=1e-12):
     if mode == "exact":
         # (S^T J S)_ik is the bracket of columns i and k; J_ik is +1 at k = i + n, -1 at i = k + n.
         # Both sides are antisymmetric: bracket i < k only, entry (k, i) is the negative, the diagonal 0.
+        # An entry is decided on the integer pairing qq._pair of two columns, summed over the
+        # first column's nonzero entries (each against the second's conjugate slot); only a
+        # violation becomes a Fraction.
         cols = [qq.to_row([Fraction(x) for x in col]) for col in zip(*matrix)]
-        dev = [[0] * dim for _ in range(dim)]
-        for i, u in enumerate(cols):
+        dev = {}
+        for i, (u, du) in enumerate(cols):
+            conj = [(j + n, x) if j < n else (j - n, -x) for j, x in enumerate(u) if x]
             for k in range(i + 1, dim):
-                delta = qq.row_bracket(u, cols[k], n) - (k == i + n)
-                dev[i][k], dev[k][i] = delta, -delta
-        violations = [(i, k, d) for i, row in enumerate(dev) for k, d in enumerate(row) if d]
+                v, dv = cols[k]
+                pair = sum(x * v[j] for j, x in conj)
+                if pair != du * dv * (k == i + n):
+                    delta = Fraction(pair, du * dv) - (k == i + n)
+                    dev[i, k], dev[k, i] = delta, -delta
+        violations = [(i, k, dev[i, k]) for i, k in sorted(dev)]
         return (not violations), violations, (max((abs(d) for _, _, d in violations), default=Fraction(0)))
     if mode == "float":
         import numpy as np

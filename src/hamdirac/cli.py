@@ -25,8 +25,11 @@ simulate fails with 1 in three documented ways:
         the initial state)
 
 simulate exits 2 when a physical position Q of the chart has no --bc, a --bc
-name is not such a position, or a --xi name is not a gauge position fixed at
-t1 only.
+name is not such a position, a --xi name is not a gauge position fixed at
+t1 only, t2 does not exceed t1, or the grid from t1 to t2 at --step needs
+more than MAX_STEPS = 10**7 RK4 steps (counted as max(1, ceil((t2 - t1) /
+step - 1e-12)), before anything is compiled or integrated).  verify-chart
+exits 2 when the matrix is not square with an even dimension.
 """
 
 from __future__ import annotations
@@ -60,6 +63,8 @@ EXIT_INPUT = 2
 EXIT_UNSUPPORTED = 3
 EXIT_INCONSISTENT = 4
 EXIT_BUDGET = 5
+
+MAX_STEPS = 10**7  # RK4 steps of one simulate grid; about 320 MB of trajectory columns
 
 
 def main(argv=None) -> int:
@@ -189,13 +194,17 @@ def _cmd_simulate(args) -> int:
         raise InputError(
             f"{an.sysfile.name}: no physical (Q, P) block survives the embedding; nothing to simulate"
         )
-    reduced_h = reduced_hamiltonian(an)
-    field = compile_field(reduced_h, [(q.symbol, an.chart.conjugate(q).symbol) for q in q_rows])
     t1 = _parse_real(args.t1, "time value")
     t2 = _parse_real(args.t2, "time value")
     step = _parse_real(args.step, "--step")
     if step <= 0:
         raise InputError(f"--step must be positive, got {args.step!r}")
+    if t2 <= t1:
+        raise InputError("t2 must exceed t1")
+    if not (t2 - t1) / step - 1e-12 <= MAX_STEPS:  # numerics' step count, inf included
+        raise InputError(f"[{t1}, {t2}] at step {step} needs more than MAX_STEPS = {MAX_STEPS} RK4 steps")
+    reduced_h = reduced_hamiltonian(an)
+    field = compile_field(reduced_h, [(q.symbol, an.chart.conjugate(q).symbol) for q in q_rows])
     boundary = {}
     for item in args.bc:
         name, _, vals = item.partition("=")
@@ -273,6 +282,8 @@ def _cmd_verify_chart(args) -> int:
         raise InputError("chart 'matrix' must be a list of rows, each a list of numbers")
     mode = args.mode or data.get("mode", "exact")
     matrix = [[_chart_entry(v, i, k, mode) for k, v in enumerate(row)] for i, row in enumerate(rows)]
+    if len(matrix) % 2 or any(len(row) != len(matrix) for row in matrix):
+        raise InputError("chart matrix must be square with even dimension")
     ok, violations, maxdev = verify_chart(matrix, mode=mode, tol=args.tol)
     out = {
         "mode": mode,

@@ -4,16 +4,26 @@ Each constraint is affine with constant coefficients and is turned into its
 exact row once, when it is accepted (`_affine_row`, stored as
 `Constraint.row`).  The bracket of two constraints is then the constant
 `qq.row_bracket` of their rows, and a constraint's bracket with H is its row
-against H's Hamiltonian field {z_k, H}, taken once (`hamilton_field`).
+against H's Hamiltonian field {z_k, H}, taken once.
 
 The iteration keeps the joint multiplier system honest: each round it forms
 the time derivative of *every* constraint against the total Hamiltonian,
 weak-reduces its bracket with H, solves the affine system in the multipliers
-(Fraction coefficients, Expr right-hand sides: Gauss-Jordan over Q), and
-turns leftover multiplier-free residues into new constraints.  A round
-that adds nothing terminates the procedure.  The weak reducer is built once
-from the primaries and extended by each accepted constraint's row; the last
-round's reduced brackets with H are kept for classification.
+(Gauss-Jordan over Q), and turns leftover multiplier-free residues into new
+constraints.  A round that adds nothing terminates the procedure.  The weak
+reducer is built once from the primaries and extended by each accepted
+constraint's row; the last round's reduced brackets with H are kept for
+classification.
+
+The path is decided once per analysis from H's monomials.  When H has degree
+<= 2 in z = (q, p), its field is one integer matrix over a common denominator
+(`quadratic_field`): each bracket is a constraint's integer row times that
+matrix, reduced by the reducer's integer pivot rows (`reduce_row`), and the
+multiplier system, coefficients and affine right-hand sides, is one integer
+row per constraint; Exprs are built only for new constraints, the kept
+brackets and the multiplier solutions.  Otherwise the field is a list of
+Exprs (`hamilton_field`), brackets are reduced by substitution and the
+system's right-hand sides are Exprs.  `_eliminate` serves both.
 
 Classification re-bases the constraint set using the kernel of the bracket
 Gram matrix, so first-class representatives are genuine gauge directions and
@@ -26,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from . import qq
 from .expr import Expr, ExprError
@@ -83,6 +94,7 @@ class DiracResult:
     flags: list = field(default_factory=list)
     classified: bool = False
     h_brackets: list = field(default_factory=list, compare=False, repr=False)  # weak-reduced {c, H} per constraint
+    h_bracket_rows: list | None = field(default=None, compare=False, repr=False)  # the same as qq rows, H quadratic
 
     @property
     def table(self):
@@ -136,6 +148,56 @@ def field_bracket(coeffs, field, table) -> Expr:
     return out
 
 
+def quadratic_field(h: Expr, phase: PhaseSpace):
+    """H's Hamiltonian field as one integer matrix, when H is a polynomial of
+    degree <= 2 in z = (q1..qn, p1..pn) and nothing else; else None.
+
+    Returns (rows, den): {z_k, h} is the affine form sum_j rows[k][j] z_j / den
+    with the offset as j = 2n; each row is sparse, (j, integer) pairs.
+    """
+    pos = {s.index: k for k, s in enumerate(phase.z_order())}
+    if not h.is_polynomial() or any(i not in pos for m in h.num for i, _ in m) or h.total_degree() > 2:
+        return None
+    n2 = len(pos)
+    den = lcm(*(c.denominator for c in h.num.values()))
+    grad = [dict() for _ in range(n2)]  # grad[k][j]: dh/dz_k, entry j (offset at 2n)
+    for m, c in h.num.items():
+        v = c.numerator * (den // c.denominator)
+        ks = [pos[i] for i, _ in m]
+        if len(ks) == 2:
+            a, b = ks
+            grad[a][b] = grad[a].get(b, 0) + v
+            grad[b][a] = grad[b].get(a, 0) + v
+        elif ks and m[0][1] == 2:
+            grad[ks[0]][ks[0]] = grad[ks[0]].get(ks[0], 0) + 2 * v
+        elif ks:
+            grad[ks[0]][n2] = v
+    n = n2 // 2
+    rows = [sorted(g.items()) for g in grad[n:]] + [[(j, -x) for j, x in sorted(g.items())] for g in grad[:n]]
+    return rows, den
+
+
+def row_field_bracket(row, qfield):
+    """{X, h} as a qq integer row (unnormalized) for X given by a qq integer
+    `row` over (z, 1) and h's `quadratic_field`."""
+    rows, den = qfield
+    out = [0] * (len(rows) + 1)
+    for x, frow in zip(row[0], rows):
+        if x:
+            for j, v in frow:
+                out[j] += x * v
+    return out, row[1] * den
+
+
+def _row_expr(row, syms, table) -> Expr:
+    """The affine Expr of a qq integer row over (syms..., 1)."""
+    nums, den = row
+    poly = {((s.index, 1),): Fraction(x, den) for s, x in zip(syms, nums) if x}
+    if nums[len(syms)]:
+        poly[()] = Fraction(nums[len(syms)], den)
+    return Expr(table, poly, _normalized=True)
+
+
 class WeakReducer:
     """Substitution engine for weak equality against affine constraints.
 
@@ -145,7 +207,7 @@ class WeakReducer:
     ensemble is applied as one simultaneous substitution, so a weakly
     vanishing expression reduces to the exact zero normal form.
 
-    Built once by `qq.rref`; `extend` adds one row in O(mn).  An RREF over a
+    Built once by `qq.rref_rows`; `extend` adds one row in O(mn).  An RREF over a
     fixed column order is unique, so `subs` is then a fresh build's, dict
     order included.
     """
@@ -155,17 +217,17 @@ class WeakReducer:
         self._syms = syms = phase.z_order()
         n = len(syms)
         self._order = sorted(range(n), key=lambda k: -syms[k].index)
-        work = [qq.from_row(r) for r in rows]
-        pivots = qq.rref(work, self._order)
+        work = list(rows)
+        pivots = qq.rref_rows(work, self._order)
         used = set(pivots.values())
-        for i, row in enumerate(work):
+        for i, (nums, _den) in enumerate(work):
             if i in used:
                 continue
-            if any(row[:n]):
+            if any(nums[:n]):
                 raise DiracError("internal: affine reduction left an unpivoted row")
-            if row[n]:
+            if nums[n]:
                 raise InconsistentTheory("constraint set has no common solution")
-        self._rows = {k: qq.to_row(work[i]) for k, i in pivots.items()}
+        self._rows = {k: work[i] for k, i in pivots.items()}
         self._rhs = {}
         self._update(self._rows)
 
@@ -200,6 +262,18 @@ class WeakReducer:
         if not self.subs:
             return e
         return e.substitute(self.subs)
+
+    def reduce_row(self, row):
+        """A qq integer row (not necessarily primitive) reduced as `reduce`
+        reduces its affine Expr: each pivot column cleared by its pivot row,
+        over integers, with one gcd at the end."""
+        nums, den = row
+        for k, (p, d) in self._rows.items():
+            f = nums[k]
+            if f:
+                nums = [x * d - f * y for x, y in zip(nums, p)]
+                den *= d
+        return qq._primitive(nums, den)
 
 
 def _affine_row(e: Expr, syms):
@@ -291,30 +365,28 @@ def dirac_iterate(fos: FirstOrderSystem) -> DiracResult:
     flags = result.flags
 
     reducer = WeakReducer(prim_rows, phase)
-    field = hamilton_field(h, phase)
+    qfield = quadratic_field(h, phase)
+    field = hamilton_field(h, phase) if qfield is None else None
     for _round in range(2 * n + 2):
-        brackets = [reducer.reduce(field_bracket(qq.from_row(c.row), field, table)) for c in constraints]
+        if qfield is None:
+            brackets = [reducer.reduce(field_bracket(qq.from_row(c.row), field, table)) for c in constraints]
+        else:
+            brackets = [reducer.reduce_row(row_field_bracket(c.row, qfield)) for c in constraints]
         rows = _consistency_rows(constraints, brackets, prim_rows, n)
-        solved, residues = _eliminate(rows, zetas, table)
+        solved, residues = _eliminate(rows, zetas, table, syms)
         new_any = False
         tips = {c.chain: c for c in constraints}  # last write wins: discovery order
         for src_idx, residue in residues:
-            if residue.is_zero():
+            cand = _candidate(residue, reducer, syms, flags)
+            if cand is None:
                 continue
-            if residue.is_constant():
-                raise InconsistentTheory(f"consistency forces {residue} = 0; contradictory theory")
-            cand, cflags = _normalize_candidate(residue, table)
-            flags.extend(cflags)
-            red = reducer.reduce(cand)
-            if red.is_zero():
-                continue
+            expr, row = cand
             src = constraints[src_idx]
             tip = tips[src.chain]
             gen = tip.generation + 1
             if src is not tip:
                 flags.append(f"non-tip constraint {src.name} produced a new condition")
-            row = _affine_row(cand, syms)
-            newc = Constraint(cand, chain=src.chain, generation=gen, row=row, name=f"phi{src.chain + 1}_{gen}")
+            newc = Constraint(expr, chain=src.chain, generation=gen, row=row, name=f"phi{src.chain + 1}_{gen}")
             constraints.append(newc)
             tips[src.chain] = newc
             new_any = True
@@ -330,68 +402,127 @@ def dirac_iterate(fos: FirstOrderSystem) -> DiracResult:
 
     result.multiplier_solutions = solved
     result.free_multipliers = [z for z in zetas if z not in solved]
-    result.h_brackets = brackets  # the last round added nothing: these are the final ones
+    # the last round added nothing: these are the final brackets
+    if qfield is None:
+        result.h_brackets = brackets
+    else:
+        result.h_bracket_rows = brackets
+        result.h_brackets = [_row_expr(r, syms, table) for r in brackets]
     return result
 
 
-def _consistency_rows(constraints, brackets, prim_rows, n):
-    """One consistency row per constraint: const + sum(coeff_a zeta_a).
+def _candidate(residue, reducer, syms, flags):
+    """(expr, row) of the new constraint a consistency residue gives, or None
+    when it vanishes weakly.  A residue is an Expr, normalized by
+    `_normalize_candidate`, or, for a quadratic H, an affine qq integer row."""
+    table = reducer.phase.table
+    if _vanishes(residue):
+        return None
+    if isinstance(residue, Expr):
+        if residue.is_constant():
+            raise InconsistentTheory(f"consistency forces {residue} = 0; contradictory theory")
+        cand, cflags = _normalize_candidate(residue, table)
+        flags.extend(cflags)
+        if reducer.reduce(cand).is_zero():
+            return None
+        return cand, _affine_row(cand, syms)
+    if not any(residue[0][:-1]):
+        raise InconsistentTheory(f"consistency forces {_row_expr(residue, syms, table)} = 0; contradictory theory")
+    if not any(reducer.reduce_row(residue)[0]):
+        return None
+    return _row_expr(residue, syms, table), residue
 
-    const is the constraint's weak-reduced bracket with H (its row against
-    H's Hamiltonian field), given in `brackets`; each coeff_a is the Fraction
-    bracket of two affine rows, {c, prim_a} = qq.row_bracket.
+
+def _vanishes(residue):
+    return residue.is_zero() if isinstance(residue, Expr) else not any(residue[0])
+
+
+def _consistency_rows(constraints, brackets, prim_rows, n):
+    """One consistency row per constraint: const + sum(coeff_a zeta_a) = 0,
+    as (constraint index, coefficients, const); constraints whose row is zero
+    are skipped.
+
+    const is the constraint's weak-reduced bracket with H; each coeff_a is
+    the bracket of two affine rows, {c, prim_a}.  A bracket given as an Expr
+    gives Fraction coefficients and that Expr; one given as a qq integer row
+    over (z, 1) gives the qq integer row over (zeta_1..zeta_m, z, 1) of the
+    whole equation, its numerators as the coefficients and its denominator
+    as const.
     """
     rows = []
     for idx, (c, const) in enumerate(zip(constraints, brackets, strict=True)):
-        coeffs = [qq.row_bracket(c.row, p, n) for p in prim_rows]
-        if const.is_zero() and not any(coeffs):
+        if isinstance(const, Expr):
+            coeffs = [qq.row_bracket(c.row, p, n) for p in prim_rows]
+            if not (const.is_zero() and not any(coeffs)):
+                rows.append((idx, coeffs, const))
             continue
-        rows.append((idx, coeffs, const))
+        (u, du), (b, db) = c.row, const
+        dens = [du * d for _p, d in prim_rows]
+        den = lcm(db, *dens)
+        nums = [qq._pair(u, p, n) * (den // d) for (p, _), d in zip(prim_rows, dens)]
+        nums += [x * (den // db) for x in b]
+        if any(nums):
+            rows.append((idx, *qq._primitive(nums, den)))
     return rows
 
 
-def _eliminate(rows, zetas, table):
+def _eliminate(rows, zetas, table, syms=None):
     """Solve the affine multiplier system; returns ({zeta: Expr}, residues).
 
-    Rows are (source constraint index, Fraction coefficients, Expr constant).
-    Gauss-Jordan over Q, pivoting on a unit coefficient first, then on the
-    earliest source row; each solved multiplier is substituted into the
-    remaining rows and the earlier solutions at once, so every solution ends
-    up over the free multipliers only.  Residues are (source index, zeta-free
-    expression) pairs for the rows whose multiplier content was consumed.
+    Rows come as `_consistency_rows` gives them, (source constraint index,
+    coefficients, const): Fraction coefficients with an Expr const, or the
+    numerators of a qq integer row over (zeta_1..zeta_m, syms..., 1) with its
+    denominator as const; such rows leave residues as qq integer rows over
+    (syms..., 1).  Gauss-Jordan over Q, pivoting on a unit coefficient first,
+    then on the earliest source row.  The pivot row divided by minus its pivot
+    is the solution; adding it f times to a row with coefficient f there
+    clears that multiplier, in the remaining rows and the earlier solutions at
+    once, so every solution ends up over the free multipliers only.  Residues
+    are (source index, zeta-free remainder) pairs for the rows whose
+    multiplier content was consumed.
     """
+    m = len(zetas)
 
-    def substitute(coeffs, const, col, sol_coeffs, sol_const):
-        f = coeffs[col]
-        if not f:
-            return coeffs, const
-        coeffs = [c + f * sc for c, sc in zip(coeffs, sol_coeffs)]
-        coeffs[col] = 0
-        return coeffs, const + f * sol_const
+    def coeff(row, col):
+        coeffs, const = row
+        return Fraction(coeffs[col], const) if isinstance(const, int) else coeffs[col]
 
-    work = list(rows)
+    def add(x, c, y):  # x + c y
+        if isinstance(x[1], int):
+            return qq.row_add(x, c, y)
+        return [a + c * b for a, b in zip(x[0], y[0])], x[1] + c * y[1]
+
+    def div(x, c):  # x / c
+        if isinstance(x[1], int):
+            return qq.row_div(x, c)
+        return [a / c for a in x[0]], x[1] / c
+
+    work = [(idx, (coeffs, const)) for idx, coeffs, const in rows]
     solutions = {}
-    for col in range(len(zetas)):
-        live = [k for k, (_idx, coeffs, _const) in enumerate(work) if coeffs[col]]
+    for col in range(m):
+        live = [k for k, (_idx, row) in enumerate(work) if row[0][col]]
         if not live:
             continue
-        k = min(live, key=lambda k: (abs(work[k][1][col]) != 1, work[k][0]))
-        idx, coeffs, const = work.pop(k)
-        piv = coeffs[col]
-        sol = ([-c / piv for c in coeffs], -const / piv)
-        sol[0][col] = 0
-        work = [(idx2, *substitute(coeffs2, const2, col, *sol)) for idx2, coeffs2, const2 in work]
-        for col2, (coeffs2, const2) in solutions.items():
-            solutions[col2] = substitute(coeffs2, const2, col, *sol)
+        k = min(live, key=lambda k: (abs(coeff(work[k][1], col)) != 1, work[k][0]))
+        _idx, row = work.pop(k)
+        sol = div(row, -coeff(row, col))
+        work = [(idx, add(row2, f, sol) if (f := coeff(row2, col)) else row2) for idx, row2 in work]
+        for col2, row2 in solutions.items():
+            if f := coeff(row2, col):
+                solutions[col2] = add(row2, f, sol)
         solutions[col] = sol
     solved = {}
-    for col, (scoeffs, sc) in solutions.items():
-        val = sc
-        for j, c in enumerate(scoeffs):
+    for col, (coeffs, const) in solutions.items():
+        coeffs = list(coeffs)
+        coeffs[col] = 0  # the solved multiplier's own -1
+        if isinstance(const, int):
+            solved[zetas[col]] = _row_expr((coeffs, const), zetas + syms, table)
+            continue
+        for j, c in enumerate(coeffs):
             if c:
-                val = val + c * Expr.sym(table, zetas[j])
-        solved[zetas[col]] = val
-    residues = [(idx, const) for idx, coeffs, const in work]
+                const = const + c * Expr.sym(table, zetas[j])
+        solved[zetas[col]] = const
+    residues = [(idx, (coeffs[m:], const) if isinstance(const, int) else const) for idx, (coeffs, const) in work]
     return solved, residues
 
 
@@ -451,8 +582,11 @@ def _combine(vec, cons, table):
 
 def _combine_row(vec, cons):
     """The row of `_combine(vec, cons, ...)`, from the constraints' rows."""
-    parts = [[c * x for x in qq.from_row(con.row)] for c, con in zip(vec, cons) if c]
-    return qq.to_row([sum(col) for col in zip(*parts)])
+    out = ([0] * len(cons[0].row[0]), 1)
+    for c, con in zip(vec, cons):
+        if c:
+            out = qq.row_add(out, c, con.row)
+    return out
 
 
 def _unit_complement(basis, m, k):
@@ -513,10 +647,11 @@ def _resolve_multipliers(result: DiracResult):
     result.primary_fc_count = len(prim_fc)
     zetas = result.multiplier_symbols
 
-    rows = _consistency_rows(result.constraints, result.h_brackets, [r.row for r in rebased], result.phase.n)
-    solved, residues = _eliminate(rows, zetas, table)
+    brackets = result.h_brackets if result.h_bracket_rows is None else result.h_bracket_rows
+    rows = _consistency_rows(result.constraints, brackets, [r.row for r in rebased], result.phase.n)
+    solved, residues = _eliminate(rows, zetas, table, result.phase.z_order())
     for _idx, residue in residues:
-        if not residue.is_zero():
+        if not _vanishes(residue):
             raise DiracError("internal: rebased multiplier system left an unexplained residue")
     result.multiplier_solutions = solved
     result.free_multipliers = [z for z in zetas if z not in solved]

@@ -10,13 +10,17 @@ The denominator of a normal form is monic with respect to that order.
 
 Substitution of polynomial rules works on the dicts alone (`_phorner`: one
 grouping of the monomials, Horner in one rule symbol at a time, one
-accumulator); rules with a denominator go term by term through Expr.
+accumulator), over the integers: rules and leaves are scaled to integers over
+one common denominator, and each output coefficient is normalized once.  This
+is the one path for every polynomial substitution, quadratic or not; rules
+with a denominator go term by term through Expr.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cmp_to_key
+from math import lcm
 
 from .symbols import Symbol, SymbolTable
 
@@ -93,12 +97,13 @@ def _pneg(a):
 
 
 def _pmul(a, b, out=None):
-    """a * b, added into `out` in place when it is given."""
+    """a * b, added into `out` in place when it is given; the coefficients
+    may be Fractions or, throughout, ints."""
     out = {} if out is None else out
     for m1, c1 in a.items():
         for m2, c2 in b.items():
             m = _mono_mul(m1, m2)
-            s = out.get(m, ZERO) + c1 * c2
+            s = out.get(m, 0) + c1 * c2
             if s:
                 out[m] = s
             else:
@@ -597,17 +602,30 @@ def _phorner(poly, rules):
     holding the rest.  A node's value is its leaf plus, per symbol v, Horner's
     R_v^e1 (c_1 + R_v^(e2-e1) (c_2 + ...)) over its children, added into the
     leaf's dict.  For a quadratic form this is the congruence T^T (A T).
+
+    The tree runs over the integers: each rule is R_v / d_v with R_v integral,
+    and a leaf c under rule exponents e_v holds c * D / prod d_v^e_v for one
+    common denominator D of all leaves, so every product and sum is an int
+    and each output coefficient is normalized once, as Fraction(x, D).
     """
-    tree = {}
+    irules, dens = {}, {}
+    for v, r in rules.items():
+        d = dens[v] = lcm(*(c.denominator for c in r.values()))
+        irules[v] = {m: c.numerator * (d // c.denominator) for m, c in r.items()}
+    tree, leaves = {}, []
     for m, c in poly.items():
-        node, rest = tree, []
+        node, rest, scale = tree, [], c.denominator
         for i, e in m:
             if i in rules:
                 node = node.setdefault((i, e), {})
+                scale *= dens[i] ** e
             else:
                 rest.append((i, e))
-        node.setdefault(None, {})[tuple(rest)] = c
-    return _horner(tree, rules)
+        leaves.append((node.setdefault(None, {}), tuple(rest), c.numerator, scale))
+    den = lcm(*(scale for *_, scale in leaves))
+    for leaf, rest, num, scale in leaves:
+        leaf[rest] = num * (den // scale)
+    return {m: Fraction(x, den) for m, x in _horner(tree, irules).items()}
 
 
 def _horner(node, rules):
@@ -625,8 +643,11 @@ def _horner(node, rules):
 
 
 def _ppow(a, k):
-    out = _pconst(1)
-    for _ in range(k):
+    """a^k, in the coefficients' own type for k >= 1."""
+    if not k:
+        return _pconst(1)
+    out = dict(a)
+    for _ in range(k - 1):
         out = _pmul(out, a)
     return out
 

@@ -1,17 +1,20 @@
 """Exact linear algebra over the rationals: the one Gauss-Jordan kernel.
 
-Every constant-coefficient elimination of the analysis runs through `rref`:
-the first weak reducer of an analysis (later constraints extend its RREF one
-integer row at a time, `row_add`), the primaries' independence check, the
-Gram-matrix rank and kernel of classification, the chart's conjugate
-positions (one elimination for all), its static correction (`solve`) and the
-report's span checks (`rank`).  The multiplier solve (`dirac._eliminate`)
-is Gauss-Jordan over Q too, on Fraction coefficients, but keeps its own
-pivot policy and Expr right-hand sides; the chart pairs its rows with
-`row_bracket`, `row_div` and `row_project`.  The caller
-chooses the column order; each column pivots on the first row not yet used
-that is nonzero there, and rows never move, so a call site's pivots (and
-with them the report bytes) depend only on the order it asks for.
+Every constant-coefficient elimination of the analysis runs through
+`rref_rows`, Gauss-Jordan on integer rows (below): the first weak reducer of
+an analysis (later constraints extend its RREF one integer row at a time,
+`row_add`), the chart's conjugate positions (one elimination for all), the
+primaries' independence check (`rank`), the chart's static correction
+(`solve`) and, through `rref`, which converts lists of Fractions to integer
+rows and back, the Gram-matrix rank and kernel of classification and the
+report's span checks (one elimination per supplied chart).  The multiplier solve
+(`dirac._eliminate`) is Gauss-Jordan over Q too, with its own pivot policy;
+for a quadratic H it runs on integer rows with `row_add` and `row_div`.  The
+chart pairs its rows with `row_bracket`, `row_div` and `row_project`.  The
+caller chooses the column order; each column pivots on the first row not yet
+used that is nonzero there, and rows never move, so a call site's pivots (and
+with them the report bytes) depend only on the order it asks for.  An integer
+row operation costs one gcd per row, where Fractions normalize every entry.
 """
 
 from __future__ import annotations
@@ -26,21 +29,32 @@ def rref(rows, cols):
     order given; returns {column: pivot row index} in visit order.
 
     Entries beyond the visited columns (an augmented right-hand side, say)
-    are carried along by the row operations.
+    are carried along by the row operations.  The elimination runs on the
+    rows' integer form (`rref_rows`).
     """
+    work = [to_row(r) for r in rows]
+    pivots = rref_rows(work, cols)
+    rows[:] = [from_row(r) for r in work]
+    return pivots
+
+
+def rref_rows(rows, cols):
+    """`rref` on qq integer rows, in place: a pivot row is scaled to a
+    leading 1 and each other row with a nonzero entry there takes one
+    integer multiply-subtract and one gcd."""
     used = set()
     pivots = {}
     for c in cols:
-        src = next((i for i, r in enumerate(rows) if i not in used and r[c]), None)
+        src = next((i for i, r in enumerate(rows) if i not in used and r[0][c]), None)
         if src is None:
             continue
         used.add(src)
-        p = rows[src][c]
-        prow = rows[src] = [x / p for x in rows[src]]
-        for i, r in enumerate(rows):
+        nums, den = rows[src]
+        pn, pd = rows[src] = row_div(rows[src], Fraction(nums[c], den))
+        for i, (r, d) in enumerate(rows):
             f = r[c]
             if i != src and f:
-                rows[i] = [x - f * y for x, y in zip(r, prow)]
+                rows[i] = _primitive([x * pd - f * y for x, y in zip(r, pn)], d * pd)
         pivots[c] = src
     return pivots
 
@@ -48,22 +62,22 @@ def rref(rows, cols):
 def rank(vectors) -> int:
     if not vectors:
         return 0
-    rows = [[Fraction(x) for x in v] for v in vectors]
-    return len(rref(rows, range(len(rows[0]))))
+    return len(rref_rows([to_row([Fraction(x) for x in v]) for v in vectors], range(len(vectors[0]))))
 
 
 def solve(rows, rhs):
     """Particular solution of rows . x = rhs (free variables zero), or None
-    when the system is inconsistent.  `rows` must not be empty."""
+    when the system is inconsistent.  `rows` (ints or Fractions) must not be
+    empty."""
     cols = len(rows[0])
-    a = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    pivots = rref(a, range(cols))
+    a = [to_row([*row, b]) for row, b in zip(rows, rhs)]
+    pivots = rref_rows(a, range(cols))
     used = set(pivots.values())
-    if any(a[i][cols] for i in range(len(a)) if i not in used):
+    if any(a[i][0][cols] for i in range(len(a)) if i not in used):
         return None
     x = [Fraction(0)] * cols
     for c, i in pivots.items():
-        x[c] = a[i][cols]
+        x[c] = Fraction(a[i][0][cols], a[i][1])
     return x
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from . import qq
 from .chart import (
@@ -220,28 +221,41 @@ def _import_chart(an: Analysis) -> CanonicalChart:
         i, k, delta = violations[0]
         raise InputError(f"supplied chart fails S^T J S = J (entry {i},{k} off by {delta})")
 
+    # The constraints' covectors are independent, and so are the chart's rows.
+    # So the Psi rows span the first-class constraints when there are F of
+    # them and each is a combination of constraints in involution with all of
+    # them, and Psi with Theta span the constraints when all are combinations
+    # and they number m.
     result = an.result
-    fc_cov = [qq.from_row(rep.row)[:-1] for rep in result.first_class]
-    psi_cov = [r.coeffs for r in chart.rows_by_role("Psi")]
-    if not _same_span(fc_cov, psi_cov):
+    cons = result.constraints
+    psi, theta = chart.rows_by_role("Psi"), chart.rows_by_role("ThU") + chart.rows_by_role("ThD")
+    coords = _constraint_coordinates(cons, [r.coeffs for r in psi + theta], n)
+    first_class = [
+        x is not None and not any(qq.row_bracket(qq.to_row(list(r.coeffs) + [0]), c.row, n) for c in cons)
+        for r, x in zip(psi, coords)
+    ]
+    if len(psi) != result.F or not all(first_class):
         raise InputError("supplied Psi rows do not span the first-class constraints")
-    all_cov = [qq.from_row(c.row)[:-1] for c in result.constraints]
-    theta_cov = [r.coeffs for r in chart.rows_by_role("ThU")] + [r.coeffs for r in chart.rows_by_role("ThD")]
-    if not _same_span(all_cov, psi_cov + theta_cov):
+    if len(psi) + len(theta) != len(cons) or None in coords:
         raise InputError("supplied Psi/Theta rows do not span the constraint set")
-
-    prim_cov = [qq.from_row(c.row)[:-1] for c in result.constraints if c.generation == 1]
-    for r in chart.rows_by_role("Psi"):
-        r.generation = 1 if _in_span(prim_cov, r.coeffs) else 2
+    for r, x in zip(psi, coords):
+        r.generation = 2 if any(xc for xc, c in zip(x, cons) if c.generation > 1) else 1
     return chart
 
 
-def _same_span(a, b):
-    return qq.rank(a) == qq.rank(b) == qq.rank(a + b)
-
-
-def _in_span(basis, v):
-    return qq.rank(basis) == qq.rank(basis + [v])
+def _constraint_coordinates(cons, vectors, n):
+    """Each covector in `vectors` as its coefficients over the constraints'
+    (independent) covectors, or None outside their span: one Gauss-Jordan
+    elimination with one right-hand side per vector."""
+    m = len(cons)
+    covs = [qq.from_row(c.row)[: 2 * n] for c in cons]
+    system = [[cov[i] for cov in covs] + [Fraction(v[i]) for v in vectors] for i in range(2 * n)]
+    pivots = qq.rref(system, range(m))
+    free = [row for i, row in enumerate(system) if i not in pivots.values()]
+    return [
+        None if any(row[m + j] for row in free) else [system[pivots[c]][m + j] for c in range(m)]
+        for j in range(len(vectors))
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -94,3 +94,31 @@ def random_poly(table, symbols, rng, max_degree=3, terms=4, coeff_range=4):
 
 def rng_for(name):
     return random.Random(name)
+
+
+def random_quadratic_lagrangian(rng, names, order=1):
+    """Random L of degree 2 in the coordinates and their derivatives: a few
+    squares of random combinations (so the kinetic matrix is often singular),
+    and sparse q*d(q), q*q, d(q) and q terms (constant constraint offsets);
+    order 2 adds q*dd(q) terms."""
+    rats = FAMILY_RATIONALS
+    terms = []
+    for _ in range(rng.choice([0, 1, 1, 2, 2, 2, 3])):
+        parts = [f"({rng.choice(rats)})*d({q})" for q in names if rng.random() < 0.7]
+        parts += [f"({rng.choice(rats)})*{q}" for q in names if rng.random() < 0.25]
+        if parts:
+            terms.append(f"({rng.choice(rats)})*({' + '.join(parts)})^2")
+    for q in names:
+        for p in names:
+            if rng.random() < 0.15:
+                terms.append(f"({rng.choice(rats)})*{q}*d({p})")
+            if rng.random() < 0.12:
+                terms.append(f"({rng.choice(rats)})*{q}*{p}")
+        for fmt in ("d({})", "{}"):
+            if rng.random() < 0.2:
+                terms.append(f"({rng.choice(rats)})*{fmt.format(q)}")
+        if order == 2 and rng.random() < 0.6:
+            terms.append(f"({rng.choice(rats)})*{rng.choice(names)}*dd({q})")
+    if order == 2 and not any("dd(" in t for t in terms):
+        terms.append(f"({rng.choice(rats)})*{names[0]}*dd({names[0]})")
+    return " + ".join(terms) or f"d({names[0]})^2"

@@ -613,3 +613,63 @@ def test_report_transforms_once_and_never_brackets(monkeypatch):
             calls.update(transform=0, poisson=0)
             run_pipeline(load_system_file(path), PipelineOptions(gauge_fixing=gauge_fixing), stage=stage)
             assert calls == {"transform": int(stage == "report"), "poisson": 0}, (str(path), gauge_fixing, stage)
+
+
+def test_supplied_chart_span_checks_match_rank_oracle():
+    # the supplied-chart import settles its span checks with one elimination;
+    # the rank comparisons it replaced are the oracle, on l3's chart with its
+    # pairs relabelled, negated and recombined (each variant symplectic)
+    from hamdirac import qq
+    from hamdirac.report import InputError, analyze_system, attach_chart
+    from hamdirac.sysfile import parse_system_file
+
+    l3 = (resources.files("hamdirac") / "fixtures" / "l3.sys").read_text(encoding="utf-8")
+    head, _, chart_text = l3.partition("[chart]")
+    rows = dict(line.split(" = ") for line in chart_text.split("\n") if " = " in line)
+
+    def relabel(**moves):  # new name -> old name, or an expression in old names
+        out = dict(rows)
+        for new, old in moves.items():
+            out[new] = rows[old] if old in rows else old.format(**{k: f"({v})" for k, v in rows.items()})
+        return out
+
+    variants = [
+        rows,
+        relabel(Xi1="Xi2", Psi1="Psi2", Xi2="Xi1", Psi2="Psi1"),
+        relabel(Psi1="{Psi1} + {Psi2}", Xi2="{Xi2} - {Xi1}"),
+        relabel(Xi1="Q1", Psi1="P1", Q1="Xi1", P1="Psi1"),
+        relabel(ThU1="Q1", ThD1="P1", Q1="ThU1", P1="ThD1"),
+        relabel(Xi1="ThU1", Psi1="ThD1", ThU1="Xi1", ThD1="Psi1"),
+        relabel(Xi1="Psi1", Psi1="-{Xi1}"),
+    ]
+
+    def oracle(an, chart_rows):
+        z = an.fos.phase.z_order()
+        cov = {name: parse_expr(text, an.table).linear_form(z)[0] for name, text in chart_rows.items()}
+        res = an.result
+        same = lambda a, b: qq.rank(a) == qq.rank(b) == qq.rank(a + b)
+        psi = [cov[k] for k in sorted(cov) if k.startswith("Psi")]
+        theta = [cov[k] for k in sorted(cov) if k.startswith("Th")]
+        if not same([qq.from_row(r.row)[:-1] for r in res.first_class], psi):
+            return "supplied Psi rows do not span the first-class constraints"
+        if not same([qq.from_row(c.row)[:-1] for c in res.constraints], psi + theta):
+            return "supplied Psi/Theta rows do not span the constraint set"
+        prim = [qq.from_row(c.row)[:-1] for c in res.constraints if c.generation == 1]
+        return [1 if qq.rank(prim) == qq.rank(prim + [v]) else 2 for v in psi]
+
+    outcomes = []
+    for chart_rows in variants:
+        text = head + "[chart]\n" + "".join(f"{k} = {v}\n" for k, v in chart_rows.items())
+        an = analyze_system(parse_system_file(text))
+        want = oracle(an, chart_rows)
+        try:
+            got = [r.generation for r in attach_chart(an).chart.rows_by_role("Psi")]
+        except InputError as exc:
+            got = str(exc)
+        assert got == want, chart_rows
+        outcomes.append(got)
+    assert outcomes[:3] == [[1, 2], [2, 1], [2, 2]]
+    assert set(outcomes[3:]) == {
+        "supplied Psi rows do not span the first-class constraints",
+        "supplied Psi/Theta rows do not span the constraint set",
+    }

@@ -595,10 +595,84 @@ def test_classify_makes_no_weak_reduction(monkeypatch):
     monkeypatch.setattr(dirac.WeakReducer, "reduce", counting_reduce)
     monkeypatch.setattr(report, "classify", marked_classify)
     golden = Path(__file__).resolve().parent / "golden"
-    an = report.run_pipeline(load_system_file(golden / "gauge3.sys"), stage="report")
-    assert an.result.F == 6
-    # 18 in the iteration's rounds, 6 candidate checks
-    assert calls == {"all": 24, "classify": 0}
+    # gauge3's H is quadratic: the iteration brackets and reduces integer rows
+    # only.  l3quartic's is quartic, the Expr path: 6 reductions in the
+    # iteration's rounds, 2 candidate checks
+    for system, f_count, reductions in (("gauge3", 6, 0), ("l3quartic", 2, 8)):
+        calls.update(all=0, classify=0)
+        an = report.run_pipeline(load_system_file(golden / f"{system}.sys"), stage="report")
+        assert an.result.F == f_count
+        assert calls == {"all": reductions, "classify": 0}, system
+
+
+def _both_paths(monkeypatch, src, names, order, path):
+    """`analyzed` and `build_chart` twice: as the pipeline runs them, and with
+    `quadratic_field` answering None, which forces the Expr path."""
+    from hamdirac import chart, dirac
+    from hamdirac.chart import build_chart
+
+    out = []
+    for force_expr in (False, True):
+        if force_expr:
+            monkeypatch.setattr(dirac, "quadratic_field", lambda h, phase: None)
+            monkeypatch.setattr(chart, "quadratic_field", lambda h, phase: None)
+        try:
+            t, fos, res = analyzed(src, names, order, path)
+        except InconsistentTheory:
+            out.append(None)
+            continue
+        out.append((t, res, build_chart(res)))
+    monkeypatch.undo()
+    return out
+
+
+def test_integer_path_matches_expr_path(monkeypatch):
+    # seeded random quadratic systems, order 1 and 2 (both reductions), with
+    # first-class constraints and constant offsets: the integer path gives
+    # what the Expr path gives, constraint by constraint, bracket by bracket,
+    # multiplier by multiplier and chart row by chart row
+    from hamdirac import qq
+    from hamdirac.chart import _chart_map, _integer_rows, transform
+    from hamdirac.dirac import WeakReducer, field_bracket, hamilton_field
+
+    from conftest import random_quadratic_lagrangian
+    from test_expr import termwise_psubstitute
+
+    rng = rng_for("integer-quadratic-path")
+    seen = {"order2": 0, "F>0": 0, "offset": 0, "static": 0, "inconsistent": 0}
+    for trial in range(60):
+        order = 2 if trial % 4 == 3 else 1
+        names = ["q1", "q2"] if order == 2 else ["q1", "q2", "q3"]
+        src = random_quadratic_lagrangian(rng, names, order)
+        path = rng.choice(["ssok", "pons"]) if order == 2 else None
+        fast, ref = _both_paths(monkeypatch, src, names, order, path)
+        if fast is None or ref is None:
+            assert fast is ref is None, src
+            seen["inconsistent"] += 1
+            continue
+        (t, res, chart), (_t, want, want_chart) = fast, ref
+        assert res.h_bracket_rows is not None and want.h_bracket_rows is None
+        assert [(c.name, c.expr, c.row) for c in res.constraints] == [(c.name, c.expr, c.row) for c in want.constraints]
+        assert res.h_brackets == want.h_brackets
+        assert list(res.multiplier_solutions.items()) == list(want.multiplier_solutions.items())
+        assert res.flags == want.flags and res.free_multipliers == want.free_multipliers
+        assert [(r.name, r.coeffs, r.offset) for r in chart.rows] == [(r.name, r.coeffs, r.offset) for r in want_chart.rows]
+        assert chart.notes == want_chart.notes
+
+        reducer = WeakReducer([c.row for c in res.constraints], res.phase)
+        field = hamilton_field(res.H, res.phase)
+        for c, br in zip(res.constraints, res.h_brackets, strict=True):
+            assert br == reducer.reduce(field_bracket(qq.from_row(c.row), field, t))
+        ht = res.total_hamiltonian(substitute_solved=True)
+        rules = {s.index: e for s, e in _chart_map(chart, _integer_rows(chart)).items()}
+        got, ref_ht = transform(ht, chart), termwise_psubstitute(t, ht.num, rules)
+        assert got.num == ref_ht.num and got.den == ref_ht.den
+
+        seen["order2"] += order == 2
+        seen["F>0"] += res.F > 0
+        seen["offset"] += any(c.row[0][-1] for c in res.constraints)
+        seen["static"] += any(r.role == "Xi" and r.generation > 1 for r in chart.rows)
+    assert min(seen.values()) >= 2, seen
 
 
 def test_rows_match_linear_forms_and_expr_brackets(l1, l2, l3, l4_ssok, l4_pons):

@@ -14,7 +14,11 @@ beside their reports: coupled2 pairs four second-class pairs and completes
 four (Q, P) pairs; gauge2 (F = S = 4) statically corrects two secondary gauge
 rows, and under --gauge-fixing (gauge2.gauge.report.json) derives the gauge.
 coupled3.sys and gauge3.sys are the three-block families (12 coordinates),
-the size of the coupled and gauge benchmark workloads.  l3quartic.sys is L3
+the size of the coupled and gauge benchmark workloads.  coupled4.sys
+(couplings -1/4, 2/3, 3/2) and gauge4.sys (block scales 1/4, -1/2, 3/5,
+-2/3) are the four-block families (16 coordinates), made the same way with
+`perfbench/inputs.family_system`; they pin only `report`, the integer
+quadratic path at a size past the benchmark's.  l3quartic.sys is L3
 plus a quartic potential: its static correction fails, so its chart and
 report goldens pin the chart note that records the failure.
 
@@ -62,6 +66,7 @@ FAMILY_CASES = [
     for k in (2, 3)
     for system, extra in ((f"coupled{k}", []), (f"gauge{k}", []), (f"gauge{k}", ["--gauge-fixing"]))
 ]
+FAMILY_CASES += [("coupled4", []), ("gauge4", [])]
 
 
 def family_golden_name(system, extra):

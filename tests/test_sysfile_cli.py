@@ -371,6 +371,33 @@ def test_cli_simulate_unparsable_values_exit_2(extra, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "extra,message",
+    [
+        (["--t1", "2", "--t2", "1"], "error: t2 must exceed t1"),
+        (["--t1", "1", "--t2", "1"], "error: t2 must exceed t1"),
+        (["--t2", "1e300"], "needs more than MAX_STEPS = 10000000 RK4 steps"),
+        (["--t2", "1", "--step", "1e-300"], "needs more than MAX_STEPS = 10000000 RK4 steps"),
+    ],
+    ids=["reversed", "empty", "huge-t2", "tiny-step"],
+)
+def test_cli_simulate_bad_grid_exits_2_before_compiling(tmp_path, monkeypatch, capsys, extra, message):
+    # a free particle: the step count is checked before anything is compiled
+    # or integrated, so no loop over the grid starts
+    from hamdirac import cli
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("simulate compiled or integrated a refused grid")
+
+    monkeypatch.setattr(cli, "compile_field", unreachable)
+    monkeypatch.setattr(cli, "solve_iota", unreachable)
+    free = tmp_path / "free.sys"
+    free.write_text("system free\ncoordinates q1\norder 1\nL = d(q1)^2/2\n", encoding="utf-8")
+    assert main(["simulate", str(free), "--bc", "Q1=0:1", *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and message in captured.err
+
+
 def test_cli_simulate_resonant_and_near_resonant(capsys):
     assert main(["simulate", fixture("l2.sys"), "--bc", "Q1=1:0", "--t2", "pi"]) == 1
     err = capsys.readouterr().err
@@ -421,8 +448,10 @@ def test_cli_verify_chart(tmp_path, capsys):
         ('{"matrix": [[1, "a"], [0, 1]]}', "[0][1] = 'a'"),
         ('{"matrix": [[1, 0], ["1/0", 1]]}', "[1][0] = '1/0'"),
         ('{"matrix": 5}', "'matrix' must be a list of rows"),
+        ('{"matrix": [[1, 0], [0]]}', "chart matrix must be square with even dimension"),
+        ('{"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}', "chart matrix must be square with even dimension"),
     ],
-    ids=["nan", "infinity", "letter", "zero-denominator", "not-a-list"],
+    ids=["nan", "infinity", "letter", "zero-denominator", "not-a-list", "ragged", "odd"],
 )
 def test_cli_verify_chart_rejects_non_numbers(tmp_path, capsys, text, named):
     bad = tmp_path / "bad.json"
