@@ -35,6 +35,7 @@ exits 2 when the matrix is not square with an even dimension.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -89,6 +90,7 @@ def main(argv=None) -> int:
         return 1
 
 
+@functools.cache  # built on the first call of main, then shared by every later call
 def _build_parser():
     p = argparse.ArgumentParser(prog="hamdirac", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(required=True)

@@ -19,7 +19,6 @@ with a denominator go term by term through Expr.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cmp_to_key
 from math import lcm
 
 from .symbols import Symbol, SymbolTable
@@ -28,7 +27,7 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 CONST_MONO = ()
-_ONE_POLY = {CONST_MONO: ONE}  # the denominator of every polynomial Expr
+_ONE_POLY = {CONST_MONO: ONE}  # the denominator of every polynomial Expr, shared: never mutated
 
 
 class ExprError(Exception):
@@ -47,35 +46,39 @@ class CyclicRules(ExprError):
 # monomials
 
 def _mono_mul(m1, m2):
+    """Product of two monomials: a merge of their sorted (index, exp) pairs."""
     if not m1:
         return m2
     if not m2:
         return m1
-    out = dict(m1)
-    for idx, e in m2:
-        out[idx] = out.get(idx, 0) + e
-    return tuple(sorted((i, e) for i, e in out.items() if e))
+    if m1[-1][0] < m2[0][0]:
+        return m1 + m2
+    if m2[-1][0] < m1[0][0]:
+        return m2 + m1
+    out, i, j, n1, n2 = [], 0, 0, len(m1), len(m2)
+    while i < n1 and j < n2:
+        (a, e), (b, f) = m1[i], m2[j]
+        if a == b:
+            if e + f:
+                out.append((a, e + f))
+            i += 1
+            j += 1
+        elif a < b:
+            out.append(m1[i])
+            i += 1
+        else:
+            out.append(m2[j])
+            j += 1
+    return (*out, *m1[i:], *m2[j:])
 
 
 def _mono_degree(m):
     return sum(e for _, e in m)
 
 
-def _mono_cmp(m1, m2):
-    """Graded lex; lower symbol index is more significant."""
-    d1, d2 = _mono_degree(m1), _mono_degree(m2)
-    if d1 != d2:
-        return -1 if d1 < d2 else 1
-    e1, e2 = dict(m1), dict(m2)
-    for idx in sorted(set(e1) | set(e2)):
-        a, b = e1.get(idx, 0), e2.get(idx, 0)
-        if a != b:
-            # higher exponent on the most significant differing symbol wins
-            return 1 if a > b else -1
-    return 0
-
-
-_MONO_KEY = cmp_to_key(_mono_cmp)
+def _mono_key(m):
+    """Graded lex; lower symbol index is more significant (so it sorts as -index)."""
+    return _mono_degree(m), tuple((-i, e) for i, e in m)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +126,7 @@ def _pconst(c):
 
 
 def _plead(a):
-    return max(a, key=_MONO_KEY)
+    return max(a, key=_mono_key)
 
 
 def _pdegree(a):
@@ -277,7 +280,7 @@ def _pgcd(a, b):
         return _pmonic(a)
     va, vb = _pvars(a), _pvars(b)
     if not va or not vb:
-        return _pconst(1)
+        return _ONE_POLY
     common = va | vb
     idx = max(common)
     av, bv = _uni_view(a, idx), _uni_view(b, idx)
@@ -308,17 +311,17 @@ class Expr:
     def __init__(self, table: SymbolTable, num, den=None, _normalized=False):
         self.table = table
         if den is None:
-            den = _pconst(1)
+            den = _ONE_POLY
         if _normalized:
             self.num, self.den = num, den
             return
         if not den:
             raise ZeroDenominator("zero denominator")
         if not num:
-            self.num, self.den = {}, _pconst(1)
+            self.num, self.den = {}, _ONE_POLY
             return
         g = _pgcd(num, den)
-        if g != _pconst(1):
+        if g != _ONE_POLY:
             num = _pdiv_exact(num, g)
             den = _pdiv_exact(den, g)
         lc = den[_plead(den)]
@@ -416,11 +419,13 @@ class Expr:
             return o
         if o.is_zero():
             raise ZeroDenominator("division by zero expression")
+        if o.is_constant():  # num/c over the same monic den: already normal
+            return Expr(self.table, _pscale(self.num, 1 / o.num[CONST_MONO]), self.den, _normalized=True)
         return Expr(self.table, _pmul(self.num, o.den), _pmul(self.den, o.num))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
-        return o / self
+        return o if o is NotImplemented else o / self
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
@@ -675,7 +680,7 @@ def _pstr(table, poly) -> str:
     if not poly:
         return "0"
     parts = []
-    for m in sorted(poly, key=_MONO_KEY, reverse=True):
+    for m in sorted(poly, key=_mono_key, reverse=True):
         c = poly[m]
         factors = [f"{table[i].name}" + (f"^{e}" if e > 1 else "") for i, e in m]
         mag = abs(c)

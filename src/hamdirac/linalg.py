@@ -1,7 +1,9 @@
 """Matrices over the rational-function field: rank, kernel, linear solving.
 
 These serve the step whose entries may be non-constant: the Legendre
-velocity solve (its leftover rows become the primary constraints).
+velocity solve (its leftover rows become the primary constraints).  A
+constant matrix is eliminated over Fractions in the same loop and pivot
+order, with only the right-hand sides as expressions.
 `solve_linear` is the one elimination here: the rank and the kernel are read
 off its solution of A x = 0.  Constant-coefficient elimination, the primary
 constraints' independence check included, lives in `qq`; the multiplier
@@ -98,7 +100,12 @@ def solve_linear(a: ExprMatrix, b: list, pivot_log: list | None = None, prefer_l
     if table is None:
         raise LinalgError("empty system without context")
     zero = Expr.const(table, 0)
-    rows = [a.row(i) + [b[i]] for i in range(a.rows)]
+    # a constant A (every quadratic L's kinetic matrix) is held as Fractions,
+    # so only the right-hand sides are Exprs
+    const = all(e.is_constant() for row in a.entries for e in row)
+    entries = [[e.constant_value() for e in row] for row in a.entries] if const else a.entries
+    rows = [entries[i] + [b[i]] for i in range(a.rows)]
+    nonzero = bool if const else (lambda e: not e.is_zero())
     n = a.cols
     pivot_of_col = {}
     used_rows = set()
@@ -106,7 +113,7 @@ def solve_linear(a: ExprMatrix, b: list, pivot_log: list | None = None, prefer_l
     for col in range(n):
         piv = None
         for i in row_order:
-            if i not in used_rows and not rows[i][col].is_zero():
+            if i not in used_rows and nonzero(rows[i][col]):
                 piv = i
                 break
         if piv is None:
@@ -114,12 +121,12 @@ def solve_linear(a: ExprMatrix, b: list, pivot_log: list | None = None, prefer_l
         pivot_of_col[col] = piv
         used_rows.add(piv)
         p = rows[piv][col]
-        if pivot_log is not None and not p.is_constant():
+        if pivot_log is not None and not const and not p.is_constant():
             pivot_log.append(p)
-        inv = Expr.const(table, 1) / p
+        inv = 1 / p
         rows[piv] = [e * inv for e in rows[piv]]
         for i in range(a.rows):
-            if i == piv or rows[i][col].is_zero():
+            if i == piv or not nonzero(rows[i][col]):
                 continue
             f = rows[i][col]
             rows[i] = [rows[i][j] - f * rows[piv][j] for j in range(n + 1)]
@@ -132,7 +139,7 @@ def solve_linear(a: ExprMatrix, b: list, pivot_log: list | None = None, prefer_l
         v = [zero] * n
         v[fc] = Expr.const(table, 1)
         for col, i in pivot_of_col.items():
-            v[col] = -rows[i][fc]
+            v[col] = Expr.const(table, -rows[i][fc]) if const else -rows[i][fc]
         kernel.append(v)
     witnesses, witness_rows = [], []
     for i in range(a.rows):

@@ -3,10 +3,16 @@ from fractions import Fraction
 import pytest
 
 from hamdirac import SymbolTable, parse_expr
-from hamdirac.expr import CyclicRules, Expr, ZeroDenominator, _padd, _pmul, _psubstitute
+from hamdirac.expr import CyclicRules, Expr, ZeroDenominator, _mono_key, _mono_mul, _padd, _pmul, _psubstitute
 from hamdirac.parser import ParseError, UnknownSymbol
 
 from conftest import random_poly, rng_for
+
+
+def same(got, want):
+    """Equal Exprs down to the key order of their dicts."""
+    assert list(got.num.items()) == list(want.num.items())
+    assert list(got.den.items()) == list(want.den.items())
 
 
 def table3():
@@ -210,10 +216,6 @@ def test_polynomial_add_mul_match_general_path():
     def general_mul(a, b):
         return Expr(t, _pmul(a.num, b.num), _pmul(a.den, b.den))
 
-    def same(got, want):
-        assert list(got.num.items()) == list(want.num.items())
-        assert list(got.den.items()) == list(want.den.items())
-
     for _ in range(200):
         a = random_poly(t, syms, rng)
         b = rng.choice([random_poly(t, syms, rng), -a, Expr.const(t, 0), Expr.const(t, Fraction(-3, 2))])
@@ -224,6 +226,88 @@ def test_polynomial_add_mul_match_general_path():
         same(b * a, general_mul(b, a))
         same(a + 2, general_add(a, Expr.const(t, 2)))
         same(a * 0, general_mul(a, Expr.const(t, 0)))
+
+
+def test_constant_division_matches_general_path():
+    # dividing by a nonzero constant scales the numerator and keeps the
+    # denominator; the result must be the general quotient's Expr down to
+    # dict key order, for polynomials and rational functions alike
+    t = table3()
+    syms = [t["q1"], t["q2"], t["q3"], t["d(q1)"]]
+    rng = rng_for("constant-division")
+
+    def general_div(a, c):
+        return Expr(t, _pmul(a.num, c.den), _pmul(a.den, c.num))
+
+    divisors = [Fraction(-3, 2), Fraction(5, 7), Fraction(-1, 4), 2, -1, 1]
+    for k in range(200):
+        a = random_poly(t, syms, rng)
+        if k % 2:
+            b = random_poly(t, syms, rng)
+            while b.is_constant():
+                b = random_poly(t, syms, rng)
+            a = a / b
+        c = rng.choice(divisors)
+        want = general_div(a, Expr.const(t, c))
+        same(a / c, want)
+        same(a / Expr.const(t, c), want)
+    for zero in (0, Fraction(0), Expr.const(t, 0)):
+        with pytest.raises(ZeroDenominator, match="division by zero expression"):
+            a / zero
+
+
+def test_reflected_division_by_unsupported_operand_is_type_error():
+    e = parse_expr("q1 + 1", table3())
+    for other in (2.5, "q1"):
+        with pytest.raises(TypeError):
+            other / e
+    assert 2 / e == Expr.const(e.table, 2) / e
+
+
+def test_mono_mul_matches_dict_merge():
+    # the merge of the sorted (index, exp) pairs against the dict-and-sort
+    # product it replaced; negative exponents make zero sums, which drop
+    def dict_mono_mul(m1, m2):
+        if not m1:
+            return m2
+        if not m2:
+            return m1
+        out = dict(m1)
+        for idx, e in m2:
+            out[idx] = out.get(idx, 0) + e
+        return tuple(sorted((i, e) for i, e in out.items() if e))
+
+    rng = rng_for("mono-mul")
+
+    def mono():
+        return tuple((i, rng.choice([-2, -1, 1, 1, 2, 3])) for i in sorted(rng.sample(range(8), rng.randint(0, 4))))
+
+    for _ in range(5000):
+        a, b = mono(), mono()
+        assert _mono_mul(a, b) == dict_mono_mul(a, b)
+
+
+def test_mono_key_orders_like_graded_lex_comparison():
+    def graded_lex_cmp(m1, m2):
+        d1, d2 = sum(e for _, e in m1), sum(e for _, e in m2)
+        if d1 != d2:
+            return -1 if d1 < d2 else 1
+        e1, e2 = dict(m1), dict(m2)
+        for idx in sorted(set(e1) | set(e2)):
+            a, b = e1.get(idx, 0), e2.get(idx, 0)
+            if a != b:
+                return 1 if a > b else -1
+        return 0
+
+    rng = rng_for("mono-key")
+
+    def mono():
+        return tuple((i, rng.randint(1, 3)) for i in sorted(rng.sample(range(6), rng.randint(0, 3))))
+
+    for _ in range(20000):
+        a, b = mono(), mono()
+        ka, kb = _mono_key(a), _mono_key(b)
+        assert (ka > kb) - (ka < kb) == graded_lex_cmp(a, b)
 
 
 def test_diff_linear_and_leibniz_random():

@@ -14,6 +14,7 @@ from hamdirac import (
     pons_reduce,
 )
 from hamdirac.expr import Expr
+from hamdirac.linalg import LinearSolution
 
 from conftest import L1_SRC, L2_SRC, L4_SRC, make_system, random_poly, rng_for
 
@@ -177,3 +178,76 @@ def test_ssok_pons_dof_cross_check():
         res = classify(dirac_iterate(legendre(red)))
         dofs.append(res.dof)
     assert dofs == [1, 1]
+
+
+def _expr_only_solve_linear(a, b, pivot_log=None, prefer_late_rows=False):
+    """`linalg.solve_linear` as it was before a constant A was held as
+    Fractions: every entry an Expr (witnesses and particular solution only)."""
+    table = b[0].table
+    rows = [a.row(i) + [b[i]] for i in range(a.rows)]
+    n = a.cols
+    pivot_of_col, used_rows = {}, set()
+    row_order = range(a.rows - 1, -1, -1) if prefer_late_rows else range(a.rows)
+    for col in range(n):
+        piv = next((i for i in row_order if i not in used_rows and not rows[i][col].is_zero()), None)
+        if piv is None:
+            continue
+        pivot_of_col[col] = piv
+        used_rows.add(piv)
+        p = rows[piv][col]
+        if pivot_log is not None and not p.is_constant():
+            pivot_log.append(p)
+        inv = Expr.const(table, 1) / p
+        rows[piv] = [e * inv for e in rows[piv]]
+        for i in range(a.rows):
+            if i == piv or rows[i][col].is_zero():
+                continue
+            f = rows[i][col]
+            rows[i] = [rows[i][j] - f * rows[piv][j] for j in range(n + 1)]
+    particular = [Expr.const(table, 0)] * n
+    for col, i in pivot_of_col.items():
+        particular[col] = rows[i][n]
+    witnesses = [rows[i][n] for i in range(a.rows) if i not in used_rows and not rows[i][n].is_zero()]
+    return LinearSolution(particular, [], sorted(pivot_of_col), [], witnesses)
+
+
+def test_legendre_matches_expr_only_elimination(monkeypatch):
+    # a constant kinetic matrix is eliminated over Fractions; H, the
+    # primaries, the momentum definitions and the pivot log must be the
+    # all-Expr elimination's, down to dict key order
+    import hamdirac.lagrangian as lagrangian
+    from conftest import random_quadratic_lagrangian
+
+    def shape(e):
+        return list(e.num.items()), list(e.den.items())
+
+    def run(src, names, order, path):
+        sys = make_system(src, names, order)
+        if order == 2:
+            sys = ostrogradsky_reduce(sys) if path == "ssok" else pons_reduce(sys)
+        log = []
+        fos = legendre(sys, pivot_log=log)
+        return (
+            shape(fos.H),
+            [shape(p) for p in fos.primaries],
+            [(m.name, shape(d)) for m, d in fos.momentum_defs.items()],
+            [shape(p) for p in log],
+        )
+
+    rng = rng_for("legendre-fraction-elimination")
+    cases = [("(1/2)*q2*d(q1)^2 + d(q1)*d(q2) + q1*q2", ["q1", "q2"], 1, None),
+             ("(1/2)*(q1 + 1)*(d(q1) + d(q2))^2 - q2^2", ["q1", "q2"], 1, None)]
+    for k in range(60):
+        order = 1 + k % 2
+        names = [f"q{j}" for j in range(1, rng.randint(1, 3 if order == 1 else 2) + 1)]
+        for path in (None,) if order == 1 else ("ssok", "pons"):
+            cases.append((random_quadratic_lagrangian(rng, names, order), names, order, path))
+    saw_log = False
+    for case in cases:
+        got = run(*case)
+        with monkeypatch.context() as m:
+            m.setattr(lagrangian, "solve_linear", _expr_only_solve_linear)
+            want = run(*case)
+        assert got == want, case
+        saw_log = saw_log or bool(got[3])
+    assert saw_log

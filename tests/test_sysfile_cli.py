@@ -171,6 +171,52 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _run_each(argvs, capsys):
+    """(exit code, stdout, stderr) of each in-process call, in order."""
+    results = []
+    for argv in argvs:
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        captured = capsys.readouterr()
+        results.append((rc, captured.out, captured.err))
+    return results
+
+
+def test_cli_calls_sharing_one_parser_match_fresh_parsers(capsys, monkeypatch):
+    # main builds its parser once per process; appended options and bad
+    # arguments of one call must not reach the next
+    import hamdirac.cli as cli
+
+    l2, l3 = fixture("l2.sys"), fixture("l3.sys")
+    argvs = [
+        ["report", l3, "--epsilon", "Psi2=1/2", "--epsilon", "ThU1=2"],
+        ["report", l3],
+        ["simulate", l3, "--bc", "Q1=1:0", "--xi", "Xi2=1/2", "--t2", "1"],
+        ["simulate", l3, "--bc", "Q1=1:0", "--t2", "1"],
+        ["simulate", l2, "--bc", "Q1=1:0.5", "--t2", "1"],
+        ["simulate", l2, "--t2", "1"],
+        ["report", l3, "--gauge-fixing"],
+        ["report", l3, "--gauge-fixing", "zeta1=-P1"],
+        ["report", l3],
+        ["bogus", l2],
+        ["simulate", l2, "--bc", "Q1=1:0"],
+        ["report", "--help"],
+        ["analyze", fixture("cawley.sys")],
+    ]
+    assert cli._build_parser() is cli._build_parser()
+    shared = _run_each(argvs, capsys)
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    fresh = _run_each(argvs, capsys)
+    assert shared == fresh
+    assert [rc for rc, _, _ in shared] == [0, 0, 0, 0, 0, 2, 0, 0, 0, 2, 2, 0, 0]
+    assert shared[1] == shared[8] != shared[0]
+    assert shared[5] == (2, "", "error: --bc missing for Q1: every physical position needs Q=V1:V2\n")
+    assert "invalid choice: 'bogus'" in shared[9][2]
+    assert "the following arguments are required: --t2" in shared[10][2]
+
+
 @pytest.mark.parametrize(
     "lagrangian,constraint",
     [("d(q1)*q2^2 + d(q1)*q1", "-1*q2^2 - q1 + p1"), ("(1/2)*d(q1)^2 + q2*(q1^2 + 1)", "q1^2 + 1")],
