@@ -38,7 +38,6 @@ from .chart import (
     frobenius_check,
     integral_constant_budget,
     transform,
-    transform_float_expr,
     verify_chart,
 )
 from .embedding import (
@@ -118,7 +117,6 @@ __all__ = [
     "solve_iota",
     "solve_linear",
     "transform",
-    "transform_float_expr",
     "verify_chart",
     "weak_reduce",
 ]

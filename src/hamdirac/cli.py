@@ -283,6 +283,8 @@ def _cmd_verify_chart(args) -> int:
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise InputError("chart 'matrix' must be a list of rows, each a list of numbers")
     mode = args.mode or data.get("mode", "exact")
+    if mode not in ("exact", "float"):
+        raise InputError(f"chart 'mode' must be \"exact\" or \"float\", not {mode!r}")
     matrix = [[_chart_entry(v, i, k, mode) for k, v in enumerate(row)] for i, row in enumerate(rows)]
     if len(matrix) % 2 or any(len(row) != len(matrix) for row in matrix):
         raise InputError("chart matrix must be square with even dimension")

@@ -136,7 +136,7 @@ def legendre(sys: LagrangianSystem, pivot_log: list | None = None) -> FirstOrder
         rev = list(reversed(range(len(vels))))
         a = ExprMatrix.from_rows([[row[j] for j in rev] for row in a_rows])
         rhs = [Expr.sym(table, momenta[c]) - b[i] for i, c in enumerate(genuine)]
-        sol = solve_linear(a, rhs, pivot_log=pivot_log, prefer_late_rows=True)
+        sol = solve_linear(a, rhs, pivot_log=pivot_log)
         primaries = list(sol.witnesses)
         for k, j in enumerate(rev):
             subs[vels[j]] = sol.particular[k]

@@ -86,13 +86,13 @@ class LinearSolution:
         return not self.witnesses
 
 
-def solve_linear(a: ExprMatrix, b: list, pivot_log: list | None = None, prefer_late_rows: bool = False) -> LinearSolution:
+def solve_linear(a: ExprMatrix, b: list, pivot_log: list | None = None) -> LinearSolution:
     """Full affine solution set of A x = b over the rational-function field.
 
     Elimination keeps rows in place (no swaps), so each leftover inconsistent
-    equation is attributable to its original row index.  With
-    prefer_late_rows each column pivots on the last eligible row, leaving the
-    earliest redundant rows as the inconsistency witnesses.
+    equation is attributable to its original row index.  Each column pivots
+    on the last eligible row, leaving the earliest redundant rows as the
+    inconsistency witnesses.
     """
     if a.rows != len(b):
         raise LinalgError("rhs length mismatch")
@@ -109,13 +109,8 @@ def solve_linear(a: ExprMatrix, b: list, pivot_log: list | None = None, prefer_l
     n = a.cols
     pivot_of_col = {}
     used_rows = set()
-    row_order = range(a.rows - 1, -1, -1) if prefer_late_rows else range(a.rows)
     for col in range(n):
-        piv = None
-        for i in row_order:
-            if i not in used_rows and nonzero(rows[i][col]):
-                piv = i
-                break
+        piv = next((i for i in reversed(range(a.rows)) if i not in used_rows and nonzero(rows[i][col])), None)
         if piv is None:
             continue
         pivot_of_col[col] = piv

@@ -92,7 +92,7 @@ def to_row(values):
 
 def from_row(row):
     nums, den = row
-    return [Fraction(x, den) for x in nums]
+    return [Fraction(x, den) if x else Fraction(0) for x in nums]
 
 
 def _primitive(nums, den):

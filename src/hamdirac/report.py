@@ -179,7 +179,7 @@ def _import_chart(an: Analysis) -> CanonicalChart:
     phase = an.fos.phase
     n = phase.n
     z = phase.z_order()
-    by_role = {}
+    by_role = {}  # (role, index) -> (symbol, qq integer row over (z, 1))
     for name, text, lineno in an.sysfile.chart_rows:
         m = ROLE_PATTERN.match(name)
         role, idx = m.group(1), int(m.group(2))
@@ -195,7 +195,7 @@ def _import_chart(an: Analysis) -> CanonicalChart:
             raise InputError(f"chart row {name} (line {lineno}): {exc}") from exc
         if (role, idx) in by_role:
             raise InputError(f"duplicate chart row {name}")
-        by_role[(role, idx)] = ChartRow(role, idx, coeffs, offset, sym)
+        by_role[(role, idx)] = (sym, qq.to_row([*coeffs, offset]))
 
     counts = {r: max((i for (rr, i) in by_role if rr == r), default=0) for r in ("Xi", "Psi", "ThU", "ThD", "Q", "P")}
     if counts["Xi"] != counts["Psi"] or counts["ThU"] != counts["ThD"] or counts["Q"] != counts["P"]:
@@ -203,20 +203,14 @@ def _import_chart(an: Analysis) -> CanonicalChart:
     total = counts["Xi"] + counts["ThU"] + counts["Q"]
     if total != n:
         raise InputError(f"chart must have {n} conjugate pairs, found {total}")
-    rows = []
-    for role in ("Xi", "ThU", "Q"):
-        for i in range(1, counts[role] + 1):
-            if (role, i) not in by_role:
-                raise InputError(f"missing chart row {role}{i}")
-            rows.append(by_role[(role, i)])
-    for role in ("Psi", "ThD", "P"):
-        for i in range(1, counts[role] + 1):
-            if (role, i) not in by_role:
-                raise InputError(f"missing chart row {role}{i}")
-            rows.append(by_role[(role, i)])
-    chart = CanonicalChart(phase, rows)
+    order = [(role, i) for role in ("Xi", "ThU", "Q", "Psi", "ThD", "P") for i in range(1, counts[role] + 1)]
+    for role, i in order:
+        if (role, i) not in by_role:
+            raise InputError(f"missing chart row {role}{i}")
+    by_role = {key: by_role[key] for key in order}  # chart order
+    matrix = {key: qq.from_row(row)[:-1] for key, (_sym, row) in by_role.items()}
 
-    ok, violations, _ = verify_chart(chart.matrix(), mode="exact")
+    ok, violations, _ = verify_chart(list(matrix.values()), mode="exact")
     if not ok:
         i, k, delta = violations[0]
         raise InputError(f"supplied chart fails S^T J S = J (entry {i},{k} off by {delta})")
@@ -228,19 +222,18 @@ def _import_chart(an: Analysis) -> CanonicalChart:
     # and they number m.
     result = an.result
     cons = result.constraints
-    psi, theta = chart.rows_by_role("Psi"), chart.rows_by_role("ThU") + chart.rows_by_role("ThD")
-    coords = _constraint_coordinates(cons, [r.coeffs for r in psi + theta], n)
+    psi = [key for key in order if key[0] == "Psi"]
+    theta = [key for key in order if key[0] in ("ThU", "ThD")]
+    coords = _constraint_coordinates(cons, [matrix[key] for key in psi + theta], n)
     first_class = [
-        x is not None and not any(qq.row_bracket(qq.to_row(list(r.coeffs) + [0]), c.row, n) for c in cons)
-        for r, x in zip(psi, coords)
+        x is not None and not any(qq.row_bracket(by_role[key][1], c.row, n) for c in cons) for key, x in zip(psi, coords)
     ]
     if len(psi) != result.F or not all(first_class):
         raise InputError("supplied Psi rows do not span the first-class constraints")
     if len(psi) + len(theta) != len(cons) or None in coords:
         raise InputError("supplied Psi/Theta rows do not span the constraint set")
-    for r, x in zip(psi, coords):
-        r.generation = 2 if any(xc for xc, c in zip(x, cons) if c.generation > 1) else 1
-    return chart
+    gens = {key: 2 if any(xc for xc, c in zip(x, cons) if c.generation > 1) else 1 for key, x in zip(psi, coords)}
+    return CanonicalChart(phase, [ChartRow(*key, row, sym, gens.get(key)) for key, (sym, row) in by_role.items()])
 
 
 def _constraint_coordinates(cons, vectors, n):

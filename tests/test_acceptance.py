@@ -14,7 +14,6 @@ from hamdirac import (
     build_chart,
     parse_expr,
     poisson,
-    transform_float_expr,
     verify_chart,
     weak_reduce,
 )
@@ -100,14 +99,16 @@ def test_criterion_2_l2():
     checks.append(("zeta2 = q1 exactly", lambda: _assert(sols.get("zeta2") == parse_expr("q1", t))))
     checks.append(("both second-class, dof 1", lambda: _assert(res.F == 0 and res.S == 2 and res.dof == 1)))
 
-    # the sqrt2-normalized chart for this model, float-verified
-    s = 1.0 / math.sqrt(2.0)
-    matrix = [
-        [0.0, s, s, 0.0],  # ThU = (p1 + q2)/sqrt2
-        [s, 0.0, 0.0, s],  # Q   = (q1 + p2)/sqrt2
-        [-s, 0.0, 0.0, s],  # ThD = (p2 - q1)/sqrt2
-        [0.0, -s, s, 0.0],  # P   = (p1 - q2)/sqrt2
+    # the sqrt2-normalized chart for this model, float-verified: S = M/sqrt2
+    # with M an integer matrix, rows over (q1, q2, p1, p2)
+    m = [
+        [0, 1, 1, 0],  # ThU = (p1 + q2)/sqrt2
+        [1, 0, 0, 1],  # Q   = (q1 + p2)/sqrt2
+        [-1, 0, 0, 1],  # ThD = (p2 - q1)/sqrt2
+        [0, -1, 1, 0],  # P   = (p1 - q2)/sqrt2
     ]
+    s = 1.0 / math.sqrt(2.0)
+    matrix = [[s * x for x in row] for row in m]
 
     def chart_verifies():
         ok, _v, dev = verify_chart(matrix, mode="float", tol=1e-12)
@@ -115,25 +116,31 @@ def test_criterion_2_l2():
 
     checks.append(("sqrt2 chart satisfies S^T J S = J to 1e-12", chart_verifies))
 
+    # exactly: S^-1 = -J S^T J = M'/sqrt2 with M' = -J M^T J, and H_T is a
+    # homogeneous quadratic, so H_T(S^-1 y) = H_T(M' y)/2
     ht = res.total_hamiltonian(substitute_solved=True)
-    coeffs = transform_float_expr(ht, fos.phase, matrix)
-    THU, Q, THD, P = 0, 1, 2, 3
-    expected = {((P, 2),): 0.5, ((Q, 2),): 0.5, ((THU, 2),): -0.5, ((THD, 2),): -0.5}
+    jay = lambda i, k: (k == i + 2) - (i == k + 2)
+    m_inv = [[-sum(jay(i, a) * m[b][a] * jay(b, k) for a in range(4) for b in range(4)) for k in range(4)] for i in range(4)]
+    y = [Expr.sym(t, t.position(name)) for name in ("ThU1", "Q1", "ThD1", "P1")]
+    subs = {
+        z: sum((Expr.const(t, c) * yk for c, yk in zip(row, y)), Expr.const(t, 0))
+        for z, row in zip(fos.phase.z_order(), m_inv)
+    }
+    got = ht.substitute(subs) * Expr.const(t, Fraction(1, 2))
 
     def transformed_ht():
-        _assert(set(coeffs) == set(expected), coeffs)
-        for m, v in expected.items():
-            _assert(abs(coeffs[m] - v) < 1e-12, (m, coeffs[m]))
+        want = parse_expr("(1/2)*P1^2 + (1/2)*Q1^2 - (1/2)*ThU1^2 - (1/2)*ThD1^2", t)
+        _assert(got == want, got)
 
     checks.append(("transformed H_T = P^2/2 + Q^2/2 - ThU^2/2 - ThD^2/2 term-by-term", transformed_ht))
 
     def pullback_form():
         # under that chart: L_T = P Qdot - H_T|Theta->eps; the Theta part is
         # pure squares, i.e. an additive constant, leaving P Qdot - Q^2/2 - P^2/2
-        surviving = {m: v for m, v in coeffs.items() if all(i in (Q, P) for i, _e in m)}
-        theta_part = {m: v for m, v in coeffs.items() if any(i in (THU, THD) for i, _e in m)}
-        _assert(surviving == {((Q, 2),): coeffs[((Q, 2),)], ((P, 2),): coeffs[((P, 2),)]})
-        _assert(abs(surviving[((Q, 2),)] - 0.5) < 1e-12 and abs(surviving[((P, 2),)] - 0.5) < 1e-12)
+        Q, P = t["Q1"].index, t["P1"].index
+        surviving = {m: v for m, v in got.num.items() if all(i in (Q, P) for i, _e in m)}
+        theta_part = [m for m in got.num if any(i not in (Q, P) for i, _e in m)]
+        _assert(surviving == {((Q, 2),): Fraction(1, 2), ((P, 2),): Fraction(1, 2)}, surviving)
         for m in theta_part:
             _assert(all(e == 2 for _i, e in m), f"non-constant Theta term {m}")
 

@@ -10,12 +10,12 @@ from hamdirac import (
     integral_constant_budget,
     parse_expr,
     poisson,
+    qq,
     select_embedding,
     transform,
-    transform_float_expr,
     verify_chart,
 )
-from hamdirac.chart import CanonicalChart, ChartRow, float_bracket_table
+from hamdirac.chart import CanonicalChart, ChartRow
 from hamdirac.expr import Expr
 from hamdirac.lagrangian import UnsupportedShape
 
@@ -182,8 +182,113 @@ def test_verify_chart_sqrt2_l2_float():
     ]
     ok, violations, dev = verify_chart(matrix, mode="float", tol=1e-12)
     assert ok and dev <= 1e-12
-    table = float_bracket_table(matrix)
-    assert abs(table[0][2] - 1.0) < 1e-12  # {ThU1, ThD1} = 1
+    # {ThU1, ThD1} = 1: the symplectic pairing of rows 0 and 2
+    u, v = matrix[0], matrix[2]
+    assert abs(sum(u[i] * v[2 + i] - u[2 + i] * v[i] for i in range(2)) - 1.0) < 1e-12
+
+
+def numpy_float_deviation(matrix):
+    """verify_chart's float mode as it was: S^T J S - J in numpy doubles."""
+    import numpy as np
+
+    dim = len(matrix)
+    n = dim // 2
+    s = np.array(matrix, dtype=float)
+    j = np.zeros((dim, dim))
+    j[:n, n:] = np.eye(n)
+    j[n:, :n] = -np.eye(n)
+    return s.T @ j @ s - j
+
+
+def test_verify_chart_float_matches_numpy_reference():
+    # seeded float charts, dims 2..12: symplectic ones, some with one entry
+    # moved by a few tol, sqrt2 pair rotations, entries drawn from
+    # {0, +-1/sqrt2, +-1/2, +-1} and uniform entries;
+    # the exact deviation of the doubles flags the entries numpy flags,
+    # except within 1e-15 of tol, and agrees with numpy's deviation within
+    # its rounding bound 2n * 2^-52 * max|S_ij|^2, plus one rounding of the
+    # entry itself (numpy's subtraction of J, the exact value's to float)
+    import numpy as np
+
+    rng = rng_for("verify-chart-float-parity")
+    r2 = 1 / math.sqrt(2)
+    draws = [0.0, r2, -r2, 0.5, -0.5, 1.0, -1.0]
+    tol = 1e-12
+    canonical = 0
+    for case in range(600):
+        n = rng.randint(1, 6)
+        dim = 2 * n
+        kind = case % 5
+        if kind in (0, 4):
+            s = [[float(x) for x in row] for row in random_symplectic(rng, n)]
+            if kind == 4:
+                s[rng.randrange(dim)][rng.randrange(dim)] += rng.choice([-1, 1]) * rng.choice([0.5, 1.5, 3, 20]) * tol
+        elif kind == 1:
+            s = [[0.0] * dim for _ in range(dim)]
+            for i in range(n):
+                s[i][i], s[i][n + i], s[n + i][i], s[n + i][n + i] = r2, r2, -r2, r2
+            s = [s[i] for i in rng.sample(range(n), n)] + [s[n + i] for i in range(n)]
+        elif kind == 2:
+            s = [[rng.choice(draws) for _ in range(dim)] for _ in range(dim)]
+        else:
+            s = [[rng.uniform(-2, 2) for _ in range(dim)] for _ in range(dim)]
+        ref = numpy_float_deviation(s)
+        ok, violations, maxdev = verify_chart(s, mode="float", tol=tol)
+        # with a negative tol every entry is reported, zeros included
+        exact = {(i, k): d for i, k, d in verify_chart(s, mode="float", tol=-1.0)[1]}
+        assert len(exact) == dim * dim and maxdev == max(map(abs, exact.values()))
+        bound = 2 * n * 2.0**-52 * max(abs(x) for row in s for x in row) ** 2
+        near = set()
+        for (i, k), d in exact.items():
+            r = float(ref[i, k])
+            assert abs(d - r) <= bound + 2.0**-52 * abs(d), (case, i, k, d, r)
+            if abs(abs(r) - tol) <= 1e-15:
+                near.add((i, k))
+        got = {(i, k) for i, k, _d in violations}
+        want = {(int(i), int(k)) for i, k in np.argwhere(~(np.abs(ref) <= tol))}
+        assert got - near == want - near, case
+        if not near:
+            assert ok == (not want)
+        canonical += ok
+    assert 150 <= canonical <= 450, canonical
+
+
+def test_chart_rows_are_frozen_and_build_chart_repeats(l1, l3):
+    # two builds on one classified result give equal rows and notes (the
+    # second build's symbols are fresh, so they differ only in name) and
+    # leave the result as it was; a row and its derived lists cannot change
+    import dataclasses
+
+    def snapshot(res):
+        rows = lambda rs: [((tuple(r.row[0]), r.row[1]), r.generation) for r in rs]
+        return (
+            [(c.name, str(c.expr), (tuple(c.row[0]), c.row[1]), c.klass, c.generation) for c in res.constraints],
+            rows(res.first_class),
+            rows(res.second_class),
+            [(z.name, str(v)) for z, v in res.multiplier_solutions.items()],
+            list(res.flags),
+            list(res.free_multipliers),
+        )
+
+    rng = rng_for("frozen-chart-rows")
+    results = [l1[2], l3[2], l3_family("gauge", 2, rng)[2], l3_family("coupled", 2, rng)[2]]
+    for res in results:
+        before = snapshot(res)
+        first, second = build_chart(res), build_chart(res)
+        assert [(r.role, r.pair, r.row, r.generation) for r in first.rows] == [
+            (r.role, r.pair, r.row, r.generation) for r in second.rows
+        ]
+        assert [r.name + "_" for r in first.rows] == [r.name for r in second.rows]
+        assert first.notes == second.notes
+        assert snapshot(res) == before
+        for r in first.rows:
+            assert isinstance(r.row[0], tuple)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                r.row = ((), 1)
+            with pytest.raises(AttributeError):
+                r.coeffs = []
+            r.coeffs.append(Fraction(1))
+            assert len(r.coeffs) == 2 * first.n and qq.to_row([*r.coeffs, r.offset]) == (list(r.row[0]), r.row[1])
 
 
 def test_transform_constant(charts):
@@ -215,28 +320,32 @@ def test_transform_l2_total_hamiltonian(charts):
 
 
 def test_transform_l2_under_sqrt2_chart_float(l2):
-    # the sqrt2-normalized chart gives the symmetric 1/2 coefficients
+    # the sqrt2-normalized chart S = M/sqrt2 gives the symmetric 1/2
+    # coefficients, exactly: S^-1 = -J S^T J = M'/sqrt2 with M' = -J M^T J,
+    # and H_T is a homogeneous quadratic, so H_T(S^-1 y) = H_T(M' y)/2
     t, fos, res = l2
     ht = res.total_hamiltonian(substitute_solved=True)  # = q1*p2 - q2*p1
     assert ht == parse_expr("q1*p2 - q2*p1", t)
-    s = 1.0 / math.sqrt(2.0)
-    matrix = [
-        [0.0, s, s, 0.0],  # ThU1
-        [s, 0.0, 0.0, s],  # Q1
-        [-s, 0.0, 0.0, s],  # ThD1
-        [0.0, -s, s, 0.0],  # P1
+    m = [
+        [0, 1, 1, 0],  # ThU1
+        [1, 0, 0, 1],  # Q1
+        [-1, 0, 0, 1],  # ThD1
+        [0, -1, 1, 0],  # P1
     ]
-    coeffs = transform_float_expr(ht, fos.phase, matrix)
-    idx = {name: k for k, name in enumerate(("ThU1", "Q1", "ThD1", "P1"))}
-    expected = {
-        ((idx["P1"], 2),): 0.5,
-        ((idx["Q1"], 2),): 0.5,
-        ((idx["ThU1"], 2),): -0.5,
-        ((idx["ThD1"], 2),): -0.5,
+    s = 1.0 / math.sqrt(2.0)
+    assert verify_chart([[s * x for x in row] for row in m], mode="float", tol=1e-12)[0]
+    jay = lambda i, k: (k == i + 2) - (i == k + 2)
+    m_inv = [[-sum(jay(i, a) * m[b][a] * jay(b, k) for a in range(4) for b in range(4)) for k in range(4)] for i in range(4)]
+    assert [[sum(m_inv[i][a] * m[a][k] for a in range(4)) for k in range(4)] for i in range(4)] == [
+        [2 * (i == k) for k in range(4)] for i in range(4)
+    ]
+    y = [Expr.sym(t, t.position(name)) for name in ("ThU1", "Q1", "ThD1", "P1")]
+    subs = {
+        z: sum((Expr.const(t, c) * yk for c, yk in zip(row, y)), Expr.const(t, 0))
+        for z, row in zip(fos.phase.z_order(), m_inv)
     }
-    assert set(coeffs) == set(expected)
-    for mono, v in expected.items():
-        assert abs(coeffs[mono] - v) < 1e-12
+    got = ht.substitute(subs) * Expr.const(t, Fraction(1, 2))
+    assert got == parse_expr("(1/2)*P1^2 + (1/2)*Q1^2 - (1/2)*ThU1^2 - (1/2)*ThD1^2", t)
 
 
 def test_transform_l4_ssok_opposite_multiplier_sign(l4_ssok):
@@ -249,10 +358,10 @@ def test_transform_l4_ssok_opposite_multiplier_sign(l4_ssok):
     prim = res.constraints[0].expr
     ht_display = fos.H + Expr.sym(t, q1) * prim  # zeta := +Q_(1), as printed there
     rows = [
-        ChartRow("ThU", 1, _cov(t, fos, "(1/2)*Q2_q - p_Q1_q"), Fraction(0), t.position("cThU1")),
-        ChartRow("Q", 1, _cov(t, fos, "(1/2)*Q2_q + p_Q1_q"), Fraction(0), t.position("cQ1")),
-        ChartRow("ThD", 1, _cov(t, fos, "(1/2)*Q1_q + p_Q2_q"), Fraction(0), t.position("cThD1")),
-        ChartRow("P", 1, _cov(t, fos, "-(1/2)*Q1_q + p_Q2_q"), Fraction(0), t.position("cP1")),
+        ChartRow("ThU", 1, _cov(t, fos, "(1/2)*Q2_q - p_Q1_q"), t.position("cThU1")),
+        ChartRow("Q", 1, _cov(t, fos, "(1/2)*Q2_q + p_Q1_q"), t.position("cQ1")),
+        ChartRow("ThD", 1, _cov(t, fos, "(1/2)*Q1_q + p_Q2_q"), t.position("cThD1")),
+        ChartRow("P", 1, _cov(t, fos, "-(1/2)*Q1_q + p_Q2_q"), t.position("cP1")),
     ]
     chart = CanonicalChart(fos.phase, rows)
     ok, violations, _ = verify_chart(chart.matrix(), mode="exact")
@@ -263,8 +372,9 @@ def test_transform_l4_ssok_opposite_multiplier_sign(l4_ssok):
 
 
 def _cov(t, fos, text):
-    coeffs, _off = parse_expr(text, t).linear_form(fos.phase.z_order())
-    return [Fraction(c) for c in coeffs]
+    """The qq integer row of an affine phase-space expression."""
+    coeffs, off = parse_expr(text, t).linear_form(fos.phase.z_order())
+    return qq.to_row([*coeffs, off])
 
 
 def test_transform_l1_total_hamiltonian(charts):
@@ -388,10 +498,10 @@ def reference_chart(res):
     """build_chart as first written: Fraction covectors (offset as entry 2n),
     and every (Q, P) pair found by projecting every seed from scratch through
     every pair placed so far.  Rows are assembled and statically corrected by
-    the package's `_assemble_rows` and `_static_correct`, which sit outside
-    the pairing and the completion."""
-    from hamdirac import qq
-    from hamdirac.chart import _assemble_rows, _static_correct
+    the package's `_assemble` and `_static_correct`, which sit outside the
+    pairing and the completion; `_assemble` takes the Psi rows from the
+    first-class representatives, which are the covectors used here."""
+    from hamdirac.chart import _assemble
 
     phase, n = res.phase, res.phase.n
 
@@ -438,19 +548,9 @@ def reference_chart(res):
                 qp.append((q, [c / _pairing(q, y, n) for c in y]))
                 break
 
-    split = lambda v: (v[: 2 * n], v[2 * n] if len(v) > 2 * n else Fraction(0))
-    chart = CanonicalChart(
-        phase,
-        _assemble_rows(
-            res.table,
-            [(*split(c), r.generation) for c, r in zip(psi, res.first_class)],
-            [split(x) for x in xis],
-            [(split(e), split(f)) for e, f in theta],
-            [(split(q), split(p)) for q, p in qp],
-        ),
-    )
-    _static_correct(chart, res)
-    return chart
+    assert psi == [qq.from_row(r.row) for r in res.first_class]
+    row = lambda v: qq.to_row(v if len(v) > 2 * n else v + [Fraction(0)])
+    return _assemble(res, [row(x) for x in xis], [(row(e), row(f)) for e, f in theta], [(row(q), row(p)) for q, p in qp])
 
 
 def test_cached_completion_matches_from_scratch(l1, l2, l3, l4_ssok, l4_pons):
@@ -489,59 +589,61 @@ def expr_sum_transform(e, chart):
     return e.substitute(subs)
 
 
-def transform_then_bracket_correct(chart, result):
+def transform_then_bracket_correct(phase, layout, vectors, result):
     """The static correction as first written: H_T transformed into the chart
-    again before every target row, each velocity a Poisson bracket there."""
-    from hamdirac import qq
+    again before every target row, each velocity a Poisson bracket there.
+    `vectors` maps each chart symbol, in chart order, to its Fraction
+    covector (offset as entry 2n) and `layout` gives each its (role, pair,
+    generation); returns the corrected covectors and the notes."""
     from hamdirac.expr import ExprError
 
-    n, table = chart.n, chart.table
-    qp_rows = [r for r in chart.rows if r.role in ("Q", "P")]
-    if not qp_rows:
-        return
-    qp_syms = [r.symbol for r in qp_rows]
-    targets = [r for r in chart.rows if r.role == "Xi" and (r.generation or 1) > 1]
+    n, table = phase.n, phase.table
+    vectors = {sym: list(v) for sym, v in vectors.items()}
+    heads = list(zip(layout, vectors))
+    qp_syms = [sym for (role, _k, _gen), sym in heads if role in ("Q", "P")]
+    targets = [(sym, heads[i + n][1]) for i, ((role, _k, gen), sym) in enumerate(heads) if role == "Xi" and (gen or 1) > 1]
+    notes = []
+    if not qp_syms:
+        return vectors, notes
     ht = result.total_hamiltonian(substitute_solved=True)
-    cp = chart.chart_phase()
     zero = Expr.const(table, 0)
-    embedded = {r.symbol: zero for r in chart.rows if r.role not in ("Q", "P")}
+    embedded = {sym: zero for (role, _k, _gen), sym in heads if role not in ("Q", "P")}
     embedded.update({z: zero for z in result.free_multipliers})
-    zero_qp = {s: zero for s in qp_syms}
-    for xi in targets:
+    zero_qp = {sym: zero for sym in qp_syms}
+    for xi, psi in targets:
+        chart = CanonicalChart(phase, [ChartRow(role, k, qq.to_row(vectors[sym]), sym, gen) for (role, k, gen), sym in heads])
+        cp = chart.chart_phase()
         try:
             ht_c = expr_sum_transform(ht, chart)
-            velocity = lambda row: poisson(Expr.sym(table, row.symbol), ht_c, cp).substitute(embedded)
+            velocity = lambda sym: poisson(Expr.sym(table, sym), ht_c, cp).substitute(embedded)
             defect = velocity(xi)
             if defect.is_zero():
                 continue
-            basis = [velocity(w) for w in qp_rows]
-            rows_sys = [[b.diff(s).constant_value() for b in basis] for s in qp_syms]
-            rhs = [-defect.diff(s).constant_value() for s in qp_syms]
+            basis = [velocity(w) for w in qp_syms]
+            rows_sys = [[b.diff(w).constant_value() for b in basis] for w in qp_syms]
+            rhs = [-defect.diff(w).constant_value() for w in qp_syms]
             rows_sys.append([b.substitute(zero_qp).constant_value() for b in basis])
             rhs.append(-defect.substitute(zero_qp).constant_value())
             alpha = qq.solve(rows_sys, rhs)
         except ExprError:
             alpha = None
         if alpha is None:
-            chart.notes.append(
+            notes.append(
                 f"{xi.name}: physical content of its velocity could not be absorbed; "
                 f"canonical embeddings may be unavailable in this chart"
             )
             continue
-        xi.coeffs = [c + sum(a * w.coeffs[k] for a, w in zip(alpha, qp_rows)) for k, c in enumerate(xi.coeffs)]
-        xi.offset = xi.offset + sum(a * w.offset for a, w in zip(alpha, qp_rows))
-        psi = chart.conjugate(xi)
-        for w in qp_rows:
-            lam = -_pairing(xi.coeffs, w.coeffs, n)
+        x = vectors[xi] = [c + sum(a * vectors[w][k] for a, w in zip(alpha, qp_syms)) for k, c in enumerate(vectors[xi])]
+        for w in qp_syms:
+            lam = -_pairing(x, vectors[w], n)
             if lam:
-                w.coeffs = [c + lam * p for c, p in zip(w.coeffs, psi.coeffs)]
-                w.offset = w.offset + lam * psi.offset
+                vectors[w] = [c + lam * p for c, p in zip(vectors[w], vectors[psi])]
+    return vectors, notes
 
 
 def test_static_correct_matches_transform_then_bracket(monkeypatch):
-    # every chart build runs both corrections on twin copies of the
-    # uncorrected chart; they must leave the same rows and notes
-    import dataclasses
+    # every chart build runs both corrections on the uncorrected rows; they
+    # must give the same rows and notes, and leave the rows they were given
     from pathlib import Path
 
     from hamdirac import chart as chart_mod
@@ -551,15 +653,16 @@ def test_static_correct_matches_transform_then_bracket(monkeypatch):
     real = chart_mod._static_correct
     seen = []
 
-    def both(chart, result):
-        twin = CanonicalChart(chart.phase, [dataclasses.replace(r, coeffs=list(r.coeffs)) for r in chart.rows])
-        before = twin.matrix(), twin.offsets()
-        transform_then_bracket_correct(twin, result)
-        real(chart, result)
-        assert chart.matrix() == twin.matrix()
-        assert chart.offsets() == twin.offsets()
-        assert chart.notes == twin.notes
-        seen.append(((chart.matrix(), chart.offsets()) != before, bool(chart.notes)))
+    def both(rows, layout, result):
+        before = dict(rows)
+        got, notes = real(rows, layout, result)
+        assert rows == before and list(got) == list(rows)
+        vectors = {sym: qq.from_row(r) for sym, r in rows.items()}
+        want, want_notes = transform_then_bracket_correct(result.phase, layout, vectors, result)
+        assert {sym: qq.from_row(r) for sym, r in got.items()} == want
+        assert notes == want_notes
+        seen.append((got != rows, bool(notes)))
+        return got, notes
 
     monkeypatch.setattr(chart_mod, "_static_correct", both)
     rng = rng_for("static-correction")

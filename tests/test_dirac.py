@@ -632,7 +632,7 @@ def test_integer_path_matches_expr_path(monkeypatch):
     # what the Expr path gives, constraint by constraint, bracket by bracket,
     # multiplier by multiplier and chart row by chart row
     from hamdirac import qq
-    from hamdirac.chart import _chart_map, _integer_rows, transform
+    from hamdirac.chart import _chart_map, transform
     from hamdirac.dirac import WeakReducer, field_bracket, hamilton_field
 
     from conftest import random_quadratic_lagrangian
@@ -664,7 +664,7 @@ def test_integer_path_matches_expr_path(monkeypatch):
         for c, br in zip(res.constraints, res.h_brackets, strict=True):
             assert br == reducer.reduce(field_bracket(qq.from_row(c.row), field, t))
         ht = res.total_hamiltonian(substitute_solved=True)
-        rules = {s.index: e for s, e in _chart_map(chart, _integer_rows(chart)).items()}
+        rules = {s.index: e for s, e in _chart_map(chart.phase, [(r.symbol, r.row) for r in chart.rows]).items()}
         got, ref_ht = transform(ht, chart), termwise_psubstitute(t, ht.num, rules)
         assert got.num == ref_ht.num and got.den == ref_ht.den
 

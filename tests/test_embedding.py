@@ -195,6 +195,7 @@ def test_effective_hamiltonian_l3(l3):
     # with it the undetermined multiplier), leaving a definite generator whose
     # physical block is the oscillator
     t, fos, res = l3
+    from hamdirac import qq
     from hamdirac.chart import CanonicalChart, ChartRow
 
     rows_text = [
@@ -213,7 +214,7 @@ def test_effective_hamiltonian_l3(l3):
         coeffs, off = parse_expr(text, t).linear_form(z)
         sym = t.position(f"c{role}{pair}")
         gen = {1: 1, 2: 2}[pair] if role == "Psi" else None
-        rows.append(ChartRow(role, pair, [Fraction(c) for c in coeffs], Fraction(off), sym, gen))
+        rows.append(ChartRow(role, pair, qq.to_row([*coeffs, off]), sym, gen))
     chart = CanonicalChart(fos.phase, rows)
     eff = effective_hamiltonian(res, chart)
     assert all(s.kind != "multiplier" for s in eff.free_symbols())

@@ -30,6 +30,7 @@ q2: 2*zeta1.  Regenerate its goldens with
 for the stages analyze and report.
 """
 
+import json
 import subprocess
 import sys
 from importlib import resources
@@ -104,3 +105,38 @@ def test_cli_import_does_not_load_numpy():
     code = f"import sys; sys.path.insert(0, {src!r}); import hamdirac.cli; print('numpy' in sys.modules)"
     res = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)
     assert res.stdout.strip() == "False"
+
+
+def test_cli_runs_without_numpy(tmp_path):
+    # with numpy unimportable, analyze, report and simulate on the fixtures
+    # and a float-mode verify-chart give the rc and stdout of a normal run
+    import hamdirac
+
+    src = str(Path(hamdirac.__file__).resolve().parent.parent)
+    fix = resources.files("hamdirac") / "fixtures"
+    r = 1 / 2**0.5
+    chart = tmp_path / "sqrt2.json"
+    chart.write_text(json.dumps({"matrix": [[0, r, r, 0], [r, 0, 0, r], [-r, 0, 0, r], [0, -r, r, 0]]}), encoding="utf-8")
+    calls = [[cmd, str(fix / f"{name}.sys")] for cmd in ("analyze", "report") for name in ("cawley", "l2", "l3", "l4")]
+    calls += [
+        ["simulate", str(fix / "l2.sys"), "--bc", "Q1=1:0", "--t1", "0", "--t2", "pi/2"],
+        ["simulate", str(fix / "l4.sys"), "--bc", "Q1=1:0.5", "--t2", "1"],
+        ["verify-chart", str(chart), "--mode", "float"],
+    ]
+    script = (
+        "import contextlib, io, json, sys\n{block}\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "from hamdirac.cli import main\n"
+        "out = []\n"
+        f"for argv in {calls!r}:\n"
+        "    buf = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(buf):\n"
+        "        out.append([main(argv), buf.getvalue()])\n"
+        "print(json.dumps(out))\n"
+    )
+    runs = [
+        json.loads(subprocess.run([sys.executable, "-I", "-c", script.format(block=block)], capture_output=True, text=True, check=True).stdout)
+        for block in ("", "sys.modules['numpy'] = None")
+    ]
+    assert runs[0] == runs[1]
+    assert [rc for rc, _out in runs[0]] == [0] * len(calls)

@@ -91,9 +91,10 @@ def test_solve_linear_witness():
     b = [Expr.sym(t, q1), Expr.sym(t, q2)]
     sol = solve_linear(a, b)
     assert not sol.consistent
-    # the leftover equation is q2 - q1 = 0, attributed to the second row
-    assert sol.witness_rows == [1]
-    assert sol.witnesses[0] == parse_expr("q2 - q1", t)
+    # the column pivots on the last row, so the leftover equation is
+    # q1 - q2 = 0, attributed to the first row
+    assert sol.witness_rows == [0]
+    assert sol.witnesses[0] == parse_expr("q1 - q2", t)
 
 
 def test_solve_linear_symbolic_pivot_logged():

@@ -180,16 +180,16 @@ def test_ssok_pons_dof_cross_check():
     assert dofs == [1, 1]
 
 
-def _expr_only_solve_linear(a, b, pivot_log=None, prefer_late_rows=False):
+def _expr_only_solve_linear(a, b, pivot_log=None):
     """`linalg.solve_linear` as it was before a constant A was held as
-    Fractions: every entry an Expr (witnesses and particular solution only)."""
+    Fractions: every entry an Expr (witnesses and particular solution only),
+    each column pivoting on the last eligible row."""
     table = b[0].table
     rows = [a.row(i) + [b[i]] for i in range(a.rows)]
     n = a.cols
     pivot_of_col, used_rows = {}, set()
-    row_order = range(a.rows - 1, -1, -1) if prefer_late_rows else range(a.rows)
     for col in range(n):
-        piv = next((i for i in row_order if i not in used_rows and not rows[i][col].is_zero()), None)
+        piv = next((i for i in reversed(range(a.rows)) if i not in used_rows and not rows[i][col].is_zero()), None)
         if piv is None:
             continue
         pivot_of_col[col] = piv

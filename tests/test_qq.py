@@ -12,7 +12,7 @@ from importlib import resources
 import sympy
 
 from hamdirac import SymbolTable, build_chart, qq, transform
-from hamdirac.chart import CanonicalChart, ChartRow, _chart_map, _integer_rows
+from hamdirac.chart import CanonicalChart, ChartRow, _chart_map
 from hamdirac.expr import Expr
 from hamdirac.lagrangian import PhaseSpace
 from hamdirac.report import PipelineOptions, run_pipeline
@@ -166,14 +166,14 @@ def chart_of(s):
     qs = [t.position(f"q{i}") for i in range(n)]
     ps = [t.register(f"p{i}", "momentum") for i in range(n)]
     roles = ["Q"] * n + ["P"] * n
-    rows = [ChartRow(role, j % n + 1, list(r), Fraction(0), t.position(f"Y{j}")) for j, (role, r) in enumerate(zip(roles, s))]
+    rows = [ChartRow(role, j % n + 1, qq.to_row([*r, Fraction(0)]), t.position(f"Y{j}")) for j, (role, r) in enumerate(zip(roles, s))]
     return CanonicalChart(PhaseSpace(t, tuple(zip(qs, ps))), rows)
 
 
 def chart_inverse(chart):
     """S^-1 read off the chart map that `transform` substitutes: entry (i, j)
     is the coefficient of chart symbol j in phase coordinate i."""
-    zmap = _chart_map(chart, _integer_rows(chart))
+    zmap = _chart_map(chart.phase, [(r.symbol, r.row) for r in chart.rows])
     return [[zmap[z].num.get(((r.symbol.index, 1),), Fraction(0)) for r in chart.rows] for z in chart.phase.z_order()]
 
 

@@ -496,8 +496,11 @@ def test_cli_verify_chart(tmp_path, capsys):
         ('{"matrix": 5}', "'matrix' must be a list of rows"),
         ('{"matrix": [[1, 0], [0]]}', "chart matrix must be square with even dimension"),
         ('{"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}', "chart matrix must be square with even dimension"),
+        ('{"matrix": [[1, 0], [0, 1]], "mode": "foo"}', "chart 'mode' must be"),
+        ('{"matrix": [[1, 0], [0, 1]], "mode": 5}', "chart 'mode' must be"),
+        ('{"matrix": [[1, 0], [0, 1]], "mode": null}', "chart 'mode' must be"),
     ],
-    ids=["nan", "infinity", "letter", "zero-denominator", "not-a-list", "ragged", "odd"],
+    ids=["nan", "infinity", "letter", "zero-denominator", "not-a-list", "ragged", "odd", "mode-unknown", "mode-number", "mode-null"],
 )
 def test_cli_verify_chart_rejects_non_numbers(tmp_path, capsys, text, named):
     bad = tmp_path / "bad.json"
@@ -508,13 +511,18 @@ def test_cli_verify_chart_rejects_non_numbers(tmp_path, capsys, text, named):
     assert captured.err.startswith("error: ") and named in captured.err
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_verify_chart_float_edge_cases():
     from hamdirac import verify_chart
 
-    for bad in (math.nan, math.inf):
+    # a non-finite entry makes every bracket of its column a violation with
+    # delta nan, and the maximum deviation nan
+    for bad in (math.nan, math.inf, -math.inf):
         ok, violations, maxdev = verify_chart([[bad, 0.0], [0.0, 1.0]], mode="float")
-        assert not ok and violations and not maxdev <= 1e-12
+        assert not ok and math.isnan(maxdev)
+        assert [(i, k) for i, k, _d in violations] == [(0, 1), (1, 0)]
+        assert all(math.isnan(d) for _i, _k, d in violations)
+    ok, violations, maxdev = verify_chart([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, math.nan, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]], mode="float")
+    assert [(i, k) for i, k, _d in violations] == [(0, 2), (1, 2), (2, 0), (2, 1), (2, 3), (3, 2)] and math.isnan(maxdev)
     # the 0 x 0 chart is canonical in both modes
     assert verify_chart([], mode="float") == (True, [], 0.0)
     assert verify_chart([], mode="exact")[0]
