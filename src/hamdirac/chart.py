@@ -25,13 +25,13 @@ values of the given doubles, compared with a tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import qq
 from .dirac import DiracResult, DiracError, _row_expr, field_bracket, hamilton_field, quadratic_field, row_field_bracket
 from .expr import Expr, ExprError
 from .lagrangian import PhaseSpace
+from .symbols import _Frozen, _Record
 
 
 class ChartError(Exception):
@@ -41,17 +41,17 @@ class ChartError(Exception):
 ROLE_CONJUGATE = {"Xi": "Psi", "Psi": "Xi", "ThU": "ThD", "ThD": "ThU", "Q": "P", "P": "Q"}
 
 
-@dataclass(frozen=True)
-class ChartRow:
-    role: str
-    pair: int  # 1-based index within the role family
-    row: tuple  # qq integer row over (z, 1), z = (q1..qn, p1..pn): (nums, den), the offset last
-    symbol: object
-    generation: int | None = None  # Psi rows and a built chart's Xi rows: generation of their constraint
+class ChartRow(_Frozen):
+    __slots__ = ("role", "pair", "row", "symbol", "generation")
 
-    def __post_init__(self):
-        nums, den = self.row
-        object.__setattr__(self, "row", (tuple(nums), den))
+    def __init__(self, role: str, pair: int, row: tuple, symbol: object, generation: int | None = None):
+        _set = object.__setattr__
+        _set(self, "role", role)
+        _set(self, "pair", pair)  # 1-based index within the role family
+        # a qq integer row over (z, 1), z = (q1..qn, p1..pn): (nums, den), the offset last
+        _set(self, "row", (tuple(row[0]), row[1]))
+        _set(self, "symbol", symbol)
+        _set(self, "generation", generation)  # Psi rows and a built chart's Xi rows: generation of their constraint
 
     @property
     def name(self):
@@ -71,12 +71,14 @@ class ChartRow:
         return _row_expr(self.row, phase.z_order(), table)
 
 
-@dataclass
-class CanonicalChart:
-    phase: PhaseSpace
-    rows: list  # position block then momentum block, canonical role order
-    notes: list = field(default_factory=list)
-    hamiltonian: Expr | None = None  # transformed H_T, kept by report.attach_embedding
+class CanonicalChart(_Record):
+    __slots__ = ("phase", "rows", "notes", "hamiltonian")
+
+    def __init__(self, phase: PhaseSpace, rows: list, notes: list | None = None, hamiltonian: Expr | None = None):
+        self.phase = phase
+        self.rows = rows  # position block then momentum block, canonical role order
+        self.notes = [] if notes is None else notes
+        self.hamiltonian = hamiltonian  # transformed H_T, kept by report.attach_embedding
 
     @property
     def n(self):
@@ -406,13 +408,12 @@ def transform(e: Expr, chart: CanonicalChart) -> Expr:
 # ---------------------------------------------------------------------------
 # integrability and budgets
 
-@dataclass
-class FrobeniusReport:
-    residuals: list  # (coordinate name, residual Expr)
-    verdict: bool
-    budget_used: int
-    budget_total: int
-    budget_ok: bool
+class FrobeniusReport(_Record):
+    __slots__ = ("residuals", "verdict", "budget_used", "budget_total", "budget_ok")
+
+    def __init__(self, residuals: list, verdict: bool, budget_used: int, budget_total: int, budget_ok: bool):
+        self.residuals, self.verdict = residuals, verdict  # residuals: (coordinate name, residual Expr)
+        self.budget_used, self.budget_total, self.budget_ok = budget_used, budget_total, budget_ok
 
 
 def frobenius_check(result: DiracResult) -> "FrobeniusReport":
@@ -442,13 +443,12 @@ def frobenius_check(result: DiracResult) -> "FrobeniusReport":
     return FrobeniusReport(residuals, ok and budget_ok, used, total, budget_ok)
 
 
-@dataclass
-class ConstantBudget:
-    total: int
-    occupied: int
-    free: int
-    by_boundary: int
-    by_gauge: int
+class ConstantBudget(_Record):
+    __slots__ = ("total", "occupied", "free", "by_boundary", "by_gauge")
+
+    def __init__(self, total: int, occupied: int, free: int, by_boundary: int, by_gauge: int):
+        self.total, self.occupied, self.free = total, occupied, free
+        self.by_boundary, self.by_gauge = by_boundary, by_gauge
 
 
 _OCCUPANCY = {

@@ -29,7 +29,8 @@ name is not such a position, a --xi name is not a gauge position fixed at
 t1 only, t2 does not exceed t1, or the grid from t1 to t2 at --step needs
 more than MAX_STEPS = 10**7 RK4 steps (counted as max(1, ceil((t2 - t1) /
 step - 1e-12)), before anything is compiled or integrated).  verify-chart
-exits 2 when the matrix is not square with an even dimension.
+exits 2 when the matrix is not square with an even dimension, and when --tol
+is negative, nan or infinite; exact mode ignores --tol.
 """
 
 from __future__ import annotations
@@ -131,7 +132,9 @@ def _build_parser():
     sp = sub.add_parser("verify-chart", help="check S^T J S = J for a JSON chart matrix")
     sp.add_argument("file", help="JSON file with {\"matrix\": [[...]], \"mode\": \"exact\"|\"float\"}")
     sp.add_argument("--mode", choices=["exact", "float"], default=None)
-    sp.add_argument("--tol", type=float, default=1e-12)
+    sp.add_argument("--tol", type=float, default=1e-12,
+                    help="float mode: largest |S^T J S - J| entry still canonical, a finite number >= 0; "
+                    "exact mode ignores it")
     sp.set_defaults(func=_cmd_verify_chart)
     return p
 
@@ -275,6 +278,8 @@ def _chart_entry(v, i, k, mode):
 
 
 def _cmd_verify_chart(args) -> int:
+    if not 0 <= args.tol < math.inf:  # nan fails both comparisons
+        raise InputError(f"--tol must be a finite number >= 0, got {args.tol!r}")
     with open(args.file, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict) or "matrix" not in data:

@@ -34,13 +34,13 @@ coefficients over the re-based primaries are new, so it reduces nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
 from . import qq
 from .expr import Expr, ExprError
 from .lagrangian import FirstOrderSystem, PhaseSpace, UnsupportedShape
+from .symbols import _Record
 
 
 class DiracError(Exception):
@@ -55,46 +55,54 @@ class BudgetExceeded(DiracError):
     pass
 
 
-@dataclass
-class Constraint:
-    expr: Expr
-    chain: int
-    generation: int
-    row: tuple  # `expr` as a qq integer row over (q1..qn, p1..pn, offset)
-    klass: str = "unclassified"
-    name: str = ""
+class Constraint(_Record):
+    __slots__ = ("expr", "chain", "generation", "row", "klass", "name")
+
+    def __init__(self, expr: Expr, chain: int, generation: int, row: tuple, klass: str = "unclassified",
+                 name: str = ""):
+        self.expr, self.chain, self.generation = expr, chain, generation
+        self.row = row  # `expr` as a qq integer row over (q1..qn, p1..pn, offset)
+        self.klass, self.name = klass, name
 
 
-@dataclass
-class ClassRep:
+class ClassRep(_Record):
     """A re-based constraint representative of definite class."""
 
-    expr: Expr
-    klass: str
-    generation: int
-    coeffs: list  # Fractions: combination over the discovery-order constraint list
-    row: tuple  # `expr` as a qq integer row, like Constraint.row
+    __slots__ = ("expr", "klass", "generation", "coeffs", "row")
+
+    def __init__(self, expr: Expr, klass: str, generation: int, coeffs: list, row: tuple):
+        self.expr, self.klass, self.generation = expr, klass, generation
+        self.coeffs = coeffs  # Fractions: combination over the discovery-order constraint list
+        self.row = row  # `expr` as a qq integer row, like Constraint.row
 
 
-@dataclass
-class DiracResult:
-    phase: PhaseSpace
-    H: Expr
-    constraints: list
-    multiplier_symbols: list = field(default_factory=list)
-    rebased_primaries: list = field(default_factory=list)  # Expr, FC combos first
-    primary_fc_count: int = 0
-    multiplier_solutions: dict = field(default_factory=dict)
-    free_multipliers: list = field(default_factory=list)
-    first_class: list = field(default_factory=list)  # ClassRep
-    second_class: list = field(default_factory=list)  # ClassRep
-    F: int = 0
-    S: int = 0
-    dof: int = -1
-    flags: list = field(default_factory=list)
-    classified: bool = False
-    h_brackets: list = field(default_factory=list, compare=False, repr=False)  # weak-reduced {c, H} per constraint
-    h_bracket_rows: list | None = field(default=None, compare=False, repr=False)  # the same as qq rows, H quadratic
+class DiracResult(_Record):
+    __slots__ = (
+        "phase", "H", "constraints", "multiplier_symbols", "rebased_primaries", "primary_fc_count",
+        "multiplier_solutions", "free_multipliers", "first_class", "second_class", "F", "S", "dof", "flags",
+        "classified", "h_brackets", "h_bracket_rows",
+    )
+
+    def __init__(
+        self, phase: PhaseSpace, H: Expr, constraints: list, multiplier_symbols: list | None = None,
+        rebased_primaries: list | None = None, primary_fc_count: int = 0, multiplier_solutions: dict | None = None,
+        free_multipliers: list | None = None, first_class: list | None = None, second_class: list | None = None,
+        F: int = 0, S: int = 0, dof: int = -1, flags: list | None = None, classified: bool = False,
+        h_brackets: list | None = None, h_bracket_rows: list | None = None,
+    ):
+        self.phase, self.H, self.constraints = phase, H, constraints
+        self.multiplier_symbols = [] if multiplier_symbols is None else multiplier_symbols
+        self.rebased_primaries = [] if rebased_primaries is None else rebased_primaries  # Expr, FC combos first
+        self.primary_fc_count = primary_fc_count
+        self.multiplier_solutions = {} if multiplier_solutions is None else multiplier_solutions
+        self.free_multipliers = [] if free_multipliers is None else free_multipliers
+        self.first_class = [] if first_class is None else first_class  # ClassRep
+        self.second_class = [] if second_class is None else second_class  # ClassRep
+        self.F, self.S, self.dof = F, S, dof
+        self.flags = [] if flags is None else flags
+        self.classified = classified
+        self.h_brackets = [] if h_brackets is None else h_brackets  # weak-reduced {c, H} per constraint
+        self.h_bracket_rows = h_bracket_rows  # the same as qq rows, H quadratic
 
     @property
     def table(self):

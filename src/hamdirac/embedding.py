@@ -9,12 +9,12 @@ the primary first-class momenta to be pinned to zero in advance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .chart import CanonicalChart, transform
 from .dirac import DiracResult
 from .expr import Expr
+from .symbols import _Record
 
 
 class EmbeddingError(Exception):
@@ -25,13 +25,17 @@ class GaugeError(EmbeddingError):
     pass
 
 
-@dataclass
-class EmbeddingPlan:
-    kind: str  # sigma1 | sigma1_tilde | sigma2 | sigma3 | sigma3_tilde | trivial
-    fixed: dict = field(default_factory=dict)  # chart row name -> Fraction epsilon
-    gauge_fixed: bool = False
-    gauge_multiplier_solutions: dict = field(default_factory=dict)  # Symbol -> Expr (chart space)
-    preconditions: list = field(default_factory=list)
+class EmbeddingPlan(_Record):
+    __slots__ = ("kind", "fixed", "gauge_fixed", "gauge_multiplier_solutions", "preconditions")
+
+    def __init__(self, kind: str, fixed: dict | None = None, gauge_fixed: bool = False,
+                 gauge_multiplier_solutions: dict | None = None, preconditions: list | None = None):
+        self.kind = kind  # sigma1 | sigma1_tilde | sigma2 | sigma3 | sigma3_tilde | trivial
+        self.fixed = {} if fixed is None else fixed  # chart row name -> Fraction epsilon
+        self.gauge_fixed = gauge_fixed
+        # Symbol -> Expr (chart space)
+        self.gauge_multiplier_solutions = {} if gauge_multiplier_solutions is None else gauge_multiplier_solutions
+        self.preconditions = [] if preconditions is None else preconditions
 
 
 _FIXED_ROLES = {
@@ -107,7 +111,7 @@ def resolve_plan(
         fixed[row.name] = val
     if epsilon:
         raise EmbeddingError(f"epsilon overrides for coordinates not fixed by {plan.kind}: {sorted(epsilon)}")
-    plan = replace(plan, fixed=fixed, preconditions=preconditions)
+    plan = EmbeddingPlan(plan.kind, fixed, plan.gauge_fixed, plan.gauge_multiplier_solutions, preconditions)
     if plan.gauge_fixed:
         if gauge_conditions:
             plan.gauge_multiplier_solutions = dict(gauge_conditions)
@@ -182,14 +186,17 @@ def verify_gauge(result: DiracResult, chart: CanonicalChart, plan: EmbeddingPlan
             raise GaugeError(f"gauge conditions do not freeze {row.name}: residual velocity {residual}")
 
 
-@dataclass
-class PullbackLagrangian:
-    kinetic: Expr  # sum of P*d(Q) over surviving pairs
-    minus_h: Expr  # -H_T on the embedding, fixed coordinates as epsilon symbols
-    total_derivative: Expr  # d/dt[Psi_a' Xi^a'] content for quasi-canonical kinds
-    eps_values: dict  # epsilon Symbol -> Fraction
-    lagrangian: Expr  # kinetic + minus_h at the epsilon values, constant removed
-    constant: Fraction  # the removed additive constant
+class PullbackLagrangian(_Record):
+    __slots__ = ("kinetic", "minus_h", "total_derivative", "eps_values", "lagrangian", "constant")
+
+    def __init__(self, kinetic: Expr, minus_h: Expr, total_derivative: Expr, eps_values: dict, lagrangian: Expr,
+                 constant: Fraction):
+        self.kinetic = kinetic  # sum of P*d(Q) over surviving pairs
+        self.minus_h = minus_h  # -H_T on the embedding, fixed coordinates as epsilon symbols
+        self.total_derivative = total_derivative  # d/dt[Psi_a' Xi^a'] content for quasi-canonical kinds
+        self.eps_values = eps_values  # epsilon Symbol -> Fraction
+        self.lagrangian = lagrangian  # kinetic + minus_h at the epsilon values, constant removed
+        self.constant = constant  # the removed additive constant
 
 
 def pullback_total_lagrangian(result: DiracResult, chart: CanonicalChart, plan: EmbeddingPlan) -> PullbackLagrangian:
@@ -264,14 +271,15 @@ def effective_hamiltonian(result: DiracResult, chart: CanonicalChart) -> Expr:
     return ht_c.substitute(subs)
 
 
-@dataclass
-class BoundaryReport:
-    fix_both_ends: list
-    fix_initial_only: list
-    never_fix: list
-    free_constant_count: int
-    preconditions: list
-    initial_endpoint: str = "t1"
+class BoundaryReport(_Record):
+    __slots__ = ("fix_both_ends", "fix_initial_only", "never_fix", "free_constant_count", "preconditions",
+                 "initial_endpoint")
+
+    def __init__(self, fix_both_ends: list, fix_initial_only: list, never_fix: list, free_constant_count: int,
+                 preconditions: list, initial_endpoint: str = "t1"):
+        self.fix_both_ends, self.fix_initial_only, self.never_fix = fix_both_ends, fix_initial_only, never_fix
+        self.free_constant_count, self.preconditions = free_constant_count, preconditions
+        self.initial_endpoint = initial_endpoint
 
 
 def boundary_report(result: DiracResult, chart: CanonicalChart, plan: EmbeddingPlan, endpoint: str = "t1") -> BoundaryReport:

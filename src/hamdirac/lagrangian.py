@@ -10,11 +10,10 @@ coordinate, with or without explicit multipliers).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .expr import Expr, ExprError
 from .linalg import ExprMatrix, solve_linear
-from .symbols import Symbol, SymbolTable
+from .symbols import Symbol, SymbolTable, _Record
 
 
 class MechanicsError(Exception):
@@ -25,15 +24,14 @@ class UnsupportedShape(MechanicsError):
     """Input outside the supported class (super-quadratic velocities, ...)."""
 
 
-@dataclass
-class LagrangianSystem:
-    table: SymbolTable
-    coords: tuple
-    order: int
-    L: Expr
-    # SSOK-style systems declare the velocity of a coordinate to *be* another
-    # coordinate; such coordinates get an undetermined momentum and no primary.
-    velocity_aliases: dict = field(default_factory=dict)
+class LagrangianSystem(_Record):
+    __slots__ = ("table", "coords", "order", "L", "velocity_aliases")
+
+    def __init__(self, table: SymbolTable, coords: tuple, order: int, L: Expr, velocity_aliases: dict | None = None):
+        self.table, self.coords, self.order, self.L = table, coords, order, L
+        # SSOK-style systems declare the velocity of a coordinate to *be* another
+        # coordinate; such coordinates get an undetermined momentum and no primary.
+        self.velocity_aliases = {} if velocity_aliases is None else velocity_aliases
 
     def velocity_symbols(self):
         return [self.table.velocity(c) for c in self.coords if c not in self.velocity_aliases]
@@ -42,10 +40,11 @@ class LagrangianSystem:
         return [c for c in self.coords if c not in self.velocity_aliases]
 
 
-@dataclass
-class PhaseSpace:
-    table: SymbolTable
-    pairs: tuple  # ((q, p), ...) in symplectic layout order
+class PhaseSpace(_Record):
+    __slots__ = ("table", "pairs")
+
+    def __init__(self, table: SymbolTable, pairs: tuple):
+        self.table, self.pairs = table, pairs  # pairs: ((q, p), ...) in symplectic layout order
 
     @property
     def n(self):
@@ -64,13 +63,14 @@ class PhaseSpace:
         return self.positions + self.momenta
 
 
-@dataclass
-class FirstOrderSystem:
-    phase: PhaseSpace
-    H: Expr
-    primaries: list  # Expr, in coordinate row order
-    momentum_defs: dict  # momentum Symbol -> defining Expr in (q, v); absent for alias momenta
-    source: LagrangianSystem | None = None
+class FirstOrderSystem(_Record):
+    __slots__ = ("phase", "H", "primaries", "momentum_defs", "source")
+
+    def __init__(self, phase: PhaseSpace, H: Expr, primaries: list, momentum_defs: dict,
+                 source: LagrangianSystem | None = None):
+        self.phase, self.H, self.source = phase, H, source
+        self.primaries = primaries  # Expr, in coordinate row order
+        self.momentum_defs = momentum_defs  # momentum Symbol -> defining Expr in (q, v); absent for alias momenta
 
 
 def _momentum_name(table: SymbolTable, coord: Symbol) -> str:

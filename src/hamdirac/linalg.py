@@ -17,20 +17,19 @@ reports can surface the genericity assumptions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .expr import Expr
+from .symbols import _Record
 
 
 class LinalgError(Exception):
     pass
 
 
-@dataclass
-class ExprMatrix:
-    rows: int
-    cols: int
-    entries: list  # list of rows of Expr
+class ExprMatrix(_Record):
+    __slots__ = ("rows", "cols", "entries")
+
+    def __init__(self, rows: int, cols: int, entries: list):
+        self.rows, self.cols, self.entries = rows, cols, entries  # entries: list of rows of Expr
 
     @staticmethod
     def from_rows(rows_list) -> "ExprMatrix":
@@ -65,8 +64,7 @@ class ExprMatrix:
         )
 
 
-@dataclass
-class LinearSolution:
+class LinearSolution(_Record):
     """Affine solution set of A x = b.
 
     particular sets all free variables to zero; kernel_basis spans the
@@ -74,12 +72,14 @@ class LinearSolution:
     0 = expr with expr not identically zero (inconsistency evidence).
     """
 
-    particular: list
-    kernel_basis: list
-    pivot_cols: list
-    free_cols: list
-    witnesses: list = field(default_factory=list)
-    witness_rows: list = field(default_factory=list)
+    __slots__ = ("particular", "kernel_basis", "pivot_cols", "free_cols", "witnesses", "witness_rows")
+
+    def __init__(self, particular: list, kernel_basis: list, pivot_cols: list, free_cols: list,
+                 witnesses: list | None = None, witness_rows: list | None = None):
+        self.particular, self.kernel_basis = particular, kernel_basis
+        self.pivot_cols, self.free_cols = pivot_cols, free_cols
+        self.witnesses = [] if witnesses is None else witnesses
+        self.witness_rows = [] if witness_rows is None else witness_rows
 
     @property
     def consistent(self) -> bool:

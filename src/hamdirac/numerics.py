@@ -27,10 +27,10 @@ import cmath
 import io
 import math
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .expr import Expr
+from .symbols import _Record
 
 # Shooting is refused when the condition number of dQ(t2)/dP(t1), taken
 # relative to the whole Jacobian dy(t2)/dP(t1), exceeds 1/sqrt(machine
@@ -55,15 +55,18 @@ class ShootingNotConverged(NumericsError):
     """Newton ran out of iterations before the residual met its tolerance."""
 
 
-@dataclass
-class ReducedField:
-    pairs: list  # [(Q Symbol, P Symbol), ...]
-    rhs: object  # rhs(t, y) -> tuple(dy)
-    energy: object  # H(y) -> float
-    h_expr: Expr
-    oscillator_like: bool  # 1 dof, unit frequency, no linear terms
-    variational: object = None  # variational(t, z) -> dz for z = (y, dy/dP_1, ..., dy/dP_m)
-    linear: tuple | None = None  # (A, c) with rhs = A y + c when H is quadratic
+class ReducedField(_Record):
+    __slots__ = ("pairs", "rhs", "energy", "h_expr", "oscillator_like", "variational", "linear")
+
+    def __init__(self, pairs: list, rhs: object, energy: object, h_expr: Expr, oscillator_like: bool,
+                 variational: object = None, linear: tuple | None = None):
+        self.pairs = pairs  # [(Q Symbol, P Symbol), ...]
+        self.rhs = rhs  # rhs(t, y) -> tuple(dy)
+        self.energy = energy  # H(y) -> float
+        self.h_expr = h_expr
+        self.oscillator_like = oscillator_like  # 1 dof, unit frequency, no linear terms
+        self.variational = variational  # variational(t, z) -> dz for z = (y, dy/dP_1, ..., dy/dP_m)
+        self.linear = linear  # (A, c) with rhs = A y + c when H is quadratic
 
     @property
     def dim(self):
@@ -154,12 +157,14 @@ def _expr_to_py(e: Expr, names: dict) -> str:
     return f"(({poly(e.num)}) / ({poly(e.den)}))"
 
 
-@dataclass
-class Trajectory:
-    times: array  # array('d') of grid times
-    columns: list  # one array('d') per state component, layout (Q1, P1, Q2, P2, ...)
-    energies: array  # array('d'), H at each row
-    pairs: list
+class Trajectory(_Record):
+    __slots__ = ("times", "columns", "energies", "pairs")
+
+    def __init__(self, times: array, columns: list, energies: array, pairs: list):
+        self.times = times  # array('d') of grid times
+        self.columns = columns  # one array('d') per state component, layout (Q1, P1, Q2, P2, ...)
+        self.energies = energies  # array('d'), H at each row
+        self.pairs = pairs
 
     def state(self, i) -> tuple:
         """The state at row i (negative i counts from the end), layout (Q1, P1, Q2, P2, ...)."""
@@ -329,15 +334,14 @@ def rk4_propagator(field: ReducedField, t1: float, t2: float, step: float) -> li
     return out
 
 
-@dataclass
-class _Variational:
+class _Variational(_Record):
     """State followed by the columns dy/dP_k(t1), laid out for `integrate`."""
 
-    pairs: list
-    rhs: object
-    energy: object
-    dim: int
-    linear: None = None  # never affine: integrate runs the stages
+    __slots__ = ("pairs", "rhs", "energy", "dim", "linear")
+
+    def __init__(self, pairs: list, rhs: object, energy: object, dim: int, linear: None = None):
+        self.pairs, self.rhs, self.energy, self.dim = pairs, rhs, energy, dim
+        self.linear = linear  # never affine: integrate runs the stages
 
 
 def rk4_variational(field: ReducedField, init, t1: float, t2: float, step: float):
@@ -353,13 +357,15 @@ def rk4_variational(field: ReducedField, init, t1: float, t2: float, step: float
     return z[:n], [[z[n + k * n + i] for k in range(m)] for i in range(n)]
 
 
-@dataclass
-class IotaSolution:
-    initial_state: tuple  # full (Q1, P1, ...) at t1
-    constants: dict  # name -> float, the integral-constant parametrization
-    trajectory: Trajectory
-    residual: float
-    condition: float  # of dQ(t2)/dP(t1) relative to dy(t2)/dP(t1), at the solution
+class IotaSolution(_Record):
+    __slots__ = ("initial_state", "constants", "trajectory", "residual", "condition")
+
+    def __init__(self, initial_state: tuple, constants: dict, trajectory: Trajectory, residual: float,
+                 condition: float):
+        self.initial_state = initial_state  # full (Q1, P1, ...) at t1
+        self.constants = constants  # name -> float, the integral-constant parametrization
+        self.trajectory, self.residual = trajectory, residual
+        self.condition = condition  # of dQ(t2)/dP(t1) relative to dy(t2)/dP(t1), at the solution
 
 
 def solve_iota(

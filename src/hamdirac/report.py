@@ -10,7 +10,6 @@ byte-stable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import qq
@@ -34,7 +33,7 @@ from .embedding import (
 from .expr import Expr, ExprError, _frac_str
 from .lagrangian import LagrangianSystem, counter_term, legendre, ostrogradsky_reduce, pons_reduce
 from .parser import parse_expr
-from .symbols import SymbolTable
+from .symbols import SymbolTable, _Record
 from .sysfile import ROLE_PATTERN, SystemFile
 
 SCHEMA_VERSION = 1
@@ -44,36 +43,36 @@ class InputError(Exception):
     pass
 
 
-@dataclass
-class PipelineOptions:
-    path: str | None = None  # ssok | pons for order-2 systems
-    gauge_fixing: bool = False
-    gauge_conditions: str | None = None  # "zeta1=-P1, zeta2=0"
-    fix_endpoint: str | None = None  # None: file option, then t1
-    epsilon: dict = field(default_factory=dict)  # chart row name -> Fraction
+class PipelineOptions(_Record):
+    __slots__ = ("path", "gauge_fixing", "gauge_conditions", "fix_endpoint", "epsilon")
+
+    def __init__(self, path: str | None = None, gauge_fixing: bool = False, gauge_conditions: str | None = None,
+                 fix_endpoint: str | None = None, epsilon: dict | None = None):
+        self.path = path  # ssok | pons for order-2 systems
+        self.gauge_fixing = gauge_fixing
+        self.gauge_conditions = gauge_conditions  # "zeta1=-P1, zeta2=0"
+        self.fix_endpoint = fix_endpoint  # None: file option, then t1
+        self.epsilon = {} if epsilon is None else epsilon  # chart row name -> Fraction
 
 
-@dataclass
-class Analysis:
-    sysfile: SystemFile
-    options: PipelineOptions
-    table: SymbolTable
-    system: LagrangianSystem
-    reduced: LagrangianSystem
-    path: str | None
-    w_counter: Expr | None
-    l_counter: Expr | None
-    fos: object
-    result: object
-    chart: CanonicalChart | None = None
-    chart_source: str = "built"
-    plan: object = None
-    pullback: object = None
-    boundary: object = None
-    frobenius: object = None
-    budget: object = None
-    effective_h: Expr | None = None
-    pivot_log: list = field(default_factory=list)
+class Analysis(_Record):
+    __slots__ = (
+        "sysfile", "options", "table", "system", "reduced", "path", "w_counter", "l_counter", "fos", "result",
+        "chart", "chart_source", "plan", "pullback", "boundary", "frobenius", "budget", "effective_h", "pivot_log",
+    )
+
+    def __init__(
+        self, sysfile: SystemFile, options: PipelineOptions, table: SymbolTable, system: LagrangianSystem,
+        reduced: LagrangianSystem, path: str | None, w_counter: Expr | None, l_counter: Expr | None, fos: object,
+        result: object, chart: CanonicalChart | None = None, chart_source: str = "built", plan: object = None,
+        pullback: object = None, boundary: object = None, frobenius: object = None, budget: object = None,
+        effective_h: Expr | None = None, pivot_log: list | None = None,
+    ):
+        self.sysfile, self.options, self.table, self.system, self.reduced = sysfile, options, table, system, reduced
+        self.path, self.w_counter, self.l_counter, self.fos, self.result = path, w_counter, l_counter, fos, result
+        self.chart, self.chart_source, self.plan, self.pullback = chart, chart_source, plan, pullback
+        self.boundary, self.frobenius, self.budget, self.effective_h = boundary, frobenius, budget, effective_h
+        self.pivot_log = [] if pivot_log is None else pivot_log
 
 
 def analyze_system(sysfile: SystemFile, options: PipelineOptions | None = None) -> Analysis:

@@ -2,12 +2,13 @@
 
 All expressions of a single problem hold indices into one ``SymbolTable``;
 registration order fixes the canonical monomial order, so it must be
-deterministic.
+deterministic.  It also holds `_Record` and `_Frozen`, the bases of the
+package's record classes (plain classes with `__slots__`, which import
+without the code generation of `dataclasses`): this module imports no other
+module of the package, so every one can import them from here.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 KINDS = (
     "position",
@@ -24,22 +25,79 @@ class SymbolError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Symbol:
-    name: str
-    index: int
-    kind: str
-    base: str | None = None  # position this is a derivative of, if any
-    order: int = 0  # 0 position/other, 1 velocity, 2 acceleration
+class _Record:
+    """Base of the package's plain record classes.
+
+    A record's fields are its `__slots__`, in constructor order, each set by
+    the class's own `__init__`; the repr lists them.  Two records are equal
+    only when they are the same object, unless the class is a `_Frozen` one.
+    """
+
+    __slots__ = ()
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{k}={getattr(self, k)!r}' for k in self.__slots__)})"
+
+
+class _Frozen(_Record):
+    """A record whose fields are set once, by `object.__setattr__` in its
+    `__init__`: assigning or deleting one raises AttributeError, and equality
+    and the hash are those of the tuple of all fields, as for a frozen
+    dataclass."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self):
+        return tuple(getattr(self, k) for k in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+class Symbol(_Frozen):
+    __slots__ = ("name", "index", "kind", "base", "order")
+
+    def __init__(self, name: str, index: int, kind: str, base: str | None = None, order: int = 0):
+        _set = object.__setattr__
+        _set(self, "name", name)
+        _set(self, "index", index)
+        _set(self, "kind", kind)
+        _set(self, "base", base)  # the position this is a derivative of, if any
+        _set(self, "order", order)  # 0 position/other, 1 velocity, 2 acceleration
+
+    # _Frozen's equality and hash, spelled out to cost what a dataclass's did:
+    # symbols key most of the pipeline's dicts, and lists of them are searched
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name, self.index, self.kind, self.base, self.order) == (
+                other.name, other.index, other.kind, other.base, other.order
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name, self.index, self.kind, self.base, self.order))
 
     def __repr__(self):
         return self.name
 
 
-@dataclass
-class SymbolTable:
-    _by_name: dict = field(default_factory=dict)
-    _by_index: list = field(default_factory=list)
+class SymbolTable(_Record):
+    __slots__ = ("_by_name", "_by_index")
+
+    def __init__(self, _by_name: dict | None = None, _by_index: list | None = None):
+        self._by_name = {} if _by_name is None else _by_name
+        self._by_index = [] if _by_index is None else _by_index
 
     def register(self, name: str, kind: str, base: str | None = None, order: int = 0) -> Symbol:
         if kind not in KINDS:

@@ -26,8 +26,9 @@ the analysis has registered momenta and chart symbols.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
+
+from .symbols import _Record
 
 
 class SysFileError(Exception):
@@ -37,16 +38,16 @@ class SysFileError(Exception):
 ROLE_PATTERN = re.compile(r"^(Xi|Psi|ThU|ThD|Q|P)(\d+)$")
 
 
-@dataclass
-class SystemFile:
-    name: str
-    coordinates: list
-    order: int
-    lagrangian: str
-    chart_rows: list = field(default_factory=list)  # (name, expr text, line no)
-    gauge: list = field(default_factory=list)  # (zeta name, expr text, line no)
-    options: dict = field(default_factory=dict)
-    epsilon: dict = field(default_factory=dict)  # chart row name -> Fraction
+class SystemFile(_Record):
+    __slots__ = ("name", "coordinates", "order", "lagrangian", "chart_rows", "gauge", "options", "epsilon")
+
+    def __init__(self, name: str, coordinates: list, order: int, lagrangian: str, chart_rows: list | None = None,
+                 gauge: list | None = None, options: dict | None = None, epsilon: dict | None = None):
+        self.name, self.coordinates, self.order, self.lagrangian = name, coordinates, order, lagrangian
+        self.chart_rows = [] if chart_rows is None else chart_rows  # (name, expr text, line no)
+        self.gauge = [] if gauge is None else gauge  # (zeta name, expr text, line no)
+        self.options = {} if options is None else options
+        self.epsilon = {} if epsilon is None else epsilon  # chart row name -> Fraction
 
 
 _KNOWN_OPTIONS = {"path", "fix_endpoint"}

@@ -257,7 +257,6 @@ def test_chart_rows_are_frozen_and_build_chart_repeats(l1, l3):
     # two builds on one classified result give equal rows and notes (the
     # second build's symbols are fresh, so they differ only in name) and
     # leave the result as it was; a row and its derived lists cannot change
-    import dataclasses
 
     def snapshot(res):
         rows = lambda rs: [((tuple(r.row[0]), r.row[1]), r.generation) for r in rs]
@@ -283,7 +282,7 @@ def test_chart_rows_are_frozen_and_build_chart_repeats(l1, l3):
         assert snapshot(res) == before
         for r in first.rows:
             assert isinstance(r.row[0], tuple)
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(AttributeError):
                 r.row = ((), 1)
             with pytest.raises(AttributeError):
                 r.coeffs = []

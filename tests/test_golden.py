@@ -107,6 +107,20 @@ def test_cli_import_does_not_load_numpy():
     assert res.stdout.strip() == "False"
 
 
+def test_cli_import_loads_no_code_generation():
+    # the records are plain classes: importing the CLI runs no dataclass
+    # decoration, so neither dataclasses nor the inspect it pulls in is loaded
+    import hamdirac
+
+    src = str(Path(hamdirac.__file__).resolve().parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); before = set(sys.modules); import hamdirac.cli; "
+        "print(sorted({'numpy', 'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    res = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)
+    assert res.stdout.strip() == "[]"
+
+
 def test_cli_runs_without_numpy(tmp_path):
     # with numpy unimportable, analyze, report and simulate on the fixtures
     # and a float-mode verify-chart give the rc and stdout of a normal run

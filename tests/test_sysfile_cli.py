@@ -511,6 +511,19 @@ def test_cli_verify_chart_rejects_non_numbers(tmp_path, capsys, text, named):
     assert captured.err.startswith("error: ") and named in captured.err
 
 
+@pytest.mark.parametrize("tol,rc", [("-1", 2), ("nan", 2), ("inf", 2), ("0", 0)])
+def test_cli_verify_chart_tol_must_be_finite_and_not_negative(tmp_path, capsys, tol, rc):
+    # a negative or nan tolerance made every entry of the identity a violation
+    ident = tmp_path / "ident.json"
+    ident.write_text(json.dumps({"matrix": [[1, 0], [0, 1]], "mode": "float"}), encoding="utf-8")
+    assert main(["verify-chart", str(ident), "--tol", tol]) == rc
+    captured = capsys.readouterr()
+    if rc:
+        assert captured.out == "" and captured.err.startswith("error: --tol must be a finite number >= 0")
+    else:
+        assert json.loads(captured.out)["canonical"] is True and captured.err == ""
+
+
 def test_verify_chart_float_edge_cases():
     from hamdirac import verify_chart
 
