@@ -136,11 +136,12 @@ def build_chart(result: DiracResult) -> CanonicalChart:
     if any(any(nums[2 * n :]) for i, (nums, _den) in enumerate(system) if i not in used):
         raise DiracError("no conjugate for a first-class momentum; classification bug")
     xi_rows = []  # integer rows, the offset carried as entry 2n
+    den = math.lcm(*(system[i][1] for i in used))
     for a in range(f_count):
-        x = [Fraction(0)] * (2 * n + 1)
+        x = [0] * (2 * n + 1)
         for col, i in pivots.items():
-            x[col] = Fraction(system[i][0][2 * n + a], system[i][1])
-        x = qq.to_row(x)
+            x[col] = system[i][0][2 * n + a] * (den // system[i][1])
+        x = qq._primitive(x, den)
         for xb, rep_b in zip(xi_rows, result.first_class):
             c = qq.row_bracket(xb, x, n)
             if c:
@@ -159,9 +160,9 @@ def build_chart(result: DiracResult) -> CanonicalChart:
         raise DiracError("symplectic Gram-Schmidt left rows unpaired; classification bug")
 
     chart = _assemble(result, xi_rows, theta_rows, qp_rows)
-    ok, violations, _ = verify_chart(chart.matrix(), mode="exact")
-    if not ok:
-        raise DiracError(f"internal: built chart fails S^T J S = J at {violations[:3]}")
+    # the rows' brackets: S J S^T = J, which for a square S is S^T J S = J
+    if dev := _bracket_deviations([r.row for r in chart.rows], n):
+        raise DiracError(f"internal: built chart fails S J S^T = J at {sorted(dev.items())[:3]}")
     return chart
 
 
@@ -249,31 +250,21 @@ def _static_correct(rows: dict, layout, result: DiracResult):
     def embedding():
         if qfield is None:
             return _chart_map(phase, list(rows.items()), qp_syms)
-        # the integer columns of S^-1 for (Q, P), transposed: z_i -> [(index in qp_syms, entry)]
-        kept, shift = _inverse_map(list(rows.items()), n, qp_syms)
-        at = {y: j for j, y in enumerate(qp_syms)}
-        by_z, dens = [[] for _ in shift], [0] * len(qp_syms)
-        for y, col, den in kept:
-            dens[at[y]] = den
-            for i, x in enumerate(col):
-                if x:
-                    by_z[i].append((at[y], x))
-        return by_z, dens, shift
+        kept, inv, den = _inverse_map(list(rows.items()), n, qp_syms)
+        pos = {y.index: j for j, y in enumerate(kept)}
+        return [pos[w.index] for w in qp_syms], inv, den
 
     def velocity(sym, embedded):
         if qfield is None:
             nums, den = rows[sym]
-            return (field_bracket(nums, field, table) * Fraction(1, den)).substitute(embedded).linear_form(qp_syms)
-        by_z, dens, shift = embedded
-        b, den = row_field_bracket(rows[sym], qfield)
-        acc, offset = [0] * len(dens), Fraction(b[2 * n], den)
-        for x, entries, sh in zip(b, by_z, shift):
+            return (field_bracket(nums, field, table) / den).substitute(embedded).linear_form(qp_syms)
+        at, inv, den = embedded
+        b, bden = row_field_bracket(rows[sym], qfield)
+        acc = [0] * len(at) + [b[2 * n] * den]
+        for x, row in zip(b, inv):
             if x:
-                for j, c in entries:
-                    acc[j] += x * c
-                if sh:
-                    offset += Fraction(x, den) * sh
-        return [Fraction(a, den * d) for a, d in zip(acc, dens)], offset
+                acc = [a + x * y for a, y in zip(acc, row)]
+        return [Fraction(acc[j], bden * den) for j in at], Fraction(acc[-1], bden * den)
 
     for xi, psi in targets:
         embedded = embedding()
@@ -304,41 +295,32 @@ def _static_correct(rows: dict, layout, result: DiracResult):
 
 
 def _inverse_map(rows, n, keep=None):
-    """z = sum_y (S^-1)_y (Y_y - offset_y), read off `rows`, the chart's
-    (symbol, qq integer row) pairs in chart order (offset as entry 2n), with
-    the chart coordinates outside `keep` (default: all) set to zero, so only
-    their offsets remain.  Returns ([(y, column of S^-1 as integers over z,
-    its denominator)] for the kept symbols y, pair by pair; the constant
-    shift over z as Fractions).  By S^-1 = -J S^T J the column of a position
-    is the symplectic gradient of its conjugate momentum's row, and that of a
-    momentum minus its conjugate position's."""
-    kept, shift = [], [Fraction(0)] * (2 * n)
+    """z = S^-1 (Y - offsets), read off `rows`, the chart's (symbol, qq
+    integer row) pairs in chart order (offset as entry 2n), with the chart
+    coordinates outside `keep` (default: all) set to zero, so only their
+    offsets remain.  Returns (the kept symbols, pair by pair; one integer row
+    per z_i over (kept symbols..., 1); their common denominator).  By
+    S^-1 = -J S^T J the column of a position is the symplectic gradient of
+    its conjugate momentum's row, and that of a momentum minus its conjugate
+    position's."""
+    keep = None if keep is None else {y.index for y in keep}
+    den = math.lcm(*(da * db for (_a, (_, da)), (_b, (_, db)) in zip(rows[:n], rows[n:])))
+    kept, cols, shift = [], [], [0] * (2 * n)
     for a, b in zip(rows[:n], rows[n:]):
-        for (y, (ys, yden)), (_c, (nums, den)), sign in ((a, b, 1), (b, a, -1)):
-            col = [sign * x for x in _sympl_grad(nums[: 2 * n], n)]
-            off = Fraction(ys[2 * n], yden)
-            if off:
-                for i, x in enumerate(col):
-                    if x:
-                        shift[i] -= Fraction(x, den) * off
-            if keep is None or y in keep:
-                kept.append((y, col, den))
-    return kept, shift
+        for (y, (ys, yden)), (_c, (nums, d)), sign in ((a, b, 1), (b, a, -1)):
+            grad, k = _sympl_grad(nums[: 2 * n], n), sign * (den // (d * yden))
+            if ys[2 * n]:
+                shift = [s - x * k * ys[2 * n] for s, x in zip(shift, grad)]
+            if keep is None or y.index in keep:
+                kept.append(y)
+                cols.append([x * k * yden for x in grad])
+    return kept, [[*(c[i] for c in cols), s] for i, s in enumerate(shift)], den
 
 
 def _chart_map(phase: PhaseSpace, rows, keep=None) -> dict:
-    """`_inverse_map` as one polynomial per phase symbol z_i."""
-    kept, shift = _inverse_map(rows, phase.n, keep)
-    polys = [{} for _ in shift]
-    for y, col, den in kept:
-        mono = ((y.index, 1),)
-        for i, x in enumerate(col):
-            if x:
-                polys[i][mono] = Fraction(x, den)
-    for poly, c in zip(polys, shift):
-        if c:
-            poly[()] = c
-    return {z: Expr(phase.table, p, _normalized=True) for z, p in zip(phase.z_order(), polys)}
+    """`_inverse_map` as one affine Expr per phase symbol z_i."""
+    kept, inv, den = _inverse_map(rows, phase.n, keep)
+    return {z: _row_expr(qq._primitive(row, den), kept, phase.table) for z, row in zip(phase.z_order(), inv)}
 
 
 def _sympl_grad(c, n):
@@ -366,27 +348,12 @@ def verify_chart(matrix, mode="exact", tol=1e-12):
     if mode not in ("exact", "float"):
         raise ChartError(f"unknown verify mode {mode!r}")
     n = dim // 2
-    # (S^T J S)_ik is the bracket of columns i and k; J_ik is +1 at k = i + n, -1 at i = k + n.
-    # Both sides are antisymmetric: bracket i < k only, entry (k, i) is the negative, the diagonal 0.
-    # An entry is decided on the integer pairing qq._pair of two columns, summed over the
-    # first column's nonzero entries (each against the second's conjugate slot); only a
-    # deviation becomes a Fraction.
+    # (S^T J S)_ik is the bracket of columns i and k
     cols = [
         None if mode == "float" and not all(map(math.isfinite, col)) else qq.to_row([Fraction(x) for x in col])
         for col in zip(*matrix)
     ]
-    dev = {}
-    for i, u in enumerate(cols):
-        conj = [] if u is None else [(j + n, x) if j < n else (j - n, -x) for j, x in enumerate(u[0]) if x]
-        for k in range(i + 1, dim):
-            if u is None or cols[k] is None:
-                dev[i, k] = dev[k, i] = math.nan
-                continue
-            v, dv = cols[k]
-            pair = sum(x * v[j] for j, x in conj)
-            if pair != u[1] * dv * (k == i + n):
-                delta = Fraction(pair, u[1] * dv) - (k == i + n)
-                dev[i, k], dev[k, i] = delta, -delta
+    dev = _bracket_deviations(cols, n)
     if mode == "exact":
         violations = [(i, k, dev[i, k]) for i, k in sorted(dev)]
         return (not violations), violations, max((abs(d) for _, _, d in violations), default=Fraction(0))
@@ -394,6 +361,27 @@ def verify_chart(matrix, mode="exact", tol=1e-12):
     violations = [(i, k, float(d)) for i in range(dim) for k in range(dim) if not abs(d := dev.get((i, k), 0)) <= tol]
     maxdev = math.nan if None in cols else float(max(map(abs, dev.values()), default=0))
     return (not violations), violations, maxdev
+
+
+def _bracket_deviations(vecs, n):
+    """{(i, k): B_ik - J_ik} where nonzero, B_ik the bracket of 2n qq integer
+    vectors over z (entries past 2n ignored), J_ik = +1 at k = i + n, -1 at
+    i = k + n; a None vector (non-finite) makes its row and column nan.  Both
+    are antisymmetric, so only i < k is bracketed, on ints (the first's nonzero
+    entries against the second's conjugate slots); a deviation is a Fraction."""
+    dev = {}
+    for i, u in enumerate(vecs):
+        conj = [] if u is None else [(j + n, x) if j < n else (j - n, -x) for j, x in enumerate(u[0][: 2 * n]) if x]
+        for k in range(i + 1, len(vecs)):
+            if u is None or vecs[k] is None:
+                dev[i, k] = dev[k, i] = math.nan
+                continue
+            v, dv = vecs[k]
+            pair = sum(x * v[j] for j, x in conj)
+            if pair != u[1] * dv * (k == i + n):
+                delta = Fraction(pair, u[1] * dv) - (k == i + n)
+                dev[i, k], dev[k, i] = delta, -delta
+    return dev
 
 
 def transform(e: Expr, chart: CanonicalChart) -> Expr:

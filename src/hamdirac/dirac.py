@@ -38,7 +38,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import qq
-from .expr import Expr, ExprError
+from .expr import Expr, ExprError, _pgcd, _plead
 from .lagrangian import FirstOrderSystem, PhaseSpace, UnsupportedShape
 from .symbols import _Record
 
@@ -167,10 +167,8 @@ def quadratic_field(h: Expr, phase: PhaseSpace):
     if not h.is_polynomial() or any(i not in pos for m in h.num for i, _ in m) or h.total_degree() > 2:
         return None
     n2 = len(pos)
-    den = lcm(*(c.denominator for c in h.num.values()))
     grad = [dict() for _ in range(n2)]  # grad[k][j]: dh/dz_k, entry j (offset at 2n)
-    for m, c in h.num.items():
-        v = c.numerator * (den // c.denominator)
+    for m, v in h.num.items():
         ks = [pos[i] for i, _ in m]
         if len(ks) == 2:
             a, b = ks
@@ -182,7 +180,7 @@ def quadratic_field(h: Expr, phase: PhaseSpace):
             grad[ks[0]][n2] = v
     n = n2 // 2
     rows = [sorted(g.items()) for g in grad[n:]] + [[(j, -x) for j, x in sorted(g.items())] for g in grad[:n]]
-    return rows, den
+    return rows, h.den[()]
 
 
 def row_field_bracket(row, qfield):
@@ -198,12 +196,13 @@ def row_field_bracket(row, qfield):
 
 
 def _row_expr(row, syms, table) -> Expr:
-    """The affine Expr of a qq integer row over (syms..., 1)."""
-    nums, den = row
-    poly = {((s.index, 1),): Fraction(x, den) for s, x in zip(syms, nums) if x}
+    """The affine Expr of a qq integer row over (syms..., 1): its ints,
+    made primitive by one gcd."""
+    nums, den = qq._primitive(*row)
+    poly = {((s.index, 1),): x for s, x in zip(syms, nums) if x}
     if nums[len(syms)]:
-        poly[()] = Fraction(nums[len(syms)], den)
-    return Expr(table, poly, _normalized=True)
+        poly[()] = nums[len(syms)]
+    return Expr(table, poly, {(): den}, _normalized=True)
 
 
 class WeakReducer:
@@ -242,10 +241,7 @@ class WeakReducer:
     def extend(self, row):
         """Add one constraint row: reduce it by the pivot rows, scale it to a
         leading 1, and clear its pivot column from the other rows."""
-        for k, p in self._rows.items():
-            if row[0][k]:
-                row = qq.row_add(row, Fraction(-row[0][k], row[1]), p)
-        nums, den = row
+        nums, den = row = self.reduce_row(row)
         k = next((k for k in self._order if nums[k]), None)
         if k is None:
             if nums[-1]:
@@ -258,12 +254,13 @@ class WeakReducer:
         self._update(changed)
 
     def _update(self, changed):
-        """Right-hand sides of the changed pivot rows; `subs` in pivot order."""
+        """Right-hand sides of the changed pivot rows, primitive as their rows
+        less the pivot entry (equal to den); `subs` in pivot order."""
         syms, n = self._syms, len(self._syms)
         for k, (nums, den) in changed.items():
-            rhs = {(): Fraction(-nums[n], den)} if nums[n] else {}
-            rhs.update({((syms[j].index, 1),): Fraction(-c, den) for j, c in enumerate(nums[:n]) if c and j != k})
-            self._rhs[k] = Expr(self.phase.table, rhs, _normalized=True)
+            rhs = {(): -nums[n]} if nums[n] else {}
+            rhs.update({((syms[j].index, 1),): -c for j, c in enumerate(nums[:n]) if c and j != k})
+            self._rhs[k] = Expr(self.phase.table, rhs, {(): den}, _normalized=True)
         self.subs = {syms[k]: self._rhs[k] for k in self._order if k in self._rows}
 
     def reduce(self, e: Expr) -> Expr:
@@ -287,12 +284,11 @@ class WeakReducer:
 def _affine_row(e: Expr, syms):
     """The constraint e as a qq integer row [coefficients over syms..., offset]."""
     try:
-        coeffs, offset = e.linear_form(syms)
+        return e.affine_row(syms)
     except ExprError as exc:
         raise UnsupportedShape(
             f"constraint {e} is not affine with constant coefficients; weak reduction unsupported"
         ) from exc
-    return qq.to_row(coeffs + [offset])
 
 
 def weak_reduce(e: Expr, constraints, phase: PhaseSpace) -> Expr:
@@ -337,9 +333,9 @@ def _normalize_candidate(expr: Expr, table):
 
 
 def _poly_gcd_expr(a: Expr, b: Expr) -> Expr:
-    from .expr import _pgcd
-
-    return Expr(a.table, _pgcd(a.num, b.num), _normalized=False)
+    """The monic gcd of two polynomial numerators."""
+    g = _pgcd(a.num, b.num)
+    return Expr(a.table, g, {(): g[_plead(g)]}, _normalized=True)
 
 
 def _monic_affine(e: Expr) -> Expr:
@@ -366,7 +362,7 @@ def dirac_iterate(fos: FirstOrderSystem) -> DiracResult:
         for i, e in enumerate(prim_exprs)
     ]
     prim_rows = [c.row for c in constraints]
-    if qq.rank([qq.from_row(r)[:-1] for r in prim_rows]) != len(prim_rows):
+    if len(qq.rref_rows([(nums[:-1], den) for nums, den in prim_rows], range(2 * n))) != len(prim_rows):
         raise DiracError("primary constraints are not independent")
     zetas = [table.register_fresh(f"zeta{i + 1}", "multiplier") for i in range(len(prim_exprs))]
     result = DiracResult(phase, h, constraints, multiplier_symbols=zetas, rebased_primaries=list(prim_exprs))
@@ -377,7 +373,7 @@ def dirac_iterate(fos: FirstOrderSystem) -> DiracResult:
     field = hamilton_field(h, phase) if qfield is None else None
     for _round in range(2 * n + 2):
         if qfield is None:
-            brackets = [reducer.reduce(field_bracket(qq.from_row(c.row), field, table)) for c in constraints]
+            brackets = [reducer.reduce(field_bracket(c.row[0], field, table) / c.row[1]) for c in constraints]
         else:
             brackets = [reducer.reduce_row(row_field_bracket(c.row, qfield)) for c in constraints]
         rows = _consistency_rows(constraints, brackets, prim_rows, n)

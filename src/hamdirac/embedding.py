@@ -254,8 +254,7 @@ def _epsilon_symbol(table, row_name):
 def _constant_part(e: Expr) -> Fraction:
     if not e.is_polynomial():
         return Fraction(0)
-    c = e.num.get((), None)
-    return Fraction(c) if c is not None else Fraction(0)
+    return Fraction(e.num.get((), 0), e.den[()])
 
 
 def effective_hamiltonian(result: DiracResult, chart: CanonicalChart) -> Expr:

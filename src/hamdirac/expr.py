@@ -1,33 +1,34 @@
 """Exact rational-function expressions over a shared symbol table.
 
-A polynomial is a sparse ``{monomial: Fraction}`` dict where a monomial is a
-sorted tuple of ``(symbol_index, exponent)`` pairs.  An ``Expr`` is a reduced
-quotient of two such polynomials; equality of normal forms is structural
-equality, which makes ``is_zero`` and expression comparison exact decisions.
+A polynomial is a sparse ``{monomial: int}`` dict where a monomial is a
+sorted tuple of ``(symbol_index, exponent)`` pairs.  An ``Expr`` is a quotient
+num/den of two of them in one normal form: no common polynomial factor, no
+integer > 1 dividing every coefficient of both, den's leading coefficient
+positive (graded lex, earlier-registered symbols more significant).  So a
+polynomial is one integer dict over one positive denominator, den =
+``{(): d}``, like a `qq` row; divided by that leading coefficient, num/den is
+the reduced quotient with a monic denominator that printing shows.  Equality
+of normal forms is structural equality, which makes ``is_zero`` and
+expression comparison exact decisions.
 
-Monomial order: graded lex, earlier-registered symbols more significant.
-The denominator of a normal form is monic with respect to that order.
-
-Substitution of polynomial rules works on the dicts alone (`_phorner`: one
-grouping of the monomials, Horner in one rule symbol at a time, one
-accumulator), over the integers: rules and leaves are scaled to integers over
-one common denominator, and each output coefficient is normalized once.  This
-is the one path for every polynomial substitution, quadratic or not; rules
-with a denominator go term by term through Expr.
+Every operation runs on ints and normalizes its result once: one `math.gcd`
+for a polynomial, the multivariate gcd for a rational function.  Fractions
+are made only at the edges: `constant_value`, `eval_fraction`, `linear_form`.
+Substitution of polynomial rules (`_phorner`: one grouping of the monomials,
+Horner in one rule symbol at a time, one accumulator, over the integers) is
+the one path for every polynomial substitution, quadratic or not; rules with
+a denominator go term by term through Expr.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .symbols import Symbol, SymbolTable
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 CONST_MONO = ()
-_ONE_POLY = {CONST_MONO: ONE}  # the denominator of every polynomial Expr, shared: never mutated
+_ONE_POLY = {CONST_MONO: 1}  # the denominator of every integral polynomial Expr, shared: never mutated
 
 
 class ExprError(Exception):
@@ -82,12 +83,13 @@ def _mono_key(m):
 
 
 # ---------------------------------------------------------------------------
-# raw polynomial helpers (dicts, no class)
+# raw polynomial helpers (integer dicts, no class)
 
-def _padd(a, b):
-    out = dict(a)
+def _padd(a, b, ka=1, kb=1):
+    """ka a + kb b for integers ka, kb; a's keys keep their order."""
+    out = {m: c * ka for m, c in a.items()} if ka != 1 else dict(a)
     for m, c in b.items():
-        s = out.get(m, ZERO) + c
+        s = out.get(m, 0) + c * kb
         if s:
             out[m] = s
         else:
@@ -95,13 +97,8 @@ def _padd(a, b):
     return out
 
 
-def _pneg(a):
-    return {m: -c for m, c in a.items()}
-
-
 def _pmul(a, b, out=None):
-    """a * b, added into `out` in place when it is given; the coefficients
-    may be Fractions or, throughout, ints."""
+    """a * b, added into `out` in place when it is given."""
     out = {} if out is None else out
     for m1, c1 in a.items():
         for m2, c2 in b.items():
@@ -118,11 +115,6 @@ def _pscale(a, c):
     if not c:
         return {}
     return {m: coef * c for m, coef in a.items()}
-
-
-def _pconst(c):
-    c = Fraction(c)
-    return {CONST_MONO: c} if c else {}
 
 
 def _plead(a):
@@ -161,7 +153,7 @@ def _pdiff(a, idx):
                 else:
                     nm[k] = (i, e - 1)
                 nm = tuple(nm)
-                s = out.get(nm, ZERO) + c * e
+                s = out.get(nm, 0) + c * e
                 if s:
                     out[nm] = s
                 else:
@@ -171,12 +163,13 @@ def _pdiff(a, idx):
 
 
 def _pdiv_exact(a, b):
-    """Exact polynomial division; raises ExprError if b does not divide a."""
+    """Exact polynomial division over the integers; raises ExprError if b
+    does not divide a with an integer quotient."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     rem = dict(a)
     out = {}
-    lb = _plead(b) if b else CONST_MONO
+    lb = _plead(b)
     cb = b[lb]
     while rem:
         la = _plead(rem)
@@ -190,19 +183,30 @@ def _pdiv_exact(a, b):
             if d:
                 qm[i] = d
         qmono = tuple(sorted(qm.items()))
-        qc = rem[la] / cb
-        out[qmono] = out.get(qmono, ZERO) + qc
-        rem = _padd(rem, _pneg(_pmul({qmono: qc}, b)))
+        qc, r = divmod(rem[la], cb)
+        if r:
+            raise ExprError("inexact polynomial division")
+        out[qmono] = out.get(qmono, 0) + qc
+        rem = _padd(rem, _pmul({qmono: qc}, b), 1, -1)
     return {m: c for m, c in out.items() if c}
 
 
-def _pmonic(a):
-    if not a:
-        return a
-    lc = a[_plead(a)]
-    if lc == 1:
-        return a
-    return {m: c / lc for m, c in a.items()}
+def _over(num, d):
+    """(num, den) of the polynomial num / d, d a nonzero integer, in normal
+    form: one gcd of d and the coefficients."""
+    if d == 1:
+        return num, _ONE_POLY
+    k = gcd(d, *num.values()) * (1 if d > 0 else -1)
+    return ({m: c // k for m, c in num.items()}, {CONST_MONO: d // k}) if k != 1 else (num, {CONST_MONO: d})
+
+
+def _primitive_pair(num, den):
+    """(num, den) over the gcd of all their coefficients, den's leading
+    coefficient positive (num = {} makes den primitive)."""
+    k = gcd(*num.values(), *den.values()) * (1 if den[_plead(den)] > 0 else -1)
+    if k == 1:
+        return num, den
+    return {m: c // k for m, c in num.items()}, {m: c // k for m, c in den.items()}
 
 
 # -- multivariate gcd (primitive Euclid in the top variable) ----------------
@@ -220,7 +224,7 @@ def _uni_view(a, idx):
                 rest.append((i, k))
         coeff = out.setdefault(e, {})
         rest = tuple(rest)
-        s = coeff.get(rest, ZERO) + c
+        s = coeff.get(rest, 0) + c
         if s:
             coeff[rest] = s
         else:
@@ -233,7 +237,7 @@ def _uni_collect(view, idx):
     for e, coeff in view.items():
         for m, c in coeff.items():
             mono = _mono_mul(m, ((idx, e),) if e else CONST_MONO)
-            s = out.get(mono, ZERO) + c
+            s = out.get(mono, 0) + c
             if s:
                 out[mono] = s
             else:
@@ -242,10 +246,13 @@ def _uni_collect(view, idx):
 
 
 def _content(view):
+    """The gcd of a univariate view's coefficients, integer content included,
+    so each coefficient divided by it is an integer polynomial."""
     g = {}
     for e in sorted(view):
         g = _pgcd(g, view[e])
-    return g
+    k = gcd(*(c for coeff in view.values() for c in coeff.values()))
+    return g if k == 1 else _pscale(g, k)
 
 
 def _prem(a_view, b_view, idx):
@@ -267,17 +274,16 @@ def _prem(a_view, b_view, idx):
                 continue
             t = _pmul(c, la)
             tgt = e + da - db
-            new[tgt] = _padd(new.get(tgt, {}), _pneg(t))
+            new[tgt] = _padd(new.get(tgt, {}), t, 1, -1)
         rem = {e: c for e, c in new.items() if c}
     return rem
 
 
 def _pgcd(a, b):
-    """GCD of two polynomials, normalized monic; gcd(0, b) = monic b."""
-    if not a:
-        return _pmonic(b)
-    if not b:
-        return _pmonic(a)
+    """GCD of two integer polynomials, primitive with a positive leading
+    coefficient; gcd(0, b) is b made so."""
+    if not (a and b):
+        return _primitive_pair({}, a or b)[1] if a or b else {}
     va, vb = _pvars(a), _pvars(b)
     if not va or not vb:
         return _ONE_POLY
@@ -290,56 +296,56 @@ def _pgcd(a, b):
     pb = {e: _pdiv_exact(c, cb) for e, c in bv.items()}
     while pb:
         if max(pb) == 0:
-            pa = {0: _pconst(1)}
+            pa = {0: {CONST_MONO: 1}}
             break
         r = _prem(pa, pb, idx)
         if r:
             cr = _content(r)
             r = {e: _pdiv_exact(c, cr) for e, c in r.items()}
         pa, pb = pb, r
-    g = _pmul(_uni_collect(pa, idx), cg)
-    return _pmonic(g)
+    return _primitive_pair({}, _pmul(_uni_collect(pa, idx), cg))[1]
 
 
 # ---------------------------------------------------------------------------
 
 class Expr:
-    """Normalized rational function num/den over one SymbolTable."""
+    """Normalized rational function num/den over one SymbolTable; without a
+    den, num is a polynomial with int or Fraction coefficients."""
 
     __slots__ = ("table", "num", "den")
 
     def __init__(self, table: SymbolTable, num, den=None, _normalized=False):
         self.table = table
         if den is None:
-            den = _ONE_POLY
-        if _normalized:
-            self.num, self.den = num, den
-            return
-        if not den:
-            raise ZeroDenominator("zero denominator")
-        if not num:
-            self.num, self.den = {}, _ONE_POLY
-            return
-        g = _pgcd(num, den)
-        if g != _ONE_POLY:
-            num = _pdiv_exact(num, g)
-            den = _pdiv_exact(den, g)
-        lc = den[_plead(den)]
-        if lc != 1:
-            num = _pscale(num, 1 / lc)
-            den = _pscale(den, 1 / lc)
+            if _normalized:
+                den = _ONE_POLY
+            else:  # over the lcm of the coefficients' denominators
+                cs = {m: Fraction(c) for m, c in num.items() if c}
+                d = lcm(*(c.denominator for c in cs.values()))
+                num, den = _over({m: int(c * d) for m, c in cs.items()}, d)
+        elif not _normalized:
+            if not den:
+                raise ZeroDenominator("zero denominator")
+            if len(den) == 1 and CONST_MONO in den:  # a zero num, too, ends over 1
+                num, den = _over(num, den[CONST_MONO])
+            else:
+                g = _pgcd(num, den)
+                if g != _ONE_POLY:
+                    num, den = _pdiv_exact(num, g), _pdiv_exact(den, g)
+                num, den = _primitive_pair(num, den)
         self.num, self.den = num, den
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def const(table: SymbolTable, c) -> "Expr":
-        c = Fraction(c)
-        return Expr(table, {CONST_MONO: c} if c else {}, _normalized=True)
+        if not isinstance(c, (int, Fraction)):
+            c = Fraction(c)
+        return Expr(table, {CONST_MONO: c.numerator} if c else {}, {CONST_MONO: c.denominator}, _normalized=True)
 
     @staticmethod
     def sym(table: SymbolTable, s: Symbol) -> "Expr":
-        return Expr(table, {((s.index, 1),): ONE}, _normalized=True)
+        return Expr(table, {((s.index, 1),): 1}, _normalized=True)
 
     # -- basic queries ------------------------------------------------------
 
@@ -347,17 +353,17 @@ class Expr:
         return not self.num
 
     def is_constant(self) -> bool:
-        return (not self.num or set(self.num) == {CONST_MONO}) and set(self.den) == {CONST_MONO}
+        num = self.num
+        return self.is_polynomial() and (not num or (len(num) == 1 and CONST_MONO in num))
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ExprError("not a constant")
-        if not self.num:
-            return ZERO
-        return self.num[CONST_MONO] / self.den[CONST_MONO]
+        return Fraction(self.num.get(CONST_MONO, 0), self.den[CONST_MONO])
 
     def is_polynomial(self) -> bool:
-        return set(self.den) == {CONST_MONO}
+        den = self.den
+        return len(den) == 1 and CONST_MONO in den
 
     def free_symbols(self):
         idxs = _pvars(self.num) | _pvars(self.den)
@@ -384,15 +390,17 @@ class Expr:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        if self.den == _ONE_POLY == o.den:
-            return Expr(self.table, _padd(self.num, o.num), _normalized=True)
-        num = _padd(_pmul(self.num, o.den), _pmul(o.num, self.den))
-        return Expr(self.table, num, _pmul(self.den, o.den))
+        a, b = self.den, o.den
+        if self.is_polynomial() and o.is_polynomial():
+            da, db = a[CONST_MONO], b[CONST_MONO]
+            g = gcd(da, db)
+            return Expr(self.table, *_over(_padd(self.num, o.num, db // g, da // g), da // g * db), _normalized=True)
+        return Expr(self.table, _padd(_pmul(self.num, b), _pmul(o.num, a)), _pmul(a, b))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Expr(self.table, _pneg(self.num), self.den, _normalized=True)
+        return Expr(self.table, {m: -c for m, c in self.num.items()}, self.den, _normalized=True)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -407,9 +415,10 @@ class Expr:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        if self.den == _ONE_POLY == o.den:
-            return Expr(self.table, _pmul(self.num, o.num), _normalized=True)
-        return Expr(self.table, _pmul(self.num, o.num), _pmul(self.den, o.den))
+        a, b = self.den, o.den
+        if self.is_polynomial() and o.is_polynomial():
+            return Expr(self.table, *_over(_pmul(self.num, o.num), a[CONST_MONO] * b[CONST_MONO]), _normalized=True)
+        return Expr(self.table, _pmul(self.num, o.num), _pmul(a, b))
 
     __rmul__ = __mul__
 
@@ -419,8 +428,12 @@ class Expr:
             return o
         if o.is_zero():
             raise ZeroDenominator("division by zero expression")
-        if o.is_constant():  # num/c over the same monic den: already normal
-            return Expr(self.table, _pscale(self.num, 1 / o.num[CONST_MONO]), self.den, _normalized=True)
+        if o.is_constant():  # num q / (den p): coprime still, so only the integer content is reduced
+            p, q = o.num[CONST_MONO], o.den[CONST_MONO]
+            num = _pscale(self.num, q)
+            if self.is_polynomial():
+                return Expr(self.table, *_over(num, self.den[CONST_MONO] * p), _normalized=True)
+            return Expr(self.table, *_primitive_pair(num, _pscale(self.den, p)), _normalized=True)
         return Expr(self.table, _pmul(self.num, o.den), _pmul(self.den, o.num))
 
     def __rtruediv__(self, other):
@@ -449,9 +462,9 @@ class Expr:
     def diff(self, s: Symbol) -> "Expr":
         dn = _pdiff(self.num, s.index)
         if self.is_polynomial():
-            return Expr(self.table, dn, self.den, _normalized=False)
+            return Expr(self.table, *_over(dn, self.den[CONST_MONO]), _normalized=True)
         dd = _pdiff(self.den, s.index)
-        num = _padd(_pmul(dn, self.den), _pneg(_pmul(self.num, dd)))
+        num = _padd(_pmul(dn, self.den), _pmul(self.num, dd), 1, -1)
         return Expr(self.table, num, _pmul(self.den, self.den))
 
     def substitute(self, rules: dict) -> "Expr":
@@ -467,9 +480,9 @@ class Expr:
         idx_rules = {
             s.index: (e if isinstance(e, Expr) else Expr.const(self.table, e)) for s, e in rules.items() if s.index in used
         }
+        if self.is_polynomial():
+            return _psubstitute(self.table, self.num, idx_rules, self.den[CONST_MONO])
         num = _psubstitute(self.table, self.num, idx_rules)
-        if self.den == _ONE_POLY:
-            return num
         den = _psubstitute(self.table, self.den, idx_rules)
         if den.is_zero():
             raise ZeroDenominator("substitution produced zero denominator")
@@ -479,25 +492,19 @@ class Expr:
 
     def eval_fraction(self, values: dict) -> Fraction:
         vals = {s.index: Fraction(v) for s, v in values.items()}
-        n = _peval(self.num, vals)
-        d = _peval(self.den, vals)
+        n, d = _peval(self.num, vals), _peval(self.den, vals)
         if d == 0:
             raise ZeroDenominator("evaluation hit a zero denominator")
-        return n / d
+        return Fraction(n, d)
 
     def eval_float(self, values: dict) -> float:
         vals = {s.index: float(v) for s, v in values.items()}
-        n = sum(float(c) * _mono_eval_float(m, vals) for m, c in self.num.items())
-        d = sum(float(c) * _mono_eval_float(m, vals) for m, c in self.den.items())
+        lead = self.den[_plead(self.den)]
+        n = sum(c / lead * _mono_eval_float(m, vals) for m, c in self.num.items())
+        d = sum(c / lead * _mono_eval_float(m, vals) for m, c in self.den.items())
         return n / d
 
     # -- structure helpers ------------------------------------------------------
-
-    def coefficient(self, s: Symbol) -> "Expr":
-        """Coefficient of s in an expression affine in s."""
-        if self.degree_in(s) > 1:
-            raise ExprError(f"not affine in {s}")
-        return self.diff(s)
 
     def split_affine(self, symbols) -> tuple:
         """Decompose as const + sum(coeff*sym) over `symbols`.
@@ -519,36 +526,53 @@ class Expr:
                 i = hits[0][0]
                 rest = tuple(p for p in m if p[0] != i)
                 sym = by_index[i]
-                coeffs[sym][rest] = coeffs[sym].get(rest, ZERO) + c
+                coeffs[sym][rest] = coeffs[sym].get(rest, 0) + c
             else:
                 raise ExprError("expression is not affine in the given symbols")
         den = self.den
         mk = lambda p: Expr(self.table, p, dict(den))
         return mk(const), {s: mk(p) for s, p in coeffs.items() if p}
 
-    def linear_form(self, symbols) -> tuple:
-        """As (constant_coefficients, offset) for an expression affine with
-        *constant* coefficients over `symbols`; raises otherwise."""
-        const, coeffs = self.split_affine(symbols)
-        if not const.is_constant():
-            raise ExprError("affine part has non-constant remainder")
-        row = []
-        for s in symbols:
-            c = coeffs.get(s)
-            if c is None:
-                row.append(ZERO)
-            elif c.is_constant():
-                row.append(c.constant_value())
+    def affine_row(self, symbols) -> tuple:
+        """The qq integer row (nums, den) of an expression affine with
+        *constant* coefficients over `symbols`: nums holds the coefficients in
+        the order of `symbols`, then the offset.  Raises ExprError otherwise,
+        with the message `split_affine` and the checks after it give."""
+        if not self.is_polynomial():
+            # a quotient is never affine with constant coefficients: say which part is not
+            const, _coeffs = self.split_affine(symbols)
+            raise ExprError("affine part has non-constant remainder" if not const.is_constant()
+                            else "non-constant linear coefficient")
+        at = {s.index: k for k, s in enumerate(symbols)}
+        nums = [0] * (len(symbols) + 1)
+        remainder = coefficient = False
+        for m, c in self.num.items():
+            hits = [e for i, e in m if i in at]
+            if hits and hits != [1]:
+                raise ExprError("expression is not affine in the given symbols")
+            if len(m) > len(hits):  # a factor outside `symbols`
+                coefficient, remainder = coefficient or bool(hits), remainder or not hits
             else:
-                raise ExprError("non-constant linear coefficient")
-        return row, const.constant_value()
+                nums[at[m[0][0]] if m else -1] = c
+        if remainder:
+            raise ExprError("affine part has non-constant remainder")
+        if coefficient:
+            raise ExprError("non-constant linear coefficient")
+        return nums, self.den[CONST_MONO]  # primitive: every coefficient of num is in it
+
+    def linear_form(self, symbols) -> tuple:
+        """As (constant_coefficients, offset), Fractions, for an expression
+        affine with *constant* coefficients over `symbols`; raises otherwise."""
+        nums, den = self.affine_row(symbols)
+        return [Fraction(x, den) for x in nums[:-1]], Fraction(nums[-1], den)
 
     # -- printing ---------------------------------------------------------------
 
     def __str__(self):
         if self.is_polynomial():
-            return _pstr(self.table, self.num)
-        return f"({_pstr(self.table, self.num)})/({_pstr(self.table, self.den)})"
+            return _pstr(self.table, self.num, self.den[CONST_MONO])
+        lead = self.den[_plead(self.den)]
+        return f"({_pstr(self.table, self.num, lead)})/({_pstr(self.table, self.den, lead)})"
 
     __repr__ = __str__
 
@@ -582,11 +606,12 @@ def _check_acyclic(rules):
     del visit  # it refers to itself: free the cycle now, not at the next gc pass
 
 
-def _psubstitute(table, poly, idx_rules) -> Expr:
-    """poly with every rule applied at once; polynomial rules go through
-    `_phorner`, rules with a denominator term by term through Expr."""
-    if all(r.den == _ONE_POLY for r in idx_rules.values()):
-        return Expr(table, _phorner(poly, {i: r.num for i, r in idx_rules.items()}), _normalized=True)
+def _psubstitute(table, poly, idx_rules, den=1) -> Expr:
+    """poly / den with every rule applied at once; polynomial rules go
+    through `_phorner`, rules with a denominator term by term through Expr."""
+    if all(r.is_polynomial() for r in idx_rules.values()):
+        out, d = _phorner(poly, {i: (r.num, r.den[CONST_MONO]) for i, r in idx_rules.items()})
+        return Expr(table, *_over(out, d * den), _normalized=True)
     acc = Expr.const(table, 0)
     for m, c in poly.items():
         term = Expr.const(table, c)
@@ -596,11 +621,13 @@ def _psubstitute(table, poly, idx_rules) -> Expr:
                 rep = Expr.sym(table, table[i])
             term = term * rep ** e
         acc = acc + term
-    return acc
+    return acc / den if den != 1 else acc
 
 
 def _phorner(poly, rules):
-    """Simultaneous substitution of polynomial `rules` ({index: poly}).
+    """Simultaneous substitution of polynomial `rules` ({index: (R_v, d_v)},
+    the rule R_v / d_v) into the integer polynomial `poly`; returns (ints,
+    den) with the result ints / den.
 
     The monomials are grouped once into a tree, each level keyed by the
     (index, exponent) of the lowest rule symbol left, the leaf (key None)
@@ -608,29 +635,24 @@ def _phorner(poly, rules):
     R_v^e1 (c_1 + R_v^(e2-e1) (c_2 + ...)) over its children, added into the
     leaf's dict.  For a quadratic form this is the congruence T^T (A T).
 
-    The tree runs over the integers: each rule is R_v / d_v with R_v integral,
-    and a leaf c under rule exponents e_v holds c * D / prod d_v^e_v for one
-    common denominator D of all leaves, so every product and sum is an int
-    and each output coefficient is normalized once, as Fraction(x, D).
+    The tree runs over the integers: a leaf c under rule exponents e_v holds
+    c * D / prod d_v^e_v for one common denominator D of all leaves, so every
+    product and sum is an int.
     """
-    irules, dens = {}, {}
-    for v, r in rules.items():
-        d = dens[v] = lcm(*(c.denominator for c in r.values()))
-        irules[v] = {m: c.numerator * (d // c.denominator) for m, c in r.items()}
     tree, leaves = {}, []
     for m, c in poly.items():
-        node, rest, scale = tree, [], c.denominator
+        node, rest, scale = tree, [], 1
         for i, e in m:
             if i in rules:
                 node = node.setdefault((i, e), {})
-                scale *= dens[i] ** e
+                scale *= rules[i][1] ** e
             else:
                 rest.append((i, e))
-        leaves.append((node.setdefault(None, {}), tuple(rest), c.numerator, scale))
+        leaves.append((node.setdefault(None, {}), tuple(rest), c, scale))
     den = lcm(*(scale for *_, scale in leaves))
     for leaf, rest, num, scale in leaves:
         leaf[rest] = num * (den // scale)
-    return {m: Fraction(x, den) for m, x in _horner(tree, irules).items()}
+    return _horner(tree, {v: r for v, (r, _d) in rules.items()}), den
 
 
 def _horner(node, rules):
@@ -648,9 +670,8 @@ def _horner(node, rules):
 
 
 def _ppow(a, k):
-    """a^k, in the coefficients' own type for k >= 1."""
     if not k:
-        return _pconst(1)
+        return {CONST_MONO: 1}
     out = dict(a)
     for _ in range(k - 1):
         out = _pmul(out, a)
@@ -658,7 +679,7 @@ def _ppow(a, k):
 
 
 def _peval(poly, vals):
-    total = ZERO
+    total = 0
     for m, c in poly.items():
         v = c
         for i, e in m:
@@ -676,7 +697,8 @@ def _mono_eval_float(m, vals):
     return v
 
 
-def _pstr(table, poly) -> str:
+def _pstr(table, poly, den=1) -> str:
+    """The polynomial poly / den, each coefficient reduced by one gcd."""
     if not poly:
         return "0"
     parts = []
@@ -685,15 +707,15 @@ def _pstr(table, poly) -> str:
         factors = [f"{table[i].name}" + (f"^{e}" if e > 1 else "") for i, e in m]
         mag = abs(c)
         if not factors:
-            body = _frac_str(mag)
-        elif mag == 1:
+            body = _frac_str(mag, den)
+        elif mag == den:
             body = "*".join(factors)
         else:
-            body = "*".join([_frac_str(mag)] + factors)
+            body = "*".join([_frac_str(mag, den)] + factors)
         if not parts:
             if c > 0:
                 parts.append(body)
-            elif mag == 1 and factors and "^" in factors[0]:
+            elif mag == den and factors and "^" in factors[0]:
                 # "-x^2" would parse as (-x)^2; spell the coefficient out
                 parts.append(f"-1*{body}")
             else:
@@ -703,5 +725,7 @@ def _pstr(table, poly) -> str:
     return " ".join(parts)
 
 
-def _frac_str(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+def _frac_str(x: int, den: int = 1) -> str:
+    """x / den in lowest terms, as "p" or "p/q" (den > 0)."""
+    g = gcd(x, den)
+    return str(x // g) if g == den else f"{x // g}/{den // g}"

@@ -169,7 +169,7 @@ def _acceleration_decomposition(sys: LagrangianSystem):
 
 def _integrate_in(e: Expr, v: Symbol) -> Expr:
     """Polynomial antiderivative in v (denominator must be v-free)."""
-    if e.den and any(v.index == i for i, _ in _den_vars(e)):
+    if any(i == v.index for m in e.den for i, _ in m):
         raise MechanicsError(f"cannot integrate: denominator depends on {v}")
     table = e.table
     out = Expr.const(table, 0)
@@ -186,12 +186,6 @@ def _integrate_in(e: Expr, v: Symbol) -> Expr:
         term = Expr(table, {tuple(rest): c}, dict(e.den))
         out = out + term * vsym ** (k + 1) / (k + 1)
     return out
-
-
-def _den_vars(e: Expr):
-    for m in e.den:
-        for pair in m:
-            yield pair
 
 
 def counter_term(sys: LagrangianSystem):

@@ -29,7 +29,7 @@ import math
 from array import array
 from fractions import Fraction
 
-from .expr import Expr
+from .expr import Expr, _plead
 from .symbols import _Record
 
 # Shooting is refused when the condition number of dQ(t2)/dP(t1), taken
@@ -138,12 +138,14 @@ def _variational_field(comps, grads, names):
 
 
 def _expr_to_py(e: Expr, names: dict) -> str:
+    lead = e.den[_plead(e.den)]
+
     def poly(p):
         if not p:
             return "0.0"
         parts = []
         for mono, c in sorted(p.items()):
-            factors = [repr(float(c))]
+            factors = [repr(c / lead)]  # correctly rounded, as the float of the reduced Fraction
             for idx, exp in mono:
                 var = names.get(idx)
                 if var is None:

@@ -14,8 +14,6 @@ forms).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .expr import Expr
 from .symbols import SymbolTable
 
@@ -123,7 +121,7 @@ def _atom(toks, table):
     if kind == "-":
         return -_atom(toks, table)
     if kind == "num":
-        return Expr.const(table, Fraction(int(text)))
+        return Expr.const(table, int(text))
     if kind == "(":
         e = _expr(toks, table)
         toks.expect(")")

@@ -2,19 +2,19 @@
 
 Every constant-coefficient elimination of the analysis runs through
 `rref_rows`, Gauss-Jordan on integer rows (below): the first weak reducer of
-an analysis (later constraints extend its RREF one integer row at a time,
-`row_add`), the chart's conjugate positions (one elimination for all), the
-primaries' independence check (`rank`), the chart's static correction
-(`solve`) and, through `rref`, which converts lists of Fractions to integer
-rows and back, the Gram-matrix rank and kernel of classification and the
-report's span checks (one elimination per supplied chart).  The multiplier solve
+an analysis, the primaries' independence check, the chart's conjugate
+positions, a supplied chart's span checks, the static correction (`solve`)
+and, through `rref` (lists of Fractions, converted to integer rows and back),
+the Gram-matrix rank and kernel of classification.  The multiplier solve
 (`dirac._eliminate`) is Gauss-Jordan over Q too, with its own pivot policy;
 for a quadratic H it runs on integer rows with `row_add` and `row_div`.  The
 chart pairs its rows with `row_bracket`, `row_div` and `row_project`.  The
 caller chooses the column order; each column pivots on the first row not yet
 used that is nonzero there, and rows never move, so a call site's pivots (and
-with them the report bytes) depend only on the order it asks for.  An integer
-row operation costs one gcd per row, where Fractions normalize every entry.
+with them the report bytes) depend only on the order it asks for.  A row is
+what an `Expr` polynomial is too, integers over one positive denominator, so
+an affine expression and its row convert without arithmetic
+(`Expr.affine_row`, `dirac._row_expr`); a row operation costs one gcd.
 """
 
 from __future__ import annotations

@@ -10,7 +10,6 @@ byte-stable.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from . import qq
 from .chart import (
@@ -186,15 +185,14 @@ def _import_chart(an: Analysis) -> CanonicalChart:
             raise InputError(f"chart row name {name!r} collides with an existing symbol")
         sym = table.position(name)
         try:
-            e = parse_expr(text, table)
-            coeffs, offset = e.linear_form(z)
+            row = parse_expr(text, table).affine_row(z)
         except ExprError as exc:
             raise InputError(f"chart row {name} (line {lineno}) is not linear in phase coordinates: {exc}")
         except Exception as exc:
             raise InputError(f"chart row {name} (line {lineno}): {exc}") from exc
         if (role, idx) in by_role:
             raise InputError(f"duplicate chart row {name}")
-        by_role[(role, idx)] = (sym, qq.to_row([*coeffs, offset]))
+        by_role[(role, idx)] = (sym, row)
 
     counts = {r: max((i for (rr, i) in by_role if rr == r), default=0) for r in ("Xi", "Psi", "ThU", "ThD", "Q", "P")}
     if counts["Xi"] != counts["Psi"] or counts["ThU"] != counts["ThD"] or counts["Q"] != counts["P"]:
@@ -207,9 +205,7 @@ def _import_chart(an: Analysis) -> CanonicalChart:
         if (role, i) not in by_role:
             raise InputError(f"missing chart row {role}{i}")
     by_role = {key: by_role[key] for key in order}  # chart order
-    matrix = {key: qq.from_row(row)[:-1] for key, (_sym, row) in by_role.items()}
-
-    ok, violations, _ = verify_chart(list(matrix.values()), mode="exact")
+    ok, violations, _ = verify_chart([qq.from_row(row)[:-1] for _sym, row in by_role.values()], mode="exact")
     if not ok:
         i, k, delta = violations[0]
         raise InputError(f"supplied chart fails S^T J S = J (entry {i},{k} off by {delta})")
@@ -223,9 +219,9 @@ def _import_chart(an: Analysis) -> CanonicalChart:
     cons = result.constraints
     psi = [key for key in order if key[0] == "Psi"]
     theta = [key for key in order if key[0] in ("ThU", "ThD")]
-    coords = _constraint_coordinates(cons, [matrix[key] for key in psi + theta], n)
+    coords = _constraint_coordinates(cons, [by_role[key][1] for key in psi + theta], n)
     first_class = [
-        x is not None and not any(qq.row_bracket(by_role[key][1], c.row, n) for c in cons) for key, x in zip(psi, coords)
+        x is not None and not any(qq._pair(by_role[key][1][0], c.row[0], n) for c in cons) for key, x in zip(psi, coords)
     ]
     if len(psi) != result.F or not all(first_class):
         raise InputError("supplied Psi rows do not span the first-class constraints")
@@ -236,16 +232,19 @@ def _import_chart(an: Analysis) -> CanonicalChart:
 
 
 def _constraint_coordinates(cons, vectors, n):
-    """Each covector in `vectors` as its coefficients over the constraints'
-    (independent) covectors, or None outside their span: one Gauss-Jordan
-    elimination with one right-hand side per vector."""
+    """Each covector in `vectors` (qq integer rows) as its coefficients over
+    the constraints' (independent) covectors, or None outside their span: one
+    Gauss-Jordan elimination with one right-hand side per vector.  It runs on
+    the rows' numerators, so a coefficient comes scaled by a positive factor
+    (the vector's denominator over the constraint's): whether it is zero, and
+    its sign, are exact."""
     m = len(cons)
-    covs = [qq.from_row(c.row)[: 2 * n] for c in cons]
-    system = [[cov[i] for cov in covs] + [Fraction(v[i]) for v in vectors] for i in range(2 * n)]
-    pivots = qq.rref(system, range(m))
-    free = [row for i, row in enumerate(system) if i not in pivots.values()]
+    covs = [c.row[0] for c in cons] + [v for v, _den in vectors]
+    system = [([cov[i] for cov in covs], 1) for i in range(2 * n)]
+    pivots = qq.rref_rows(system, range(m))
+    free = [nums for i, (nums, _den) in enumerate(system) if i not in pivots.values()]
     return [
-        None if any(row[m + j] for row in free) else [system[pivots[c]][m + j] for c in range(m)]
+        None if any(row[m + j] for row in free) else [system[pivots[c]][0][m + j] for c in range(m)]
         for j in range(len(vectors))
     ]
 
@@ -313,7 +312,7 @@ def build_report(an: Analysis, stage: str = "report") -> dict:
     rep["embedding"] = {
         "kind": plan.kind,
         "gauge_fixed": plan.gauge_fixed,
-        "fixed": {k: _frac_str(v) for k, v in sorted(plan.fixed.items())},
+        "fixed": {k: str(v) for k, v in sorted(plan.fixed.items())},
         "gauge_multipliers": {z.name: str(v) for z, v in sorted(plan.gauge_multiplier_solutions.items(), key=lambda kv: kv[0].index)},
         "preconditions": list(plan.preconditions),
     }
@@ -322,9 +321,9 @@ def build_report(an: Analysis, stage: str = "report") -> dict:
         "kinetic": str(pb.kinetic),
         "minus_h_eps": str(pb.minus_h),
         "total_derivative": str(pb.total_derivative),
-        "epsilon_values": {e.name: _frac_str(v) for e, v in sorted(pb.eps_values.items(), key=lambda kv: kv[0].index)},
+        "epsilon_values": {e.name: str(v) for e, v in sorted(pb.eps_values.items(), key=lambda kv: kv[0].index)},
         "lagrangian": str(pb.lagrangian),
-        "constant": _frac_str(pb.constant),
+        "constant": str(pb.constant),
     }
     rep["effective_hamiltonian"] = str(an.effective_h) if an.effective_h is not None else None
     br = an.boundary
@@ -357,8 +356,8 @@ def chart_to_json(chart: CanonicalChart, phase, table, source: str) -> dict:
                 "role": r.role,
                 "pair": r.pair,
                 "generation": r.generation,
-                "coeffs": [_frac_str(c) for c in r.coeffs],
-                "offset": _frac_str(r.offset),
+                "coeffs": [_frac_str(x, r.row[1]) for x in r.row[0][:-1]],
+                "offset": _frac_str(r.row[0][-1], r.row[1]),
                 "expr": str(r.expr(table, phase)),
             }
             for r in chart.rows

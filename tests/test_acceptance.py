@@ -138,7 +138,7 @@ def test_criterion_2_l2():
         # under that chart: L_T = P Qdot - H_T|Theta->eps; the Theta part is
         # pure squares, i.e. an additive constant, leaving P Qdot - Q^2/2 - P^2/2
         Q, P = t["Q1"].index, t["P1"].index
-        surviving = {m: v for m, v in got.num.items() if all(i in (Q, P) for i, _e in m)}
+        surviving = {m: Fraction(v, got.den[()]) for m, v in got.num.items() if all(i in (Q, P) for i, _e in m)}
         theta_part = [m for m in got.num if any(i not in (Q, P) for i, _e in m)]
         _assert(surviving == {((Q, 2),): Fraction(1, 2), ((P, 2),): Fraction(1, 2)}, surviving)
         for m in theta_part:

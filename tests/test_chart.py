@@ -15,7 +15,7 @@ from hamdirac import (
     transform,
     verify_chart,
 )
-from hamdirac.chart import CanonicalChart, ChartRow
+from hamdirac.chart import CanonicalChart, ChartRow, _bracket_deviations
 from hamdirac.expr import Expr
 from hamdirac.lagrangian import UnsupportedShape
 
@@ -167,6 +167,8 @@ def test_verify_chart_exact_matches_product_loop():
     for m in cases:
         got = verify_chart(m, mode="exact")
         assert got == verify_chart_exact_loop(m)
+        # build_chart's self-check brackets the rows: S J S^T = J decides the same for a square S
+        assert (not _bracket_deviations([qq.to_row(row) for row in m], len(m) // 2)) == got[0]
         canonical += got[0]
     assert 100 <= canonical < len(cases) - 150
 
@@ -288,6 +290,20 @@ def test_chart_rows_are_frozen_and_build_chart_repeats(l1, l3):
                 r.coeffs = []
             r.coeffs.append(Fraction(1))
             assert len(r.coeffs) == 2 * first.n and qq.to_row([*r.coeffs, r.offset]) == (list(r.row[0]), r.row[1])
+
+
+def test_chart_row_expr_of_non_primitive_row(l1):
+    # a row stored as given, with a common factor of its ints and den, reads
+    # as the Expr of its primitive form
+    t, fos, _res = l1
+    z = fos.phase.z_order()
+    dim = len(z)
+    for nums, den in [([2] + [0] * dim, 2), ([0, 6] + [0] * (dim - 2) + [-4], 4), ([0] * dim + [3], 3)]:
+        got = ChartRow("Q", 1, (nums, den), t.position(f"Y{nums[1]}{den}")).expr(t, fos.phase)
+        want = ChartRow("Q", 1, qq._primitive(nums, den), t.position(f"W{nums[1]}{den}")).expr(t, fos.phase)
+        assert got == want and hash(got) == hash(want)
+        assert (list(got.num.items()), got.den) == (list(want.num.items()), want.den)
+    assert ChartRow("Q", 1, ([2] + [0] * dim, 2), t.position("Y")).expr(t, fos.phase) == Expr.sym(t, z[0])
 
 
 def test_transform_constant(charts):

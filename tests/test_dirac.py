@@ -563,7 +563,7 @@ def test_weak_reducer_extension_matches_fresh_build():
         outcomes["consistent"] += 1
         assert not set(grown.subs) & {s for e in grown.subs.values() for s in e.free_symbols()}
         for nums, den in rows:
-            expr = Expr(t, {((s.index, 1),): Fraction(c, den) for s, c in zip(syms, nums) if c}, _normalized=True)
+            expr = Expr(t, {((s.index, 1),): c for s, c in zip(syms, nums) if c}, {(): den})
             assert grown.reduce(expr + Fraction(nums[-1], den)).is_zero()
     assert min(outcomes.values()) > 20
 
@@ -665,7 +665,7 @@ def test_integer_path_matches_expr_path(monkeypatch):
             assert br == reducer.reduce(field_bracket(qq.from_row(c.row), field, t))
         ht = res.total_hamiltonian(substitute_solved=True)
         rules = {s.index: e for s, e in _chart_map(chart.phase, [(r.symbol, r.row) for r in chart.rows]).items()}
-        got, ref_ht = transform(ht, chart), termwise_psubstitute(t, ht.num, rules)
+        got, ref_ht = transform(ht, chart), termwise_psubstitute(t, ht.num, rules, ht.den[()])
         assert got.num == ref_ht.num and got.den == ref_ht.den
 
         seen["order2"] += order == 2

@@ -31,6 +31,26 @@ def test_parse_l1_lagrangian():
     assert e == expected
 
 
+def test_polynomial_constructor_takes_int_or_fraction_coefficients():
+    # without a den the coefficients may be Fractions (or zero); the result is
+    # the normal form over the lcm of their denominators
+    t = table3()
+    q1, q2 = t["q1"], t["q2"]
+    cases = [
+        ({((q1.index, 1),): Fraction(1, 2)}, "(1/2)*q1"),
+        ({((q1.index, 1),): Fraction(-4, 6), (): Fraction(1, 3), ((q2.index, 2),): 0}, "-(2/3)*q1 + 1/3"),
+        ({((q1.index, 1),): 2, (): 4}, "2*q1 + 4"),
+        ({((q2.index, 1),): Fraction(6, 3)}, "2*q2"),
+        ({(): 0}, "0"),
+    ]
+    for poly, text in cases:
+        got = Expr(t, poly)
+        want = parse_expr(text, t)
+        assert got == want and hash(got) == hash(want)
+        same(got, want)
+        assert all(type(c) is int for c in (*got.num.values(), *got.den.values()))
+
+
 def test_parse_zero_literal():
     t = table3()
     assert parse_expr("0", t).is_zero()
@@ -119,11 +139,11 @@ def test_substitute_leaves_no_reference_cycle():
         gc.enable()
 
 
-def termwise_psubstitute(table, poly, idx_rules):
+def termwise_psubstitute(table, poly, idx_rules, den=1):
     """`_psubstitute` as first written: one Expr per term, one ** per factor."""
     acc = Expr.const(table, 0)
     for m, c in poly.items():
-        term = Expr.const(table, c)
+        term = Expr.const(table, Fraction(c, den))
         for i, e in m:
             rep = idx_rules.get(i)
             term = term * (Expr.sym(table, table[i]) if rep is None else rep) ** e
@@ -164,7 +184,7 @@ def test_horner_substitution_matches_termwise():
         polynomial_cases += polynomial
         # the term-by-term gcds of rational rules grow fast with the degree
         e = random_poly(t, syms, rng, max_degree=4 if polynomial else 2, terms=6 if polynomial else 3)
-        got, want = _psubstitute(t, e.num, idx_rules), termwise_psubstitute(t, e.num, idx_rules)
+        got, want = _psubstitute(t, e.num, idx_rules, e.den[()]), termwise_psubstitute(t, e.num, idx_rules, e.den[()])
         assert got.num == want.num and got.den == want.den
         got = e.substitute(rules)
         assert got.num == want.num and got.den == want.den

@@ -174,7 +174,7 @@ def chart_inverse(chart):
     """S^-1 read off the chart map that `transform` substitutes: entry (i, j)
     is the coefficient of chart symbol j in phase coordinate i."""
     zmap = _chart_map(chart.phase, [(r.symbol, r.row) for r in chart.rows])
-    return [[zmap[z].num.get(((r.symbol.index, 1),), Fraction(0)) for r in chart.rows] for z in chart.phase.z_order()]
+    return [[Fraction(zmap[z].num.get(((r.symbol.index, 1),), 0), zmap[z].den[()]) for r in chart.rows] for z in chart.phase.z_order()]
 
 
 def test_bracket_is_the_canonical_pairing():
