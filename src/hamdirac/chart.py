@@ -25,6 +25,7 @@ values of the given doubles, compared with a tolerance.
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 
 from . import qq
@@ -45,13 +46,10 @@ class ChartRow(_Frozen):
     __slots__ = ("role", "pair", "row", "symbol", "generation")
 
     def __init__(self, role: str, pair: int, row: tuple, symbol: object, generation: int | None = None):
-        _set = object.__setattr__
-        _set(self, "role", role)
-        _set(self, "pair", pair)  # 1-based index within the role family
-        # a qq integer row over (z, 1), z = (q1..qn, p1..pn): (nums, den), the offset last
-        _set(self, "row", (tuple(row[0]), row[1]))
-        _set(self, "symbol", symbol)
-        _set(self, "generation", generation)  # Psi rows and a built chart's Xi rows: generation of their constraint
+        # pair: 1-based index within the role family; row: a qq integer row
+        # over (z, 1), z = (q1..qn, p1..pn): (nums, den), the offset last;
+        # generation: Psi rows and a built chart's Xi rows, their constraint's
+        self._fields(role, pair, (tuple(row[0]), row[1]), symbol, generation)
 
     @property
     def name(self):
@@ -243,7 +241,7 @@ def _static_correct(rows: dict, layout, result: DiracResult):
     if not (qp_syms and targets):
         return rows, notes
     rows = dict(rows)
-    ht, _ = result.total_hamiltonian(substitute_solved=True).split_affine(result.free_multipliers)
+    ht, _ = result.total_hamiltonian().split_affine(result.free_multipliers)
     qfield = quadratic_field(ht, phase)
     field = hamilton_field(ht, phase) if qfield is None else None
 
@@ -339,14 +337,17 @@ def verify_chart(matrix, mode="exact", tol=1e-12):
     rationals and every nonzero delta is a violation.  Float mode takes each
     double as the rational it equals, so delta is the exact S^T J S - J of
     the given doubles: a violation where |delta| > tol, reported rounded once
-    to a float.  A non-finite entry makes every bracket of its column a
-    violation with delta nan, and the maximum deviation nan.
+    to a float, for a tol that is a finite number >= 0.  A non-finite entry
+    makes every bracket of its column a violation with delta nan, and the
+    maximum deviation nan.
     """
     dim = len(matrix)
     if dim % 2 or any(len(r) != dim for r in matrix):
         raise ChartError("chart matrix must be square with even dimension")
     if mode not in ("exact", "float"):
         raise ChartError(f"unknown verify mode {mode!r}")
+    if mode == "float" and not (isinstance(tol, numbers.Real) and 0 <= tol < math.inf):  # nan fails both
+        raise ChartError(f"tolerance must be a finite number >= 0, got {tol!r}")
     n = dim // 2
     # (S^T J S)_ik is the bracket of columns i and k
     cols = [
@@ -357,8 +358,8 @@ def verify_chart(matrix, mode="exact", tol=1e-12):
     if mode == "exact":
         violations = [(i, k, dev[i, k]) for i, k in sorted(dev)]
         return (not violations), violations, max((abs(d) for _, _, d in violations), default=Fraction(0))
-    # every entry is compared, so a negative or nan tol flags the zero ones too
-    violations = [(i, k, float(d)) for i in range(dim) for k in range(dim) if not abs(d := dev.get((i, k), 0)) <= tol]
+    # an entry missing from dev is 0, within every tol
+    violations = [(i, k, float(dev[i, k])) for i, k in sorted(dev) if not abs(dev[i, k]) <= tol]
     maxdev = math.nan if None in cols else float(max(map(abs, dev.values()), default=0))
     return (not violations), violations, maxdev
 

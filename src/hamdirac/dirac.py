@@ -20,16 +20,20 @@ The path is decided once per analysis from H's monomials.  When H has degree
 (`quadratic_field`): each bracket is a constraint's integer row times that
 matrix, reduced by the reducer's integer pivot rows (`reduce_row`), and the
 multiplier system, coefficients and affine right-hand sides, is one integer
-row per constraint; Exprs are built only for new constraints, the kept
-brackets and the multiplier solutions.  Otherwise the field is a list of
-Exprs (`hamilton_field`), brackets are reduced by substitution and the
-system's right-hand sides are Exprs.  `_eliminate` serves both.
+row per constraint; Exprs are built only for new constraints and the
+multiplier solutions, and the kept brackets stay rows.  Otherwise the field
+is a list of Exprs (`hamilton_field`), brackets are reduced by substitution
+and the system's right-hand sides are Exprs.  `_eliminate` serves both.
 
 Classification re-bases the constraint set using the kernel of the bracket
 Gram matrix, so first-class representatives are genuine gauge directions and
 the multiplier solution splits cleanly into free (first-class primary) and
-uniquely solved (second-class primary) parts; only the multiplier
+uniquely solved (second-class primary) parts.  The Gram matrix is one qq
+integer row per constraint (`_gram_rows`), and its kernel and the unit
+complement of that kernel come from `qq.rref_rows`; only the multiplier
 coefficients over the re-based primaries are new, so it reduces nothing.
+`dirac_iterate` and `classify` each return a new frozen `DiracResult` and
+write into nothing they are given.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from math import lcm
 from . import qq
 from .expr import Expr, ExprError, _pgcd, _plead
 from .lagrangian import FirstOrderSystem, PhaseSpace, UnsupportedShape
-from .symbols import _Record
+from .symbols import _Frozen
 
 
 class DiracError(Exception):
@@ -55,32 +59,38 @@ class BudgetExceeded(DiracError):
     pass
 
 
-class Constraint(_Record):
+class Constraint(_Frozen):
     __slots__ = ("expr", "chain", "generation", "row", "klass", "name")
 
     def __init__(self, expr: Expr, chain: int, generation: int, row: tuple, klass: str = "unclassified",
                  name: str = ""):
-        self.expr, self.chain, self.generation = expr, chain, generation
-        self.row = row  # `expr` as a qq integer row over (q1..qn, p1..pn, offset)
-        self.klass, self.name = klass, name
+        # row: `expr` as a qq integer row over (q1..qn, p1..pn, offset)
+        self._fields(expr, chain, generation, (tuple(row[0]), row[1]), klass, name)
 
 
-class ClassRep(_Record):
-    """A re-based constraint representative of definite class."""
+class ClassRep(_Frozen):
+    """A re-based constraint representative of definite class: `coeffs`, its
+    Fractions over the discovery-order constraint list, and `row`, `expr` as
+    a qq integer row like Constraint.row."""
 
     __slots__ = ("expr", "klass", "generation", "coeffs", "row")
 
-    def __init__(self, expr: Expr, klass: str, generation: int, coeffs: list, row: tuple):
-        self.expr, self.klass, self.generation = expr, klass, generation
-        self.coeffs = coeffs  # Fractions: combination over the discovery-order constraint list
-        self.row = row  # `expr` as a qq integer row, like Constraint.row
+    def __init__(self, expr: Expr, klass: str, generation: int, coeffs, row: tuple):
+        self._fields(expr, klass, generation, tuple(coeffs), (tuple(row[0]), row[1]))
 
 
-class DiracResult(_Record):
+class DiracResult(_Frozen):
+    """The constraints of one analysis as `dirac_iterate` leaves them or, with
+    `classified` set, as `classify` splits them.  `rebased_primaries` are
+    Exprs, first-class combinations first; `first_class` and `second_class`
+    hold ClassReps; `h_brackets` holds the weak-reduced {c, H} of each
+    constraint, as qq integer rows over (z, 1) when H has degree <= 2 in z,
+    else as Exprs."""
+
     __slots__ = (
         "phase", "H", "constraints", "multiplier_symbols", "rebased_primaries", "primary_fc_count",
         "multiplier_solutions", "free_multipliers", "first_class", "second_class", "F", "S", "dof", "flags",
-        "classified", "h_brackets", "h_bracket_rows",
+        "classified", "h_brackets",
     )
 
     def __init__(
@@ -88,21 +98,14 @@ class DiracResult(_Record):
         rebased_primaries: list | None = None, primary_fc_count: int = 0, multiplier_solutions: dict | None = None,
         free_multipliers: list | None = None, first_class: list | None = None, second_class: list | None = None,
         F: int = 0, S: int = 0, dof: int = -1, flags: list | None = None, classified: bool = False,
-        h_brackets: list | None = None, h_bracket_rows: list | None = None,
+        h_brackets: list | None = None,
     ):
-        self.phase, self.H, self.constraints = phase, H, constraints
-        self.multiplier_symbols = [] if multiplier_symbols is None else multiplier_symbols
-        self.rebased_primaries = [] if rebased_primaries is None else rebased_primaries  # Expr, FC combos first
-        self.primary_fc_count = primary_fc_count
-        self.multiplier_solutions = {} if multiplier_solutions is None else multiplier_solutions
-        self.free_multipliers = [] if free_multipliers is None else free_multipliers
-        self.first_class = [] if first_class is None else first_class  # ClassRep
-        self.second_class = [] if second_class is None else second_class  # ClassRep
-        self.F, self.S, self.dof = F, S, dof
-        self.flags = [] if flags is None else flags
-        self.classified = classified
-        self.h_brackets = [] if h_brackets is None else h_brackets  # weak-reduced {c, H} per constraint
-        self.h_bracket_rows = h_bracket_rows  # the same as qq rows, H quadratic
+        fresh = lambda value, empty=list: empty() if value is None else value
+        self._fields(
+            phase, H, constraints, fresh(multiplier_symbols), fresh(rebased_primaries), primary_fc_count,
+            fresh(multiplier_solutions, dict), fresh(free_multipliers), fresh(first_class), fresh(second_class),
+            F, S, dof, fresh(flags), classified, fresh(h_brackets),
+        )
 
     @property
     def table(self):
@@ -111,12 +114,12 @@ class DiracResult(_Record):
     def primaries(self):
         return [c for c in self.constraints if c.generation == 1]
 
-    def total_hamiltonian(self, substitute_solved: bool = False) -> Expr:
+    def total_hamiltonian(self) -> Expr:
+        """H_T = H + sum_a zeta_a phi_a over the re-based primaries, each
+        solved multiplier replaced by its solution."""
         h = self.H
         for z, prim in zip(self.multiplier_symbols, self.rebased_primaries):
-            coeff = Expr.sym(self.table, z)
-            if substitute_solved and z in self.multiplier_solutions:
-                coeff = self.multiplier_solutions[z]
+            coeff = self.multiplier_solutions[z] if z in self.multiplier_solutions else Expr.sym(self.table, z)
             h = h + coeff * prim
         return h
 
@@ -365,8 +368,7 @@ def dirac_iterate(fos: FirstOrderSystem) -> DiracResult:
     if len(qq.rref_rows([(nums[:-1], den) for nums, den in prim_rows], range(2 * n))) != len(prim_rows):
         raise DiracError("primary constraints are not independent")
     zetas = [table.register_fresh(f"zeta{i + 1}", "multiplier") for i in range(len(prim_exprs))]
-    result = DiracResult(phase, h, constraints, multiplier_symbols=zetas, rebased_primaries=list(prim_exprs))
-    flags = result.flags
+    flags = []
 
     reducer = WeakReducer(prim_rows, phase)
     qfield = quadratic_field(h, phase)
@@ -394,7 +396,7 @@ def dirac_iterate(fos: FirstOrderSystem) -> DiracResult:
             constraints.append(newc)
             tips[src.chain] = newc
             new_any = True
-            reducer.extend(row)
+            reducer.extend(newc.row)
         if len(constraints) > 2 * n:
             raise BudgetExceeded(
                 f"{len(constraints)} constraints exceed the 2n = {2 * n} budget; no consistent dynamics"
@@ -404,15 +406,11 @@ def dirac_iterate(fos: FirstOrderSystem) -> DiracResult:
     else:
         raise DiracError("consistency iteration failed to terminate")
 
-    result.multiplier_solutions = solved
-    result.free_multipliers = [z for z in zetas if z not in solved]
     # the last round added nothing: these are the final brackets
-    if qfield is None:
-        result.h_brackets = brackets
-    else:
-        result.h_bracket_rows = brackets
-        result.h_brackets = [_row_expr(r, syms, table) for r in brackets]
-    return result
+    return DiracResult(
+        phase, h, constraints, zetas, prim_exprs, 0, solved, [z for z in zetas if z not in solved],
+        flags=flags, h_brackets=brackets,
+    )
 
 
 def _candidate(residue, reducer, syms, flags):
@@ -534,131 +532,137 @@ def _eliminate(rows, zetas, table, syms=None):
 # classification
 
 def classify(result: DiracResult) -> DiracResult:
+    """A new, classified DiracResult: the constraints split into first and
+    second class by the kernel of their bracket Gram matrix, with the
+    multiplier system re-based on the split.  `result` is left as it was."""
     phase = result.phase
-    table = result.table
     cons = result.constraints
     m = len(cons)
-    gram = [[qq.row_bracket(a.row, b.row, phase.n) for b in cons] for a in cons]
+    gram = _gram_rows(cons, phase.n)
     kernel = _gram_kernel(gram, cons)
     f_count = len(kernel)
     s_count = m - f_count  # the rank of the Gram matrix
     if s_count % 2:
         raise DiracError("second-class count came out odd; classification bug")
-    result.S, result.F = s_count, f_count
-    result.dof = dof(phase.n, f_count, s_count)
 
-    for i, c in enumerate(cons):
-        c.klass = "second" if any(gram[i]) else "first"
-
+    # by generation, then by the first constraint a combination takes
+    kernel.sort(key=lambda vg: (vg[1], next(i for i, x in enumerate(vg[0][0]) if x)))
+    syms = phase.z_order()
     first_reps = []
     for vec, gen in kernel:
-        first_reps.append(ClassRep(_combine(vec, cons, table), "first", gen, vec, _combine_row(vec, cons)))
-    first_reps.sort(key=lambda r: (r.generation, _first_support(r.coeffs)))
-
+        row = _combine_row(vec, cons)
+        first_reps.append(ClassRep(_row_expr(row, syms, phase.table), "first", gen, qq.from_row(vec), row))
     second_reps = [
-        ClassRep(cons[j].expr, "second", cons[j].generation, _unit(j, m), cons[j].row)
-        for j in _unit_complement([r.coeffs for r in first_reps], m, s_count)
+        ClassRep(cons[j].expr, "second", cons[j].generation, [Fraction(k == j) for k in range(m)], cons[j].row)
+        for j in _unit_complement([vec for vec, _gen in kernel], m, s_count)
     ]
-
-    result.first_class = first_reps
-    result.second_class = second_reps
-
-    _resolve_multipliers(result)
-    result.classified = True
-    return result
-
-
-def _first_support(vec):
-    return next((i for i, c in enumerate(vec) if c), len(vec))
-
-
-def _unit(j, m):
-    return [Fraction(1 if k == j else 0) for k in range(m)]
+    rebased, fc_count, solved = _resolve_multipliers(result, kernel, first_reps)
+    classed = [
+        Constraint(c.expr, c.chain, c.generation, c.row, "second" if any(nums) else "first", c.name)
+        for c, (nums, _den) in zip(cons, gram)
+    ]
+    zetas = result.multiplier_symbols
+    return DiracResult(
+        phase, result.H, classed, list(zetas), rebased, fc_count, solved, [z for z in zetas if z not in solved],
+        first_reps, second_reps, f_count, s_count, dof(phase.n, f_count, s_count), list(result.flags), True,
+        list(result.h_brackets),
+    )
 
 
-def _combine(vec, cons, table):
-    out = Expr.const(table, 0)
-    for c, con in zip(vec, cons):
-        if c:
-            out = out + con.expr * c
-    return out
+def _gram_rows(cons, n):
+    """The bracket Gram matrix of the constraints, one qq integer row per
+    constraint: row a is the brackets {a, b} times a's denominator, the
+    `qq._pair` numerators over the lcm of the constraints' denominators.
+    The matrix is antisymmetric, so each pair is bracketed once."""
+    den = lcm(*(c.row[1] for c in cons))
+    scale = [den // c.row[1] for c in cons]
+    nums = [[0] * len(cons) for _ in cons]
+    for i, a in enumerate(cons):
+        for j in range(i + 1, len(cons)):
+            if x := qq._pair(a.row[0], cons[j].row[0], n):
+                nums[i][j], nums[j][i] = x * scale[j], -x * scale[i]
+    return [(row, den) for row in nums]
 
 
 def _combine_row(vec, cons):
-    """The row of `_combine(vec, cons, ...)`, from the constraints' rows."""
-    out = ([0] * len(cons[0].row[0]), 1)
-    for c, con in zip(vec, cons):
-        if c:
-            out = qq.row_add(out, c, con.row)
-    return out
+    """The row of the combination of the constraints by the qq integer row
+    `vec`, summed on integers over one denominator."""
+    nums, den = vec
+    terms = [(x, con.row) for x, con in zip(nums, cons) if x]
+    big = lcm(*(d for _x, (_u, d) in terms))
+    acc = [0] * len(cons[0].row[0])
+    for x, (u, d) in terms:
+        k = x * (big // d)
+        acc = [a + k * y for a, y in zip(acc, u)]
+    return qq._primitive(acc, den * big)
 
 
 def _unit_complement(basis, m, k):
     """The first k unit directions e_j, by increasing j, that are independent
-    of `basis` and of each earlier one: the columns that are not pivots of
-    the basis's RREF with columns visited last to first.
+    of `basis` (qq integer rows of length m) and of each earlier one: the
+    columns that are not pivots of the basis's RREF with columns visited last
+    to first.
 
     Column j is a pivot exactly when e_j lies in the span of the basis and
     e_0..e_{j-1}, so one RREF decides every candidate.
     """
-    pivots = qq.rref([list(v) for v in basis], range(m - 1, -1, -1))
+    pivots = qq.rref_rows(list(basis), range(m - 1, -1, -1))
     return [j for j in range(m) if j not in pivots][:k]
 
 
 def _gram_kernel(gram, cons):
-    """Kernel basis of the Gram matrix, one vector per free column of its RREF,
-    scaled to a leading 1; returns (vector, generation of its support) pairs.
+    """Kernel basis of the Gram matrix, given as qq integer rows (each any
+    nonzero multiple of its row), one vector per free column of its RREF;
+    returns (qq integer row scaled to a leading 1, generation of its
+    support) pairs.
 
     A vector's support is its free column plus pivot columns left of it, so
     it ends as early as the kernel allows: the basis is already in echelon
     form over the reversed column order.
     """
     m = len(gram)
-    g = [list(row) for row in gram]
-    pivots = qq.rref(g, range(m))
+    g = list(gram)
+    pivots = qq.rref_rows(g, range(m))
     out = []
     for free in range(m):
         if free in pivots:
             continue
-        v = _unit(free, m)
-        for col, i in pivots.items():
-            v[col] = -g[i][free]
+        terms = [(col, g[i]) for col, i in pivots.items() if g[i][0][free]]
+        den = lcm(*(d for _col, (_nums, d) in terms))
+        v = [0] * m
+        v[free] = den
+        for col, (nums, d) in terms:
+            v[col] = -nums[free] * (den // d)
         support = [i for i, c in enumerate(v) if c]
-        lead = v[support[0]]
-        out.append(([c / lead for c in v], max(cons[i].generation for i in support)))
+        out.append((qq.row_div((v, den), Fraction(v[support[0]], den)), max(cons[i].generation for i in support)))
     return out
 
 
-def _resolve_multipliers(result: DiracResult):
-    """Re-express the multiplier system over the classified primary basis.
+def _resolve_multipliers(result: DiracResult, kernel, first_reps):
+    """The multiplier system re-based on the classified primaries: returns
+    (re-based primary Exprs, first-class count among them, {zeta: solution}).
 
+    `kernel` holds the first-class combinations as (qq integer row,
+    generation) pairs and `first_reps` their representatives, in one order.
     First-class primary combinations keep free multipliers; the rest are
     solved uniquely.  Without first-class content the original primary basis
     is kept untouched.
     """
-    table = result.table
-    prim_cons = result.primaries()
-    m1 = len(prim_cons)
-    prim_fc = []
-    for rep in result.first_class:
-        if rep.generation == 1:
-            vec = [rep.coeffs[c_idx] for c_idx, c in enumerate(result.constraints) if c.generation == 1]
-            prim_fc.append((vec, rep))
-    complement = _unit_complement([v for v, _ in prim_fc], m1, m1 - len(prim_fc))
+    cons = result.constraints
+    prim = [i for i, c in enumerate(cons) if c.generation == 1]
+    prim_fc = [
+        (([nums[i] for i in prim], den), rep) for ((nums, den), _gen), rep in zip(kernel, first_reps)
+        if rep.generation == 1
+    ]
+    complement = _unit_complement([v for v, _rep in prim_fc], len(prim), len(prim) - len(prim_fc))
+    rebased = [rep for _v, rep in prim_fc] + [cons[prim[j]] for j in complement]
 
-    rebased = [rep for _, rep in prim_fc] + [prim_cons[j] for j in complement]
-    result.rebased_primaries = [r.expr for r in rebased]
-    result.primary_fc_count = len(prim_fc)
-    zetas = result.multiplier_symbols
-
-    brackets = result.h_brackets if result.h_bracket_rows is None else result.h_bracket_rows
-    rows = _consistency_rows(result.constraints, brackets, [r.row for r in rebased], result.phase.n)
-    solved, residues = _eliminate(rows, zetas, table, result.phase.z_order())
+    rows = _consistency_rows(cons, result.h_brackets, [r.row for r in rebased], result.phase.n)
+    solved, residues = _eliminate(rows, result.multiplier_symbols, result.table, result.phase.z_order())
     for _idx, residue in residues:
         if not _vanishes(residue):
             raise DiracError("internal: rebased multiplier system left an unexplained residue")
-    result.multiplier_solutions = solved
-    result.free_multipliers = [z for z in zetas if z not in solved]
+    return [r.expr for r in rebased], len(prim_fc), solved
 
 
 def dof(n: int, f_count: int, s_count: int) -> int:

@@ -128,7 +128,7 @@ def _chart_hamiltonian(result: DiracResult, chart: CanonicalChart) -> Expr:
     it carries one, else transformed here."""
     if chart.hamiltonian is not None:
         return chart.hamiltonian
-    return transform(result.total_hamiltonian(substitute_solved=True), chart)
+    return transform(result.total_hamiltonian(), chart)
 
 
 def _primary_psi_names(chart: CanonicalChart):
@@ -214,7 +214,7 @@ def pullback_total_lagrangian(result: DiracResult, chart: CanonicalChart, plan: 
         if plan.kind.endswith("_tilde") and row.name in primary_psi:
             subs[row.symbol] = Expr.const(table, 0)
             continue
-        eps = _epsilon_symbol(table, row.name)
+        eps = table.register_fresh(f"eps_{row.name}", "parameter")  # reused by a later pullback
         subs[row.symbol] = Expr.sym(table, eps)
         eps_values[eps] = Fraction(plan.fixed[row.name])
     minus_h = -(ht_c.substitute(subs)) if subs else -ht_c
@@ -240,15 +240,6 @@ def pullback_total_lagrangian(result: DiracResult, chart: CanonicalChart, plan: 
     constant = _constant_part(value)
     lagrangian = kinetic + value - Expr.const(table, constant)
     return PullbackLagrangian(kinetic, minus_h, td, eps_values, lagrangian, constant)
-
-
-def _epsilon_symbol(table, row_name):
-    """The parameter eps_<row>: registered by the first pullback, reused by
-    later ones; underscores are appended past names held by other kinds."""
-    name = f"eps_{row_name}"
-    while name in table and table[name].kind != "parameter":
-        name += "_"
-    return table.register(name, "parameter")
 
 
 def _constant_part(e: Expr) -> Fraction:

@@ -2,19 +2,22 @@
 
 Every constant-coefficient elimination of the analysis runs through
 `rref_rows`, Gauss-Jordan on integer rows (below): the first weak reducer of
-an analysis, the primaries' independence check, the chart's conjugate
-positions, a supplied chart's span checks, the static correction (`solve`)
-and, through `rref` (lists of Fractions, converted to integer rows and back),
-the Gram-matrix rank and kernel of classification.  The multiplier solve
-(`dirac._eliminate`) is Gauss-Jordan over Q too, with its own pivot policy;
-for a quadratic H it runs on integer rows with `row_add` and `row_div`.  The
-chart pairs its rows with `row_bracket`, `row_div` and `row_project`.  The
-caller chooses the column order; each column pivots on the first row not yet
-used that is nonzero there, and rows never move, so a call site's pivots (and
-with them the report bytes) depend only on the order it asks for.  A row is
-what an `Expr` polynomial is too, integers over one positive denominator, so
-an affine expression and its row convert without arithmetic
-(`Expr.affine_row`, `dirac._row_expr`); a row operation costs one gcd.
+an analysis, the primaries' independence check, the Gram matrix's kernel and
+the unit complement of classification, the chart's conjugate positions, a
+supplied chart's span checks and the static correction (`solve`).  The
+multiplier solve (`dirac._eliminate`) is Gauss-Jordan over Q too, with its
+own pivot policy; for a quadratic H it runs on integer rows with `row_add`
+and `row_div`.  The chart pairs its rows with `row_bracket`, `row_div` and
+`row_project`.  The caller chooses the column order; each column pivots on
+the first row not yet used that is nonzero there, and rows never move, so a
+call site's pivots (and with them the report bytes) depend only on the order
+it asks for.  Scaling a row by a nonzero number moves no pivot and leaves
+the reduced pivot rows as they were, so a caller may hand in any nonzero
+multiple of a row, over any positive denominator and not necessarily
+primitive.  A row is what an `Expr` polynomial is too, integers over one
+positive denominator, so an affine expression and its row convert without
+arithmetic (`Expr.affine_row`, `dirac._row_expr`); a row operation costs
+one gcd.
 """
 
 from __future__ import annotations
@@ -24,24 +27,12 @@ from math import gcd, lcm
 from operator import mul
 
 
-def rref(rows, cols):
-    """Reduce `rows` (lists of Fractions) in place, visiting columns in the
-    order given; returns {column: pivot row index} in visit order.
-
-    Entries beyond the visited columns (an augmented right-hand side, say)
-    are carried along by the row operations.  The elimination runs on the
-    rows' integer form (`rref_rows`).
-    """
-    work = [to_row(r) for r in rows]
-    pivots = rref_rows(work, cols)
-    rows[:] = [from_row(r) for r in work]
-    return pivots
-
-
 def rref_rows(rows, cols):
-    """`rref` on qq integer rows, in place: a pivot row is scaled to a
-    leading 1 and each other row with a nonzero entry there takes one
-    integer multiply-subtract and one gcd."""
+    """Reduce the qq integer `rows` in place, visiting columns in the order
+    given; returns {column: pivot row index} in visit order.  A pivot row is
+    scaled to a leading 1 and each other row with a nonzero entry there
+    takes one integer multiply-subtract and one gcd.  Entries beyond the
+    visited columns (an augmented right-hand side, say) are carried along."""
     used = set()
     pivots = {}
     for c in cols:
@@ -57,12 +48,6 @@ def rref_rows(rows, cols):
                 rows[i] = _primitive([x * pd - f * y for x, y in zip(r, pn)], d * pd)
         pivots[c] = src
     return pivots
-
-
-def rank(vectors) -> int:
-    if not vectors:
-        return 0
-    return len(rref_rows([to_row([Fraction(x) for x in v]) for v in vectors], range(len(vectors[0]))))
 
 
 def solve(rows, rhs):

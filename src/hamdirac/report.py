@@ -131,7 +131,7 @@ def attach_embedding(an: Analysis) -> Analysis:
     eps = dict(an.sysfile.epsilon)
     eps.update(opts.epsilon)
     # H_T in chart symbols, transformed once for the plan, the pullback and the effective H
-    an.chart.hamiltonian = transform(an.result.total_hamiltonian(substitute_solved=True), an.chart)
+    an.chart.hamiltonian = transform(an.result.total_hamiltonian(), an.chart)
     an.plan = resolve_plan(plan, an.result, an.chart, epsilon=eps, gauge_conditions=gauge_conditions)
     an.pullback = pullback_total_lagrangian(an.result, an.chart, an.plan)
     endpoint = opts.fix_endpoint or an.sysfile.options.get("fix_endpoint") or "t1"

@@ -40,12 +40,17 @@ class _Record:
 
 
 class _Frozen(_Record):
-    """A record whose fields are set once, by `object.__setattr__` in its
-    `__init__`: assigning or deleting one raises AttributeError, and equality
-    and the hash are those of the tuple of all fields, as for a frozen
-    dataclass."""
+    """A record whose fields are set once, by `_fields` in its `__init__`:
+    assigning or deleting one raises AttributeError, and equality and the
+    hash are those of the tuple of all fields, as for a frozen dataclass (so
+    a record with a list or dict field compares by value but has no hash)."""
 
     __slots__ = ()
+
+    def _fields(self, *values):
+        """Set every field, in `__slots__` order."""
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -69,12 +74,9 @@ class Symbol(_Frozen):
     __slots__ = ("name", "index", "kind", "base", "order")
 
     def __init__(self, name: str, index: int, kind: str, base: str | None = None, order: int = 0):
-        _set = object.__setattr__
-        _set(self, "name", name)
-        _set(self, "index", index)
-        _set(self, "kind", kind)
-        _set(self, "base", base)  # the position this is a derivative of, if any
-        _set(self, "order", order)  # 0 position/other, 1 velocity, 2 acceleration
+        # base: the position this is a derivative of, if any; order: 0
+        # position/other, 1 velocity, 2 acceleration
+        self._fields(name, index, kind, base, order)
 
     # _Frozen's equality and hash, spelled out to cost what a dataclass's did:
     # symbols key most of the pipeline's dicts, and lists of them are searched
@@ -113,8 +115,10 @@ class SymbolTable(_Record):
         return sym
 
     def register_fresh(self, name: str, kind: str) -> Symbol:
-        """Register under `name`, appending underscores until the name is free."""
-        while name in self._by_name:
+        """The symbol under the first of `name`, `name_`, ... that is free or
+        already held by a symbol of this kind: a repeat call returns the
+        symbol the first one registered."""
+        while name in self._by_name and self._by_name[name].kind != kind:
             name = name + "_"
         return self.register(name, kind)
 

@@ -92,6 +92,14 @@ def random_poly(table, symbols, rng, max_degree=3, terms=4, coeff_range=4):
     return e
 
 
+def sympy_rank(vectors):
+    """The rank of a list of rational vectors, by sympy (imported here, so the
+    tests that need no sympy load without it)."""
+    import sympy
+
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in v] for v in vectors]).rank()
+
+
 def rng_for(name):
     return random.Random(name)
 

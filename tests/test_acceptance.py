@@ -118,7 +118,7 @@ def test_criterion_2_l2():
 
     # exactly: S^-1 = -J S^T J = M'/sqrt2 with M' = -J M^T J, and H_T is a
     # homogeneous quadratic, so H_T(S^-1 y) = H_T(M' y)/2
-    ht = res.total_hamiltonian(substitute_solved=True)
+    ht = res.total_hamiltonian()
     jay = lambda i, k: (k == i + 2) - (i == k + 2)
     m_inv = [[-sum(jay(i, a) * m[b][a] * jay(b, k) for a in range(4) for b in range(4)) for k in range(4)] for i in range(4)]
     y = [Expr.sym(t, t.position(name)) for name in ("ThU1", "Q1", "ThD1", "P1")]
@@ -226,7 +226,7 @@ def test_criterion_4_l4_both_paths():
 
     def ssok_consistency_invariant():
         # the solved multiplier must actually close the consistency algebra
-        ht = res.total_hamiltonian(substitute_solved=True)
+        ht = res.total_hamiltonian()
         cons = [c.expr for c in res.constraints]
         for c in res.constraints:
             r = weak_reduce(poisson(c.expr, ht, fos.phase), cons, fos.phase)
@@ -239,7 +239,7 @@ def test_criterion_4_l4_both_paths():
         from hamdirac import transform
 
         ch = build_chart(res)
-        tr = transform(res.total_hamiltonian(substitute_solved=True), ch)
+        tr = transform(res.total_hamiltonian(), ch)
         zero = {r.symbol: Expr.const(t, 0) for r in ch.rows if r.role not in ("Q", "P")}
         phys = tr.substitute(zero)
         want = parse_expr("(1/2)*Q1^2 + (1/2)*P1^2", t)
@@ -264,7 +264,7 @@ def test_criterion_4_l4_both_paths():
         from hamdirac import transform
 
         ch = build_chart(res2)
-        tr = transform(res2.total_hamiltonian(substitute_solved=True), ch)
+        tr = transform(res2.total_hamiltonian(), ch)
         zero = {r.symbol: Expr.const(t2, 0) for r in ch.rows if r.role not in ("Q", "P")}
         phys = tr.substitute(zero)
         want = parse_expr("(1/2)*Q1^2 + (1/2)*P1^2", t2)

@@ -15,11 +15,11 @@ from hamdirac import (
     transform,
     verify_chart,
 )
-from hamdirac.chart import CanonicalChart, ChartRow, _bracket_deviations
+from hamdirac.chart import CanonicalChart, ChartError, ChartRow, _bracket_deviations
 from hamdirac.expr import Expr
 from hamdirac.lagrangian import UnsupportedShape
 
-from conftest import FAMILY_RATIONALS, L3_SRC, analyzed, l3_family, random_poly, rng_for
+from conftest import FAMILY_RATIONALS, L3_SRC, analyzed, l3_family, random_poly, rng_for, sympy_rank
 
 
 ALL = ["l1", "l2", "l3", "l4_ssok", "l4_pons"]
@@ -189,6 +189,17 @@ def test_verify_chart_sqrt2_l2_float():
     assert abs(sum(u[i] * v[2 + i] - u[2 + i] * v[i] for i in range(2)) - 1.0) < 1e-12
 
 
+def test_verify_chart_float_rejects_a_tolerance_that_is_not_finite_and_nonnegative():
+    # exact mode takes no tolerance, so any is ignored there
+    eye = [[1.0, 0.0], [0.0, 1.0]]
+    for tol in (-1.0, -1e-300, math.nan, math.inf, -math.inf, "1e-12", None):
+        with pytest.raises(ChartError, match="tolerance"):
+            verify_chart(eye, mode="float", tol=tol)
+        assert verify_chart(eye, mode="exact", tol=tol) == (True, [], 0)
+    for tol in (0, 0.0, 1e-12, Fraction(1, 3), 5):
+        assert verify_chart(eye, mode="float", tol=tol) == (True, [], 0.0)
+
+
 def numpy_float_deviation(matrix):
     """verify_chart's float mode as it was: S^T J S - J in numpy doubles."""
     import numpy as np
@@ -236,9 +247,11 @@ def test_verify_chart_float_matches_numpy_reference():
             s = [[rng.uniform(-2, 2) for _ in range(dim)] for _ in range(dim)]
         ref = numpy_float_deviation(s)
         ok, violations, maxdev = verify_chart(s, mode="float", tol=tol)
-        # with a negative tol every entry is reported, zeros included
-        exact = {(i, k): d for i, k, d in verify_chart(s, mode="float", tol=-1.0)[1]}
-        assert len(exact) == dim * dim and maxdev == max(map(abs, exact.values()))
+        # every entry's exact deviation, from the brackets of the columns
+        # (an absent entry is 0), rounded once to a float
+        dev = _bracket_deviations([qq.to_row([Fraction(x) for x in col]) for col in zip(*s)], n)
+        exact = {(i, k): float(dev.get((i, k), 0)) for i in range(dim) for k in range(dim)}
+        assert maxdev == max(map(abs, exact.values()))
         bound = 2 * n * 2.0**-52 * max(abs(x) for row in s for x in row) ** 2
         near = set()
         for (i, k), d in exact.items():
@@ -328,7 +341,7 @@ def test_transform_preserves_brackets(charts):
 def test_transform_l2_total_hamiltonian(charts):
     # independent oracle: substitute the inverse chart directly and compare
     t, fos, res, ch = charts["l2"]
-    ht = res.total_hamiltonian(substitute_solved=True)
+    ht = res.total_hamiltonian()
     tr = transform(ht, ch)
     back = tr.substitute({r.symbol: r.expr(t, fos.phase) for r in ch.rows})
     assert back == ht
@@ -339,7 +352,7 @@ def test_transform_l2_under_sqrt2_chart_float(l2):
     # coefficients, exactly: S^-1 = -J S^T J = M'/sqrt2 with M' = -J M^T J,
     # and H_T is a homogeneous quadratic, so H_T(S^-1 y) = H_T(M' y)/2
     t, fos, res = l2
-    ht = res.total_hamiltonian(substitute_solved=True)  # = q1*p2 - q2*p1
+    ht = res.total_hamiltonian()  # = q1*p2 - q2*p1
     assert ht == parse_expr("q1*p2 - q2*p1", t)
     m = [
         [0, 1, 1, 0],  # ThU1
@@ -396,18 +409,21 @@ def test_transform_l1_total_hamiltonian(charts):
     # the chart Hamiltonian of the gauge system: one bilinear coupling, one
     # cubic term, and the undetermined multiplier on its primary momentum
     t, fos, res, ch = charts["l1"]
-    tr = transform(res.total_hamiltonian(substitute_solved=False), ch)
+    ht = res.H
+    for z, prim in zip(res.multiplier_symbols, res.rebased_primaries):
+        ht = ht + Expr.sym(t, z) * prim
+    tr = transform(ht, ch)
     want = parse_expr("-(1/2)*Xi1*Psi2^2 + zeta1*Psi1 - Xi2*Psi3", t)
     assert tr == want
     back = tr.substitute({r.symbol: r.expr(t, fos.phase) for r in ch.rows})
-    assert back == res.total_hamiltonian(substitute_solved=False)
+    assert back == ht
 
 
 def test_transform_l4_ssok_solved_multiplier(charts):
     # with the multiplier the consistency algebra actually forces, the
     # constraint sector decouples cleanly
     t, fos, res, ch = charts["l4_ssok"]
-    tr = transform(res.total_hamiltonian(substitute_solved=True), ch)
+    tr = transform(res.total_hamiltonian(), ch)
     want = parse_expr("(1/2)*Q1^2 + (1/2)*P1^2 - (1/2)*ThU1^2 - (1/2)*ThD1^2", t)
     assert tr == want
 
@@ -591,9 +607,9 @@ def expr_sum_transform(e, chart):
     s = chart.matrix()
     dim = len(s)
     # S^-1 by Gauss-Jordan on [S | I], not by the closed form the chart map uses
-    aug = [list(row) + [Fraction(int(i == k)) for k in range(dim)] for i, row in enumerate(s)]
-    pivots = qq.rref(aug, range(dim))
-    inv = [aug[pivots[i]][dim:] for i in range(dim)]
+    aug = [qq.to_row(list(row) + [Fraction(int(i == k)) for k in range(dim)]) for i, row in enumerate(s)]
+    pivots = qq.rref_rows(aug, range(dim))
+    inv = [qq.from_row(aug[pivots[i]])[dim:] for i in range(dim)]
     subs = {}
     for i, zi in enumerate(chart.phase.z_order()):
         acc = Expr.const(table, 0)
@@ -620,7 +636,7 @@ def transform_then_bracket_correct(phase, layout, vectors, result):
     notes = []
     if not qp_syms:
         return vectors, notes
-    ht = result.total_hamiltonian(substitute_solved=True)
+    ht = result.total_hamiltonian()
     zero = Expr.const(table, 0)
     embedded = {sym: zero for (role, _k, _gen), sym in heads if role not in ("Q", "P")}
     embedded.update({z: zero for z in result.free_multipliers})
@@ -765,7 +781,7 @@ def test_supplied_chart_span_checks_match_rank_oracle():
         z = an.fos.phase.z_order()
         cov = {name: parse_expr(text, an.table).linear_form(z)[0] for name, text in chart_rows.items()}
         res = an.result
-        same = lambda a, b: qq.rank(a) == qq.rank(b) == qq.rank(a + b)
+        same = lambda a, b: sympy_rank(a) == sympy_rank(b) == sympy_rank(a + b)
         psi = [cov[k] for k in sorted(cov) if k.startswith("Psi")]
         theta = [cov[k] for k in sorted(cov) if k.startswith("Th")]
         if not same([qq.from_row(r.row)[:-1] for r in res.first_class], psi):
@@ -773,7 +789,7 @@ def test_supplied_chart_span_checks_match_rank_oracle():
         if not same([qq.from_row(c.row)[:-1] for c in res.constraints], psi + theta):
             return "supplied Psi/Theta rows do not span the constraint set"
         prim = [qq.from_row(c.row)[:-1] for c in res.constraints if c.generation == 1]
-        return [1 if qq.rank(prim) == qq.rank(prim + [v]) else 2 for v in psi]
+        return [1 if sympy_rank(prim) == sympy_rank(prim + [v]) else 2 for v in psi]
 
     outcomes = []
     for chart_rows in variants:

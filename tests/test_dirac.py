@@ -17,7 +17,7 @@ from hamdirac.expr import Expr
 from hamdirac.lagrangian import PhaseSpace
 from hamdirac.linalg import ExprMatrix, rank
 
-from conftest import FAMILY_RATIONALS, L3_SRC, analyzed, l3_family, make_system, random_poly, rng_for
+from conftest import FAMILY_RATIONALS, L3_SRC, analyzed, l3_family, make_system, random_poly, rng_for, sympy_rank
 
 
 def phase2():
@@ -143,7 +143,7 @@ def test_solved_multiplier_consistency_invariant(l1, l2, l3, l4_ssok, l4_pons):
     # after substituting the solved multipliers, every constraint's bracket
     # with H_T weakly vanishes identically in the remaining free multipliers
     for t, fos, res in (l1, l2, l3, l4_ssok, l4_pons):
-        ht = res.total_hamiltonian(substitute_solved=True)
+        ht = res.total_hamiltonian()
         cons = [c.expr for c in res.constraints]
         for c in res.constraints:
             r = weak_reduce(poisson(c.expr, ht, fos.phase), cons, fos.phase)
@@ -220,14 +220,17 @@ def test_l4_pons_chain(l4_pons):
 
 def test_gram_kernel_matches_sympy_nullspace():
     """The first-class combinations are sympy's nullspace basis (one vector per
-    free column), each scaled to a leading 1, with the latest generation on
-    its support."""
+    free column), each scaled to a leading 1 and given as its qq integer row,
+    with the latest generation on its support.  The Gram matrix comes as one
+    qq integer row per constraint, as is and each row scaled by a nonzero
+    rational, which moves no pivot."""
     import random
     from fractions import Fraction
     from types import SimpleNamespace
 
     import sympy
 
+    from hamdirac import qq
     from hamdirac.dirac import _gram_kernel
 
     rng = random.Random("gram-kernel")
@@ -244,8 +247,11 @@ def test_gram_kernel_matches_sympy_nullspace():
         want = []
         for v in sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in gram]).nullspace():
             support = [i for i in range(m) if v[i] != 0]
-            want.append(([Fraction(str(x / v[support[0]])) for x in v], max(gens[i] for i in support)))
-        assert _gram_kernel(gram, cons) == want
+            want.append((qq.to_row([Fraction(str(x / v[support[0]])) for x in v]), max(gens[i] for i in support)))
+        rows = [qq.to_row(row) for row in gram]
+        assert _gram_kernel(rows, cons) == want
+        scaled = [qq.row_div(row, Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4))) for row in rows]
+        assert _gram_kernel(scaled, cons) == want
 
 
 def dense_poisson(f, g, phase):
@@ -316,15 +322,13 @@ def greedy_unit_complement(basis, m, k):
     """The greedy completion: take e_j, by increasing j, whenever it raises the rank."""
     from fractions import Fraction
 
-    from hamdirac import qq
-
     chosen = []
     for j in range(m):
         if len(chosen) == k:
             break
         e_j = [Fraction(int(i == j)) for i in range(m)]
         vecs = basis + [[Fraction(int(i == c)) for i in range(m)] for c in chosen] + [e_j]
-        if qq.rank(vecs) == len(vecs):
+        if sympy_rank(vecs) == len(vecs):
             chosen.append(j)
     return chosen
 
@@ -346,14 +350,15 @@ def test_unit_complement_matches_greedy_rank_loop():
         basis = []
         while len(basis) < size:  # independent, sparse, small entries
             v = [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) if rng.random() < 0.5 else Fraction(0) for _ in range(m)]
-            if qq.rank(basis + [v]) == len(basis) + 1:
+            if sympy_rank(basis + [v]) == len(basis) + 1:
                 basis.append(v)
         k = rng.randint(0, m - size)
-        before = [list(v) for v in basis]
-        got = _unit_complement(basis, m, k)
+        rows = [qq.to_row(v) for v in basis]
+        before = [(list(nums), den) for nums, den in rows]
+        got = _unit_complement(rows, m, k)
         assert got == greedy_unit_complement(basis, m, k)
-        assert basis == before  # the basis is not reduced in place
-        assert qq.rank(basis + [[Fraction(int(i == j)) for i in range(m)] for j in got]) == size + k
+        assert rows == before  # the basis is not reduced in place
+        assert sympy_rank(basis + [[Fraction(int(i == j)) for i in range(m)] for j in got]) == size + k
 
 
 def eliminate_fixpoint(rows, zetas, table):
@@ -633,7 +638,7 @@ def test_integer_path_matches_expr_path(monkeypatch):
     # multiplier by multiplier and chart row by chart row
     from hamdirac import qq
     from hamdirac.chart import _chart_map, transform
-    from hamdirac.dirac import WeakReducer, field_bracket, hamilton_field
+    from hamdirac.dirac import WeakReducer, _row_expr, field_bracket, hamilton_field
 
     from conftest import random_quadratic_lagrangian
     from test_expr import termwise_psubstitute
@@ -651,9 +656,12 @@ def test_integer_path_matches_expr_path(monkeypatch):
             seen["inconsistent"] += 1
             continue
         (t, res, chart), (_t, want, want_chart) = fast, ref
-        assert res.h_bracket_rows is not None and want.h_bracket_rows is None
+        # each path keeps its own brackets: qq integer rows here, Exprs there
+        assert all(isinstance(br, tuple) for br in res.h_brackets)
+        assert all(isinstance(br, Expr) for br in want.h_brackets)
+        brackets = [_row_expr(br, res.phase.z_order(), t) for br in res.h_brackets]
         assert [(c.name, c.expr, c.row) for c in res.constraints] == [(c.name, c.expr, c.row) for c in want.constraints]
-        assert res.h_brackets == want.h_brackets
+        assert brackets == want.h_brackets
         assert list(res.multiplier_solutions.items()) == list(want.multiplier_solutions.items())
         assert res.flags == want.flags and res.free_multipliers == want.free_multipliers
         assert [(r.name, r.coeffs, r.offset) for r in chart.rows] == [(r.name, r.coeffs, r.offset) for r in want_chart.rows]
@@ -661,9 +669,9 @@ def test_integer_path_matches_expr_path(monkeypatch):
 
         reducer = WeakReducer([c.row for c in res.constraints], res.phase)
         field = hamilton_field(res.H, res.phase)
-        for c, br in zip(res.constraints, res.h_brackets, strict=True):
+        for c, br in zip(res.constraints, brackets, strict=True):
             assert br == reducer.reduce(field_bracket(qq.from_row(c.row), field, t))
-        ht = res.total_hamiltonian(substitute_solved=True)
+        ht = res.total_hamiltonian()
         rules = {s.index: e for s, e in _chart_map(chart.phase, [(r.symbol, r.row) for r in chart.rows]).items()}
         got, ref_ht = transform(ht, chart), termwise_psubstitute(t, ht.num, rules, ht.den[()])
         assert got.num == ref_ht.num and got.den == ref_ht.den

@@ -219,7 +219,7 @@ def test_effective_hamiltonian_l3(l3):
     eff = effective_hamiltonian(res, chart)
     assert all(s.kind != "multiplier" for s in eff.free_symbols())
     # independent route: transform first, then kill the primary momentum
-    direct = transform(res.total_hamiltonian(substitute_solved=True), chart).substitute(
+    direct = transform(res.total_hamiltonian(), chart).substitute(
         {t["cPsi1"]: Expr.const(t, 0)}
     )
     assert eff == direct

@@ -36,7 +36,7 @@ def test_two_coordinate_second_order_both_paths():
         ch = build_chart(res)
         ok, violations, _ = verify_chart(ch.matrix(), mode="exact")
         assert ok, violations[:2]
-        tr = transform(res.total_hamiltonian(substitute_solved=True), ch)
+        tr = transform(res.total_hamiltonian(), ch)
         zero = {r.symbol: Expr.const(t, 0) for r in ch.rows if r.role not in ("Q", "P")}
         phys = tr.substitute(zero)
         # two decoupled unit oscillators in the physical block
@@ -96,7 +96,7 @@ def test_constraint_with_constant_offset():
     ok, violations, _ = verify_chart(ch.matrix(), mode="exact")
     assert ok
     # transform/inverse round trip with the offset in play
-    ht = res.total_hamiltonian(substitute_solved=True)
+    ht = res.total_hamiltonian()
     tr = transform(ht, ch)
     back = tr.substitute({r.symbol: r.expr(t, fos.phase) for r in ch.rows})
     assert back == ht

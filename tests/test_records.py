@@ -1,17 +1,25 @@
 """The record classes: frozen ones behave as values, and no two records share a
-list or dict default."""
+list or dict default.  The Dirac stage's results are values too:
+`dirac_iterate` and `classify` return new frozen records and change nothing
+they are given."""
+
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
-from hamdirac import SymbolTable, parse_expr
-from hamdirac.chart import CanonicalChart, ChartRow
+from hamdirac import SymbolTable, classify, dirac_iterate, parse_expr
+from hamdirac.chart import CanonicalChart, ChartError, ChartRow, build_chart, frobenius_check, integral_constant_budget
 from hamdirac.dirac import DiracResult
-from hamdirac.embedding import EmbeddingPlan
+from hamdirac.embedding import EmbeddingError, EmbeddingPlan, select_embedding
+from hamdirac.expr import Expr
 from hamdirac.lagrangian import LagrangianSystem, PhaseSpace
 from hamdirac.linalg import LinearSolution
-from hamdirac.report import Analysis, PipelineOptions
-from hamdirac.symbols import Symbol
-from hamdirac.sysfile import SystemFile
+from hamdirac.report import Analysis, PipelineOptions, build_report, report_json, run_pipeline
+from hamdirac.symbols import Symbol, _Record
+from hamdirac.sysfile import SystemFile, load_system_file
 
 SYMBOL_FIELDS = ("name", "index", "kind", "base", "order")
 CHART_ROW_FIELDS = ("role", "pair", "row", "symbol", "generation")
@@ -101,3 +109,98 @@ def test_list_and_dict_defaults_are_fresh_per_instance(cls, args, fields):
         else:
             value.append(1)
         assert not getattr(b, k) and not getattr(cls(*args), k)
+
+
+FIXTURES = resources.files("hamdirac") / "fixtures"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+# quadratic and non-quadratic H (l3quartic), first- and second-class
+# constraints, a failing Frobenius verdict (totalderiv), both order-2 paths
+STAGE_CASES = [
+    (FIXTURES / "l2.sys", None), (FIXTURES / "l3.sys", None), (FIXTURES / "cawley.sys", None),
+    (FIXTURES / "l4.sys", "ssok"), (FIXTURES / "l4.sys", "pons"), (GOLDEN / "coupled3.sys", None),
+    (GOLDEN / "gauge3.sys", None), (GOLDEN / "l3quartic.sys", None), (GOLDEN / "totalderiv.sys", None),
+]
+
+
+def analyzed_case(path, order2_path):
+    return run_pipeline(load_system_file(path), PipelineOptions(path=order2_path), stage="analyze")
+
+
+def snapshot(x):
+    """Every field of a record, recursively, with the identity of each record
+    and container, so a field set, a list entry replaced or a container
+    changed in place all show."""
+    if isinstance(x, Expr):
+        return "Expr", id(x), tuple(x.num.items()), tuple(x.den.items())
+    if isinstance(x, _Record):
+        return type(x).__name__, id(x), tuple((k, snapshot(getattr(x, k))) for k in x.__slots__)
+    if isinstance(x, (list, tuple)):
+        return type(x).__name__, id(x), tuple(map(snapshot, x))
+    if isinstance(x, dict):
+        return "dict", id(x), tuple((snapshot(k), snapshot(v)) for k, v in x.items())
+    return type(x).__name__, x
+
+
+@pytest.mark.parametrize("path,order2_path", STAGE_CASES, ids=[f"{p.stem}-{o}" for p, o in STAGE_CASES])
+def test_dirac_stage_returns_frozen_values_and_changes_no_input(path, order2_path):
+    an = analyzed_case(path, order2_path)
+    table = an.table
+    size = len(table)
+    bare = dirac_iterate(an.fos)
+    before = snapshot(bare)
+    out = classify(bare)
+    assert snapshot(bare) == before
+    assert not bare.classified and {c.klass for c in bare.constraints} <= {"unclassified"}
+    assert out.classified and out is not bare and out.constraints is not bare.constraints
+    assert [c.klass for c in out.constraints] == [c.klass for c in an.result.constraints]
+
+    # a repeat reuses the multipliers the first run registered: equal values,
+    # names included, and no new symbol
+    again = classify(dirac_iterate(an.fos))
+    assert out == again == an.result and len(table) == size
+    assert [z.name for z in again.multiplier_symbols] == [z.name for z in an.result.multiplier_symbols]
+
+    for record in (out, bare, *out.constraints, *out.first_class, *out.second_class):
+        for name in type(record).__slots__:
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+    for record in (*out.constraints, *out.first_class, *out.second_class):
+        assert hash(record) == hash(type(record)(*(getattr(record, k) for k in type(record).__slots__)))
+
+
+@pytest.mark.parametrize("path,order2_path", STAGE_CASES[:1] + STAGE_CASES[5:8], ids=lambda v: getattr(v, "stem", v))
+def test_dirac_stage_repeats_from_threads_give_the_same_report(path, order2_path):
+    an = analyzed_case(path, order2_path)
+    want = report_json(build_report(an, "analyze"))
+
+    def rerun(_):
+        res = classify(dirac_iterate(an.fos))
+        rerun_an = Analysis(an.sysfile, an.options, an.table, an.system, an.reduced, an.path, an.w_counter,
+                            an.l_counter, an.fos, res, frobenius=frobenius_check(res), pivot_log=an.pivot_log)
+        return report_json(build_report(rerun_an, "analyze"))
+
+    size = len(an.table)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the stages' loops
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(rerun, range(8), timeout=300))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [want] * 8 and len(an.table) == size
+
+
+def test_stages_after_dirac_iterate_ask_for_a_classified_result():
+    an = analyzed_case(FIXTURES / "l3.sys", None)
+    bare = dirac_iterate(an.fos)
+    with pytest.raises(ChartError, match="classify"):
+        build_chart(bare)
+    with pytest.raises(ChartError, match="classify"):
+        frobenius_check(bare)
+    with pytest.raises(EmbeddingError, match="classify"):
+        select_embedding(bare, False)
+    with pytest.raises(ChartError, match="classify"):
+        integral_constant_budget(bare, "sigma1")
+    assert build_chart(classify(bare)).n == an.fos.phase.n
