@@ -4,22 +4,19 @@ The linear construction: second-class representatives are paired by a
 symplectic Gram-Schmidt sweep with one member of each pair rescaled to a unit
 bracket; every first-class representative becomes a momentum row and gets a
 conjugate position row solved inside the remaining symplectic complement; the
-same sweep completes the leftover complement into physical (Q, P) pairs.
-All of it over exact rationals: a chart row is one qq integer row over
-(z, 1), from its construction through the static correction, verification
-and transform.
+same sweep completes the leftover complement into physical (Q, P) pairs.  A
+chart row (`ChartRow.row`) is one sparse qq integer row over (z, 1), its
+nonzeros over one denominator with the offset at column 2n, from its
+construction through the static correction, verification and transform.
 
 The correction pass never transforms H_T: a chart row's velocity is the row
 against H_T's Hamiltonian field, written in (Q, P) through `_inverse_map`, the
 affine map z -> chart symbols that `transform` substitutes (`_chart_map`),
-read off the closed-form S^-1 of the chart's integer rows.  For an H_T of
-degree <= 2 the field is one integer matrix and the velocity stays on
-integers until its coefficients are read; otherwise it is an Expr.
-
-Verification decides each entry of S^T J S on the integer pairing of two
-columns.  Charts with irrational entries (the usual 1/sqrt(2)
-normalizations) are verified in float mode: the same kernel on the exact
-values of the given doubles, compared with a tolerance.
+read off the closed-form S^-1 of the chart's rows.  Verification decides each
+entry of S^T J S on the integer pairing of two columns, visiting only pairs
+that share a conjugate column; float mode (for the usual 1/sqrt(2) entries)
+runs the same kernel on the exact values of the given doubles, compared with
+a tolerance.
 """
 
 from __future__ import annotations
@@ -47,23 +44,13 @@ class ChartRow(_Frozen):
 
     def __init__(self, role: str, pair: int, row: tuple, symbol: object, generation: int | None = None):
         # pair: 1-based index within the role family; row: a qq integer row
-        # over (z, 1), z = (q1..qn, p1..pn): (nums, den), the offset last;
-        # generation: Psi rows and a built chart's Xi rows, their constraint's
+        # over (z, 1), z = (q1..qn, p1..pn); generation: Psi rows and a built
+        # chart's Xi rows, their constraint's
         self._fields(role, pair, (tuple(row[0]), row[1]), symbol, generation)
 
     @property
     def name(self):
         return self.symbol.name
-
-    @property
-    def coeffs(self) -> list:
-        """The row's Fractions over z."""
-        return qq.from_row(self.row)[:-1]
-
-    @property
-    def offset(self) -> Fraction:
-        nums, den = self.row
-        return Fraction(nums[-1], den)
 
     def expr(self, table, phase) -> Expr:
         return _row_expr(self.row, phase.z_order(), table)
@@ -96,10 +83,10 @@ class CanonicalChart(_Record):
         return [r for r in self.rows if r.role == role]
 
     def matrix(self):
-        return [r.coeffs for r in self.rows]
+        return [qq.from_row(r.row, 2 * self.n) for r in self.rows]
 
     def offsets(self):
-        return [r.offset for r in self.rows]
+        return [Fraction(qq.entry(r.row, 2 * self.n), r.row[1]) for r in self.rows]
 
     def chart_phase(self) -> PhaseSpace:
         pairs = tuple((p.symbol, m.symbol) for p, m in zip(self.position_rows(), self.momentum_rows()))
@@ -118,42 +105,44 @@ def build_chart(result: DiracResult) -> CanonicalChart:
     if not result.classified:
         raise ChartError("classify the Dirac result before building a chart")
     n = result.phase.n
-    pool = [rep.row for rep in result.second_class]  # integer rows, the offset carried as entry 2n
+    pool = [rep.row for rep in result.second_class]  # the offset is carried as column 2n
     theta_rows = _symplectic_pairs(pool, n)
 
     # conjugate positions for the first-class momenta: <x_a, psi_b> = delta_ab
-    # and <x_a, theta> = 0, one right-hand-side column per a in one elimination
+    # and <x_a, theta> = 0, one elimination with the right-hand side a at 2n + a
     f_count = len(result.first_class)
     grads = [rep.row for rep in result.first_class] + [v for pair in theta_rows for v in pair]
     system = [
-        qq._primitive(_sympl_grad(nums[: 2 * n], n) + [den * (b == a) for a in range(f_count)], den)
-        for b, (nums, den) in enumerate(grads)
+        qq._primitive(_sympl_grad(entries, n) + ([(2 * n + b, den)] if b < f_count else []), den)
+        for b, (entries, den) in enumerate(grads)
     ]
     pivots = qq.rref_rows(system, range(2 * n)) if f_count else {}
     used = set(pivots.values())
-    if any(any(nums[2 * n :]) for i, (nums, _den) in enumerate(system) if i not in used):
+    if any(entries and entries[-1][0] >= 2 * n for i, (entries, _den) in enumerate(system) if i not in used):
         raise DiracError("no conjugate for a first-class momentum; classification bug")
-    xi_rows = []  # integer rows, the offset carried as entry 2n
     den = math.lcm(*(system[i][1] for i in used))
-    for a in range(f_count):
-        x = [0] * (2 * n + 1)
-        for col, i in pivots.items():
-            x[col] = system[i][0][2 * n + a] * (den // system[i][1])
-        x = qq._primitive(x, den)
+    xi_rows = []  # the offset is carried as column 2n
+    for a in range(2 * n, 2 * n + f_count):
+        x = qq._combine([(1, [(col, qq.entry(system[i], a) * (den // system[i][1])) for col, i in pivots.items()])], den)
         for xb, rep_b in zip(xi_rows, result.first_class):
             c = qq.row_bracket(xb, x, n)
             if c:
                 x = qq.row_add(x, -c, rep_b.row)
         xi_rows.append(x)
 
-    # each standard-basis seed is projected once through the placed pairs,
-    # then through each (Q, P) pair as it is found; the seeds are 2n long, so
-    # the placed pairs' offsets drop out and a (Q, P) row gets offset zero
-    placed = theta_rows + [(xi, rep.row) for xi, rep in zip(xi_rows, result.first_class)]
-    seeds = [([int(i == k) for k in range(2 * n)], 1) for i in range(2 * n)]
-    for e, f in placed:
-        seeds = [qq.row_project(s, e, f, n) for s in seeds]
-    qp_rows = [tuple((nums + [0], den) for nums, den in pair) for pair in _symplectic_pairs(seeds, n)]
+    # each standard-basis seed e_i is projected off the placed pairs, which
+    # are mutually symplectic-orthogonal, in one sum e_i - sum_p (<e_i, f_p> e_p
+    # - <e_i, e_p> f_p), then paired; the pairs' offsets are left out, so a
+    # (Q, P) row gets offset zero
+    placed = theta_rows + list(zip(xi_rows, [rep.row for rep in result.first_class]))
+    flat = [(tuple(x for x in v[0] if x[0] < 2 * n), v[1]) for e, f in placed for v in (f, e)]
+    seeds = [(((i, 1),), 1) for i in range(2 * n)]
+    for i, hit in enumerate(qq.pairings(seeds, flat, n)):
+        dens = {k: flat[k][1] * flat[k ^ 1][1] for k in hit}
+        den = math.lcm(*dens.values())
+        terms = [((x if k % 2 else -x) * (den // dens[k]), flat[k ^ 1][0]) for k, x in hit.items()]
+        seeds[i] = qq._combine([(den, seeds[i][0]), *terms], den)
+    qp_rows = _symplectic_pairs(seeds, n)
     if 2 * len(theta_rows) != len(pool) or f_count + len(theta_rows) + len(qp_rows) != n:
         raise DiracError("symplectic Gram-Schmidt left rows unpaired; classification bug")
 
@@ -167,23 +156,41 @@ def build_chart(result: DiracResult) -> CanonicalChart:
 def _symplectic_pairs(rows, n):
     """Symplectic Gram-Schmidt on qq integer rows: the first nonzero row e is
     paired with the first later row it brackets with, rescaled to <e, f> = 1,
-    and the rest are projected off the pair; rows that reach zero are dropped.
-    Stops when no row is left or e brackets with none."""
+    and the rest that share a column with the pair (by an index) are projected
+    off it, zero rows dropped; stops when no row is left or e brackets with none."""
+    live = {}  # in row order; a row that reaches zero is skipped, never paired
+    where = {}  # column -> the rows that have been nonzero there
+
+    def put(i, row):
+        for j, _x in live.get(i, ((), 1))[0]:
+            where[j].discard(i)
+        live[i] = row
+        for j, _x in row[0]:
+            where.setdefault(j, set()).add(i)
+
+    def meeting(*vs):
+        cols = {j + n if j < n else j - n for v in vs for j, _x in v[0] if j < 2 * n}
+        return sorted(set().union(*(where.get(j, ()) for j in cols)) & live.keys())
+
+    for i, row in enumerate(rows):
+        put(i, row)
     pairs = []
-    rows = [r for r in rows if any(r[0])]
-    while rows:
-        e = rows.pop(0)
-        k, br = next(((k, br) for k, f in enumerate(rows) if (br := qq.row_bracket(e, f, n))), (None, 0))
+    while live:
+        e = live.pop(next(iter(live)))
+        if not e[0]:
+            continue
+        k, br = next(((k, br) for k in meeting(e) if (br := qq.row_bracket(e, live[k], n))), (None, 0))
         if not br:
             break
-        f = qq.row_div(rows.pop(k), br)
-        rows = [x for x in (qq.row_project(x, e, f, n) for x in rows) if any(x[0])]
+        f = qq.row_div(live.pop(k), br)
+        for i in meeting(e, f):
+            put(i, qq.row_project(live[i], e, f, n))
         pairs.append((e, f))
     return pairs
 
 
 def _assemble(result: DiracResult, xi_rows, theta_rows, qp_rows) -> CanonicalChart:
-    """The chart of the placed integer rows (offset as entry 2n), statically
+    """The chart of the placed integer rows (offset at column 2n), statically
     corrected: rows in the order Xi, ThU, Q | Psi, ThD, P, each with a fresh
     symbol registered in that order.  The Psi rows are the first-class
     representatives, and a Xi row shares its Psi row's generation."""
@@ -217,19 +224,15 @@ def _static_correct(rows: dict, layout, result: DiracResult):
     the physical rows with multiples of the paired momentum, which keeps the
     bracket table canonical.  Failure to solve is recorded, not fatal.
 
-    `rows` maps each chart symbol to its qq integer row (offset as entry 2n)
-    in chart order, positions then momenta, and `layout` gives each its
-    (role, pair, generation).  Returns the rows, corrected in a copy that
-    rewrites only the rows a correction changes (the given dict is left as
-    it was), and the notes.
+    `rows` maps each chart symbol to its qq integer row in chart order, and
+    `layout` gives each its (role, pair, generation).  Returns the rows,
+    corrected in a copy (the given dict is left as it was), and the notes.
 
-    A row's velocity is its coefficients against the Hamiltonian field of
-    H_T at free multipliers zero (its part free of them), taken once, written
-    on the embedded subspace (every chart coordinate but Q and P at zero) and
-    read as an affine form over (Q, P).  For an H_T of degree <= 2 the field
-    is one integer matrix (`quadratic_field`) and the velocity its row times
-    the integer columns of S^-1 (`_inverse_map`); otherwise it is an Expr
-    substituted with `_chart_map`.
+    A row's velocity is the row against the Hamiltonian field of H_T at free
+    multipliers zero, written on the embedded subspace (every chart
+    coordinate but Q and P at zero) as a qq row over (Q, P, 1): for an H_T of
+    degree <= 2 the row times the integer columns of S^-1 (`_inverse_map`),
+    otherwise an Expr substituted with `_chart_map`.
     """
     phase, table = result.phase, result.table
     n = phase.n
@@ -248,30 +251,23 @@ def _static_correct(rows: dict, layout, result: DiracResult):
     def embedding():
         if qfield is None:
             return _chart_map(phase, list(rows.items()), qp_syms)
-        kept, inv, den = _inverse_map(list(rows.items()), n, qp_syms)
-        pos = {y.index: j for j, y in enumerate(kept)}
-        return [pos[w.index] for w in qp_syms], inv, den
+        return _inverse_map(list(rows.items()), n, qp_syms)[1:]
 
-    def velocity(sym, embedded):
+    def velocity(sym, embedded):  # a qq row over (qp_syms..., 1)
         if qfield is None:
-            nums, den = rows[sym]
-            return (field_bracket(nums, field, table) / den).substitute(embedded).linear_form(qp_syms)
-        at, inv, den = embedded
-        b, bden = row_field_bracket(rows[sym], qfield)
-        acc = [0] * len(at) + [b[2 * n] * den]
-        for x, row in zip(b, inv):
-            if x:
-                acc = [a + x * y for a, y in zip(acc, row)]
-        return [Fraction(acc[j], bden * den) for j in at], Fraction(acc[-1], bden * den)
+            entries, den = rows[sym]
+            return (field_bracket(entries, field, table) / den).substitute(embedded).affine_row(qp_syms)
+        inv, den = embedded
+        b, bden = row_field_bracket(rows[sym], qfield)  # its offset times den is the velocity's
+        return qq._combine([(x, inv[i]) if i < 2 * n else (x * den, ((len(qp_syms), 1),)) for i, x in b], bden * den)
 
     for xi, psi in targets:
         embedded = embedding()
         try:
-            coeffs, offset = velocity(xi, embedded)
-            if not (offset or any(coeffs)):
+            v = velocity(xi, embedded)
+            if not v[0]:
                 continue
-            columns = [c + [off] for c, off in (velocity(w, embedded) for w in qp_syms)]
-            alpha = qq.solve(list(zip(*columns)), [-x for x in coeffs + [offset]])
+            (alpha,) = qq.solve([velocity(w, embedded) for w in qp_syms], [qq.row_div(v, Fraction(-1))], len(qp_syms) + 1)
         except ExprError:
             alpha = None
         if alpha is None:
@@ -281,9 +277,9 @@ def _static_correct(rows: dict, layout, result: DiracResult):
             )
             continue
         x = rows[xi]
-        for a, w in zip(alpha, qp_syms):
+        for k, a in alpha.items():
             if a:
-                x = qq.row_add(x, a, rows[w])
+                x = qq.row_add(x, a, rows[qp_syms[k]])
         rows[xi] = x
         for w in qp_syms:
             lam = -qq.row_bracket(x, rows[w], n)
@@ -293,37 +289,39 @@ def _static_correct(rows: dict, layout, result: DiracResult):
 
 
 def _inverse_map(rows, n, keep=None):
-    """z = S^-1 (Y - offsets), read off `rows`, the chart's (symbol, qq
-    integer row) pairs in chart order (offset as entry 2n), with the chart
-    coordinates outside `keep` (default: all) set to zero, so only their
-    offsets remain.  Returns (the kept symbols, pair by pair; one integer row
-    per z_i over (kept symbols..., 1); their common denominator).  By
-    S^-1 = -J S^T J the column of a position is the symplectic gradient of
-    its conjugate momentum's row, and that of a momentum minus its conjugate
-    position's."""
-    keep = None if keep is None else {y.index for y in keep}
+    """z = S^-1 (Y - offsets), read off `rows`, the chart's (symbol, qq row)
+    pairs in chart order, the coordinates outside `keep` (default: all, pair
+    by pair) at zero: (kept symbols, one row's entries per z_i over (kept...,
+    1), their common denominator).  By S^-1 = -J S^T J a position's column is
+    the symplectic gradient of its momentum's row; a momentum's, minus its position's."""
+    kept = [y for pair in zip(rows[:n], rows[n:]) for y, _row in pair] if keep is None else list(keep)
+    col = {y.index: c for c, y in enumerate(kept)}
     den = math.lcm(*(da * db for (_a, (_, da)), (_b, (_, db)) in zip(rows[:n], rows[n:])))
-    kept, cols, shift = [], [], [0] * (2 * n)
+    inv, shift = [[] for _ in range(2 * n)], {}
     for a, b in zip(rows[:n], rows[n:]):
-        for (y, (ys, yden)), (_c, (nums, d)), sign in ((a, b, 1), (b, a, -1)):
-            grad, k = _sympl_grad(nums[: 2 * n], n), sign * (den // (d * yden))
-            if ys[2 * n]:
-                shift = [s - x * k * ys[2 * n] for s, x in zip(shift, grad)]
-            if keep is None or y.index in keep:
-                kept.append(y)
-                cols.append([x * k * yden for x in grad])
-    return kept, [[*(c[i] for c in cols), s] for i, s in enumerate(shift)], den
+        for (y, yrow), (_c, (entries, d)), sign in ((a, b, 1), (b, a, -1)):
+            grad, k = _sympl_grad(entries, n), sign * (den // (d * yrow[1]))
+            if off := qq.entry(yrow, 2 * n):
+                for i, x in grad:
+                    shift[i] = shift.get(i, 0) - x * k * off
+            if y.index in col:
+                for i, x in grad:
+                    inv[i].append((col[y.index], x * k * yrow[1]))
+    for i, s in shift.items():
+        if s:
+            inv[i].append((len(kept), s))
+    return kept, [sorted(r) for r in inv], den
 
 
 def _chart_map(phase: PhaseSpace, rows, keep=None) -> dict:
     """`_inverse_map` as one affine Expr per phase symbol z_i."""
     kept, inv, den = _inverse_map(rows, phase.n, keep)
-    return {z: _row_expr(qq._primitive(row, den), kept, phase.table) for z, row in zip(phase.z_order(), inv)}
+    return {z: _row_expr((row, den), kept, phase.table) for z, row in zip(phase.z_order(), inv)}
 
 
-def _sympl_grad(c, n):
-    """Row r with r . x = <x, c> for the symplectic pairing."""
-    return list(c[n:]) + [-ci for ci in c[:n]]
+def _sympl_grad(entries, n):
+    """Entries of the row r with r . x = <x, c>, c given by its entries (below 2n)."""
+    return [(j - n, x) for j, x in entries if n <= j < 2 * n] + [(j + n, -x) for j, x in entries if j < n]
 
 
 # ---------------------------------------------------------------------------
@@ -366,22 +364,17 @@ def verify_chart(matrix, mode="exact", tol=1e-12):
 
 def _bracket_deviations(vecs, n):
     """{(i, k): B_ik - J_ik} where nonzero, B_ik the bracket of 2n qq integer
-    vectors over z (entries past 2n ignored), J_ik = +1 at k = i + n, -1 at
-    i = k + n; a None vector (non-finite) makes its row and column nan.  Both
-    are antisymmetric, so only i < k is bracketed, on ints (the first's nonzero
-    entries against the second's conjugate slots); a deviation is a Fraction."""
+    vectors over z, J_ik = +1 at k = i + n, -1 at i = k + n, a deviation a
+    Fraction; a None vector (non-finite) makes its row and column nan.  Only
+    the J entries and pairs that share a conjugate column are visited."""
+    rows = [((), 1) if v is None else v for v in vecs]
     dev = {}
-    for i, u in enumerate(vecs):
-        conj = [] if u is None else [(j + n, x) if j < n else (j - n, -x) for j, x in enumerate(u[0][: 2 * n]) if x]
-        for k in range(i + 1, len(vecs)):
-            if u is None or vecs[k] is None:
-                dev[i, k] = dev[k, i] = math.nan
-                continue
-            v, dv = vecs[k]
-            pair = sum(x * v[j] for j, x in conj)
-            if pair != u[1] * dv * (k == i + n):
-                delta = Fraction(pair, u[1] * dv) - (k == i + n)
-                dev[i, k], dev[k, i] = delta, -delta
+    for i, pairs in enumerate(qq.pairings(rows, rows, n)):
+        for k in {*pairs, i + n}:
+            if i < k < len(rows) and (x := Fraction(pairs.get(k, 0), rows[i][1] * rows[k][1]) - (k == i + n)):
+                dev[i, k], dev[k, i] = x, -x
+    bad = [i for i, v in enumerate(vecs) if v is None]
+    dev.update({key: math.nan for i in bad for k in range(len(vecs)) if k != i for key in ((i, k), (k, i))})
     return dev
 
 

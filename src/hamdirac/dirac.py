@@ -2,36 +2,35 @@
 
 Each constraint is affine with constant coefficients and is turned into its
 exact row once, when it is accepted (`_affine_row`, stored as
-`Constraint.row`).  The bracket of two constraints is then the constant
-`qq.row_bracket` of their rows, and a constraint's bracket with H is its row
-against H's Hamiltonian field {z_k, H}, taken once.
+`Constraint.row`, as is `ClassRep.row`): a sparse qq integer row over (z, 1),
+its nonzero coefficients as (column, int) pairs, the offset at column 2n,
+over one denominator.  The bracket of two constraints is the constant
+pairing of their rows, read through `qq.pairings` so that rows sharing no
+conjugate column are never paired, and a constraint's bracket with H is its
+row against H's Hamiltonian field {z_k, H}, taken once.
 
 The iteration keeps the joint multiplier system honest: each round it forms
-the time derivative of *every* constraint against the total Hamiltonian,
-weak-reduces its bracket with H, solves the affine system in the multipliers
+the time derivative of *every* constraint against the total Hamiltonian
+(its bracket with H and with the primaries taken once per constraint),
+weak-reduces the bracket with H, solves the affine system in the multipliers
 (Gauss-Jordan over Q), and turns leftover multiplier-free residues into new
-constraints.  A round that adds nothing terminates the procedure.  The weak
-reducer is built once from the primaries and extended by each accepted
-constraint's row; the last round's reduced brackets with H are kept for
-classification.
+constraints, until a round adds nothing.  The weak reducer is built once and
+extended by each accepted row; the last round's brackets are kept.
 
-The path is decided once per analysis from H's monomials.  When H has degree
-<= 2 in z = (q, p), its field is one integer matrix over a common denominator
-(`quadratic_field`): each bracket is a constraint's integer row times that
-matrix, reduced by the reducer's integer pivot rows (`reduce_row`), and the
-multiplier system, coefficients and affine right-hand sides, is one integer
-row per constraint; Exprs are built only for new constraints and the
-multiplier solutions, and the kept brackets stay rows.  Otherwise the field
-is a list of Exprs (`hamilton_field`), brackets are reduced by substitution
-and the system's right-hand sides are Exprs.  `_eliminate` serves both.
+When H has degree <= 2 in z = (q, p), its field is one sparse integer matrix
+(`quadratic_field`): a bracket is a constraint's row times that matrix,
+reduced by the reducer's pivot rows (`reduce_row`), and the multiplier
+system is one integer row per constraint.  Otherwise the field is a list of
+Exprs (`hamilton_field`), brackets are reduced by substitution and the
+system's right-hand sides are Exprs.  `_eliminate` serves both.
 
-Classification re-bases the constraint set using the kernel of the bracket
-Gram matrix, so first-class representatives are genuine gauge directions and
-the multiplier solution splits cleanly into free (first-class primary) and
-uniquely solved (second-class primary) parts.  The Gram matrix is one qq
-integer row per constraint (`_gram_rows`), and its kernel and the unit
-complement of that kernel come from `qq.rref_rows`; only the multiplier
-coefficients over the re-based primaries are new, so it reduces nothing.
+Classification re-bases the constraint set on the kernel of the bracket Gram
+matrix, so first-class representatives are genuine gauge directions and the
+multiplier solution splits into free (first-class primary) and solved
+(second-class primary) parts.  The Gram matrix is one row of brackets per
+constraint (`_bracket_rows`); its kernel and that kernel's unit complement
+come from `qq.rref_rows`, and the re-based multiplier coefficients are read
+off its rows, so classification brackets each pair once and reduces nothing.
 `dirac_iterate` and `classify` each return a new frozen `DiracResult` and
 write into nothing they are given.
 """
@@ -64,7 +63,7 @@ class Constraint(_Frozen):
 
     def __init__(self, expr: Expr, chain: int, generation: int, row: tuple, klass: str = "unclassified",
                  name: str = ""):
-        # row: `expr` as a qq integer row over (q1..qn, p1..pn, offset)
+        # row: `expr` as a sparse qq integer row over (z, 1), offset at column 2n
         self._fields(expr, chain, generation, (tuple(row[0]), row[1]), klass, name)
 
 
@@ -149,13 +148,14 @@ def hamilton_field(h: Expr, phase: PhaseSpace) -> list:
     return [h.diff(p) for p in phase.momenta] + [-h.diff(q) for q in phase.positions]
 
 
-def field_bracket(coeffs, field, table) -> Expr:
-    """{X, h} for X affine with constant `coeffs` over z, from h's
-    `hamilton_field`; entries past 2n (an offset) have no bracket."""
+def field_bracket(entries, field, table) -> Expr:
+    """{X, h} for X affine with constant coefficients over z, given as a
+    qq row's (column, coefficient) entries, from h's `hamilton_field`;
+    entries at 2n and past (an offset) have no bracket."""
     out = Expr.const(table, 0)
-    for c, f in zip(coeffs, field):
-        if c:
-            out = out + f * c
+    for j, c in entries:
+        if j < len(field):
+            out = out + field[j] * c
     return out
 
 
@@ -187,24 +187,16 @@ def quadratic_field(h: Expr, phase: PhaseSpace):
 
 
 def row_field_bracket(row, qfield):
-    """{X, h} as a qq integer row (unnormalized) for X given by a qq integer
+    """{X, h} as a qq integer row over (z, 1) for X given by a qq integer
     `row` over (z, 1) and h's `quadratic_field`."""
-    rows, den = qfield
-    out = [0] * (len(rows) + 1)
-    for x, frow in zip(row[0], rows):
-        if x:
-            for j, v in frow:
-                out[j] += x * v
-    return out, row[1] * den
+    return qq._combine([(x, qfield[0][k]) for k, x in row[0] if k < len(qfield[0])], row[1] * qfield[1])
 
 
 def _row_expr(row, syms, table) -> Expr:
-    """The affine Expr of a qq integer row over (syms..., 1): its ints,
-    made primitive by one gcd."""
-    nums, den = qq._primitive(*row)
-    poly = {((s.index, 1),): x for s, x in zip(syms, nums) if x}
-    if nums[len(syms)]:
-        poly[()] = nums[len(syms)]
+    """The affine Expr of a qq integer row over (syms..., 1): its entries
+    relabelled as monomials, made primitive by one gcd."""
+    entries, den = qq._primitive(*row)
+    poly = {((syms[j].index, 1),) if j < len(syms) else (): x for j, x in entries}
     return Expr(table, poly, {(): den}, _normalized=True)
 
 
@@ -230,13 +222,12 @@ class WeakReducer:
         work = list(rows)
         pivots = qq.rref_rows(work, self._order)
         used = set(pivots.values())
-        for i, (nums, _den) in enumerate(work):
-            if i in used:
+        for i, (entries, _den) in enumerate(work):
+            if i in used or not entries:
                 continue
-            if any(nums[:n]):
+            if entries[0][0] < n:
                 raise DiracError("internal: affine reduction left an unpivoted row")
-            if nums[n]:
-                raise InconsistentTheory("constraint set has no common solution")
+            raise InconsistentTheory("constraint set has no common solution")
         self._rows = {k: work[i] for k, i in pivots.items()}
         self._rhs = {}
         self._update(self._rows)
@@ -244,14 +235,14 @@ class WeakReducer:
     def extend(self, row):
         """Add one constraint row: reduce it by the pivot rows, scale it to a
         leading 1, and clear its pivot column from the other rows."""
-        nums, den = row = self.reduce_row(row)
-        k = next((k for k in self._order if nums[k]), None)
+        entries, den = row = self.reduce_row(row)
+        k = max((j for j, _x in entries if j < len(self._syms)), key=lambda j: self._syms[j].index, default=None)
         if k is None:
-            if nums[-1]:
+            if entries:
                 raise InconsistentTheory("constraint set has no common solution")
             return
-        row = qq.row_div(row, Fraction(nums[k], den))
-        changed = {j: qq.row_add(p, Fraction(-p[0][k], p[1]), row) for j, p in self._rows.items() if p[0][k]}
+        row = qq.row_div(row, Fraction(qq.entry(row, k), den))
+        changed = {j: qq.row_add(p, Fraction(-x, p[1]), row) for j, p in self._rows.items() if (x := qq.entry(p, k))}
         changed[k] = row
         self._rows.update(changed)
         self._update(changed)
@@ -260,9 +251,9 @@ class WeakReducer:
         """Right-hand sides of the changed pivot rows, primitive as their rows
         less the pivot entry (equal to den); `subs` in pivot order."""
         syms, n = self._syms, len(self._syms)
-        for k, (nums, den) in changed.items():
-            rhs = {(): -nums[n]} if nums[n] else {}
-            rhs.update({((syms[j].index, 1),): -c for j, c in enumerate(nums[:n]) if c and j != k})
+        for k, (entries, den) in changed.items():
+            rhs = {(): -entries[-1][1]} if entries[-1][0] == n else {}
+            rhs.update({((syms[j].index, 1),): -c for j, c in entries if j < n and j != k})
             self._rhs[k] = Expr(self.phase.table, rhs, {(): den}, _normalized=True)
         self.subs = {syms[k]: self._rhs[k] for k in self._order if k in self._rows}
 
@@ -273,15 +264,12 @@ class WeakReducer:
 
     def reduce_row(self, row):
         """A qq integer row (not necessarily primitive) reduced as `reduce`
-        reduces its affine Expr: each pivot column cleared by its pivot row,
-        over integers, with one gcd at the end."""
-        nums, den = row
-        for k, (p, d) in self._rows.items():
-            f = nums[k]
-            if f:
-                nums = [x * d - f * y for x, y in zip(nums, p)]
-                den *= d
-        return qq._primitive(nums, den)
+        reduces its affine Expr: each of its pivot columns cleared by its
+        pivot row (zero in every other pivot column), in one integer sum."""
+        entries, den = row
+        hits = [(x, self._rows[k]) for k, x in entries if k in self._rows]
+        big = lcm(*(d for _x, (_p, d) in hits))
+        return qq._combine([(big, entries)] + [(-x * (big // d), p) for x, (p, d) in hits], den * big)
 
 
 def _affine_row(e: Expr, syms):
@@ -365,7 +353,7 @@ def dirac_iterate(fos: FirstOrderSystem) -> DiracResult:
         for i, e in enumerate(prim_exprs)
     ]
     prim_rows = [c.row for c in constraints]
-    if len(qq.rref_rows([(nums[:-1], den) for nums, den in prim_rows], range(2 * n))) != len(prim_rows):
+    if len(qq.rref_rows(list(prim_rows), range(2 * n))) != len(prim_rows):
         raise DiracError("primary constraints are not independent")
     zetas = [table.register_fresh(f"zeta{i + 1}", "multiplier") for i in range(len(prim_exprs))]
     flags = []
@@ -373,12 +361,17 @@ def dirac_iterate(fos: FirstOrderSystem) -> DiracResult:
     reducer = WeakReducer(prim_rows, phase)
     qfield = quadratic_field(h, phase)
     field = hamilton_field(h, phase) if qfield is None else None
+    fields, coeff_rows = [], []  # each constraint's {c, H} and brackets with the primaries, taken once
     for _round in range(2 * n + 2):
+        new = [c.row for c in constraints[len(fields):]]
+        coeff_rows += _bracket_rows(new, prim_rows, n)
         if qfield is None:
-            brackets = [reducer.reduce(field_bracket(c.row[0], field, table) / c.row[1]) for c in constraints]
+            fields += [field_bracket(entries, field, table) / den for entries, den in new]
+            brackets = [reducer.reduce(b) for b in fields]
         else:
-            brackets = [reducer.reduce_row(row_field_bracket(c.row, qfield)) for c in constraints]
-        rows = _consistency_rows(constraints, brackets, prim_rows, n)
+            fields += [row_field_bracket(row, qfield) for row in new]
+            brackets = [reducer.reduce_row(b) for b in fields]
+        rows = _consistency_rows(coeff_rows, brackets, len(zetas))
         solved, residues = _eliminate(rows, zetas, table, syms)
         new_any = False
         tips = {c.chain: c for c in constraints}  # last write wins: discovery order
@@ -428,7 +421,7 @@ def _candidate(residue, reducer, syms, flags):
         if reducer.reduce(cand).is_zero():
             return None
         return cand, _affine_row(cand, syms)
-    if not any(residue[0][:-1]):
+    if residue[0][0][0] >= len(syms):  # an offset alone
         raise InconsistentTheory(f"consistency forces {_row_expr(residue, syms, table)} = 0; contradictory theory")
     if not any(reducer.reduce_row(residue)[0]):
         return None
@@ -436,73 +429,74 @@ def _candidate(residue, reducer, syms, flags):
 
 
 def _vanishes(residue):
-    return residue.is_zero() if isinstance(residue, Expr) else not any(residue[0])
+    return residue.is_zero() if isinstance(residue, Expr) else not residue[0]
 
 
-def _consistency_rows(constraints, brackets, prim_rows, n):
-    """One consistency row per constraint: const + sum(coeff_a zeta_a) = 0,
-    as (constraint index, coefficients, const); constraints whose row is zero
-    are skipped.
+def _bracket_rows(rows, others, n):
+    """Each row's brackets with `others` as a qq integer row over them, the
+    `qq.pairings` numerators over its denominator times the others' lcm."""
+    den = lcm(*(d for _v, d in others))
+    return [
+        (tuple((a, x * (den // others[a][1])) for a, x in sorted(pairs.items())), d * den)
+        for (_u, d), pairs in zip(rows, qq.pairings(rows, others, n))
+    ]
 
-    const is the constraint's weak-reduced bracket with H; each coeff_a is
-    the bracket of two affine rows, {c, prim_a}.  A bracket given as an Expr
-    gives Fraction coefficients and that Expr; one given as a qq integer row
-    over (z, 1) gives the qq integer row over (zeta_1..zeta_m, z, 1) of the
-    whole equation, its numerators as the coefficients and its denominator
-    as const.
-    """
+
+def _consistency_rows(coeff_rows, brackets, m):
+    """One consistency row per constraint, const + sum(coeff_a zeta_a) = 0, as
+    (constraint index, row) pairs, zero rows skipped.  coeff_rows[i] holds
+    constraint i's brackets with the m primaries as a qq row over the zetas,
+    and brackets[i] its weak-reduced bracket with H: an Expr gives the row
+    (coefficient row, Expr), a qq row over (z, 1) the one qq row over
+    (zeta_1..zeta_m, z, 1) of the whole equation."""
     rows = []
-    for idx, (c, const) in enumerate(zip(constraints, brackets, strict=True)):
+    for idx, (coeffs, const) in enumerate(zip(coeff_rows, brackets, strict=True)):
         if isinstance(const, Expr):
-            coeffs = [qq.row_bracket(c.row, p, n) for p in prim_rows]
-            if not (const.is_zero() and not any(coeffs)):
-                rows.append((idx, coeffs, const))
+            if coeffs[0] or not const.is_zero():
+                rows.append((idx, (coeffs, const)))
             continue
-        (u, du), (b, db) = c.row, const
-        dens = [du * d for _p, d in prim_rows]
-        den = lcm(db, *dens)
-        nums = [qq._pair(u, p, n) * (den // d) for (p, _), d in zip(prim_rows, dens)]
-        nums += [x * (den // db) for x in b]
-        if any(nums):
-            rows.append((idx, *qq._primitive(nums, den)))
+        (cs, dc), (b, db) = coeffs, const
+        den = lcm(dc, db)
+        entries = [(a, x * (den // dc)) for a, x in cs] + [(m + j, x * (den // db)) for j, x in b]
+        if entries:
+            rows.append((idx, qq._primitive(entries, den)))
     return rows
 
 
 def _eliminate(rows, zetas, table, syms=None):
     """Solve the affine multiplier system; returns ({zeta: Expr}, residues).
 
-    Rows come as `_consistency_rows` gives them, (source constraint index,
-    coefficients, const): Fraction coefficients with an Expr const, or the
-    numerators of a qq integer row over (zeta_1..zeta_m, syms..., 1) with its
-    denominator as const; such rows leave residues as qq integer rows over
+    Rows come as `_consistency_rows` gives them; a qq row over
+    (zeta_1..zeta_m, syms..., 1) leaves its residue as a qq row over
     (syms..., 1).  Gauss-Jordan over Q, pivoting on a unit coefficient first,
-    then on the earliest source row.  The pivot row divided by minus its pivot
-    is the solution; adding it f times to a row with coefficient f there
-    clears that multiplier, in the remaining rows and the earlier solutions at
-    once, so every solution ends up over the free multipliers only.  Residues
-    are (source index, zeta-free remainder) pairs for the rows whose
-    multiplier content was consumed.
+    then on the earliest source row.  The pivot row divided by minus its
+    pivot is the solution; adding it f times to a row with coefficient f
+    there clears that multiplier, in the remaining rows and the earlier
+    solutions at once, so every solution ends up over the free multipliers
+    only.  Residues are (source index, zeta-free remainder) pairs for the
+    rows whose multiplier content was consumed.
     """
     m = len(zetas)
 
     def coeff(row, col):
-        coeffs, const = row
-        return Fraction(coeffs[col], const) if isinstance(const, int) else coeffs[col]
+        coeffs = row if isinstance(row[1], int) else row[0]
+        x = qq.entry(coeffs, col)
+        return Fraction(x, coeffs[1]) if x else 0
 
     def add(x, c, y):  # x + c y
         if isinstance(x[1], int):
             return qq.row_add(x, c, y)
-        return [a + c * b for a, b in zip(x[0], y[0])], x[1] + c * y[1]
+        return qq.row_add(x[0], c, y[0]), x[1] + c * y[1]
 
     def div(x, c):  # x / c
         if isinstance(x[1], int):
             return qq.row_div(x, c)
-        return [a / c for a in x[0]], x[1] / c
+        return qq.row_div(x[0], c), x[1] / c
 
-    work = [(idx, (coeffs, const)) for idx, coeffs, const in rows]
+    work = list(rows)
     solutions = {}
     for col in range(m):
-        live = [k for k, (_idx, row) in enumerate(work) if row[0][col]]
+        live = [k for k, (_idx, row) in enumerate(work) if coeff(row, col)]
         if not live:
             continue
         k = min(live, key=lambda k: (abs(coeff(work[k][1], col)) != 1, work[k][0]))
@@ -514,17 +508,18 @@ def _eliminate(rows, zetas, table, syms=None):
                 solutions[col2] = add(row2, f, sol)
         solutions[col] = sol
     solved = {}
-    for col, (coeffs, const) in solutions.items():
-        coeffs = list(coeffs)
-        coeffs[col] = 0  # the solved multiplier's own -1
-        if isinstance(const, int):
-            solved[zetas[col]] = _row_expr((coeffs, const), zetas + syms, table)
+    for col, sol in solutions.items():
+        if isinstance(sol[1], int):  # less the solved multiplier's own -1
+            entries = tuple(e for e in sol[0] if e[0] != col)
+            solved[zetas[col]] = _row_expr((entries, sol[1]), zetas + syms, table)
             continue
-        for j, c in enumerate(coeffs):
-            if c:
-                const = const + c * Expr.sym(table, zetas[j])
+        (entries, den), const = sol
+        for j, x in entries:
+            if j != col:
+                const = const + Fraction(x, den) * Expr.sym(table, zetas[j])
         solved[zetas[col]] = const
-    residues = [(idx, (coeffs[m:], const) if isinstance(const, int) else const) for idx, (coeffs, const) in work]
+    shift = lambda row: (tuple((j - m, x) for j, x in row[0]), row[1])  # over (syms..., 1)
+    residues = [(idx, shift(row) if isinstance(row[1], int) else row[1]) for idx, row in work]
     return solved, residues
 
 
@@ -538,7 +533,7 @@ def classify(result: DiracResult) -> DiracResult:
     phase = result.phase
     cons = result.constraints
     m = len(cons)
-    gram = _gram_rows(cons, phase.n)
+    gram = _bracket_rows([c.row for c in cons], [c.row for c in cons], phase.n)
     kernel = _gram_kernel(gram, cons)
     f_count = len(kernel)
     s_count = m - f_count  # the rank of the Gram matrix
@@ -546,20 +541,20 @@ def classify(result: DiracResult) -> DiracResult:
         raise DiracError("second-class count came out odd; classification bug")
 
     # by generation, then by the first constraint a combination takes
-    kernel.sort(key=lambda vg: (vg[1], next(i for i, x in enumerate(vg[0][0]) if x)))
+    kernel.sort(key=lambda vg: (vg[1], vg[0][0][0][0]))
     syms = phase.z_order()
     first_reps = []
     for vec, gen in kernel:
         row = _combine_row(vec, cons)
-        first_reps.append(ClassRep(_row_expr(row, syms, phase.table), "first", gen, qq.from_row(vec), row))
+        first_reps.append(ClassRep(_row_expr(row, syms, phase.table), "first", gen, qq.from_row(vec, m), row))
     second_reps = [
         ClassRep(cons[j].expr, "second", cons[j].generation, [Fraction(k == j) for k in range(m)], cons[j].row)
         for j in _unit_complement([vec for vec, _gen in kernel], m, s_count)
     ]
-    rebased, fc_count, solved = _resolve_multipliers(result, kernel, first_reps)
+    rebased, fc_count, solved = _resolve_multipliers(result, gram, kernel, first_reps)
     classed = [
-        Constraint(c.expr, c.chain, c.generation, c.row, "second" if any(nums) else "first", c.name)
-        for c, (nums, _den) in zip(cons, gram)
+        Constraint(c.expr, c.chain, c.generation, c.row, "second" if entries else "first", c.name)
+        for c, (entries, _den) in zip(cons, gram)
     ]
     zetas = result.multiplier_symbols
     return DiracResult(
@@ -569,32 +564,12 @@ def classify(result: DiracResult) -> DiracResult:
     )
 
 
-def _gram_rows(cons, n):
-    """The bracket Gram matrix of the constraints, one qq integer row per
-    constraint: row a is the brackets {a, b} times a's denominator, the
-    `qq._pair` numerators over the lcm of the constraints' denominators.
-    The matrix is antisymmetric, so each pair is bracketed once."""
-    den = lcm(*(c.row[1] for c in cons))
-    scale = [den // c.row[1] for c in cons]
-    nums = [[0] * len(cons) for _ in cons]
-    for i, a in enumerate(cons):
-        for j in range(i + 1, len(cons)):
-            if x := qq._pair(a.row[0], cons[j].row[0], n):
-                nums[i][j], nums[j][i] = x * scale[j], -x * scale[i]
-    return [(row, den) for row in nums]
-
-
 def _combine_row(vec, cons):
     """The row of the combination of the constraints by the qq integer row
     `vec`, summed on integers over one denominator."""
-    nums, den = vec
-    terms = [(x, con.row) for x, con in zip(nums, cons) if x]
-    big = lcm(*(d for _x, (_u, d) in terms))
-    acc = [0] * len(cons[0].row[0])
-    for x, (u, d) in terms:
-        k = x * (big // d)
-        acc = [a + k * y for a, y in zip(acc, u)]
-    return qq._primitive(acc, den * big)
+    entries, den = vec
+    big = lcm(*(cons[b].row[1] for b, _x in entries))
+    return qq._combine([(x * (big // cons[b].row[1]), cons[b].row[0]) for b, x in entries], den * big)
 
 
 def _unit_complement(basis, m, k):
@@ -614,50 +589,47 @@ def _gram_kernel(gram, cons):
     """Kernel basis of the Gram matrix, given as qq integer rows (each any
     nonzero multiple of its row), one vector per free column of its RREF;
     returns (qq integer row scaled to a leading 1, generation of its
-    support) pairs.
-
-    A vector's support is its free column plus pivot columns left of it, so
-    it ends as early as the kernel allows: the basis is already in echelon
-    form over the reversed column order.
-    """
-    m = len(gram)
+    support) pairs.  A vector's support is its free column plus pivot
+    columns left of it, so it ends as early as the kernel allows."""
     g = list(gram)
-    pivots = qq.rref_rows(g, range(m))
+    pivots = qq.rref_rows(g, range(len(g)))
+    rows = {col: (dict(g[i][0]), g[i][1]) for col, i in pivots.items()}
     out = []
-    for free in range(m):
+    for free in range(len(g)):
         if free in pivots:
             continue
-        terms = [(col, g[i]) for col, i in pivots.items() if g[i][0][free]]
-        den = lcm(*(d for _col, (_nums, d) in terms))
-        v = [0] * m
-        v[free] = den
-        for col, (nums, d) in terms:
-            v[col] = -nums[free] * (den // d)
-        support = [i for i, c in enumerate(v) if c]
-        out.append((qq.row_div((v, den), Fraction(v[support[0]], den)), max(cons[i].generation for i in support)))
+        terms = [(col, entries[free], d) for col, (entries, d) in rows.items() if free in entries]
+        den = lcm(*(d for _col, _x, d in terms))
+        v = sorted([(free, den)] + [(col, -x * (den // d)) for col, x, d in terms])
+        out.append((qq.row_div((v, den), Fraction(v[0][1], den)), max(cons[i].generation for i, _x in v)))
     return out
 
 
-def _resolve_multipliers(result: DiracResult, kernel, first_reps):
+def _resolve_multipliers(result: DiracResult, gram, kernel, first_reps):
     """The multiplier system re-based on the classified primaries: returns
     (re-based primary Exprs, first-class count among them, {zeta: solution}).
 
     `kernel` holds the first-class combinations as (qq integer row,
     generation) pairs and `first_reps` their representatives, in one order.
     First-class primary combinations keep free multipliers; the rest are
-    solved uniquely.  Without first-class content the original primary basis
-    is kept untouched.
+    solved uniquely.  The coefficients are read off the Gram rows: a
+    first-class combination lies in the Gram kernel, so its bracket with
+    every constraint is zero, and a kept primary b's with constraint c is
+    gram[c] at b.
     """
     cons = result.constraints
     prim = [i for i, c in enumerate(cons) if c.generation == 1]
+    pos = {b: a for a, b in enumerate(prim)}
     prim_fc = [
-        (([nums[i] for i in prim], den), rep) for ((nums, den), _gen), rep in zip(kernel, first_reps)
-        if rep.generation == 1
+        ((tuple((pos[b], x) for b, x in entries), den), rep)
+        for ((entries, den), _gen), rep in zip(kernel, first_reps) if rep.generation == 1
     ]
     complement = _unit_complement([v for v, _rep in prim_fc], len(prim), len(prim) - len(prim_fc))
     rebased = [rep for _v, rep in prim_fc] + [cons[prim[j]] for j in complement]
 
-    rows = _consistency_rows(cons, result.h_brackets, [r.row for r in rebased], result.phase.n)
+    col = {prim[j]: a for a, j in enumerate(complement, start=len(prim_fc))}
+    coeff_rows = [(tuple((col[b], x) for b, x in entries if b in col), den) for entries, den in gram]
+    rows = _consistency_rows(coeff_rows, result.h_brackets, len(rebased))
     solved, residues = _eliminate(rows, result.multiplier_symbols, result.table, result.phase.z_order())
     for _idx, residue in residues:
         if not _vanishes(residue):

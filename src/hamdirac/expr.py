@@ -25,6 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
+from . import qq
 from .symbols import Symbol, SymbolTable
 
 CONST_MONO = ()
@@ -534,17 +535,17 @@ class Expr:
         return mk(const), {s: mk(p) for s, p in coeffs.items() if p}
 
     def affine_row(self, symbols) -> tuple:
-        """The qq integer row (nums, den) of an expression affine with
-        *constant* coefficients over `symbols`: nums holds the coefficients in
-        the order of `symbols`, then the offset.  Raises ExprError otherwise,
-        with the message `split_affine` and the checks after it give."""
+        """The qq integer row (entries, den) of an expression affine with
+        *constant* coefficients over `symbols`: its monomials relabelled, a
+        symbol's column its place in `symbols`, the offset's len(symbols).
+        Raises ExprError otherwise, as `split_affine` and the checks give."""
         if not self.is_polynomial():
             # a quotient is never affine with constant coefficients: say which part is not
             const, _coeffs = self.split_affine(symbols)
             raise ExprError("affine part has non-constant remainder" if not const.is_constant()
                             else "non-constant linear coefficient")
         at = {s.index: k for k, s in enumerate(symbols)}
-        nums = [0] * (len(symbols) + 1)
+        entries = []
         remainder = coefficient = False
         for m, c in self.num.items():
             hits = [e for i, e in m if i in at]
@@ -553,18 +554,18 @@ class Expr:
             if len(m) > len(hits):  # a factor outside `symbols`
                 coefficient, remainder = coefficient or bool(hits), remainder or not hits
             else:
-                nums[at[m[0][0]] if m else -1] = c
+                entries.append((at[m[0][0]] if m else len(symbols), c))
         if remainder:
             raise ExprError("affine part has non-constant remainder")
         if coefficient:
             raise ExprError("non-constant linear coefficient")
-        return nums, self.den[CONST_MONO]  # primitive: every coefficient of num is in it
+        return tuple(sorted(entries)), self.den[CONST_MONO]  # primitive: every coefficient of num is in it
 
     def linear_form(self, symbols) -> tuple:
         """As (constant_coefficients, offset), Fractions, for an expression
         affine with *constant* coefficients over `symbols`; raises otherwise."""
-        nums, den = self.affine_row(symbols)
-        return [Fraction(x, den) for x in nums[:-1]], Fraction(nums[-1], den)
+        *coeffs, offset = qq.from_row(self.affine_row(symbols), len(symbols) + 1)
+        return coeffs, offset
 
     # -- printing ---------------------------------------------------------------
 

@@ -10,6 +10,7 @@ byte-stable.
 from __future__ import annotations
 
 import json
+from itertools import repeat
 
 from . import qq
 from .chart import (
@@ -205,7 +206,7 @@ def _import_chart(an: Analysis) -> CanonicalChart:
         if (role, i) not in by_role:
             raise InputError(f"missing chart row {role}{i}")
     by_role = {key: by_role[key] for key in order}  # chart order
-    ok, violations, _ = verify_chart([qq.from_row(row)[:-1] for _sym, row in by_role.values()], mode="exact")
+    ok, violations, _ = verify_chart([qq.from_row(row, 2 * n) for _sym, row in by_role.values()], mode="exact")
     if not ok:
         i, k, delta = violations[0]
         raise InputError(f"supplied chart fails S^T J S = J (entry {i},{k} off by {delta})")
@@ -232,21 +233,10 @@ def _import_chart(an: Analysis) -> CanonicalChart:
 
 
 def _constraint_coordinates(cons, vectors, n):
-    """Each covector in `vectors` (qq integer rows) as its coefficients over
-    the constraints' (independent) covectors, or None outside their span: one
-    Gauss-Jordan elimination with one right-hand side per vector.  It runs on
-    the rows' numerators, so a coefficient comes scaled by a positive factor
-    (the vector's denominator over the constraint's): whether it is zero, and
-    its sign, are exact."""
-    m = len(cons)
-    covs = [c.row[0] for c in cons] + [v for v, _den in vectors]
-    system = [([cov[i] for cov in covs], 1) for i in range(2 * n)]
-    pivots = qq.rref_rows(system, range(m))
-    free = [nums for i, (nums, _den) in enumerate(system) if i not in pivots.values()]
-    return [
-        None if any(row[m + j] for row in free) else [system[pivots[c]][0][m + j] for c in range(m)]
-        for j in range(len(vectors))
-    ]
+    """Each covector in `vectors` (qq integer rows) as its Fraction
+    coefficients over the constraints' (independent) covectors, or None
+    outside their span; offsets are left out."""
+    return [None if x is None else [x[c] for c in range(len(cons))] for x in qq.solve([c.row for c in cons], vectors, 2 * n)]
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +337,7 @@ def build_report(an: Analysis, stage: str = "report") -> dict:
 
 
 def chart_to_json(chart: CanonicalChart, phase, table, source: str) -> dict:
+    strs = [[_frac_str(x, r.row[1]) for x in map(dict(r.row[0]).get, range(2 * phase.n + 1), repeat(0))] for r in chart.rows]
     return {
         "source": source,
         "z_order": [s.name for s in phase.z_order()],
@@ -356,11 +347,11 @@ def chart_to_json(chart: CanonicalChart, phase, table, source: str) -> dict:
                 "role": r.role,
                 "pair": r.pair,
                 "generation": r.generation,
-                "coeffs": [_frac_str(x, r.row[1]) for x in r.row[0][:-1]],
-                "offset": _frac_str(r.row[0][-1], r.row[1]),
+                "coeffs": s[:-1],
+                "offset": s[-1],
                 "expr": str(r.expr(table, phase)),
             }
-            for r in chart.rows
+            for r, s in zip(chart.rows, strs)
         ],
         "notes": list(chart.notes),
     }

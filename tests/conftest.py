@@ -65,8 +65,9 @@ L3_BLOCK = "(1/2)*({1} + d({2}) + d({3}))^2 + (1/2)*(d({4}) - d({2}))^2 + (1/2)*
 FAMILY_RATIONALS = [Fraction(s * a, b) for s in (1, -1) for a in (1, 2, 3) for b in (1, 2, 4) if a != b]
 
 
-def l3_family(kind, k, rng):
-    """k copies of L3: scaled blocks (gauge) or blocks coupled in a chain (coupled)."""
+def l3_family_source(kind, k, rng):
+    """(L, coordinate names) of k copies of L3: scaled blocks (gauge) or
+    blocks coupled in a chain (coupled)."""
     names = [f"x{b}_{i}" for b in range(1, k + 1) for i in range(1, 5)]
     terms = []
     for b in range(k):
@@ -74,7 +75,11 @@ def l3_family(kind, k, rng):
         terms.append(f"({rng.choice(FAMILY_RATIONALS)})*({block})" if kind == "gauge" else block)
         if kind == "coupled" and b:
             terms.append(f"({rng.choice(FAMILY_RATIONALS)})*x{b}_2*x{b + 1}_4")
-    return analyzed(" + ".join(terms), names)
+    return " + ".join(terms), names
+
+
+def l3_family(kind, k, rng):
+    return analyzed(*l3_family_source(kind, k, rng))
 
 
 def random_poly(table, symbols, rng, max_degree=3, terms=4, coeff_range=4):
@@ -98,6 +103,15 @@ def sympy_rank(vectors):
     import sympy
 
     return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in v] for v in vectors]).rank()
+
+
+def dense_solve(rows, rhs):
+    """`qq.solve` on a dense system rows . x = rhs of Fractions: the
+    particular solution as a dense list, or None when inconsistent."""
+    from hamdirac import qq
+
+    (x,) = qq.solve([qq.to_row(list(col)) for col in zip(*rows)], [qq.to_row(list(rhs))], len(rows))
+    return None if x is None else [x.get(k, Fraction(0)) for k in range(len(rows[0]))]
 
 
 def rng_for(name):

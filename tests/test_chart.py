@@ -19,7 +19,7 @@ from hamdirac.chart import CanonicalChart, ChartError, ChartRow, _bracket_deviat
 from hamdirac.expr import Expr
 from hamdirac.lagrangian import UnsupportedShape
 
-from conftest import FAMILY_RATIONALS, L3_SRC, analyzed, l3_family, random_poly, rng_for, sympy_rank
+from conftest import FAMILY_RATIONALS, L3_SRC, analyzed, dense_solve, l3_family, random_poly, rng_for, sympy_rank
 
 
 ALL = ["l1", "l2", "l3", "l4_ssok", "l4_pons"]
@@ -271,7 +271,8 @@ def test_verify_chart_float_matches_numpy_reference():
 def test_chart_rows_are_frozen_and_build_chart_repeats(l1, l3):
     # two builds on one classified result give equal rows and notes (the
     # second build's symbols are fresh, so they differ only in name) and
-    # leave the result as it was; a row and its derived lists cannot change
+    # leave the result as it was; a row cannot change, and the chart's
+    # matrix is a fresh list on every call
 
     def snapshot(res):
         rows = lambda rs: [((tuple(r.row[0]), r.row[1]), r.generation) for r in rs]
@@ -295,14 +296,13 @@ def test_chart_rows_are_frozen_and_build_chart_repeats(l1, l3):
         assert [r.name + "_" for r in first.rows] == [r.name for r in second.rows]
         assert first.notes == second.notes
         assert snapshot(res) == before
-        for r in first.rows:
-            assert isinstance(r.row[0], tuple)
+        for r, coeffs, offset in zip(first.rows, first.matrix(), first.offsets()):
+            assert isinstance(r.row[0], tuple) and all(isinstance(e, tuple) for e in r.row[0])
             with pytest.raises(AttributeError):
                 r.row = ((), 1)
-            with pytest.raises(AttributeError):
-                r.coeffs = []
-            r.coeffs.append(Fraction(1))
-            assert len(r.coeffs) == 2 * first.n and qq.to_row([*r.coeffs, r.offset]) == (list(r.row[0]), r.row[1])
+            assert len(coeffs) == 2 * first.n and qq.to_row([*coeffs, offset]) == r.row
+        first.matrix()[0].append(Fraction(1))
+        assert len(first.matrix()[0]) == 2 * first.n
 
 
 def test_chart_row_expr_of_non_primitive_row(l1):
@@ -311,12 +311,13 @@ def test_chart_row_expr_of_non_primitive_row(l1):
     t, fos, _res = l1
     z = fos.phase.z_order()
     dim = len(z)
-    for nums, den in [([2] + [0] * dim, 2), ([0, 6] + [0] * (dim - 2) + [-4], 4), ([0] * dim + [3], 3)]:
-        got = ChartRow("Q", 1, (nums, den), t.position(f"Y{nums[1]}{den}")).expr(t, fos.phase)
-        want = ChartRow("Q", 1, qq._primitive(nums, den), t.position(f"W{nums[1]}{den}")).expr(t, fos.phase)
+    for entries, den in [(((0, 2),), 2), (((1, 6), (dim, -4)), 4), (((dim, 3),), 3)]:
+        tag = f"{entries[0][0]}{den}"
+        got = ChartRow("Q", 1, (entries, den), t.position(f"Y{tag}")).expr(t, fos.phase)
+        want = ChartRow("Q", 1, qq._primitive(entries, den), t.position(f"W{tag}")).expr(t, fos.phase)
         assert got == want and hash(got) == hash(want)
         assert (list(got.num.items()), got.den) == (list(want.num.items()), want.den)
-    assert ChartRow("Q", 1, ([2] + [0] * dim, 2), t.position("Y")).expr(t, fos.phase) == Expr.sym(t, z[0])
+    assert ChartRow("Q", 1, (((0, 2),), 2), t.position("Y")).expr(t, fos.phase) == Expr.sym(t, z[0])
 
 
 def test_transform_constant(charts):
@@ -474,7 +475,7 @@ def test_frobenius_residuals_from_rows_without_reduction(monkeypatch, l1, l2, l3
         for i, q in enumerate(phase.positions):
             r = Expr.const(t, 0)
             for z, row in zip(zetas, fc_rows):
-                r = r - Expr.sym(t, z) * qq.from_row(row)[i]
+                r = r - Expr.sym(t, z) * qq.from_row(row, 2 * phase.n)[i]
             want.append((q.name, r))
         assert fr.residuals == want
         assert fr.verdict == all(r.is_zero() for _name, r in want)
@@ -557,7 +558,7 @@ def reference_chart(res):
     for a in range(len(psi)):
         rows = [grad(c) for c in psi] + [grad(v) for pair in theta for v in pair]
         rhs = [Fraction(int(b == a)) for b in range(len(psi))] + [Fraction(0)] * (2 * len(theta))
-        x = qq.solve(rows, rhs) + [Fraction(0)]
+        x = dense_solve(rows, rhs) + [Fraction(0)]
         for b in range(a):
             c = _pairing(xis[b], x, n)
             x = [xi - c * pi for xi, pi in zip(x, psi[b])]
@@ -579,7 +580,7 @@ def reference_chart(res):
                 qp.append((q, [c / _pairing(q, y, n) for c in y]))
                 break
 
-    assert psi == [qq.from_row(r.row) for r in res.first_class]
+    assert psi == [qq.from_row(r.row, 2 * n + 1) for r in res.first_class]
     row = lambda v: qq.to_row(v if len(v) > 2 * n else v + [Fraction(0)])
     return _assemble(res, [row(x) for x in xis], [(row(e), row(f)) for e, f in theta], [(row(q), row(p)) for q, p in qp])
 
@@ -609,13 +610,13 @@ def expr_sum_transform(e, chart):
     # S^-1 by Gauss-Jordan on [S | I], not by the closed form the chart map uses
     aug = [qq.to_row(list(row) + [Fraction(int(i == k)) for k in range(dim)]) for i, row in enumerate(s)]
     pivots = qq.rref_rows(aug, range(dim))
-    inv = [qq.from_row(aug[pivots[i]])[dim:] for i in range(dim)]
+    inv = [qq.from_row(aug[pivots[i]], 2 * dim)[dim:] for i in range(dim)]
     subs = {}
     for i, zi in enumerate(chart.phase.z_order()):
         acc = Expr.const(table, 0)
-        for c, row in zip(inv[i], chart.rows):
+        for c, row, offset in zip(inv[i], chart.rows, chart.offsets()):
             if c:
-                acc = acc + Expr.const(table, c) * (Expr.sym(table, row.symbol) - Expr.const(table, row.offset))
+                acc = acc + Expr.const(table, c) * (Expr.sym(table, row.symbol) - Expr.const(table, offset))
         subs[zi] = acc
     return e.substitute(subs)
 
@@ -655,7 +656,7 @@ def transform_then_bracket_correct(phase, layout, vectors, result):
             rhs = [-defect.diff(w).constant_value() for w in qp_syms]
             rows_sys.append([b.substitute(zero_qp).constant_value() for b in basis])
             rhs.append(-defect.substitute(zero_qp).constant_value())
-            alpha = qq.solve(rows_sys, rhs)
+            alpha = dense_solve(rows_sys, rhs)
         except ExprError:
             alpha = None
         if alpha is None:
@@ -688,9 +689,10 @@ def test_static_correct_matches_transform_then_bracket(monkeypatch):
         before = dict(rows)
         got, notes = real(rows, layout, result)
         assert rows == before and list(got) == list(rows)
-        vectors = {sym: qq.from_row(r) for sym, r in rows.items()}
+        size = 2 * result.phase.n + 1
+        vectors = {sym: qq.from_row(r, size) for sym, r in rows.items()}
         want, want_notes = transform_then_bracket_correct(result.phase, layout, vectors, result)
-        assert {sym: qq.from_row(r) for sym, r in got.items()} == want
+        assert {sym: qq.from_row(r, size) for sym, r in got.items()} == want
         assert notes == want_notes
         seen.append((got != rows, bool(notes)))
         return got, notes
@@ -784,11 +786,11 @@ def test_supplied_chart_span_checks_match_rank_oracle():
         same = lambda a, b: sympy_rank(a) == sympy_rank(b) == sympy_rank(a + b)
         psi = [cov[k] for k in sorted(cov) if k.startswith("Psi")]
         theta = [cov[k] for k in sorted(cov) if k.startswith("Th")]
-        if not same([qq.from_row(r.row)[:-1] for r in res.first_class], psi):
+        if not same([qq.from_row(r.row, len(z)) for r in res.first_class], psi):
             return "supplied Psi rows do not span the first-class constraints"
-        if not same([qq.from_row(c.row)[:-1] for c in res.constraints], psi + theta):
+        if not same([qq.from_row(c.row, len(z)) for c in res.constraints], psi + theta):
             return "supplied Psi/Theta rows do not span the constraint set"
-        prim = [qq.from_row(c.row)[:-1] for c in res.constraints if c.generation == 1]
+        prim = [qq.from_row(c.row, len(z)) for c in res.constraints if c.generation == 1]
         return [1 if sympy_rank(prim) == sympy_rank(prim + [v]) else 2 for v in psi]
 
     outcomes = []

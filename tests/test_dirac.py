@@ -315,7 +315,8 @@ def test_field_bracket_equals_poisson():
             x = Expr.const(t, offset)
             for c, z in zip(coeffs, slots):
                 x = x + Expr.sym(t, z) * c
-            assert field_bracket(coeffs + [offset], field, t) == poisson(x, h, phase)
+            entries = [(j, c) for j, c in enumerate(coeffs + [offset]) if c]
+            assert field_bracket(entries, field, t) == poisson(x, h, phase)
 
 
 def greedy_unit_complement(basis, m, k):
@@ -354,7 +355,7 @@ def test_unit_complement_matches_greedy_rank_loop():
                 basis.append(v)
         k = rng.randint(0, m - size)
         rows = [qq.to_row(v) for v in basis]
-        before = [(list(nums), den) for nums, den in rows]
+        before = list(rows)
         got = _unit_complement(rows, m, k)
         assert got == greedy_unit_complement(basis, m, k)
         assert rows == before  # the basis is not reduced in place
@@ -415,6 +416,7 @@ def eliminate_fixpoint(rows, zetas, table):
 def test_eliminate_matches_fixpoint_back_substitution():
     # seeded multiplier systems over Q: zero columns, unit and non-unit
     # pivots, and dependent rows whose constants disagree (nonzero residues)
+    from hamdirac import qq
     from hamdirac.dirac import _eliminate
 
     t, phase = phase2()
@@ -438,7 +440,7 @@ def test_eliminate_matches_fixpoint_back_substitution():
             else:
                 coeffs = [coeff() for _ in zetas]
             rows.append((idx, coeffs, random_poly(t, syms, rng, max_degree=1, terms=2)))
-        got = _eliminate(rows, zetas, t)
+        got = _eliminate([(idx, (qq.to_row(coeffs), const)) for idx, coeffs, const in rows], zetas, t)
         want = eliminate_fixpoint(rows, zetas, t)
         assert list(got[0].items()) == list(want[0].items())
         assert got[1] == want[1]
@@ -449,13 +451,14 @@ def test_eliminate_matches_fixpoint_back_substitution():
 def test_eliminate_prefers_a_unit_pivot():
     # rows 2*z + a and z + b: z pivots on the unit row 1 although row 0 is
     # earlier, so z = -b and row 0 keeps the residue a - 2*b
+    from hamdirac import qq
     from hamdirac.dirac import _eliminate
 
     t, phase = phase2()
     (q1, p1), _ = phase.pairs
     a, b = Expr.sym(t, q1), Expr.sym(t, p1)
     z = t.register_fresh("z1", "multiplier")
-    solved, residues = _eliminate([(0, [Fraction(2)], a), (1, [Fraction(1)], b)], [z], t)
+    solved, residues = _eliminate([(0, (qq.to_row([Fraction(2)]), a)), (1, (qq.to_row([Fraction(1)]), b))], [z], t)
     assert solved == {z: -b}
     assert residues == [(0, a - 2 * b)]
 
@@ -515,7 +518,7 @@ def _affine_row_sets(rng, n, count):
             if rows and kind < 0.25:
                 a, b = rng.choice(rows), rng.choice(rows)
                 fa, fb = Fraction(rng.randint(-2, 2), rng.randint(1, 2)), Fraction(rng.randint(-2, 2))
-                v = [fa * x + fb * y for x, y in zip(qq.from_row(a), qq.from_row(b))]
+                v = [fa * x + fb * y for x, y in zip(qq.from_row(a, 2 * n + 1), qq.from_row(b, 2 * n + 1))]
                 if kind < 0.05:
                     v[-1] += 1
             elif kind < 0.3:
@@ -531,6 +534,7 @@ def test_weak_reducer_extension_matches_fresh_build():
     # extending a reducer one row at a time keeps the RREF a fresh build over
     # the same rows would give: the same subs, key order included, and the
     # same InconsistentTheory; every row reduces to zero under the result
+    from hamdirac import qq
     from hamdirac.dirac import WeakReducer
 
     t = SymbolTable()
@@ -567,9 +571,9 @@ def test_weak_reducer_extension_matches_fresh_build():
             continue
         outcomes["consistent"] += 1
         assert not set(grown.subs) & {s for e in grown.subs.values() for s in e.free_symbols()}
-        for nums, den in rows:
-            expr = Expr(t, {((s.index, 1),): c for s, c in zip(syms, nums) if c}, {(): den})
-            assert grown.reduce(expr + Fraction(nums[-1], den)).is_zero()
+        for entries, den in rows:
+            expr = Expr(t, {((syms[j].index, 1),): c for j, c in entries if j < len(syms)}, {(): den})
+            assert grown.reduce(expr + Fraction(qq.entry((entries, den), len(syms)), den)).is_zero()
     assert min(outcomes.values()) > 20
 
 
@@ -664,13 +668,13 @@ def test_integer_path_matches_expr_path(monkeypatch):
         assert brackets == want.h_brackets
         assert list(res.multiplier_solutions.items()) == list(want.multiplier_solutions.items())
         assert res.flags == want.flags and res.free_multipliers == want.free_multipliers
-        assert [(r.name, r.coeffs, r.offset) for r in chart.rows] == [(r.name, r.coeffs, r.offset) for r in want_chart.rows]
+        assert [(r.name, r.row) for r in chart.rows] == [(r.name, r.row) for r in want_chart.rows]
         assert chart.notes == want_chart.notes
 
         reducer = WeakReducer([c.row for c in res.constraints], res.phase)
         field = hamilton_field(res.H, res.phase)
         for c, br in zip(res.constraints, brackets, strict=True):
-            assert br == reducer.reduce(field_bracket(qq.from_row(c.row), field, t))
+            assert br == reducer.reduce(field_bracket(c.row[0], field, t) / c.row[1])
         ht = res.total_hamiltonian()
         rules = {s.index: e for s, e in _chart_map(chart.phase, [(r.symbol, r.row) for r in chart.rows]).items()}
         got, ref_ht = transform(ht, chart), termwise_psubstitute(t, ht.num, rules, ht.den[()])
@@ -678,7 +682,7 @@ def test_integer_path_matches_expr_path(monkeypatch):
 
         seen["order2"] += order == 2
         seen["F>0"] += res.F > 0
-        seen["offset"] += any(c.row[0][-1] for c in res.constraints)
+        seen["offset"] += any(qq.entry(c.row, 2 * res.phase.n) for c in res.constraints)
         seen["static"] += any(r.role == "Xi" and r.generation > 1 for r in chart.rows)
     assert min(seen.values()) >= 2, seen
 
@@ -712,7 +716,7 @@ def test_rows_match_linear_forms_and_expr_brackets(l1, l2, l3, l4_ssok, l4_pons)
         items = res.constraints + res.first_class + res.second_class
         for item in items:
             coeffs, offset = item.expr.linear_form(z)
-            assert qq.from_row(item.row) == coeffs + [offset], item.expr
+            assert qq.from_row(item.row, len(z) + 1) == coeffs + [offset], item.expr
         reducer = WeakReducer([c.row for c in res.constraints], phase)
         for a in items:
             for b in items:

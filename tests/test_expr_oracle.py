@@ -161,8 +161,11 @@ def test_linear_form_matches_sympy(world):
         assert [sp.Rational(c.numerator, c.denominator) for c in row] == want
         assert sp.Rational(got_off.numerator, got_off.denominator) == poly.coeff_monomial(1)
         assert all(type(c) is Fraction for c in row) and type(got_off) is Fraction
-        nums, den = e.affine_row(syms)
-        assert [Fraction(x, den) for x in nums] == row + [got_off]
+        entries, den = e.affine_row(syms)
+        dense = [Fraction(0)] * (len(syms) + 1)
+        for j, x in entries:
+            dense[j] = Fraction(x, den)
+        assert dense == row + [got_off]
 
 
 def test_printed_form_parses_back(world):

@@ -30,6 +30,7 @@ q2: 2*zeta1.  Regenerate its goldens with
 for the stages analyze and report.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -79,6 +80,28 @@ def test_family_report_bytes_match_golden(system, extra, tmp_path):
     out = tmp_path / "out.json"
     assert main(["report", str(GOLDEN / f"{system}.sys"), *extra, "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / family_golden_name(system, extra)).read_bytes()
+
+
+# sha256 of `report` stdout on conftest.l3_family at k = 8 (32 coordinates),
+# drawn from rng_for(f"bytes:{kind}:8"): families whose rows are nearly
+# empty, past the size of the committed family goldens.
+SPARSE_FAMILY_DIGESTS = {
+    ("coupled", ()): "ab8c761bc1b62b7e32375af63e7c519047ff527e5ad5830e20e8363959fadc05",
+    ("gauge", ()): "83bb3ed1756b461dbd2c86438023b924a0de1cd86e8f4780b29f053c5874425c",
+    ("gauge", ("--gauge-fixing",)): "50db9d1b5b1a0ee18e95a78315df8aac6922c395427c1a019c030aadcbd6ef32",
+}
+
+
+@pytest.mark.parametrize("kind,extra", list(SPARSE_FAMILY_DIGESTS), ids=["coupled8", "gauge8", "gauge8-fixing"])
+def test_sparse_family_report_bytes_are_pinned(kind, extra, tmp_path, capsys):
+    from conftest import l3_family_source, rng_for
+
+    src, names = l3_family_source(kind, 8, rng_for(f"bytes:{kind}:8"))
+    path = tmp_path / f"{kind}8.sys"
+    path.write_text(f"system {kind}8\ncoordinates {' '.join(names)}\norder 1\nL = {src}\n", encoding="utf-8")
+    assert main(["report", str(path), *extra]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == SPARSE_FAMILY_DIGESTS[kind, extra]
 
 
 @pytest.mark.parametrize("stage", ["chart", "report"])

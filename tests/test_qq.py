@@ -56,7 +56,7 @@ def test_rref_matches_sympy_in_natural_and_permuted_order():
         for order in (list(range(cols)), rng.sample(range(cols), cols)):
             work = [qq.to_row(row) for row in m]
             pivots = qq.rref_rows(work, order)
-            work = [qq.from_row(row) for row in work]
+            work = [qq.from_row(row, cols) for row in work]
             want, want_pivots = to_sympy([[row[c] for c in order] for row in m]).rref()
             assert [order.index(c) for c in pivots] == list(want_pivots)
             # rows keep their index: pivot rows hold the reduced rows, the rest are zero
@@ -70,7 +70,7 @@ def test_rref_matches_sympy_in_natural_and_permuted_order():
 def test_rref_pivot_rule_first_unused_row():
     rows = [qq.to_row([Fraction(x) for x in row]) for row in ([0, 2], [3, 1], [3, 1])]
     assert qq.rref_rows(rows, [0, 1]) == {0: 1, 1: 0}
-    assert [qq.from_row(row) for row in rows] == [[0, 1], [1, 0], [0, 0]]
+    assert [qq.from_row(row, 2) for row in rows] == [[0, 1], [1, 0], [0, 0]]
     rows = [qq.to_row([Fraction(x) for x in row]) for row in ([0, 2], [3, 1])]
     assert qq.rref_rows(rows, [1, 0]) == {1: 0, 0: 1}
 
@@ -85,9 +85,10 @@ def test_solve_satisfies_or_reports_inconsistency():
             rhs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in m]
         a = to_sympy(m)
         consistent = a.rank() == a.row_join(to_sympy([[b] for b in rhs])).rank()
-        x = qq.solve(m, rhs)
+        (x,) = qq.solve([qq.to_row(list(col)) for col in zip(*m)], [qq.to_row(rhs)], len(m))
         assert (x is not None) == consistent
         if x is not None:
+            x = [x.get(k, Fraction(0)) for k in range(cols)]
             assert [sum(a * xi for a, xi in zip(row, x)) for row in m] == rhs
 
 
@@ -188,13 +189,16 @@ def test_integer_rows_round_trip():
     rng = random.Random("qq-rows")
     for _ in range(200):
         v = random_covector(rng, rng.randint(1, 9))
-        nums, den = qq.to_row(v)
-        assert den > 0 and all(isinstance(x, int) for x in nums)
-        assert math.gcd(den, *nums) == 1  # primitive: one row per vector
-        assert qq.from_row((nums, den)) == v
+        entries, den = row = qq.to_row(v)
+        # the nonzeros, as (column, int) pairs in increasing column order
+        assert type(entries) is tuple and [j for j, _x in entries] == [j for j, x in enumerate(v) if x]
+        assert den > 0 and all(type(x) is int and x for _j, x in entries)
+        assert math.gcd(den, *(x for _j, x in entries)) == 1  # primitive: one row per vector
+        assert qq.from_row(row, len(v)) == v and qq.from_row(row, len(v) + 2) == v + [0, 0]
+        assert hash(row) == hash(qq.to_row(list(v)))
         c = Fraction(rng.choice((-3, -1, 2, 5)), rng.randint(1, 4))
-        assert qq.from_row(qq.row_div((nums, den), c)) == [x / c for x in v]
-        assert qq.row_div((nums, den), c)[1] > 0
+        assert qq.from_row(qq.row_div(row, c), len(v)) == [x / c for x in v]
+        assert qq.row_div(row, c)[1] > 0
 
 
 def test_integer_bracket_and_projection_match_fractions():
@@ -211,7 +215,7 @@ def test_integer_bracket_and_projection_match_fractions():
         e, f = u, [c / br for c in v]  # <e, f> = 1
         a, b = pairing(x, f, n), pairing(x, e, n)
         want = [xi - a * ei + b * fi for xi, ei, fi in zip(x, e, f)]
-        got = qq.from_row(qq.row_project(qq.to_row(x), qq.to_row(e), qq.to_row(f), n))
+        got = qq.from_row(qq.row_project(qq.to_row(x), qq.to_row(e), qq.to_row(f), n), 2 * n)
         assert got == want
         assert pairing(got, e, n) == 0 and pairing(got, f, n) == 0
 
@@ -228,5 +232,5 @@ def test_row_add_matches_fractions():
         x, y = random_covector(rng, size), random_covector(rng, size)
         c = Fraction(rng.randint(-5, 5), rng.randint(1, 6))
         got = qq.row_add(qq.to_row(x), c, qq.to_row(y))
-        assert qq.from_row(got) == [a + c * b for a, b in zip(x, y)]
-        assert got[1] > 0 and math.gcd(got[1], *got[0]) == 1
+        assert qq.from_row(got, size) == [a + c * b for a, b in zip(x, y)]
+        assert got[1] > 0 and math.gcd(got[1], *(v for _j, v in got[0])) == 1

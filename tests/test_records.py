@@ -30,8 +30,8 @@ def frozen_cases():
     return [
         (Symbol, SYMBOL_FIELDS, ("q1", 0, "position", "q1", 0)),
         (Symbol, SYMBOL_FIELDS, ("zeta1", 7, "multiplier", None, 0)),
-        (ChartRow, CHART_ROW_FIELDS, ("Psi", 1, ((0, 1, -2), 3), sym, 2)),
-        (ChartRow, CHART_ROW_FIELDS, ("Q", 2, ((1, 0, 0), 1), sym, None)),
+        (ChartRow, CHART_ROW_FIELDS, ("Psi", 1, (((1, 1), (2, -2)), 3), sym, 2)),
+        (ChartRow, CHART_ROW_FIELDS, ("Q", 2, (((0, 1),), 1), sym, None)),
     ]
 
 
@@ -65,8 +65,9 @@ def test_symbol_rebuilt_from_its_fields_finds_the_same_dict_entry():
 
 def test_chart_row_keeps_its_row_as_tuples():
     sym = Symbol("P1", 3, "momentum")
-    row = ChartRow("P", 1, ([0, 1, 0], 2), sym)
-    assert row.row == ((0, 1, 0), 2) and row == ChartRow("P", 1, ((0, 1, 0), 2), sym)
+    row = ChartRow("P", 1, ([(1, 1)], 2), sym)
+    assert row.row == (((1, 1),), 2) and row == ChartRow("P", 1, (((1, 1),), 2), sym)
+    assert hash(row) == hash(ChartRow("P", 1, (((1, 1),), 2), sym))
 
 
 def list_and_dict_defaults():
