@@ -26,8 +26,8 @@ import numbers
 from fractions import Fraction
 
 from . import qq
-from .dirac import DiracResult, DiracError, _row_expr, field_bracket, hamilton_field, quadratic_field, row_field_bracket
-from .expr import Expr, ExprError
+from .dirac import DiracResult, DiracError, field_bracket, hamilton_field, quadratic_field, row_field_bracket
+from .expr import Expr, ExprError, _row_expr
 from .lagrangian import PhaseSpace
 from .symbols import _Frozen, _Record
 

@@ -41,7 +41,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import qq
-from .expr import Expr, ExprError, _pgcd, _plead
+from .expr import Expr, ExprError, _pgcd, _plead, _row_expr
 from .lagrangian import FirstOrderSystem, PhaseSpace, UnsupportedShape
 from .symbols import _Frozen
 
@@ -190,14 +190,6 @@ def row_field_bracket(row, qfield):
     """{X, h} as a qq integer row over (z, 1) for X given by a qq integer
     `row` over (z, 1) and h's `quadratic_field`."""
     return qq._combine([(x, qfield[0][k]) for k, x in row[0] if k < len(qfield[0])], row[1] * qfield[1])
-
-
-def _row_expr(row, syms, table) -> Expr:
-    """The affine Expr of a qq integer row over (syms..., 1): its entries
-    relabelled as monomials, made primitive by one gcd."""
-    entries, den = qq._primitive(*row)
-    poly = {((syms[j].index, 1),) if j < len(syms) else (): x for j, x in entries}
-    return Expr(table, poly, {(): den}, _normalized=True)
 
 
 class WeakReducer:

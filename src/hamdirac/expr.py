@@ -143,23 +143,13 @@ def _pvars(a):
     return vs
 
 
-def _pdiff(a, idx):
-    out = {}
+def _pgrad(a, idxs):
+    """{idx: the derivative of a in idx} for each of idxs, in one pass over a."""
+    out = {i: {} for i in idxs}
     for m, c in a.items():
         for k, (i, e) in enumerate(m):
-            if i == idx:
-                nm = list(m)
-                if e == 1:
-                    del nm[k]
-                else:
-                    nm[k] = (i, e - 1)
-                nm = tuple(nm)
-                s = out.get(nm, 0) + c * e
-                if s:
-                    out[nm] = s
-                else:
-                    out.pop(nm, None)
-                break
+            if i in out:  # distinct monomials have distinct derivatives
+                out[i][m[:k] + ((i, e - 1),) * (e > 1) + m[k + 1 :]] = c * e
     return out
 
 
@@ -461,12 +451,19 @@ class Expr:
     # -- calculus ------------------------------------------------------------
 
     def diff(self, s: Symbol) -> "Expr":
-        dn = _pdiff(self.num, s.index)
+        dn = _pgrad(self.num, (s.index,))[s.index]
         if self.is_polynomial():
             return Expr(self.table, *_over(dn, self.den[CONST_MONO]), _normalized=True)
-        dd = _pdiff(self.den, s.index)
+        dd = _pgrad(self.den, (s.index,))[s.index]
         num = _padd(_pmul(dn, self.den), _pmul(self.num, dd), 1, -1)
         return Expr(self.table, num, _pmul(self.den, self.den))
+
+    def gradient(self, symbols) -> list:
+        """[self.diff(s) for s in symbols], a polynomial's in one pass over its monomials."""
+        if not self.is_polynomial():
+            return [self.diff(s) for s in symbols]
+        grad, d = _pgrad(self.num, [s.index for s in symbols]), self.den[CONST_MONO]
+        return [Expr(self.table, *_over(grad[s.index], d), _normalized=True) for s in symbols]
 
     def substitute(self, rules: dict) -> "Expr":
         """Simultaneous substitution Symbol -> Expr, then normalization.
@@ -576,6 +573,15 @@ class Expr:
         return f"({_pstr(self.table, self.num, lead)})/({_pstr(self.table, self.den, lead)})"
 
     __repr__ = __str__
+
+
+def _row_expr(row, syms, table) -> Expr:
+    """The affine Expr of a qq integer row over (syms..., 1), the inverse of
+    `Expr.affine_row`: its entries relabelled as monomials, made primitive
+    by one gcd."""
+    entries, den = qq._primitive(*row)
+    poly = {((syms[j].index, 1),) if j < len(syms) else (): x for j, x in entries}
+    return Expr(table, poly, {(): den}, _normalized=True)
 
 
 def _check_acyclic(rules):

@@ -5,13 +5,21 @@ constraint extraction, the counter-term that strips accelerations from a
 Newton-compatible second-order Lagrangian, and the two standard first-order
 rewritings of a second-order system (auxiliary-coordinate pair per original
 coordinate, with or without explicit multipliers).
+
+When every momentum dL/dv_i is affine in (q, v) with constant coefficients
+(a polynomial L whose monomials holding a velocity have degree <= 2), the
+Legendre map is a constant kinetic matrix: its momentum system is read off
+L as qq integer rows and reduced by `qq.rref_rows`.  Any other L (a kinetic
+matrix in q, a momentum not affine in q, a rational momentum) is eliminated
+on Exprs by `linalg.solve_linear`, with the same pivots.
 """
 
 from __future__ import annotations
 
 import re
 
-from .expr import Expr, ExprError
+from . import qq
+from .expr import Expr, ExprError, _row_expr
 from .linalg import ExprMatrix, solve_linear
 from .symbols import Symbol, SymbolTable, _Record
 
@@ -73,12 +81,9 @@ class FirstOrderSystem(_Record):
         self.momentum_defs = momentum_defs  # momentum Symbol -> defining Expr in (q, v); absent for alias momenta
 
 
-def _momentum_name(table: SymbolTable, coord: Symbol) -> str:
+def _momentum_name(coord: Symbol) -> str:
     m = re.fullmatch(r"q(\d+)", coord.name)
-    name = f"p{m.group(1)}" if m else f"p_{coord.name}"
-    while name in table:
-        name = name + "_"
-    return name
+    return f"p{m.group(1)}" if m else f"p_{coord.name}"
 
 
 def kinetic_matrix(sys: LagrangianSystem) -> ExprMatrix:
@@ -95,51 +100,28 @@ def legendre(sys: LagrangianSystem, pivot_log: list | None = None) -> FirstOrder
 
     Momenta are p_i = dL/dv_i; solvable velocities are eliminated, and each
     unsolvable momentum row yields one primary constraint (the leftover
-    equation of the momentum system).  H comes out velocity-free.
+    equation of the momentum system).  H comes out velocity-free.  Velocities
+    are solved highest-indexed first, each from the latest momentum row that
+    holds it: the free section then lives on the earliest velocities (set to
+    0) and the earliest redundant momentum rows carry the primaries.  A
+    repeat call returns the momenta the first one registered.
     """
     if sys.order != 1:
         raise MechanicsError("legendre expects a first-order system; reduce first")
     table = sys.table
     vels = sys.velocity_symbols()
+    high = {i for m in sys.L.num for i, e in m if e > 2}  # one pass over L, not one per velocity
     for v in vels:
-        if sys.L.degree_in(v) > 2:
+        if v.index in high and sys.L.degree_in(v) > 2:
             raise UnsupportedShape(f"L is super-quadratic in {v}; momentum not affine in velocities")
 
-    momenta = {}
-    for c in sys.coords:
-        momenta[c] = table.register(_momentum_name(table, c), "momentum")
-    phase = PhaseSpace(table, tuple((c, momenta[c]) for c in sys.coords))
-
-    # momentum definitions for genuine velocities: p_i = b_i + sum_j A_ij v_j
+    momenta = {c: table.register_fresh(_momentum_name(c), "momentum") for c in sys.coords}
+    phase = PhaseSpace(table, tuple(momenta.items()))
     genuine = sys.genuine_coords()
-    defs = {}
-    b = []
-    a_rows = []
-    for c in genuine:
-        v = table.velocity(c)
-        p_def = sys.L.diff(v)
-        defs[momenta[c]] = p_def
-        try:
-            bi, coeffs = p_def.split_affine(vels)
-        except ExprError as exc:
-            raise UnsupportedShape(f"momentum of {c} not affine in velocities: {exc}") from exc
-        b.append(bi)
-        a_rows.append([coeffs.get(v2, Expr.const(table, 0)) for v2 in vels])
-
-    primaries = []
-    subs = {}
-    if genuine:
-        # Solve highest-indexed velocities first, preferring the latest
-        # momentum row per velocity: the free section then lives on the
-        # earliest velocities and the earliest redundant momentum rows carry
-        # the primary constraints.
-        rev = list(reversed(range(len(vels))))
-        a = ExprMatrix.from_rows([[row[j] for j in rev] for row in a_rows])
-        rhs = [Expr.sym(table, momenta[c]) - b[i] for i, c in enumerate(genuine)]
-        sol = solve_linear(a, rhs, pivot_log=pivot_log)
-        primaries = list(sol.witnesses)
-        for k, j in enumerate(rev):
-            subs[vels[j]] = sol.particular[k]
+    # momentum definitions for genuine velocities: p_i = b_i + sum_j A_ij v_j
+    defs = dict(zip((momenta[c] for c in genuine), sys.L.gradient(vels)))
+    solved = _row_solve(defs, vels, phase)
+    primaries, subs = solved or _expr_solve(genuine, defs, vels, phase, pivot_log)
 
     h = Expr.const(table, 0)
     for c in sys.coords:
@@ -153,6 +135,59 @@ def legendre(sys: LagrangianSystem, pivot_log: list | None = None) -> FirstOrder
     if leftover:
         raise MechanicsError(f"internal: H kept velocity symbols {leftover}")
     return FirstOrderSystem(phase, h, primaries, defs, source=sys)
+
+
+def _row_solve(defs: dict, vels, phase: PhaseSpace):
+    """(primaries, velocity solution) of the momentum equations dL/dv_i - p_i
+    = 0 as qq integer rows over (vels in reverse, z, 1); None unless each is
+    affine in (q, v) with constant coefficients, as when L is a polynomial
+    whose monomials holding a velocity have degree <= 2.  `qq.rref_rows` gets
+    the rows last first, so its first unused row is `solve_linear`'s last
+    eligible one.  A pivot row reads v + (free velocities) + rest = 0, and a
+    leftover row is its primary times the primary's momentum coefficient."""
+    nv, table, syms = len(vels), phase.table, phase.z_order()
+    col = {v.index: nv - 1 - k for k, v in enumerate(vels)}
+    col.update((s.index, nv + k) for k, s in enumerate(syms))
+    system = []
+    for p, d in reversed(defs.items()):
+        if not d.is_polynomial() or any(len(m) > 1 or m and (m[0][1] > 1 or m[0][0] not in col) for m in d.num):
+            return None
+        row = [(col[m[0][0]] if m else len(col), a) for m, a in d.num.items()] + [(col[p.index], -d.den[()])]
+        system.append((tuple(sorted(row)), d.den[()]))
+    pivots = qq.rref_rows(system, range(nv))
+    used = set(pivots.values())
+
+    def tail(r, k, den):  # k times row r's (z, 1) part, over den
+        return _row_expr((tuple((j - nv, k * x) for j, x in system[r][0] if j >= nv), den), syms, table)
+
+    solved = {vels[nv - 1 - c]: tail(r, -1, system[r][1]) for c, r in pivots.items()}
+    leftover = [(r, qq.entry(system[r], col[p.index])) for r, p in zip(reversed(range(nv)), defs) if r not in used]
+    primaries = [tail(r, 1 if x > 0 else -1, abs(x)) for r, x in leftover]
+    return primaries, {v: solved.get(v, Expr.const(table, 0)) for v in reversed(vels)}
+
+
+def _expr_solve(genuine, defs: dict, vels, phase: PhaseSpace, pivot_log):
+    """(primaries, velocity solution) by `solve_linear` on Exprs, its columns
+    the velocities in reverse.  A value affine with constant coefficients is
+    rebuilt from its row, so it has `_row_solve`'s dict order."""
+    table, syms = phase.table, phase.z_order()
+    a_rows, rhs = [], []
+    for c, (p, p_def) in zip(genuine, defs.items()):
+        try:
+            b, coeffs = p_def.split_affine(vels)
+        except ExprError as exc:
+            raise UnsupportedShape(f"momentum of {c} not affine in velocities: {exc}") from exc
+        a_rows.append([coeffs.get(v, Expr.const(table, 0)) for v in reversed(vels)])
+        rhs.append(Expr.sym(table, p) - b)
+    sol = solve_linear(ExprMatrix.from_rows(a_rows), rhs, pivot_log=pivot_log)
+
+    def as_row(e):
+        try:
+            return _row_expr(e.affine_row(syms), syms, table)
+        except ExprError:
+            return e
+
+    return [as_row(w) for w in sol.witnesses], {v: as_row(x) for v, x in zip(reversed(vels), sol.particular)}
 
 
 def _acceleration_decomposition(sys: LagrangianSystem):

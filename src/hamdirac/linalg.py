@@ -1,9 +1,10 @@
 """Matrices over the rational-function field: rank, kernel, linear solving.
 
 These serve the step whose entries may be non-constant: the Legendre
-velocity solve (its leftover rows become the primary constraints).  A
-constant matrix is eliminated over Fractions in the same loop and pivot
-order, with only the right-hand sides as expressions.
+velocity solve of a kinetic matrix that depends on q, or of momenta that
+are not affine with constant coefficients (its leftover rows become the
+primary constraints).  A constant kinetic matrix never reaches it:
+`lagrangian.legendre` reduces that on `qq` integer rows.
 `solve_linear` is the one elimination here: the rank and the kernel are read
 off its solution of A x = 0.  Constant-coefficient elimination, the primary
 constraints' independence check included, lives in `qq`; the multiplier
@@ -100,28 +101,23 @@ def solve_linear(a: ExprMatrix, b: list, pivot_log: list | None = None) -> Linea
     if table is None:
         raise LinalgError("empty system without context")
     zero = Expr.const(table, 0)
-    # a constant A (every quadratic L's kinetic matrix) is held as Fractions,
-    # so only the right-hand sides are Exprs
-    const = all(e.is_constant() for row in a.entries for e in row)
-    entries = [[e.constant_value() for e in row] for row in a.entries] if const else a.entries
-    rows = [entries[i] + [b[i]] for i in range(a.rows)]
-    nonzero = bool if const else (lambda e: not e.is_zero())
+    rows = [a.entries[i] + [b[i]] for i in range(a.rows)]
     n = a.cols
     pivot_of_col = {}
     used_rows = set()
     for col in range(n):
-        piv = next((i for i in reversed(range(a.rows)) if i not in used_rows and nonzero(rows[i][col])), None)
+        piv = next((i for i in reversed(range(a.rows)) if i not in used_rows and not rows[i][col].is_zero()), None)
         if piv is None:
             continue
         pivot_of_col[col] = piv
         used_rows.add(piv)
         p = rows[piv][col]
-        if pivot_log is not None and not const and not p.is_constant():
+        if pivot_log is not None and not p.is_constant():
             pivot_log.append(p)
         inv = 1 / p
         rows[piv] = [e * inv for e in rows[piv]]
         for i in range(a.rows):
-            if i == piv or not nonzero(rows[i][col]):
+            if i == piv or rows[i][col].is_zero():
                 continue
             f = rows[i][col]
             rows[i] = [rows[i][j] - f * rows[piv][j] for j in range(n + 1)]
@@ -134,7 +130,7 @@ def solve_linear(a: ExprMatrix, b: list, pivot_log: list | None = None) -> Linea
         v = [zero] * n
         v[fc] = Expr.const(table, 1)
         for col, i in pivot_of_col.items():
-            v[col] = Expr.const(table, -rows[i][fc]) if const else -rows[i][fc]
+            v[col] = -rows[i][fc]
         kernel.append(v)
     witnesses, witness_rows = [], []
     for i in range(a.rows):

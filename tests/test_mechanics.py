@@ -181,9 +181,9 @@ def test_ssok_pons_dof_cross_check():
 
 
 def _expr_only_solve_linear(a, b, pivot_log=None):
-    """`linalg.solve_linear` as it was before a constant A was held as
-    Fractions: every entry an Expr (witnesses and particular solution only),
-    each column pivoting on the last eligible row."""
+    """The all-Expr elimination of `linalg.solve_linear`, written out here:
+    every entry an Expr (witnesses and particular solution only), each column
+    pivoting on the last eligible row."""
     table = b[0].table
     rows = [a.row(i) + [b[i]] for i in range(a.rows)]
     n = a.cols
@@ -212,9 +212,10 @@ def _expr_only_solve_linear(a, b, pivot_log=None):
 
 
 def test_legendre_matches_expr_only_elimination(monkeypatch):
-    # a constant kinetic matrix is eliminated over Fractions; H, the
+    # a constant kinetic matrix is reduced on qq integer rows; H, the
     # primaries, the momentum definitions and the pivot log must be the
-    # all-Expr elimination's, down to dict key order
+    # all-Expr elimination's, down to dict key order.  The reference run
+    # turns the integer path off, so every case takes the Expr elimination.
     import hamdirac.lagrangian as lagrangian
     from conftest import random_quadratic_lagrangian
 
@@ -242,12 +243,25 @@ def test_legendre_matches_expr_only_elimination(monkeypatch):
         names = [f"q{j}" for j in range(1, rng.randint(1, 3 if order == 1 else 2) + 1)]
         for path in (None,) if order == 1 else ("ssok", "pons"):
             cases.append((random_quadratic_lagrangian(rng, names, order), names, order, path))
+    row_solve, on_rows = lagrangian._row_solve, []
+
+    def spy(*args):
+        out = row_solve(*args)
+        on_rows.append(out is not None)
+        return out
+
     saw_log = False
     for case in cases:
-        got = run(*case)
         with monkeypatch.context() as m:
+            m.setattr(lagrangian, "_row_solve", spy)
+            got = run(*case)
+        with monkeypatch.context() as m:
+            m.setattr(lagrangian, "_row_solve", lambda *args: None)
             m.setattr(lagrangian, "solve_linear", _expr_only_solve_linear)
             want = run(*case)
         assert got == want, case
         saw_log = saw_log or bool(got[3])
     assert saw_log
+    # both paths were compared: the hand cases' q-dependent kinetic matrices
+    # take the Expr elimination, every random quadratic L the integer rows
+    assert on_rows == [False, False] + [True] * (len(cases) - 2)

@@ -1,7 +1,8 @@
 """The record classes: frozen ones behave as values, and no two records share a
 list or dict default.  The Dirac stage's results are values too:
 `dirac_iterate` and `classify` return new frozen records and change nothing
-they are given."""
+they are given, and a repeat `legendre` returns the momenta, H and primaries
+of the first call without registering a symbol."""
 
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -15,7 +16,7 @@ from hamdirac.chart import CanonicalChart, ChartError, ChartRow, build_chart, fr
 from hamdirac.dirac import DiracResult
 from hamdirac.embedding import EmbeddingError, EmbeddingPlan, select_embedding
 from hamdirac.expr import Expr
-from hamdirac.lagrangian import LagrangianSystem, PhaseSpace
+from hamdirac.lagrangian import LagrangianSystem, PhaseSpace, legendre
 from hamdirac.linalg import LinearSolution
 from hamdirac.report import Analysis, PipelineOptions, build_report, report_json, run_pipeline
 from hamdirac.symbols import Symbol, _Record
@@ -169,6 +170,28 @@ def test_dirac_stage_returns_frozen_values_and_changes_no_input(path, order2_pat
                 delattr(record, name)
     for record in (*out.constraints, *out.first_class, *out.second_class):
         assert hash(record) == hash(type(record)(*(getattr(record, k) for k in type(record).__slots__)))
+
+
+@pytest.mark.parametrize("path,order2_path", STAGE_CASES, ids=[f"{p.stem}-{o}" for p, o in STAGE_CASES])
+def test_repeat_legendre_reuses_its_momenta(path, order2_path):
+    # a repeat registers nothing: the same momenta, names included, and equal
+    # H, primaries and momentum definitions
+    an = analyzed_case(path, order2_path)
+    size = len(an.table)
+    again = legendre(an.reduced)
+    assert again.phase.pairs == an.fos.phase.pairs and len(an.table) == size
+    assert not any(p.name.endswith("_") for p in again.phase.momenta)
+    assert (again.H, again.primaries, again.momentum_defs) == (an.fos.H, an.fos.primaries, an.fos.momentum_defs)
+
+
+def test_repeat_legendre_still_steps_past_a_coordinate_name():
+    table = SymbolTable()
+    coords = (table.position("q1"), table.position("p1"))
+    system = LagrangianSystem(table, coords, 1, parse_expr("d(q1)*d(p1) + q1*p1", table))
+    first, size = legendre(system), len(table)
+    again = legendre(system)
+    assert [p.name for p in first.phase.momenta] == ["p1_", "p_p1"]
+    assert again.phase.pairs == first.phase.pairs and len(table) == size and again.H == first.H
 
 
 @pytest.mark.parametrize("path,order2_path", STAGE_CASES[:1] + STAGE_CASES[5:8], ids=lambda v: getattr(v, "stem", v))
