@@ -44,7 +44,7 @@ from fractions import Fraction
 
 from .dirac import BudgetExceeded, DiracError, InconsistentTheory
 from .embedding import EmbeddingError, GaugeError
-from .expr import ExprError
+from .expr import Expr, ExprError
 from .lagrangian import MechanicsError, UnsupportedShape
 from .linalg import LinalgError
 from .numerics import NumericsError, compile_field, solve_iota
@@ -254,8 +254,6 @@ def reduced_hamiltonian(an: Analysis):
     """Pulled-back Hamiltonian on the surviving (Q, P) block, epsilons applied."""
     pb = an.pullback
     table = an.table
-    from .expr import Expr
-
     h = -(pb.minus_h)
     if pb.eps_values:
         h = h.substitute({e: Expr.const(table, v) for e, v in pb.eps_values.items()})

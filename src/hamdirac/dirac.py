@@ -19,10 +19,13 @@ extended by each accepted row; the last round's brackets are kept.
 
 When H has degree <= 2 in z = (q, p), its field is one sparse integer matrix
 (`quadratic_field`): a bracket is a constraint's row times that matrix,
-reduced by the reducer's pivot rows (`reduce_row`), and the multiplier
-system is one integer row per constraint.  Otherwise the field is a list of
-Exprs (`hamilton_field`), brackets are reduced by substitution and the
-system's right-hand sides are Exprs.  `_eliminate` serves both.
+reduced by the reducer's pivot rows (`reduce_row`), and it is the tail of
+its constraint's row over (zeta, z, 1).  Otherwise the field is a list of
+Exprs (`hamilton_field`), brackets are reduced by substitution, and
+constraint i's bracket enters its row as a tag, a 1 in tail column i, which
+`_eliminate` reads back as the bracket once it has solved.  Either way the
+multiplier system is one qq integer row per constraint, eliminated on
+integers.
 
 Classification re-bases the constraint set on the kernel of the bracket Gram
 matrix, so first-class representatives are genuine gauge directions and the
@@ -202,8 +205,9 @@ class WeakReducer:
     vanishing expression reduces to the exact zero normal form.
 
     Built once by `qq.rref_rows`; `extend` adds one row in O(mn).  An RREF over a
-    fixed column order is unique, so `subs` is then a fresh build's, dict
-    order included.
+    fixed column order is unique, so the pivot rows are then a fresh build's.
+    They are all it keeps: `reduce` reads its substitution rules off them
+    once per extension, so reducing rows alone builds no Expr.
     """
 
     def __init__(self, rows, phase: PhaseSpace):
@@ -221,8 +225,7 @@ class WeakReducer:
                 raise DiracError("internal: affine reduction left an unpivoted row")
             raise InconsistentTheory("constraint set has no common solution")
         self._rows = {k: work[i] for k, i in pivots.items()}
-        self._rhs = {}
-        self._update(self._rows)
+        self._subs = None
 
     def extend(self, row):
         """Add one constraint row: reduce it by the pivot rows, scale it to a
@@ -237,22 +240,14 @@ class WeakReducer:
         changed = {j: qq.row_add(p, Fraction(-x, p[1]), row) for j, p in self._rows.items() if (x := qq.entry(p, k))}
         changed[k] = row
         self._rows.update(changed)
-        self._update(changed)
-
-    def _update(self, changed):
-        """Right-hand sides of the changed pivot rows, primitive as their rows
-        less the pivot entry (equal to den); `subs` in pivot order."""
-        syms, n = self._syms, len(self._syms)
-        for k, (entries, den) in changed.items():
-            rhs = {(): -entries[-1][1]} if entries[-1][0] == n else {}
-            rhs.update({((syms[j].index, 1),): -c for j, c in entries if j < n and j != k})
-            self._rhs[k] = Expr(self.phase.table, rhs, {(): den}, _normalized=True)
-        self.subs = {syms[k]: self._rhs[k] for k in self._order if k in self._rows}
+        self._subs = None
 
     def reduce(self, e: Expr) -> Expr:
-        if not self.subs:
-            return e
-        return e.substitute(self.subs)
+        if self._subs is None:  # each pivot symbol's rule: its row less the pivot entry, negated
+            syms, table = self._syms, self.phase.table
+            rhs = lambda k, entries, den: _row_expr((tuple((j, -x) for j, x in entries if j != k), den), syms, table)
+            self._subs = {syms[k]: rhs(k, *self._rows[k]) for k in self._order if k in self._rows}
+        return e.substitute(self._subs) if self._subs else e
 
     def reduce_row(self, row):
         """A qq integer row (not necessarily primitive) reduced as `reduce`
@@ -364,7 +359,7 @@ def dirac_iterate(fos: FirstOrderSystem) -> DiracResult:
             fields += [row_field_bracket(row, qfield) for row in new]
             brackets = [reducer.reduce_row(b) for b in fields]
         rows = _consistency_rows(coeff_rows, brackets, len(zetas))
-        solved, residues = _eliminate(rows, zetas, table, syms)
+        solved, residues = _eliminate(rows, zetas, table, syms, brackets)
         new_any = False
         tips = {c.chain: c for c in constraints}  # last write wins: discovery order
         for src_idx, residue in residues:
@@ -436,18 +431,16 @@ def _bracket_rows(rows, others, n):
 
 def _consistency_rows(coeff_rows, brackets, m):
     """One consistency row per constraint, const + sum(coeff_a zeta_a) = 0, as
-    (constraint index, row) pairs, zero rows skipped.  coeff_rows[i] holds
-    constraint i's brackets with the m primaries as a qq row over the zetas,
-    and brackets[i] its weak-reduced bracket with H: an Expr gives the row
-    (coefficient row, Expr), a qq row over (z, 1) the one qq row over
-    (zeta_1..zeta_m, z, 1) of the whole equation."""
+    (constraint index, qq integer row over (zeta_1..zeta_m, tail)) pairs,
+    zero rows skipped.  coeff_rows[i] holds constraint i's brackets with the m
+    primaries as a qq row over the zetas, and brackets[i] its weak-reduced
+    bracket with H.  A bracket that is a qq row over (z, 1) is its own tail;
+    an Expr bracket is a tag, a 1 in tail column i, that `_eliminate` reads
+    back as the bracket (a zero one, too, so no tagged row is skipped)."""
+    if brackets and isinstance(brackets[0], Expr):
+        brackets = [(((i, 1),), 1) for i in range(len(brackets))]
     rows = []
-    for idx, (coeffs, const) in enumerate(zip(coeff_rows, brackets, strict=True)):
-        if isinstance(const, Expr):
-            if coeffs[0] or not const.is_zero():
-                rows.append((idx, (coeffs, const)))
-            continue
-        (cs, dc), (b, db) = coeffs, const
+    for idx, ((cs, dc), (b, db)) in enumerate(zip(coeff_rows, brackets, strict=True)):
         den = lcm(dc, db)
         entries = [(a, x * (den // dc)) for a, x in cs] + [(m + j, x * (den // db)) for j, x in b]
         if entries:
@@ -455,64 +448,49 @@ def _consistency_rows(coeff_rows, brackets, m):
     return rows
 
 
-def _eliminate(rows, zetas, table, syms=None):
+def _eliminate(rows, zetas, table, syms, brackets):
     """Solve the affine multiplier system; returns ({zeta: Expr}, residues).
 
-    Rows come as `_consistency_rows` gives them; a qq row over
-    (zeta_1..zeta_m, syms..., 1) leaves its residue as a qq row over
-    (syms..., 1).  Gauss-Jordan over Q, pivoting on a unit coefficient first,
-    then on the earliest source row.  The pivot row divided by minus its
-    pivot is the solution; adding it f times to a row with coefficient f
-    there clears that multiplier, in the remaining rows and the earlier
-    solutions at once, so every solution ends up over the free multipliers
-    only.  Residues are (source index, zeta-free remainder) pairs for the
-    rows whose multiplier content was consumed.
+    Rows come as `_consistency_rows` gives them for `brackets`.  Gauss-Jordan
+    on integers, pivoting on a unit coefficient first, then on the earliest
+    source row.  The pivot row is scaled to a leading 1; subtracting it f
+    times from a row with coefficient f there clears that multiplier, in the
+    remaining rows and the earlier solutions at once, so every solution ends
+    up over the free multipliers only.  Residues are (source index,
+    zeta-free remainder) pairs for the rows whose multiplier content was
+    consumed: a qq row over (syms..., 1) on the quadratic path, else the sum
+    of its tags' weights times their Expr brackets, read back once here.
     """
     m = len(zetas)
-
-    def coeff(row, col):
-        coeffs = row if isinstance(row[1], int) else row[0]
-        x = qq.entry(coeffs, col)
-        return Fraction(x, coeffs[1]) if x else 0
-
-    def add(x, c, y):  # x + c y
-        if isinstance(x[1], int):
-            return qq.row_add(x, c, y)
-        return qq.row_add(x[0], c, y[0]), x[1] + c * y[1]
-
-    def div(x, c):  # x / c
-        if isinstance(x[1], int):
-            return qq.row_div(x, c)
-        return qq.row_div(x[0], c), x[1] / c
-
     work = list(rows)
     solutions = {}
     for col in range(m):
-        live = [k for k, (_idx, row) in enumerate(work) if coeff(row, col)]
+        # every earlier column is cleared, so a row meets this one at its first
+        # entry; a unit coefficient first, then the earliest source row
+        live = [(abs(e[0][1]) != d, idx, k) for k, (idx, (e, d)) in enumerate(work) if e and e[0][0] == col]
         if not live:
             continue
-        k = min(live, key=lambda k: (abs(coeff(work[k][1], col)) != 1, work[k][0]))
-        _idx, row = work.pop(k)
-        sol = div(row, -coeff(row, col))
-        work = [(idx, add(row2, f, sol) if (f := coeff(row2, col)) else row2) for idx, row2 in work]
+        _idx, (entries, _den) = work.pop(min(live)[2])
+        x = entries[0][1]
+        pn, pd = sol = qq._primitive([(j, v if x > 0 else -v) for j, v in entries], abs(x))
+        step = lambda row, f: qq._combine(((pd, row[0]), (-f, pn)), row[1] * pd)
+        work = [(idx, step(row, row[0][0][1]) if row[0] and row[0][0][0] == col else row) for idx, row in work]
         for col2, row2 in solutions.items():
-            if f := coeff(row2, col):
-                solutions[col2] = add(row2, f, sol)
+            if f := qq.entry(row2, col):
+                solutions[col2] = step(row2, f)
         solutions[col] = sol
-    solved = {}
-    for col, sol in solutions.items():
-        if isinstance(sol[1], int):  # less the solved multiplier's own -1
-            entries = tuple(e for e in sol[0] if e[0] != col)
-            solved[zetas[col]] = _row_expr((entries, sol[1]), zetas + syms, table)
-            continue
-        (entries, den), const = sol
-        for j, x in entries:
-            if j != col:
-                const = const + Fraction(x, den) * Expr.sym(table, zetas[j])
-        solved[zetas[col]] = const
-    shift = lambda row: (tuple((j - m, x) for j, x in row[0]), row[1])  # over (syms..., 1)
-    residues = [(idx, shift(row) if isinstance(row[1], int) else row[1]) for idx, row in work]
-    return solved, residues
+    if brackets and isinstance(brackets[0], Expr):
+        def read(entries, den):  # weight * zeta over the multipliers, weight * bracket over the tags
+            out = Expr.const(table, 0)
+            for j, x in entries:
+                out = out + (Expr.sym(table, zetas[j]) if j < m else brackets[j - m]) * x
+            return out / den
+        residue = lambda row: read(*row)
+    else:
+        read = lambda entries, den: _row_expr((tuple(entries), den), zetas + syms, table)
+        residue = lambda row: (tuple((j - m, x) for j, x in row[0]), row[1])  # over (syms..., 1)
+    solved = {zetas[col]: read([(j, -x) for j, x in sol[0][1:]], sol[1]) for col, sol in solutions.items()}
+    return solved, [(idx, residue(row)) for idx, row in work]
 
 
 # ---------------------------------------------------------------------------
@@ -621,8 +599,9 @@ def _resolve_multipliers(result: DiracResult, gram, kernel, first_reps):
 
     col = {prim[j]: a for a, j in enumerate(complement, start=len(prim_fc))}
     coeff_rows = [(tuple((col[b], x) for b, x in entries if b in col), den) for entries, den in gram]
-    rows = _consistency_rows(coeff_rows, result.h_brackets, len(rebased))
-    solved, residues = _eliminate(rows, result.multiplier_symbols, result.table, result.phase.z_order())
+    brackets = result.h_brackets
+    rows = _consistency_rows(coeff_rows, brackets, len(rebased))
+    solved, residues = _eliminate(rows, result.multiplier_symbols, result.table, result.phase.z_order(), brackets)
     for _idx, residue in residues:
         if not _vanishes(residue):
             raise DiracError("internal: rebased multiplier system left an unexplained residue")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .chart import CanonicalChart, transform
+from .chart import CanonicalChart, integral_constant_budget, transform
 from .dirac import DiracResult
 from .expr import Expr
 from .symbols import _Record
@@ -283,8 +283,6 @@ def boundary_report(result: DiracResult, chart: CanonicalChart, plan: EmbeddingP
     """
     if endpoint not in ("t1", "t2"):
         raise EmbeddingError("endpoint must be t1 or t2")
-    from .chart import integral_constant_budget
-
     both = [r.name for r in chart.rows_by_role("Q")]
     initial: list = []
     never: list = []

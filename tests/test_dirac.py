@@ -415,14 +415,18 @@ def eliminate_fixpoint(rows, zetas, table):
 
 def test_eliminate_matches_fixpoint_back_substitution():
     # seeded multiplier systems over Q: zero columns, unit and non-unit
-    # pivots, and dependent rows whose constants disagree (nonzero residues)
+    # pivots, and dependent rows whose constants disagree (nonzero residues).
+    # Each system is solved twice through `_consistency_rows`: with brackets
+    # of degree <= 3 as tags (a non-quadratic H) and with affine brackets as
+    # (z, 1) tails (a quadratic H)
     from hamdirac import qq
-    from hamdirac.dirac import _eliminate
+    from hamdirac.dirac import _consistency_rows, _eliminate, _row_expr
 
     t, phase = phase2()
     syms = [s for q, p in phase.pairs for s in (q, p)]
+    z = phase.z_order()
     rng = rng_for("eliminate-gauss-jordan")
-    residue_systems = 0
+    residue_systems = {"tags": 0, "tails": 0}
     for _ in range(150):
         zetas = [t.register_fresh(f"z{j + 1}", "multiplier") for j in range(rng.randint(1, 4))]
 
@@ -431,36 +435,48 @@ def test_eliminate_matches_fixpoint_back_substitution():
                 return Fraction(0)
             return Fraction(rng.choice([-2, -1, 1, 1, 2, 3]), rng.randint(1, 2))
 
-        rows = []
-        for idx in range(rng.randint(1, 5)):
-            if rows and rng.random() < 0.3:  # a multiple of an earlier row, new constant
-                _, base, _ = rng.choice(rows)
+        coeff_rows = []
+        for _idx in range(rng.randint(1, 5)):
+            if coeff_rows and rng.random() < 0.3:  # a multiple of an earlier row, new constant
                 f = Fraction(rng.randint(1, 3))
-                coeffs = [c * f for c in base]
+                coeff_rows.append([c * f for c in rng.choice(coeff_rows)])
             else:
-                coeffs = [coeff() for _ in zetas]
-            rows.append((idx, coeffs, random_poly(t, syms, rng, max_degree=1, terms=2)))
-        got = _eliminate([(idx, (qq.to_row(coeffs), const)) for idx, coeffs, const in rows], zetas, t)
-        want = eliminate_fixpoint(rows, zetas, t)
-        assert list(got[0].items()) == list(want[0].items())
-        assert got[1] == want[1]
-        residue_systems += any(not r.is_zero() for _, r in got[1])
-    assert residue_systems > 20
+                coeff_rows.append([coeff() for _ in zetas])
+        cubic = [random_poly(t, syms, rng, max_degree=3, terms=3) for _ in coeff_rows]
+        affine = [random_poly(t, syms, rng, max_degree=1, terms=2) for _ in coeff_rows]
+        for kind, consts, brackets in (("tags", cubic, cubic), ("tails", affine, [e.affine_row(z) for e in affine])):
+            rows = _consistency_rows([qq.to_row(c) for c in coeff_rows], brackets, len(zetas))
+            solved, residues = _eliminate(rows, zetas, t, z, brackets)
+            if kind == "tails":
+                residues = [(idx, _row_expr(r, z, t)) for idx, r in residues]
+            want = eliminate_fixpoint(list(zip(range(len(consts)), coeff_rows, consts)), zetas, t)
+            kept = {idx for idx, _row in rows}  # a zero (z, 1) tail row is skipped; every tagged row is kept
+            zero = {i for i, (c, e) in enumerate(zip(coeff_rows, consts)) if not any(c) and e.is_zero()}
+            assert kept == set(range(len(consts))) - (zero if kind == "tails" else set())
+            assert list(solved.items()) == list(want[0].items())
+            assert residues == [(idx, r) for idx, r in want[1] if idx in kept]
+            residue_systems[kind] += any(not r.is_zero() for _, r in residues)
+    assert min(residue_systems.values()) > 20, residue_systems
 
 
 def test_eliminate_prefers_a_unit_pivot():
     # rows 2*z + a and z + b: z pivots on the unit row 1 although row 0 is
-    # earlier, so z = -b and row 0 keeps the residue a - 2*b
+    # earlier, so z = -b and row 0 keeps the residue a - 2*b, whether a and
+    # b come as tagged Expr brackets or as (z, 1) tails
     from hamdirac import qq
-    from hamdirac.dirac import _eliminate
+    from hamdirac.dirac import _consistency_rows, _eliminate
 
     t, phase = phase2()
     (q1, p1), _ = phase.pairs
     a, b = Expr.sym(t, q1), Expr.sym(t, p1)
     z = t.register_fresh("z1", "multiplier")
-    solved, residues = _eliminate([(0, (qq.to_row([Fraction(2)]), a)), (1, (qq.to_row([Fraction(1)]), b))], [z], t)
-    assert solved == {z: -b}
-    assert residues == [(0, a - 2 * b)]
+    syms = phase.z_order()
+    coeff_rows = [qq.to_row([Fraction(2)]), qq.to_row([Fraction(1)])]
+    tails = [a.affine_row(syms), b.affine_row(syms)], (a - 2 * b).affine_row(syms)
+    for brackets, residue in (([a, b], a - 2 * b), tails):
+        solved, residues = _eliminate(_consistency_rows(coeff_rows, brackets, 1), [z], t, syms, brackets)
+        assert solved == {z: -b}
+        assert residues == [(0, residue)]
 
 
 def test_weak_reducer_built_once_per_constraint_set(monkeypatch):
@@ -502,7 +518,10 @@ def test_weak_reducer_built_once_per_constraint_set(monkeypatch):
         assert len(extensions) == accepted, path
         (reducer,) = reducers
         fresh = dirac.WeakReducer([c.row for c in res.constraints], res.phase)
-        assert list(reducer.subs.items()) == list(fresh.subs.items())
+        assert reducer._rows == fresh._rows
+        for e in [res.H] + [Expr.sym(res.table, s) ** 2 for s in res.phase.z_order()]:
+            got, want = reducer.reduce(e), fresh.reduce(e)
+            assert (list(got.num.items()), got.den) == (list(want.num.items()), want.den)
 
 
 def _affine_row_sets(rng, n, count):
@@ -532,8 +551,9 @@ def _affine_row_sets(rng, n, count):
 
 def test_weak_reducer_extension_matches_fresh_build():
     # extending a reducer one row at a time keeps the RREF a fresh build over
-    # the same rows would give: the same subs, key order included, and the
-    # same InconsistentTheory; every row reduces to zero under the result
+    # the same rows would give: the same pivot rows, the same reductions (a
+    # rule read before an extension is not reused after it) and the same
+    # InconsistentTheory; every row reduces to zero under the result
     from hamdirac import qq
     from hamdirac.dirac import WeakReducer
 
@@ -554,7 +574,10 @@ def test_weak_reducer_extension_matches_fresh_build():
 
     for rows in _affine_row_sets(rng, n, 150):
         split = rng.randint(0, len(rows))
+        probes = [random_poly(t, syms, rng, max_degree=3, terms=3) for _ in range(2)]
         grown = fresh(rows[:split])
+        if grown is not None:
+            grown.reduce(probes[0])  # read the rules before any extension
         for k in range(split, len(rows)):
             if grown is None:
                 break
@@ -565,12 +588,19 @@ def test_weak_reducer_extension_matches_fresh_build():
             want = fresh(rows[: k + 1])
             assert (grown is None) == (want is None)
             if grown is not None:
-                assert list(grown.subs.items()) == list(want.subs.items())
+                assert grown._rows == want._rows
+                for e in probes:
+                    got, ref = grown.reduce(e), want.reduce(e)
+                    assert (list(got.num.items()), got.den) == (list(ref.num.items()), ref.den)
         if grown is None:
             outcomes["inconsistent"] += 1
             continue
         outcomes["consistent"] += 1
-        assert not set(grown.subs) & {s for e in grown.subs.values() for s in e.free_symbols()}
+        for k, (entries, den) in grown._rows.items():  # a pivot column is in its own row only, with entry 1
+            assert qq.entry((entries, den), k) == den
+            assert {j for j, _x in entries} & set(grown._rows) == {k}
+        pivots = {syms[k].index for k in grown._rows}
+        assert not any({s.index for s in grown.reduce(e).free_symbols()} & pivots for e in probes)
         for entries, den in rows:
             expr = Expr(t, {((syms[j].index, 1),): c for j, c in entries if j < len(syms)}, {(): den})
             assert grown.reduce(expr + Fraction(qq.entry((entries, den), len(syms)), den)).is_zero()
