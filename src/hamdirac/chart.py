@@ -206,10 +206,7 @@ def _assemble(result: DiracResult, xi_rows, theta_rows, qp_rows) -> CanonicalCha
     vectors = xi_rows + [e for e, _f in pairs] + [rep.row for rep in result.first_class] + [f for _e, f in pairs]
     rows = {}
     for (role, k, _gen), row in zip(layout, vectors):
-        name = f"{role}{k}"
-        while name in table:
-            name = name + "_"
-        rows[table.position(name)] = row
+        rows[table.fresh_position(f"{role}{k}")] = row
     rows, notes = _static_correct(rows, layout, result)
     chart_rows = [ChartRow(role, k, row, sym, gen) for (role, k, gen), (sym, row) in zip(layout, rows.items())]
     return CanonicalChart(result.phase, chart_rows, notes)

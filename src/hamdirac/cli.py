@@ -48,7 +48,7 @@ from .expr import Expr, ExprError
 from .lagrangian import MechanicsError, UnsupportedShape
 from .linalg import LinalgError
 from .numerics import NumericsError, compile_field, solve_iota
-from .parser import ParseError
+from .parser import ParseError, parse_expr
 from .report import (
     Analysis,
     InputError,
@@ -181,8 +181,6 @@ def _parse_real(text: str, what: str) -> float:
     except ValueError:
         table = SymbolTable()
         pi = table.register("pi", "parameter")
-        from .parser import parse_expr
-
         try:
             value = parse_expr(text, table).eval_float({pi: math.pi})
         except (ParseError, ExprError, ArithmeticError, RecursionError) as exc:

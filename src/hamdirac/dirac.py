@@ -13,7 +13,7 @@ The iteration keeps the joint multiplier system honest: each round it forms
 the time derivative of *every* constraint against the total Hamiltonian
 (its bracket with H and with the primaries taken once per constraint),
 weak-reduces the bracket with H, solves the affine system in the multipliers
-(Gauss-Jordan over Q), and turns leftover multiplier-free residues into new
+(`qq.rref_rows`), and turns leftover multiplier-free residues into new
 constraints, until a round adds nothing.  The weak reducer is built once and
 extended by each accepted row; the last round's brackets are kept.
 
@@ -24,8 +24,8 @@ its constraint's row over (zeta, z, 1).  Otherwise the field is a list of
 Exprs (`hamilton_field`), brackets are reduced by substitution, and
 constraint i's bracket enters its row as a tag, a 1 in tail column i, which
 `_eliminate` reads back as the bracket once it has solved.  Either way the
-multiplier system is one qq integer row per constraint, eliminated on
-integers.
+multiplier system is one qq integer row per constraint, and one
+`qq.rref_rows` call over the multiplier columns solves it.
 
 Classification re-bases the constraint set on the kernel of the bracket Gram
 matrix, so first-class representatives are genuine gauge directions and the
@@ -204,10 +204,11 @@ class WeakReducer:
     ensemble is applied as one simultaneous substitution, so a weakly
     vanishing expression reduces to the exact zero normal form.
 
-    Built once by `qq.rref_rows`; `extend` adds one row in O(mn).  An RREF over a
-    fixed column order is unique, so the pivot rows are then a fresh build's.
-    They are all it keeps: `reduce` reads its substitution rules off them
-    once per extension, so reducing rows alone builds no Expr.
+    Built once by `qq.rref_rows`; `extend` adds one row in O(mn) by one more
+    `qq.rref_rows` step.  An RREF over a fixed column order is unique, so the
+    pivot rows are then a fresh build's; they are all it keeps: `reduce`
+    reads its substitution rules off them once per extension, so reducing
+    rows alone builds no Expr.
     """
 
     def __init__(self, rows, phase: PhaseSpace):
@@ -228,18 +229,19 @@ class WeakReducer:
         self._subs = None
 
     def extend(self, row):
-        """Add one constraint row: reduce it by the pivot rows, scale it to a
-        leading 1, and clear its pivot column from the other rows."""
-        entries, den = row = self.reduce_row(row)
+        """Add one constraint row: reduce it by the pivot rows, then pivot it
+        on its highest-index column k by `qq.rref_rows`, over it and the
+        pivot rows nonzero at k; the new pivot row goes last."""
+        entries, _den = row = self.reduce_row(row)
         k = max((j for j, _x in entries if j < len(self._syms)), key=lambda j: self._syms[j].index, default=None)
         if k is None:
             if entries:
                 raise InconsistentTheory("constraint set has no common solution")
             return
-        row = qq.row_div(row, Fraction(qq.entry(row, k), den))
-        changed = {j: qq.row_add(p, Fraction(-x, p[1]), row) for j, p in self._rows.items() if (x := qq.entry(p, k))}
-        changed[k] = row
-        self._rows.update(changed)
+        hit = [j for j, p in self._rows.items() if qq.entry(p, k)]
+        work = [row] + [self._rows[j] for j in hit]
+        qq.rref_rows(work, [k])
+        self._rows.update([*zip(hit, work[1:]), (k, work[0])])
         self._subs = None
 
     def reduce(self, e: Expr) -> Expr:
@@ -451,34 +453,16 @@ def _consistency_rows(coeff_rows, brackets, m):
 def _eliminate(rows, zetas, table, syms, brackets):
     """Solve the affine multiplier system; returns ({zeta: Expr}, residues).
 
-    Rows come as `_consistency_rows` gives them for `brackets`.  Gauss-Jordan
-    on integers, pivoting on a unit coefficient first, then on the earliest
-    source row.  The pivot row is scaled to a leading 1; subtracting it f
-    times from a row with coefficient f there clears that multiplier, in the
-    remaining rows and the earlier solutions at once, so every solution ends
-    up over the free multipliers only.  Residues are (source index,
-    zeta-free remainder) pairs for the rows whose multiplier content was
-    consumed: a qq row over (syms..., 1) on the quadratic path, else the sum
-    of its tags' weights times their Expr brackets, read back once here.
+    Rows come as `_consistency_rows` gives them for `brackets`; one
+    `qq.rref_rows` call, a unit pivot first, then the earliest source row,
+    leaves each solution over the free multipliers alone.  Residues are
+    (source index, zeta-free remainder) pairs for the unused rows, in source
+    order: a qq row over (syms..., 1) on the quadratic path, else the sum of
+    its tags' weights times their Expr brackets, read back once here.
     """
     m = len(zetas)
-    work = list(rows)
-    solutions = {}
-    for col in range(m):
-        # every earlier column is cleared, so a row meets this one at its first
-        # entry; a unit coefficient first, then the earliest source row
-        live = [(abs(e[0][1]) != d, idx, k) for k, (idx, (e, d)) in enumerate(work) if e and e[0][0] == col]
-        if not live:
-            continue
-        _idx, (entries, _den) = work.pop(min(live)[2])
-        x = entries[0][1]
-        pn, pd = sol = qq._primitive([(j, v if x > 0 else -v) for j, v in entries], abs(x))
-        step = lambda row, f: qq._combine(((pd, row[0]), (-f, pn)), row[1] * pd)
-        work = [(idx, step(row, row[0][0][1]) if row[0] and row[0][0][0] == col else row) for idx, row in work]
-        for col2, row2 in solutions.items():
-            if f := qq.entry(row2, col):
-                solutions[col2] = step(row2, f)
-        solutions[col] = sol
+    work = [row for _idx, row in rows]
+    pivots = qq.rref_rows(work, range(m), unit_first=True)
     if brackets and isinstance(brackets[0], Expr):
         def read(entries, den):  # weight * zeta over the multipliers, weight * bracket over the tags
             out = Expr.const(table, 0)
@@ -489,8 +473,9 @@ def _eliminate(rows, zetas, table, syms, brackets):
     else:
         read = lambda entries, den: _row_expr((tuple(entries), den), zetas + syms, table)
         residue = lambda row: (tuple((j - m, x) for j, x in row[0]), row[1])  # over (syms..., 1)
-    solved = {zetas[col]: read([(j, -x) for j, x in sol[0][1:]], sol[1]) for col, sol in solutions.items()}
-    return solved, [(idx, residue(row)) for idx, row in work]
+    solved = {zetas[col]: read([(j, -x) for j, x in work[i][0][1:]], work[i][1]) for col, i in pivots.items()}
+    used = set(pivots.values())
+    return solved, [(idx, residue(work[i])) for i, (idx, _row) in enumerate(rows) if i not in used]
 
 
 # ---------------------------------------------------------------------------

@@ -273,8 +273,8 @@ def ostrogradsky_reduce(sys: LagrangianSystem) -> LagrangianSystem:
     subs = {}
     aliases = {}
     for c in sys.coords:
-        c1 = table.position(_fresh(table, f"Q1_{c.name}"))
-        c2 = table.position(_fresh(table, f"Q2_{c.name}"))
+        c1 = table.fresh_position(f"Q1_{c.name}")
+        c2 = table.fresh_position(f"Q2_{c.name}")
         new_coords.extend([c1, c2])
         subs[c] = Expr.sym(table, c1)
         subs[table.velocity(c)] = Expr.sym(table, c2)
@@ -298,8 +298,8 @@ def pons_reduce(sys: LagrangianSystem) -> LagrangianSystem:
     xs, lams = [], []
     subs = {}
     for i, c in enumerate(sys.coords, start=1):
-        x = table.position(_fresh(table, f"x{i}"))
-        lam = table.position(_fresh(table, f"lam{i}"))
+        x = table.fresh_position(f"x{i}")
+        lam = table.fresh_position(f"lam{i}")
         xs.append(x)
         lams.append(lam)
         subs[table.velocity(c)] = Expr.sym(table, x)
@@ -308,9 +308,3 @@ def pons_reduce(sys: LagrangianSystem) -> LagrangianSystem:
     for c, x, lam in zip(sys.coords, xs, lams):
         new_l = new_l + Expr.sym(table, lam) * (Expr.sym(table, x) - Expr.sym(table, table.velocity(c)))
     return LagrangianSystem(table, tuple(sys.coords) + tuple(xs) + tuple(lams), 1, new_l)
-
-
-def _fresh(table: SymbolTable, name: str) -> str:
-    while name in table:
-        name = name + "_"
-    return name

@@ -7,8 +7,8 @@ primary constraints).  A constant kinetic matrix never reaches it:
 `lagrangian.legendre` reduces that on `qq` integer rows.
 `solve_linear` is the one elimination here: the rank and the kernel are read
 off its solution of A x = 0.  Constant-coefficient elimination, the primary
-constraints' independence check included, lives in `qq`; `dirac._eliminate`
-steps the multiplier system on `qq` integer rows by its own pivot rule.
+constraints' independence check and the multiplier system included, runs
+on `qq.rref_rows`.
 
 Rank semantics are generic: any entry that is not identically zero is an
 acceptable pivot (the analysis works on the open dense region where pivots do

@@ -38,9 +38,9 @@ class _Tokens:
             if c.isspace():
                 i += 1
                 continue
-            if c.isdigit():
+            if "0" <= c <= "9":  # ASCII only: str.isdigit() takes "²" too
                 j = i
-                while j < n and text[j].isdigit():
+                while j < n and "0" <= text[j] <= "9":
                     j += 1
                 self.toks.append(("num", text[i:j], i))
                 i = j

@@ -1,4 +1,5 @@
-"""Exact linear algebra over the rationals, on sparse integer rows.
+"""Exact linear algebra over the rationals on sparse integer rows, with the
+package's one Gauss-Jordan over Q, `rref_rows`.
 
 A row is a covector as its nonzeros over one denominator den > 0: (entries,
 den), `entries` a tuple of (column, nonzero int) pairs in column order.  A
@@ -14,14 +15,18 @@ from fractions import Fraction
 from math import gcd, lcm
 
 
-def rref_rows(rows, cols):
+def rref_rows(rows, cols, unit_first=False):
     """Reduce `rows` in place, visiting columns in the order given; returns
-    {column: pivot row index} in visit order.  Each column pivots on the first
-    unused row nonzero there, found through an index of the columns each row
-    has been nonzero in, scaled to a leading 1 and cleared from the others;
-    so the pivots depend only on the order, and any nonzero multiple of a
-    row may be handed in.  Entries past the visited columns are carried."""
-    vals = [dict(entries) for entries, _den in rows]  # each row's entries by column
+    {column: pivot row index} in visit order.  A column pivots on the first
+    unused row nonzero there, scaled to a leading 1 and cleared from the
+    others, so any nonzero multiple of a row may be handed in.  With
+    `unit_first` a row whose entry there is +-1 when the column is visited
+    goes first: `dirac._eliminate` asks for it; `solve`, the weak reducer,
+    classification, the chart's Xi solve and `lagrangian._row_solve` (which
+    must meet `solve_linear`'s pivots) do not.  Only the visited columns are
+    indexed, so the entries past them are carried at no cost of their own."""
+    visit = set(cols)
+    vals = [{j: x for j, x in entries if j in visit} for entries, _den in rows]  # visited entries by column
     where = {}  # column -> the rows that have been nonzero there
     for i, row in enumerate(vals):
         for j in row:
@@ -29,16 +34,17 @@ def rref_rows(rows, cols):
     used, pivots = set(), {}
     for c in cols:
         live = [i for i in where.get(c, ()) if c in vals[i]]
-        src = min((i for i in live if i not in used), default=None)
-        if src is None:
+        free = [i for i in live if i not in used]
+        if not free:
             continue
+        src = min([i for i in free if unit_first and abs(vals[i][c]) == rows[i][1]] or free)
         x = vals[src][c]  # the row over x is the row with a leading 1
         pn, pd = rows[src] = _primitive([(j, v if x > 0 else -v) for j, v in rows[src][0]], abs(x))
-        vals[src] = dict(pn)
+        vals[src] = {j: v for j, v in pn if j in visit}
         for i in live:
             if i != src:
                 rows[i] = _combine(((pd, rows[i][0]), (-vals[i][c], pn)), rows[i][1] * pd)
-                vals[i] = dict(rows[i][0])
+                vals[i] = {j: v for j, v in rows[i][0] if j in visit}
                 for j in vals[src]:
                     where[j].add(i)
         used.add(src)

@@ -33,7 +33,7 @@ from .embedding import (
 from .expr import Expr, ExprError, _frac_str
 from .lagrangian import LagrangianSystem, counter_term, legendre, ostrogradsky_reduce, pons_reduce
 from .parser import parse_expr
-from .symbols import SymbolTable, _Record
+from .symbols import SymbolError, SymbolTable, _Record
 from .sysfile import ROLE_PATTERN, SystemFile
 
 SCHEMA_VERSION = 1
@@ -78,7 +78,10 @@ class Analysis(_Record):
 def analyze_system(sysfile: SystemFile, options: PipelineOptions | None = None) -> Analysis:
     options = options or PipelineOptions()
     table = SymbolTable()
-    coords = tuple(table.position(n) for n in sysfile.coordinates)
+    try:
+        coords = tuple(table.position(n) for n in sysfile.coordinates)
+    except SymbolError as exc:  # a coordinate named like another's d(..) or dd(..)
+        raise InputError(f"coordinates: {exc}") from exc
     try:
         lag = parse_expr(sysfile.lagrangian, table)
     except Exception as exc:

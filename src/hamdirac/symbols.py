@@ -129,6 +129,12 @@ class SymbolTable(_Record):
         self.register(f"dd({name})", "acceleration", base=name, order=2)
         return sym
 
+    def fresh_position(self, name: str) -> Symbol:
+        """`position` under the first of `name`, `name_`, ... free with its d()/dd() names."""
+        while any(s in self._by_name for s in (name, f"d({name})", f"dd({name})")):
+            name += "_"
+        return self.position(name)
+
     def velocity(self, pos: Symbol) -> Symbol:
         return self._by_name[f"d({pos.base or pos.name})"]
 

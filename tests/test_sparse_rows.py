@@ -45,16 +45,18 @@ def dense_pair(u, v, n):
     return sum((u[i] * v[n + i] - u[n + i] * v[i] for i in range(n)), Fraction(0))
 
 
-def dense_rref(rows, cols):
+def dense_rref(rows, cols, unit_first=False):
     """Gauss-Jordan on Fraction lists: each column in the order given pivots
-    on the first row not yet used that is nonzero there, scaled to a leading
+    on the first row not yet used that is nonzero there (with `unit_first`,
+    on the first of them that is +-1 there, if one is), scaled to a leading
     1, and is cleared from every other row."""
     rows = [list(r) for r in rows]
     used, pivots = set(), {}
     for c in cols:
-        src = next((i for i, r in enumerate(rows) if i not in used and r[c]), None)
-        if src is None:
+        live = [i for i, r in enumerate(rows) if i not in used and r[c]]
+        if not live:
             continue
+        src = next((i for i in live if unit_first and abs(rows[i][c]) == 1), live[0])
         used.add(src)
         rows[src] = [x / rows[src][c] for x in rows[src]]
         for i, r in enumerate(rows):
@@ -129,6 +131,48 @@ def test_rref_pivots_and_reduced_rows_match_dense(n):
                 assert qq.from_row(row, size) == values
             for i in pivots.values():
                 check_row(work[i], want[i])
+
+
+def check_rref(vectors, cols, unit_first):
+    """`qq.rref_rows` on the primitive rows of `vectors` against `dense_rref`:
+    the same pivot map in visit order, and every row the reference's, exactly
+    and as its one primitive row.  Returns the pivot map."""
+    work = [qq.to_row(v) for v in vectors]
+    pivots = qq.rref_rows(work, cols, unit_first)
+    want_pivots, want = dense_rref(vectors, cols, unit_first)
+    assert list(pivots.items()) == list(want_pivots.items())
+    assert [qq.from_row(row, len(v)) for row, v in zip(work, want)] == want
+    assert work == [qq.to_row(v) for v in want]
+    return pivots
+
+
+@pytest.mark.parametrize(
+    "rows,first_unused,unit_first",
+    [
+        # a unit row after an earlier non-unit one
+        ([[2, 1, 5], [1, 0, 3]], {0: 0, 1: 1}, {0: 1, 1: 0}),
+        # row 2 is 2 at column 1 and turns unit there once column 0 is cleared
+        ([[0, 3, 1], [1, 1, 0], [1, 2, 7]], {0: 1, 1: 0}, {0: 1, 1: 2}),
+    ],
+)
+def test_rref_pivot_policies_on_small_systems(rows, first_unused, unit_first):
+    vectors = [[Fraction(x) for x in r] for r in rows]  # column 2 is a carried tail
+    assert check_rref(vectors, [0, 1], False) == first_unused
+    assert check_rref(vectors, [0, 1], True) == unit_first
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_rref_pivot_policies_match_dense(n):
+    # both policies on seeded systems that visit a random subset of the
+    # columns in a random order, the others carried as a tail
+    rng = random.Random(f"sparse-rref-policy-{n}")
+    size = 2 * n + 1
+    differ = 0
+    for _ in range(40):
+        vectors = random_vectors(rng, size, rng.randint(1, min(2 * size, 14)))
+        cols = rng.sample(range(size), rng.randint(1, size))
+        differ += check_rref(vectors, cols, False) != check_rref(vectors, cols, True)
+    assert differ >= 3
 
 
 @pytest.mark.parametrize("n", SIZES)

@@ -398,6 +398,35 @@ def test_cli_simulate_parses_bc_and_xi_like_times(capsys):
     assert runs["Q1=pi/4:0"] == runs["Q1=0.7853981633974483:0"]
 
 
+def test_cli_lagrangian_non_ascii_digit_exits_2(tmp_path, capsys):
+    # "²" is a str.isdigit() character that int() rejects: an input error, not a crash
+    path = tmp_path / "sup.sys"
+    path.write_text("system s\ncoordinates q1\norder 1\nL = d(q1)^\u00b2\n", encoding="utf-8")
+    assert main(["analyze", str(path)]) == 2
+    assert capsys.readouterr().err == "error: Lagrangian: unexpected character '\u00b2' (at byte 6)\n"
+
+
+@pytest.mark.parametrize("coords,named", [("q1 d(q1)", "d(q1)"), ("q1 dd(q1)", "dd(q1)"), ("d(q1) q1", "d(q1)")])
+def test_cli_coordinate_named_like_a_derived_symbol_exits_2(tmp_path, capsys, coords, named):
+    path = tmp_path / "clash.sys"
+    path.write_text(f"system c\ncoordinates {coords}\norder 1\nL = d(q1)^2\n", encoding="utf-8")
+    assert main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: coordinates:") and repr(named) in err
+
+
+@pytest.mark.parametrize(
+    "coords,path,fresh",
+    [("q d(x1)", "pons", "x1_"), ("q dd(lam1)", "pons", "lam1_"), ("q d(Q1_q)", "ssok", "Q1_q_")],
+)
+def test_cli_order_2_reduction_skips_a_coordinate_named_like_its_derived_symbol(tmp_path, capsys, coords, path, fresh):
+    # a new position is named past a coordinate that holds its d() or dd() name
+    sysf = tmp_path / "taken.sys"
+    sysf.write_text(f"system t\ncoordinates {coords}\norder 2\nL = q*dd(q)\n", encoding="utf-8")
+    assert main(["analyze", str(sysf), "--path", path]) == 0
+    assert fresh in json.loads(capsys.readouterr().out)["coordinates"]
+
+
 @pytest.mark.parametrize(
     "extra",
     [
@@ -410,6 +439,9 @@ def test_cli_simulate_parses_bc_and_xi_like_times(capsys):
         ["--bc", "Q1=1:0", "--t2", "(" * 3000 + "1" + ")" * 3000],
         ["--bc", "Q1=1:0", "--t2", "1", "--step", "nan"],
         ["--bc", "Q1=1:0", "--t2", "1", "--step", "0"],
+        ["--bc", "Q1=1:0.5", "--t2", "\u00b2"],
+        ["--bc", "Q1=1:\u00b2", "--t2", "1"],
+        ["--bc", "Q1=1:0", "--t2", "1", "--step", "1/\u00b2"],
     ],
 )
 def test_cli_simulate_unparsable_values_exit_2(extra, capsys):
