@@ -9,14 +9,13 @@ the boundary conditions that make the variational principle well-posed.
 from .symbols import Symbol, SymbolTable
 from .expr import Expr, ExprError
 from .parser import ParseError, parse_expr
-from .linalg import ExprMatrix, null_space, rank, solve_linear
+from .linalg import ExprMatrix, rank, solve_linear
 from .lagrangian import (
     FirstOrderSystem,
     LagrangianSystem,
     PhaseSpace,
     UnsupportedShape,
     counter_term,
-    kinetic_matrix,
     legendre,
     ostrogradsky_reduce,
     pons_reduce,
@@ -30,7 +29,6 @@ from .dirac import (
     dirac_iterate,
     dof,
     poisson,
-    weak_reduce,
 )
 from .chart import (
     CanonicalChart,
@@ -101,10 +99,8 @@ __all__ = [
     "frobenius_check",
     "integral_constant_budget",
     "integrate",
-    "kinetic_matrix",
     "legendre",
     "load_system_file",
-    "null_space",
     "ostrogradsky_reduce",
     "parse_expr",
     "parse_system_file",
@@ -118,5 +114,4 @@ __all__ = [
     "solve_linear",
     "transform",
     "verify_chart",
-    "weak_reduce",
 ]

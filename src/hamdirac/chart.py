@@ -73,24 +73,8 @@ class CanonicalChart(_Record):
     def table(self):
         return self.phase.table
 
-    def position_rows(self):
-        return self.rows[: self.n]
-
-    def momentum_rows(self):
-        return self.rows[self.n :]
-
     def rows_by_role(self, role):
         return [r for r in self.rows if r.role == role]
-
-    def matrix(self):
-        return [qq.from_row(r.row, 2 * self.n) for r in self.rows]
-
-    def offsets(self):
-        return [Fraction(qq.entry(r.row, 2 * self.n), r.row[1]) for r in self.rows]
-
-    def chart_phase(self) -> PhaseSpace:
-        pairs = tuple((p.symbol, m.symbol) for p, m in zip(self.position_rows(), self.momentum_rows()))
-        return PhaseSpace(self.table, pairs)
 
     def conjugate(self, row: ChartRow) -> ChartRow:
         want = ROLE_CONJUGATE[row.role]

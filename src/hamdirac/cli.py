@@ -30,7 +30,8 @@ t1 only, t2 does not exceed t1, or the grid from t1 to t2 at --step needs
 more than MAX_STEPS = 10**7 RK4 steps (counted as max(1, ceil((t2 - t1) /
 step - 1e-12)), before anything is compiled or integrated).  verify-chart
 exits 2 when the matrix is not square with an even dimension, and when --tol
-is negative, nan or infinite; exact mode ignores --tol.
+is negative, nan or infinite; exact mode ignores --tol.  A --bc, --xi or
+--epsilon name or a --gauge-fixing multiplier given twice exits 2.
 """
 
 from __future__ import annotations
@@ -152,6 +153,8 @@ def _options(args) -> PipelineOptions:
         name, _, val = item.partition("=")
         if not val:
             raise InputError(f"--epsilon wants NAME=RATIONAL, got {item!r}")
+        if name.strip() in opts.epsilon:
+            raise InputError(f"--epsilon {name.strip()} given twice")
         try:
             opts.epsilon[name.strip()] = Fraction(val.strip())
         except (ValueError, ZeroDivisionError) as exc:
@@ -214,12 +217,16 @@ def _cmd_simulate(args) -> int:
         v1, _, v2 = vals.partition(":")
         if not v2:
             raise InputError(f"--bc wants Q=V1:V2, got {item!r}")
+        if name.strip() in boundary:
+            raise InputError(f"--bc {name.strip()} given twice")
         boundary[name.strip()] = (_parse_real(v1, "--bc value"), _parse_real(v2, "--bc value"))
     init_only = {}
     for item in args.xi:
         name, _, val = item.partition("=")
         if not val:
             raise InputError(f"--xi wants NAME=VAL, got {item!r}")
+        if name.strip() in init_only:
+            raise InputError(f"--xi {name.strip()} given twice")
         init_only[name.strip()] = _parse_real(val, "--xi value")
     for flag, given, allowed, what in (
         ("--bc", boundary, [q.name for q in q_rows], "a physical position"),

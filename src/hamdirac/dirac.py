@@ -1,4 +1,4 @@
-"""Poisson brackets, weak equality, and the consistency iteration.
+"""Poisson brackets, weak equality (`WeakReducer`), and the consistency iteration.
 
 Each constraint is affine with constant coefficients and is turned into its
 exact row once, when it is accepted (`_affine_row`, stored as
@@ -71,14 +71,13 @@ class Constraint(_Frozen):
 
 
 class ClassRep(_Frozen):
-    """A re-based constraint representative of definite class: `coeffs`, its
-    Fractions over the discovery-order constraint list, and `row`, `expr` as
-    a qq integer row like Constraint.row."""
+    """A re-based constraint representative of definite class, with `row`,
+    `expr` as a qq integer row like Constraint.row."""
 
-    __slots__ = ("expr", "klass", "generation", "coeffs", "row")
+    __slots__ = ("expr", "klass", "generation", "row")
 
-    def __init__(self, expr: Expr, klass: str, generation: int, coeffs, row: tuple):
-        self._fields(expr, klass, generation, tuple(coeffs), (tuple(row[0]), row[1]))
+    def __init__(self, expr: Expr, klass: str, generation: int, row: tuple):
+        self._fields(expr, klass, generation, (tuple(row[0]), row[1]))
 
 
 class DiracResult(_Frozen):
@@ -127,8 +126,9 @@ class DiracResult(_Frozen):
 
 
 def poisson(f: Expr, g: Expr, phase: PhaseSpace) -> Expr:
-    """Canonical Poisson bracket sum_i (df/dq_i dg/dp_i - df/dp_i dg/dq_i), for
-    library use (the pipeline brackets only linear functions, via the field).
+    """Canonical Poisson bracket sum_i (df/dq_i dg/dp_i - df/dp_i dg/dq_i).  No
+    pipeline step calls it (the pipeline brackets only linear functions, via
+    the field); it is the reference `field_bracket` is tested against.
 
     A product is formed only where f depends on one slot of the pair and g
     on the other (numerator or denominator); every skipped product is exactly
@@ -269,12 +269,6 @@ def _affine_row(e: Expr, syms):
         raise UnsupportedShape(
             f"constraint {e} is not affine with constant coefficients; weak reduction unsupported"
         ) from exc
-
-
-def weak_reduce(e: Expr, constraints, phase: PhaseSpace) -> Expr:
-    syms = phase.z_order()
-    rows = [c.row if isinstance(c, Constraint) else _affine_row(c, syms) for c in constraints]
-    return WeakReducer(rows, phase).reduce(e)
 
 
 def _normalize_candidate(expr: Expr, table):
@@ -501,9 +495,9 @@ def classify(result: DiracResult) -> DiracResult:
     first_reps = []
     for vec, gen in kernel:
         row = _combine_row(vec, cons)
-        first_reps.append(ClassRep(_row_expr(row, syms, phase.table), "first", gen, qq.from_row(vec, m), row))
+        first_reps.append(ClassRep(_row_expr(row, syms, phase.table), "first", gen, row))
     second_reps = [
-        ClassRep(cons[j].expr, "second", cons[j].generation, [Fraction(k == j) for k in range(m)], cons[j].row)
+        ClassRep(cons[j].expr, "second", cons[j].generation, cons[j].row)
         for j in _unit_complement([vec for vec, _gen in kernel], m, s_count)
     ]
     rebased, fc_count, solved = _resolve_multipliers(result, gram, kernel, first_reps)

@@ -13,7 +13,7 @@ expression comparison exact decisions.
 
 Every operation runs on ints and normalizes its result once: one `math.gcd`
 for a polynomial, the multivariate gcd for a rational function.  Fractions
-are made only at the edges: `constant_value`, `eval_fraction`, `linear_form`.
+are made only at the edge: `constant_value`.
 Substitution of polynomial rules (`_phorner`: one grouping of the monomials,
 Horner in one rule symbol at a time, one accumulator, over the integers) is
 the one path for every polynomial substitution, quadratic or not; rules with
@@ -488,13 +488,6 @@ class Expr:
 
     # -- evaluation -----------------------------------------------------------
 
-    def eval_fraction(self, values: dict) -> Fraction:
-        vals = {s.index: Fraction(v) for s, v in values.items()}
-        n, d = _peval(self.num, vals), _peval(self.den, vals)
-        if d == 0:
-            raise ZeroDenominator("evaluation hit a zero denominator")
-        return Fraction(n, d)
-
     def eval_float(self, values: dict) -> float:
         vals = {s.index: float(v) for s, v in values.items()}
         lead = self.den[_plead(self.den)]
@@ -557,12 +550,6 @@ class Expr:
         if coefficient:
             raise ExprError("non-constant linear coefficient")
         return tuple(sorted(entries)), self.den[CONST_MONO]  # primitive: every coefficient of num is in it
-
-    def linear_form(self, symbols) -> tuple:
-        """As (constant_coefficients, offset), Fractions, for an expression
-        affine with *constant* coefficients over `symbols`; raises otherwise."""
-        *coeffs, offset = qq.from_row(self.affine_row(symbols), len(symbols) + 1)
-        return coeffs, offset
 
     # -- printing ---------------------------------------------------------------
 
@@ -683,18 +670,6 @@ def _ppow(a, k):
     for _ in range(k - 1):
         out = _pmul(out, a)
     return out
-
-
-def _peval(poly, vals):
-    total = 0
-    for m, c in poly.items():
-        v = c
-        for i, e in m:
-            if i not in vals:
-                raise ExprError(f"no value for symbol index {i}")
-            v *= vals[i] ** e
-        total += v
-    return total
 
 
 def _mono_eval_float(m, vals):

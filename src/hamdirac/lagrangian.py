@@ -1,10 +1,10 @@
 """Lagrangian-side reductions.
 
-Covers the kinetic matrix, the degenerate Legendre transform with primary
-constraint extraction, the counter-term that strips accelerations from a
-Newton-compatible second-order Lagrangian, and the two standard first-order
-rewritings of a second-order system (auxiliary-coordinate pair per original
-coordinate, with or without explicit multipliers).
+Covers the degenerate Legendre transform with primary constraint extraction,
+the counter-term that strips accelerations from a Newton-compatible
+second-order Lagrangian, and the two standard first-order rewritings of a
+second-order system (auxiliary-coordinate pair per original coordinate, with
+or without explicit multipliers).
 
 When every momentum dL/dv_i is affine in (q, v) with constant coefficients
 (a polynomial L whose monomials holding a velocity have degree <= 2), the
@@ -72,11 +72,10 @@ class PhaseSpace(_Record):
 
 
 class FirstOrderSystem(_Record):
-    __slots__ = ("phase", "H", "primaries", "momentum_defs", "source")
+    __slots__ = ("phase", "H", "primaries", "momentum_defs")
 
-    def __init__(self, phase: PhaseSpace, H: Expr, primaries: list, momentum_defs: dict,
-                 source: LagrangianSystem | None = None):
-        self.phase, self.H, self.source = phase, H, source
+    def __init__(self, phase: PhaseSpace, H: Expr, primaries: list, momentum_defs: dict):
+        self.phase, self.H = phase, H
         self.primaries = primaries  # Expr, in coordinate row order
         self.momentum_defs = momentum_defs  # momentum Symbol -> defining Expr in (q, v); absent for alias momenta
 
@@ -84,15 +83,6 @@ class FirstOrderSystem(_Record):
 def _momentum_name(coord: Symbol) -> str:
     m = re.fullmatch(r"q(\d+)", coord.name)
     return f"p{m.group(1)}" if m else f"p_{coord.name}"
-
-
-def kinetic_matrix(sys: LagrangianSystem) -> ExprMatrix:
-    """Second velocity-derivative matrix of L (genuine velocities only)."""
-    if sys.order != 1:
-        raise MechanicsError("kinetic_matrix expects a first-order system; reduce first")
-    vels = sys.velocity_symbols()
-    rows = [[sys.L.diff(vi).diff(vj) for vj in vels] for vi in vels]
-    return ExprMatrix.from_rows(rows) if rows else ExprMatrix(0, 0, [])
 
 
 def legendre(sys: LagrangianSystem, pivot_log: list | None = None) -> FirstOrderSystem:
@@ -134,7 +124,7 @@ def legendre(sys: LagrangianSystem, pivot_log: list | None = None) -> FirstOrder
     leftover = [s for s in h.free_symbols() if s.kind in ("velocity", "acceleration")]
     if leftover:
         raise MechanicsError(f"internal: H kept velocity symbols {leftover}")
-    return FirstOrderSystem(phase, h, primaries, defs, source=sys)
+    return FirstOrderSystem(phase, h, primaries, defs)
 
 
 def _row_solve(defs: dict, vels, phase: PhaseSpace):

@@ -1,14 +1,14 @@
-"""Matrices over the rational-function field: rank, kernel, linear solving.
+"""Matrices over the rational-function field: linear solving and rank.
 
 These serve the step whose entries may be non-constant: the Legendre
 velocity solve of a kinetic matrix that depends on q, or of momenta that
 are not affine with constant coefficients (its leftover rows become the
 primary constraints).  A constant kinetic matrix never reaches it:
 `lagrangian.legendre` reduces that on `qq` integer rows.
-`solve_linear` is the one elimination here: the rank and the kernel are read
-off its solution of A x = 0.  Constant-coefficient elimination, the primary
-constraints' independence check and the multiplier system included, runs
-on `qq.rref_rows`.
+`solve_linear` is the one elimination here, and `rank`, which no pipeline
+step calls, is its pivot count on A x = 0.  Constant-coefficient elimination,
+the primary constraints' independence check and the multiplier system
+included, runs on `qq.rref_rows`.
 
 Rank semantics are generic: any entry that is not identically zero is an
 acceptable pivot (the analysis works on the open dense region where pivots do
@@ -42,49 +42,20 @@ class ExprMatrix(_Record):
                 raise LinalgError("ragged rows")
         return ExprMatrix(len(rows_list), cols, [list(r) for r in rows_list])
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
-    def row(self, i):
-        return list(self.entries[i])
-
-    def matvec(self, v):
-        out = []
-        for i in range(self.rows):
-            acc = None
-            for j in range(self.cols):
-                t = self.entries[i][j] * v[j]
-                acc = t if acc is None else acc + t
-            out.append(acc)
-        return out
-
-    def is_symmetric(self) -> bool:
-        return self.rows == self.cols and all(
-            self.entries[i][j] == self.entries[j][i] for i in range(self.rows) for j in range(i)
-        )
-
 
 class LinearSolution(_Record):
     """Affine solution set of A x = b.
 
-    particular sets all free variables to zero; kernel_basis spans the
-    homogeneous solutions; witnesses are leftover reduced equations
-    0 = expr with expr not identically zero (inconsistency evidence).
+    particular sets all free variables to zero; witnesses are leftover
+    reduced equations 0 = expr with expr not identically zero
+    (inconsistency evidence).
     """
 
-    __slots__ = ("particular", "kernel_basis", "pivot_cols", "free_cols", "witnesses", "witness_rows")
+    __slots__ = ("particular", "pivot_cols", "witnesses")
 
-    def __init__(self, particular: list, kernel_basis: list, pivot_cols: list, free_cols: list,
-                 witnesses: list | None = None, witness_rows: list | None = None):
-        self.particular, self.kernel_basis = particular, kernel_basis
-        self.pivot_cols, self.free_cols = pivot_cols, free_cols
+    def __init__(self, particular: list, pivot_cols: list, witnesses: list | None = None):
+        self.particular, self.pivot_cols = particular, pivot_cols
         self.witnesses = [] if witnesses is None else witnesses
-        self.witness_rows = [] if witness_rows is None else witness_rows
-
-    @property
-    def consistent(self) -> bool:
-        return not self.witnesses
 
 
 def solve_linear(a: ExprMatrix, b: list, pivot_log: list | None = None) -> LinearSolution:
@@ -121,40 +92,15 @@ def solve_linear(a: ExprMatrix, b: list, pivot_log: list | None = None) -> Linea
                 continue
             f = rows[i][col]
             rows[i] = [rows[i][j] - f * rows[piv][j] for j in range(n + 1)]
-    free_cols = [c for c in range(n) if c not in pivot_of_col]
     particular = [zero] * n
     for col, i in pivot_of_col.items():
         particular[col] = rows[i][n]
-    kernel = []
-    for fc in free_cols:
-        v = [zero] * n
-        v[fc] = Expr.const(table, 1)
-        for col, i in pivot_of_col.items():
-            v[col] = -rows[i][fc]
-        kernel.append(v)
-    witnesses, witness_rows = [], []
-    for i in range(a.rows):
-        if i in used_rows:
-            continue
-        if not rows[i][n].is_zero():
-            witnesses.append(rows[i][n])
-            witness_rows.append(i)
-    return LinearSolution(particular, kernel, sorted(pivot_of_col), free_cols, witnesses, witness_rows)
-
-
-def _homogeneous(m: ExprMatrix) -> LinearSolution:
-    return solve_linear(m, [Expr.const(m.entries[0][0].table, 0)] * m.rows)
+    witnesses = [rows[i][n] for i in range(a.rows) if i not in used_rows and not rows[i][n].is_zero()]
+    return LinearSolution(particular, sorted(pivot_of_col), witnesses)
 
 
 def rank(m: ExprMatrix) -> int:
     """Generic rank: the pivot count of `solve_linear` on A x = 0."""
     if m.rows == 0 or m.cols == 0:
         return 0
-    return len(_homogeneous(m).pivot_cols)
-
-
-def null_space(m: ExprMatrix) -> list:
-    """Basis of the right kernel; size cols - rank."""
-    if m.rows == 0:
-        raise LinalgError("null_space needs at least one row")
-    return _homogeneous(m).kernel_basis
+    return len(solve_linear(m, [Expr.const(m.entries[0][0].table, 0)] * m.rows).pivot_cols)

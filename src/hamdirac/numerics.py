@@ -24,7 +24,6 @@ Q(t) = A e^{it} + B e^{-it} are reported as well.
 from __future__ import annotations
 
 import cmath
-import io
 import math
 from array import array
 from fractions import Fraction
@@ -186,11 +185,6 @@ class Trajectory(_Record):
             cols = [map(repr, c[block]) for c in order]
             cols.append(_repr_column(self.energies[block].tolist()))
             fh.write("\n".join(map(",".join, zip(*cols))) + "\n")
-
-    def csv(self) -> str:
-        buf = io.StringIO()
-        self.write_csv(buf)
-        return buf.getvalue()
 
 
 def _repr_column(values: list):

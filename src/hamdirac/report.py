@@ -168,6 +168,8 @@ def _parse_gauge_conditions(raw: str, an: Analysis) -> dict:
         sym = an.table.get(name)
         if sym is None or sym.kind != "multiplier":
             raise InputError(f"{name!r} is not a multiplier of this system")
+        if sym in out:
+            raise InputError(f"gauge condition for {name!r} given twice")
         try:
             out[sym] = parse_expr(text.strip(), an.table)
         except Exception as exc:
@@ -194,8 +196,6 @@ def _import_chart(an: Analysis) -> CanonicalChart:
             raise InputError(f"chart row {name} (line {lineno}) is not linear in phase coordinates: {exc}")
         except Exception as exc:
             raise InputError(f"chart row {name} (line {lineno}): {exc}") from exc
-        if (role, idx) in by_role:
-            raise InputError(f"duplicate chart row {name}")
         by_role[(role, idx)] = (sym, row)
 
     counts = {r: max((i for (rr, i) in by_role if rr == r), default=0) for r in ("Xi", "Psi", "ThU", "ThD", "Q", "P")}

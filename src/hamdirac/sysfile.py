@@ -18,9 +18,9 @@
     fix_endpoint = t1
     epsilon ThU1 = 1/2
 
-Unknown keys and malformed lines are rejected with their line number.  The
-chart and gauge expressions are stored as text; they can only be parsed once
-the analysis has registered momenta and chart symbols.
+Unknown keys, malformed lines and names given twice are rejected with their
+line number.  The chart and gauge expressions are stored as text; they can
+only be parsed once the analysis has registered momenta and chart symbols.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ class SysFileError(Exception):
     pass
 
 
-ROLE_PATTERN = re.compile(r"^(Xi|Psi|ThU|ThD|Q|P)(\d+)$")
+ROLE_PATTERN = re.compile(r"^(Xi|Psi|ThU|ThD|Q|P)([1-9][0-9]*)$")
 
 
 class SystemFile(_Record):
@@ -63,6 +63,7 @@ def parse_system_file(text: str, filename: str = "<input>") -> SystemFile:
     options = {}
     epsilon = {}
     section = None
+    header = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -80,6 +81,9 @@ def parse_system_file(text: str, filename: str = "<input>") -> SystemFile:
         if section is None:
             key, _, rest = line.partition(" ")
             rest = rest.strip()
+            if key in header:
+                err(f"{key!r} given twice")
+            header.add(key)
             if key == "system":
                 name = rest or err("system needs a name")
             elif key == "coordinates":
@@ -101,16 +105,22 @@ def parse_system_file(text: str, filename: str = "<input>") -> SystemFile:
             if not m:
                 err("chart rows look like 'Name = expression'")
             if not ROLE_PATTERN.match(m.group(1)):
-                err(f"chart row name {m.group(1)!r} must be Xi#, Psi#, ThU#, ThD#, Q# or P#")
+                err(f"chart row name {m.group(1)!r} must be Xi#, Psi#, ThU#, ThD#, Q# or P#, # = 1, 2, ...")
+            if any(r[0] == m.group(1) for r in chart_rows):
+                err(f"chart row {m.group(1)!r} given twice")
             chart_rows.append((m.group(1), m.group(2).strip(), lineno))
         elif section == "gauge":
             m = re.match(r"^(\w+)\s*=\s*(.+)$", line)
             if not m:
                 err("gauge lines look like 'zetaN = expression'")
+            if any(g[0] == m.group(1) for g in gauge):
+                err(f"gauge multiplier {m.group(1)!r} given twice")
             gauge.append((m.group(1), m.group(2).strip(), lineno))
         elif section == "options":
             m = re.match(r"^epsilon\s+(\w+)\s*=\s*(\S+)$", line)
             if m:
+                if m.group(1) in epsilon:
+                    err(f"epsilon {m.group(1)!r} given twice")
                 try:
                     epsilon[m.group(1)] = Fraction(m.group(2))
                 except (ValueError, ZeroDivisionError):
@@ -122,6 +132,8 @@ def parse_system_file(text: str, filename: str = "<input>") -> SystemFile:
             key, val = m.group(1), m.group(2)
             if key not in _KNOWN_OPTIONS:
                 err(f"unknown option {key!r}")
+            if key in options:
+                err(f"option {key!r} given twice")
             if key == "path" and val not in ("ssok", "pons"):
                 err("path must be ssok or pons")
             if key == "fix_endpoint" and val not in ("t1", "t2"):

@@ -13,7 +13,10 @@ from hamdirac import (
     parse_expr,
     pons_reduce,
 )
+from hamdirac import qq
+from hamdirac.dirac import WeakReducer
 from hamdirac.expr import Expr
+from hamdirac.lagrangian import PhaseSpace
 
 L1_SRC = "d(q1)*d(q3) + (1/2)*q2*q3^2"
 L2_SRC = "q1*d(q2) - q2*d(q1) - q1^2 - q2^2"
@@ -95,6 +98,72 @@ def random_poly(table, symbols, rng, max_degree=3, terms=4, coeff_range=4):
             term = term * Expr.sym(table, rng.choice(symbols))
         e = e + term
     return e
+
+
+def weak_reducer(exprs, phase):
+    """The `WeakReducer` of the affine constraints `exprs`, built from their
+    rows as the pipeline builds it; `.reduce(e)` is e weakly reduced."""
+    z = phase.z_order()
+    return WeakReducer([e.affine_row(z) for e in exprs], phase)
+
+
+def linear_form(e, z):
+    """(coefficients over z, offset) of an Expr affine with constant
+    coefficients over z, as Fractions; raises ExprError otherwise."""
+    *coeffs, offset = qq.from_row(e.affine_row(z), len(z) + 1)
+    return coeffs, offset
+
+
+def chart_matrix(chart):
+    """The chart's rows as dense Fractions over z = (q1..qn, p1..pn), their
+    offsets left out: the matrix S that `verify_chart` checks."""
+    return [qq.from_row(r.row, 2 * chart.n) for r in chart.rows]
+
+
+def chart_offsets(chart):
+    """Each chart row's offset, the Fraction at column 2n of its row."""
+    return [Fraction(qq.entry(r.row, 2 * chart.n), r.row[1]) for r in chart.rows]
+
+
+def chart_phase(chart):
+    """The chart's coordinates as a phase space: each position-block row's
+    symbol paired with the symbol of the momentum-block row at its place."""
+    n = chart.n
+    return PhaseSpace(chart.table, tuple((a.symbol, b.symbol) for a, b in zip(chart.rows[:n], chart.rows[n:])))
+
+
+def expr_kernel(rows, cols):
+    """A basis of the right kernel of a matrix of Exprs (a list of rows), one
+    vector per free column, by a plain Gauss-Jordan elimination over the
+    rational-function field: an oracle that shares no code with `linalg`."""
+    a = [list(r) for r in rows]
+    pivots = []  # (row, column) of each pivot, its entry scaled to 1
+    for col in range(cols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if not a[i][col].is_zero()), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        p = a[r][col]
+        a[r] = [e / p for e in a[r]]
+        for i in range(len(a)):
+            if i != r and not a[i][col].is_zero():
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append((r, col))
+    table = a[0][0].table
+    basis = []
+    for free in sorted(set(range(cols)) - {c for _r, c in pivots}):
+        v = [Expr.const(table, int(c == free)) for c in range(cols)]
+        for r, c in pivots:
+            v[c] = -a[r][free]
+        basis.append(v)
+    return basis
+
+
+def expr_matvec(rows, v):
+    """The product of a matrix of Exprs (a list of rows) and a vector."""
+    return [sum((x * y for x, y in zip(row, v)), Expr.const(v[0].table, 0)) for row in rows]
 
 
 def sympy_rank(vectors):

@@ -19,7 +19,20 @@ from hamdirac.chart import CanonicalChart, ChartError, ChartRow, _bracket_deviat
 from hamdirac.expr import Expr
 from hamdirac.lagrangian import UnsupportedShape
 
-from conftest import FAMILY_RATIONALS, L3_SRC, analyzed, dense_solve, l3_family, random_poly, rng_for, sympy_rank
+from conftest import (
+    FAMILY_RATIONALS,
+    L3_SRC,
+    analyzed,
+    chart_matrix,
+    chart_offsets,
+    chart_phase,
+    dense_solve,
+    l3_family,
+    linear_form,
+    random_poly,
+    rng_for,
+    sympy_rank,
+)
 
 
 ALL = ["l1", "l2", "l3", "l4_ssok", "l4_pons"]
@@ -36,7 +49,7 @@ def charts(l1, l2, l3, l4_ssok, l4_pons):
 
 def test_every_built_chart_is_exactly_symplectic(charts):
     for name, (t, fos, res, ch) in charts.items():
-        ok, violations, _ = verify_chart(ch.matrix(), mode="exact")
+        ok, violations, _ = verify_chart(chart_matrix(ch), mode="exact")
         assert ok, (name, violations[:3])
         assert ch.notes == []
 
@@ -90,7 +103,7 @@ def test_verify_chart_supplied_l3_exact(l3):
     z = fos.phase.z_order()
     matrix = []
     for name in ("Xi1", "Xi2", "ThU1", "Q1", "Psi1", "Psi2", "ThD1", "P1"):
-        coeffs, _off = parse_expr(rows_text[name], t).linear_form(z)
+        coeffs, _off = linear_form(parse_expr(rows_text[name], t), z)
         matrix.append(coeffs)
     ok, violations, _ = verify_chart(matrix, mode="exact")
     assert ok, violations[:4]
@@ -296,13 +309,13 @@ def test_chart_rows_are_frozen_and_build_chart_repeats(l1, l3):
         assert [r.name + "_" for r in first.rows] == [r.name for r in second.rows]
         assert first.notes == second.notes
         assert snapshot(res) == before
-        for r, coeffs, offset in zip(first.rows, first.matrix(), first.offsets()):
+        for r, coeffs, offset in zip(first.rows, chart_matrix(first), chart_offsets(first)):
             assert isinstance(r.row[0], tuple) and all(isinstance(e, tuple) for e in r.row[0])
             with pytest.raises(AttributeError):
                 r.row = ((), 1)
             assert len(coeffs) == 2 * first.n and qq.to_row([*coeffs, offset]) == r.row
-        first.matrix()[0].append(Fraction(1))
-        assert len(first.matrix()[0]) == 2 * first.n
+        chart_matrix(first)[0].append(Fraction(1))
+        assert len(chart_matrix(first)[0]) == 2 * first.n
 
 
 def test_chart_row_expr_of_non_primitive_row(l1):
@@ -328,7 +341,7 @@ def test_transform_constant(charts):
 
 def test_transform_preserves_brackets(charts):
     t, fos, res, ch = charts["l2"]
-    cp = ch.chart_phase()
+    cp = chart_phase(ch)
     z = fos.phase.z_order()
     rng = rng_for("transform-brackets")
     for _ in range(110):
@@ -393,7 +406,7 @@ def test_transform_l4_ssok_opposite_multiplier_sign(l4_ssok):
         ChartRow("P", 1, _cov(t, fos, "-(1/2)*Q1_q + p_Q2_q"), t.position("cP1")),
     ]
     chart = CanonicalChart(fos.phase, rows)
-    ok, violations, _ = verify_chart(chart.matrix(), mode="exact")
+    ok, violations, _ = verify_chart(chart_matrix(chart), mode="exact")
     assert ok, violations
     got = transform(ht_display, chart)
     want = parse_expr("(1/2)*cP1^2 + (1/2)*cQ1^2 - 2*cThD1*cP1 - (1/2)*cThU1^2 + (3/2)*cThD1^2", t)
@@ -402,7 +415,7 @@ def test_transform_l4_ssok_opposite_multiplier_sign(l4_ssok):
 
 def _cov(t, fos, text):
     """The qq integer row of an affine phase-space expression."""
-    coeffs, off = parse_expr(text, t).linear_form(fos.phase.z_order())
+    coeffs, off = linear_form(parse_expr(text, t), fos.phase.z_order())
     return qq.to_row([*coeffs, off])
 
 
@@ -495,7 +508,7 @@ def test_identity_chart_for_unconstrained():
     ch = build_chart(res)
     assert [r.role for r in ch.rows] == ["Q", "Q", "P", "P"]
     eye = [[Fraction(1 if i == j else 0) for j in range(4)] for i in range(4)]
-    assert ch.matrix() == eye
+    assert chart_matrix(ch) == eye
 
 
 def test_integral_constant_budgets(l1, l2, l3):
@@ -538,7 +551,7 @@ def reference_chart(res):
     phase, n = res.phase, res.phase.n
 
     def covector(expr):
-        coeffs, off = expr.linear_form(phase.z_order())
+        coeffs, off = linear_form(expr, phase.z_order())
         return [Fraction(c) for c in coeffs] + [Fraction(off)]
 
     pool = [covector(r.expr) for r in res.second_class]
@@ -591,8 +604,8 @@ def test_cached_completion_matches_from_scratch(l1, l2, l3, l4_ssok, l4_pons):
     cases += [(f"{kind}{k}", l3_family(kind, k, rng)) for kind in ("coupled", "gauge") for k in (1, 2, 3)]
     for name, (_t, _fos, res) in cases:
         built, want = build_chart(res), reference_chart(res)
-        assert built.matrix() == want.matrix(), name
-        assert built.offsets() == want.offsets(), name
+        assert chart_matrix(built) == chart_matrix(want), name
+        assert chart_offsets(built) == chart_offsets(want), name
         assert built.notes == want.notes, name
 
 
@@ -605,7 +618,7 @@ def expr_sum_transform(e, chart):
     from hamdirac import qq
 
     table = chart.table
-    s = chart.matrix()
+    s = chart_matrix(chart)
     dim = len(s)
     # S^-1 by Gauss-Jordan on [S | I], not by the closed form the chart map uses
     aug = [qq.to_row(list(row) + [Fraction(int(i == k)) for k in range(dim)]) for i, row in enumerate(s)]
@@ -614,7 +627,7 @@ def expr_sum_transform(e, chart):
     subs = {}
     for i, zi in enumerate(chart.phase.z_order()):
         acc = Expr.const(table, 0)
-        for c, row, offset in zip(inv[i], chart.rows, chart.offsets()):
+        for c, row, offset in zip(inv[i], chart.rows, chart_offsets(chart)):
             if c:
                 acc = acc + Expr.const(table, c) * (Expr.sym(table, row.symbol) - Expr.const(table, offset))
         subs[zi] = acc
@@ -644,7 +657,7 @@ def transform_then_bracket_correct(phase, layout, vectors, result):
     zero_qp = {sym: zero for sym in qp_syms}
     for xi, psi in targets:
         chart = CanonicalChart(phase, [ChartRow(role, k, qq.to_row(vectors[sym]), sym, gen) for (role, k, gen), sym in heads])
-        cp = chart.chart_phase()
+        cp = chart_phase(chart)
         try:
             ht_c = expr_sum_transform(ht, chart)
             velocity = lambda sym: poisson(Expr.sym(table, sym), ht_c, cp).substitute(embedded)
@@ -781,7 +794,7 @@ def test_supplied_chart_span_checks_match_rank_oracle():
 
     def oracle(an, chart_rows):
         z = an.fos.phase.z_order()
-        cov = {name: parse_expr(text, an.table).linear_form(z)[0] for name, text in chart_rows.items()}
+        cov = {name: linear_form(parse_expr(text, an.table), z)[0] for name, text in chart_rows.items()}
         res = an.result
         same = lambda a, b: sympy_rank(a) == sympy_rank(b) == sympy_rank(a + b)
         psi = [cov[k] for k in sorted(cov) if k.startswith("Psi")]

@@ -15,7 +15,7 @@ from hamdirac import (
 from hamdirac.embedding import EmbeddingError, GaugeError, resolve_plan
 from hamdirac.expr import Expr
 
-from conftest import analyzed
+from conftest import analyzed, linear_form
 
 
 def planned(trip, gauge=False, epsilon=None, conditions=None):
@@ -211,7 +211,7 @@ def test_effective_hamiltonian_l3(l3):
     z = fos.phase.z_order()
     rows = []
     for role, pair, text in rows_text:
-        coeffs, off = parse_expr(text, t).linear_form(z)
+        coeffs, off = linear_form(parse_expr(text, t), z)
         sym = t.position(f"c{role}{pair}")
         gen = {1: 1, 2: 2}[pair] if role == "Psi" else None
         rows.append(ChartRow(role, pair, qq.to_row([*coeffs, off]), sym, gen))

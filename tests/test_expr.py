@@ -6,7 +6,7 @@ from hamdirac import SymbolTable, parse_expr
 from hamdirac.expr import CyclicRules, Expr, ZeroDenominator, _mono_key, _mono_mul, _padd, _pmul, _psubstitute
 from hamdirac.parser import ParseError, UnknownSymbol
 
-from conftest import random_poly, rng_for
+from conftest import linear_form, random_poly, rng_for
 
 
 def same(got, want):
@@ -366,7 +366,7 @@ def test_linear_form_and_affine_split():
     t = table3()
     syms = [t["q1"], t["q2"], t["q3"]]
     e = parse_expr("2*q1 - q3 + 5/2", t)
-    row, off = e.linear_form(syms)
+    row, off = linear_form(e, syms)
     assert row == [Fraction(2), Fraction(0), Fraction(-1)] and off == Fraction(5, 2)
     const, coeffs = parse_expr("q2*q1 + q3 + 7", t).split_affine([t["q1"]])
     assert const == parse_expr("q3 + 7", t)
@@ -381,6 +381,6 @@ def test_linear_form_yields_fractions():
     texts = ("2*q1 - q3 + 5", "(2/3)*q2 - (1/2)*q1 + 1/7", "q1", "0", "3", "q2 - q2")
     built = (Expr.const(t, 3), Expr.const(t, 0), q1 * 2 + 5, q1 * Expr.const(t, 2) / 4 - 1)
     for e in [parse_expr(text, t) for text in texts] + list(built):
-        row, off = e.linear_form(syms)
+        row, off = linear_form(e, syms)
         assert all(type(c) is Fraction for c in row), e
         assert type(off) is Fraction, e

@@ -17,7 +17,7 @@ import pytest
 from hamdirac import SymbolTable, parse_expr
 from hamdirac.expr import Expr, ZeroDenominator, _mono_key
 
-from conftest import rng_for
+from conftest import linear_form, rng_for
 
 sp = pytest.importorskip("sympy")
 
@@ -155,7 +155,7 @@ def test_linear_form_matches_sympy(world):
         # a cancelling detour must not change the form
         junk, _ = random_poly(rng, t, syms, s_of)
         e = e + junk - junk
-        row, got_off = e.linear_form(syms)
+        row, got_off = linear_form(e, syms)
         poly = sp.Poly(to_sympy(e, s_of), *(s_of[q.index] for q in syms))
         want = [poly.coeff_monomial(s_of[q.index]) for q in syms]
         assert [sp.Rational(c.numerator, c.denominator) for c in row] == want

@@ -15,7 +15,7 @@ import hamdirac.lagrangian as lagrangian
 from hamdirac import cli, legendre, ostrogradsky_reduce, parse_expr, pons_reduce
 from hamdirac.expr import Expr
 
-from conftest import make_system, random_quadratic_lagrangian, rng_for
+from conftest import linear_form, make_system, random_quadratic_lagrangian, rng_for
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -28,7 +28,7 @@ def reference(sys, phase):
     rows = []
     for c, v in zip(sys.genuine_coords(), vels):
         m = sys.L.diff(v)  # affine in (q, v) with constant coefficients
-        at_zero = m.eval_fraction({s: 0 for s in m.free_symbols()})
+        at_zero = m.substitute({s: 0 for s in m.free_symbols()}).constant_value()
         rhs = [int(s == momentum[c]) - m.diff(s).constant_value() for s in syms]
         rows.append([m.diff(u).constant_value() for u in cols] + rhs + [-at_zero])
     nv, used, pivot_of = len(cols), set(), {}
@@ -50,7 +50,7 @@ def reference(sys, phase):
 
 
 def dense(e, syms):
-    coeffs, offset = e.linear_form(syms)
+    coeffs, offset = linear_form(e, syms)
     return coeffs + [offset]
 
 

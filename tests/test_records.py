@@ -13,10 +13,10 @@ import pytest
 
 from hamdirac import SymbolTable, classify, dirac_iterate, parse_expr
 from hamdirac.chart import CanonicalChart, ChartError, ChartRow, build_chart, frobenius_check, integral_constant_budget
-from hamdirac.dirac import DiracResult
+from hamdirac.dirac import ClassRep, DiracResult
 from hamdirac.embedding import EmbeddingError, EmbeddingPlan, select_embedding
 from hamdirac.expr import Expr
-from hamdirac.lagrangian import LagrangianSystem, PhaseSpace, legendre
+from hamdirac.lagrangian import FirstOrderSystem, LagrangianSystem, PhaseSpace, legendre
 from hamdirac.linalg import LinearSolution
 from hamdirac.report import Analysis, PipelineOptions, build_report, report_json, run_pipeline
 from hamdirac.symbols import Symbol, _Record
@@ -24,15 +24,19 @@ from hamdirac.sysfile import SystemFile, load_system_file
 
 SYMBOL_FIELDS = ("name", "index", "kind", "base", "order")
 CHART_ROW_FIELDS = ("role", "pair", "row", "symbol", "generation")
+CLASS_REP_FIELDS = ("expr", "klass", "generation", "row")
 
 
 def frozen_cases():
     sym = Symbol("q1", 0, "position", "q1", 0)
+    table = SymbolTable()
+    q1 = Expr.sym(table, table.position("q1"))
     return [
         (Symbol, SYMBOL_FIELDS, ("q1", 0, "position", "q1", 0)),
         (Symbol, SYMBOL_FIELDS, ("zeta1", 7, "multiplier", None, 0)),
         (ChartRow, CHART_ROW_FIELDS, ("Psi", 1, (((1, 1), (2, -2)), 3), sym, 2)),
         (ChartRow, CHART_ROW_FIELDS, ("Q", 2, (((0, 1),), 1), sym, None)),
+        (ClassRep, CLASS_REP_FIELDS, (q1, "second", 1, (((0, 1),), 1))),
     ]
 
 
@@ -46,9 +50,11 @@ def test_frozen_records_are_values(cls, names, values):
             delattr(a, name)
     assert tuple(getattr(a, k) for k in names) == values
     assert a == b and not a != b and hash(a) == hash(b) == hash(values)
-    assert a != cls(*values[:-1], 5) and a != values
+    assert a != cls(5, *values[1:]) and a != values
     if cls is Symbol:
         assert repr(a) == values[0]
+    elif cls is ClassRep:
+        assert repr(a) == f"ClassRep(expr=q1, klass='second', generation=1, row={values[3]})"
     else:
         assert repr(a) == f"ChartRow(role={values[0]!r}, pair={values[1]}, row={values[2]}, symbol=q1, generation={values[4]})"
 
@@ -81,7 +87,8 @@ def list_and_dict_defaults():
         (SymbolTable, (), ("_by_name", "_by_index")),
         (SystemFile, ("s", ["q1"], 1, "0"), ("chart_rows", "gauge", "options", "epsilon")),
         (LagrangianSystem, (t, (), 1, h), ("velocity_aliases",)),
-        (LinearSolution, ([], [], [], []), ("witnesses", "witness_rows")),
+        (LinearSolution, ([], []), ("witnesses",)),
+        (FirstOrderSystem, (phase, h, [], {}), ()),
         (
             DiracResult,
             (phase, h, []),

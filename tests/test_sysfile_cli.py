@@ -398,6 +398,73 @@ def test_cli_simulate_parses_bc_and_xi_like_times(capsys):
     assert runs["Q1=pi/4:0"] == runs["Q1=0.7853981633974483:0"]
 
 
+@pytest.mark.parametrize("line,lineno,name", [("Q0 = q1 + 5*p4", 18, "Q0"), ("Xi0 = p4", 18, "Xi0"), ("Psi01 = p4", 18, "Psi01")])
+def test_cli_chart_row_numbered_from_zero_exits_2(tmp_path, capsys, line, lineno, name):
+    # a row index starts at 1 and has no leading zero: Q0 or Psi01 is an
+    # input error naming its line, not a row the chart silently drops
+    path = tmp_path / "l3row.sys"
+    path.write_text(Path(fixture("l3.sys")).read_text(encoding="utf-8") + line + "\n", encoding="utf-8")
+    assert main(["chart", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {path}:{lineno}: chart row name {name!r} must be Xi#, Psi#, ThU#, ThD#, Q# or P#, # = 1, 2, ...\n"
+    )
+
+
+GAUGE2 = str(Path(__file__).resolve().parent / "golden" / "gauge2.sys")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", fixture("l2.sys"), "--bc", "Q1=1:0", "--bc", "Q1=1:0.5", "--t2", "1"], "--bc Q1 given twice"),
+        (
+            ["simulate", fixture("l3.sys"), "--bc", "Q1=1:0", "--xi", "Xi2=1", "--xi", " Xi2=2", "--t2", "1"],
+            "--xi Xi2 given twice",
+        ),
+        (["report", fixture("l3.sys"), "--epsilon", "ThU1=1", "--epsilon", "ThU1=2"], "--epsilon ThU1 given twice"),
+        (["report", GAUGE2, "--gauge-fixing", "zeta1=0, zeta1=0, zeta2=0"], "gauge condition for 'zeta1' given twice"),
+    ],
+    ids=["bc", "xi", "epsilon", "gauge-fixing"],
+)
+def test_cli_name_given_twice_exits_2(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "base, section, message",
+    [
+        (GAUGE2, "[gauge]\nzeta1 = 0\nzeta1 = 0\nzeta2 = 0\n", "7: gauge multiplier 'zeta1' given twice"),
+        (fixture("l3.sys"), "[options]\nepsilon ThU1 = 1\nepsilon ThU1 = 2\n", "20: epsilon 'ThU1' given twice"),
+        (fixture("l3.sys"), "[options]\nfix_endpoint = t1\nfix_endpoint = t2\n", "20: option 'fix_endpoint' given twice"),
+        (fixture("l2.sys"), "L = q1*d(q2)\n", "7: 'L' given twice"),
+        (fixture("l3.sys"), "Q1 = q1\n", "18: chart row 'Q1' given twice"),
+    ],
+    ids=["gauge-line", "epsilon-line", "option-line", "header-line", "chart-line"],
+)
+def test_sysfile_name_given_twice_exits_2(tmp_path, capsys, base, section, message):
+    path = tmp_path / "twice.sys"
+    path.write_text(Path(base).read_text(encoding="utf-8") + section, encoding="utf-8")
+    assert main(["report", str(path), "--gauge-fixing"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}:{message}\n"
+
+
+def test_cli_epsilon_overrides_the_file_epsilon(tmp_path, capsys):
+    # one --epsilon over the file's epsilon line for the same name is the
+    # documented precedence, not a repeat
+    path = tmp_path / "eps.sys"
+    path.write_text(Path(fixture("l3.sys")).read_text(encoding="utf-8") + "[options]\nepsilon ThU1 = 1\n", encoding="utf-8")
+    for extra, want in (([], "1"), (["--epsilon", "ThU1=2"], "2")):
+        assert main(["report", str(path), *extra]) == 0
+        assert json.loads(capsys.readouterr().out)["pullback"]["epsilon_values"]["eps_ThU1"] == want
+
+
 def test_cli_lagrangian_non_ascii_digit_exits_2(tmp_path, capsys):
     # "²" is a str.isdigit() character that int() rejects: an input error, not a crash
     path = tmp_path / "sup.sys"
