@@ -29,7 +29,7 @@ from . import qq
 from .dirac import DiracResult, DiracError, field_bracket, hamilton_field, quadratic_field, row_field_bracket
 from .expr import Expr, ExprError, _row_expr
 from .lagrangian import PhaseSpace
-from .symbols import _Frozen, _Record
+from .symbols import _Record
 
 
 class ChartError(Exception):
@@ -39,7 +39,7 @@ class ChartError(Exception):
 ROLE_CONJUGATE = {"Xi": "Psi", "Psi": "Xi", "ThU": "ThD", "ThD": "ThU", "Q": "P", "P": "Q"}
 
 
-class ChartRow(_Frozen):
+class ChartRow(_Record):
     __slots__ = ("role", "pair", "row", "symbol", "generation")
 
     def __init__(self, role: str, pair: int, row: tuple, symbol: object, generation: int | None = None):
@@ -57,13 +57,11 @@ class ChartRow(_Frozen):
 
 
 class CanonicalChart(_Record):
-    __slots__ = ("phase", "rows", "notes", "hamiltonian")
+    __slots__ = ("phase", "rows", "notes")
 
-    def __init__(self, phase: PhaseSpace, rows: list, notes: list | None = None, hamiltonian: Expr | None = None):
-        self.phase = phase
-        self.rows = rows  # position block then momentum block, canonical role order
-        self.notes = [] if notes is None else notes
-        self.hamiltonian = hamiltonian  # transformed H_T, kept by report.attach_embedding
+    def __init__(self, phase: PhaseSpace, rows: list, notes: list | None = None):
+        # rows: position block then momentum block, canonical role order
+        self._fields(phase, rows, [] if notes is None else notes)
 
     @property
     def n(self):
@@ -375,8 +373,8 @@ class FrobeniusReport(_Record):
     __slots__ = ("residuals", "verdict", "budget_used", "budget_total", "budget_ok")
 
     def __init__(self, residuals: list, verdict: bool, budget_used: int, budget_total: int, budget_ok: bool):
-        self.residuals, self.verdict = residuals, verdict  # residuals: (coordinate name, residual Expr)
-        self.budget_used, self.budget_total, self.budget_ok = budget_used, budget_total, budget_ok
+        # residuals: (coordinate name, residual Expr)
+        self._fields(residuals, verdict, budget_used, budget_total, budget_ok)
 
 
 def frobenius_check(result: DiracResult) -> "FrobeniusReport":
@@ -410,8 +408,7 @@ class ConstantBudget(_Record):
     __slots__ = ("total", "occupied", "free", "by_boundary", "by_gauge")
 
     def __init__(self, total: int, occupied: int, free: int, by_boundary: int, by_gauge: int):
-        self.total, self.occupied, self.free = total, occupied, free
-        self.by_boundary, self.by_gauge = by_boundary, by_gauge
+        self._fields(total, occupied, free, by_boundary, by_gauge)
 
 
 _OCCUPANCY = {
@@ -425,12 +422,13 @@ _OCCUPANCY = {
 
 
 def integral_constant_budget(result: DiracResult, plan) -> ConstantBudget:
-    """Integral constants occupied by an embedding: 2r+2s, r+2s, 2s, 2r, r
-    for sigma3, sigma3~, sigma2, sigma1, sigma1~ (r = F, s = S/2)."""
+    """Integral constants occupied by an embedding, an `EmbeddingPlan`: 2r+2s,
+    r+2s, 2s, 2r, r for sigma3, sigma3~, sigma2, sigma1, sigma1~ (r = F,
+    s = S/2)."""
     if not result.classified:
         raise ChartError("classify before computing the constant budget")
     r, s = result.F, result.S // 2
-    kind = plan.kind if hasattr(plan, "kind") else str(plan)
+    kind = plan.kind
     if kind not in _OCCUPANCY:
         raise ChartError(f"unknown embedding kind {kind!r}")
     occupied = _OCCUPANCY[kind](r, s)

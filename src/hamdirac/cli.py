@@ -32,6 +32,8 @@ step - 1e-12)), before anything is compiled or integrated).  verify-chart
 exits 2 when the matrix is not square with an even dimension, and when --tol
 is negative, nan or infinite; exact mode ignores --tol.  A --bc, --xi or
 --epsilon name or a --gauge-fixing multiplier given twice exits 2.
+report --gauge-fixing with an empty or blank CONDS is the bare flag: the
+file's [gauge] conditions if it has them, else derived ones.
 """
 
 from __future__ import annotations
@@ -141,25 +143,21 @@ def _build_parser():
 
 
 def _options(args) -> PipelineOptions:
-    opts = PipelineOptions(path=args.path)
-    if hasattr(args, "gauge_fixing"):
-        gf = args.gauge_fixing
-        opts.gauge_fixing = bool(gf)
-        if isinstance(gf, str):
-            opts.gauge_conditions = gf
-    if getattr(args, "fix_endpoint", None):
-        opts.fix_endpoint = args.fix_endpoint
+    epsilon = {}
     for item in getattr(args, "epsilon", []):
         name, _, val = item.partition("=")
         if not val:
             raise InputError(f"--epsilon wants NAME=RATIONAL, got {item!r}")
-        if name.strip() in opts.epsilon:
+        if name.strip() in epsilon:
             raise InputError(f"--epsilon {name.strip()} given twice")
         try:
-            opts.epsilon[name.strip()] = Fraction(val.strip())
+            epsilon[name.strip()] = Fraction(val.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"--epsilon {item!r}: {exc}") from exc
-    return opts
+    # --gauge-fixing: False when absent, True when bare; a blank CONDS is the bare flag
+    gf = getattr(args, "gauge_fixing", False)
+    conditions = (gf.strip() or None) if isinstance(gf, str) else None
+    return PipelineOptions(args.path, gf is not False, conditions, getattr(args, "fix_endpoint", None), epsilon)
 
 
 def _emit(args, text: str):

@@ -46,7 +46,7 @@ from math import lcm
 from . import qq
 from .expr import Expr, ExprError, _pgcd, _plead, _row_expr
 from .lagrangian import FirstOrderSystem, PhaseSpace, UnsupportedShape
-from .symbols import _Frozen
+from .symbols import _Record
 
 
 class DiracError(Exception):
@@ -61,7 +61,7 @@ class BudgetExceeded(DiracError):
     pass
 
 
-class Constraint(_Frozen):
+class Constraint(_Record):
     __slots__ = ("expr", "chain", "generation", "row", "klass", "name")
 
     def __init__(self, expr: Expr, chain: int, generation: int, row: tuple, klass: str = "unclassified",
@@ -70,7 +70,7 @@ class Constraint(_Frozen):
         self._fields(expr, chain, generation, (tuple(row[0]), row[1]), klass, name)
 
 
-class ClassRep(_Frozen):
+class ClassRep(_Record):
     """A re-based constraint representative of definite class, with `row`,
     `expr` as a qq integer row like Constraint.row."""
 
@@ -80,7 +80,7 @@ class ClassRep(_Frozen):
         self._fields(expr, klass, generation, (tuple(row[0]), row[1]))
 
 
-class DiracResult(_Frozen):
+class DiracResult(_Record):
     """The constraints of one analysis as `dirac_iterate` leaves them or, with
     `classified` set, as `classify` splits them.  `rebased_primaries` are
     Exprs, first-class combinations first; `first_class` and `second_class`

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .chart import CanonicalChart, integral_constant_budget, transform
+from .chart import CanonicalChart
 from .dirac import DiracResult
 from .expr import Expr
 from .symbols import _Record
@@ -30,12 +30,12 @@ class EmbeddingPlan(_Record):
 
     def __init__(self, kind: str, fixed: dict | None = None, gauge_fixed: bool = False,
                  gauge_multiplier_solutions: dict | None = None, preconditions: list | None = None):
-        self.kind = kind  # sigma1 | sigma1_tilde | sigma2 | sigma3 | sigma3_tilde | trivial
-        self.fixed = {} if fixed is None else fixed  # chart row name -> Fraction epsilon
-        self.gauge_fixed = gauge_fixed
+        # kind: sigma1 | sigma1_tilde | sigma2 | sigma3 | sigma3_tilde | trivial;
+        # fixed: chart row name -> Fraction epsilon; gauge_multiplier_solutions:
         # Symbol -> Expr (chart space)
-        self.gauge_multiplier_solutions = {} if gauge_multiplier_solutions is None else gauge_multiplier_solutions
-        self.preconditions = [] if preconditions is None else preconditions
+        self._fields(kind, {} if fixed is None else fixed, gauge_fixed,
+                     {} if gauge_multiplier_solutions is None else gauge_multiplier_solutions,
+                     [] if preconditions is None else preconditions)
 
 
 _FIXED_ROLES = {
@@ -76,15 +76,17 @@ def resolve_plan(
     plan: EmbeddingPlan,
     result: DiracResult,
     chart: CanonicalChart,
+    ht: Expr,
     epsilon: dict | None = None,
     gauge_conditions: dict | None = None,
 ) -> EmbeddingPlan:
     """A copy of `plan` with the fixed-coordinate values and gauge data for a
     chart filled in; `plan` itself is left untouched.
 
-    epsilon maps chart row names to rational values (default 0, the limit
-    that restores the constraint surface).  For quasi-canonical kinds the
-    primary first-class momenta are pinned to zero regardless.
+    ht is H_T in the chart's symbols, `transform(result.total_hamiltonian(),
+    chart)`.  epsilon maps chart row names to rational values (default 0, the
+    limit that restores the constraint surface).  For quasi-canonical kinds
+    the primary first-class momenta are pinned to zero regardless.
     """
     epsilon = dict(epsilon or {})
     if plan.kind in _INVALID_KINDS:
@@ -111,47 +113,38 @@ def resolve_plan(
         fixed[row.name] = val
     if epsilon:
         raise EmbeddingError(f"epsilon overrides for coordinates not fixed by {plan.kind}: {sorted(epsilon)}")
-    plan = EmbeddingPlan(plan.kind, fixed, plan.gauge_fixed, plan.gauge_multiplier_solutions, preconditions)
+    sols = dict(plan.gauge_multiplier_solutions)
     if plan.gauge_fixed:
         if gauge_conditions:
-            plan.gauge_multiplier_solutions = dict(gauge_conditions)
-            verify_gauge(result, chart, plan)
+            sols = dict(gauge_conditions)
+            verify_gauge(result, chart, ht, fixed, sols)
         else:
-            plan.gauge_multiplier_solutions = derive_gauge(result, chart, plan)
-        for z, v in plan.gauge_multiplier_solutions.items():
-            plan.preconditions.append(f"gauge fixing: {z.name} = {v}")
-    return plan
-
-
-def _chart_hamiltonian(result: DiracResult, chart: CanonicalChart) -> Expr:
-    """H_T (solved multipliers in) in chart symbols: the chart's own copy if
-    it carries one, else transformed here."""
-    if chart.hamiltonian is not None:
-        return chart.hamiltonian
-    return transform(result.total_hamiltonian(), chart)
+            sols = derive_gauge(result, chart, ht, fixed)
+        preconditions += [f"gauge fixing: {z.name} = {v}" for z, v in sols.items()]
+    return EmbeddingPlan(plan.kind, fixed, plan.gauge_fixed, sols, preconditions)
 
 
 def _primary_psi_names(chart: CanonicalChart):
     return {r.name for r in chart.rows if r.role == "Psi" and (r.generation or 1) == 1}
 
 
-def _gauge_velocities(result: DiracResult, chart: CanonicalChart, plan: EmbeddingPlan):
-    """Velocities of the Xi rows on the embedded subspace, multipliers symbolic:
-    {Xi, H_T} = dH_T/dPsi in the chart, Psi the conjugate momentum."""
-    ht_c = _chart_hamiltonian(result, chart)
-    subs = {r.symbol: Fraction(plan.fixed.get(r.name, 0)) for r in chart.rows if r.role not in ("Q", "P")}
-    return [(r, ht_c.diff(chart.conjugate(r).symbol).substitute(subs)) for r in chart.rows_by_role("Xi")]
+def _gauge_velocities(chart: CanonicalChart, ht: Expr, fixed: dict):
+    """Velocities of the Xi rows on the embedded subspace (the chart rows
+    named in `fixed` at their values, the other non-(Q, P) rows at 0),
+    multipliers symbolic: {Xi, H_T} = dH_T/dPsi in the chart, Psi the
+    conjugate momentum and `ht` H_T in chart symbols."""
+    subs = {r.symbol: Fraction(fixed.get(r.name, 0)) for r in chart.rows if r.role not in ("Q", "P")}
+    return [(r, ht.diff(chart.conjugate(r).symbol).substitute(subs)) for r in chart.rows_by_role("Xi")]
 
 
-def derive_gauge(result: DiracResult, chart: CanonicalChart, plan: EmbeddingPlan) -> dict:
+def derive_gauge(result: DiracResult, chart: CanonicalChart, ht: Expr, fixed: dict) -> dict:
     """Multiplier values that freeze every gauge position on the embedding."""
-    table = chart.table
     free = result.free_multipliers
     if not free:
         return {}
     sols = {}
     pending = []
-    for row, vel in _gauge_velocities(result, chart, plan):
+    for row, vel in _gauge_velocities(chart, ht, fixed):
         if vel.is_zero():
             continue
         const, coeffs = vel.split_affine(free)
@@ -171,16 +164,15 @@ def derive_gauge(result: DiracResult, chart: CanonicalChart, plan: EmbeddingPlan
     return sols
 
 
-def verify_gauge(result: DiracResult, chart: CanonicalChart, plan: EmbeddingPlan):
-    """Check user-supplied multiplier values freeze the gauge sector."""
-    sols = plan.gauge_multiplier_solutions
+def verify_gauge(result: DiracResult, chart: CanonicalChart, ht: Expr, fixed: dict, sols: dict):
+    """Check user-supplied multiplier values `sols` freeze the gauge sector."""
     unknown = [z for z in sols if z not in result.free_multipliers]
     if unknown:
         raise GaugeError(f"gauge conditions for non-free multipliers: {[z.name for z in unknown]}")
     missing = [z for z in result.free_multipliers if z not in sols]
     if missing:
         raise GaugeError(f"gauge conditions missing for multipliers: {[z.name for z in missing]}")
-    for row, vel in _gauge_velocities(result, chart, plan):
+    for row, vel in _gauge_velocities(chart, ht, fixed):
         residual = vel.substitute(sols)
         if not residual.is_zero():
             raise GaugeError(f"gauge conditions do not freeze {row.name}: residual velocity {residual}")
@@ -191,19 +183,19 @@ class PullbackLagrangian(_Record):
 
     def __init__(self, kinetic: Expr, minus_h: Expr, total_derivative: Expr, eps_values: dict, lagrangian: Expr,
                  constant: Fraction):
-        self.kinetic = kinetic  # sum of P*d(Q) over surviving pairs
-        self.minus_h = minus_h  # -H_T on the embedding, fixed coordinates as epsilon symbols
-        self.total_derivative = total_derivative  # d/dt[Psi_a' Xi^a'] content for quasi-canonical kinds
-        self.eps_values = eps_values  # epsilon Symbol -> Fraction
-        self.lagrangian = lagrangian  # kinetic + minus_h at the epsilon values, constant removed
-        self.constant = constant  # the removed additive constant
+        # kinetic: sum of P*d(Q) over surviving pairs; minus_h: -H_T on the
+        # embedding, fixed coordinates as epsilon symbols; total_derivative:
+        # d/dt[Psi_a' Xi^a'] content for quasi-canonical kinds; eps_values:
+        # epsilon Symbol -> Fraction; lagrangian: kinetic + minus_h at the
+        # epsilon values, the additive `constant` removed
+        self._fields(kinetic, minus_h, total_derivative, eps_values, lagrangian, constant)
 
 
-def pullback_total_lagrangian(result: DiracResult, chart: CanonicalChart, plan: EmbeddingPlan) -> PullbackLagrangian:
+def pullback_total_lagrangian(chart: CanonicalChart, plan: EmbeddingPlan, ht: Expr) -> PullbackLagrangian:
+    """L_T = P dQ - H_T on the embedding `plan` fixes, `ht` H_T in chart symbols."""
     table = chart.table
-    ht_c = _chart_hamiltonian(result, chart)
     if plan.gauge_fixed and plan.gauge_multiplier_solutions:
-        ht_c = ht_c.substitute(plan.gauge_multiplier_solutions)
+        ht = ht.substitute(plan.gauge_multiplier_solutions)
 
     primary_psi = _primary_psi_names(chart)
     subs = {}
@@ -217,7 +209,7 @@ def pullback_total_lagrangian(result: DiracResult, chart: CanonicalChart, plan: 
         eps = table.register_fresh(f"eps_{row.name}", "parameter")  # reused by a later pullback
         subs[row.symbol] = Expr.sym(table, eps)
         eps_values[eps] = Fraction(plan.fixed[row.name])
-    minus_h = -(ht_c.substitute(subs)) if subs else -ht_c
+    minus_h = -(ht.substitute(subs)) if subs else -ht
     stray = [s for s in minus_h.free_symbols() if s.kind == "multiplier"]
     if stray:
         raise EmbeddingError(f"free multipliers {[s.name for s in stray]} survive the pullback; gauge data incomplete")
@@ -248,31 +240,22 @@ def _constant_part(e: Expr) -> Fraction:
     return Fraction(e.num.get((), 0), e.den[()])
 
 
-def effective_hamiltonian(result: DiracResult, chart: CanonicalChart) -> Expr:
-    """Transformed H_T with every primary first-class momentum set to zero."""
+def effective_hamiltonian(result: DiracResult, chart: CanonicalChart, ht: Expr) -> Expr:
+    """`ht`, H_T in chart symbols, with every primary first-class momentum set to zero."""
     if result.F == 0:
         raise EmbeddingError("effective Hamiltonian needs first-class constraints")
     table = chart.table
-    ht_c = _chart_hamiltonian(result, chart)
-    subs = {}
-    for row in chart.rows_by_role("Psi"):
-        if (row.generation or 1) == 1:
-            subs[row.symbol] = Expr.const(table, 0)
-    return ht_c.substitute(subs)
+    return ht.substitute({r.symbol: Expr.const(table, 0) for r in chart.rows_by_role("Psi") if (r.generation or 1) == 1})
 
 
 class BoundaryReport(_Record):
-    __slots__ = ("fix_both_ends", "fix_initial_only", "never_fix", "free_constant_count", "preconditions",
-                 "initial_endpoint")
+    __slots__ = ("fix_both_ends", "fix_initial_only", "never_fix", "initial_endpoint")
 
-    def __init__(self, fix_both_ends: list, fix_initial_only: list, never_fix: list, free_constant_count: int,
-                 preconditions: list, initial_endpoint: str = "t1"):
-        self.fix_both_ends, self.fix_initial_only, self.never_fix = fix_both_ends, fix_initial_only, never_fix
-        self.free_constant_count, self.preconditions = free_constant_count, preconditions
-        self.initial_endpoint = initial_endpoint
+    def __init__(self, fix_both_ends: list, fix_initial_only: list, never_fix: list, initial_endpoint: str = "t1"):
+        self._fields(fix_both_ends, fix_initial_only, never_fix, initial_endpoint)
 
 
-def boundary_report(result: DiracResult, chart: CanonicalChart, plan: EmbeddingPlan, endpoint: str = "t1") -> BoundaryReport:
+def boundary_report(chart: CanonicalChart, plan: EmbeddingPlan, endpoint: str = "t1") -> BoundaryReport:
     """Endpoint prescription making the variational principle well-posed.
 
     Physical positions are fixed at both ends.  Under quasi-canonical
@@ -294,5 +277,4 @@ def boundary_report(result: DiracResult, chart: CanonicalChart, plan: EmbeddingP
                 never.append(xi.name)
             else:
                 initial.append(xi.name)
-    budget = integral_constant_budget(result, plan)
-    return BoundaryReport(both, initial, never, budget.free, list(plan.preconditions), endpoint)
+    return BoundaryReport(both, initial, never, endpoint)

@@ -36,10 +36,9 @@ class LagrangianSystem(_Record):
     __slots__ = ("table", "coords", "order", "L", "velocity_aliases")
 
     def __init__(self, table: SymbolTable, coords: tuple, order: int, L: Expr, velocity_aliases: dict | None = None):
-        self.table, self.coords, self.order, self.L = table, coords, order, L
         # SSOK-style systems declare the velocity of a coordinate to *be* another
         # coordinate; such coordinates get an undetermined momentum and no primary.
-        self.velocity_aliases = {} if velocity_aliases is None else velocity_aliases
+        self._fields(table, coords, order, L, {} if velocity_aliases is None else velocity_aliases)
 
     def velocity_symbols(self):
         return [self.table.velocity(c) for c in self.coords if c not in self.velocity_aliases]
@@ -52,7 +51,7 @@ class PhaseSpace(_Record):
     __slots__ = ("table", "pairs")
 
     def __init__(self, table: SymbolTable, pairs: tuple):
-        self.table, self.pairs = table, pairs  # pairs: ((q, p), ...) in symplectic layout order
+        self._fields(table, pairs)  # pairs: ((q, p), ...) in symplectic layout order
 
     @property
     def n(self):
@@ -75,9 +74,9 @@ class FirstOrderSystem(_Record):
     __slots__ = ("phase", "H", "primaries", "momentum_defs")
 
     def __init__(self, phase: PhaseSpace, H: Expr, primaries: list, momentum_defs: dict):
-        self.phase, self.H = phase, H
-        self.primaries = primaries  # Expr, in coordinate row order
-        self.momentum_defs = momentum_defs  # momentum Symbol -> defining Expr in (q, v); absent for alias momenta
+        # primaries: Exprs, in coordinate row order; momentum_defs: momentum
+        # Symbol -> defining Expr in (q, v), absent for alias momenta
+        self._fields(phase, H, primaries, momentum_defs)
 
 
 def _momentum_name(coord: Symbol) -> str:

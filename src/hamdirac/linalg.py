@@ -30,7 +30,7 @@ class ExprMatrix(_Record):
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries: list):
-        self.rows, self.cols, self.entries = rows, cols, entries  # entries: list of rows of Expr
+        self._fields(rows, cols, entries)  # entries: list of rows of Expr
 
     @staticmethod
     def from_rows(rows_list) -> "ExprMatrix":
@@ -54,8 +54,7 @@ class LinearSolution(_Record):
     __slots__ = ("particular", "pivot_cols", "witnesses")
 
     def __init__(self, particular: list, pivot_cols: list, witnesses: list | None = None):
-        self.particular, self.pivot_cols = particular, pivot_cols
-        self.witnesses = [] if witnesses is None else witnesses
+        self._fields(particular, pivot_cols, [] if witnesses is None else witnesses)
 
 
 def solve_linear(a: ExprMatrix, b: list, pivot_log: list | None = None) -> LinearSolution:

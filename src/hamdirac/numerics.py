@@ -59,13 +59,11 @@ class ReducedField(_Record):
 
     def __init__(self, pairs: list, rhs: object, energy: object, h_expr: Expr, oscillator_like: bool,
                  variational: object = None, linear: tuple | None = None):
-        self.pairs = pairs  # [(Q Symbol, P Symbol), ...]
-        self.rhs = rhs  # rhs(t, y) -> tuple(dy)
-        self.energy = energy  # H(y) -> float
-        self.h_expr = h_expr
-        self.oscillator_like = oscillator_like  # 1 dof, unit frequency, no linear terms
-        self.variational = variational  # variational(t, z) -> dz for z = (y, dy/dP_1, ..., dy/dP_m)
-        self.linear = linear  # (A, c) with rhs = A y + c when H is quadratic
+        # pairs: [(Q Symbol, P Symbol), ...]; rhs(t, y) -> tuple(dy); energy:
+        # H(y) -> float; oscillator_like: 1 dof, unit frequency, no linear
+        # terms; variational(t, z) -> dz for z = (y, dy/dP_1, ..., dy/dP_m);
+        # linear: (A, c) with rhs = A y + c when H is quadratic
+        self._fields(pairs, rhs, energy, h_expr, oscillator_like, variational, linear)
 
     @property
     def dim(self):
@@ -162,10 +160,9 @@ class Trajectory(_Record):
     __slots__ = ("times", "columns", "energies", "pairs")
 
     def __init__(self, times: array, columns: list, energies: array, pairs: list):
-        self.times = times  # array('d') of grid times
-        self.columns = columns  # one array('d') per state component, layout (Q1, P1, Q2, P2, ...)
-        self.energies = energies  # array('d'), H at each row
-        self.pairs = pairs
+        # times: array('d') of grid times; columns: one array('d') per state
+        # component, layout (Q1, P1, Q2, P2, ...); energies: array('d'), H at each row
+        self._fields(times, columns, energies, pairs)
 
     def state(self, i) -> tuple:
         """The state at row i (negative i counts from the end), layout (Q1, P1, Q2, P2, ...)."""
@@ -336,8 +333,7 @@ class _Variational(_Record):
     __slots__ = ("pairs", "rhs", "energy", "dim", "linear")
 
     def __init__(self, pairs: list, rhs: object, energy: object, dim: int, linear: None = None):
-        self.pairs, self.rhs, self.energy, self.dim = pairs, rhs, energy, dim
-        self.linear = linear  # never affine: integrate runs the stages
+        self._fields(pairs, rhs, energy, dim, linear)  # linear: never affine, integrate runs the stages
 
 
 def rk4_variational(field: ReducedField, init, t1: float, t2: float, step: float):
@@ -358,10 +354,10 @@ class IotaSolution(_Record):
 
     def __init__(self, initial_state: tuple, constants: dict, trajectory: Trajectory, residual: float,
                  condition: float):
-        self.initial_state = initial_state  # full (Q1, P1, ...) at t1
-        self.constants = constants  # name -> float, the integral-constant parametrization
-        self.trajectory, self.residual = trajectory, residual
-        self.condition = condition  # of dQ(t2)/dP(t1) relative to dy(t2)/dP(t1), at the solution
+        # initial_state: full (Q1, P1, ...) at t1; constants: name -> float,
+        # the integral-constant parametrization; condition: of dQ(t2)/dP(t1)
+        # relative to dy(t2)/dP(t1), at the solution
+        self._fields(initial_state, constants, trajectory, residual, condition)
 
 
 def solve_iota(

@@ -48,11 +48,10 @@ class PipelineOptions(_Record):
 
     def __init__(self, path: str | None = None, gauge_fixing: bool = False, gauge_conditions: str | None = None,
                  fix_endpoint: str | None = None, epsilon: dict | None = None):
-        self.path = path  # ssok | pons for order-2 systems
-        self.gauge_fixing = gauge_fixing
-        self.gauge_conditions = gauge_conditions  # "zeta1=-P1, zeta2=0"
-        self.fix_endpoint = fix_endpoint  # None: file option, then t1
-        self.epsilon = {} if epsilon is None else epsilon  # chart row name -> Fraction
+        # path: ssok | pons for order-2 systems; gauge_conditions: "zeta1=-P1,
+        # zeta2=0"; fix_endpoint None: the file's option, then t1; epsilon:
+        # chart row name -> Fraction
+        self._fields(path, gauge_fixing, gauge_conditions, fix_endpoint, {} if epsilon is None else epsilon)
 
 
 class Analysis(_Record):
@@ -68,11 +67,10 @@ class Analysis(_Record):
         pullback: object = None, boundary: object = None, frobenius: object = None, budget: object = None,
         effective_h: Expr | None = None, pivot_log: list | None = None,
     ):
-        self.sysfile, self.options, self.table, self.system, self.reduced = sysfile, options, table, system, reduced
-        self.path, self.w_counter, self.l_counter, self.fos, self.result = path, w_counter, l_counter, fos, result
-        self.chart, self.chart_source, self.plan, self.pullback = chart, chart_source, plan, pullback
-        self.boundary, self.frobenius, self.budget, self.effective_h = boundary, frobenius, budget, effective_h
-        self.pivot_log = [] if pivot_log is None else pivot_log
+        self._fields(
+            sysfile, options, table, system, reduced, path, w_counter, l_counter, fos, result, chart, chart_source,
+            plan, pullback, boundary, frobenius, budget, effective_h, [] if pivot_log is None else pivot_log,
+        )
 
 
 def analyze_system(sysfile: SystemFile, options: PipelineOptions | None = None) -> Analysis:
@@ -108,22 +106,20 @@ def analyze_system(sysfile: SystemFile, options: PipelineOptions | None = None) 
 
     fos = legendre(reduced, pivot_log=pivot_log)
     result = classify(dirac_iterate(fos))
-    an = Analysis(sysfile, options, table, system, reduced, path, w, l_red, fos, result, pivot_log=pivot_log)
-    an.frobenius = frobenius_check(result)
-    return an
+    return Analysis(sysfile, options, table, system, reduced, path, w, l_red, fos, result,
+                    frobenius=frobenius_check(result), pivot_log=pivot_log)
 
 
 def attach_chart(an: Analysis) -> Analysis:
+    """A copy of `an` with its chart, supplied by the file or built; `an` is left untouched."""
     if an.sysfile.chart_rows:
-        an.chart = _import_chart(an)
-        an.chart_source = "supplied"
-    else:
-        an.chart = build_chart(an.result)
-        an.chart_source = "built"
-    return an
+        return an._replace(chart=_import_chart(an), chart_source="supplied")
+    return an._replace(chart=build_chart(an.result), chart_source="built")
 
 
 def attach_embedding(an: Analysis) -> Analysis:
+    """A copy of `an` with its embedding plan, pullback, boundary data, budget
+    and effective Hamiltonian; `an` is left untouched."""
     opts = an.options
     plan = select_embedding(an.result, opts.gauge_fixing)
     gauge_conditions = None
@@ -135,23 +131,24 @@ def attach_embedding(an: Analysis) -> Analysis:
     eps = dict(an.sysfile.epsilon)
     eps.update(opts.epsilon)
     # H_T in chart symbols, transformed once for the plan, the pullback and the effective H
-    an.chart.hamiltonian = transform(an.result.total_hamiltonian(), an.chart)
-    an.plan = resolve_plan(plan, an.result, an.chart, epsilon=eps, gauge_conditions=gauge_conditions)
-    an.pullback = pullback_total_lagrangian(an.result, an.chart, an.plan)
+    ht = transform(an.result.total_hamiltonian(), an.chart)
+    plan = resolve_plan(plan, an.result, an.chart, ht, epsilon=eps, gauge_conditions=gauge_conditions)
     endpoint = opts.fix_endpoint or an.sysfile.options.get("fix_endpoint") or "t1"
-    an.boundary = boundary_report(an.result, an.chart, an.plan, endpoint=endpoint)
-    an.budget = integral_constant_budget(an.result, an.plan)
-    if an.result.F > 0:
-        an.effective_h = effective_hamiltonian(an.result, an.chart)
-    return an
+    return an._replace(
+        plan=plan,
+        pullback=pullback_total_lagrangian(an.chart, plan, ht),
+        boundary=boundary_report(an.chart, plan, endpoint=endpoint),
+        budget=integral_constant_budget(an.result, plan),
+        effective_h=effective_hamiltonian(an.result, an.chart, ht) if an.result.F > 0 else None,
+    )
 
 
 def run_pipeline(sysfile: SystemFile, options: PipelineOptions | None = None, stage: str = "report") -> Analysis:
     an = analyze_system(sysfile, options)
     if stage in ("chart", "report", "simulate"):
-        attach_chart(an)
+        an = attach_chart(an)
     if stage in ("report", "simulate"):
-        attach_embedding(an)
+        an = attach_embedding(an)
     return an
 
 
@@ -325,8 +322,8 @@ def build_report(an: Analysis, stage: str = "report") -> dict:
         "fix_initial_only": br.fix_initial_only,
         "never_fix": br.never_fix,
         "initial_endpoint": br.initial_endpoint,
-        "free_constant_count": br.free_constant_count,
-        "preconditions": br.preconditions,
+        "free_constant_count": an.budget.free,
+        "preconditions": list(plan.preconditions),
     }
     bud = an.budget
     rep["integral_constants"] = {

@@ -2,10 +2,10 @@
 
 All expressions of a single problem hold indices into one ``SymbolTable``;
 registration order fixes the canonical monomial order, so it must be
-deterministic.  It also holds `_Record` and `_Frozen`, the bases of the
-package's record classes (plain classes with `__slots__`, which import
-without the code generation of `dataclasses`): this module imports no other
-module of the package, so every one can import them from here.
+deterministic.  It also holds `_Record`, the base of the package's record
+classes (frozen values: plain classes with `__slots__`, which import without
+the code generation of `dataclasses`): this module imports no other module
+of the package, so every one can import it from here.
 """
 
 from __future__ import annotations
@@ -26,11 +26,13 @@ class SymbolError(Exception):
 
 
 class _Record:
-    """Base of the package's plain record classes.
+    """Base of the package's record classes: a record is a frozen value.
 
-    A record's fields are its `__slots__`, in constructor order, each set by
-    the class's own `__init__`; the repr lists them.  Two records are equal
-    only when they are the same object, unless the class is a `_Frozen` one.
+    Its fields are its `__slots__`, in constructor order, each set once by
+    `_fields` in the class's own `__init__`; assigning or deleting one raises
+    AttributeError.  Equality and the hash are those of the tuple of all
+    fields, as for a frozen dataclass (so a record with a list or dict field
+    compares by value but has no hash), and the repr lists them.
     """
 
     __slots__ = ()
@@ -38,19 +40,14 @@ class _Record:
     def __repr__(self):
         return f"{type(self).__name__}({', '.join(f'{k}={getattr(self, k)!r}' for k in self.__slots__)})"
 
-
-class _Frozen(_Record):
-    """A record whose fields are set once, by `_fields` in its `__init__`:
-    assigning or deleting one raises AttributeError, and equality and the
-    hash are those of the tuple of all fields, as for a frozen dataclass (so
-    a record with a list or dict field compares by value but has no hash)."""
-
-    __slots__ = ()
-
     def _fields(self, *values):
         """Set every field, in `__slots__` order."""
         for name, value in zip(self.__slots__, values, strict=True):
             object.__setattr__(self, name, value)
+
+    def _replace(self, **changes):
+        """A copy with the named fields changed, built by the constructor."""
+        return type(self)(**{**{k: getattr(self, k) for k in self.__slots__}, **changes})
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -70,7 +67,7 @@ class _Frozen(_Record):
         return hash(self._key())
 
 
-class Symbol(_Frozen):
+class Symbol(_Record):
     __slots__ = ("name", "index", "kind", "base", "order")
 
     def __init__(self, name: str, index: int, kind: str, base: str | None = None, order: int = 0):
@@ -78,7 +75,7 @@ class Symbol(_Frozen):
         # position/other, 1 velocity, 2 acceleration
         self._fields(name, index, kind, base, order)
 
-    # _Frozen's equality and hash, spelled out to cost what a dataclass's did:
+    # _Record's equality and hash, spelled out to cost what a dataclass's did:
     # symbols key most of the pipeline's dicts, and lists of them are searched
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -94,12 +91,15 @@ class Symbol(_Frozen):
         return self.name
 
 
-class SymbolTable(_Record):
+class SymbolTable:
+    """The registry every stage of one analysis registers its symbols in: the
+    package's one mutable object, compared by identity."""
+
     __slots__ = ("_by_name", "_by_index")
 
-    def __init__(self, _by_name: dict | None = None, _by_index: list | None = None):
-        self._by_name = {} if _by_name is None else _by_name
-        self._by_index = [] if _by_index is None else _by_index
+    def __init__(self):
+        self._by_name = {}
+        self._by_index = []
 
     def register(self, name: str, kind: str, base: str | None = None, order: int = 0) -> Symbol:
         if kind not in KINDS:

@@ -43,11 +43,11 @@ class SystemFile(_Record):
 
     def __init__(self, name: str, coordinates: list, order: int, lagrangian: str, chart_rows: list | None = None,
                  gauge: list | None = None, options: dict | None = None, epsilon: dict | None = None):
-        self.name, self.coordinates, self.order, self.lagrangian = name, coordinates, order, lagrangian
-        self.chart_rows = [] if chart_rows is None else chart_rows  # (name, expr text, line no)
-        self.gauge = [] if gauge is None else gauge  # (zeta name, expr text, line no)
-        self.options = {} if options is None else options
-        self.epsilon = {} if epsilon is None else epsilon  # chart row name -> Fraction
+        # chart_rows: (name, expr text, line no); gauge: (zeta name, expr text,
+        # line no); epsilon: chart row name -> Fraction
+        fresh = lambda value, empty=list: empty() if value is None else value
+        self._fields(name, coordinates, order, lagrangian, fresh(chart_rows), fresh(gauge), fresh(options, dict),
+                     fresh(epsilon, dict))
 
 
 _KNOWN_OPTIONS = {"path", "fix_endpoint"}

@@ -12,6 +12,7 @@ from hamdirac import (
     ostrogradsky_reduce,
     parse_expr,
     pons_reduce,
+    transform,
 )
 from hamdirac import qq
 from hamdirac.dirac import WeakReducer
@@ -112,6 +113,12 @@ def linear_form(e, z):
     coefficients over z, as Fractions; raises ExprError otherwise."""
     *coeffs, offset = qq.from_row(e.affine_row(z), len(z) + 1)
     return coeffs, offset
+
+
+def chart_hamiltonian(result, chart):
+    """H_T in the chart's symbols, the one value the report's embedding
+    stage hands every embedding function that reads it."""
+    return transform(result.total_hamiltonian(), chart)
 
 
 def chart_matrix(chart):

@@ -15,13 +15,14 @@ from hamdirac import (
 from hamdirac.embedding import EmbeddingError, GaugeError, resolve_plan
 from hamdirac.expr import Expr
 
-from conftest import analyzed, linear_form
+from conftest import analyzed, chart_hamiltonian, linear_form
 
 
 def planned(trip, gauge=False, epsilon=None, conditions=None):
     t, fos, res = trip
     ch = build_chart(res)
-    plan = resolve_plan(select_embedding(res, gauge), res, ch, epsilon=epsilon, gauge_conditions=conditions)
+    ht = chart_hamiltonian(res, ch)
+    plan = resolve_plan(select_embedding(res, gauge), res, ch, ht, epsilon=epsilon, gauge_conditions=conditions)
     return t, fos, res, ch, plan
 
 
@@ -43,8 +44,8 @@ def test_primary_psi_pinned_to_zero(l1):
     t, fos, res = l1
     ch = build_chart(res)
     with pytest.raises(EmbeddingError):
-        resolve_plan(select_embedding(res, False), res, ch, epsilon={"Psi1": Fraction(1, 2)})
-    plan = resolve_plan(select_embedding(res, False), res, ch, epsilon={"Psi2": Fraction(1, 2)})
+        resolve_plan(select_embedding(res, False), res, ch, chart_hamiltonian(res, ch), epsilon={"Psi1": Fraction(1, 2)})
+    plan = resolve_plan(select_embedding(res, False), res, ch, chart_hamiltonian(res, ch), epsilon={"Psi2": Fraction(1, 2)})
     assert plan.fixed["Psi2"] == Fraction(1, 2)
     assert "Psi1 := 0 imposed in advance" in plan.preconditions
 
@@ -56,7 +57,7 @@ def test_invalid_embedding_kinds_rejected(l3):
     ch = build_chart(res)
     for kind in ("sigma3_1", "sigma3_2", "sigma3_tilde_1"):
         with pytest.raises(EmbeddingError) as exc:
-            resolve_plan(EmbeddingPlan(kind), res, ch)
+            resolve_plan(EmbeddingPlan(kind), res, ch, chart_hamiltonian(res, ch))
         assert "does not exist" in str(exc.value)
 
 
@@ -64,12 +65,12 @@ def test_epsilon_only_for_fixed_rows(l2):
     t, fos, res = l2
     ch = build_chart(res)
     with pytest.raises(EmbeddingError):
-        resolve_plan(select_embedding(res, False), res, ch, epsilon={"Q1": Fraction(1)})
+        resolve_plan(select_embedding(res, False), res, ch, chart_hamiltonian(res, ch), epsilon={"Q1": Fraction(1)})
 
 
 def test_l1_quasi_canonical_pullback(l1):
     t, fos, res, ch, plan = planned(l1)
-    pb = pullback_total_lagrangian(res, ch, plan)
+    pb = pullback_total_lagrangian(ch, plan, chart_hamiltonian(res, ch))
     # -H_T with the primary momentum at zero and the rest as named constants
     eps2, eps3 = t["eps_Psi2"], t["eps_Psi3"]
     xi1, xi2 = t["Xi1"], t["Xi2"]
@@ -88,29 +89,29 @@ def test_l1_quasi_canonical_pullback(l1):
 def test_l1_canonical_pullback_is_constant(l1):
     t, fos, res, ch, plan = planned(l1, gauge=True)
     assert plan.gauge_multiplier_solutions[t["zeta1"]].is_zero()
-    pb = pullback_total_lagrangian(res, ch, plan)
+    pb = pullback_total_lagrangian(ch, plan, chart_hamiltonian(res, ch))
     assert pb.lagrangian.is_zero()
-    br = boundary_report(res, ch, plan)
+    br = boundary_report(ch, plan)
     assert br.fix_both_ends == [] and br.fix_initial_only == [] and br.never_fix == []
 
 
 def test_l2_pullback_oscillator(l2):
     t, fos, res, ch, plan = planned(l2)
-    pb = pullback_total_lagrangian(res, ch, plan)
+    pb = pullback_total_lagrangian(ch, plan, chart_hamiltonian(res, ch))
     q, p = t["Q1"], t["P1"]
     quarter = Expr.const(t, 1) / 4
     want = Expr.sym(t, p) * Expr.sym(t, t.velocity(q)) - Expr.sym(t, q) ** 2 - quarter * Expr.sym(t, p) ** 2
     assert pb.lagrangian == want
     assert pb.constant == 0
-    br = boundary_report(res, ch, plan)
+    br = boundary_report(ch, plan)
     assert br.fix_both_ends == ["Q1"] and not br.fix_initial_only and not br.never_fix
 
 
 def test_l2_nonzero_epsilon_contributes_constant(l2):
     t, fos, res = l2
     ch = build_chart(res)
-    plan = resolve_plan(select_embedding(res, False), res, ch, epsilon={"ThU1": Fraction(2)})
-    pb = pullback_total_lagrangian(res, ch, plan)
+    plan = resolve_plan(select_embedding(res, False), res, ch, chart_hamiltonian(res, ch), epsilon={"ThU1": Fraction(2)})
+    pb = pullback_total_lagrangian(ch, plan, chart_hamiltonian(res, ch))
     # -H_T carries +ThU1^2/4, so the off-surface value 2 leaves the constant 1
     assert pb.constant == Fraction(1)
     assert pb.eps_values[t["eps_ThU1"]] == Fraction(2)
@@ -123,18 +124,18 @@ def test_l3_boundary_reports_tilde_vs_gauge():
     from conftest import L3_SRC
 
     t, fos, res, ch, plan = planned(analyzed(L3_SRC, ["q1", "q2", "q3", "q4"]))
-    br = boundary_report(res, ch, plan)
+    br = boundary_report(ch, plan)
     assert br.fix_both_ends == ["Q1"]
     assert br.fix_initial_only == ["Xi2"]
     assert br.never_fix == ["Xi1"]
-    assert br.free_constant_count == 4
     # ledger closure: 2*both + initial + occupied + never = 2n
     bud = integral_constant_budget(res, plan)
+    assert bud.free == 4
     assert 2 * len(br.fix_both_ends) + len(br.fix_initial_only) + bud.occupied + len(br.never_fix) == 2 * res.phase.n
 
     # re-running with the gauge fixed moves every never-fix coordinate out
     t, fos, res, ch, plan = planned(analyzed(L3_SRC, ["q1", "q2", "q3", "q4"]), gauge=True)
-    br2 = boundary_report(res, ch, plan)
+    br2 = boundary_report(ch, plan)
     assert br2.fix_both_ends == ["Q1"] and not br2.fix_initial_only and not br2.never_fix
     bud2 = integral_constant_budget(res, plan)
     assert bud2.occupied == 6
@@ -155,8 +156,8 @@ def test_boundary_ledger_all_plans():
         for gauge in (False, True):
             t, fos, res = analyzed(src, names, order=order, path=path)
             ch = build_chart(res)
-            plan = resolve_plan(select_embedding(res, gauge), res, ch)
-            br = boundary_report(res, ch, plan)
+            plan = resolve_plan(select_embedding(res, gauge), res, ch, chart_hamiltonian(res, ch))
+            br = boundary_report(ch, plan)
             bud = integral_constant_budget(res, plan)
             assert (
                 2 * len(br.fix_both_ends) + len(br.fix_initial_only) + bud.occupied + len(br.never_fix)
@@ -167,23 +168,23 @@ def test_boundary_ledger_all_plans():
 
 def test_endpoint_convention_flag(l3):
     t, fos, res, ch, plan = planned(l3)
-    br = boundary_report(res, ch, plan, endpoint="t2")
+    br = boundary_report(ch, plan, endpoint="t2")
     assert br.initial_endpoint == "t2"
     with pytest.raises(EmbeddingError):
-        boundary_report(res, ch, plan, endpoint="middle")
+        boundary_report(ch, plan, endpoint="middle")
 
 
 def test_effective_hamiltonian_guard(l2):
     t, fos, res = l2
     ch = build_chart(res)
     with pytest.raises(EmbeddingError):
-        effective_hamiltonian(res, ch)
+        effective_hamiltonian(res, ch, chart_hamiltonian(res, ch))
 
 
 def test_effective_hamiltonian_l1(l1):
     t, fos, res = l1
     ch = build_chart(res)
-    eff = effective_hamiltonian(res, ch)
+    eff = effective_hamiltonian(res, ch, chart_hamiltonian(res, ch))
     # all dynamics is gauge: no physical symbols, no multipliers
     assert all(s.kind != "multiplier" for s in eff.free_symbols())
     subs = {r.symbol: Expr.const(t, 0) for r in ch.rows}
@@ -216,7 +217,7 @@ def test_effective_hamiltonian_l3(l3):
         gen = {1: 1, 2: 2}[pair] if role == "Psi" else None
         rows.append(ChartRow(role, pair, qq.to_row([*coeffs, off]), sym, gen))
     chart = CanonicalChart(fos.phase, rows)
-    eff = effective_hamiltonian(res, chart)
+    eff = effective_hamiltonian(res, chart, chart_hamiltonian(res, chart))
     assert all(s.kind != "multiplier" for s in eff.free_symbols())
     # independent route: transform first, then kill the primary momentum
     direct = transform(res.total_hamiltonian(), chart).substitute(
@@ -234,7 +235,7 @@ def test_gauge_conditions_must_target_free_multipliers(l3):
     plan = select_embedding(res, True)
     solved = next(iter(res.multiplier_solutions))
     with pytest.raises(GaugeError):
-        resolve_plan(plan, res, ch, gauge_conditions={solved: Expr.const(t, 0)})
+        resolve_plan(plan, res, ch, chart_hamiltonian(res, ch), gauge_conditions={solved: Expr.const(t, 0)})
 
 
 def test_wrong_gauge_condition_rejected(l3):
@@ -243,17 +244,17 @@ def test_wrong_gauge_condition_rejected(l3):
     plan = select_embedding(res, True)
     bad = {t["zeta1"]: parse_expr("Q1", t) if "Q1" in t else None}
     with pytest.raises(GaugeError):
-        resolve_plan(plan, res, ch, gauge_conditions=bad)
+        resolve_plan(plan, res, ch, chart_hamiltonian(res, ch), gauge_conditions=bad)
 
 
 def test_derived_gauge_freezes_everything(l1, l3):
     for trip in (l1, l3):
         t, fos, res = trip
         ch = build_chart(res)
-        plan = resolve_plan(select_embedding(res, True), res, ch)
+        plan = resolve_plan(select_embedding(res, True), res, ch, chart_hamiltonian(res, ch))
         from hamdirac.embedding import _gauge_velocities
 
-        for row, vel in _gauge_velocities(res, ch, plan):
+        for row, vel in _gauge_velocities(ch, chart_hamiltonian(res, ch), plan.fixed):
             assert vel.substitute(plan.gauge_multiplier_solutions).is_zero()
 
 
@@ -263,8 +264,8 @@ def test_pullback_kinetic_matrix_nondegenerate(l2, l3, l4_ssok, l4_pons):
     for trip in (l2, l3, l4_ssok, l4_pons):
         t, fos, res = trip
         ch = build_chart(res)
-        plan = resolve_plan(select_embedding(res, False), res, ch)
-        pb = pullback_total_lagrangian(res, ch, plan)
+        plan = resolve_plan(select_embedding(res, False), res, ch, chart_hamiltonian(res, ch))
+        pb = pullback_total_lagrangian(ch, plan, chart_hamiltonian(res, ch))
         # eliminate P from L_T = P*Qdot - H(Q, P): dL/dP = 0 -> Qdot = dH/dP,
         # invertible iff the P-Hessian of H is nonsingular
         from hamdirac.linalg import ExprMatrix, rank
@@ -282,8 +283,9 @@ def test_resolve_plan_returns_a_new_plan(l3):
     ch = build_chart(res)
     for gauge in (False, True):
         plan = select_embedding(res, gauge)
-        first = resolve_plan(plan, res, ch)
-        second = resolve_plan(plan, res, ch)
+        ht = chart_hamiltonian(res, ch)
+        first = resolve_plan(plan, res, ch, ht)
+        second = resolve_plan(plan, res, ch, ht)
         assert plan.preconditions == [] and plan.fixed == {} and plan.gauge_multiplier_solutions == {}
         assert first is not plan and first.preconditions == second.preconditions
         if not gauge:
@@ -294,10 +296,11 @@ def test_resolve_plan_returns_a_new_plan(l3):
 
 def test_pullback_epsilon_names_are_stable(l3):
     t, fos, res, ch, plan = planned(l3)
-    names = [sorted(e.name for e in pullback_total_lagrangian(res, ch, plan).eps_values)]
+    ht = chart_hamiltonian(res, ch)
+    names = [sorted(e.name for e in pullback_total_lagrangian(ch, plan, ht).eps_values)]
     size = len(t)
     for _ in range(2):
-        names.append(sorted(e.name for e in pullback_total_lagrangian(res, ch, plan).eps_values))
+        names.append(sorted(e.name for e in pullback_total_lagrangian(ch, plan, ht).eps_values))
     assert names[0] == names[1] == names[2] and "eps_ThU1" in names[0]
     assert len(t) == size
 
@@ -306,6 +309,6 @@ def test_pullback_epsilon_name_taken_by_another_kind(l2):
     t, fos, res, ch, plan = planned(l2)
     t.register("eps_ThU1", "momentum")
     for _ in range(2):
-        pb = pullback_total_lagrangian(res, ch, plan)
+        pb = pullback_total_lagrangian(ch, plan, chart_hamiltonian(res, ch))
         assert sorted(e.name for e in pb.eps_values) == ["eps_ThD1", "eps_ThU1_"]
     assert t["eps_ThU1_"].kind == "parameter"

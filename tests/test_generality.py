@@ -22,7 +22,7 @@ from hamdirac.dirac import InconsistentTheory, WeakReducer, _affine_row
 from hamdirac.embedding import resolve_plan
 from hamdirac.expr import Expr
 
-from conftest import analyzed, chart_matrix, chart_offsets, make_system, weak_reducer
+from conftest import analyzed, chart_hamiltonian, chart_matrix, chart_offsets, make_system, weak_reducer
 
 import pytest
 
@@ -102,8 +102,8 @@ def test_constraint_with_constant_offset():
     # the affine weak reduction substitutes the pinned value
     reducer = weak_reducer([c.expr for c in res.constraints], fos.phase)
     assert reducer.reduce(parse_expr("p2*q1", t)) == parse_expr("q1", t)
-    plan = resolve_plan(select_embedding(res, False), res, ch)
-    pb = pullback_total_lagrangian(res, ch, plan)
+    plan = resolve_plan(select_embedding(res, False), res, ch, chart_hamiltonian(res, ch))
+    pb = pullback_total_lagrangian(ch, plan, chart_hamiltonian(res, ch))
     assert pb.kinetic == parse_expr("P1*d(Q1)", t)
 
 

@@ -1,8 +1,9 @@
-"""The record classes: frozen ones behave as values, and no two records share a
-list or dict default.  The Dirac stage's results are values too:
-`dirac_iterate` and `classify` return new frozen records and change nothing
-they are given, and a repeat `legendre` returns the momenta, H and primaries
-of the first call without registering a symbol."""
+"""The record classes: every record is a frozen value, and no two records share
+a list or dict default; `SymbolTable` is the one mutable object.  The stages'
+results are values too: `dirac_iterate`, `classify`, `attach_chart` and
+`attach_embedding` return new records and change nothing they are given, and
+a repeat `legendre` returns the momenta, H and primaries of the first call
+without registering a symbol."""
 
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -17,8 +18,18 @@ from hamdirac.dirac import ClassRep, DiracResult
 from hamdirac.embedding import EmbeddingError, EmbeddingPlan, select_embedding
 from hamdirac.expr import Expr
 from hamdirac.lagrangian import FirstOrderSystem, LagrangianSystem, PhaseSpace, legendre
-from hamdirac.linalg import LinearSolution
-from hamdirac.report import Analysis, PipelineOptions, build_report, report_json, run_pipeline
+from hamdirac.cli import reduced_hamiltonian
+from hamdirac.linalg import ExprMatrix, LinearSolution
+from hamdirac.numerics import _Variational, compile_field, solve_iota
+from hamdirac.report import (
+    Analysis,
+    PipelineOptions,
+    attach_chart,
+    attach_embedding,
+    build_report,
+    report_json,
+    run_pipeline,
+)
 from hamdirac.symbols import Symbol, _Record
 from hamdirac.sysfile import SystemFile, load_system_file
 
@@ -57,6 +68,16 @@ def test_frozen_records_are_values(cls, names, values):
         assert repr(a) == f"ClassRep(expr=q1, klass='second', generation=1, row={values[3]})"
     else:
         assert repr(a) == f"ChartRow(role={values[0]!r}, pair={values[1]}, row={values[2]}, symbol=q1, generation={values[4]})"
+
+
+def test_replace_returns_a_changed_copy():
+    plan = EmbeddingPlan("sigma1", {"Psi1": 0}, True, {}, ["Psi1 := 0 imposed in advance"])
+    again = plan._replace(kind="sigma1_tilde", gauge_fixed=False)
+    assert (again.kind, again.gauge_fixed) == ("sigma1_tilde", False) and plan.kind == "sigma1" and plan.gauge_fixed
+    assert again.fixed is plan.fixed and again.preconditions is plan.preconditions
+    assert plan._replace() == plan and plan._replace() is not plan
+    with pytest.raises(TypeError):
+        plan._replace(hamiltonian=None)
 
 
 def test_symbol_rebuilt_from_its_fields_finds_the_same_dict_entry():
@@ -233,5 +254,63 @@ def test_stages_after_dirac_iterate_ask_for_a_classified_result():
     with pytest.raises(EmbeddingError, match="classify"):
         select_embedding(bare, False)
     with pytest.raises(ChartError, match="classify"):
-        integral_constant_budget(bare, "sigma1")
+        integral_constant_budget(bare, EmbeddingPlan("sigma1"))
     assert build_chart(classify(bare)).n == an.fos.phase.n
+
+
+def records_in(*roots):
+    """Every record reachable from `roots` through record fields, lists,
+    tuples and dicts (keys and values), each once."""
+    seen, stack = {}, list(roots)
+    while stack:
+        x = stack.pop()
+        if isinstance(x, _Record):
+            if id(x) not in seen:
+                seen[id(x)] = x
+                stack.extend(getattr(x, k) for k in x.__slots__)
+        elif isinstance(x, (list, tuple)):
+            stack.extend(x)
+        elif isinstance(x, dict):
+            stack.extend((*x.keys(), *x.values()))
+    return list(seen.values())
+
+
+def record_classes(cls=_Record):
+    return {c for sub in cls.__subclasses__() for c in (sub, *record_classes(sub))}
+
+
+def test_every_record_reachable_from_a_run_is_frozen():
+    # the records of a report on each stage case and of one simulate run; the
+    # three record classes no run returns are built here, so every class is met
+    reports = [run_pipeline(load_system_file(p), PipelineOptions(path=o), stage="report") for p, o in STAGE_CASES]
+    an = run_pipeline(load_system_file(FIXTURES / "l2.sys"), PipelineOptions(), stage="simulate")
+    pairs = [(q.symbol, an.chart.conjugate(q).symbol) for q in an.chart.rows_by_role("Q")]
+    field = compile_field(reduced_hamiltonian(an), pairs)
+    sol = solve_iota(field, {"Q1": (1.0, 0.5)}, 0.0, 1.0, step=1e-2)
+    built = [ExprMatrix(0, 0, []), LinearSolution([], []), _Variational([], None, None, 0)]
+    records = records_in(*reports, field, sol, sol.trajectory, *built)
+    for record in records:
+        for name in record.__slots__:
+            value = getattr(record, name)
+            with pytest.raises(AttributeError):
+                setattr(record, name, value)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+            assert getattr(record, name) is value
+    assert {type(r) for r in records} == record_classes() and SymbolTable not in record_classes()
+
+
+@pytest.mark.parametrize("path,order2_path", STAGE_CASES, ids=[f"{p.stem}-{o}" for p, o in STAGE_CASES])
+def test_chart_and_embedding_stages_return_new_analyses(path, order2_path):
+    # each stage returns a new Analysis and leaves the one it is given, and
+    # every record and container in it, as it was: only the symbol table grows
+    an = analyzed_case(path, order2_path)
+    before = snapshot(an)
+    charted = attach_chart(an)
+    mid = snapshot(charted)
+    done = attach_embedding(charted)
+    assert snapshot(an) == before and snapshot(charted) == mid
+    assert an.chart is None and charted.chart is not None and charted.plan is None
+    assert done.chart is charted.chart and done.plan is not None and done.table is an.table
+    fresh = run_pipeline(load_system_file(path), PipelineOptions(path=order2_path), stage="report")
+    assert report_json(build_report(done)) == report_json(build_report(fresh))
