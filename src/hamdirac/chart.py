@@ -59,9 +59,9 @@ class ChartRow(_Record):
 class CanonicalChart(_Record):
     __slots__ = ("phase", "rows", "notes")
 
-    def __init__(self, phase: PhaseSpace, rows: list, notes: list | None = None):
+    def __init__(self, phase: PhaseSpace, rows: tuple, notes: tuple = ()):
         # rows: position block then momentum block, canonical role order
-        self._fields(phase, rows, [] if notes is None else notes)
+        self._fields(phase, rows, notes)
 
     @property
     def n(self):
@@ -188,7 +188,7 @@ def _assemble(result: DiracResult, xi_rows, theta_rows, qp_rows) -> CanonicalCha
     vectors = xi_rows + [e for e, _f in pairs] + [rep.row for rep in result.first_class] + [f for _e, f in pairs]
     rows = {}
     for (role, k, _gen), row in zip(layout, vectors):
-        rows[table.fresh_position(f"{role}{k}")] = row
+        rows[table.register_fresh(f"{role}{k}", "position")] = row
     rows, notes = _static_correct(rows, layout, result)
     chart_rows = [ChartRow(role, k, row, sym, gen) for (role, k, gen), (sym, row) in zip(layout, rows.items())]
     return CanonicalChart(result.phase, chart_rows, notes)
@@ -372,7 +372,7 @@ def transform(e: Expr, chart: CanonicalChart) -> Expr:
 class FrobeniusReport(_Record):
     __slots__ = ("residuals", "verdict", "budget_used", "budget_total", "budget_ok")
 
-    def __init__(self, residuals: list, verdict: bool, budget_used: int, budget_total: int, budget_ok: bool):
+    def __init__(self, residuals: tuple, verdict: bool, budget_used: int, budget_total: int, budget_ok: bool):
         # residuals: (coordinate name, residual Expr)
         self._fields(residuals, verdict, budget_used, budget_total, budget_ok)
 
@@ -382,21 +382,22 @@ def frobenius_check(result: DiracResult) -> "FrobeniusReport":
     -sum_alpha zeta^alpha dPhi_alpha/dq_i must vanish per position coordinate,
     and the constraint count must respect the 2n budget.  The constraints are
     affine with constant coefficients, so no residual can vanish only weakly:
-    nothing is reduced."""
+    nothing is reduced: residual i is column q_i of the first-class primaries'
+    rows (the first `primary_fc_count` of `first_class`), over the multipliers."""
     if not result.classified:
         raise ChartError("classify the Dirac result before the Frobenius check")
     phase = result.phase
-    table = result.table
     free = result.free_multipliers
-    fc_primaries = result.rebased_primaries[: result.primary_fc_count]
-    if len(free) != len(fc_primaries):
+    fc_rows = [rep.row for rep in result.first_class[: result.primary_fc_count]]
+    if len(free) != len(fc_rows):
         raise DiracError("free multipliers out of sync with first-class primaries")
-    residuals = []
-    for q in phase.positions:
-        r = Expr.const(table, 0)
-        for z, prim in zip(free, fc_primaries):
-            r = r - Expr.sym(table, z) * prim.diff(q)
-        residuals.append((q.name, r))
+    den = math.lcm(*(d for _entries, d in fc_rows))
+    columns = [[] for _ in phase.positions]  # column q_i of the rows, over (free..., 1)
+    for a, (entries, d) in enumerate(fc_rows):
+        for i, x in entries:
+            if i < phase.n:
+                columns[i].append((a, -x * (den // d)))
+    residuals = [(q.name, _row_expr((tuple(c), den), free, result.table)) for q, c in zip(phase.positions, columns)]
     ok = all(r.is_zero() for _name, r in residuals)
     used = len(result.constraints)
     total = 2 * phase.n

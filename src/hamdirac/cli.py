@@ -32,8 +32,9 @@ step - 1e-12)), before anything is compiled or integrated).  verify-chart
 exits 2 when the matrix is not square with an even dimension, and when --tol
 is negative, nan or infinite; exact mode ignores --tol.  A --bc, --xi or
 --epsilon name or a --gauge-fixing multiplier given twice exits 2.
-report --gauge-fixing with an empty or blank CONDS is the bare flag: the
-file's [gauge] conditions if it has them, else derived ones.
+report --gauge-fixing with a CONDS that names no condition (empty, blank,
+or only commas and blanks) is the bare flag: the file's [gauge] conditions
+if it has them, else derived ones.
 """
 
 from __future__ import annotations
@@ -154,9 +155,9 @@ def _options(args) -> PipelineOptions:
             epsilon[name.strip()] = Fraction(val.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"--epsilon {item!r}: {exc}") from exc
-    # --gauge-fixing: False when absent, True when bare; a blank CONDS is the bare flag
+    # --gauge-fixing: False when absent, True when bare; a CONDS naming no condition is the bare flag
     gf = getattr(args, "gauge_fixing", False)
-    conditions = (gf.strip() or None) if isinstance(gf, str) else None
+    conditions = gf.strip() if isinstance(gf, str) and any(map(str.strip, gf.split(","))) else None
     return PipelineOptions(args.path, gf is not False, conditions, getattr(args, "fix_endpoint", None), epsilon)
 
 

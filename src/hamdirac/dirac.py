@@ -95,17 +95,14 @@ class DiracResult(_Record):
     )
 
     def __init__(
-        self, phase: PhaseSpace, H: Expr, constraints: list, multiplier_symbols: list | None = None,
-        rebased_primaries: list | None = None, primary_fc_count: int = 0, multiplier_solutions: dict | None = None,
-        free_multipliers: list | None = None, first_class: list | None = None, second_class: list | None = None,
-        F: int = 0, S: int = 0, dof: int = -1, flags: list | None = None, classified: bool = False,
-        h_brackets: list | None = None,
+        self, phase: PhaseSpace, H: Expr, constraints: tuple, multiplier_symbols: tuple = (),
+        rebased_primaries: tuple = (), primary_fc_count: int = 0, multiplier_solutions: dict = {},
+        free_multipliers: tuple = (), first_class: tuple = (), second_class: tuple = (), F: int = 0, S: int = 0,
+        dof: int = -1, flags: tuple = (), classified: bool = False, h_brackets: tuple = (),
     ):
-        fresh = lambda value, empty=list: empty() if value is None else value
         self._fields(
-            phase, H, constraints, fresh(multiplier_symbols), fresh(rebased_primaries), primary_fc_count,
-            fresh(multiplier_solutions, dict), fresh(free_multipliers), fresh(first_class), fresh(second_class),
-            F, S, dof, fresh(flags), classified, fresh(h_brackets),
+            phase, H, constraints, multiplier_symbols, rebased_primaries, primary_fc_count, multiplier_solutions,
+            free_multipliers, first_class, second_class, F, S, dof, flags, classified, h_brackets,
         )
 
     @property
@@ -465,7 +462,7 @@ def _eliminate(rows, zetas, table, syms, brackets):
             return out / den
         residue = lambda row: read(*row)
     else:
-        read = lambda entries, den: _row_expr((tuple(entries), den), zetas + syms, table)
+        read = lambda entries, den: _row_expr((tuple(entries), den), (*zetas, *syms), table)
         residue = lambda row: (tuple((j - m, x) for j, x in row[0]), row[1])  # over (syms..., 1)
     solved = {zetas[col]: read([(j, -x) for j, x in work[i][0][1:]], work[i][1]) for col, i in pivots.items()}
     used = set(pivots.values())
@@ -507,9 +504,9 @@ def classify(result: DiracResult) -> DiracResult:
     ]
     zetas = result.multiplier_symbols
     return DiracResult(
-        phase, result.H, classed, list(zetas), rebased, fc_count, solved, [z for z in zetas if z not in solved],
-        first_reps, second_reps, f_count, s_count, dof(phase.n, f_count, s_count), list(result.flags), True,
-        list(result.h_brackets),
+        phase, result.H, classed, zetas, rebased, fc_count, solved, [z for z in zetas if z not in solved],
+        first_reps, second_reps, f_count, s_count, dof(phase.n, f_count, s_count), result.flags, True,
+        result.h_brackets,
     )
 
 

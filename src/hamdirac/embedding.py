@@ -28,14 +28,12 @@ class GaugeError(EmbeddingError):
 class EmbeddingPlan(_Record):
     __slots__ = ("kind", "fixed", "gauge_fixed", "gauge_multiplier_solutions", "preconditions")
 
-    def __init__(self, kind: str, fixed: dict | None = None, gauge_fixed: bool = False,
-                 gauge_multiplier_solutions: dict | None = None, preconditions: list | None = None):
+    def __init__(self, kind: str, fixed: dict = {}, gauge_fixed: bool = False, gauge_multiplier_solutions: dict = {},
+                 preconditions: tuple = ()):
         # kind: sigma1 | sigma1_tilde | sigma2 | sigma3 | sigma3_tilde | trivial;
         # fixed: chart row name -> Fraction epsilon; gauge_multiplier_solutions:
         # Symbol -> Expr (chart space)
-        self._fields(kind, {} if fixed is None else fixed, gauge_fixed,
-                     {} if gauge_multiplier_solutions is None else gauge_multiplier_solutions,
-                     [] if preconditions is None else preconditions)
+        self._fields(kind, fixed, gauge_fixed, gauge_multiplier_solutions, preconditions)
 
 
 _FIXED_ROLES = {
@@ -113,10 +111,10 @@ def resolve_plan(
         fixed[row.name] = val
     if epsilon:
         raise EmbeddingError(f"epsilon overrides for coordinates not fixed by {plan.kind}: {sorted(epsilon)}")
-    sols = dict(plan.gauge_multiplier_solutions)
+    sols = plan.gauge_multiplier_solutions
     if plan.gauge_fixed:
         if gauge_conditions:
-            sols = dict(gauge_conditions)
+            sols = gauge_conditions
             verify_gauge(result, chart, ht, fixed, sols)
         else:
             sols = derive_gauge(result, chart, ht, fixed)
@@ -251,7 +249,7 @@ def effective_hamiltonian(result: DiracResult, chart: CanonicalChart, ht: Expr) 
 class BoundaryReport(_Record):
     __slots__ = ("fix_both_ends", "fix_initial_only", "never_fix", "initial_endpoint")
 
-    def __init__(self, fix_both_ends: list, fix_initial_only: list, never_fix: list, initial_endpoint: str = "t1"):
+    def __init__(self, fix_both_ends: tuple, fix_initial_only: tuple, never_fix: tuple, initial_endpoint: str = "t1"):
         self._fields(fix_both_ends, fix_initial_only, never_fix, initial_endpoint)
 
 

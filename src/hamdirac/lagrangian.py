@@ -11,7 +11,8 @@ When every momentum dL/dv_i is affine in (q, v) with constant coefficients
 Legendre map is a constant kinetic matrix: its momentum system is read off
 L as qq integer rows and reduced by `qq.rref_rows`.  Any other L (a kinetic
 matrix in q, a momentum not affine in q, a rational momentum) is eliminated
-on Exprs by `linalg.solve_linear`, with the same pivots.
+on Exprs by `linalg.solve_linear`, with the same pivots; its non-constant
+ones are returned as `FirstOrderSystem.genericity_pivots`.
 """
 
 from __future__ import annotations
@@ -35,10 +36,10 @@ class UnsupportedShape(MechanicsError):
 class LagrangianSystem(_Record):
     __slots__ = ("table", "coords", "order", "L", "velocity_aliases")
 
-    def __init__(self, table: SymbolTable, coords: tuple, order: int, L: Expr, velocity_aliases: dict | None = None):
+    def __init__(self, table: SymbolTable, coords: tuple, order: int, L: Expr, velocity_aliases: dict = {}):
         # SSOK-style systems declare the velocity of a coordinate to *be* another
         # coordinate; such coordinates get an undetermined momentum and no primary.
-        self._fields(table, coords, order, L, {} if velocity_aliases is None else velocity_aliases)
+        self._fields(table, coords, order, L, velocity_aliases)
 
     def velocity_symbols(self):
         return [self.table.velocity(c) for c in self.coords if c not in self.velocity_aliases]
@@ -71,12 +72,13 @@ class PhaseSpace(_Record):
 
 
 class FirstOrderSystem(_Record):
-    __slots__ = ("phase", "H", "primaries", "momentum_defs")
+    __slots__ = ("phase", "H", "primaries", "momentum_defs", "genericity_pivots")
 
-    def __init__(self, phase: PhaseSpace, H: Expr, primaries: list, momentum_defs: dict):
+    def __init__(self, phase: PhaseSpace, H: Expr, primaries: tuple, momentum_defs: dict, genericity_pivots: tuple = ()):
         # primaries: Exprs, in coordinate row order; momentum_defs: momentum
-        # Symbol -> defining Expr in (q, v), absent for alias momenta
-        self._fields(phase, H, primaries, momentum_defs)
+        # Symbol -> defining Expr in (q, v), absent for alias momenta;
+        # genericity_pivots: the non-constant velocity pivots, in the order chosen
+        self._fields(phase, H, primaries, momentum_defs, genericity_pivots)
 
 
 def _momentum_name(coord: Symbol) -> str:
@@ -84,7 +86,7 @@ def _momentum_name(coord: Symbol) -> str:
     return f"p{m.group(1)}" if m else f"p_{coord.name}"
 
 
-def legendre(sys: LagrangianSystem, pivot_log: list | None = None) -> FirstOrderSystem:
+def legendre(sys: LagrangianSystem) -> FirstOrderSystem:
     """Degenerate Legendre transform.
 
     Momenta are p_i = dL/dv_i; solvable velocities are eliminated, and each
@@ -92,8 +94,9 @@ def legendre(sys: LagrangianSystem, pivot_log: list | None = None) -> FirstOrder
     equation of the momentum system).  H comes out velocity-free.  Velocities
     are solved highest-indexed first, each from the latest momentum row that
     holds it: the free section then lives on the earliest velocities (set to
-    0) and the earliest redundant momentum rows carry the primaries.  A
-    repeat call returns the momenta the first one registered.
+    0) and the earliest redundant momentum rows carry the primaries; the
+    result holds where no `genericity_pivots` entry vanishes.  A repeat call
+    returns the momenta the first one registered.
     """
     if sys.order != 1:
         raise MechanicsError("legendre expects a first-order system; reduce first")
@@ -109,8 +112,7 @@ def legendre(sys: LagrangianSystem, pivot_log: list | None = None) -> FirstOrder
     genuine = sys.genuine_coords()
     # momentum definitions for genuine velocities: p_i = b_i + sum_j A_ij v_j
     defs = dict(zip((momenta[c] for c in genuine), sys.L.gradient(vels)))
-    solved = _row_solve(defs, vels, phase)
-    primaries, subs = solved or _expr_solve(genuine, defs, vels, phase, pivot_log)
+    primaries, subs, pivots = _row_solve(defs, vels, phase) or _expr_solve(genuine, defs, vels, phase)
 
     h = Expr.const(table, 0)
     for c in sys.coords:
@@ -123,11 +125,11 @@ def legendre(sys: LagrangianSystem, pivot_log: list | None = None) -> FirstOrder
     leftover = [s for s in h.free_symbols() if s.kind in ("velocity", "acceleration")]
     if leftover:
         raise MechanicsError(f"internal: H kept velocity symbols {leftover}")
-    return FirstOrderSystem(phase, h, primaries, defs)
+    return FirstOrderSystem(phase, h, primaries, defs, pivots)
 
 
 def _row_solve(defs: dict, vels, phase: PhaseSpace):
-    """(primaries, velocity solution) of the momentum equations dL/dv_i - p_i
+    """(primaries, velocity solution, ()) of the momentum equations dL/dv_i - p_i
     = 0 as qq integer rows over (vels in reverse, z, 1); None unless each is
     affine in (q, v) with constant coefficients, as when L is a polynomial
     whose monomials holding a velocity have degree <= 2.  `qq.rref_rows` gets
@@ -152,13 +154,13 @@ def _row_solve(defs: dict, vels, phase: PhaseSpace):
     solved = {vels[nv - 1 - c]: tail(r, -1, system[r][1]) for c, r in pivots.items()}
     leftover = [(r, qq.entry(system[r], col[p.index])) for r, p in zip(reversed(range(nv)), defs) if r not in used]
     primaries = [tail(r, 1 if x > 0 else -1, abs(x)) for r, x in leftover]
-    return primaries, {v: solved.get(v, Expr.const(table, 0)) for v in reversed(vels)}
+    return primaries, {v: solved.get(v, Expr.const(table, 0)) for v in reversed(vels)}, ()
 
 
-def _expr_solve(genuine, defs: dict, vels, phase: PhaseSpace, pivot_log):
-    """(primaries, velocity solution) by `solve_linear` on Exprs, its columns
-    the velocities in reverse.  A value affine with constant coefficients is
-    rebuilt from its row, so it has `_row_solve`'s dict order."""
+def _expr_solve(genuine, defs: dict, vels, phase: PhaseSpace):
+    """(primaries, velocity solution, genericity pivots) by `solve_linear`,
+    its columns the velocities in reverse.  A value affine with constant
+    coefficients is rebuilt from its row, so it has `_row_solve`'s order."""
     table, syms = phase.table, phase.z_order()
     a_rows, rhs = [], []
     for c, (p, p_def) in zip(genuine, defs.items()):
@@ -168,7 +170,7 @@ def _expr_solve(genuine, defs: dict, vels, phase: PhaseSpace, pivot_log):
             raise UnsupportedShape(f"momentum of {c} not affine in velocities: {exc}") from exc
         a_rows.append([coeffs.get(v, Expr.const(table, 0)) for v in reversed(vels)])
         rhs.append(Expr.sym(table, p) - b)
-    sol = solve_linear(ExprMatrix.from_rows(a_rows), rhs, pivot_log=pivot_log)
+    sol = solve_linear(ExprMatrix.from_rows(a_rows), rhs)
 
     def as_row(e):
         try:
@@ -176,7 +178,8 @@ def _expr_solve(genuine, defs: dict, vels, phase: PhaseSpace, pivot_log):
         except ExprError:
             return e
 
-    return [as_row(w) for w in sol.witnesses], {v: as_row(x) for v, x in zip(reversed(vels), sol.particular)}
+    solution = {v: as_row(x) for v, x in zip(reversed(vels), sol.particular)}
+    return [as_row(w) for w in sol.witnesses], solution, sol.genericity_pivots
 
 
 def _acceleration_decomposition(sys: LagrangianSystem):
@@ -262,8 +265,8 @@ def ostrogradsky_reduce(sys: LagrangianSystem) -> LagrangianSystem:
     subs = {}
     aliases = {}
     for c in sys.coords:
-        c1 = table.fresh_position(f"Q1_{c.name}")
-        c2 = table.fresh_position(f"Q2_{c.name}")
+        c1 = table.register_fresh(f"Q1_{c.name}", "position")
+        c2 = table.register_fresh(f"Q2_{c.name}", "position")
         new_coords.extend([c1, c2])
         subs[c] = Expr.sym(table, c1)
         subs[table.velocity(c)] = Expr.sym(table, c2)
@@ -287,8 +290,8 @@ def pons_reduce(sys: LagrangianSystem) -> LagrangianSystem:
     xs, lams = [], []
     subs = {}
     for i, c in enumerate(sys.coords, start=1):
-        x = table.fresh_position(f"x{i}")
-        lam = table.fresh_position(f"lam{i}")
+        x = table.register_fresh(f"x{i}", "position")
+        lam = table.register_fresh(f"lam{i}", "position")
         xs.append(x)
         lams.append(lam)
         subs[table.velocity(c)] = Expr.sym(table, x)

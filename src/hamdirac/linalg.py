@@ -12,8 +12,8 @@ included, runs on `qq.rref_rows`.
 
 Rank semantics are generic: any entry that is not identically zero is an
 acceptable pivot (the analysis works on the open dense region where pivots do
-not vanish).  `solve_linear` can log every non-constant pivot it chooses so
-reports can surface the genericity assumptions.
+not vanish).  `solve_linear` returns every non-constant pivot it chooses on
+its `LinearSolution`, so reports can surface the genericity assumptions.
 """
 
 from __future__ import annotations
@@ -29,18 +29,15 @@ class LinalgError(Exception):
 class ExprMatrix(_Record):
     __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, rows: int, cols: int, entries: list):
-        self._fields(rows, cols, entries)  # entries: list of rows of Expr
+    def __init__(self, rows: int, cols: int, entries: tuple):
+        self._fields(rows, cols, entries)  # entries: rows of Expr, each a tuple
 
     @staticmethod
     def from_rows(rows_list) -> "ExprMatrix":
-        if not rows_list:
-            return ExprMatrix(0, 0, [])
-        cols = len(rows_list[0])
-        for r in rows_list:
-            if len(r) != cols:
-                raise LinalgError("ragged rows")
-        return ExprMatrix(len(rows_list), cols, [list(r) for r in rows_list])
+        cols = len(rows_list[0]) if rows_list else 0
+        if any(len(r) != cols for r in rows_list):
+            raise LinalgError("ragged rows")
+        return ExprMatrix(len(rows_list), cols, [tuple(r) for r in rows_list])
 
 
 class LinearSolution(_Record):
@@ -48,16 +45,17 @@ class LinearSolution(_Record):
 
     particular sets all free variables to zero; witnesses are leftover
     reduced equations 0 = expr with expr not identically zero
-    (inconsistency evidence).
+    (inconsistency evidence); genericity_pivots are the pivots that are not
+    constant, in the order chosen: the solution holds where they do not vanish.
     """
 
-    __slots__ = ("particular", "pivot_cols", "witnesses")
+    __slots__ = ("particular", "pivot_cols", "witnesses", "genericity_pivots")
 
-    def __init__(self, particular: list, pivot_cols: list, witnesses: list | None = None):
-        self._fields(particular, pivot_cols, [] if witnesses is None else witnesses)
+    def __init__(self, particular: tuple, pivot_cols: tuple, witnesses: tuple = (), genericity_pivots: tuple = ()):
+        self._fields(particular, pivot_cols, witnesses, genericity_pivots)
 
 
-def solve_linear(a: ExprMatrix, b: list, pivot_log: list | None = None) -> LinearSolution:
+def solve_linear(a: ExprMatrix, b: list) -> LinearSolution:
     """Full affine solution set of A x = b over the rational-function field.
 
     Elimination keeps rows in place (no swaps), so each leftover inconsistent
@@ -71,10 +69,9 @@ def solve_linear(a: ExprMatrix, b: list, pivot_log: list | None = None) -> Linea
     if table is None:
         raise LinalgError("empty system without context")
     zero = Expr.const(table, 0)
-    rows = [a.entries[i] + [b[i]] for i in range(a.rows)]
+    rows = [[*a.entries[i], b[i]] for i in range(a.rows)]
     n = a.cols
-    pivot_of_col = {}
-    used_rows = set()
+    pivot_of_col, used_rows, generic = {}, set(), []
     for col in range(n):
         piv = next((i for i in reversed(range(a.rows)) if i not in used_rows and not rows[i][col].is_zero()), None)
         if piv is None:
@@ -82,8 +79,8 @@ def solve_linear(a: ExprMatrix, b: list, pivot_log: list | None = None) -> Linea
         pivot_of_col[col] = piv
         used_rows.add(piv)
         p = rows[piv][col]
-        if pivot_log is not None and not p.is_constant():
-            pivot_log.append(p)
+        if not p.is_constant():
+            generic.append(p)
         inv = 1 / p
         rows[piv] = [e * inv for e in rows[piv]]
         for i in range(a.rows):
@@ -95,7 +92,7 @@ def solve_linear(a: ExprMatrix, b: list, pivot_log: list | None = None) -> Linea
     for col, i in pivot_of_col.items():
         particular[col] = rows[i][n]
     witnesses = [rows[i][n] for i in range(a.rows) if i not in used_rows and not rows[i][n].is_zero()]
-    return LinearSolution(particular, sorted(pivot_of_col), witnesses)
+    return LinearSolution(particular, sorted(pivot_of_col), witnesses, generic)
 
 
 def rank(m: ExprMatrix) -> int:

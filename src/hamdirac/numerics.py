@@ -107,10 +107,10 @@ def compile_field(h_reduced: Expr, pairs, params: dict | None = None) -> Reduced
         zero = {s: Expr.const(table, 0) for s in slots}
         a = [[g.constant_value() for g in row] for row in grads]
         c = [comp.substitute(zero).constant_value() for comp in comps]
-        linear = ([[float(v) for v in row] for row in a], [float(v) for v in c])
+        linear = (tuple(tuple(map(float, row)) for row in a), tuple(map(float, c)))
         # one pair with det A = H_QQ H_PP - H_QP^2 = 1 and no linear terms
         osc = len(pairs) == 1 and a[0][0] * a[1][1] - a[0][1] * a[1][0] == 1 and not any(c)
-    return ReducedField(list(pairs), rhs, energy, h, osc, variational, linear)
+    return ReducedField(tuple(pairs), rhs, energy, h, osc, variational, linear)
 
 
 def _variational_field(comps, grads, names):

@@ -47,17 +47,17 @@ class PipelineOptions(_Record):
     __slots__ = ("path", "gauge_fixing", "gauge_conditions", "fix_endpoint", "epsilon")
 
     def __init__(self, path: str | None = None, gauge_fixing: bool = False, gauge_conditions: str | None = None,
-                 fix_endpoint: str | None = None, epsilon: dict | None = None):
+                 fix_endpoint: str | None = None, epsilon: dict = {}):
         # path: ssok | pons for order-2 systems; gauge_conditions: "zeta1=-P1,
         # zeta2=0"; fix_endpoint None: the file's option, then t1; epsilon:
         # chart row name -> Fraction
-        self._fields(path, gauge_fixing, gauge_conditions, fix_endpoint, {} if epsilon is None else epsilon)
+        self._fields(path, gauge_fixing, gauge_conditions, fix_endpoint, epsilon)
 
 
 class Analysis(_Record):
     __slots__ = (
         "sysfile", "options", "table", "system", "reduced", "path", "w_counter", "l_counter", "fos", "result",
-        "chart", "chart_source", "plan", "pullback", "boundary", "frobenius", "budget", "effective_h", "pivot_log",
+        "chart", "chart_source", "plan", "pullback", "boundary", "frobenius", "budget", "effective_h",
     )
 
     def __init__(
@@ -65,11 +65,11 @@ class Analysis(_Record):
         reduced: LagrangianSystem, path: str | None, w_counter: Expr | None, l_counter: Expr | None, fos: object,
         result: object, chart: CanonicalChart | None = None, chart_source: str = "built", plan: object = None,
         pullback: object = None, boundary: object = None, frobenius: object = None, budget: object = None,
-        effective_h: Expr | None = None, pivot_log: list | None = None,
+        effective_h: Expr | None = None,
     ):
         self._fields(
             sysfile, options, table, system, reduced, path, w_counter, l_counter, fos, result, chart, chart_source,
-            plan, pullback, boundary, frobenius, budget, effective_h, [] if pivot_log is None else pivot_log,
+            plan, pullback, boundary, frobenius, budget, effective_h,
         )
 
 
@@ -89,7 +89,6 @@ def analyze_system(sysfile: SystemFile, options: PipelineOptions | None = None) 
         if sysfile.order == 1 and lag.degree_in(table.acceleration(c)) > 0:
             raise InputError(f"order 1 system uses dd({c.name}); declare order 2")
 
-    pivot_log: list = []
     path = options.path or sysfile.options.get("path")
     w = l_red = None
     reduced = system
@@ -104,10 +103,10 @@ def analyze_system(sysfile: SystemFile, options: PipelineOptions | None = None) 
     elif path:
         raise InputError("path option applies to order-2 systems only")
 
-    fos = legendre(reduced, pivot_log=pivot_log)
+    fos = legendre(reduced)
     result = classify(dirac_iterate(fos))
     return Analysis(sysfile, options, table, system, reduced, path, w, l_red, fos, result,
-                    frobenius=frobenius_check(result), pivot_log=pivot_log)
+                    frobenius=frobenius_check(result))
 
 
 def attach_chart(an: Analysis) -> Analysis:
@@ -128,8 +127,7 @@ def attach_embedding(an: Analysis) -> Analysis:
         raw = ",".join(f"{n}={t}" for n, t, _ln in an.sysfile.gauge)
     if raw:
         gauge_conditions = _parse_gauge_conditions(raw, an)
-    eps = dict(an.sysfile.epsilon)
-    eps.update(opts.epsilon)
+    eps = {**an.sysfile.epsilon, **opts.epsilon}
     # H_T in chart symbols, transformed once for the plan, the pullback and the effective H
     ht = transform(an.result.total_hamiltonian(), an.chart)
     plan = resolve_plan(plan, an.result, an.chart, ht, epsilon=eps, gauge_conditions=gauge_conditions)
@@ -184,9 +182,9 @@ def _import_chart(an: Analysis) -> CanonicalChart:
     for name, text, lineno in an.sysfile.chart_rows:
         m = ROLE_PATTERN.match(name)
         role, idx = m.group(1), int(m.group(2))
-        if name in table:
+        sym = table.register_fresh(name, "position")
+        if sym.name != name:
             raise InputError(f"chart row name {name!r} collides with an existing symbol")
-        sym = table.position(name)
         try:
             row = parse_expr(text, table).affine_row(z)
         except ExprError as exc:
@@ -287,8 +285,8 @@ def build_report(an: Analysis, stage: str = "report") -> dict:
             "residuals": {name: str(e) for name, e in fr.residuals},
             "budget": {"used": fr.budget_used, "total": fr.budget_total, "ok": fr.budget_ok},
         }
-    rep["flags"] = list(result.flags)
-    rep["genericity_pivots"] = sorted({str(p) for p in an.pivot_log})
+    rep["flags"] = result.flags
+    rep["genericity_pivots"] = sorted({str(p) for p in an.fos.genericity_pivots})
 
     if stage == "analyze" or an.chart is None:
         return rep
@@ -304,7 +302,7 @@ def build_report(an: Analysis, stage: str = "report") -> dict:
         "gauge_fixed": plan.gauge_fixed,
         "fixed": {k: str(v) for k, v in sorted(plan.fixed.items())},
         "gauge_multipliers": {z.name: str(v) for z, v in sorted(plan.gauge_multiplier_solutions.items(), key=lambda kv: kv[0].index)},
-        "preconditions": list(plan.preconditions),
+        "preconditions": plan.preconditions,
     }
     pb = an.pullback
     rep["pullback"] = {
@@ -323,7 +321,7 @@ def build_report(an: Analysis, stage: str = "report") -> dict:
         "never_fix": br.never_fix,
         "initial_endpoint": br.initial_endpoint,
         "free_constant_count": an.budget.free,
-        "preconditions": list(plan.preconditions),
+        "preconditions": plan.preconditions,
     }
     bud = an.budget
     rep["integral_constants"] = {
@@ -353,7 +351,7 @@ def chart_to_json(chart: CanonicalChart, phase, table, source: str) -> dict:
             }
             for r, s in zip(chart.rows, strs)
         ],
-        "notes": list(chart.notes),
+        "notes": chart.notes,
     }
 
 

@@ -2,13 +2,16 @@
 
 All expressions of a single problem hold indices into one ``SymbolTable``;
 registration order fixes the canonical monomial order, so it must be
-deterministic.  It also holds `_Record`, the base of the package's record
-classes (frozen values: plain classes with `__slots__`, which import without
-the code generation of `dataclasses`): this module imports no other module
-of the package, so every one can import it from here.
+deterministic; `register_fresh` names every symbol a stage makes up.  It
+also holds `_Record`, the base of the package's record classes (frozen
+values: plain classes with `__slots__`, which import without the code
+generation of `dataclasses`): this module imports no other module of the
+package, so every one can import it from here.
 """
 
 from __future__ import annotations
+
+from types import MappingProxyType
 
 KINDS = (
     "position",
@@ -30,9 +33,10 @@ class _Record:
 
     Its fields are its `__slots__`, in constructor order, each set once by
     `_fields` in the class's own `__init__`; assigning or deleting one raises
-    AttributeError.  Equality and the hash are those of the tuple of all
-    fields, as for a frozen dataclass (so a record with a list or dict field
-    compares by value but has no hash), and the repr lists them.
+    AttributeError.  `_fields` stores a list as a tuple and a dict as a
+    read-only view of a copy, so no field changes in place and a `{}` default
+    is never shared.  Equality and the hash are those of the tuple of all
+    fields (a mapping hashed as its set of items), and the repr lists them.
     """
 
     __slots__ = ()
@@ -41,8 +45,10 @@ class _Record:
         return f"{type(self).__name__}({', '.join(f'{k}={getattr(self, k)!r}' for k in self.__slots__)})"
 
     def _fields(self, *values):
-        """Set every field, in `__slots__` order."""
+        """Set every field, in `__slots__` order, a list as a tuple and a dict as a read-only copy."""
         for name, value in zip(self.__slots__, values, strict=True):
+            if isinstance(value, (list, dict)):
+                value = tuple(value) if isinstance(value, list) else MappingProxyType(dict(value))
             object.__setattr__(self, name, value)
 
     def _replace(self, **changes):
@@ -64,7 +70,7 @@ class _Record:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(tuple(frozenset(v.items()) if isinstance(v, MappingProxyType) else v for v in self._key()))
 
 
 class Symbol(_Record):
@@ -95,11 +101,12 @@ class SymbolTable:
     """The registry every stage of one analysis registers its symbols in: the
     package's one mutable object, compared by identity."""
 
-    __slots__ = ("_by_name", "_by_index")
+    __slots__ = ("_by_name", "_by_index", "_fresh")
 
     def __init__(self):
         self._by_name = {}
         self._by_index = []
+        self._fresh = {}  # (requested name, kind) -> the symbol register_fresh gave it
 
     def register(self, name: str, kind: str, base: str | None = None, order: int = 0) -> Symbol:
         if kind not in KINDS:
@@ -115,12 +122,16 @@ class SymbolTable:
         return sym
 
     def register_fresh(self, name: str, kind: str) -> Symbol:
-        """The symbol under the first of `name`, `name_`, ... that is free or
-        already held by a symbol of this kind: a repeat call returns the
-        symbol the first one registered."""
-        while name in self._by_name and self._by_name[name].kind != kind:
-            name = name + "_"
-        return self.register(name, kind)
+        """A new symbol of `kind` (a position with its d() and dd() symbols)
+        under the first of `name`, `name_`, ... free with all its names.  Each
+        request is remembered by (name, kind): a repeat returns the symbol the
+        first one got, while a name held by anything else is stepped past."""
+        key = (name, kind)
+        if key not in self._fresh:
+            while name in self._by_name or kind == "position" and {f"d({name})", f"dd({name})"} & self._by_name.keys():
+                name += "_"
+            self._fresh[key] = self.position(name) if kind == "position" else self.register(name, kind)
+        return self._fresh[key]
 
     def position(self, name: str) -> Symbol:
         """Register a position coordinate together with its d()/dd() symbols."""
@@ -128,12 +139,6 @@ class SymbolTable:
         self.register(f"d({name})", "velocity", base=name, order=1)
         self.register(f"dd({name})", "acceleration", base=name, order=2)
         return sym
-
-    def fresh_position(self, name: str) -> Symbol:
-        """`position` under the first of `name`, `name_`, ... free with its d()/dd() names."""
-        while any(s in self._by_name for s in (name, f"d({name})", f"dd({name})")):
-            name += "_"
-        return self.position(name)
 
     def velocity(self, pos: Symbol) -> Symbol:
         return self._by_name[f"d({pos.base or pos.name})"]

@@ -41,13 +41,11 @@ ROLE_PATTERN = re.compile(r"^(Xi|Psi|ThU|ThD|Q|P)([1-9][0-9]*)$")
 class SystemFile(_Record):
     __slots__ = ("name", "coordinates", "order", "lagrangian", "chart_rows", "gauge", "options", "epsilon")
 
-    def __init__(self, name: str, coordinates: list, order: int, lagrangian: str, chart_rows: list | None = None,
-                 gauge: list | None = None, options: dict | None = None, epsilon: dict | None = None):
+    def __init__(self, name: str, coordinates: tuple, order: int, lagrangian: str, chart_rows: tuple = (),
+                 gauge: tuple = (), options: dict = {}, epsilon: dict = {}):
         # chart_rows: (name, expr text, line no); gauge: (zeta name, expr text,
         # line no); epsilon: chart row name -> Fraction
-        fresh = lambda value, empty=list: empty() if value is None else value
-        self._fields(name, coordinates, order, lagrangian, fresh(chart_rows), fresh(gauge), fresh(options, dict),
-                     fresh(epsilon, dict))
+        self._fields(name, coordinates, order, lagrangian, chart_rows, gauge, options, epsilon)
 
 
 _KNOWN_OPTIONS = {"path", "fix_endpoint"}

@@ -51,7 +51,7 @@ def test_every_built_chart_is_exactly_symplectic(charts):
     for name, (t, fos, res, ch) in charts.items():
         ok, violations, _ = verify_chart(chart_matrix(ch), mode="exact")
         assert ok, (name, violations[:3])
-        assert ch.notes == []
+        assert ch.notes == ()
 
 
 def test_bracket_table_matches_canonical_pattern(charts):
@@ -282,10 +282,10 @@ def test_verify_chart_float_matches_numpy_reference():
 
 
 def test_chart_rows_are_frozen_and_build_chart_repeats(l1, l3):
-    # two builds on one classified result give equal rows and notes (the
-    # second build's symbols are fresh, so they differ only in name) and
-    # leave the result as it was; a row cannot change, and the chart's
-    # matrix is a fresh list on every call
+    # two builds on one classified result give equal rows and notes, under
+    # the same names (the second build's symbols are the first's, and it
+    # registers none), and leave the result as it was; a row cannot change,
+    # and the chart's matrix is a fresh list on every call
 
     def snapshot(res):
         rows = lambda rs: [((tuple(r.row[0]), r.row[1]), r.generation) for r in rs]
@@ -302,11 +302,13 @@ def test_chart_rows_are_frozen_and_build_chart_repeats(l1, l3):
     results = [l1[2], l3[2], l3_family("gauge", 2, rng)[2], l3_family("coupled", 2, rng)[2]]
     for res in results:
         before = snapshot(res)
-        first, second = build_chart(res), build_chart(res)
+        first = build_chart(res)
+        size = len(res.table)
+        second = build_chart(res)
         assert [(r.role, r.pair, r.row, r.generation) for r in first.rows] == [
             (r.role, r.pair, r.row, r.generation) for r in second.rows
         ]
-        assert [r.name + "_" for r in first.rows] == [r.name for r in second.rows]
+        assert [r.symbol for r in first.rows] == [r.symbol for r in second.rows] and len(res.table) == size
         assert first.notes == second.notes
         assert snapshot(res) == before
         for r, coeffs, offset in zip(first.rows, chart_matrix(first), chart_offsets(first)):
@@ -490,7 +492,7 @@ def test_frobenius_residuals_from_rows_without_reduction(monkeypatch, l1, l2, l3
             for z, row in zip(zetas, fc_rows):
                 r = r - Expr.sym(t, z) * qq.from_row(row, 2 * phase.n)[i]
             want.append((q.name, r))
-        assert fr.residuals == want
+        assert fr.residuals == tuple(want)
         assert fr.verdict == all(r.is_zero() for _name, r in want)
         verdicts.append(fr.verdict)
     assert verdicts.count(False) == 1 and not frobenius_check(totalderiv).verdict

@@ -112,7 +112,7 @@ def test_l2_multipliers(l2):
     sols = {z.name: v for z, v in res.multiplier_solutions.items()}
     assert sols["zeta1"] == parse_expr("-q2", t)
     assert sols["zeta2"] == parse_expr("q1", t)
-    assert res.free_multipliers == []
+    assert res.free_multipliers == ()
     assert (res.F, res.S, res.dof) == (0, 2, 1)
 
 
@@ -702,7 +702,7 @@ def test_integer_path_matches_expr_path(monkeypatch):
         # each path keeps its own brackets: qq integer rows here, Exprs there
         assert all(isinstance(br, tuple) for br in res.h_brackets)
         assert all(isinstance(br, Expr) for br in want.h_brackets)
-        brackets = [_row_expr(br, res.phase.z_order(), t) for br in res.h_brackets]
+        brackets = tuple(_row_expr(br, res.phase.z_order(), t) for br in res.h_brackets)
         assert [(c.name, c.expr, c.row) for c in res.constraints] == [(c.name, c.expr, c.row) for c in want.constraints]
         assert brackets == want.h_brackets
         assert list(res.multiplier_solutions.items()) == list(want.multiplier_solutions.items())

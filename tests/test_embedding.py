@@ -92,7 +92,7 @@ def test_l1_canonical_pullback_is_constant(l1):
     pb = pullback_total_lagrangian(ch, plan, chart_hamiltonian(res, ch))
     assert pb.lagrangian.is_zero()
     br = boundary_report(ch, plan)
-    assert br.fix_both_ends == [] and br.fix_initial_only == [] and br.never_fix == []
+    assert br.fix_both_ends == () and br.fix_initial_only == () and br.never_fix == ()
 
 
 def test_l2_pullback_oscillator(l2):
@@ -104,7 +104,7 @@ def test_l2_pullback_oscillator(l2):
     assert pb.lagrangian == want
     assert pb.constant == 0
     br = boundary_report(ch, plan)
-    assert br.fix_both_ends == ["Q1"] and not br.fix_initial_only and not br.never_fix
+    assert br.fix_both_ends == ("Q1",) and not br.fix_initial_only and not br.never_fix
 
 
 def test_l2_nonzero_epsilon_contributes_constant(l2):
@@ -125,9 +125,9 @@ def test_l3_boundary_reports_tilde_vs_gauge():
 
     t, fos, res, ch, plan = planned(analyzed(L3_SRC, ["q1", "q2", "q3", "q4"]))
     br = boundary_report(ch, plan)
-    assert br.fix_both_ends == ["Q1"]
-    assert br.fix_initial_only == ["Xi2"]
-    assert br.never_fix == ["Xi1"]
+    assert br.fix_both_ends == ("Q1",)
+    assert br.fix_initial_only == ("Xi2",)
+    assert br.never_fix == ("Xi1",)
     # ledger closure: 2*both + initial + occupied + never = 2n
     bud = integral_constant_budget(res, plan)
     assert bud.free == 4
@@ -136,7 +136,7 @@ def test_l3_boundary_reports_tilde_vs_gauge():
     # re-running with the gauge fixed moves every never-fix coordinate out
     t, fos, res, ch, plan = planned(analyzed(L3_SRC, ["q1", "q2", "q3", "q4"]), gauge=True)
     br2 = boundary_report(ch, plan)
-    assert br2.fix_both_ends == ["Q1"] and not br2.fix_initial_only and not br2.never_fix
+    assert br2.fix_both_ends == ("Q1",) and not br2.fix_initial_only and not br2.never_fix
     bud2 = integral_constant_budget(res, plan)
     assert bud2.occupied == 6
     assert 2 * len(br2.fix_both_ends) + bud2.occupied == 2 * res.phase.n
@@ -286,10 +286,10 @@ def test_resolve_plan_returns_a_new_plan(l3):
         ht = chart_hamiltonian(res, ch)
         first = resolve_plan(plan, res, ch, ht)
         second = resolve_plan(plan, res, ch, ht)
-        assert plan.preconditions == [] and plan.fixed == {} and plan.gauge_multiplier_solutions == {}
+        assert plan.preconditions == () and plan.fixed == {} and plan.gauge_multiplier_solutions == {}
         assert first is not plan and first.preconditions == second.preconditions
         if not gauge:
-            assert second.preconditions == ["Psi1 := 0 imposed in advance"]
+            assert second.preconditions == ("Psi1 := 0 imposed in advance",)
         else:
             assert len(second.preconditions) == len(res.free_multipliers)
 

@@ -80,7 +80,7 @@ def test_solve_linear_all_free():
     a = const_matrix(t, [[0, 0], [0, 0]])
     sol = solve_linear(a, [zero, zero])
     assert not sol.witnesses
-    assert sol.pivot_cols == [] and sol.particular == [zero, zero]
+    assert sol.pivot_cols == () and sol.particular == (zero, zero)
 
 
 def test_solve_linear_witness():
@@ -92,18 +92,22 @@ def test_solve_linear_witness():
     sol = solve_linear(a, b)
     # the column pivots on the last row, so the leftover equation is the
     # first row's, q1 - q2 = 0
-    assert sol.witnesses == [parse_expr("q1 - q2", t)]
+    assert sol.witnesses == (parse_expr("q1 - q2", t),)
 
 
-def test_solve_linear_symbolic_pivot_logged():
+def test_solve_linear_returns_symbolic_pivot():
     t = SymbolTable()
     q1 = t.position("q1")
-    a = ExprMatrix.from_rows([[Expr.sym(t, q1)]])
-    log = []
-    sol = solve_linear(a, [Expr.const(t, 1)], pivot_log=log)
+    a = ExprMatrix.from_rows([[Expr.sym(t, q1)], [Expr.const(t, 2)]])
+    sol = solve_linear(a, [Expr.const(t, 1), Expr.sym(t, q1)])
+    assert sol.witnesses == (parse_expr("1 - q1^2/2", t),)
+    assert sol.particular[0] == parse_expr("q1/2", t)
+    # a constant pivot is no genericity assumption
+    assert sol.genericity_pivots == ()
+    sol = solve_linear(ExprMatrix.from_rows([[Expr.sym(t, q1)]]), [Expr.const(t, 1)])
     assert not sol.witnesses
     assert sol.particular[0] == parse_expr("1/(q1)", t)
-    assert log and str(log[0]) == "q1"
+    assert [str(p) for p in sol.genericity_pivots] == ["q1"]
 
 
 def test_rank_nullity_random():

@@ -75,7 +75,7 @@ def test_legendre_nondegenerate():
     sys = make_system("(1/2)*d(q1)^2 + (1/2)*d(q2)^2", ["q1", "q2"])
     t = sys.table
     fos = legendre(sys)
-    assert fos.primaries == []
+    assert fos.primaries == ()
     assert fos.H == parse_expr("(1/2)*p1^2 + (1/2)*p2^2", t)
 
 
@@ -105,7 +105,7 @@ def test_counter_term_l4():
     assert red.order == 1
     # the reduced system is a plain nondegenerate oscillator
     fos = legendre(red)
-    assert fos.primaries == []
+    assert fos.primaries == ()
     assert fos.H == parse_expr("(1/2)*p_q^2 + (1/2)*q^2", t)
 
 
@@ -186,14 +186,14 @@ def test_ssok_pons_dof_cross_check():
     assert dofs == [1, 1]
 
 
-def _expr_only_solve_linear(a, b, pivot_log=None):
+def _expr_only_solve_linear(a, b):
     """The all-Expr elimination of `linalg.solve_linear`, written out here:
     every entry an Expr (witnesses and particular solution only), each column
-    pivoting on the last eligible row."""
+    pivoting on the last eligible row, the non-constant pivots kept."""
     table = b[0].table
-    rows = [row + [b[i]] for i, row in enumerate(a.entries)]
+    rows = [[*row, b[i]] for i, row in enumerate(a.entries)]
     n = a.cols
-    pivot_of_col, used_rows = {}, set()
+    pivot_of_col, used_rows, generic = {}, set(), []
     for col in range(n):
         piv = next((i for i in reversed(range(a.rows)) if i not in used_rows and not rows[i][col].is_zero()), None)
         if piv is None:
@@ -201,8 +201,8 @@ def _expr_only_solve_linear(a, b, pivot_log=None):
         pivot_of_col[col] = piv
         used_rows.add(piv)
         p = rows[piv][col]
-        if pivot_log is not None and not p.is_constant():
-            pivot_log.append(p)
+        if not p.is_constant():
+            generic.append(p)
         inv = Expr.const(table, 1) / p
         rows[piv] = [e * inv for e in rows[piv]]
         for i in range(a.rows):
@@ -214,12 +214,12 @@ def _expr_only_solve_linear(a, b, pivot_log=None):
     for col, i in pivot_of_col.items():
         particular[col] = rows[i][n]
     witnesses = [rows[i][n] for i in range(a.rows) if i not in used_rows and not rows[i][n].is_zero()]
-    return LinearSolution(particular, sorted(pivot_of_col), witnesses)
+    return LinearSolution(particular, sorted(pivot_of_col), witnesses, generic)
 
 
 def test_legendre_matches_expr_only_elimination(monkeypatch):
     # a constant kinetic matrix is reduced on qq integer rows; H, the
-    # primaries, the momentum definitions and the pivot log must be the
+    # primaries, the momentum definitions and the genericity pivots must be the
     # all-Expr elimination's, down to dict key order.  The reference run
     # turns the integer path off, so every case takes the Expr elimination.
     import hamdirac.lagrangian as lagrangian
@@ -232,13 +232,12 @@ def test_legendre_matches_expr_only_elimination(monkeypatch):
         sys = make_system(src, names, order)
         if order == 2:
             sys = ostrogradsky_reduce(sys) if path == "ssok" else pons_reduce(sys)
-        log = []
-        fos = legendre(sys, pivot_log=log)
+        fos = legendre(sys)
         return (
             shape(fos.H),
             [shape(p) for p in fos.primaries],
             [(m.name, shape(d)) for m, d in fos.momentum_defs.items()],
-            [shape(p) for p in log],
+            [shape(p) for p in fos.genericity_pivots],
         )
 
     rng = rng_for("legendre-fraction-elimination")

@@ -1,14 +1,16 @@
-"""The record classes: every record is a frozen value, and no two records share
-a list or dict default; `SymbolTable` is the one mutable object.  The stages'
-results are values too: `dirac_iterate`, `classify`, `attach_chart` and
-`attach_embedding` return new records and change nothing they are given, and
-a repeat `legendre` returns the momenta, H and primaries of the first call
-without registering a symbol."""
+"""The record classes: every record is a frozen value whose sequences are
+tuples and whose mappings are read-only; `SymbolTable` is the one mutable
+object.  The stages' results are values too: `dirac_iterate`, `classify`,
+`attach_chart` and `attach_embedding` return new records and change nothing
+they are given, and every stage run again (the order-2 reduction, `legendre`,
+the Dirac stage, the chart and the embedding), once or from several threads,
+gives the first run's symbols and report without registering a symbol."""
 
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
@@ -17,7 +19,7 @@ from hamdirac.chart import CanonicalChart, ChartError, ChartRow, build_chart, fr
 from hamdirac.dirac import ClassRep, DiracResult
 from hamdirac.embedding import EmbeddingError, EmbeddingPlan, select_embedding
 from hamdirac.expr import Expr
-from hamdirac.lagrangian import FirstOrderSystem, LagrangianSystem, PhaseSpace, legendre
+from hamdirac.lagrangian import FirstOrderSystem, LagrangianSystem, PhaseSpace, legendre, ostrogradsky_reduce, pons_reduce
 from hamdirac.cli import reduced_hamiltonian
 from hamdirac.linalg import ExprMatrix, LinearSolution
 from hamdirac.numerics import _Variational, compile_field, solve_iota
@@ -105,11 +107,11 @@ def list_and_dict_defaults():
     sysfile = SystemFile("s", ["q1"], 1, "0")
     system = LagrangianSystem(t, (), 1, h)
     return [
-        (SymbolTable, (), ("_by_name", "_by_index")),
+        (SymbolTable, (), ("_by_name", "_by_index", "_fresh")),
         (SystemFile, ("s", ["q1"], 1, "0"), ("chart_rows", "gauge", "options", "epsilon")),
         (LagrangianSystem, (t, (), 1, h), ("velocity_aliases",)),
-        (LinearSolution, ([], []), ("witnesses",)),
-        (FirstOrderSystem, (phase, h, [], {}), ()),
+        (LinearSolution, ([], []), ("witnesses", "genericity_pivots")),
+        (FirstOrderSystem, (phase, h, [], {}), ("genericity_pivots",)),
         (
             DiracResult,
             (phase, h, []),
@@ -119,7 +121,7 @@ def list_and_dict_defaults():
         (CanonicalChart, (phase, []), ("notes",)),
         (EmbeddingPlan, ("sigma1",), ("fixed", "gauge_multiplier_solutions", "preconditions")),
         (PipelineOptions, (), ("epsilon",)),
-        (Analysis, (sysfile, PipelineOptions(), t, system, system, None, None, None, None, None), ("pivot_log",)),
+        (Analysis, (sysfile, PipelineOptions(), t, system, system, None, None, None, None, None), ()),
     ]
 
 
@@ -128,16 +130,20 @@ DEFAULT_CASES = list_and_dict_defaults()
 
 @pytest.mark.parametrize("cls,args,fields", DEFAULT_CASES, ids=[cls.__name__ for cls, _, _ in DEFAULT_CASES])
 def test_list_and_dict_defaults_are_fresh_per_instance(cls, args, fields):
+    # the registry's containers are its own; a record's sequence and mapping
+    # defaults are empty and read-only, so no instance can change another's
     a, b = cls(*args), cls(*args)
     defaulted = cls.__slots__[len(args):]
-    assert [k for k in defaulted if isinstance(getattr(a, k), (list, dict))] == list(fields)
+    if cls is SymbolTable:
+        assert [k for k in defaulted if isinstance(getattr(a, k), (list, dict))] == list(fields)
+        assert all(getattr(a, k) == type(getattr(a, k))() and getattr(a, k) is not getattr(b, k) for k in fields)
+        return
+    assert [k for k in defaulted if isinstance(getattr(a, k), (tuple, MappingProxyType))] == list(fields)
     for k in fields:
         value = getattr(a, k)
-        assert value == type(value)() and value is not getattr(b, k)
-        if isinstance(value, dict):
+        assert not value and not hasattr(value, "append")
+        with pytest.raises(TypeError):
             value["x"] = 1
-        else:
-            value.append(1)
         assert not getattr(b, k) and not getattr(cls(*args), k)
 
 
@@ -166,8 +172,8 @@ def snapshot(x):
         return type(x).__name__, id(x), tuple((k, snapshot(getattr(x, k))) for k in x.__slots__)
     if isinstance(x, (list, tuple)):
         return type(x).__name__, id(x), tuple(map(snapshot, x))
-    if isinstance(x, dict):
-        return "dict", id(x), tuple((snapshot(k), snapshot(v)) for k, v in x.items())
+    if isinstance(x, (dict, MappingProxyType)):
+        return type(x).__name__, id(x), tuple((snapshot(k), snapshot(v)) for k, v in x.items())
     return type(x).__name__, x
 
 
@@ -230,18 +236,47 @@ def test_dirac_stage_repeats_from_threads_give_the_same_report(path, order2_path
     def rerun(_):
         res = classify(dirac_iterate(an.fos))
         rerun_an = Analysis(an.sysfile, an.options, an.table, an.system, an.reduced, an.path, an.w_counter,
-                            an.l_counter, an.fos, res, frobenius=frobenius_check(res), pivot_log=an.pivot_log)
+                            an.l_counter, an.fos, res, frobenius=frobenius_check(res))
         return report_json(build_report(rerun_an, "analyze"))
 
     size = len(an.table)
+    assert from_threads(rerun) == [want] * 8 and len(an.table) == size
+
+
+def from_threads(fn):
+    """fn(0), ..., fn(7) run from 4 threads that switch often, inside the stages' loops."""
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads often, inside the stages' loops
+    sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            got = list(pool.map(rerun, range(8), timeout=300))
+            return list(pool.map(fn, range(8), timeout=300))
     finally:
         sys.setswitchinterval(interval)
-    assert got == [want] * 8 and len(an.table) == size
+
+
+@pytest.mark.parametrize("path,order2_path", STAGE_CASES, ids=[f"{p.stem}-{o}" for p, o in STAGE_CASES])
+def test_every_stage_repeats_with_the_same_report_and_symbols(path, order2_path):
+    # each stage run again on a finished report, once and then 8 times from 4
+    # threads, gives the first run's report bytes and registers no symbol: a
+    # repeat request for a chart row, momentum, multiplier, epsilon or
+    # reduction coordinate name returns the symbol the first one got
+    an = run_pipeline(load_system_file(path), PipelineOptions(path=order2_path), stage="report")
+    want = report_json(build_report(an))
+    size = len(an.table)
+
+    def rerun(_):
+        reduced = an.reduced
+        if an.sysfile.order == 2:
+            reduced = (ostrogradsky_reduce if an.path == "ssok" else pons_reduce)(an.system)
+            assert reduced == an.reduced
+        fos = legendre(reduced)
+        res = classify(dirac_iterate(fos))
+        again = Analysis(an.sysfile, an.options, an.table, an.system, reduced, an.path, an.w_counter, an.l_counter,
+                         fos, res, frobenius=frobenius_check(res))
+        return report_json(build_report(attach_embedding(attach_chart(again))))
+
+    assert rerun(None) == want and len(an.table) == size
+    assert from_threads(rerun) == [want] * 8 and len(an.table) == size
 
 
 def test_stages_after_dirac_iterate_ask_for_a_classified_result():
@@ -260,7 +295,7 @@ def test_stages_after_dirac_iterate_ask_for_a_classified_result():
 
 def records_in(*roots):
     """Every record reachable from `roots` through record fields, lists,
-    tuples and dicts (keys and values), each once."""
+    tuples and mappings (keys and values), each once."""
     seen, stack = {}, list(roots)
     while stack:
         x = stack.pop()
@@ -270,9 +305,20 @@ def records_in(*roots):
                 stack.extend(getattr(x, k) for k in x.__slots__)
         elif isinstance(x, (list, tuple)):
             stack.extend(x)
-        elif isinstance(x, dict):
+        elif isinstance(x, (dict, MappingProxyType)):
             stack.extend((*x.keys(), *x.values()))
     return list(seen.values())
+
+
+def containers_in(value):
+    """`value` and every value nested in it through tuples and mappings."""
+    yield value
+    if isinstance(value, tuple):
+        for v in value:
+            yield from containers_in(v)
+    elif isinstance(value, MappingProxyType):
+        for kv in value.items():
+            yield from containers_in(kv)
 
 
 def record_classes(cls=_Record):
@@ -281,7 +327,10 @@ def record_classes(cls=_Record):
 
 def test_every_record_reachable_from_a_run_is_frozen():
     # the records of a report on each stage case and of one simulate run; the
-    # three record classes no run returns are built here, so every class is met
+    # three record classes no run returns are built here, so every class is met.
+    # No field holds a list or a dict, at any depth of tuples and mappings, so
+    # none can be changed in place; Trajectory's array('d') columns are the
+    # exception, mutable buffers on purpose (the integrator's memory layout)
     reports = [run_pipeline(load_system_file(p), PipelineOptions(path=o), stage="report") for p, o in STAGE_CASES]
     an = run_pipeline(load_system_file(FIXTURES / "l2.sys"), PipelineOptions(), stage="simulate")
     pairs = [(q.symbol, an.chart.conjugate(q).symbol) for q in an.chart.rows_by_role("Q")]
@@ -297,7 +346,17 @@ def test_every_record_reachable_from_a_run_is_frozen():
             with pytest.raises(AttributeError):
                 delattr(record, name)
             assert getattr(record, name) is value
+            assert not any(isinstance(v, (list, dict)) for v in containers_in(value)), (record, name)
     assert {type(r) for r in records} == record_classes() and SymbolTable not in record_classes()
+    for an in reports:
+        want = report_json(build_report(an))
+        with pytest.raises(AttributeError):
+            an.plan.preconditions.append("x")
+        with pytest.raises(AttributeError):
+            an.chart.notes.append("y")
+        with pytest.raises(TypeError):
+            an.plan.fixed["x"] = 0
+        assert report_json(build_report(an)) == want
 
 
 @pytest.mark.parametrize("path,order2_path", STAGE_CASES, ids=[f"{p.stem}-{o}" for p, o in STAGE_CASES])

@@ -110,16 +110,18 @@ def test_cli_report_gauge_fixing_l3(capsys):
 
 
 def test_cli_gauge_fixing_with_empty_conds_is_the_bare_flag(tmp_path, capsys):
-    # an empty or blank CONDS fixes the gauge as the bare flag does: with the
-    # file's [gauge] conditions if it has them, else with derived ones
+    # a CONDS that names no condition (empty, blank, or only separators) fixes
+    # the gauge as the bare flag does: with the file's [gauge] conditions if it
+    # has them, else with derived ones
+    spellings = ([], [""], [" "], [","], [" , "], [",,"])
     outs = []
-    for conds in ([], [""], [" "]):
+    for conds in spellings:
         assert main(["report", fixture("l3.sys"), "--gauge-fixing", *conds]) == 0
         outs.append(capsys.readouterr().out)
-    assert outs[1] == outs[2] == outs[0] and json.loads(outs[0])["embedding"]["gauge_fixed"]
+    assert outs == [outs[0]] * len(spellings) and json.loads(outs[0])["embedding"]["gauge_fixed"]
     wrong = tmp_path / "l3wrong.sys"
     wrong.write_text(Path(fixture("l3.sys")).read_text(encoding="utf-8") + "\n[gauge]\nzeta1 = Q1\n", encoding="utf-8")
-    for conds in ([], [""], [" "]):
+    for conds in spellings:
         assert main(["report", str(wrong), "--gauge-fixing", *conds]) == 4
         assert "gauge conditions do not freeze" in capsys.readouterr().err
 
