@@ -412,27 +412,29 @@ class ConstantBudget(_Record):
         self._fields(total, occupied, free, by_boundary, by_gauge)
 
 
-_OCCUPANCY = {
-    "sigma3": lambda r, s: 2 * r + 2 * s,
-    "sigma3_tilde": lambda r, s: r + 2 * s,
-    "sigma2": lambda r, s: 2 * s,
-    "sigma1": lambda r, s: 2 * r,
-    "sigma1_tilde": lambda r, s: r,
-    "trivial": lambda r, s: 0,
+# the chart roles whose rows each embedding kind fixes
+_FIXED_ROLES = {
+    "sigma1": ("Xi", "Psi"),
+    "sigma1_tilde": ("Psi",),
+    "sigma2": ("ThU", "ThD"),
+    "sigma3": ("Xi", "Psi", "ThU", "ThD"),
+    "sigma3_tilde": ("Psi", "ThU", "ThD"),
+    "trivial": (),
 }
 
 
 def integral_constant_budget(result: DiracResult, plan) -> ConstantBudget:
-    """Integral constants occupied by an embedding, an `EmbeddingPlan`: 2r+2s,
-    r+2s, 2s, 2r, r for sigma3, sigma3~, sigma2, sigma1, sigma1~ (r = F,
-    s = S/2)."""
+    """Integral constants occupied by an embedding, an `EmbeddingPlan`: the
+    rows of the roles its kind fixes, F each for Xi and Psi and S/2 each for
+    ThU and ThD, so 2r+2s, r+2s, 2s, 2r, r for sigma3, sigma3~, sigma2,
+    sigma1, sigma1~ (r = F, s = S/2)."""
     if not result.classified:
         raise ChartError("classify before computing the constant budget")
-    r, s = result.F, result.S // 2
     kind = plan.kind
-    if kind not in _OCCUPANCY:
+    if kind not in _FIXED_ROLES:
         raise ChartError(f"unknown embedding kind {kind!r}")
-    occupied = _OCCUPANCY[kind](r, s)
+    per_role = {"Xi": result.F, "Psi": result.F, "ThU": result.S // 2, "ThD": result.S // 2}
+    occupied = sum(per_role[role] for role in _FIXED_ROLES[kind])
     total = 2 * result.phase.n
     free = total - occupied
     gauge = result.primary_fc_count if kind.endswith("_tilde") else 0

@@ -25,7 +25,10 @@ Exprs (`hamilton_field`), brackets are reduced by substitution, and
 constraint i's bracket enters its row as a tag, a 1 in tail column i, which
 `_eliminate` reads back as the bracket once it has solved.  Either way the
 multiplier system is one qq integer row per constraint, and one
-`qq.rref_rows` call over the multiplier columns solves it.
+`qq.rref_rows` call over the multiplier columns solves it.  A residue that
+is not affine becomes a constraint through `_normalize_candidate`: a power
+c*a^k of an affine form is recognised in closed form, from k - 1
+derivatives, and replaced by a; anything else is kept verbatim.
 
 Classification re-bases the constraint set on the kernel of the bracket Gram
 matrix, so first-class representatives are genuine gauge directions and the
@@ -41,10 +44,10 @@ write into nothing they are given.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm
 
 from . import qq
-from .expr import Expr, ExprError, _pgcd, _plead, _row_expr
+from .expr import Expr, ExprError, _row_expr
 from .lagrangian import FirstOrderSystem, PhaseSpace, UnsupportedShape
 from .symbols import _Record
 
@@ -108,9 +111,6 @@ class DiracResult(_Record):
     @property
     def table(self):
         return self.phase.table
-
-    def primaries(self):
-        return [c for c in self.constraints if c.generation == 1]
 
     def total_hamiltonian(self) -> Expr:
         """H_T = H + sum_a zeta_a phi_a over the re-based primaries, each
@@ -268,56 +268,29 @@ def _affine_row(e: Expr, syms):
         ) from exc
 
 
-def _normalize_candidate(expr: Expr, table):
+def _normalize_candidate(expr: Expr):
     """Irreducibility normalization of a would-be constraint.
 
-    A nonzero rational multiple of a power of an affine form is replaced by
-    the monic affine factor (flagged when an actual power was stripped);
-    anything else is kept verbatim, flagged if it is not affine.
+    A polynomial of total degree k >= 2 is c*a^k for an affine a exactly when
+    its (k-1)-th derivative d in its first free symbol s has degree 1 in s
+    and it is a constant multiple of (d / dd/ds)^k; it is then replaced by
+    that a, monic in s (flagged).  Anything else is kept verbatim, flagged
+    if it is not affine.
     """
-    flags = []
-    if expr.total_degree() <= 1 and expr.is_polynomial():
-        return expr, flags
     if expr.is_polynomial():
-        reduced = expr
-        stripped = 0
-        while True:
-            g = None
-            for s in reduced.free_symbols():
-                d = reduced.diff(s)
-                if d.is_zero():
-                    continue
-                g = d if g is None else _poly_gcd_expr(g, d)
-            if g is None or g.is_constant():
-                break
-            g2 = _poly_gcd_expr(reduced, g)
-            if g2.is_constant():
-                break
-            reduced = reduced / g2
-            stripped += 1
-        if stripped and reduced.total_degree() == 1:
-            lead = _monic_affine(reduced)
-            flags.append(f"irreducibility reduction: replaced {expr} by affine factor {lead}")
-            return lead, flags
-    flags.append(f"non-affine constraint kept verbatim: {expr}")
-    return expr, flags
-
-
-def _poly_gcd_expr(a: Expr, b: Expr) -> Expr:
-    """The monic gcd of two polynomial numerators."""
-    g = _pgcd(a.num, b.num)
-    return Expr(a.table, g, {(): g[_plead(g)]}, _normalized=True)
-
-
-def _monic_affine(e: Expr) -> Expr:
-    syms = e.free_symbols()
-    lead = None
-    for s in syms:
-        c = e.diff(s)
-        if not c.is_zero():
-            lead = c
-            break
-    return e / lead if lead is not None else e
+        k = expr.total_degree()
+        if k <= 1:
+            return expr, []
+        s = expr.free_symbols()[0]
+        d = expr
+        for _ in range(k - 1):
+            d = d.diff(s)
+        lead = d.diff(s)  # d has total degree <= 1: a constant, 0 when d is free of s
+        if not lead.is_zero():
+            a = d / lead
+            if a ** k * lead == expr * factorial(k):  # expr = (lead / k!) a^k
+                return a, [f"irreducibility reduction: replaced {expr} by affine factor {a}"]
+    return expr, [f"non-affine constraint kept verbatim: {expr}"]
 
 
 def dirac_iterate(fos: FirstOrderSystem) -> DiracResult:
@@ -396,7 +369,7 @@ def _candidate(residue, reducer, syms, flags):
     if isinstance(residue, Expr):
         if residue.is_constant():
             raise InconsistentTheory(f"consistency forces {residue} = 0; contradictory theory")
-        cand, cflags = _normalize_candidate(residue, table)
+        cand, cflags = _normalize_candidate(residue)
         flags.extend(cflags)
         if reducer.reduce(cand).is_zero():
             return None

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .chart import CanonicalChart
+from .chart import _FIXED_ROLES, CanonicalChart
 from .dirac import DiracResult
 from .expr import Expr
 from .symbols import _Record
@@ -35,15 +35,6 @@ class EmbeddingPlan(_Record):
         # Symbol -> Expr (chart space)
         self._fields(kind, fixed, gauge_fixed, gauge_multiplier_solutions, preconditions)
 
-
-_FIXED_ROLES = {
-    "sigma1": ("Xi", "Psi"),
-    "sigma1_tilde": ("Psi",),
-    "sigma2": ("ThU", "ThD"),
-    "sigma3": ("Xi", "Psi", "ThU", "ThD"),
-    "sigma3_tilde": ("Psi", "ThU", "ThD"),
-    "trivial": (),
-}
 
 # restrictions that keep part of the constraint block dynamical; fixing their
 # leftover coordinates through endpoint data is impossible

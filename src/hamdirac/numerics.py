@@ -26,7 +26,6 @@ from __future__ import annotations
 import cmath
 import math
 from array import array
-from fractions import Fraction
 
 from .expr import Expr, _plead
 from .symbols import _Record
@@ -36,6 +35,12 @@ from .symbols import _Record
 # epsilon) = 2**26 (about 6.7e7): past it fewer than half of a double's
 # significant digits of P(t1) survive the rounding of the end state.
 MAX_CONDITION = 2.0**26
+
+# Newton on the initial momenta stops once max|Q(t2) - Q2| is at most
+# SHOOTING_TOL times the state's scale, and gives up after SHOOTING_MAX_ITER
+# steps.
+SHOOTING_TOL = 1e-10
+SHOOTING_MAX_ITER = 60
 
 # Trajectory.write_csv formats and writes this many rows at a time, so the
 # text in memory stays a few hundred kB however long the trajectory is.
@@ -70,21 +75,18 @@ class ReducedField(_Record):
         return 2 * len(self.pairs)
 
 
-def compile_field(h_reduced: Expr, pairs, params: dict | None = None) -> ReducedField:
+def compile_field(h: Expr, pairs) -> ReducedField:
     """Compile (dQ, dP) = (dH/dP, -dH/dQ) and its variational system into float closures.
 
-    params supplies float values for any parameter symbols left in H;
-    anything else loose (an unfixed gauge coordinate, a multiplier) is an
-    error.
+    H may hold no symbol outside `pairs`: anything else loose (an unfixed
+    gauge coordinate, a multiplier, an unsubstituted parameter) is an error.
     """
-    table = h_reduced.table
-    params = {s: float(v) for s, v in (params or {}).items()}
-    allowed = {s for q, p in pairs for s in (q, p)} | set(params)
-    stray = [s for s in h_reduced.free_symbols() if s not in allowed]
+    table = h.table
+    allowed = {s for q, p in pairs for s in (q, p)}
+    stray = [s for s in h.free_symbols() if s not in allowed]
     if stray:
         raise NumericsError(f"stray symbols in reduced Hamiltonian: {[s.name for s in stray]}")
 
-    h = h_reduced.substitute({s: Expr.const(table, Fraction(v)) for s, v in params.items()}) if params else h_reduced
     names = {}
     for k, (q, p) in enumerate(pairs):
         names[q.index] = f"y[{2 * k}]"
@@ -367,8 +369,6 @@ def solve_iota(
     t2: float,
     step: float = 1e-3,
     init_only: dict | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 60,
 ) -> IotaSolution:
     """Shooting solve of the two-point problem Q(t1), Q(t2) -> initial state.
 
@@ -377,7 +377,7 @@ def solve_iota(
     the RK4 map: from the propagator for a quadratic H (one step solves it),
     from the variational equations otherwise.  A shooting block whose
     condition number exceeds MAX_CONDITION (a resonant interval) raises
-    SingularShooting.  The residual max|Q(t2) - Q2| must fall to tol times the
+    SingularShooting.  The residual max|Q(t2) - Q2| must fall to SHOOTING_TOL times the
     state's scale (the largest of |Q1|, |Q2|, |P(t1)|, |y(t2)|), checked
     once more on the single RK4 integration at the solved momenta that
     supplies the trajectory; otherwise ShootingNotConverged.
@@ -419,16 +419,16 @@ def solve_iota(
         yend, phi = shoot(p)
         res, worst, scale = residual(p, yend)
         delta, cond = _newton_step(phi, res, t1, t2)
-        if worst <= tol * scale:
+        if worst <= SHOOTING_TOL * scale:
             break
-        if it >= max_iter:
+        if it >= SHOOTING_MAX_ITER:
             raise ShootingNotConverged(_not_converged(it, worst, scale))
         p = [a + d for a, d in zip(p, delta)]
         it += 1
 
     traj = integrate(field, start(p), t1, t2, step)
     res, worst, scale = residual(p, traj.state(-1))
-    if worst > tol * scale:
+    if worst > SHOOTING_TOL * scale:
         raise ShootingNotConverged(_not_converged(it, worst, scale))
 
     constants = {}

@@ -521,7 +521,7 @@ def test_weak_reducer_built_once_per_constraint_set(monkeypatch):
         reducers.clear()
         an = run_pipeline(load_system_file(path), stage="report")
         res = an.result
-        m1 = len(res.primaries())
+        m1 = sum(c.generation == 1 for c in res.constraints)
         assert builds == [[c.row for c in res.constraints[:m1]]], path
         assert extensions == [c.row for c in res.constraints[m1:]], path
         assert len(extensions) == accepted, path
@@ -761,3 +761,158 @@ def test_rows_match_linear_forms_and_expr_brackets(l1, l2, l3, l4_ssok, l4_pons)
             for b in items:
                 br = reducer.reduce(poisson(a.expr, b.expr, phase))
                 assert br.is_constant() and br.constant_value() == qq.row_bracket(a.row, b.row, phase.n)
+
+
+def normalize_candidate_by_gcd(expr):
+    """The square-free reduction as a loop of multivariate gcds, the
+    reference for `_normalize_candidate`'s closed form: strip gcd(expr,
+    gcd of its partials) until it is constant, and return the monic affine
+    factor when what is left has degree 1."""
+    from hamdirac.expr import _pgcd, _plead
+
+    def poly_gcd(a, b):
+        g = _pgcd(a.num, b.num)
+        return Expr(a.table, g, {(): g[_plead(g)]}, _normalized=True)
+
+    def monic_affine(e):
+        for s in e.free_symbols():
+            c = e.diff(s)
+            if not c.is_zero():
+                return e / c
+        return e
+
+    flags = []
+    if expr.total_degree() <= 1 and expr.is_polynomial():
+        return expr, flags
+    if expr.is_polynomial():
+        reduced = expr
+        stripped = 0
+        while True:
+            g = None
+            for s in reduced.free_symbols():
+                d = reduced.diff(s)
+                if d.is_zero():
+                    continue
+                g = d if g is None else poly_gcd(g, d)
+            if g is None or g.is_constant():
+                break
+            g2 = poly_gcd(reduced, g)
+            if g2.is_constant():
+                break
+            reduced = reduced / g2
+            stripped += 1
+        if stripped and reduced.total_degree() == 1:
+            lead = monic_affine(reduced)
+            flags.append(f"irreducibility reduction: replaced {expr} by affine factor {lead}")
+            return lead, flags
+    flags.append(f"non-affine constraint kept verbatim: {expr}")
+    return expr, flags
+
+
+def seeded_residues(t, syms, rng):
+    """Would-be constraints of every shape `_normalize_candidate` tells
+    apart, seeded: powers of affine forms with offsets and rational scales,
+    products of affine forms (repeated ones too), random polynomials up to
+    degree 6, constants times products of distinct symbols (whose (k-1)-th
+    derivative in the first symbol is free of it, like q1*q2's), affine
+    forms, quotients, and cawley's 1/2*q3^2."""
+    rats = FAMILY_RATIONALS
+
+    def scale():
+        return Expr.const(t, rng.choice(rats))
+
+    def affine(offset=True):
+        picked = rng.sample(syms, rng.randint(1, 4))
+        e = Expr.const(t, rng.choice(rats) if offset and rng.random() < 0.7 else 0)
+        for s in picked:
+            e = e + Expr.sym(t, s) * rng.choice(rats)
+        return e
+
+    out = [parse_expr("1/2*q3^2", t), parse_expr("-3/2*q1*q2", t)]
+    for _ in range(90):
+        out.append(scale() * affine() ** rng.randint(2, 5))
+    for _ in range(60):
+        factors = [affine() for _ in range(rng.randint(2, 3))]
+        if rng.random() < 0.3:
+            factors.append(factors[0])
+        prod = scale()
+        for f in factors:
+            prod = prod * f
+        out.append(prod)
+    for _ in range(80):
+        out.append(random_poly(t, syms, rng, max_degree=6, terms=4))
+    for _ in range(40):
+        picked = rng.sample(syms, rng.randint(2, 3))
+        prod = scale()
+        for s in picked:
+            prod = prod * Expr.sym(t, s) ** rng.randint(1, 2)
+        out.append(prod)
+    for _ in range(20):
+        out.append(affine())
+    for _ in range(15):
+        out.append(affine() ** 2 / affine(offset=False))
+    return out
+
+
+def test_square_free_reduction_closed_form_matches_gcd_loop():
+    # the closed form (k-1 derivatives in the first free symbol) returns the
+    # same constraint and flag as the gcd loop it replaced, on every residue
+    from hamdirac.dirac import _normalize_candidate
+
+    t = SymbolTable()
+    syms = [t.register(f"q{i}", "position") for i in range(1, 5)] + [t.register(f"p{i}", "momentum") for i in range(1, 5)]
+    residues = seeded_residues(t, syms, rng_for("square-free-closed-form"))
+    assert len(residues) >= 300
+    kinds = {"reduced": 0, "verbatim": 0, "affine": 0}
+    for e in residues:
+        got, flags = _normalize_candidate(e)
+        want, want_flags = normalize_candidate_by_gcd(e)
+        assert (str(got), flags) == (str(want), want_flags), e
+        assert got == want
+        kinds["affine" if not flags else "reduced" if "irreducibility" in flags[0] else "verbatim"] += 1
+    assert min(kinds.values()) >= 20, kinds
+    assert _normalize_candidate(parse_expr("1/2*q3^2", t)) == (
+        Expr.sym(t, t["q3"]), ["irreducibility reduction: replaced 1/2*q3^2 by affine factor q3"]
+    )
+
+
+MULTIVARIATE_GCD_RUNS = [
+    [stage, path, *extra]
+    for path in [f"fixtures/{name}.sys" for name in ("l2", "l3", "l4", "cawley")]
+    + [f"golden/{name}.sys" for name in (
+        "coupled2", "coupled3", "coupled4", "gauge2", "gauge3", "gauge4", "l3quartic", "totalderiv"
+    )]
+    for stage, *extra in (
+        ("analyze",), ("chart",), ("report",), ("report", "--gauge-fixing"), ("report", "--fix-endpoint", "t2"),
+    )
+] + [["report", "fixtures/l4.sys", "--path", "pons"], ["report", "fixtures/l3.sys", "--gauge-fixing", "zeta1=-P1"]]
+
+
+def test_polynomial_inputs_make_no_multivariate_gcd(monkeypatch, capsys):
+    # every bundled fixture and golden system under every CLI stage: only a
+    # rational-function input reaches the multivariate gcd, and none of these
+    # has one (cawley's square-free reduction is a closed form)
+    from importlib import resources
+    from pathlib import Path
+
+    from hamdirac import expr
+    from hamdirac.cli import main
+
+    where = {"fixtures": resources.files("hamdirac") / "fixtures", "golden": Path(__file__).resolve().parent / "golden"}
+    calls = []
+    pgcd = expr._pgcd
+
+    def counting_pgcd(a, b):
+        calls.append(1)
+        return pgcd(a, b)
+
+    monkeypatch.setattr(expr, "_pgcd", counting_pgcd)
+    rcs = {}
+    for stage, path, *extra in MULTIVARIATE_GCD_RUNS:
+        base, name = path.split("/")
+        rcs[(path, stage, *extra)] = main([stage, str(where[base] / name), *extra])
+        capsys.readouterr()
+    assert len(rcs) == 62
+    assert rcs[("fixtures/cawley.sys", "report")] == 0
+    assert sum(rc == 0 for rc in rcs.values()) > 40, rcs
+    assert calls == []

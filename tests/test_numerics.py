@@ -3,11 +3,13 @@ import io
 import math
 import tracemalloc
 from array import array
+from fractions import Fraction
 
 import pytest
 
 from hamdirac import SymbolTable, compile_field, integrate, parse_expr, solve_iota
 from hamdirac import numerics
+from hamdirac.expr import Expr
 from hamdirac.numerics import (
     CSV_BLOCK_ROWS,
     MAX_CONDITION,
@@ -35,8 +37,8 @@ def oscillator(hamiltonian="(1/2)*Q^2 + (1/2)*P^2", params=None, extra=()):
     syms = {}
     for name in extra:
         syms[name] = t.register(name, "parameter")
-    h = parse_expr(hamiltonian, t)
-    field = compile_field(h, [(q, p)], params={syms[n]: v for n, v in (params or {}).items()})
+    h = parse_expr(hamiltonian, t).substitute({syms[n]: Expr.const(t, Fraction(v)) for n, v in (params or {}).items()})
+    field = compile_field(h, [(q, p)])
     return t, field
 
 
@@ -233,13 +235,14 @@ def test_solve_iota_decision_is_scale_invariant():
             assert all(o is not None and abs(o - outcomes[1]) <= 1e-9 * abs(outcomes[1]) for o in outcomes), t2
 
 
-def test_solve_iota_not_converged_is_its_own_error():
+def test_solve_iota_not_converged_is_its_own_error(monkeypatch):
     t = SymbolTable()
     q = t.position("Q")
     p = t.register("P", "momentum")
     field = compile_field(parse_expr("(1/4)*P^2 + Q^2 + (1/4)*Q^4", t), [(q, p)])
-    with pytest.raises(ShootingNotConverged) as info:
-        solve_iota(field, {"Q": (0.5, 0.25)}, 0.0, 1.5, step=1e-3, max_iter=0)
+    with monkeypatch.context() as patch, pytest.raises(ShootingNotConverged) as info:
+        patch.setattr(numerics, "SHOOTING_MAX_ITER", 0)
+        solve_iota(field, {"Q": (0.5, 0.25)}, 0.0, 1.5, step=1e-3)
     assert not isinstance(info.value, SingularShooting)
     assert "did not converge after 0 iterations" in str(info.value)
     assert "relative residual" in str(info.value)
