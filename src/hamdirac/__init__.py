@@ -34,7 +34,6 @@ from .chart import (
     CanonicalChart,
     build_chart,
     frobenius_check,
-    integral_constant_budget,
     transform,
     verify_chart,
 )
@@ -44,6 +43,7 @@ from .embedding import (
     GaugeError,
     boundary_report,
     effective_hamiltonian,
+    integral_constant_budget,
     pullback_total_lagrangian,
     select_embedding,
 )

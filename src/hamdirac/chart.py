@@ -1,4 +1,6 @@
-"""Canonical charts built from classified constraints, plus verification.
+"""Canonical charts built from classified constraints, their verification
+and the Frobenius check.  Which chart rows an embedding fixes, and the
+integral constants that costs, is `embedding`'s business.
 
 The linear construction: second-class representatives are paired by a
 symplectic Gram-Schmidt sweep with one member of each pair rescaled to a unit
@@ -367,7 +369,7 @@ def transform(e: Expr, chart: CanonicalChart) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# integrability and budgets
+# integrability
 
 class FrobeniusReport(_Record):
     __slots__ = ("residuals", "verdict", "budget_used", "budget_total", "budget_ok")
@@ -403,39 +405,3 @@ def frobenius_check(result: DiracResult) -> "FrobeniusReport":
     total = 2 * phase.n
     budget_ok = used <= total
     return FrobeniusReport(residuals, ok and budget_ok, used, total, budget_ok)
-
-
-class ConstantBudget(_Record):
-    __slots__ = ("total", "occupied", "free", "by_boundary", "by_gauge")
-
-    def __init__(self, total: int, occupied: int, free: int, by_boundary: int, by_gauge: int):
-        self._fields(total, occupied, free, by_boundary, by_gauge)
-
-
-# the chart roles whose rows each embedding kind fixes
-_FIXED_ROLES = {
-    "sigma1": ("Xi", "Psi"),
-    "sigma1_tilde": ("Psi",),
-    "sigma2": ("ThU", "ThD"),
-    "sigma3": ("Xi", "Psi", "ThU", "ThD"),
-    "sigma3_tilde": ("Psi", "ThU", "ThD"),
-    "trivial": (),
-}
-
-
-def integral_constant_budget(result: DiracResult, plan) -> ConstantBudget:
-    """Integral constants occupied by an embedding, an `EmbeddingPlan`: the
-    rows of the roles its kind fixes, F each for Xi and Psi and S/2 each for
-    ThU and ThD, so 2r+2s, r+2s, 2s, 2r, r for sigma3, sigma3~, sigma2,
-    sigma1, sigma1~ (r = F, s = S/2)."""
-    if not result.classified:
-        raise ChartError("classify before computing the constant budget")
-    kind = plan.kind
-    if kind not in _FIXED_ROLES:
-        raise ChartError(f"unknown embedding kind {kind!r}")
-    per_role = {"Xi": result.F, "Psi": result.F, "ThU": result.S // 2, "ThD": result.S // 2}
-    occupied = sum(per_role[role] for role in _FIXED_ROLES[kind])
-    total = 2 * result.phase.n
-    free = total - occupied
-    gauge = result.primary_fc_count if kind.endswith("_tilde") else 0
-    return ConstantBudget(total, occupied, free, free - gauge, gauge)

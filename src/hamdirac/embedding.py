@@ -1,17 +1,20 @@
-"""Embedding selection, pullback Lagrangians, and boundary prescriptions.
+"""Embedding selection, pullback Lagrangians, boundary prescriptions and the
+integral-constant budget.
 
-Embedding kinds follow the gauge-fixing table: first-class only systems get
-sigma1 (gauge fixed) or sigma1~, second-class only systems sigma2, mixed
-systems sigma3 or sigma3~; an unconstrained system gets the trivial plan.
-The quasi-canonical (~) kinds leave the gauge positions unfixed and require
-the primary first-class momenta to be pinned to zero in advance.
+One flag decides an embedding, `EmbeddingPlan.gauge_fixed`: every plan fixes
+the constraint block's Psi, ThU and ThD rows; a gauge-fixed plan also fixes
+the gauge positions (Xi), and any other plan pins the primary first-class
+momenta to zero in advance.  The kind is the gauge-fixing table's label for
+the result: sigma1 (gauge fixed) or sigma1~ for first-class only systems,
+sigma2 for second-class only ones, sigma3 or sigma3~ for mixed ones, trivial
+for an unconstrained system.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .chart import _FIXED_ROLES, CanonicalChart
+from .chart import CanonicalChart, ChartError
 from .dirac import DiracResult
 from .expr import Expr
 from .symbols import _Record
@@ -30,19 +33,10 @@ class EmbeddingPlan(_Record):
 
     def __init__(self, kind: str, fixed: dict = {}, gauge_fixed: bool = False, gauge_multiplier_solutions: dict = {},
                  preconditions: tuple = ()):
-        # kind: sigma1 | sigma1_tilde | sigma2 | sigma3 | sigma3_tilde | trivial;
-        # fixed: chart row name -> Fraction epsilon; gauge_multiplier_solutions:
-        # Symbol -> Expr (chart space)
+        # kind: the report's label, sigma1 | sigma1_tilde | sigma2 | sigma3 |
+        # sigma3_tilde | trivial; fixed: chart row name -> Fraction epsilon;
+        # gauge_multiplier_solutions: Symbol -> Expr (chart space)
         self._fields(kind, fixed, gauge_fixed, gauge_multiplier_solutions, preconditions)
-
-
-# restrictions that keep part of the constraint block dynamical; fixing their
-# leftover coordinates through endpoint data is impossible
-_INVALID_KINDS = {
-    "sigma3_1": "second-class coordinates stay dynamical",
-    "sigma3_2": "gauge pair coordinates stay dynamical",
-    "sigma3_tilde_1": "second-class coordinates stay dynamical",
-}
 
 
 def select_embedding(result: DiracResult, gauge_fixing: bool) -> EmbeddingPlan:
@@ -58,7 +52,7 @@ def select_embedding(result: DiracResult, gauge_fixing: bool) -> EmbeddingPlan:
         kind = "sigma2"
     else:
         kind = "sigma3" if gauge_fixing else "sigma3_tilde"
-    return EmbeddingPlan(kind, gauge_fixed=gauge_fixing and kind in ("sigma1", "sigma3"))
+    return EmbeddingPlan(kind, gauge_fixed=gauge_fixing and f_cnt > 0)
 
 
 def resolve_plan(
@@ -74,26 +68,19 @@ def resolve_plan(
 
     ht is H_T in the chart's symbols, `transform(result.total_hamiltonian(),
     chart)`.  epsilon maps chart row names to rational values (default 0, the
-    limit that restores the constraint surface).  For quasi-canonical kinds
+    limit that restores the constraint surface).  Unless the gauge is fixed
     the primary first-class momenta are pinned to zero regardless.
     """
     epsilon = dict(epsilon or {})
-    if plan.kind in _INVALID_KINDS:
-        raise EmbeddingError(
-            f"{plan.kind} is not a well-posed embedding ({_INVALID_KINDS[plan.kind]}; "
-            f"the endpoint-to-constants map does not exist)"
-        )
-    if plan.kind not in _FIXED_ROLES:
-        raise EmbeddingError(f"unknown embedding kind {plan.kind!r}")
-    roles = _FIXED_ROLES[plan.kind]
+    roles = ("Xi", "Psi", "ThU", "ThD") if plan.gauge_fixed else ("Psi", "ThU", "ThD")
     fixed = {}
     preconditions = list(plan.preconditions)
-    primary_psi = _primary_psi_names(chart)
+    pinned = set() if plan.gauge_fixed else _primary_psi_names(chart)
     for row in chart.rows:
         if row.role not in roles:
             continue
         val = Fraction(epsilon.pop(row.name, 0))
-        if plan.kind.endswith("_tilde") and row.name in primary_psi:
+        if row.name in pinned:
             if val != 0:
                 raise EmbeddingError(
                     f"{row.name} is a primary first-class momentum; quasi-canonical embeddings pin it to 0"
@@ -186,13 +173,13 @@ def pullback_total_lagrangian(chart: CanonicalChart, plan: EmbeddingPlan, ht: Ex
     if plan.gauge_fixed and plan.gauge_multiplier_solutions:
         ht = ht.substitute(plan.gauge_multiplier_solutions)
 
-    primary_psi = _primary_psi_names(chart)
+    pinned = set() if plan.gauge_fixed else _primary_psi_names(chart)
     subs = {}
     eps_values = {}
     for row in chart.rows:
         if row.name not in plan.fixed:
             continue
-        if plan.kind.endswith("_tilde") and row.name in primary_psi:
+        if row.name in pinned:
             subs[row.symbol] = Expr.const(table, 0)
             continue
         eps = table.register_fresh(f"eps_{row.name}", "parameter")  # reused by a later pullback
@@ -209,9 +196,9 @@ def pullback_total_lagrangian(chart: CanonicalChart, plan: EmbeddingPlan, ht: Ex
         kinetic = kinetic + Expr.sym(table, p_row.symbol) * Expr.sym(table, table.velocity(q_row.symbol))
 
     td = Expr.const(table, 0)
-    if plan.kind.endswith("_tilde"):
+    if not plan.gauge_fixed:
         for psi_row in chart.rows_by_role("Psi"):
-            if psi_row.name in primary_psi:
+            if psi_row.name in pinned:
                 continue
             eps = subs[psi_row.symbol]
             xi_row = chart.conjugate(psi_row)
@@ -234,7 +221,8 @@ def effective_hamiltonian(result: DiracResult, chart: CanonicalChart, ht: Expr) 
     if result.F == 0:
         raise EmbeddingError("effective Hamiltonian needs first-class constraints")
     table = chart.table
-    return ht.substitute({r.symbol: Expr.const(table, 0) for r in chart.rows_by_role("Psi") if (r.generation or 1) == 1})
+    primary_psi = _primary_psi_names(chart)
+    return ht.substitute({r.symbol: Expr.const(table, 0) for r in chart.rows if r.name in primary_psi})
 
 
 class BoundaryReport(_Record):
@@ -258,7 +246,7 @@ def boundary_report(chart: CanonicalChart, plan: EmbeddingPlan, endpoint: str = 
     both = [r.name for r in chart.rows_by_role("Q")]
     initial: list = []
     never: list = []
-    if plan.kind.endswith("_tilde"):
+    if not plan.gauge_fixed:
         primary_psi = _primary_psi_names(chart)
         for xi in chart.rows_by_role("Xi"):
             psi = chart.conjugate(xi)
@@ -267,3 +255,24 @@ def boundary_report(chart: CanonicalChart, plan: EmbeddingPlan, endpoint: str = 
             else:
                 initial.append(xi.name)
     return BoundaryReport(both, initial, never, endpoint)
+
+
+class ConstantBudget(_Record):
+    __slots__ = ("total", "occupied", "free", "by_boundary", "by_gauge")
+
+    def __init__(self, total: int, occupied: int, free: int, by_boundary: int, by_gauge: int):
+        self._fields(total, occupied, free, by_boundary, by_gauge)
+
+
+def integral_constant_budget(result: DiracResult, plan: EmbeddingPlan) -> ConstantBudget:
+    """Integral constants occupied by an embedding: the F Psi rows and S
+    second-class rows every plan fixes, plus the F Xi rows of a gauge-fixed
+    one.  Without a gauge, the primary first-class momenta pinned in advance
+    (`by_gauge`) are taken from the constants the boundary would fix."""
+    if not result.classified:
+        raise ChartError("classify before computing the constant budget")
+    occupied = result.F + result.S + (result.F if plan.gauge_fixed else 0)
+    total = 2 * result.phase.n
+    free = total - occupied
+    gauge = 0 if plan.gauge_fixed else result.primary_fc_count
+    return ConstantBudget(total, occupied, free, free - gauge, gauge)

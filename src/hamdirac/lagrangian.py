@@ -72,13 +72,12 @@ class PhaseSpace(_Record):
 
 
 class FirstOrderSystem(_Record):
-    __slots__ = ("phase", "H", "primaries", "momentum_defs", "genericity_pivots")
+    __slots__ = ("phase", "H", "primaries", "genericity_pivots")
 
-    def __init__(self, phase: PhaseSpace, H: Expr, primaries: tuple, momentum_defs: dict, genericity_pivots: tuple = ()):
-        # primaries: Exprs, in coordinate row order; momentum_defs: momentum
-        # Symbol -> defining Expr in (q, v), absent for alias momenta;
-        # genericity_pivots: the non-constant velocity pivots, in the order chosen
-        self._fields(phase, H, primaries, momentum_defs, genericity_pivots)
+    def __init__(self, phase: PhaseSpace, H: Expr, primaries: tuple, genericity_pivots: tuple = ()):
+        # primaries: Exprs, in coordinate row order; genericity_pivots: the
+        # non-constant velocity pivots, in the order chosen
+        self._fields(phase, H, primaries, genericity_pivots)
 
 
 def _momentum_name(coord: Symbol) -> str:
@@ -125,7 +124,7 @@ def legendre(sys: LagrangianSystem) -> FirstOrderSystem:
     leftover = [s for s in h.free_symbols() if s.kind in ("velocity", "acceleration")]
     if leftover:
         raise MechanicsError(f"internal: H kept velocity symbols {leftover}")
-    return FirstOrderSystem(phase, h, primaries, defs, pivots)
+    return FirstOrderSystem(phase, h, primaries, pivots)
 
 
 def _row_solve(defs: dict, vels, phase: PhaseSpace):

@@ -60,15 +60,15 @@ class ShootingNotConverged(NumericsError):
 
 
 class ReducedField(_Record):
-    __slots__ = ("pairs", "rhs", "energy", "h_expr", "oscillator_like", "variational", "linear")
+    __slots__ = ("pairs", "rhs", "energy", "oscillator_like", "variational", "linear")
 
-    def __init__(self, pairs: list, rhs: object, energy: object, h_expr: Expr, oscillator_like: bool,
-                 variational: object = None, linear: tuple | None = None):
+    def __init__(self, pairs: list, rhs: object, energy: object, oscillator_like: bool, variational: object = None,
+                 linear: tuple | None = None):
         # pairs: [(Q Symbol, P Symbol), ...]; rhs(t, y) -> tuple(dy); energy:
         # H(y) -> float; oscillator_like: 1 dof, unit frequency, no linear
         # terms; variational(t, z) -> dz for z = (y, dy/dP_1, ..., dy/dP_m);
         # linear: (A, c) with rhs = A y + c when H is quadratic
-        self._fields(pairs, rhs, energy, h_expr, oscillator_like, variational, linear)
+        self._fields(pairs, rhs, energy, oscillator_like, variational, linear)
 
     @property
     def dim(self):
@@ -112,7 +112,7 @@ def compile_field(h: Expr, pairs) -> ReducedField:
         linear = (tuple(tuple(map(float, row)) for row in a), tuple(map(float, c)))
         # one pair with det A = H_QQ H_PP - H_QP^2 = 1 and no linear terms
         osc = len(pairs) == 1 and a[0][0] * a[1][1] - a[0][1] * a[1][0] == 1 and not any(c)
-    return ReducedField(tuple(pairs), rhs, energy, h, osc, variational, linear)
+    return ReducedField(tuple(pairs), rhs, energy, osc, variational, linear)
 
 
 def _variational_field(comps, grads, names):

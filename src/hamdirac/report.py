@@ -18,7 +18,6 @@ from .chart import (
     ChartRow,
     build_chart,
     frobenius_check,
-    integral_constant_budget,
     transform,
     verify_chart,
 )
@@ -26,12 +25,13 @@ from .dirac import classify, dirac_iterate
 from .embedding import (
     boundary_report,
     effective_hamiltonian,
+    integral_constant_budget,
     pullback_total_lagrangian,
     resolve_plan,
     select_embedding,
 )
 from .expr import Expr, ExprError, _frac_str
-from .lagrangian import LagrangianSystem, counter_term, legendre, ostrogradsky_reduce, pons_reduce
+from .lagrangian import LagrangianSystem, MechanicsError, counter_term, legendre, ostrogradsky_reduce, pons_reduce
 from .parser import parse_expr
 from .symbols import SymbolError, SymbolTable, _Record
 from .sysfile import ROLE_PATTERN, SystemFile
@@ -97,7 +97,7 @@ def analyze_system(sysfile: SystemFile, options: PipelineOptions | None = None) 
         try:
             w, red1 = counter_term(system)
             l_red = red1.L
-        except Exception:
+        except MechanicsError:  # not a gradient, or a denominator in the velocity: no counter-term
             w = l_red = None
         reduced = ostrogradsky_reduce(system) if path == "ssok" else pons_reduce(system)
     elif path:

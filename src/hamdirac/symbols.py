@@ -32,7 +32,8 @@ class _Record:
     """Base of the package's record classes: a record is a frozen value.
 
     Its fields are its `__slots__`, in constructor order, each set once by
-    `_fields` in the class's own `__init__`; assigning or deleting one raises
+    `_fields` in the class's own `__init__` (`Symbol` sets its own five,
+    none a list or a dict); assigning or deleting one raises
     AttributeError.  `_fields` stores a list as a tuple and a dict as a
     read-only view of a copy, so no field changes in place and a `{}` default
     is never shared.  Equality and the hash are those of the tuple of all
@@ -78,8 +79,13 @@ class Symbol(_Record):
 
     def __init__(self, name: str, index: int, kind: str, base: str | None = None, order: int = 0):
         # base: the position this is a derivative of, if any; order: 0
-        # position/other, 1 velocity, 2 acceleration
-        self._fields(name, index, kind, base, order)
+        # position/other, 1 velocity, 2 acceleration.  Set directly, not by
+        # `_fields`: no field is a list or a dict, and symbols are many
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "order", order)
 
     # _Record's equality and hash, spelled out to cost what a dataclass's did:
     # symbols key most of the pipeline's dicts, and lists of them are searched

@@ -7,11 +7,9 @@ import pytest
 from hamdirac import (
     build_chart,
     frobenius_check,
-    integral_constant_budget,
     parse_expr,
     poisson,
     qq,
-    select_embedding,
     transform,
     verify_chart,
 )
@@ -511,21 +509,6 @@ def test_identity_chart_for_unconstrained():
     assert [r.role for r in ch.rows] == ["Q", "Q", "P", "P"]
     eye = [[Fraction(1 if i == j else 0) for j in range(4)] for i in range(4)]
     assert chart_matrix(ch) == eye
-
-
-def test_integral_constant_budgets(l1, l2, l3):
-    t, fos, res = l1
-    bud = integral_constant_budget(res, select_embedding(res, gauge_fixing=False))
-    assert (bud.total, bud.occupied, bud.free) == (6, 3, 3)
-    assert (bud.by_boundary, bud.by_gauge) == (2, 1)
-    t, fos, res = l2
-    bud = integral_constant_budget(res, select_embedding(res, gauge_fixing=False))
-    assert (bud.total, bud.occupied, bud.free) == (4, 2, 2)
-    t, fos, res = l3
-    bud = integral_constant_budget(res, select_embedding(res, gauge_fixing=False))
-    assert (bud.total, bud.occupied, bud.free) == (8, 4, 4)
-    bud = integral_constant_budget(res, select_embedding(res, gauge_fixing=True))
-    assert (bud.total, bud.occupied, bud.free) == (8, 6, 2)
 
 
 # ---------------------------------------------------------------------------

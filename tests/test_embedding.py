@@ -1,21 +1,26 @@
 from fractions import Fraction
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
 from hamdirac import (
+    PipelineOptions,
     build_chart,
     boundary_report,
     effective_hamiltonian,
     integral_constant_budget,
+    load_system_file,
     parse_expr,
     pullback_total_lagrangian,
+    run_pipeline,
     select_embedding,
     transform,
 )
-from hamdirac.embedding import EmbeddingError, GaugeError, resolve_plan
+from hamdirac.embedding import ConstantBudget, EmbeddingError, GaugeError, resolve_plan
 from hamdirac.expr import Expr
 
-from conftest import analyzed, chart_hamiltonian, linear_form
+from conftest import L1_SRC, analyzed, chart_hamiltonian, l3_family, linear_form, rng_for
 
 
 def planned(trip, gauge=False, epsilon=None, conditions=None):
@@ -48,17 +53,6 @@ def test_primary_psi_pinned_to_zero(l1):
     plan = resolve_plan(select_embedding(res, False), res, ch, chart_hamiltonian(res, ch), epsilon={"Psi2": Fraction(1, 2)})
     assert plan.fixed["Psi2"] == Fraction(1, 2)
     assert "Psi1 := 0 imposed in advance" in plan.preconditions
-
-
-def test_invalid_embedding_kinds_rejected(l3):
-    from hamdirac.embedding import EmbeddingPlan
-
-    t, fos, res = l3
-    ch = build_chart(res)
-    for kind in ("sigma3_1", "sigma3_2", "sigma3_tilde_1"):
-        with pytest.raises(EmbeddingError) as exc:
-            resolve_plan(EmbeddingPlan(kind), res, ch, chart_hamiltonian(res, ch))
-        assert "does not exist" in str(exc.value)
 
 
 def test_epsilon_only_for_fixed_rows(l2):
@@ -312,3 +306,86 @@ def test_pullback_epsilon_name_taken_by_another_kind(l2):
         pb = pullback_total_lagrangian(ch, plan, chart_hamiltonian(res, ch))
         assert sorted(e.name for e in pb.eps_values) == ["eps_ThD1", "eps_ThU1_"]
     assert t["eps_ThU1_"].kind == "parameter"
+
+
+def test_integral_constant_budgets(l1, l2, l3):
+    t, fos, res = l1
+    bud = integral_constant_budget(res, select_embedding(res, gauge_fixing=False))
+    assert (bud.total, bud.occupied, bud.free) == (6, 3, 3)
+    assert (bud.by_boundary, bud.by_gauge) == (2, 1)
+    t, fos, res = l2
+    bud = integral_constant_budget(res, select_embedding(res, gauge_fixing=False))
+    assert (bud.total, bud.occupied, bud.free) == (4, 2, 2)
+    t, fos, res = l3
+    bud = integral_constant_budget(res, select_embedding(res, gauge_fixing=False))
+    assert (bud.total, bud.occupied, bud.free) == (8, 4, 4)
+    bud = integral_constant_budget(res, select_embedding(res, gauge_fixing=True))
+    assert (bud.total, bud.occupied, bud.free) == (8, 6, 2)
+
+
+# the gauge-fixing table as a table of kinds: the chart roles whose rows each
+# kind fixes, and the quasi-canonical (~) kinds pinning the primary
+# first-class momenta; the reference for the one-flag rule
+REFERENCE_FIXED_ROLES = {
+    "sigma1": ("Xi", "Psi"),
+    "sigma1_tilde": ("Psi",),
+    "sigma2": ("ThU", "ThD"),
+    "sigma3": ("Xi", "Psi", "ThU", "ThD"),
+    "sigma3_tilde": ("Psi", "ThU", "ThD"),
+    "trivial": (),
+}
+
+
+def reference_budget(res, kind):
+    """(total, occupied, free, by_boundary, by_gauge) counted from the kind
+    table: F rows each for Xi and Psi, S/2 each for ThU and ThD."""
+    per_role = {"Xi": res.F, "Psi": res.F, "ThU": res.S // 2, "ThD": res.S // 2}
+    occupied = sum(per_role[role] for role in REFERENCE_FIXED_ROLES[kind])
+    total = 2 * res.phase.n
+    gauge = res.primary_fc_count if kind.endswith("_tilde") else 0
+    return total, occupied, total - occupied, total - occupied - gauge, gauge
+
+
+def embedding_cases():
+    """(name, result, chart, plan) for every bundled system, the seeded
+    coupled and gauge families (k <= 3), L1 and an unconstrained system, with
+    and without gauge fixing; the runs that exit 4 are named, not returned."""
+    fixtures = resources.files("hamdirac") / "fixtures"
+    golden = Path(__file__).resolve().parent / "golden"
+    files = [(fixtures / f"{n}.sys", None) for n in ("cawley", "l2", "l3")]
+    files += [(fixtures / "l4.sys", "ssok"), (fixtures / "l4.sys", "pons")]
+    files += [(p, None) for p in sorted(golden.glob("*.sys"))]
+    rng = rng_for("embedding-one-flag")
+    sources = [(f"{kind}{k}", l3_family(kind, k, rng)) for kind in ("coupled", "gauge") for k in (1, 2, 3)]
+    sources += [("l1", analyzed(L1_SRC, ["q1", "q2", "q3"])), ("free", analyzed("(1/2)*d(q1)^2", ["q1"]))]
+    cases, refused = [], []
+    for gauge in (False, True):
+        for path, order2_path in files:
+            name = f"{Path(str(path)).stem}-{order2_path}-{gauge}"
+            try:
+                an = run_pipeline(load_system_file(path), PipelineOptions(path=order2_path, gauge_fixing=gauge))
+            except GaugeError:
+                refused.append(name)
+                continue
+            cases.append((name, an.result, an.chart, an.plan))
+        for name, (_t, _fos, res) in sources:
+            ch = build_chart(res)
+            plan = resolve_plan(select_embedding(res, gauge), res, ch, chart_hamiltonian(res, ch))
+            cases.append((f"{name}-{gauge}", res, ch, plan))
+    return cases, refused
+
+
+def test_one_flag_fixes_the_rows_and_constants_of_the_kind_table():
+    cases, refused = embedding_cases()
+    assert refused == ["l3quartic-None-True"]
+    kinds = set()
+    for name, res, ch, plan in cases:
+        kinds.add(plan.kind)
+        # sigma2 and trivial stay without a gauge under --gauge-fixing
+        assert plan.gauge_fixed == (plan.kind in ("sigma1", "sigma3")), name
+        roles = REFERENCE_FIXED_ROLES[plan.kind]
+        assert list(plan.fixed) == [r.name for r in ch.rows if r.role in roles], name
+        bud = integral_constant_budget(res, plan)
+        assert tuple(getattr(bud, k) for k in ConstantBudget.__slots__) == reference_budget(res, plan.kind), name
+        assert bud.occupied == len(plan.fixed), name
+    assert kinds == set(REFERENCE_FIXED_ROLES)

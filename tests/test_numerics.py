@@ -14,7 +14,6 @@ from hamdirac.numerics import (
     CSV_BLOCK_ROWS,
     MAX_CONDITION,
     NumericsError,
-    ReducedField,
     ShootingNotConverged,
     SingularShooting,
     Trajectory,
@@ -27,7 +26,7 @@ from conftest import rng_for
 
 def stagewise(field):
     """`field` without its affine form, so integrate runs the RK4 stages."""
-    return ReducedField(field.pairs, field.rhs, field.energy, field.h_expr, field.oscillator_like, field.variational, None)
+    return field._replace(linear=None)
 
 
 def oscillator(hamiltonian="(1/2)*Q^2 + (1/2)*P^2", params=None, extra=()):
@@ -484,16 +483,18 @@ def random_anharmonic(rng, m):
         a, b, c = (rng.choice(slots) for _ in range(3))
         terms.append(f"({rng.randint(-3, 3) or 1}/{rng.randint(2, 6)})*{a}*{b}*{c}")
     terms.append(f"(1/4)*{rng.choice(slots)}^4")
-    return pairs, compile_field(parse_expr(" + ".join(terms), t), pairs)
+    h = parse_expr(" + ".join(terms), t)
+    return pairs, h, compile_field(h, pairs)
 
 
-def dense_variational(field):
+def dense_variational(field, h):
     """rk4_variational's augmented field as it was: the whole Jacobian built at
-    each stage from the exact Hessian, then Df(y) times each column."""
+    each stage from the exact Hessian of `h`, the H `field` was compiled from,
+    then Df(y) times each column."""
     pairs = field.pairs
     slots = [s for pair in pairs for s in pair]
     names = {s.index: f"y[{i}]" for i, s in enumerate(slots)}
-    comps = [c for q, p in pairs for c in (field.h_expr.diff(p), -field.h_expr.diff(q))]
+    comps = [c for q, p in pairs for c in (h.diff(p), -h.diff(q))]
     rows = ", ".join("(" + ", ".join(numerics._expr_to_py(c.diff(s), names) for s in slots) + ",)" for c in comps)
     jac = eval(f"lambda y: ({rows},)")
     n, m = len(slots), len(pairs)
@@ -514,8 +515,8 @@ def dense_variational(field):
     return aug, jac
 
 
-def dense_rk4_variational(field, init, t1, t2, step):
-    aug, _jac = dense_variational(field)
+def dense_rk4_variational(field, h, init, t1, t2, step):
+    aug, _jac = dense_variational(field, h)
     n, m = field.dim, len(field.pairs)
     z0 = list(init) + [float(i == 2 * k + 1) for k in range(m) for i in range(n)]
     z = integrate(numerics._Variational(field.pairs, aug, lambda z: 0.0, n + n * m), z0, t1, t2, step).state(-1)
@@ -531,29 +532,31 @@ def test_compiled_variational_field_equals_dense_product():
     t = SymbolTable()
     pairs = [(t.position("Q1"), t.register("P1", "momentum")), (t.position("Q2"), t.register("P2", "momentum"))]
     # separable: d(dQ/dt)/dQ and d(dP/dt)/dP vanish, and the blocks do not couple in P
-    separable = compile_field(parse_expr("(1/2)*P1^2 + (1/3)*P2^2 + (1/4)*Q1^4 + Q1*Q2^3", t), pairs)
-    _aug, jac = dense_variational(separable)
+    h = parse_expr("(1/2)*P1^2 + (1/3)*P2^2 + (1/4)*Q1^4 + Q1*Q2^3", t)
+    separable = compile_field(h, pairs)
+    _aug, jac = dense_variational(separable, h)
     assert sum(v == 0.0 for row in jac((0.3, -0.2, 0.7, 0.1)) for v in row) >= 8
-    fields.append((pairs, separable))
+    fields.append((pairs, h, separable))
     t = SymbolTable()
     pairs = [(t.position("Q"), t.register("P", "momentum"))]
-    rational = compile_field(parse_expr("P^2/(2*(1 + Q^2)) + (1/2)*Q^2", t), pairs)
-    assert not rational.h_expr.is_polynomial()
-    fields.append((pairs, rational))
-    for pairs, field in fields:
+    h = parse_expr("P^2/(2*(1 + Q^2)) + (1/2)*Q^2", t)
+    rational = compile_field(h, pairs)
+    assert not h.is_polynomial()
+    fields.append((pairs, h, rational))
+    for pairs, h, field in fields:
         assert field.linear is None
         m = len(pairs)
         y0 = [rng.uniform(-0.5, 0.5) for _ in range(2 * m)]
         t1 = rng.uniform(-0.5, 0.5)
         z = [rng.uniform(-1, 1) for _ in range(2 * m + 2 * m * m)]
-        aug, _jac = dense_variational(field)
+        aug, _jac = dense_variational(field, h)
         assert tuple(field.variational(t1, tuple(z))) == tuple(aug(t1, tuple(z)))
         # a zero entry times inf is nan: no product may be dropped
         z[-1] = math.inf
         assert list(map(repr, field.variational(t1, tuple(z)))) == list(map(repr, aug(t1, tuple(z))))
         got = rk4_variational(field, y0, t1, t1 + 0.4, 0.01)
-        want = dense_rk4_variational(field, y0, t1, t1 + 0.4, 0.01)
-        assert list(got[0]) == list(want[0]) and got[1] == want[1], (m, field.h_expr)
+        want = dense_rk4_variational(field, h, y0, t1, t1 + 0.4, 0.01)
+        assert list(got[0]) == list(want[0]) and got[1] == want[1], (m, h)
         assert all(map(math.isfinite, got[0]))
 
 
@@ -572,10 +575,7 @@ def test_non_quadratic_shooting_steps_only_compiled_closures(monkeypatch):
 
         return wrapped
 
-    field = ReducedField(
-        field.pairs, counting("rhs", field.rhs), field.energy, field.h_expr, field.oscillator_like,
-        counting("variational", field.variational), field.linear,
-    )
+    field = field._replace(rhs=counting("rhs", field.rhs), variational=counting("variational", field.variational))
     fields = []
     real = numerics.integrate
 
@@ -640,7 +640,7 @@ def test_generated_loop_equals_closure_steps():
     runs = []
     for m in (1, 2, 3):
         for _ in range(2):
-            pairs, field = random_anharmonic(rng, m)
+            pairs, _h, field = random_anharmonic(rng, m)
             n = field.dim
             y0 = [rng.uniform(-0.5, 0.5) for _ in range(n)]
             t1 = rng.uniform(-1.0, 1.0)

@@ -15,9 +15,9 @@ from types import MappingProxyType
 import pytest
 
 from hamdirac import SymbolTable, classify, dirac_iterate, parse_expr
-from hamdirac.chart import CanonicalChart, ChartError, ChartRow, build_chart, frobenius_check, integral_constant_budget
+from hamdirac.chart import CanonicalChart, ChartError, ChartRow, build_chart, frobenius_check
 from hamdirac.dirac import ClassRep, DiracResult
-from hamdirac.embedding import EmbeddingError, EmbeddingPlan, select_embedding
+from hamdirac.embedding import EmbeddingError, EmbeddingPlan, integral_constant_budget, select_embedding
 from hamdirac.expr import Expr
 from hamdirac.lagrangian import FirstOrderSystem, LagrangianSystem, PhaseSpace, legendre, ostrogradsky_reduce, pons_reduce
 from hamdirac.cli import reduced_hamiltonian
@@ -111,7 +111,7 @@ def list_and_dict_defaults():
         (SystemFile, ("s", ["q1"], 1, "0"), ("chart_rows", "gauge", "options", "epsilon")),
         (LagrangianSystem, (t, (), 1, h), ("velocity_aliases",)),
         (LinearSolution, ([], []), ("witnesses", "genericity_pivots")),
-        (FirstOrderSystem, (phase, h, [], {}), ("genericity_pivots",)),
+        (FirstOrderSystem, (phase, h, []), ("genericity_pivots",)),
         (
             DiracResult,
             (phase, h, []),
@@ -209,13 +209,13 @@ def test_dirac_stage_returns_frozen_values_and_changes_no_input(path, order2_pat
 @pytest.mark.parametrize("path,order2_path", STAGE_CASES, ids=[f"{p.stem}-{o}" for p, o in STAGE_CASES])
 def test_repeat_legendre_reuses_its_momenta(path, order2_path):
     # a repeat registers nothing: the same momenta, names included, and equal
-    # H, primaries and momentum definitions
+    # H and primaries
     an = analyzed_case(path, order2_path)
     size = len(an.table)
     again = legendre(an.reduced)
     assert again.phase.pairs == an.fos.phase.pairs and len(an.table) == size
     assert not any(p.name.endswith("_") for p in again.phase.momenta)
-    assert (again.H, again.primaries, again.momentum_defs) == (an.fos.H, an.fos.primaries, an.fos.momentum_defs)
+    assert (again.H, again.primaries) == (an.fos.H, an.fos.primaries)
 
 
 def test_repeat_legendre_still_steps_past_a_coordinate_name():

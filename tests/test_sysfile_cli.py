@@ -69,6 +69,17 @@ def test_cli_l4_pons_path(capsys):
     assert rep["path"] == "pons"
 
 
+@pytest.mark.parametrize("path", ["ssok", "pons"])
+def test_cli_report_without_counter_term(tmp_path, capsys, path):
+    # d(q1)*dd(q2): the acceleration coefficients (0, d(q1)) are not a
+    # gradient, so no counter-term exists; the report goes on without one
+    sysfile = tmp_path / "nograd.sys"
+    sysfile.write_text("system nograd\ncoordinates q1 q2\norder 2\nL = d(q1)*dd(q2)\n", encoding="utf-8")
+    assert main(["report", str(sysfile), "--path", path]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["path"] == path and "counter_term" not in rep
+
+
 def test_cli_chart_verified(capsys):
     from fractions import Fraction
 
