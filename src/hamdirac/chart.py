@@ -1,6 +1,11 @@
-"""Canonical charts built from classified constraints, their verification
-and the Frobenius check.  Which chart rows an embedding fixes, and the
-integral constants that costs, is `embedding`'s business.
+"""Canonical charts built from classified constraints or imported from a
+system file, their verification and the Frobenius check.  Which chart rows an
+embedding fixes, and the integral constants that costs, is `embedding`'s
+business.
+
+Both chart makers, `build_chart` and `import_chart` (a supplied chart,
+checked and never altered), end in `_chart`, which sets every row's
+generation by one rule.
 
 The linear construction: second-class representatives are paired by a
 symplectic Gram-Schmidt sweep with one member of each pair rescaled to a unit
@@ -31,7 +36,9 @@ from . import qq
 from .dirac import DiracResult, DiracError, field_bracket, hamilton_field, quadratic_field, row_field_bracket
 from .expr import Expr, ExprError, _row_expr
 from .lagrangian import PhaseSpace
+from .parser import parse_expr
 from .symbols import _Record
+from .sysfile import ROLE_PATTERN, InputError
 
 
 class ChartError(Exception):
@@ -46,8 +53,8 @@ class ChartRow(_Record):
 
     def __init__(self, role: str, pair: int, row: tuple, symbol: object, generation: int | None = None):
         # pair: 1-based index within the role family; row: a qq integer row
-        # over (z, 1), z = (q1..qn, p1..pn); generation: Psi rows and a built
-        # chart's Xi rows, their constraint's
+        # over (z, 1), z = (q1..qn, p1..pn); generation: a Psi or Xi row's,
+        # as `_chart` sets it, None for any other role
         self._fields(role, pair, (tuple(row[0]), row[1]), symbol, generation)
 
     @property
@@ -177,23 +184,79 @@ def _assemble(result: DiracResult, xi_rows, theta_rows, qp_rows) -> CanonicalCha
     """The chart of the placed integer rows (offset at column 2n), statically
     corrected: rows in the order Xi, ThU, Q | Psi, ThD, P, each with a fresh
     symbol registered in that order.  The Psi rows are the first-class
-    representatives, and a Xi row shares its Psi row's generation."""
-    table = result.table
-    heads = [
-        ("Xi", [rep.generation for rep in result.first_class]),
-        ("ThU", [None] * len(theta_rows)),
-        ("Q", [None] * len(qp_rows)),
-    ]
-    heads += [(ROLE_CONJUGATE[role], gens) for role, gens in heads]
-    layout = [(role, k, gen) for role, gens in heads for k, gen in enumerate(gens, start=1)]
+    representatives, so their generations are the ClassReps'."""
+    heads = [("Xi", len(xi_rows)), ("ThU", len(theta_rows)), ("Q", len(qp_rows))]
+    heads += [(ROLE_CONJUGATE[role], count) for role, count in heads]
+    layout = [(role, k) for role, count in heads for k in range(1, count + 1)]
     pairs = theta_rows + qp_rows
     vectors = xi_rows + [e for e, _f in pairs] + [rep.row for rep in result.first_class] + [f for _e, f in pairs]
-    rows = {}
-    for (role, k, _gen), row in zip(layout, vectors):
-        rows[table.register_fresh(f"{role}{k}", "position")] = row
+    rows = {result.table.register_fresh(f"{role}{k}", "position"): row for (role, k), row in zip(layout, vectors)}
     rows, notes = _static_correct(rows, layout, result)
-    chart_rows = [ChartRow(role, k, row, sym, gen) for (role, k, gen), (sym, row) in zip(layout, rows.items())]
-    return CanonicalChart(result.phase, chart_rows, notes)
+    gens = [rep.generation for rep in result.first_class]
+    return _chart(result.phase, [(*key, sym, row) for key, (sym, row) in zip(layout, rows.items())], gens, notes)
+
+
+def _chart(phase: PhaseSpace, rows, generations, notes=()) -> CanonicalChart:
+    """The chart of `rows`, (role, pair, symbol, qq row) in chart order, and
+    the one place a row's generation is set: Psi k's is `generations[k - 1]`,
+    the largest generation among the constraints it combines, Xi k's the
+    same, every other row's None."""
+    gen = lambda role, k: generations[k - 1] if role in ("Xi", "Psi") else None
+    return CanonicalChart(phase, [ChartRow(role, k, row, sym, gen(role, k)) for role, k, sym, row in rows], notes)
+
+
+def import_chart(result: DiracResult, chart_rows) -> CanonicalChart:
+    """The chart a system file supplies, `chart_rows` its (name, text, line)
+    triples, each row named through `register_fresh`: checked, never altered,
+    and refused with an InputError naming the first check it fails."""
+    table, phase = result.table, result.phase
+    n = phase.n
+    by_role = {}  # (role, index) -> (symbol, qq integer row over (z, 1))
+    for name, text, lineno in chart_rows:
+        role, idx = ROLE_PATTERN.match(name).groups()
+        sym = table.register_fresh(name, "position")
+        if sym.name != name:
+            raise InputError(f"chart row name {name!r} collides with an existing symbol")
+        try:
+            row = parse_expr(text, table).affine_row(phase.z_order())
+        except ExprError as exc:
+            raise InputError(f"chart row {name} (line {lineno}) is not linear in phase coordinates: {exc}")
+        except Exception as exc:
+            raise InputError(f"chart row {name} (line {lineno}): {exc}") from exc
+        by_role[role, int(idx)] = (sym, row)
+
+    counts = {r: max((i for (rr, i) in by_role if rr == r), default=0) for r in ("Xi", "Psi", "ThU", "ThD", "Q", "P")}
+    if counts["Xi"] != counts["Psi"] or counts["ThU"] != counts["ThD"] or counts["Q"] != counts["P"]:
+        raise InputError("chart roles must pair up: Xi/Psi, ThU/ThD, Q/P")
+    total = counts["Xi"] + counts["ThU"] + counts["Q"]
+    if total != n:
+        raise InputError(f"chart must have {n} conjugate pairs, found {total}")
+    order = [(role, i) for role in ("Xi", "ThU", "Q", "Psi", "ThD", "P") for i in range(1, counts[role] + 1)]
+    for role, i in order:
+        if (role, i) not in by_role:
+            raise InputError(f"missing chart row {role}{i}")
+    rows = [(*key, *by_role[key]) for key in order]  # chart order
+    ok, violations, _ = verify_chart([qq.from_row(row, 2 * n) for *_key, _sym, row in rows], mode="exact")
+    if not ok:
+        i, k, delta = violations[0]
+        raise InputError(f"supplied chart fails S^T J S = J (entry {i},{k} off by {delta})")
+
+    # The constraints' covectors are independent, and so are the chart's rows.
+    # So the Psi rows span the first-class constraints when there are F of
+    # them and each is a combination of constraints in involution with all of
+    # them, and Psi with Theta span the constraints when all are combinations
+    # and they number m.
+    cons = result.constraints
+    psi = [row for role, *_rest, row in rows if role == "Psi"]
+    theta = [row for role, *_rest, row in rows if role in ("ThU", "ThD")]
+    coords = qq.solve([c.row for c in cons], psi + theta, 2 * n)  # {constraint index: coefficient}, or None
+    first_class = [x is not None and not any(qq._pair(v[0], c.row[0], n) for c in cons) for v, x in zip(psi, coords)]
+    if len(psi) != result.F or not all(first_class):
+        raise InputError("supplied Psi rows do not span the first-class constraints")
+    if len(psi) + len(theta) != len(cons) or None in coords:
+        raise InputError("supplied Psi/Theta rows do not span the constraint set")
+    gens = [max(cons[i].generation for i, xc in x.items() if xc) for x in coords[: len(psi)]]
+    return _chart(phase, rows, gens)
 
 
 def _static_correct(rows: dict, layout, result: DiracResult):
@@ -206,8 +269,8 @@ def _static_correct(rows: dict, layout, result: DiracResult):
     bracket table canonical.  Failure to solve is recorded, not fatal.
 
     `rows` maps each chart symbol to its qq integer row in chart order, and
-    `layout` gives each its (role, pair, generation).  Returns the rows,
-    corrected in a copy (the given dict is left as it was), and the notes.
+    `layout` gives each its (role, pair).  Returns the rows, corrected in a
+    copy (the given dict is left as it was), and the notes.
 
     A row's velocity is the row against the Hamiltonian field of H_T at free
     multipliers zero, written on the embedded subspace (every chart
@@ -218,9 +281,9 @@ def _static_correct(rows: dict, layout, result: DiracResult):
     phase, table = result.phase, result.table
     n = phase.n
     syms = list(rows)
-    qp_syms = [s for s, (role, _k, _gen) in zip(syms, layout) if role in ("Q", "P")]
-    # a Xi row is a position; its conjugate Psi row sits n rows later
-    targets = [(s, syms[i + n]) for i, (s, (role, _k, gen)) in enumerate(zip(syms, layout)) if role == "Xi" and (gen or 1) > 1]
+    qp_syms = [s for s, (role, _k) in zip(syms, layout) if role in ("Q", "P")]
+    # the Xi rows come first, each conjugate Psi row n rows later
+    targets = [(syms[a], syms[a + n]) for a, rep in enumerate(result.first_class) if rep.generation > 1]
     notes = []
     if not (qp_syms and targets):
         return rows, notes

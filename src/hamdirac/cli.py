@@ -53,17 +53,10 @@ from .lagrangian import MechanicsError, UnsupportedShape
 from .linalg import LinalgError
 from .numerics import NumericsError, compile_field, solve_iota
 from .parser import ParseError, parse_expr
-from .report import (
-    Analysis,
-    InputError,
-    PipelineOptions,
-    build_report,
-    report_json,
-    run_pipeline,
-)
+from .report import Analysis, PipelineOptions, build_report, report_json, run_pipeline
 from .chart import ChartError, verify_chart
 from .symbols import SymbolTable
-from .sysfile import SysFileError, load_system_file
+from .sysfile import InputError, SysFileError, load_system_file
 
 EXIT_INPUT = 2
 EXIT_UNSUPPORTED = 3

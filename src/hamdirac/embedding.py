@@ -69,7 +69,9 @@ def resolve_plan(
     ht is H_T in the chart's symbols, `transform(result.total_hamiltonian(),
     chart)`.  epsilon maps chart row names to rational values (default 0, the
     limit that restores the constraint surface).  Unless the gauge is fixed
-    the primary first-class momenta are pinned to zero regardless.
+    the primary first-class momenta are pinned to zero regardless.  Given
+    gauge conditions are checked whatever the plan; a gauge-fixed plan
+    without them derives its gauge.
     """
     epsilon = dict(epsilon or {})
     roles = ("Xi", "Psi", "ThU", "ThD") if plan.gauge_fixed else ("Psi", "ThU", "ThD")
@@ -90,18 +92,16 @@ def resolve_plan(
     if epsilon:
         raise EmbeddingError(f"epsilon overrides for coordinates not fixed by {plan.kind}: {sorted(epsilon)}")
     sols = plan.gauge_multiplier_solutions
+    if gauge_conditions:
+        verify_gauge(result, chart, ht, fixed, gauge_conditions)
     if plan.gauge_fixed:
-        if gauge_conditions:
-            sols = gauge_conditions
-            verify_gauge(result, chart, ht, fixed, sols)
-        else:
-            sols = derive_gauge(result, chart, ht, fixed)
+        sols = gauge_conditions or derive_gauge(result, chart, ht, fixed)
         preconditions += [f"gauge fixing: {z.name} = {v}" for z, v in sols.items()]
     return EmbeddingPlan(plan.kind, fixed, plan.gauge_fixed, sols, preconditions)
 
 
 def _primary_psi_names(chart: CanonicalChart):
-    return {r.name for r in chart.rows if r.role == "Psi" and (r.generation or 1) == 1}
+    return {r.name for r in chart.rows if r.role == "Psi" and r.generation == 1}
 
 
 def _gauge_velocities(chart: CanonicalChart, ht: Expr, fixed: dict):

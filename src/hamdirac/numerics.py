@@ -8,7 +8,8 @@ the end state and its exact Jacobian with respect to the initial momenta from
 one source: for a quadratic H the N-step RK4 propagator (one matrix, built by
 repeated squaring, so shooting is a single linear solve), otherwise the
 variational equations integrated alongside the state, by one compiled
-function that evaluates each Jacobian entry once per stage.  `integrate`
+function that evaluates each Jacobian entry once per stage; only a
+non-quadratic H has that function compiled.  `integrate`
 runs the whole step loop as one generated function over unpacked state
 components: for a quadratic H it steps by the same one-step matrix R that the
 propagator squares, one matrix-vector product per step; other fields run the
@@ -66,8 +67,8 @@ class ReducedField(_Record):
                  linear: tuple | None = None):
         # pairs: [(Q Symbol, P Symbol), ...]; rhs(t, y) -> tuple(dy); energy:
         # H(y) -> float; oscillator_like: 1 dof, unit frequency, no linear
-        # terms; variational(t, z) -> dz for z = (y, dy/dP_1, ..., dy/dP_m);
-        # linear: (A, c) with rhs = A y + c when H is quadratic
+        # terms; linear: (A, c) with rhs = A y + c when H is quadratic, else
+        # variational(t, z) -> dz for z = (y, dy/dP_1, ..., dy/dP_m)
         self._fields(pairs, rhs, energy, oscillator_like, variational, linear)
 
     @property
@@ -76,7 +77,8 @@ class ReducedField(_Record):
 
 
 def compile_field(h: Expr, pairs) -> ReducedField:
-    """Compile (dQ, dP) = (dH/dP, -dH/dQ) and its variational system into float closures.
+    """Compile (dQ, dP) = (dH/dP, -dH/dQ) into float closures, with the
+    variational system for a non-quadratic H (a quadratic one keeps None).
 
     H may hold no symbol outside `pairs`: anything else loose (an unfixed
     gauge coordinate, a multiplier, an unsubstituted parameter) is an error.
@@ -101,10 +103,10 @@ def compile_field(h: Expr, pairs) -> ReducedField:
     body = ", ".join(_expr_to_py(c, names) for c in comps)
     rhs = eval(f"lambda t, y: ({body}{',' if len(comps) == 1 else ''})")  # noqa: S307 - generated from exact expressions
     energy = eval(f"lambda y: ({_expr_to_py(h, names)})")  # noqa: S307
-    variational = _variational_field(comps, grads, names)
 
-    # quadratic H, decided exactly: the field is affine, y' = A y + c
-    linear, osc = None, False
+    # quadratic H, decided exactly: the field is affine, y' = A y + c, and
+    # shooting steps its propagator; only another H needs the variational system
+    linear, osc, variational = None, False, None
     if h.is_polynomial() and all(sum(e for _i, e in mono) <= 2 for mono in h.num):
         zero = {s: Expr.const(table, 0) for s in slots}
         a = [[g.constant_value() for g in row] for row in grads]
@@ -112,6 +114,8 @@ def compile_field(h: Expr, pairs) -> ReducedField:
         linear = (tuple(tuple(map(float, row)) for row in a), tuple(map(float, c)))
         # one pair with det A = H_QQ H_PP - H_QP^2 = 1 and no linear terms
         osc = len(pairs) == 1 and a[0][0] * a[1][1] - a[0][1] * a[1][0] == 1 and not any(c)
+    else:
+        variational = _variational_field(comps, grads, names)
     return ReducedField(tuple(pairs), rhs, energy, osc, variational, linear)
 
 

@@ -1,10 +1,11 @@
 """End-to-end pipeline and the JSON report.
 
 Drives: parse -> (optional order-2 reduction) -> Legendre -> consistency
-iteration -> classification -> chart (built, or imported from the system
-file) -> embedding selection -> pullback and boundary prescription.  The
-report dict is built in a fixed key order so serialized output is
-byte-stable.
+iteration -> classification -> chart (`chart.build_chart`, or the system
+file's checked by `chart.import_chart`) -> embedding selection -> pullback
+and boundary prescription.  Input the analysis refuses raises
+`sysfile.InputError`.  The report dict is built in a fixed key order so
+serialized output is byte-stable.
 """
 
 from __future__ import annotations
@@ -12,15 +13,7 @@ from __future__ import annotations
 import json
 from itertools import repeat
 
-from . import qq
-from .chart import (
-    CanonicalChart,
-    ChartRow,
-    build_chart,
-    frobenius_check,
-    transform,
-    verify_chart,
-)
+from .chart import CanonicalChart, build_chart, frobenius_check, import_chart, transform
 from .dirac import classify, dirac_iterate
 from .embedding import (
     boundary_report,
@@ -30,17 +23,13 @@ from .embedding import (
     resolve_plan,
     select_embedding,
 )
-from .expr import Expr, ExprError, _frac_str
+from .expr import Expr, _frac_str
 from .lagrangian import LagrangianSystem, MechanicsError, counter_term, legendre, ostrogradsky_reduce, pons_reduce
 from .parser import parse_expr
 from .symbols import SymbolError, SymbolTable, _Record
-from .sysfile import ROLE_PATTERN, SystemFile
+from .sysfile import InputError, SystemFile
 
 SCHEMA_VERSION = 1
-
-
-class InputError(Exception):
-    pass
 
 
 class PipelineOptions(_Record):
@@ -112,7 +101,7 @@ def analyze_system(sysfile: SystemFile, options: PipelineOptions | None = None) 
 def attach_chart(an: Analysis) -> Analysis:
     """A copy of `an` with its chart, supplied by the file or built; `an` is left untouched."""
     if an.sysfile.chart_rows:
-        return an._replace(chart=_import_chart(an), chart_source="supplied")
+        return an._replace(chart=import_chart(an.result, an.sysfile.chart_rows), chart_source="supplied")
     return an._replace(chart=build_chart(an.result), chart_source="built")
 
 
@@ -170,71 +159,6 @@ def _parse_gauge_conditions(raw: str, an: Analysis) -> dict:
         except Exception as exc:
             raise InputError(f"gauge condition {part!r}: {exc}") from exc
     return out
-
-
-def _import_chart(an: Analysis) -> CanonicalChart:
-    """Parse, order, and validate a user-supplied chart."""
-    table = an.table
-    phase = an.fos.phase
-    n = phase.n
-    z = phase.z_order()
-    by_role = {}  # (role, index) -> (symbol, qq integer row over (z, 1))
-    for name, text, lineno in an.sysfile.chart_rows:
-        m = ROLE_PATTERN.match(name)
-        role, idx = m.group(1), int(m.group(2))
-        sym = table.register_fresh(name, "position")
-        if sym.name != name:
-            raise InputError(f"chart row name {name!r} collides with an existing symbol")
-        try:
-            row = parse_expr(text, table).affine_row(z)
-        except ExprError as exc:
-            raise InputError(f"chart row {name} (line {lineno}) is not linear in phase coordinates: {exc}")
-        except Exception as exc:
-            raise InputError(f"chart row {name} (line {lineno}): {exc}") from exc
-        by_role[(role, idx)] = (sym, row)
-
-    counts = {r: max((i for (rr, i) in by_role if rr == r), default=0) for r in ("Xi", "Psi", "ThU", "ThD", "Q", "P")}
-    if counts["Xi"] != counts["Psi"] or counts["ThU"] != counts["ThD"] or counts["Q"] != counts["P"]:
-        raise InputError("chart roles must pair up: Xi/Psi, ThU/ThD, Q/P")
-    total = counts["Xi"] + counts["ThU"] + counts["Q"]
-    if total != n:
-        raise InputError(f"chart must have {n} conjugate pairs, found {total}")
-    order = [(role, i) for role in ("Xi", "ThU", "Q", "Psi", "ThD", "P") for i in range(1, counts[role] + 1)]
-    for role, i in order:
-        if (role, i) not in by_role:
-            raise InputError(f"missing chart row {role}{i}")
-    by_role = {key: by_role[key] for key in order}  # chart order
-    ok, violations, _ = verify_chart([qq.from_row(row, 2 * n) for _sym, row in by_role.values()], mode="exact")
-    if not ok:
-        i, k, delta = violations[0]
-        raise InputError(f"supplied chart fails S^T J S = J (entry {i},{k} off by {delta})")
-
-    # The constraints' covectors are independent, and so are the chart's rows.
-    # So the Psi rows span the first-class constraints when there are F of
-    # them and each is a combination of constraints in involution with all of
-    # them, and Psi with Theta span the constraints when all are combinations
-    # and they number m.
-    result = an.result
-    cons = result.constraints
-    psi = [key for key in order if key[0] == "Psi"]
-    theta = [key for key in order if key[0] in ("ThU", "ThD")]
-    coords = _constraint_coordinates(cons, [by_role[key][1] for key in psi + theta], n)
-    first_class = [
-        x is not None and not any(qq._pair(by_role[key][1][0], c.row[0], n) for c in cons) for key, x in zip(psi, coords)
-    ]
-    if len(psi) != result.F or not all(first_class):
-        raise InputError("supplied Psi rows do not span the first-class constraints")
-    if len(psi) + len(theta) != len(cons) or None in coords:
-        raise InputError("supplied Psi/Theta rows do not span the constraint set")
-    gens = {key: 2 if any(xc for xc, c in zip(x, cons) if c.generation > 1) else 1 for key, x in zip(psi, coords)}
-    return CanonicalChart(phase, [ChartRow(*key, row, sym, gens.get(key)) for key, (sym, row) in by_role.items()])
-
-
-def _constraint_coordinates(cons, vectors, n):
-    """Each covector in `vectors` (qq integer rows) as its Fraction
-    coefficients over the constraints' (independent) covectors, or None
-    outside their span; offsets are left out."""
-    return [None if x is None else [x[c] for c in range(len(cons))] for x in qq.solve([c.row for c in cons], vectors, 2 * n)]
 
 
 # ---------------------------------------------------------------------------

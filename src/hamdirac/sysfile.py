@@ -35,6 +35,10 @@ class SysFileError(Exception):
     pass
 
 
+class InputError(Exception):  # input the analysis or the command line refuses
+    pass
+
+
 ROLE_PATTERN = re.compile(r"^(Xi|Psi|ThU|ThD|Q|P)([1-9][0-9]*)$")
 
 

@@ -689,7 +689,9 @@ def test_static_correct_matches_transform_then_bracket(monkeypatch):
         assert rows == before and list(got) == list(rows)
         size = 2 * result.phase.n + 1
         vectors = {sym: qq.from_row(r, size) for sym, r in rows.items()}
-        want, want_notes = transform_then_bracket_correct(result.phase, layout, vectors, result)
+        # the layout is (role, pair); Xi a is conjugate to first-class representative a
+        gens = {("Xi", a): rep.generation for a, rep in enumerate(result.first_class, start=1)}
+        want, want_notes = transform_then_bracket_correct(result.phase, [(*key, gens.get(key)) for key in layout], vectors, result)
         assert {sym: qq.from_row(r, size) for sym, r in got.items()} == want
         assert notes == want_notes
         seen.append((got != rows, bool(notes)))
@@ -788,8 +790,10 @@ def test_supplied_chart_span_checks_match_rank_oracle():
             return "supplied Psi rows do not span the first-class constraints"
         if not same([qq.from_row(c.row, len(z)) for c in res.constraints], psi + theta):
             return "supplied Psi/Theta rows do not span the constraint set"
-        prim = [qq.from_row(c.row, len(z)) for c in res.constraints if c.generation == 1]
-        return [1 if sympy_rank(prim) == sympy_rank(prim + [v]) else 2 for v in psi]
+        # a Psi row's generation: the first g whose constraints up to generation g span it
+        upto = lambda g: [qq.from_row(c.row, len(z)) for c in res.constraints if c.generation <= g]
+        gens = sorted({c.generation for c in res.constraints})
+        return [next(g for g in gens if sympy_rank(upto(g)) == sympy_rank(upto(g) + [v])) for v in psi]
 
     outcomes = []
     for chart_rows in variants:

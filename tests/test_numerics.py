@@ -473,6 +473,16 @@ def test_quadratic_shooting_integrates_once(monkeypatch):
     assert sol.trajectory.state(-1)[2] == pytest.approx(0.4, abs=1e-10)
 
 
+def test_only_a_non_quadratic_field_compiles_its_variational_system():
+    # shooting with a quadratic H steps the propagator and never calls the
+    # variational system, whose generated source grows as n^3
+    for m in (1, 2, 3):
+        _pairs, field = random_quadratic(rng_for(f"no-variational:{m}"), m)
+        assert field.linear is not None and field.variational is None
+    _pairs, _h, field = random_anharmonic(rng_for("variational-kept"), 2)
+    assert field.linear is None and callable(field.variational)
+
+
 def random_anharmonic(rng, m):
     # quadratic part plus sparse cubic and quartic terms: never affine
     t = SymbolTable()

@@ -271,6 +271,56 @@ def test_cli_unfreezable_gauge_exits_4(capsys):
     assert captured.err == "inconsistent: Xi2 cannot be frozen: velocity -Q1 has no multiplier handle\n"
 
 
+@pytest.mark.parametrize("path", [fixture("l2.sys"), str(Path(__file__).resolve().parent / "golden" / "coupled2.sys")],
+                         ids=["l2", "coupled2"])
+def test_cli_gauge_conditions_without_first_class_constraints_exit_4(capsys, path):
+    # every constraint is second class, so zeta1 is a solved multiplier: the
+    # condition is refused as on l3's solved zeta2, not dropped without a word
+    assert main(["report", path, "--gauge-fixing", "zeta1=Q1"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "inconsistent: gauge conditions for non-free multipliers: ['zeta1']\n"
+
+
+L3_HEAD, _, _l3_chart = Path(fixture("l3.sys")).read_text(encoding="utf-8").partition("[chart]\n")
+L3_ROWS = dict(line.split(" = ", 1) for line in _l3_chart.splitlines() if " = " in line)
+
+
+def _renamed(moves, rows=L3_ROWS):
+    return {moves.get(name, name): text for name, text in rows.items()}
+
+
+@pytest.mark.parametrize(
+    "head, rows, message",
+    [
+        (L3_HEAD.replace("q4", "Xi1"), L3_ROWS, "chart row name 'Xi1' collides with an existing symbol"),
+        (L3_HEAD, {**L3_ROWS, "Psi2": "p3^2"},
+         "chart row Psi2 (line 13) is not linear in phase coordinates: expression is not affine in the given symbols"),
+        (L3_HEAD, {**L3_ROWS, "Psi2": "p3 +"}, "chart row Psi2 (line 13): unexpected token '' (at byte 4)"),
+        (L3_HEAD, {k: v for k, v in L3_ROWS.items() if k != "Xi2"}, "chart roles must pair up: Xi/Psi, ThU/ThD, Q/P"),
+        (L3_HEAD, {k: v for k, v in L3_ROWS.items() if k not in ("Q1", "P1")}, "chart must have 4 conjugate pairs, found 3"),
+        (L3_HEAD, _renamed({"ThU1": "ThU2", "ThD1": "ThD2"}, {k: v for k, v in L3_ROWS.items() if k not in ("Q1", "P1")}),
+         "missing chart row ThU1"),
+        (L3_HEAD, {**L3_ROWS, "Q1": "2*q2 - 2*q4"}, "supplied chart fails S^T J S = J (entry 1,5 off by 1/2)"),
+        (L3_HEAD, _renamed({"Xi1": "Q1", "Psi1": "P1", "Q1": "Xi1", "P1": "Psi1"}),
+         "supplied Psi rows do not span the first-class constraints"),
+        (L3_HEAD, _renamed({"ThU1": "Q1", "ThD1": "P1", "Q1": "ThU1", "P1": "ThD1"}),
+         "supplied Psi/Theta rows do not span the constraint set"),
+    ],
+    ids=["collision", "non-linear", "unparsable", "unpaired", "pair-count", "missing", "stjs", "span-first-class",
+         "span-constraints"],
+)
+def test_cli_supplied_chart_checks_exit_2(tmp_path, capsys, head, rows, message):
+    # each check of the supplied-chart import, on a mangled copy of l3's chart
+    # (swapped pairs stay symplectic, so only the span checks can refuse them)
+    path = tmp_path / "l3mangled.sys"
+    path.write_text(head + "[chart]\n" + "".join(f"{k} = {v}\n" for k, v in rows.items()), encoding="utf-8")
+    assert main(["chart", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_cli_simulate_l2(tmp_path, capsys):
     csv_path = tmp_path / "traj.csv"
     rc = main(
