@@ -34,7 +34,11 @@ is negative, nan or infinite; exact mode ignores --tol.  A --bc, --xi or
 --epsilon name or a --gauge-fixing multiplier given twice exits 2.
 report --gauge-fixing with a CONDS that names no condition (empty, blank,
 or only commas and blanks) is the bare flag: the file's [gauge] conditions
-if it has them, else derived ones.
+if it has them, else derived ones.  Conditions are substituted all at once,
+so values naming each other's multipliers (zeta1=zeta2, zeta2=zeta1) are
+checked like any others and exit 4 when they do not freeze the gauge.  Each
+[gauge] line is one condition, commas included; one that names no
+multiplier or does not parse exits 2 with its line number.
 """
 
 from __future__ import annotations
@@ -150,8 +154,17 @@ def _options(args) -> PipelineOptions:
             raise InputError(f"--epsilon {item!r}: {exc}") from exc
     # --gauge-fixing: False when absent, True when bare; a CONDS naming no condition is the bare flag
     gf = getattr(args, "gauge_fixing", False)
-    conditions = gf.strip() if isinstance(gf, str) and any(map(str.strip, gf.split(","))) else None
-    return PipelineOptions(args.path, gf is not False, conditions, getattr(args, "fix_endpoint", None), epsilon)
+    if isinstance(gf, str):
+        conditions = {}
+        for part in filter(None, map(str.strip, gf.split(","))):
+            if "=" not in part:
+                raise InputError(f"gauge condition {part!r} must look like zeta1=-P1")
+            name, _, text = map(str.strip, part.partition("="))
+            if name in conditions:
+                raise InputError(f"gauge condition for {name!r} given twice")
+            conditions[name] = text
+        gf = conditions or True
+    return PipelineOptions(args.path, gf, getattr(args, "fix_endpoint", None), epsilon)
 
 
 def _emit(args, text: str):

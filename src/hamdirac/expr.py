@@ -17,7 +17,12 @@ are made only at the edge: `constant_value`.
 Substitution of polynomial rules (`_phorner`: one grouping of the monomials,
 Horner in one rule symbol at a time, one accumulator, over the integers) is
 the one path for every polynomial substitution, quadratic or not; rules with
-a denominator go term by term through Expr.
+a denominator go term by term through Expr.  Either way substitution is
+simultaneous: a rule's value is used as given and never substituted into, so
+any rule set is well defined, one whose values name each other's keys too.
+`Expr.affine_row` is the one test of "affine with constant coefficients"
+that reads monomials: the Legendre map, the consistency iteration and the
+chart ask it.
 """
 
 from __future__ import annotations
@@ -37,10 +42,6 @@ class ExprError(Exception):
 
 
 class ZeroDenominator(ExprError):
-    pass
-
-
-class CyclicRules(ExprError):
     pass
 
 
@@ -468,12 +469,12 @@ class Expr:
     def substitute(self, rules: dict) -> "Expr":
         """Simultaneous substitution Symbol -> Expr, then normalization.
 
-        Rejects rule sets whose values mention other rule keys in a cycle
-        (self-reference alone is fine; it is simultaneous substitution).
+        Every rule is applied once, to `self` only, never to another rule's
+        value: so a value may name its own key or any other key, and a swap
+        {q1: q2, q2: q1} exchanges the two symbols.
         """
         if not rules:
             return self
-        _check_acyclic(rules)
         used = _pvars(self.num) | _pvars(self.den)
         idx_rules = {
             s.index: (e if isinstance(e, Expr) else Expr.const(self.table, e)) for s, e in rules.items() if s.index in used
@@ -569,35 +570,6 @@ def _row_expr(row, syms, table) -> Expr:
     entries, den = qq._primitive(*row)
     poly = {((syms[j].index, 1),) if j < len(syms) else (): x for j, x in entries}
     return Expr(table, poly, {(): den}, _normalized=True)
-
-
-def _check_acyclic(rules):
-    keys = {s.index for s in rules}
-    graph = {}
-    for s, e in rules.items():
-        if not isinstance(e, Expr):
-            graph[s.index] = set()
-            continue
-        deps = (_pvars(e.num) | _pvars(e.den)) & keys
-        graph[s.index] = deps - {s.index}
-    if not any(graph.values()):
-        return
-    seen, stack = set(), set()
-
-    def visit(i):
-        if i in stack:
-            raise CyclicRules("cyclic substitution rule set")
-        if i in seen:
-            return
-        stack.add(i)
-        for j in graph.get(i, ()):
-            visit(j)
-        stack.discard(i)
-        seen.add(i)
-
-    for i in graph:
-        visit(i)
-    del visit  # it refers to itself: free the cycle now, not at the next gc pass
 
 
 def _psubstitute(table, poly, idx_rules, den=1) -> Expr:

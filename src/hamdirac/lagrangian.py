@@ -8,11 +8,12 @@ or without explicit multipliers).
 
 When every momentum dL/dv_i is affine in (q, v) with constant coefficients
 (a polynomial L whose monomials holding a velocity have degree <= 2), the
-Legendre map is a constant kinetic matrix: its momentum system is read off
-L as qq integer rows and reduced by `qq.rref_rows`.  Any other L (a kinetic
-matrix in q, a momentum not affine in q, a rational momentum) is eliminated
-on Exprs by `linalg.solve_linear`, with the same pivots; its non-constant
-ones are returned as `FirstOrderSystem.genericity_pivots`.
+Legendre map is a constant kinetic matrix: `Expr.affine_row` reads each
+momentum off as a qq integer row, and `qq.rref_rows` reduces the system.
+Any other L (a kinetic matrix in q, a momentum not affine in q, a rational
+momentum) is eliminated on Exprs by `linalg.solve_linear`, with the same
+pivots; its non-constant ones are returned as
+`FirstOrderSystem.genericity_pivots`.
 """
 
 from __future__ import annotations
@@ -129,21 +130,24 @@ def legendre(sys: LagrangianSystem) -> FirstOrderSystem:
 
 def _row_solve(defs: dict, vels, phase: PhaseSpace):
     """(primaries, velocity solution, ()) of the momentum equations dL/dv_i - p_i
-    = 0 as qq integer rows over (vels in reverse, z, 1); None unless each is
-    affine in (q, v) with constant coefficients, as when L is a polynomial
-    whose monomials holding a velocity have degree <= 2.  `qq.rref_rows` gets
-    the rows last first, so its first unused row is `solve_linear`'s last
-    eligible one.  A pivot row reads v + (free velocities) + rest = 0, and a
-    leftover row is its primary times the primary's momentum coefficient."""
+    = 0 as qq integer rows over (vels in reverse, z, 1); None unless
+    `Expr.affine_row` accepts every momentum dL/dv_i over (vels in reverse,
+    z), that is, each is affine in (q, v) with constant coefficients, as when
+    L is a polynomial whose monomials holding a velocity have degree <= 2.
+    Its row gets -p_i's column appended.  `qq.rref_rows` gets the rows last
+    first, so its first unused row is `solve_linear`'s last eligible one.  A
+    pivot row reads v + (free velocities) + rest = 0, and a leftover row is
+    its primary times the primary's momentum coefficient."""
     nv, table, syms = len(vels), phase.table, phase.z_order()
-    col = {v.index: nv - 1 - k for k, v in enumerate(vels)}
-    col.update((s.index, nv + k) for k, s in enumerate(syms))
+    columns = [*reversed(vels), *syms]  # the offset at nv + 2n
+    col = {s: k for k, s in enumerate(columns)}
     system = []
     for p, d in reversed(defs.items()):
-        if not d.is_polynomial() or any(len(m) > 1 or m and (m[0][1] > 1 or m[0][0] not in col) for m in d.num):
+        try:
+            entries, den = d.affine_row(columns)
+        except ExprError:
             return None
-        row = [(col[m[0][0]] if m else len(col), a) for m, a in d.num.items()] + [(col[p.index], -d.den[()])]
-        system.append((tuple(sorted(row)), d.den[()]))
+        system.append((tuple(sorted((*entries, (col[p], -den)))), den))
     pivots = qq.rref_rows(system, range(nv))
     used = set(pivots.values())
 
@@ -151,7 +155,7 @@ def _row_solve(defs: dict, vels, phase: PhaseSpace):
         return _row_expr((tuple((j - nv, k * x) for j, x in system[r][0] if j >= nv), den), syms, table)
 
     solved = {vels[nv - 1 - c]: tail(r, -1, system[r][1]) for c, r in pivots.items()}
-    leftover = [(r, qq.entry(system[r], col[p.index])) for r, p in zip(reversed(range(nv)), defs) if r not in used]
+    leftover = [(r, qq.entry(system[r], col[p])) for r, p in zip(reversed(range(nv)), defs) if r not in used]
     primaries = [tail(r, 1 if x > 0 else -1, abs(x)) for r, x in leftover]
     return primaries, {v: solved.get(v, Expr.const(table, 0)) for v in reversed(vels)}, ()
 

@@ -9,7 +9,8 @@ one source: for a quadratic H the N-step RK4 propagator (one matrix, built by
 repeated squaring, so shooting is a single linear solve), otherwise the
 variational equations integrated alongside the state, by one compiled
 function that evaluates each Jacobian entry once per stage; only a
-non-quadratic H has that function compiled.  `integrate`
+non-quadratic H has that function compiled.  Whether H is quadratic, and
+its affine field if so, is `dirac.quadratic_field`'s answer.  `integrate`
 runs the whole step loop as one generated function over unpacked state
 components: for a quadratic H it steps by the same one-step matrix R that the
 propagator squares, one matrix-vector product per step; other fields run the
@@ -28,7 +29,9 @@ import cmath
 import math
 from array import array
 
+from .dirac import hamilton_field, quadratic_field
 from .expr import Expr, _plead
+from .lagrangian import PhaseSpace
 from .symbols import _Record
 
 # Shooting is refused when the condition number of dQ(t2)/dP(t1), taken
@@ -80,10 +83,15 @@ def compile_field(h: Expr, pairs) -> ReducedField:
     """Compile (dQ, dP) = (dH/dP, -dH/dQ) into float closures, with the
     variational system for a non-quadratic H (a quadratic one keeps None).
 
+    The field is `dirac.hamilton_field` over `PhaseSpace(table, pairs)`,
+    reordered into the state layout (Q1, P1, Q2, P2, ...).  Whether H is
+    quadratic is decided exactly by `dirac.quadratic_field`, the consistency
+    iteration's own test; for a quadratic H, `linear`'s A and c are its
+    integer rows over their denominator, each float the correctly rounded
+    value of the rational, and `oscillator_like` is decided on the rationals.
     H may hold no symbol outside `pairs`: anything else loose (an unfixed
     gauge coordinate, a multiplier, an unsubstituted parameter) is an error.
     """
-    table = h.table
     allowed = {s for q, p in pairs for s in (q, p)}
     stray = [s for s in h.free_symbols() if s not in allowed]
     if stray:
@@ -94,28 +102,28 @@ def compile_field(h: Expr, pairs) -> ReducedField:
         names[q.index] = f"y[{2 * k}]"
         names[p.index] = f"y[{2 * k + 1}]"
 
-    slots = [s for q, p in pairs for s in (q, p)]
-    comps = []
-    for q, p in pairs:
-        comps.append(h.diff(p))
-        comps.append(-h.diff(q))
-    grads = [[c.diff(s) for s in slots] for c in comps]
+    phase, m = PhaseSpace(h.table, tuple(pairs)), len(pairs)
+    state = [k for j in range(m) for k in (j, m + j)]  # the z column of each state component
+    field = hamilton_field(h, phase)
+    comps = [field[k] for k in state]
     body = ", ".join(_expr_to_py(c, names) for c in comps)
     rhs = eval(f"lambda t, y: ({body}{',' if len(comps) == 1 else ''})")  # noqa: S307 - generated from exact expressions
     energy = eval(f"lambda y: ({_expr_to_py(h, names)})")  # noqa: S307
 
-    # quadratic H, decided exactly: the field is affine, y' = A y + c, and
-    # shooting steps its propagator; only another H needs the variational system
+    # a quadratic H makes the field affine, y' = A y + c, and shooting steps
+    # its propagator; only another H needs the variational system
     linear, osc, variational = None, False, None
-    if h.is_polynomial() and all(sum(e for _i, e in mono) <= 2 for mono in h.num):
-        zero = {s: Expr.const(table, 0) for s in slots}
-        a = [[g.constant_value() for g in row] for row in grads]
-        c = [comp.substitute(zero).constant_value() for comp in comps]
-        linear = (tuple(tuple(map(float, row)) for row in a), tuple(map(float, c)))
-        # one pair with det A = H_QQ H_PP - H_QP^2 = 1 and no linear terms
-        osc = len(pairs) == 1 and a[0][0] * a[1][1] - a[0][1] * a[1][0] == 1 and not any(c)
+    qfield = quadratic_field(h, phase)
+    if qfield is None:
+        slots = [s for q, p in pairs for s in (q, p)]
+        variational = _variational_field(comps, [[c.diff(s) for s in slots] for c in comps], names)
     else:
-        variational = _variational_field(comps, grads, names)
+        rows, den = [dict(qfield[0][k]) for k in state], qfield[1]
+        a = [[row.get(j, 0) for j in state] for row in rows]
+        c = [row.get(2 * m, 0) for row in rows]
+        linear = (tuple(tuple(x / den for x in row) for row in a), tuple(x / den for x in c))
+        # one pair with det A = H_QQ H_PP - H_QP^2 = 1 and no linear terms
+        osc = m == 1 and a[0][0] * a[1][1] - a[0][1] * a[1][0] == den * den and not any(c)
     return ReducedField(tuple(pairs), rhs, energy, osc, variational, linear)
 
 

@@ -33,14 +33,16 @@ SCHEMA_VERSION = 1
 
 
 class PipelineOptions(_Record):
-    __slots__ = ("path", "gauge_fixing", "gauge_conditions", "fix_endpoint", "epsilon")
+    __slots__ = ("path", "gauge_fixing", "fix_endpoint", "epsilon")
 
-    def __init__(self, path: str | None = None, gauge_fixing: bool = False, gauge_conditions: str | None = None,
-                 fix_endpoint: str | None = None, epsilon: dict = {}):
-        # path: ssok | pons for order-2 systems; gauge_conditions: "zeta1=-P1,
-        # zeta2=0"; fix_endpoint None: the file's option, then t1; epsilon:
-        # chart row name -> Fraction
-        self._fields(path, gauge_fixing, gauge_conditions, fix_endpoint, epsilon)
+    def __init__(self, path: str | None = None, gauge_fixing: bool | dict = False, fix_endpoint: str | None = None,
+                 epsilon: dict = {}):
+        # path: ssok | pons for order-2 systems; gauge_fixing: False, True
+        # (the file's [gauge] conditions, else derived ones) or the conditions
+        # themselves, a nonempty {multiplier name: expression text} dict;
+        # fix_endpoint None: the file's option, then t1; epsilon: chart row
+        # name -> Fraction
+        self._fields(path, gauge_fixing, fix_endpoint, epsilon)
 
 
 class Analysis(_Record):
@@ -108,14 +110,13 @@ def attach_chart(an: Analysis) -> Analysis:
 def attach_embedding(an: Analysis) -> Analysis:
     """A copy of `an` with its embedding plan, pullback, boundary data, budget
     and effective Hamiltonian; `an` is left untouched."""
-    opts = an.options
-    plan = select_embedding(an.result, opts.gauge_fixing)
-    gauge_conditions = None
-    raw = opts.gauge_conditions
-    if raw is None and an.sysfile.gauge and opts.gauge_fixing:
-        raw = ",".join(f"{n}={t}" for n, t, _ln in an.sysfile.gauge)
-    if raw:
-        gauge_conditions = _parse_gauge_conditions(raw, an)
+    opts, gf = an.options, an.options.gauge_fixing
+    plan = select_embedding(an.result, bool(gf))
+    if gf is True:  # the bare flag: the file's [gauge] rows, if it has any
+        rows = an.sysfile.gauge
+    else:
+        rows = [(name, text, None) for name, text in gf.items()] if gf else ()
+    gauge_conditions = _parse_gauge_conditions(rows, an.table) if rows else None
     eps = {**an.sysfile.epsilon, **opts.epsilon}
     # H_T in chart symbols, transformed once for the plan, the pullback and the effective H
     ht = transform(an.result.total_hamiltonian(), an.chart)
@@ -139,25 +140,19 @@ def run_pipeline(sysfile: SystemFile, options: PipelineOptions | None = None, st
     return an
 
 
-def _parse_gauge_conditions(raw: str, an: Analysis) -> dict:
+def _parse_gauge_conditions(rows, table) -> dict:
+    """{multiplier: Expr} of gauge conditions given as (name, text, line)
+    rows, line None for conditions not read from a file."""
     out = {}
-    for part in raw.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" not in part:
-            raise InputError(f"gauge condition {part!r} must look like zeta1=-P1")
-        name, _, text = part.partition("=")
-        name = name.strip()
-        sym = an.table.get(name)
+    for name, text, line in rows:
+        where = "" if line is None else f" (line {line})"
+        sym = table.get(name)
         if sym is None or sym.kind != "multiplier":
-            raise InputError(f"{name!r} is not a multiplier of this system")
-        if sym in out:
-            raise InputError(f"gauge condition for {name!r} given twice")
+            raise InputError(f"{name!r}{where} is not a multiplier of this system")
         try:
-            out[sym] = parse_expr(text.strip(), an.table)
+            out[sym] = parse_expr(text, table)
         except Exception as exc:
-            raise InputError(f"gauge condition {part!r}: {exc}") from exc
+            raise InputError(f"gauge condition {f'{name}={text}'!r}{where}: {exc}") from exc
     return out
 
 

@@ -4,11 +4,13 @@ import math
 import tracemalloc
 from array import array
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from hamdirac import SymbolTable, compile_field, integrate, parse_expr, solve_iota
 from hamdirac import numerics
+from hamdirac.cli import reduced_hamiltonian
 from hamdirac.expr import Expr
 from hamdirac.numerics import (
     CSV_BLOCK_ROWS,
@@ -20,8 +22,10 @@ from hamdirac.numerics import (
     rk4_propagator,
     rk4_variational,
 )
+from hamdirac.report import PipelineOptions, run_pipeline
+from hamdirac.sysfile import load_system_file, parse_system_file
 
-from conftest import rng_for
+from conftest import l3_family_source, rng_for
 
 
 def stagewise(field):
@@ -481,6 +485,70 @@ def test_only_a_non_quadratic_field_compiles_its_variational_system():
         assert field.linear is not None and field.variational is None
     _pairs, _h, field = random_anharmonic(rng_for("variational-kept"), 2)
     assert field.linear is None and callable(field.variational)
+
+
+def hessian_linear(h, pairs):
+    """(linear, oscillator_like) as `compile_field` first derived them, from
+    the Expr Hessian of the field in the state layout (Q1, P1, Q2, ...): None
+    and False unless H is a polynomial of degree <= 2, else A and c read off
+    as Fractions and rounded by float()."""
+    if not (h.is_polynomial() and all(sum(e for _i, e in mono) <= 2 for mono in h.num)):
+        return None, False
+    slots = [s for q, p in pairs for s in (q, p)]
+    comps = [c for q, p in pairs for c in (h.diff(p), -h.diff(q))]
+    zero = {s: Expr.const(h.table, 0) for s in slots}
+    a = [[c.diff(s).constant_value() for s in slots] for c in comps]
+    c = [comp.substitute(zero).constant_value() for comp in comps]
+    osc = len(pairs) == 1 and a[0][0] * a[1][1] - a[0][1] * a[1][0] == 1 and not any(c)
+    return (tuple(tuple(map(float, row)) for row in a), tuple(map(float, c))), osc
+
+
+def simulated_hamiltonians():
+    """(label, reduced H, pairs) of every bundled system `simulate` can run
+    and of seeded gauge and coupled families of k <= 3 L3 blocks."""
+    tests = Path(__file__).resolve().parent
+    fixtures = tests.parent / "src" / "hamdirac" / "fixtures"
+    files = [(p, None) for p in sorted(fixtures.glob("*.sys"))] + [(fixtures / "l4.sys", "pons")]
+    files += [(p, None) for p in sorted((tests / "golden").glob("*.sys"))]
+    sysfiles = [(f"{p.stem}:{path}", load_system_file(p), path) for p, path in files]
+    for kind in ("gauge", "coupled"):
+        for k in (1, 2, 3):
+            lag, names = l3_family_source(kind, k, rng_for(f"compile-field:{kind}:{k}"))
+            text = f"system {kind}{k}\ncoordinates {' '.join(names)}\norder 1\nL = {lag}\n"
+            sysfiles.append((f"{kind}{k}", parse_system_file(text), None))
+    for label, sysfile, path in sysfiles:
+        an = run_pipeline(sysfile, PipelineOptions(path=path), stage="simulate")
+        q_rows = an.chart.rows_by_role("Q")
+        if q_rows:
+            yield label, reduced_hamiltonian(an), [(q.symbol, an.chart.conjugate(q).symbol) for q in q_rows]
+
+
+def test_compile_field_affine_form_matches_the_hessian_reference():
+    # the affine form comes from `dirac.quadratic_field`'s integer rows; every
+    # float and the oscillator decision must be the Hessian reference's, bit
+    # for bit, on every system the CLI can simulate
+    def bits(linear):
+        return linear and ([[x.hex() for x in row] for row in linear[0]], [x.hex() for x in linear[1]])
+
+    cases = list(simulated_hamiltonians())
+    rng = rng_for("compile-field:shifted")
+    for m in (1, 2, 3):  # with linear terms, so c is not zero
+        t = SymbolTable()
+        pairs = [(t.position(f"Q{k}"), t.register(f"P{k}", "momentum")) for k in range(1, m + 1)]
+        slots = [s.name for pair in pairs for s in pair]
+        terms = [f"({rng.randint(-4, 4)}/{rng.randint(1, 4)})*{a}*{b}" for i, a in enumerate(slots) for b in slots[i:]]
+        terms += [f"({rng.randint(-4, 4)}/{rng.randint(1, 7)})*{a}" for a in slots]
+        cases.append((f"shifted{m}", parse_expr(" + ".join(terms), t), pairs))
+    labels = []
+    for label, h, pairs in cases:
+        field = compile_field(h, pairs)
+        linear, osc = hessian_linear(h, pairs)
+        assert bits(field.linear) == bits(linear), label
+        assert field.oscillator_like == osc, label
+        assert (field.variational is None) == (linear is not None), label
+        labels.append((label, linear is not None, osc))
+    assert len(labels) == 21  # of the bundled systems, cawley alone has no physical pair
+    assert ("l3quartic:None", False, False) in labels and ("l2:None", True, True) in labels
 
 
 def random_anharmonic(rng, m):

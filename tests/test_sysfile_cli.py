@@ -8,7 +8,9 @@ import pytest
 
 from hamdirac import parse_system_file
 from hamdirac.cli import main
-from hamdirac.sysfile import SysFileError
+from hamdirac.embedding import GaugeError
+from hamdirac.report import PipelineOptions, build_report, report_json, run_pipeline
+from hamdirac.sysfile import SysFileError, load_system_file
 
 
 def fixture(name):
@@ -393,7 +395,9 @@ RATIONAL_SYS = "system rational\ncoordinates q1\norder 1\nL = (1/2)*q1^2*d(q1)^2
 )
 def test_cli_simulate_bytes_pinned(tmp_path, capsys, system, bc, t2, stdout_sha, csv_sha):
     # digests of CPython 3.11 runs: the last bits of the floats follow its
-    # left-to-right float sum() and the platform's pow
+    # left-to-right float sum() and the platform's pow.  CPython 3.10.13,
+    # 3.12.1 and 3.13.0 give the same digests with the stdlib alone on x86-64
+    # Linux.
     if system is None:
         path = fixture("l2.sys")
     else:
@@ -531,6 +535,48 @@ def test_sysfile_name_given_twice_exits_2(tmp_path, capsys, base, section, messa
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {path}:{message}\n"
+
+
+@pytest.mark.parametrize(
+    "section, message",
+    [
+        # one line is one condition: a comma does not split it into two that
+        # slip past the given-twice check
+        ("[gauge]\nzeta1 = 0, zeta2 = 0\nzeta2 = 0\n",
+         "gauge condition 'zeta1=0, zeta2 = 0' (line 6): unexpected character ',' (at byte 1)"),
+        ("[gauge]\nzeta1 = foo\nzeta2 = 0\n", "gauge condition 'zeta1=foo' (line 6): unknown symbol 'foo' (at byte 0)"),
+        ("[gauge]\nzeta1 = 0\nzeta9 = 0\n", "'zeta9' (line 7) is not a multiplier of this system"),
+    ],
+    ids=["comma", "unknown-symbol", "not-a-multiplier"],
+)
+def test_sysfile_gauge_rows_name_their_line(tmp_path, capsys, section, message):
+    path = tmp_path / "gauge.sys"
+    path.write_text(Path(GAUGE2).read_text(encoding="utf-8") + section, encoding="utf-8")
+    assert main(["report", str(path), "--gauge-fixing"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_cli_gauge_conditions_naming_each_other_exit_4(capsys):
+    # the conditions are substituted at once, so a pair naming each other is
+    # checked like any other: here it leaves Xi1 a velocity
+    for conds in ("zeta1=zeta2, zeta2=zeta1", "zeta1=zeta2, zeta2=0"):
+        assert main(["report", GAUGE2, "--gauge-fixing", conds]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "inconsistent: gauge conditions do not freeze Xi1: residual velocity zeta2\n"
+
+
+def test_library_gauge_conditions_match_the_cli(capsys):
+    assert main(["report", fixture("l3.sys"), "--gauge-fixing", "zeta1=-P1"]) == 0
+    cli = capsys.readouterr().out
+    an = run_pipeline(load_system_file(fixture("l3.sys")), PipelineOptions(gauge_fixing={"zeta1": "-P1"}))
+    assert report_json(build_report(an)) == cli
+    assert json.loads(cli)["embedding"]["gauge_multipliers"] == {"zeta1": "-P1"}
+    # the conditions are checked, not replaced by a derived gauge
+    with pytest.raises(GaugeError, match="do not freeze"):
+        run_pipeline(load_system_file(fixture("l3.sys")), PipelineOptions(gauge_fixing={"zeta1": "Q1"}))
 
 
 def test_cli_epsilon_overrides_the_file_epsilon(tmp_path, capsys):
