@@ -43,7 +43,6 @@ from .embedding import (
     GaugeError,
     boundary_report,
     effective_hamiltonian,
-    integral_constant_budget,
     pullback_total_lagrangian,
     select_embedding,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "dof",
     "effective_hamiltonian",
     "frobenius_check",
-    "integral_constant_budget",
     "integrate",
     "legendre",
     "load_system_file",

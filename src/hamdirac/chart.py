@@ -1,7 +1,8 @@
 """Canonical charts built from classified constraints or imported from a
 system file, their verification and the Frobenius check.  Which chart rows an
 embedding fixes, and the integral constants that costs, is `embedding`'s
-business.
+business.  Every chart lays its rows out as Xi, ThU, Q | Psi, ThD, P, so row
+i + n is row i's conjugate (`CanonicalChart.pairs`).
 
 Both chart makers, `build_chart` and `import_chart` (a supplied chart,
 checked and never altered), end in `_chart`, which sets every row's
@@ -80,15 +81,12 @@ class CanonicalChart(_Record):
     def table(self):
         return self.phase.table
 
-    def rows_by_role(self, role):
-        return [r for r in self.rows if r.role == role]
-
-    def conjugate(self, row: ChartRow) -> ChartRow:
-        want = ROLE_CONJUGATE[row.role]
-        for r in self.rows:
-            if r.role == want and r.pair == row.pair:
-                return r
-        raise ChartError(f"chart row {row.name} has no conjugate")
+    def pairs(self, role):
+        """(row i, row i + n) for each row i of the position block with
+        `role` (Xi, ThU or Q): the row and its conjugate momentum, in pair
+        order, as every chart lays its rows out."""
+        n = self.n
+        return [(r, self.rows[i + n]) for i, r in enumerate(self.rows[:n]) if r.role == role]
 
 
 def build_chart(result: DiracResult) -> CanonicalChart:

@@ -26,9 +26,10 @@ simulate fails with 1 in three documented ways:
 
 simulate exits 2 when a physical position Q of the chart has no --bc, a --bc
 name is not such a position, a --xi name is not a gauge position fixed at
-t1 only, t2 does not exceed t1, or the grid from t1 to t2 at --step needs
-more than MAX_STEPS = 10**7 RK4 steps (counted as max(1, ceil((t2 - t1) /
-step - 1e-12)), before anything is compiled or integrated).  verify-chart
+one endpoint only (t1, or t2 by the file's fix_endpoint option, which also
+labels the --xi values), t2 does not exceed t1, or the grid from t1 to t2 at
+--step needs more than MAX_STEPS = 10**7 RK4 steps (counted as max(1,
+ceil((t2 - t1) / step - 1e-12)), before anything is compiled or integrated).  verify-chart
 exits 2 when the matrix is not square with an even dimension, and when --tol
 is negative, nan or infinite; exact mode ignores --tol.  A --bc, --xi or
 --epsilon name or a --gauge-fixing multiplier given twice exits 2.
@@ -124,7 +125,7 @@ def _build_parser():
     sp.add_argument("--bc", action="append", default=[], metavar="Q=V1:V2",
                     help="boundary values for a physical position, e.g. Q1=1:0")
     sp.add_argument("--xi", action="append", default=[], metavar="NAME=VAL",
-                    help="initial value for a gauge position fixed at t1 only")
+                    help="value for a gauge position fixed at one endpoint only (t1, or the file's fix_endpoint)")
     sp.add_argument("--t1", default="0")
     sp.add_argument("--t2", required=True)
     sp.add_argument("--step", default="1e-3")
@@ -200,8 +201,8 @@ def _parse_real(text: str, what: str) -> float:
 
 def _cmd_simulate(args) -> int:
     an = run_pipeline(load_system_file(args.file), _options(args), stage="simulate")
-    q_rows = an.chart.rows_by_role("Q")
-    if not q_rows:
+    qp_rows = an.chart.pairs("Q")
+    if not qp_rows:
         raise InputError(
             f"{an.sysfile.name}: no physical (Q, P) block survives the embedding; nothing to simulate"
         )
@@ -215,7 +216,7 @@ def _cmd_simulate(args) -> int:
     if not (t2 - t1) / step - 1e-12 <= MAX_STEPS:  # numerics' step count, inf included
         raise InputError(f"[{t1}, {t2}] at step {step} needs more than MAX_STEPS = {MAX_STEPS} RK4 steps")
     reduced_h = reduced_hamiltonian(an)
-    field = compile_field(reduced_h, [(q.symbol, an.chart.conjugate(q).symbol) for q in q_rows])
+    field = compile_field(reduced_h, [(q.symbol, p.symbol) for q, p in qp_rows])
     boundary = {}
     for item in args.bc:
         name, _, vals = item.partition("=")
@@ -233,26 +234,28 @@ def _cmd_simulate(args) -> int:
         if name.strip() in init_only:
             raise InputError(f"--xi {name.strip()} given twice")
         init_only[name.strip()] = _parse_real(val, "--xi value")
+    end = an.boundary.initial_endpoint
     for flag, given, allowed, what in (
-        ("--bc", boundary, [q.name for q in q_rows], "a physical position"),
-        ("--xi", init_only, an.boundary.fix_initial_only, "a gauge position fixed at t1 only"),
+        ("--bc", boundary, an.boundary.fix_both_ends, "a physical position"),
+        ("--xi", init_only, an.boundary.fix_initial_only, f"a gauge position fixed at {end} only"),
     ):
         stray = [nm for nm in given if nm not in allowed]
         if stray:
             raise InputError(f"{flag} {', '.join(stray)}: not {what} (these are: {', '.join(allowed) or 'none'})")
-    missing = [q.name for q in q_rows if q.name not in boundary]
+    missing = [q for q in an.boundary.fix_both_ends if q not in boundary]
     if missing:
         raise InputError(f"--bc missing for {', '.join(missing)}: every physical position needs Q=V1:V2")
     sol = solve_iota(field, boundary, t1, t2, step=step, init_only=init_only)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             sol.trajectory.write_csv(fh)
+    label = {f"{nm}(t1)": f"{nm}({end})" for nm in init_only}  # solve_iota labels every value at t1
     out = {
         "system": an.sysfile.name,
         "t1": t1,
         "t2": t2,
         "initial_state": list(sol.initial_state),
-        "constants": {k: (list(v) if isinstance(v, tuple) else v) for k, v in sol.constants.items()},
+        "constants": {label.get(k, k): (list(v) if isinstance(v, tuple) else v) for k, v in sol.constants.items()},
         "residual": sol.residual,
         "condition": sol.condition,
     }

@@ -1,5 +1,4 @@
-"""Embedding selection, pullback Lagrangians, boundary prescriptions and the
-integral-constant budget.
+"""Embedding selection, pullback Lagrangians and boundary prescriptions.
 
 One flag decides an embedding, `EmbeddingPlan.gauge_fixed`: every plan fixes
 the constraint block's Psi, ThU and ThD rows; a gauge-fixed plan also fixes
@@ -8,13 +7,16 @@ momenta to zero in advance.  The kind is the gauge-fixing table's label for
 the result: sigma1 (gauge fixed) or sigma1~ for first-class only systems,
 sigma2 for second-class only ones, sigma3 or sigma3~ for mixed ones, trivial
 for an unconstrained system.
+
+`BoundaryReport` is the one record of what an embedding fixes and of the
+integral constants that costs, counted off its lists of fixed rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .chart import CanonicalChart, ChartError
+from .chart import CanonicalChart
 from .dirac import DiracResult
 from .expr import Expr
 from .symbols import _Record
@@ -78,6 +80,12 @@ def resolve_plan(
     fixed = {}
     preconditions = list(plan.preconditions)
     pinned = set() if plan.gauge_fixed else _primary_psi_names(chart)
+    if not plan.gauge_fixed and len(pinned) < result.primary_fc_count:
+        raise EmbeddingError(
+            f"only {len(pinned)} of the chart's Psi rows are primary first-class momenta, {result.primary_fc_count} "
+            f"needed: a Psi row that mixes a primary constraint with a later one cannot be pinned to 0 in advance; "
+            f"fix the gauge (--gauge-fixing) or keep each primary in a Psi row of its own"
+        )
     for row in chart.rows:
         if row.role not in roles:
             continue
@@ -110,7 +118,7 @@ def _gauge_velocities(chart: CanonicalChart, ht: Expr, fixed: dict):
     multipliers symbolic: {Xi, H_T} = dH_T/dPsi in the chart, Psi the
     conjugate momentum and `ht` H_T in chart symbols."""
     subs = {r.symbol: Fraction(fixed.get(r.name, 0)) for r in chart.rows if r.role not in ("Q", "P")}
-    return [(r, ht.diff(chart.conjugate(r).symbol).substitute(subs)) for r in chart.rows_by_role("Xi")]
+    return [(xi, ht.diff(psi.symbol).substitute(subs)) for xi, psi in chart.pairs("Xi")]
 
 
 def derive_gauge(result: DiracResult, chart: CanonicalChart, ht: Expr, fixed: dict) -> dict:
@@ -191,18 +199,14 @@ def pullback_total_lagrangian(chart: CanonicalChart, plan: EmbeddingPlan, ht: Ex
         raise EmbeddingError(f"free multipliers {[s.name for s in stray]} survive the pullback; gauge data incomplete")
 
     kinetic = Expr.const(table, 0)
-    for q_row in chart.rows_by_role("Q"):
-        p_row = chart.conjugate(q_row)
+    for q_row, p_row in chart.pairs("Q"):
         kinetic = kinetic + Expr.sym(table, p_row.symbol) * Expr.sym(table, table.velocity(q_row.symbol))
 
     td = Expr.const(table, 0)
     if not plan.gauge_fixed:
-        for psi_row in chart.rows_by_role("Psi"):
-            if psi_row.name in pinned:
-                continue
-            eps = subs[psi_row.symbol]
-            xi_row = chart.conjugate(psi_row)
-            td = td + eps * Expr.sym(table, table.velocity(xi_row.symbol))
+        for xi_row, psi_row in chart.pairs("Xi"):
+            if psi_row.name not in pinned:
+                td = td + subs[psi_row.symbol] * Expr.sym(table, table.velocity(xi_row.symbol))
 
     value = minus_h.substitute({e: Expr.const(table, v) for e, v in eps_values.items()}) if eps_values else minus_h
     constant = _constant_part(value)
@@ -226,10 +230,32 @@ def effective_hamiltonian(result: DiracResult, chart: CanonicalChart, ht: Expr) 
 
 
 class BoundaryReport(_Record):
-    __slots__ = ("fix_both_ends", "fix_initial_only", "never_fix", "initial_endpoint")
+    """The rows an embedding fixes at both ends, at one end and never, and the
+    2n (`total`) integral constants counted off them: `by_boundary` set by the
+    endpoint data, `by_gauge` by the primary momenta pinned in advance, the
+    two together `free`; the rows the embedding fixes occupy the rest."""
 
-    def __init__(self, fix_both_ends: tuple, fix_initial_only: tuple, never_fix: tuple, initial_endpoint: str = "t1"):
-        self._fields(fix_both_ends, fix_initial_only, never_fix, initial_endpoint)
+    __slots__ = ("fix_both_ends", "fix_initial_only", "never_fix", "initial_endpoint", "total")
+
+    def __init__(self, fix_both_ends: tuple, fix_initial_only: tuple, never_fix: tuple, initial_endpoint: str,
+                 total: int):
+        self._fields(fix_both_ends, fix_initial_only, never_fix, initial_endpoint, total)
+
+    @property
+    def by_boundary(self) -> int:
+        return 2 * len(self.fix_both_ends) + len(self.fix_initial_only)
+
+    @property
+    def by_gauge(self) -> int:
+        return len(self.never_fix)
+
+    @property
+    def free(self) -> int:
+        return self.by_boundary + self.by_gauge
+
+    @property
+    def occupied(self) -> int:
+        return self.total - self.free
 
 
 def boundary_report(chart: CanonicalChart, plan: EmbeddingPlan, endpoint: str = "t1") -> BoundaryReport:
@@ -243,36 +269,11 @@ def boundary_report(chart: CanonicalChart, plan: EmbeddingPlan, endpoint: str = 
     """
     if endpoint not in ("t1", "t2"):
         raise EmbeddingError("endpoint must be t1 or t2")
-    both = [r.name for r in chart.rows_by_role("Q")]
+    both = [q.name for q, _p in chart.pairs("Q")]
     initial: list = []
     never: list = []
     if not plan.gauge_fixed:
         primary_psi = _primary_psi_names(chart)
-        for xi in chart.rows_by_role("Xi"):
-            psi = chart.conjugate(xi)
-            if psi.name in primary_psi:
-                never.append(xi.name)
-            else:
-                initial.append(xi.name)
-    return BoundaryReport(both, initial, never, endpoint)
-
-
-class ConstantBudget(_Record):
-    __slots__ = ("total", "occupied", "free", "by_boundary", "by_gauge")
-
-    def __init__(self, total: int, occupied: int, free: int, by_boundary: int, by_gauge: int):
-        self._fields(total, occupied, free, by_boundary, by_gauge)
-
-
-def integral_constant_budget(result: DiracResult, plan: EmbeddingPlan) -> ConstantBudget:
-    """Integral constants occupied by an embedding: the F Psi rows and S
-    second-class rows every plan fixes, plus the F Xi rows of a gauge-fixed
-    one.  Without a gauge, the primary first-class momenta pinned in advance
-    (`by_gauge`) are taken from the constants the boundary would fix."""
-    if not result.classified:
-        raise ChartError("classify before computing the constant budget")
-    occupied = result.F + result.S + (result.F if plan.gauge_fixed else 0)
-    total = 2 * result.phase.n
-    free = total - occupied
-    gauge = 0 if plan.gauge_fixed else result.primary_fc_count
-    return ConstantBudget(total, occupied, free, free - gauge, gauge)
+        for xi, psi in chart.pairs("Xi"):
+            (never if psi.name in primary_psi else initial).append(xi.name)
+    return BoundaryReport(both, initial, never, endpoint, 2 * chart.n)

@@ -18,7 +18,6 @@ from .dirac import classify, dirac_iterate
 from .embedding import (
     boundary_report,
     effective_hamiltonian,
-    integral_constant_budget,
     pullback_total_lagrangian,
     resolve_plan,
     select_embedding,
@@ -48,19 +47,18 @@ class PipelineOptions(_Record):
 class Analysis(_Record):
     __slots__ = (
         "sysfile", "options", "table", "system", "reduced", "path", "w_counter", "l_counter", "fos", "result",
-        "chart", "chart_source", "plan", "pullback", "boundary", "frobenius", "budget", "effective_h",
+        "chart", "chart_source", "plan", "pullback", "boundary", "frobenius", "effective_h",
     )
 
     def __init__(
         self, sysfile: SystemFile, options: PipelineOptions, table: SymbolTable, system: LagrangianSystem,
         reduced: LagrangianSystem, path: str | None, w_counter: Expr | None, l_counter: Expr | None, fos: object,
         result: object, chart: CanonicalChart | None = None, chart_source: str = "built", plan: object = None,
-        pullback: object = None, boundary: object = None, frobenius: object = None, budget: object = None,
-        effective_h: Expr | None = None,
+        pullback: object = None, boundary: object = None, frobenius: object = None, effective_h: Expr | None = None,
     ):
         self._fields(
             sysfile, options, table, system, reduced, path, w_counter, l_counter, fos, result, chart, chart_source,
-            plan, pullback, boundary, frobenius, budget, effective_h,
+            plan, pullback, boundary, frobenius, effective_h,
         )
 
 
@@ -76,8 +74,9 @@ def analyze_system(sysfile: SystemFile, options: PipelineOptions | None = None) 
     except Exception as exc:
         raise InputError(f"Lagrangian: {exc}") from exc
     system = LagrangianSystem(table, coords, sysfile.order, lag)
+    used = lag.free_symbols()  # dd(q) in a denominator, or of net degree <= 0, is used all the same
     for c in coords:
-        if sysfile.order == 1 and lag.degree_in(table.acceleration(c)) > 0:
+        if sysfile.order == 1 and table.acceleration(c) in used:
             raise InputError(f"order 1 system uses dd({c.name}); declare order 2")
 
     path = options.path or sysfile.options.get("path")
@@ -108,8 +107,8 @@ def attach_chart(an: Analysis) -> Analysis:
 
 
 def attach_embedding(an: Analysis) -> Analysis:
-    """A copy of `an` with its embedding plan, pullback, boundary data, budget
-    and effective Hamiltonian; `an` is left untouched."""
+    """A copy of `an` with its embedding plan, pullback, boundary data and
+    effective Hamiltonian; `an` is left untouched."""
     opts, gf = an.options, an.options.gauge_fixing
     plan = select_embedding(an.result, bool(gf))
     if gf is True:  # the bare flag: the file's [gauge] rows, if it has any
@@ -126,7 +125,6 @@ def attach_embedding(an: Analysis) -> Analysis:
         plan=plan,
         pullback=pullback_total_lagrangian(an.chart, plan, ht),
         boundary=boundary_report(an.chart, plan, endpoint=endpoint),
-        budget=integral_constant_budget(an.result, plan),
         effective_h=effective_hamiltonian(an.result, an.chart, ht) if an.result.F > 0 else None,
     )
 
@@ -239,16 +237,15 @@ def build_report(an: Analysis, stage: str = "report") -> dict:
         "fix_initial_only": br.fix_initial_only,
         "never_fix": br.never_fix,
         "initial_endpoint": br.initial_endpoint,
-        "free_constant_count": an.budget.free,
+        "free_constant_count": br.free,
         "preconditions": plan.preconditions,
     }
-    bud = an.budget
     rep["integral_constants"] = {
-        "total": bud.total,
-        "occupied": bud.occupied,
-        "free": bud.free,
-        "by_boundary": bud.by_boundary,
-        "by_gauge": bud.by_gauge,
+        "total": br.total,
+        "occupied": br.occupied,
+        "free": br.free,
+        "by_boundary": br.by_boundary,
+        "by_gauge": br.by_gauge,
     }
     return rep
 

@@ -72,10 +72,10 @@ def test_row_spans_match_classification(charts):
         def span_rank(exprs):
             return rank(ExprMatrix.from_rows([[e.diff(s) for s in z] for e in exprs])) if exprs else 0
 
-        psi = [r.expr(t, fos.phase) for r in ch.rows_by_role("Psi")]
+        psi = [r.expr(t, fos.phase) for _xi, r in ch.pairs("Xi")]
         fc = [rep.expr for rep in res.first_class]
         assert span_rank(psi) == span_rank(fc) == span_rank(psi + fc)
-        theta = [r.expr(t, fos.phase) for r in ch.rows_by_role("ThU") + ch.rows_by_role("ThD")]
+        theta = [r.expr(t, fos.phase) for pair in ch.pairs("ThU") for r in pair]
         cons = [c.expr for c in res.constraints]
         assert span_rank(psi + theta) == span_rank(cons) == span_rank(psi + theta + cons)
 
@@ -224,6 +224,7 @@ def numpy_float_deviation(matrix):
     return s.T @ j @ s - j
 
 
+@pytest.mark.extras
 def test_verify_chart_float_matches_numpy_reference():
     # seeded float charts, dims 2..12: symplectic ones, some with one entry
     # moved by a few tol, sqrt2 pair rotations, entries drawn from
@@ -751,6 +752,7 @@ def test_report_transforms_once_and_never_brackets(monkeypatch):
             assert calls == {"transform": int(stage == "report"), "poisson": 0}, (str(path), gauge_fixing, stage)
 
 
+@pytest.mark.extras
 def test_supplied_chart_span_checks_match_rank_oracle():
     # the supplied-chart import settles its span checks with one elimination;
     # the rank comparisons it replaced are the oracle, on l3's chart with its
@@ -801,7 +803,7 @@ def test_supplied_chart_span_checks_match_rank_oracle():
         an = analyze_system(parse_system_file(text))
         want = oracle(an, chart_rows)
         try:
-            got = [r.generation for r in attach_chart(an).chart.rows_by_role("Psi")]
+            got = [r.generation for _xi, r in attach_chart(an).chart.pairs("Xi")]
         except InputError as exc:
             got = str(exc)
         assert got == want, chart_rows

@@ -227,6 +227,7 @@ def test_l4_pons_chain(l4_pons):
         assert str(poisson(by_expr[a], by_expr[b], fos.phase)) == v
 
 
+@pytest.mark.extras
 def test_gram_kernel_matches_sympy_nullspace():
     """The first-class combinations are sympy's nullspace basis (one vector per
     free column), each scaled to a leading 1 and given as its qq integer row,
@@ -343,6 +344,7 @@ def greedy_unit_complement(basis, m, k):
     return chosen
 
 
+@pytest.mark.extras
 def test_unit_complement_matches_greedy_rank_loop():
     import random
     from fractions import Fraction

@@ -1,6 +1,8 @@
+import json
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,7 +11,6 @@ from hamdirac import (
     build_chart,
     boundary_report,
     effective_hamiltonian,
-    integral_constant_budget,
     load_system_file,
     parse_expr,
     pullback_total_lagrangian,
@@ -17,7 +18,7 @@ from hamdirac import (
     select_embedding,
     transform,
 )
-from hamdirac.embedding import ConstantBudget, EmbeddingError, GaugeError, resolve_plan
+from hamdirac.embedding import EmbeddingError, GaugeError, resolve_plan
 from hamdirac.expr import Expr
 
 from conftest import L1_SRC, analyzed, chart_hamiltonian, l3_family, linear_form, rng_for
@@ -122,18 +123,15 @@ def test_l3_boundary_reports_tilde_vs_gauge():
     assert br.fix_both_ends == ("Q1",)
     assert br.fix_initial_only == ("Xi2",)
     assert br.never_fix == ("Xi1",)
-    # ledger closure: 2*both + initial + occupied + never = 2n
-    bud = integral_constant_budget(res, plan)
-    assert bud.free == 4
-    assert 2 * len(br.fix_both_ends) + len(br.fix_initial_only) + bud.occupied + len(br.never_fix) == 2 * res.phase.n
+    assert br.free == 4
+    assert constant_counts(br) == reference_budget(res, plan.kind)
 
     # re-running with the gauge fixed moves every never-fix coordinate out
     t, fos, res, ch, plan = planned(analyzed(L3_SRC, ["q1", "q2", "q3", "q4"]), gauge=True)
     br2 = boundary_report(ch, plan)
     assert br2.fix_both_ends == ("Q1",) and not br2.fix_initial_only and not br2.never_fix
-    bud2 = integral_constant_budget(res, plan)
-    assert bud2.occupied == 6
-    assert 2 * len(br2.fix_both_ends) + bud2.occupied == 2 * res.phase.n
+    assert br2.occupied == 6
+    assert constant_counts(br2) == reference_budget(res, plan.kind)
 
 
 def test_boundary_ledger_all_plans():
@@ -152,11 +150,7 @@ def test_boundary_ledger_all_plans():
             ch = build_chart(res)
             plan = resolve_plan(select_embedding(res, gauge), res, ch, chart_hamiltonian(res, ch))
             br = boundary_report(ch, plan)
-            bud = integral_constant_budget(res, plan)
-            assert (
-                2 * len(br.fix_both_ends) + len(br.fix_initial_only) + bud.occupied + len(br.never_fix)
-                == 2 * res.phase.n
-            )
+            assert constant_counts(br) == reference_budget(res, plan.kind)
             assert len(br.never_fix) == (res.primary_fc_count if plan.kind.endswith("_tilde") else 0)
 
 
@@ -264,7 +258,7 @@ def test_pullback_kinetic_matrix_nondegenerate(l2, l3, l4_ssok, l4_pons):
         # invertible iff the P-Hessian of H is nonsingular
         from hamdirac.linalg import ExprMatrix, rank
 
-        p_rows = [r.symbol for r in ch.rows_by_role("P")]
+        p_rows = [p.symbol for _q, p in ch.pairs("Q")]
         h = -pb.minus_h
         if pb.eps_values:
             h = h.substitute({e: Expr.const(t, v) for e, v in pb.eps_values.items()})
@@ -309,18 +303,11 @@ def test_pullback_epsilon_name_taken_by_another_kind(l2):
 
 
 def test_integral_constant_budgets(l1, l2, l3):
-    t, fos, res = l1
-    bud = integral_constant_budget(res, select_embedding(res, gauge_fixing=False))
-    assert (bud.total, bud.occupied, bud.free) == (6, 3, 3)
-    assert (bud.by_boundary, bud.by_gauge) == (2, 1)
-    t, fos, res = l2
-    bud = integral_constant_budget(res, select_embedding(res, gauge_fixing=False))
-    assert (bud.total, bud.occupied, bud.free) == (4, 2, 2)
-    t, fos, res = l3
-    bud = integral_constant_budget(res, select_embedding(res, gauge_fixing=False))
-    assert (bud.total, bud.occupied, bud.free) == (8, 4, 4)
-    bud = integral_constant_budget(res, select_embedding(res, gauge_fixing=True))
-    assert (bud.total, bud.occupied, bud.free) == (8, 6, 2)
+    cases = [(l1, False, (6, 3, 3, 2, 1)), (l2, False, (4, 2, 2, 2, 0)), (l3, False, (8, 4, 4, 3, 1)),
+             (l3, True, (8, 6, 2, 2, 0))]
+    for trip, gauge, want in cases:
+        t, fos, res, ch, plan = planned(trip, gauge=gauge)
+        assert constant_counts(boundary_report(ch, plan)) == want == reference_budget(res, plan.kind)
 
 
 # the gauge-fixing table as a table of kinds: the chart roles whose rows each
@@ -334,6 +321,10 @@ REFERENCE_FIXED_ROLES = {
     "sigma3_tilde": ("Psi", "ThU", "ThD"),
     "trivial": (),
 }
+
+
+def constant_counts(br):
+    return br.total, br.occupied, br.free, br.by_boundary, br.by_gauge
 
 
 def reference_budget(res, kind):
@@ -385,7 +376,25 @@ def test_one_flag_fixes_the_rows_and_constants_of_the_kind_table():
         assert plan.gauge_fixed == (plan.kind in ("sigma1", "sigma3")), name
         roles = REFERENCE_FIXED_ROLES[plan.kind]
         assert list(plan.fixed) == [r.name for r in ch.rows if r.role in roles], name
-        bud = integral_constant_budget(res, plan)
-        assert tuple(getattr(bud, k) for k in ConstantBudget.__slots__) == reference_budget(res, plan.kind), name
-        assert bud.occupied == len(plan.fixed), name
+        br = boundary_report(ch, plan)
+        assert constant_counts(br) == reference_budget(res, plan.kind), name
+        assert br.occupied == len(plan.fixed), name
     assert kinds == set(REFERENCE_FIXED_ROLES)
+
+
+def test_report_goldens_count_their_constants_off_the_prescription():
+    # each report golden's integral constants, read from its JSON: they are
+    # the kind table's counts (primary first-class constraints: generation 1)
+    # and, as the report now derives them, the boundary lists' counts
+    goldens = sorted((Path(__file__).resolve().parent / "golden").glob("*.report.json"))
+    assert len(goldens) == 17
+    for path in goldens:
+        rep = json.loads(path.read_text())
+        cls, br, ic = rep["classification"], rep["boundary"], rep["integral_constants"]
+        res = SimpleNamespace(F=cls["F"], S=cls["S"], phase=SimpleNamespace(n=rep["n"]),
+                              primary_fc_count=sum(c["generation"] == 1 for c in cls["first_class"]))
+        got = (ic["total"], ic["occupied"], ic["free"], ic["by_boundary"], ic["by_gauge"])
+        assert got == reference_budget(res, rep["embedding"]["kind"]), path.name
+        by_boundary = 2 * len(br["fix_both_ends"]) + len(br["fix_initial_only"])
+        assert (ic["by_boundary"], ic["by_gauge"]) == (by_boundary, len(br["never_fix"])), path.name
+        assert ic["free"] == br["free_constant_count"] == by_boundary + len(br["never_fix"]), path.name

@@ -19,6 +19,7 @@ from hamdirac.expr import Expr, ZeroDenominator, _mono_key
 
 from conftest import linear_form, rng_for
 
+pytestmark = pytest.mark.extras
 sp = pytest.importorskip("sympy")
 
 NAMES = ("q1", "q2", "q3")

@@ -89,7 +89,7 @@ def test_constraint_with_constant_offset():
     assert [str(c.expr) for c in res.constraints] == ["p2 - 1"]
     assert (res.F, res.S, res.dof) == (1, 0, 1)
     ch = build_chart(res)
-    psi = ch.rows_by_role("Psi")[0]
+    psi = ch.pairs("Xi")[0][1]
     assert chart_offsets(ch)[ch.rows.index(psi)] == Fraction(-1)
     assert psi.expr(t, fos.phase) == parse_expr("p2 - 1", t)
     ok, violations, _ = verify_chart(chart_matrix(ch), mode="exact")

@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from hamdirac import ExprMatrix, SymbolTable, parse_expr, rank, solve_linear
 from hamdirac.expr import Expr
 
@@ -165,6 +167,7 @@ def test_fraction_free_handles_rational_entries():
     assert rank_naive(m) == 1
 
 
+@pytest.mark.extras
 def test_rank_matches_sympy_on_rational_function_matrices():
     # M = L R with an identity block in L and in R has rank exactly r; rows
     # scaled by rational functions and rows and columns shuffled

@@ -518,9 +518,8 @@ def simulated_hamiltonians():
             sysfiles.append((f"{kind}{k}", parse_system_file(text), None))
     for label, sysfile, path in sysfiles:
         an = run_pipeline(sysfile, PipelineOptions(path=path), stage="simulate")
-        q_rows = an.chart.rows_by_role("Q")
-        if q_rows:
-            yield label, reduced_hamiltonian(an), [(q.symbol, an.chart.conjugate(q).symbol) for q in q_rows]
+        if qp_rows := an.chart.pairs("Q"):
+            yield label, reduced_hamiltonian(an), [(q.symbol, p.symbol) for q, p in qp_rows]
 
 
 def test_compile_field_affine_form_matches_the_hessian_reference():

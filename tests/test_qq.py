@@ -1,8 +1,9 @@
 """The exact elimination kernel against oracles that share no code with it.
 
 sympy supplies rref, rank and consistency (`rref_rows` is checked through
-`to_row` and `from_row`); products and inverses of the symplectic checks are
-plain list arithmetic written here.
+`to_row` and `from_row`), imported only by the two tests that use it (marked
+`extras`); products and inverses of the symplectic checks are plain list
+arithmetic written here.
 """
 
 import math
@@ -10,7 +11,7 @@ import random
 from fractions import Fraction
 from importlib import resources
 
-import sympy
+import pytest
 
 from hamdirac import SymbolTable, build_chart, qq, transform
 from hamdirac.chart import CanonicalChart, ChartRow, _chart_map
@@ -43,6 +44,8 @@ def random_matrix(rng, rows, cols):
 
 
 def to_sympy(m):
+    import sympy
+
     return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in m])
 
 
@@ -52,6 +55,7 @@ def matrices(name, count=60):
         yield rng, random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
 
 
+@pytest.mark.extras
 def test_rref_matches_sympy_in_natural_and_permuted_order():
     for rng, m in matrices("qq-rref"):
         cols = len(m[0])
@@ -77,6 +81,7 @@ def test_rref_pivot_rule_first_unused_row():
     assert qq.rref_rows(rows, [1, 0]) == {1: 0, 0: 1}
 
 
+@pytest.mark.extras
 def test_solve_satisfies_or_reports_inconsistency():
     for rng, m in matrices("qq-solve"):
         cols = len(m[0])

@@ -17,7 +17,7 @@ import pytest
 from hamdirac import SymbolTable, classify, dirac_iterate, parse_expr
 from hamdirac.chart import CanonicalChart, ChartError, ChartRow, build_chart, frobenius_check
 from hamdirac.dirac import ClassRep, DiracResult
-from hamdirac.embedding import EmbeddingError, EmbeddingPlan, integral_constant_budget, select_embedding
+from hamdirac.embedding import EmbeddingError, EmbeddingPlan, select_embedding
 from hamdirac.expr import Expr
 from hamdirac.lagrangian import FirstOrderSystem, LagrangianSystem, PhaseSpace, legendre, ostrogradsky_reduce, pons_reduce
 from hamdirac.cli import reduced_hamiltonian
@@ -288,8 +288,6 @@ def test_stages_after_dirac_iterate_ask_for_a_classified_result():
         frobenius_check(bare)
     with pytest.raises(EmbeddingError, match="classify"):
         select_embedding(bare, False)
-    with pytest.raises(ChartError, match="classify"):
-        integral_constant_budget(bare, EmbeddingPlan("sigma1"))
     assert build_chart(classify(bare)).n == an.fos.phase.n
 
 
@@ -333,7 +331,7 @@ def test_every_record_reachable_from_a_run_is_frozen():
     # exception, mutable buffers on purpose (the integrator's memory layout)
     reports = [run_pipeline(load_system_file(p), PipelineOptions(path=o), stage="report") for p, o in STAGE_CASES]
     an = run_pipeline(load_system_file(FIXTURES / "l2.sys"), PipelineOptions(), stage="simulate")
-    pairs = [(q.symbol, an.chart.conjugate(q).symbol) for q in an.chart.rows_by_role("Q")]
+    pairs = [(q.symbol, p.symbol) for q, p in an.chart.pairs("Q")]
     field = compile_field(reduced_hamiltonian(an), pairs)
     sol = solve_iota(field, {"Q1": (1.0, 0.5)}, 0.0, 1.0, step=1e-2)
     built = [ExprMatrix(0, 0, []), LinearSolution([], []), _Variational([], None, None, 0)]

@@ -323,6 +323,29 @@ def test_cli_supplied_chart_checks_exit_2(tmp_path, capsys, head, rows, message)
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["report", "simulate"])
+def test_cli_psi_row_mixing_a_primary_with_a_later_constraint_exits_2(tmp_path, capsys, command):
+    # Psi1 + Psi2 still spans the first-class constraints, so the import takes
+    # it, but no Psi row is a primary momentum left to pin without a gauge
+    rows = {**L3_ROWS, "Psi1": f"{L3_ROWS['Psi1']} + p3", "Xi2": f"{L3_ROWS['Xi2']} - ({L3_ROWS['Xi1']})"}
+    path = tmp_path / "l3mixed.sys"
+    path.write_text(L3_HEAD + "[chart]\n" + "".join(f"{k} = {v}\n" for k, v in rows.items()), encoding="utf-8")
+    extra = ["--bc", "Q1=1:0", "--t2", "1"] if command == "simulate" else []
+    assert main([command, str(path), *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: only 0 of the chart's Psi rows are primary first-class momenta, 1 needed: a Psi row that mixes a "
+        "primary constraint with a later one cannot be pinned to 0 in advance; fix the gauge (--gauge-fixing) or "
+        "keep each primary in a Psi row of its own\n"
+    )
+    if command == "report":
+        assert main([command, str(path), "--gauge-fixing"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["embedding"]["kind"] == "sigma3" and rep["chart"]["source"] == "supplied"
+        assert [r["generation"] for r in rep["chart"]["rows"] if r["role"] == "Psi"] == [2, 2]
+
+
 def test_cli_simulate_l2(tmp_path, capsys):
     csv_path = tmp_path / "traj.csv"
     rc = main(
@@ -471,6 +494,24 @@ def test_cli_simulate_accepts_initial_only_gauge_position(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == "45945ded32841b27d820fc05323ef4b472674303fd058b6ba1a7db7f47da64fb"
 
 
+def test_cli_simulate_labels_xi_by_the_initial_endpoint(tmp_path, capsys):
+    # fix_endpoint = t2 fixes Xi2 at t2: the --xi value and the refusal say so
+    path = tmp_path / "l3t2.sys"
+    path.write_text(Path(fixture("l3.sys")).read_text(encoding="utf-8") + "\n[options]\nfix_endpoint = t2\n",
+                    encoding="utf-8")
+    argv = ["simulate", str(path), "--bc", "Q1=1:0", "--t2", "1"]
+    assert main([*argv, "--xi", "Xi2=1/2"]) == 0
+    t2 = json.loads(capsys.readouterr().out)
+    assert main(["simulate", fixture("l3.sys"), "--bc", "Q1=1:0", "--xi", "Xi2=1/2", "--t2", "1"]) == 0
+    t1 = json.loads(capsys.readouterr().out)
+    assert list(t2["constants"]) == ["Q1(t1)", "P1(t1)", "Xi2(t2)", "A", "B"]
+    assert list(t2["constants"].values()) == list(t1["constants"].values())
+    assert main([*argv, "--xi", "Xi1=3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --xi Xi1: not a gauge position fixed at t2 only (these are: Xi2)\n"
+
+
 def test_cli_simulate_parses_bc_and_xi_like_times(capsys):
     runs = {}
     for spec in ("Q1=0.5:0", "Q1=1/2:0", "Q1=pi/4:0", "Q1=0.7853981633974483:0"):
@@ -587,6 +628,26 @@ def test_cli_epsilon_overrides_the_file_epsilon(tmp_path, capsys):
     for extra, want in (([], "1"), (["--epsilon", "ThU1=2"], "2")):
         assert main(["report", str(path), *extra]) == 0
         assert json.loads(capsys.readouterr().out)["pullback"]["epsilon_values"]["eps_ThU1"] == want
+
+
+@pytest.mark.parametrize(
+    "lagrangian, extra, message",
+    [
+        ("(1/2)*d(q1)^2 + 1/(1 + dd(q1)^2)", [], "order 1 system uses dd(q1); declare order 2"),
+        ("(1/2)*d(q1)^2 + dd(q1)/(1 + dd(q1))", [], "order 1 system uses dd(q1); declare order 2"),
+        ("(1/2)*d(q1)^2 + dd(q1)", [], "order 1 system uses dd(q1); declare order 2"),
+        ("(1/2)*d(q1)^2", ["--path", "ssok"], "path option applies to order-2 systems only"),
+    ],
+    ids=["denominator", "net-degree-0", "numerator", "path"],
+)
+def test_cli_order_1_input_checks_exit_2(tmp_path, capsys, lagrangian, extra, message):
+    # dd(q) anywhere in an order-1 L, a denominator included, is refused
+    f = tmp_path / "o1.sys"
+    f.write_text(f"system o1\ncoordinates q1\norder 1\nL = {lagrangian}\n", encoding="utf-8")
+    assert main(["analyze", str(f), *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_cli_lagrangian_non_ascii_digit_exits_2(tmp_path, capsys):
