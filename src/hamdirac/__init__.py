@@ -9,7 +9,7 @@ the boundary conditions that make the variational principle well-posed.
 from .symbols import Symbol, SymbolTable
 from .expr import Expr, ExprError
 from .parser import ParseError, parse_expr
-from .linalg import ExprMatrix, rank, solve_linear
+from .linalg import rank, solve_linear
 from .lagrangian import (
     FirstOrderSystem,
     LagrangianSystem,
@@ -70,7 +70,6 @@ __all__ = [
     "EmbeddingPlan",
     "Expr",
     "ExprError",
-    "ExprMatrix",
     "FirstOrderSystem",
     "GaugeError",
     "InconsistentTheory",

@@ -433,20 +433,20 @@ def transform(e: Expr, chart: CanonicalChart) -> Expr:
 # integrability
 
 class FrobeniusReport(_Record):
-    __slots__ = ("residuals", "verdict", "budget_used", "budget_total", "budget_ok")
+    __slots__ = ("residuals", "verdict")
 
-    def __init__(self, residuals: tuple, verdict: bool, budget_used: int, budget_total: int, budget_ok: bool):
-        # residuals: (coordinate name, residual Expr)
-        self._fields(residuals, verdict, budget_used, budget_total, budget_ok)
+    def __init__(self, residuals: tuple, verdict: bool):
+        # residuals: (coordinate name, residual Expr); verdict: every residual vanishes
+        self._fields(residuals, verdict)
 
 
 def frobenius_check(result: DiracResult) -> "FrobeniusReport":
     """Hamilton-side integrability: the free-multiplier 1-form residuals
-    -sum_alpha zeta^alpha dPhi_alpha/dq_i must vanish per position coordinate,
-    and the constraint count must respect the 2n budget.  The constraints are
-    affine with constant coefficients, so no residual can vanish only weakly:
-    nothing is reduced: residual i is column q_i of the first-class primaries'
-    rows (the first `primary_fc_count` of `first_class`), over the multipliers."""
+    -sum_alpha zeta^alpha dPhi_alpha/dq_i must vanish per position coordinate.
+    The constraints are affine with constant coefficients, so no residual can
+    vanish only weakly: nothing is reduced: residual i is column q_i of the
+    first-class primaries' rows (the first `primary_fc_count` of
+    `first_class`), over the multipliers."""
     if not result.classified:
         raise ChartError("classify the Dirac result before the Frobenius check")
     phase = result.phase
@@ -461,8 +461,4 @@ def frobenius_check(result: DiracResult) -> "FrobeniusReport":
             if i < phase.n:
                 columns[i].append((a, -x * (den // d)))
     residuals = [(q.name, _row_expr((tuple(c), den), free, result.table)) for q, c in zip(phase.positions, columns)]
-    ok = all(r.is_zero() for _name, r in residuals)
-    used = len(result.constraints)
-    total = 2 * phase.n
-    budget_ok = used <= total
-    return FrobeniusReport(residuals, ok and budget_ok, used, total, budget_ok)
+    return FrobeniusReport(residuals, all(r.is_zero() for _name, r in residuals))

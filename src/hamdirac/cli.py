@@ -24,14 +24,18 @@ simulate fails with 1 in three documented ways:
         it, left the floats at the RK4 step ending at grid time T (T = t1:
         the initial state)
 
-simulate exits 2 when a physical position Q of the chart has no --bc, a --bc
-name is not such a position, a --xi name is not a gauge position fixed at
-one endpoint only (t1, or t2 by the file's fix_endpoint option, which also
-labels the --xi values), t2 does not exceed t1, or the grid from t1 to t2 at
---step needs more than MAX_STEPS = 10**7 RK4 steps (counted as max(1,
-ceil((t2 - t1) / step - 1e-12)), before anything is compiled or integrated).  verify-chart
-exits 2 when the matrix is not square with an even dimension, and when --tol
-is negative, nan or infinite; exact mode ignores --tol.  A --bc, --xi or
+simulate exits 2 when no physical (Q, P) block survives the embedding
+("nothing to simulate"), when the reduced Hamiltonian depends on a chart
+coordinate the embedding does not fix (a gauge position Xi that a nonzero
+epsilon brings into H; the message names both), when a physical position Q
+of the chart has no --bc, a --bc name is not such a position, a --xi name is
+not a gauge position fixed at one endpoint only (t1, or t2 by the file's
+fix_endpoint option, which also labels the --xi values), t2 does not exceed
+t1, or the grid from t1 to t2 at --step needs more than MAX_STEPS = 10**7
+RK4 steps (counted as max(1, ceil((t2 - t1) / step - 1e-12)), before
+anything is compiled or integrated).  verify-chart exits 2 when the matrix
+is not square with an even dimension, and when --tol is negative, nan or
+infinite; exact mode ignores --tol.  A --bc, --xi or
 --epsilon name or a --gauge-fixing multiplier given twice exits 2.
 report --gauge-fixing with a CONDS that names no condition (empty, blank,
 or only commas and blanks) is the bare flag: the file's [gauge] conditions
@@ -53,12 +57,12 @@ from fractions import Fraction
 
 from .dirac import BudgetExceeded, DiracError, InconsistentTheory
 from .embedding import EmbeddingError, GaugeError
-from .expr import Expr, ExprError
+from .expr import ExprError
 from .lagrangian import MechanicsError, UnsupportedShape
 from .linalg import LinalgError
 from .numerics import NumericsError, compile_field, solve_iota
 from .parser import ParseError, parse_expr
-from .report import Analysis, PipelineOptions, build_report, report_json, run_pipeline
+from .report import PipelineOptions, build_report, report_json, run_pipeline
 from .chart import ChartError, verify_chart
 from .symbols import SymbolTable
 from .sysfile import InputError, SysFileError, load_system_file
@@ -215,8 +219,17 @@ def _cmd_simulate(args) -> int:
         raise InputError("t2 must exceed t1")
     if not (t2 - t1) / step - 1e-12 <= MAX_STEPS:  # numerics' step count, inf included
         raise InputError(f"[{t1}, {t2}] at step {step} needs more than MAX_STEPS = {MAX_STEPS} RK4 steps")
-    reduced_h = reduced_hamiltonian(an)
-    field = compile_field(reduced_h, [(q.symbol, p.symbol) for q, p in qp_rows])
+    pairs = [(q.symbol, p.symbol) for q, p in qp_rows]
+    h = an.pullback.hamiltonian
+    qp = {s for pair in pairs for s in pair}
+    loose = [s.name for s in h.free_symbols() if s not in qp]
+    if loose:
+        eps = ", ".join(f"{name}={v}" for name, v in an.plan.fixed.items() if v)
+        raise InputError(
+            f"the reduced Hamiltonian depends on {', '.join(loose)}, which the embedding does not fix"
+            f"{f' (epsilon {eps})' if eps else ''}; simulate integrates the (Q, P) block alone"
+        )
+    field = compile_field(h, pairs)
     boundary = {}
     for item in args.bc:
         name, _, vals = item.partition("=")
@@ -226,18 +239,18 @@ def _cmd_simulate(args) -> int:
         if name.strip() in boundary:
             raise InputError(f"--bc {name.strip()} given twice")
         boundary[name.strip()] = (_parse_real(v1, "--bc value"), _parse_real(v2, "--bc value"))
-    init_only = {}
+    xi = {}
     for item in args.xi:
         name, _, val = item.partition("=")
         if not val:
             raise InputError(f"--xi wants NAME=VAL, got {item!r}")
-        if name.strip() in init_only:
+        if name.strip() in xi:
             raise InputError(f"--xi {name.strip()} given twice")
-        init_only[name.strip()] = _parse_real(val, "--xi value")
+        xi[name.strip()] = _parse_real(val, "--xi value")
     end = an.boundary.initial_endpoint
     for flag, given, allowed, what in (
         ("--bc", boundary, an.boundary.fix_both_ends, "a physical position"),
-        ("--xi", init_only, an.boundary.fix_initial_only, f"a gauge position fixed at {end} only"),
+        ("--xi", xi, an.boundary.fix_initial_only, f"a gauge position fixed at {end} only"),
     ):
         stray = [nm for nm in given if nm not in allowed]
         if stray:
@@ -245,32 +258,24 @@ def _cmd_simulate(args) -> int:
     missing = [q for q in an.boundary.fix_both_ends if q not in boundary]
     if missing:
         raise InputError(f"--bc missing for {', '.join(missing)}: every physical position needs Q=V1:V2")
-    sol = solve_iota(field, boundary, t1, t2, step=step, init_only=init_only)
+    sol = solve_iota(field, boundary, t1, t2, step=step)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             sol.trajectory.write_csv(fh)
-    label = {f"{nm}(t1)": f"{nm}({end})" for nm in init_only}  # solve_iota labels every value at t1
+    # the --xi values follow the (Q, P) constants, labelled by the endpoint that fixes them
+    items = list(sol.constants.items())
+    items[2 * len(pairs):2 * len(pairs)] = [(f"{nm}({end})", v) for nm, v in xi.items()]
     out = {
         "system": an.sysfile.name,
         "t1": t1,
         "t2": t2,
         "initial_state": list(sol.initial_state),
-        "constants": {label.get(k, k): (list(v) if isinstance(v, tuple) else v) for k, v in sol.constants.items()},
+        "constants": {k: (list(v) if isinstance(v, tuple) else v) for k, v in items},
         "residual": sol.residual,
         "condition": sol.condition,
     }
     sys.stdout.write(json.dumps(out, indent=2) + "\n")
     return 0
-
-
-def reduced_hamiltonian(an: Analysis):
-    """Pulled-back Hamiltonian on the surviving (Q, P) block, epsilons applied."""
-    pb = an.pullback
-    table = an.table
-    h = -(pb.minus_h)
-    if pb.eps_values:
-        h = h.substitute({e: Expr.const(table, v) for e, v in pb.eps_values.items()})
-    return h
 
 
 def _chart_entry(v, i, k, mode):

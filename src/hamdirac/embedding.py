@@ -1,15 +1,21 @@
 """Embedding selection, pullback Lagrangians and boundary prescriptions.
 
-One flag decides an embedding, `EmbeddingPlan.gauge_fixed`: every plan fixes
-the constraint block's Psi, ThU and ThD rows; a gauge-fixed plan also fixes
-the gauge positions (Xi), and any other plan pins the primary first-class
+One call resolves an embedding: `resolve_plan(result, chart, ht,
+gauge_fixing, epsilon)` builds the one `EmbeddingPlan`.  Its gauge argument
+is False, True (derive the gauge) or the gauge conditions themselves, and one
+flag of the plan, `gauge_fixed`, then decides the rest: every plan fixes the
+constraint block's Psi, ThU and ThD rows; a gauge-fixed plan also fixes the
+gauge positions (Xi), and any other plan pins the primary first-class
 momenta to zero in advance.  The kind is the gauge-fixing table's label for
-the result: sigma1 (gauge fixed) or sigma1~ for first-class only systems,
-sigma2 for second-class only ones, sigma3 or sigma3~ for mixed ones, trivial
-for an unconstrained system.
+the result, `select_embedding`'s: sigma1 (gauge fixed) or sigma1~ for
+first-class only systems, sigma2 for second-class only ones, sigma3 or
+sigma3~ for mixed ones, trivial for an unconstrained system.
 
-`BoundaryReport` is the one record of what an embedding fixes and of the
-integral constants that costs, counted off its lists of fixed rows.
+`PullbackLagrangian` holds the pullback of L_T = P dQ - H_T, and with it H_T
+on the embedding at the epsilon values, the Hamiltonian `simulate`
+integrates.  `BoundaryReport` is the one record of what an embedding fixes
+and of the integral constants that costs, counted off its lists of fixed
+rows.
 """
 
 from __future__ import annotations
@@ -33,54 +39,56 @@ class GaugeError(EmbeddingError):
 class EmbeddingPlan(_Record):
     __slots__ = ("kind", "fixed", "gauge_fixed", "gauge_multiplier_solutions", "preconditions")
 
-    def __init__(self, kind: str, fixed: dict = {}, gauge_fixed: bool = False, gauge_multiplier_solutions: dict = {},
-                 preconditions: tuple = ()):
+    def __init__(self, kind: str, fixed: dict, gauge_fixed: bool, gauge_multiplier_solutions: dict,
+                 preconditions: tuple):
         # kind: the report's label, sigma1 | sigma1_tilde | sigma2 | sigma3 |
         # sigma3_tilde | trivial; fixed: chart row name -> Fraction epsilon;
         # gauge_multiplier_solutions: Symbol -> Expr (chart space)
         self._fields(kind, fixed, gauge_fixed, gauge_multiplier_solutions, preconditions)
 
 
-def select_embedding(result: DiracResult, gauge_fixing: bool) -> EmbeddingPlan:
-    """Embedding kind for the constraint classes (the gauge-fixing table)."""
+def select_embedding(result: DiracResult, gauge_fixing: bool | dict) -> str:
+    """Embedding kind for the constraint classes (the gauge-fixing table);
+    `gauge_fixing` counts by its truth value."""
     if not result.classified:
         raise EmbeddingError("classify the Dirac result before selecting an embedding")
     f_cnt, s_cnt = result.F, result.S
     if f_cnt == 0 and s_cnt == 0:
-        kind = "trivial"
-    elif s_cnt == 0:
-        kind = "sigma1" if gauge_fixing else "sigma1_tilde"
-    elif f_cnt == 0:
-        kind = "sigma2"
-    else:
-        kind = "sigma3" if gauge_fixing else "sigma3_tilde"
-    return EmbeddingPlan(kind, gauge_fixed=gauge_fixing and f_cnt > 0)
+        return "trivial"
+    if s_cnt == 0:
+        return "sigma1" if gauge_fixing else "sigma1_tilde"
+    if f_cnt == 0:
+        return "sigma2"
+    return "sigma3" if gauge_fixing else "sigma3_tilde"
 
 
 def resolve_plan(
-    plan: EmbeddingPlan,
     result: DiracResult,
     chart: CanonicalChart,
     ht: Expr,
+    gauge_fixing: bool | dict = False,
     epsilon: dict | None = None,
-    gauge_conditions: dict | None = None,
 ) -> EmbeddingPlan:
-    """A copy of `plan` with the fixed-coordinate values and gauge data for a
-    chart filled in; `plan` itself is left untouched.
+    """The embedding of `result` in `chart`: its kind, fixed-coordinate values
+    and gauge data.
 
     ht is H_T in the chart's symbols, `transform(result.total_hamiltonian(),
-    chart)`.  epsilon maps chart row names to rational values (default 0, the
-    limit that restores the constraint surface).  Unless the gauge is fixed
-    the primary first-class momenta are pinned to zero regardless.  Given
-    gauge conditions are checked whatever the plan; a gauge-fixed plan
-    without them derives its gauge.
+    chart)`.  gauge_fixing is False, True (derive the gauge) or the gauge
+    conditions themselves, {multiplier Symbol: Expr}; given conditions are
+    checked whatever the system, so conditions on a system with no gauge to
+    fix raise GaugeError.  epsilon maps chart row names to rational values
+    (default 0, the limit that restores the constraint surface).  Unless the
+    gauge is fixed the primary first-class momenta are pinned to zero
+    regardless.
     """
+    kind = select_embedding(result, gauge_fixing)
+    gauge_fixed = kind in ("sigma1", "sigma3")
     epsilon = dict(epsilon or {})
-    roles = ("Xi", "Psi", "ThU", "ThD") if plan.gauge_fixed else ("Psi", "ThU", "ThD")
+    roles = ("Xi", "Psi", "ThU", "ThD") if gauge_fixed else ("Psi", "ThU", "ThD")
     fixed = {}
-    preconditions = list(plan.preconditions)
-    pinned = set() if plan.gauge_fixed else _primary_psi_names(chart)
-    if not plan.gauge_fixed and len(pinned) < result.primary_fc_count:
+    preconditions = []
+    pinned = set() if gauge_fixed else _primary_psi_names(chart)
+    if not gauge_fixed and len(pinned) < result.primary_fc_count:
         raise EmbeddingError(
             f"only {len(pinned)} of the chart's Psi rows are primary first-class momenta, {result.primary_fc_count} "
             f"needed: a Psi row that mixes a primary constraint with a later one cannot be pinned to 0 in advance; "
@@ -98,14 +106,15 @@ def resolve_plan(
             preconditions.append(f"{row.name} := 0 imposed in advance")
         fixed[row.name] = val
     if epsilon:
-        raise EmbeddingError(f"epsilon overrides for coordinates not fixed by {plan.kind}: {sorted(epsilon)}")
-    sols = plan.gauge_multiplier_solutions
-    if gauge_conditions:
-        verify_gauge(result, chart, ht, fixed, gauge_conditions)
-    if plan.gauge_fixed:
-        sols = gauge_conditions or derive_gauge(result, chart, ht, fixed)
+        raise EmbeddingError(f"epsilon overrides for coordinates not fixed by {kind}: {sorted(epsilon)}")
+    conditions = gauge_fixing if isinstance(gauge_fixing, dict) else {}
+    if conditions:
+        verify_gauge(result, chart, ht, fixed, conditions)
+    sols = {}
+    if gauge_fixed:
+        sols = conditions or derive_gauge(result, chart, ht, fixed)
         preconditions += [f"gauge fixing: {z.name} = {v}" for z, v in sols.items()]
-    return EmbeddingPlan(plan.kind, fixed, plan.gauge_fixed, sols, preconditions)
+    return EmbeddingPlan(kind, fixed, gauge_fixed, sols, preconditions)
 
 
 def _primary_psi_names(chart: CanonicalChart):
@@ -163,22 +172,23 @@ def verify_gauge(result: DiracResult, chart: CanonicalChart, ht: Expr, fixed: di
 
 
 class PullbackLagrangian(_Record):
-    __slots__ = ("kinetic", "minus_h", "total_derivative", "eps_values", "lagrangian", "constant")
+    __slots__ = ("kinetic", "minus_h", "total_derivative", "eps_values", "hamiltonian", "lagrangian", "constant")
 
-    def __init__(self, kinetic: Expr, minus_h: Expr, total_derivative: Expr, eps_values: dict, lagrangian: Expr,
-                 constant: Fraction):
+    def __init__(self, kinetic: Expr, minus_h: Expr, total_derivative: Expr, eps_values: dict, hamiltonian: Expr,
+                 lagrangian: Expr, constant: Fraction):
         # kinetic: sum of P*d(Q) over surviving pairs; minus_h: -H_T on the
         # embedding, fixed coordinates as epsilon symbols; total_derivative:
         # d/dt[Psi_a' Xi^a'] content for quasi-canonical kinds; eps_values:
-        # epsilon Symbol -> Fraction; lagrangian: kinetic + minus_h at the
-        # epsilon values, the additive `constant` removed
-        self._fields(kinetic, minus_h, total_derivative, eps_values, lagrangian, constant)
+        # epsilon Symbol -> Fraction; hamiltonian: H_T on the embedding at the
+        # epsilon values; lagrangian: kinetic - hamiltonian, the additive
+        # `constant` removed
+        self._fields(kinetic, minus_h, total_derivative, eps_values, hamiltonian, lagrangian, constant)
 
 
 def pullback_total_lagrangian(chart: CanonicalChart, plan: EmbeddingPlan, ht: Expr) -> PullbackLagrangian:
     """L_T = P dQ - H_T on the embedding `plan` fixes, `ht` H_T in chart symbols."""
     table = chart.table
-    if plan.gauge_fixed and plan.gauge_multiplier_solutions:
+    if plan.gauge_multiplier_solutions:
         ht = ht.substitute(plan.gauge_multiplier_solutions)
 
     pinned = set() if plan.gauge_fixed else _primary_psi_names(chart)
@@ -211,7 +221,7 @@ def pullback_total_lagrangian(chart: CanonicalChart, plan: EmbeddingPlan, ht: Ex
     value = minus_h.substitute({e: Expr.const(table, v) for e, v in eps_values.items()}) if eps_values else minus_h
     constant = _constant_part(value)
     lagrangian = kinetic + value - Expr.const(table, constant)
-    return PullbackLagrangian(kinetic, minus_h, td, eps_values, lagrangian, constant)
+    return PullbackLagrangian(kinetic, minus_h, td, eps_values, -value, lagrangian, constant)
 
 
 def _constant_part(e: Expr) -> Fraction:

@@ -22,7 +22,7 @@ import re
 
 from . import qq
 from .expr import Expr, ExprError, _row_expr
-from .linalg import ExprMatrix, solve_linear
+from .linalg import solve_linear
 from .symbols import Symbol, SymbolTable, _Record
 
 
@@ -173,7 +173,7 @@ def _expr_solve(genuine, defs: dict, vels, phase: PhaseSpace):
             raise UnsupportedShape(f"momentum of {c} not affine in velocities: {exc}") from exc
         a_rows.append([coeffs.get(v, Expr.const(table, 0)) for v in reversed(vels)])
         rhs.append(Expr.sym(table, p) - b)
-    sol = solve_linear(ExprMatrix.from_rows(a_rows), rhs)
+    sol = solve_linear(a_rows, rhs)
 
     def as_row(e):
         try:

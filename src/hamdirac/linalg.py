@@ -1,5 +1,8 @@
 """Matrices over the rational-function field: linear solving and rank.
 
+A matrix is the list of its rows, each a list of Exprs; `solve_linear`
+refuses ragged rows.
+
 These serve the step whose entries may be non-constant: the Legendre
 velocity solve of a kinetic matrix that depends on q, or of momenta that
 are not affine with constant coefficients (its leftover rows become the
@@ -26,20 +29,6 @@ class LinalgError(Exception):
     pass
 
 
-class ExprMatrix(_Record):
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows: int, cols: int, entries: tuple):
-        self._fields(rows, cols, entries)  # entries: rows of Expr, each a tuple
-
-    @staticmethod
-    def from_rows(rows_list) -> "ExprMatrix":
-        cols = len(rows_list[0]) if rows_list else 0
-        if any(len(r) != cols for r in rows_list):
-            raise LinalgError("ragged rows")
-        return ExprMatrix(len(rows_list), cols, [tuple(r) for r in rows_list])
-
-
 class LinearSolution(_Record):
     """Affine solution set of A x = b.
 
@@ -55,25 +44,28 @@ class LinearSolution(_Record):
         self._fields(particular, pivot_cols, witnesses, genericity_pivots)
 
 
-def solve_linear(a: ExprMatrix, b: list) -> LinearSolution:
-    """Full affine solution set of A x = b over the rational-function field.
+def solve_linear(rows: list, b: list) -> LinearSolution:
+    """Full affine solution set of A x = b over the rational-function field,
+    A given as its list of rows of Exprs.
 
     Elimination keeps rows in place (no swaps), so each leftover inconsistent
     equation is attributable to its original row index.  Each column pivots
     on the last eligible row, leaving the earliest redundant rows as the
     inconsistency witnesses.
     """
-    if a.rows != len(b):
+    m = len(rows)
+    n = len(rows[0]) if rows else 0
+    if any(len(r) != n for r in rows):
+        raise LinalgError("ragged rows")
+    if m != len(b):
         raise LinalgError("rhs length mismatch")
-    table = b[0].table if b else (a.entries[0][0].table if a.rows else None)
-    if table is None:
+    if not b:
         raise LinalgError("empty system without context")
-    zero = Expr.const(table, 0)
-    rows = [[*a.entries[i], b[i]] for i in range(a.rows)]
-    n = a.cols
+    zero = Expr.const(b[0].table, 0)
+    rows = [[*rows[i], b[i]] for i in range(m)]
     pivot_of_col, used_rows, generic = {}, set(), []
     for col in range(n):
-        piv = next((i for i in reversed(range(a.rows)) if i not in used_rows and not rows[i][col].is_zero()), None)
+        piv = next((i for i in reversed(range(m)) if i not in used_rows and not rows[i][col].is_zero()), None)
         if piv is None:
             continue
         pivot_of_col[col] = piv
@@ -83,7 +75,7 @@ def solve_linear(a: ExprMatrix, b: list) -> LinearSolution:
             generic.append(p)
         inv = 1 / p
         rows[piv] = [e * inv for e in rows[piv]]
-        for i in range(a.rows):
+        for i in range(m):
             if i == piv or rows[i][col].is_zero():
                 continue
             f = rows[i][col]
@@ -91,12 +83,14 @@ def solve_linear(a: ExprMatrix, b: list) -> LinearSolution:
     particular = [zero] * n
     for col, i in pivot_of_col.items():
         particular[col] = rows[i][n]
-    witnesses = [rows[i][n] for i in range(a.rows) if i not in used_rows and not rows[i][n].is_zero()]
+    witnesses = [rows[i][n] for i in range(m) if i not in used_rows and not rows[i][n].is_zero()]
     return LinearSolution(particular, sorted(pivot_of_col), witnesses, generic)
 
 
-def rank(m: ExprMatrix) -> int:
-    """Generic rank: the pivot count of `solve_linear` on A x = 0."""
-    if m.rows == 0 or m.cols == 0:
+def rank(rows: list) -> int:
+    """Generic rank of a list of rows of Exprs: the pivot count of
+    `solve_linear` on A x = 0."""
+    entry = next((e for r in rows for e in r), None)
+    if entry is None:  # no rows, or rows of no columns
         return 0
-    return len(solve_linear(m, [Expr.const(m.entries[0][0].table, 0)] * m.rows).pivot_cols)
+    return len(solve_linear(rows, [Expr.const(entry.table, 0)] * len(rows)).pivot_cols)

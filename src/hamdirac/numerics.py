@@ -369,19 +369,13 @@ class IotaSolution(_Record):
     def __init__(self, initial_state: tuple, constants: dict, trajectory: Trajectory, residual: float,
                  condition: float):
         # initial_state: full (Q1, P1, ...) at t1; constants: name -> float,
-        # the integral-constant parametrization; condition: of dQ(t2)/dP(t1)
+        # the integral-constant parametrization, Q(t1) and P(t1) of each pair
+        # (then A and B for the unit oscillator); condition: of dQ(t2)/dP(t1)
         # relative to dy(t2)/dP(t1), at the solution
         self._fields(initial_state, constants, trajectory, residual, condition)
 
 
-def solve_iota(
-    field: ReducedField,
-    boundary: dict,
-    t1: float,
-    t2: float,
-    step: float = 1e-3,
-    init_only: dict | None = None,
-) -> IotaSolution:
+def solve_iota(field: ReducedField, boundary: dict, t1: float, t2: float, step: float = 1e-3) -> IotaSolution:
     """Shooting solve of the two-point problem Q(t1), Q(t2) -> initial state.
 
     boundary maps each position symbol name to (value at t1, value at t2).
@@ -447,8 +441,6 @@ def solve_iota(
     for k, (qs, ps) in enumerate(field.pairs):
         constants[f"{qs.name}(t1)"] = q1[k]
         constants[f"{ps.name}(t1)"] = p[k]
-    for nm, val in (init_only or {}).items():
-        constants[f"{nm}(t1)"] = float(val)
     if field.oscillator_like and m == 1:
         qa, qb = q1[0], q2[0]
         s = cmath.sin(complex(t2 - t1))

@@ -20,7 +20,6 @@ from .embedding import (
     effective_hamiltonian,
     pullback_total_lagrangian,
     resolve_plan,
-    select_embedding,
 )
 from .expr import Expr, _frac_str
 from .lagrangian import LagrangianSystem, MechanicsError, counter_term, legendre, ostrogradsky_reduce, pons_reduce
@@ -110,16 +109,16 @@ def attach_embedding(an: Analysis) -> Analysis:
     """A copy of `an` with its embedding plan, pullback, boundary data and
     effective Hamiltonian; `an` is left untouched."""
     opts, gf = an.options, an.options.gauge_fixing
-    plan = select_embedding(an.result, bool(gf))
     if gf is True:  # the bare flag: the file's [gauge] rows, if it has any
         rows = an.sysfile.gauge
     else:
         rows = [(name, text, None) for name, text in gf.items()] if gf else ()
-    gauge_conditions = _parse_gauge_conditions(rows, an.table) if rows else None
+    if rows:
+        gf = _parse_gauge_conditions(rows, an.table)
     eps = {**an.sysfile.epsilon, **opts.epsilon}
     # H_T in chart symbols, transformed once for the plan, the pullback and the effective H
     ht = transform(an.result.total_hamiltonian(), an.chart)
-    plan = resolve_plan(plan, an.result, an.chart, ht, epsilon=eps, gauge_conditions=gauge_conditions)
+    plan = resolve_plan(an.result, an.chart, ht, gauge_fixing=gf, epsilon=eps)
     endpoint = opts.fix_endpoint or an.sysfile.options.get("fix_endpoint") or "t1"
     return an._replace(
         plan=plan,
@@ -197,10 +196,11 @@ def build_report(an: Analysis, stage: str = "report") -> dict:
     }
     if an.frobenius is not None:
         fr = an.frobenius
+        used, total = len(result.constraints), 2 * result.phase.n  # dirac_iterate stops past the budget (exit 5)
         rep["frobenius"] = {
             "verdict": "pass" if fr.verdict else "fail",
             "residuals": {name: str(e) for name, e in fr.residuals},
-            "budget": {"used": fr.budget_used, "total": fr.budget_total, "ok": fr.budget_ok},
+            "budget": {"used": used, "total": total, "ok": used <= total},
         }
     rep["flags"] = result.flags
     rep["genericity_pivots"] = sorted({str(p) for p in an.fos.genericity_pivots})

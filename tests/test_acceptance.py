@@ -17,7 +17,7 @@ from hamdirac import (
     verify_chart,
 )
 from hamdirac.cli import main as cli_main
-from hamdirac.linalg import ExprMatrix, rank
+from hamdirac.linalg import rank
 
 from conftest import (
     L1_SRC,
@@ -55,7 +55,7 @@ def span_rank(phase, exprs):
     z = phase.z_order()
     if not exprs:
         return 0
-    return rank(ExprMatrix.from_rows([[e.diff(s) for s in z] for e in exprs]))
+    return rank([[e.diff(s) for s in z] for e in exprs])
 
 
 def same_span(phase, a, b):
@@ -405,17 +405,15 @@ def test_criterion_6_property_suites():
     checks.append(("transform preserves brackets on 100 random pairs", transform_brackets))
 
     def rank_nullity():
-        from hamdirac import ExprMatrix, SymbolTable, rank as rank_fn
+        from hamdirac import SymbolTable, rank as rank_fn
 
         t = SymbolTable()
         rng = rng_for("acceptance-rank")
         for _ in range(100):
             rows = rng.randint(1, 8)
             cols = rng.randint(1, 8)
-            m = ExprMatrix.from_rows(
-                [[Expr.const(t, Fraction(rng.randint(-3, 3))) for _ in range(cols)] for _ in range(rows)]
-            )
-            _assert(rank_fn(m) + len(expr_kernel(m.entries, cols)) == cols)
+            m = [[Expr.const(t, Fraction(rng.randint(-3, 3))) for _ in range(cols)] for _ in range(rows)]
+            _assert(rank_fn(m) + len(expr_kernel(m, cols)) == cols)
 
     checks.append(("rank-nullity on 100 random matrices up to 8x8", rank_nullity))
 

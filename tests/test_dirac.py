@@ -14,7 +14,7 @@ from hamdirac import (
 from hamdirac.dirac import DiracError
 from hamdirac.expr import Expr
 from hamdirac.lagrangian import PhaseSpace
-from hamdirac.linalg import ExprMatrix, rank
+from hamdirac.linalg import rank
 
 from conftest import (
     FAMILY_RATIONALS,
@@ -143,9 +143,9 @@ def same_span(t, fos, a, b):
     z = fos.phase.z_order()
     rows_a = [[e.diff(s) for s in z] for e in a]
     rows_b = [[e.diff(s) for s in z] for e in b]
-    ra = rank(ExprMatrix.from_rows(rows_a))
-    rb = rank(ExprMatrix.from_rows(rows_b))
-    rab = rank(ExprMatrix.from_rows(rows_a + rows_b))
+    ra = rank(rows_a)
+    rb = rank(rows_b)
+    rab = rank(rows_a + rows_b)
     return ra == rb == rab
 
 
@@ -176,7 +176,7 @@ def test_classification_gram_invariants(l3):
             assert reducer.reduce(poisson(rep.expr, ce, fos.phase)).is_zero()
     # the second-class Gram submatrix has full rank
     reps = [r.expr for r in res.second_class]
-    gram = ExprMatrix.from_rows([[reducer.reduce(poisson(a, b, fos.phase)) for b in reps] for a in reps])
+    gram = [[reducer.reduce(poisson(a, b, fos.phase)) for b in reps] for a in reps]
     assert rank(gram) == res.S
 
 

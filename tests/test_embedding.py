@@ -24,34 +24,34 @@ from hamdirac.expr import Expr
 from conftest import L1_SRC, analyzed, chart_hamiltonian, l3_family, linear_form, rng_for
 
 
-def planned(trip, gauge=False, epsilon=None, conditions=None):
+def planned(trip, gauge=False, epsilon=None):
     t, fos, res = trip
     ch = build_chart(res)
     ht = chart_hamiltonian(res, ch)
-    plan = resolve_plan(select_embedding(res, gauge), res, ch, ht, epsilon=epsilon, gauge_conditions=conditions)
+    plan = resolve_plan(res, ch, ht, gauge_fixing=gauge, epsilon=epsilon)
     return t, fos, res, ch, plan
 
 
 def test_selection_table(l1, l2, l3):
     _, _, r1 = l1
-    assert select_embedding(r1, False).kind == "sigma1_tilde"
-    assert select_embedding(r1, True).kind == "sigma1"
+    assert select_embedding(r1, False) == "sigma1_tilde"
+    assert select_embedding(r1, True) == "sigma1"
     _, _, r2 = l2
-    assert select_embedding(r2, False).kind == "sigma2"
-    assert select_embedding(r2, True).kind == "sigma2"
+    assert select_embedding(r2, False) == "sigma2"
+    assert select_embedding(r2, True) == "sigma2"
     _, _, r3 = l3
-    assert select_embedding(r3, False).kind == "sigma3_tilde"
-    assert select_embedding(r3, True).kind == "sigma3"
+    assert select_embedding(r3, False) == "sigma3_tilde"
+    assert select_embedding(r3, True) == "sigma3"
     _, _, r0 = analyzed("(1/2)*d(q1)^2", ["q1"])
-    assert select_embedding(r0, False).kind == "trivial"
+    assert select_embedding(r0, False) == "trivial"
 
 
 def test_primary_psi_pinned_to_zero(l1):
     t, fos, res = l1
     ch = build_chart(res)
     with pytest.raises(EmbeddingError):
-        resolve_plan(select_embedding(res, False), res, ch, chart_hamiltonian(res, ch), epsilon={"Psi1": Fraction(1, 2)})
-    plan = resolve_plan(select_embedding(res, False), res, ch, chart_hamiltonian(res, ch), epsilon={"Psi2": Fraction(1, 2)})
+        resolve_plan(res, ch, chart_hamiltonian(res, ch), epsilon={"Psi1": Fraction(1, 2)})
+    plan = resolve_plan(res, ch, chart_hamiltonian(res, ch), epsilon={"Psi2": Fraction(1, 2)})
     assert plan.fixed["Psi2"] == Fraction(1, 2)
     assert "Psi1 := 0 imposed in advance" in plan.preconditions
 
@@ -60,7 +60,7 @@ def test_epsilon_only_for_fixed_rows(l2):
     t, fos, res = l2
     ch = build_chart(res)
     with pytest.raises(EmbeddingError):
-        resolve_plan(select_embedding(res, False), res, ch, chart_hamiltonian(res, ch), epsilon={"Q1": Fraction(1)})
+        resolve_plan(res, ch, chart_hamiltonian(res, ch), epsilon={"Q1": Fraction(1)})
 
 
 def test_l1_quasi_canonical_pullback(l1):
@@ -105,7 +105,7 @@ def test_l2_pullback_oscillator(l2):
 def test_l2_nonzero_epsilon_contributes_constant(l2):
     t, fos, res = l2
     ch = build_chart(res)
-    plan = resolve_plan(select_embedding(res, False), res, ch, chart_hamiltonian(res, ch), epsilon={"ThU1": Fraction(2)})
+    plan = resolve_plan(res, ch, chart_hamiltonian(res, ch), epsilon={"ThU1": Fraction(2)})
     pb = pullback_total_lagrangian(ch, plan, chart_hamiltonian(res, ch))
     # -H_T carries +ThU1^2/4, so the off-surface value 2 leaves the constant 1
     assert pb.constant == Fraction(1)
@@ -148,7 +148,7 @@ def test_boundary_ledger_all_plans():
         for gauge in (False, True):
             t, fos, res = analyzed(src, names, order=order, path=path)
             ch = build_chart(res)
-            plan = resolve_plan(select_embedding(res, gauge), res, ch, chart_hamiltonian(res, ch))
+            plan = resolve_plan(res, ch, chart_hamiltonian(res, ch), gauge_fixing=gauge)
             br = boundary_report(ch, plan)
             assert constant_counts(br) == reference_budget(res, plan.kind)
             assert len(br.never_fix) == (res.primary_fc_count if plan.kind.endswith("_tilde") else 0)
@@ -220,26 +220,24 @@ def test_effective_hamiltonian_l3(l3):
 def test_gauge_conditions_must_target_free_multipliers(l3):
     t, fos, res = l3
     ch = build_chart(res)
-    plan = select_embedding(res, True)
     solved = next(iter(res.multiplier_solutions))
     with pytest.raises(GaugeError):
-        resolve_plan(plan, res, ch, chart_hamiltonian(res, ch), gauge_conditions={solved: Expr.const(t, 0)})
+        resolve_plan(res, ch, chart_hamiltonian(res, ch), gauge_fixing={solved: Expr.const(t, 0)})
 
 
 def test_wrong_gauge_condition_rejected(l3):
     t, fos, res = l3
     ch = build_chart(res)
-    plan = select_embedding(res, True)
     bad = {t["zeta1"]: parse_expr("Q1", t) if "Q1" in t else None}
     with pytest.raises(GaugeError):
-        resolve_plan(plan, res, ch, chart_hamiltonian(res, ch), gauge_conditions=bad)
+        resolve_plan(res, ch, chart_hamiltonian(res, ch), gauge_fixing=bad)
 
 
 def test_derived_gauge_freezes_everything(l1, l3):
     for trip in (l1, l3):
         t, fos, res = trip
         ch = build_chart(res)
-        plan = resolve_plan(select_embedding(res, True), res, ch, chart_hamiltonian(res, ch))
+        plan = resolve_plan(res, ch, chart_hamiltonian(res, ch), gauge_fixing=True)
         from hamdirac.embedding import _gauge_velocities
 
         for row, vel in _gauge_velocities(ch, chart_hamiltonian(res, ch), plan.fixed):
@@ -252,32 +250,31 @@ def test_pullback_kinetic_matrix_nondegenerate(l2, l3, l4_ssok, l4_pons):
     for trip in (l2, l3, l4_ssok, l4_pons):
         t, fos, res = trip
         ch = build_chart(res)
-        plan = resolve_plan(select_embedding(res, False), res, ch, chart_hamiltonian(res, ch))
+        plan = resolve_plan(res, ch, chart_hamiltonian(res, ch))
         pb = pullback_total_lagrangian(ch, plan, chart_hamiltonian(res, ch))
         # eliminate P from L_T = P*Qdot - H(Q, P): dL/dP = 0 -> Qdot = dH/dP,
         # invertible iff the P-Hessian of H is nonsingular
-        from hamdirac.linalg import ExprMatrix, rank
+        from hamdirac.linalg import rank
 
         p_rows = [p.symbol for _q, p in ch.pairs("Q")]
-        h = -pb.minus_h
-        if pb.eps_values:
-            h = h.substitute({e: Expr.const(t, v) for e, v in pb.eps_values.items()})
-        hess = ExprMatrix.from_rows([[h.diff(a).diff(b) for b in p_rows] for a in p_rows])
-        assert rank(hess) == len(p_rows)
+        h = pb.hamiltonian
+        assert h == -pb.minus_h.substitute({e: Expr.const(t, v) for e, v in pb.eps_values.items()})
+        assert rank([[h.diff(a).diff(b) for b in p_rows] for a in p_rows]) == len(p_rows)
 
 
 def test_resolve_plan_returns_a_new_plan(l3):
+    # two calls on the same inputs give equal plans, each its own record
     t, fos, res = l3
     ch = build_chart(res)
+    ht = chart_hamiltonian(res, ch)
     for gauge in (False, True):
-        plan = select_embedding(res, gauge)
-        ht = chart_hamiltonian(res, ch)
-        first = resolve_plan(plan, res, ch, ht)
-        second = resolve_plan(plan, res, ch, ht)
-        assert plan.preconditions == () and plan.fixed == {} and plan.gauge_multiplier_solutions == {}
-        assert first is not plan and first.preconditions == second.preconditions
+        first = resolve_plan(res, ch, ht, gauge_fixing=gauge)
+        second = resolve_plan(res, ch, ht, gauge_fixing=gauge)
+        assert first == second and first is not second
+        assert first.kind == select_embedding(res, gauge) and first.gauge_fixed == gauge
         if not gauge:
             assert second.preconditions == ("Psi1 := 0 imposed in advance",)
+            assert second.gauge_multiplier_solutions == {}
         else:
             assert len(second.preconditions) == len(res.free_multipliers)
 
@@ -361,7 +358,7 @@ def embedding_cases():
             cases.append((name, an.result, an.chart, an.plan))
         for name, (_t, _fos, res) in sources:
             ch = build_chart(res)
-            plan = resolve_plan(select_embedding(res, gauge), res, ch, chart_hamiltonian(res, ch))
+            plan = resolve_plan(res, ch, chart_hamiltonian(res, ch), gauge_fixing=gauge)
             cases.append((f"{name}-{gauge}", res, ch, plan))
     return cases, refused
 

@@ -13,7 +13,6 @@ from hamdirac import (
     parse_expr,
     poisson,
     pullback_total_lagrangian,
-    select_embedding,
     solve_iota,
     transform,
     verify_chart,
@@ -102,7 +101,7 @@ def test_constraint_with_constant_offset():
     # the affine weak reduction substitutes the pinned value
     reducer = weak_reducer([c.expr for c in res.constraints], fos.phase)
     assert reducer.reduce(parse_expr("p2*q1", t)) == parse_expr("q1", t)
-    plan = resolve_plan(select_embedding(res, False), res, ch, chart_hamiltonian(res, ch))
+    plan = resolve_plan(res, ch, chart_hamiltonian(res, ch))
     pb = pullback_total_lagrangian(ch, plan, chart_hamiltonian(res, ch))
     assert pb.kinetic == parse_expr("P1*d(Q1)", t)
 

@@ -2,37 +2,39 @@ from fractions import Fraction
 
 import pytest
 
-from hamdirac import ExprMatrix, SymbolTable, parse_expr, rank, solve_linear
+from hamdirac import SymbolTable, parse_expr, rank, solve_linear
 from hamdirac.expr import Expr
+from hamdirac.linalg import LinalgError
 
 from conftest import expr_kernel, expr_matvec, random_poly, rng_for
 
 
-def rank_naive(m: ExprMatrix) -> int:
+def rank_naive(rows: list) -> int:
     """Plain Gaussian elimination over the field; oracle for rank()."""
-    if m.rows == 0 or m.cols == 0:
+    if not rows or not rows[0]:
         return 0
-    a = [list(row) for row in m.entries]
+    a = [list(row) for row in rows]
+    nrows, ncols = len(a), len(a[0])
     r = 0
-    for col in range(m.cols):
-        piv = next((i for i in range(r, m.rows) if not a[i][col].is_zero()), None)
+    for col in range(ncols):
+        piv = next((i for i in range(r, nrows) if not a[i][col].is_zero()), None)
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        for i in range(r + 1, m.rows):
+        for i in range(r + 1, nrows):
             if a[i][col].is_zero():
                 continue
             f = a[i][col] / a[r][col]
-            for j in range(col, m.cols):
+            for j in range(col, ncols):
                 a[i][j] = a[i][j] - f * a[r][j]
         r += 1
-        if r == m.rows:
+        if r == nrows:
             break
     return r
 
 
 def const_matrix(table, rows):
-    return ExprMatrix.from_rows([[Expr.const(table, v) for v in row] for row in rows])
+    return [[Expr.const(table, v) for v in row] for row in rows]
 
 
 def test_rank_examples():
@@ -49,11 +51,11 @@ def test_null_space_l1_kinetic():
     t.position("q1")
     k = const_matrix(t, [[0, 0, 1], [0, 0, 0], [1, 0, 0]])
     assert rank(k) == 2
-    basis = expr_kernel(k.entries, k.cols)
+    basis = expr_kernel(k, len(k[0]))
     assert len(basis) == 1
     # oracle: K . tau = 0 by direct multiplication
     for v in basis:
-        assert all(e.is_zero() for e in expr_matvec(k.entries, v))
+        assert all(e.is_zero() for e in expr_matvec(k, v))
     assert [str(e) for e in basis[0]] == ["0", "1", "0"]
 
 
@@ -61,7 +63,7 @@ def test_null_space_invertible_empty():
     t = SymbolTable()
     t.position("q1")
     m = const_matrix(t, [[2, 1], [1, 1]])
-    assert rank(m) == 2 and expr_kernel(m.entries, m.cols) == []
+    assert rank(m) == 2 and expr_kernel(m, len(m[0])) == []
 
 
 def test_null_space_l3_kinetic():
@@ -69,10 +71,10 @@ def test_null_space_l3_kinetic():
     t.position("q1")
     k = const_matrix(t, [[0, 0, 0, 0], [0, 2, 1, -1], [0, 1, 1, 0], [0, -1, 0, 1]])
     assert rank(k) == 2
-    basis = expr_kernel(k.entries, k.cols)
+    basis = expr_kernel(k, len(k[0]))
     assert len(basis) == 2
     for v in basis:
-        assert all(e.is_zero() for e in expr_matvec(k.entries, v))
+        assert all(e.is_zero() for e in expr_matvec(k, v))
 
 
 def test_solve_linear_all_free():
@@ -100,16 +102,27 @@ def test_solve_linear_witness():
 def test_solve_linear_returns_symbolic_pivot():
     t = SymbolTable()
     q1 = t.position("q1")
-    a = ExprMatrix.from_rows([[Expr.sym(t, q1)], [Expr.const(t, 2)]])
+    a = [[Expr.sym(t, q1)], [Expr.const(t, 2)]]
     sol = solve_linear(a, [Expr.const(t, 1), Expr.sym(t, q1)])
     assert sol.witnesses == (parse_expr("1 - q1^2/2", t),)
     assert sol.particular[0] == parse_expr("q1/2", t)
     # a constant pivot is no genericity assumption
     assert sol.genericity_pivots == ()
-    sol = solve_linear(ExprMatrix.from_rows([[Expr.sym(t, q1)]]), [Expr.const(t, 1)])
+    sol = solve_linear([[Expr.sym(t, q1)]], [Expr.const(t, 1)])
     assert not sol.witnesses
     assert sol.particular[0] == parse_expr("1/(q1)", t)
     assert [str(p) for p in sol.genericity_pivots] == ["q1"]
+
+
+def test_solve_linear_refuses_ragged_rows():
+    t = SymbolTable()
+    t.position("q1")
+    one = Expr.const(t, 1)
+    with pytest.raises(LinalgError, match="ragged rows"):
+        solve_linear([[one, one], [one]], [one, one])
+    with pytest.raises(LinalgError, match="ragged rows"):
+        rank([[], [one]])
+    assert rank([]) == rank([[], []]) == 0
 
 
 def test_rank_nullity_random():
@@ -131,11 +144,10 @@ def test_rank_nullity_random():
                 else:
                     row.append(Expr.const(t, Fraction(rng.randint(-3, 3))))
             entries.append(row)
-        m = ExprMatrix.from_rows(entries)
-        r = rank(m)
+        r = rank(entries)
         basis = expr_kernel(entries, cols)
         assert r + len(basis) == cols
-        assert rank_naive(m) == r
+        assert rank_naive(entries) == r
         for v in basis:
             assert all(e.is_zero() for e in expr_matvec(entries, v))
 
@@ -148,13 +160,12 @@ def test_rank_stable_under_permutation():
         rows = rng.randint(2, 5)
         cols = rng.randint(2, 5)
         entries = [[Expr.const(t, Fraction(rng.randint(-2, 2))) for _ in range(cols)] for _ in range(rows)]
-        m = ExprMatrix.from_rows(entries)
-        r = rank(m)
+        r = rank(entries)
         rp = list(range(rows))
         cp = list(range(cols))
         rng.shuffle(rp)
         rng.shuffle(cp)
-        shuffled = ExprMatrix.from_rows([[entries[i][j] for j in cp] for i in rp])
+        shuffled = [[entries[i][j] for j in cp] for i in rp]
         assert rank(shuffled) == r
 
 
@@ -162,7 +173,7 @@ def test_fraction_free_handles_rational_entries():
     t = SymbolTable()
     q1 = t.position("q1")
     half_over_q = parse_expr("1/(2*q1)", t)
-    m = ExprMatrix.from_rows([[half_over_q, Expr.const(t, 1)], [Expr.const(t, 1), parse_expr("2*q1", t)]])
+    m = [[half_over_q, Expr.const(t, 1)], [Expr.const(t, 1), parse_expr("2*q1", t)]]
     assert rank(m) == 1
     assert rank_naive(m) == 1
 
@@ -205,5 +216,5 @@ def test_rank_matches_sympy_on_rational_function_matrices():
         perm = list(range(cols))
         rng.shuffle(perm)
         m = [[row[j] for j in perm] for row in m]
-        assert rank(ExprMatrix.from_rows(m)) == r
+        assert rank(m) == r
         assert sympy.Matrix([[to_sympy(e) for e in row] for row in m]).rank(simplify=True) == r

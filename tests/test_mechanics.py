@@ -191,11 +191,11 @@ def _expr_only_solve_linear(a, b):
     every entry an Expr (witnesses and particular solution only), each column
     pivoting on the last eligible row, the non-constant pivots kept."""
     table = b[0].table
-    rows = [[*row, b[i]] for i, row in enumerate(a.entries)]
-    n = a.cols
+    rows = [[*row, b[i]] for i, row in enumerate(a)]
+    m, n = len(a), len(a[0])
     pivot_of_col, used_rows, generic = {}, set(), []
     for col in range(n):
-        piv = next((i for i in reversed(range(a.rows)) if i not in used_rows and not rows[i][col].is_zero()), None)
+        piv = next((i for i in reversed(range(m)) if i not in used_rows and not rows[i][col].is_zero()), None)
         if piv is None:
             continue
         pivot_of_col[col] = piv
@@ -205,7 +205,7 @@ def _expr_only_solve_linear(a, b):
             generic.append(p)
         inv = Expr.const(table, 1) / p
         rows[piv] = [e * inv for e in rows[piv]]
-        for i in range(a.rows):
+        for i in range(m):
             if i == piv or rows[i][col].is_zero():
                 continue
             f = rows[i][col]
@@ -213,7 +213,7 @@ def _expr_only_solve_linear(a, b):
     particular = [Expr.const(table, 0)] * n
     for col, i in pivot_of_col.items():
         particular[col] = rows[i][n]
-    witnesses = [rows[i][n] for i in range(a.rows) if i not in used_rows and not rows[i][n].is_zero()]
+    witnesses = [rows[i][n] for i in range(m) if i not in used_rows and not rows[i][n].is_zero()]
     return LinearSolution(particular, sorted(pivot_of_col), witnesses, generic)
 
 

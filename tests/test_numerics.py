@@ -10,7 +10,6 @@ import pytest
 
 from hamdirac import SymbolTable, compile_field, integrate, parse_expr, solve_iota
 from hamdirac import numerics
-from hamdirac.cli import reduced_hamiltonian
 from hamdirac.expr import Expr
 from hamdirac.numerics import (
     CSV_BLOCK_ROWS,
@@ -519,7 +518,7 @@ def simulated_hamiltonians():
     for label, sysfile, path in sysfiles:
         an = run_pipeline(sysfile, PipelineOptions(path=path), stage="simulate")
         if qp_rows := an.chart.pairs("Q"):
-            yield label, reduced_hamiltonian(an), [(q.symbol, p.symbol) for q, p in qp_rows]
+            yield label, an.pullback.hamiltonian, [(q.symbol, p.symbol) for q, p in qp_rows]
 
 
 def test_compile_field_affine_form_matches_the_hessian_reference():

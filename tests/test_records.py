@@ -20,8 +20,7 @@ from hamdirac.dirac import ClassRep, DiracResult
 from hamdirac.embedding import EmbeddingError, EmbeddingPlan, select_embedding
 from hamdirac.expr import Expr
 from hamdirac.lagrangian import FirstOrderSystem, LagrangianSystem, PhaseSpace, legendre, ostrogradsky_reduce, pons_reduce
-from hamdirac.cli import reduced_hamiltonian
-from hamdirac.linalg import ExprMatrix, LinearSolution
+from hamdirac.linalg import LinearSolution
 from hamdirac.numerics import _Variational, compile_field, solve_iota
 from hamdirac.report import (
     Analysis,
@@ -119,7 +118,6 @@ def list_and_dict_defaults():
              "second_class", "flags", "h_brackets"),
         ),
         (CanonicalChart, (phase, []), ("notes",)),
-        (EmbeddingPlan, ("sigma1",), ("fixed", "gauge_multiplier_solutions", "preconditions")),
         (PipelineOptions, (), ("epsilon",)),
         (Analysis, (sysfile, PipelineOptions(), t, system, system, None, None, None, None, None), ()),
     ]
@@ -325,16 +323,16 @@ def record_classes(cls=_Record):
 
 def test_every_record_reachable_from_a_run_is_frozen():
     # the records of a report on each stage case and of one simulate run; the
-    # three record classes no run returns are built here, so every class is met.
+    # two record classes no run returns are built here, so every class is met.
     # No field holds a list or a dict, at any depth of tuples and mappings, so
     # none can be changed in place; Trajectory's array('d') columns are the
     # exception, mutable buffers on purpose (the integrator's memory layout)
     reports = [run_pipeline(load_system_file(p), PipelineOptions(path=o), stage="report") for p, o in STAGE_CASES]
     an = run_pipeline(load_system_file(FIXTURES / "l2.sys"), PipelineOptions(), stage="simulate")
     pairs = [(q.symbol, p.symbol) for q, p in an.chart.pairs("Q")]
-    field = compile_field(reduced_hamiltonian(an), pairs)
+    field = compile_field(an.pullback.hamiltonian, pairs)
     sol = solve_iota(field, {"Q1": (1.0, 0.5)}, 0.0, 1.0, step=1e-2)
-    built = [ExprMatrix(0, 0, []), LinearSolution([], []), _Variational([], None, None, 0)]
+    built = [LinearSolution([], []), _Variational([], None, None, 0)]
     records = records_in(*reports, field, sol, sol.trajectory, *built)
     for record in records:
         for name in record.__slots__:

@@ -9,6 +9,7 @@ import pytest
 from hamdirac import parse_system_file
 from hamdirac.cli import main
 from hamdirac.embedding import GaugeError
+from hamdirac.numerics import NumericsError, compile_field
 from hamdirac.report import PipelineOptions, build_report, report_json, run_pipeline
 from hamdirac.sysfile import SysFileError, load_system_file
 
@@ -510,6 +511,36 @@ def test_cli_simulate_labels_xi_by_the_initial_endpoint(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: --xi Xi1: not a gauge position fixed at t2 only (these are: Xi2)\n"
+
+
+def test_cli_simulate_refuses_a_hamiltonian_the_embedding_leaves_loose(tmp_path, capsys):
+    # epsilon Psi2 = 1/2 brings the never-fixed gauge position Xi1 into the
+    # reduced H: simulate names both and exits 2 before compiling, report on
+    # the same file writes its report, and compile_field keeps its own check
+    path = tmp_path / "l3eps.sys"
+    path.write_text(Path(fixture("l3.sys")).read_text(encoding="utf-8") + "\n[options]\nepsilon Psi2 = 1/2\n",
+                    encoding="utf-8")
+    assert main(["simulate", str(path), "--bc", "Q1=1:0", "--t2", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the reduced Hamiltonian depends on Xi1, which the embedding does not fix (epsilon Psi2=1/2); "
+        "simulate integrates the (Q, P) block alone\n"
+    )
+    assert main(["report", str(path)]) == 0
+    assert "Xi1" in json.loads(capsys.readouterr().out)["pullback"]["minus_h_eps"]
+    an = run_pipeline(load_system_file(path), PipelineOptions(), stage="simulate")
+    with pytest.raises(NumericsError, match=r"stray symbols in reduced Hamiltonian: \['Xi1'\]"):
+        compile_field(an.pullback.hamiltonian, [(q.symbol, p.symbol) for q, p in an.chart.pairs("Q")])
+
+
+def test_cli_simulate_without_a_physical_block_exits_2(tmp_path, capsys):
+    path = tmp_path / "l1.sys"
+    path.write_text("system l1\ncoordinates q1 q2 q3\norder 1\nL = d(q1)*d(q3) + (1/2)*q2*q3^2\n", encoding="utf-8")
+    assert main(["simulate", str(path), "--t2", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: l1: no physical (Q, P) block survives the embedding; nothing to simulate\n"
 
 
 def test_cli_simulate_parses_bc_and_xi_like_times(capsys):
