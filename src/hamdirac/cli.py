@@ -24,10 +24,11 @@ simulate fails with 1 in three documented ways:
         it, left the floats at the RK4 step ending at grid time T (T = t1:
         the initial state)
 
-simulate exits 2 when no physical (Q, P) block survives the embedding
-("nothing to simulate"), when the reduced Hamiltonian depends on a chart
-coordinate the embedding does not fix (a gauge position Xi that a nonzero
-epsilon brings into H; the message names both), when a physical position Q
+report and simulate exit 2 when the Hamiltonian on the embedding depends
+on a chart coordinate outside (Q, P) that the embedding does not fix (a gauge
+position Xi that a nonzero epsilon brings into H; the message names both),
+simulate before its own checks.  simulate exits 2 when no physical (Q, P)
+block survives the embedding ("nothing to simulate"), when a physical position Q
 of the chart has no --bc, a --bc name is not such a position, a --xi name is
 not a gauge position fixed at one endpoint only (t1, or t2 by the file's
 fix_endpoint option, which also labels the --xi values), t2 does not exceed
@@ -220,16 +221,7 @@ def _cmd_simulate(args) -> int:
     if not (t2 - t1) / step - 1e-12 <= MAX_STEPS:  # numerics' step count, inf included
         raise InputError(f"[{t1}, {t2}] at step {step} needs more than MAX_STEPS = {MAX_STEPS} RK4 steps")
     pairs = [(q.symbol, p.symbol) for q, p in qp_rows]
-    h = an.pullback.hamiltonian
-    qp = {s for pair in pairs for s in pair}
-    loose = [s.name for s in h.free_symbols() if s not in qp]
-    if loose:
-        eps = ", ".join(f"{name}={v}" for name, v in an.plan.fixed.items() if v)
-        raise InputError(
-            f"the reduced Hamiltonian depends on {', '.join(loose)}, which the embedding does not fix"
-            f"{f' (epsilon {eps})' if eps else ''}; simulate integrates the (Q, P) block alone"
-        )
-    field = compile_field(h, pairs)
+    field = compile_field(an.pullback.hamiltonian, pairs)
     boundary = {}
     for item in args.bc:
         name, _, vals = item.partition("=")
@@ -274,7 +266,7 @@ def _cmd_simulate(args) -> int:
         "residual": sol.residual,
         "condition": sol.condition,
     }
-    sys.stdout.write(json.dumps(out, indent=2) + "\n")
+    sys.stdout.write(report_json(out))
     return 0
 
 
@@ -318,7 +310,7 @@ def _cmd_verify_chart(args) -> int:
             {"row": i, "col": k, "delta": (str(d) if mode == "exact" else d)} for i, k, d in violations[:16]
         ],
     }
-    sys.stdout.write(json.dumps(out, indent=2) + "\n")
+    sys.stdout.write(report_json(out))
     return 0 if ok else 1
 
 

@@ -13,9 +13,10 @@ sigma3~ for mixed ones, trivial for an unconstrained system.
 
 `PullbackLagrangian` holds the pullback of L_T = P dQ - H_T, and with it H_T
 on the embedding at the epsilon values, the Hamiltonian `simulate`
-integrates.  `BoundaryReport` is the one record of what an embedding fixes
-and of the integral constants that costs, counted off its lists of fixed
-rows.
+integrates; one that depends on a chart coordinate outside (Q, P) raises
+EmbeddingError.  `BoundaryReport` is the one record of what an embedding
+fixes and of the integral constants that costs, counted off its lists of
+fixed rows.
 """
 
 from __future__ import annotations
@@ -219,6 +220,12 @@ def pullback_total_lagrangian(chart: CanonicalChart, plan: EmbeddingPlan, ht: Ex
                 td = td + subs[psi_row.symbol] * Expr.sym(table, table.velocity(xi_row.symbol))
 
     value = minus_h.substitute({e: Expr.const(table, v) for e, v in eps_values.items()}) if eps_values else minus_h
+    outside = {r.symbol for r in chart.rows if r.role not in ("Q", "P")}
+    loose = [s.name for s in value.free_symbols() if s in outside]
+    if loose:  # no kinetic term holds them: their Euler-Lagrange equations constrain, not evolve, the rest
+        eps = ", ".join(f"{name}={v}" for name, v in plan.fixed.items() if v)
+        raise EmbeddingError(f"the Hamiltonian on the embedding depends on {', '.join(loose)}, which the embedding "
+                             f"does not fix{f' (epsilon {eps})' if eps else ''}")
     constant = _constant_part(value)
     lagrangian = kinetic + value - Expr.const(table, constant)
     return PullbackLagrangian(kinetic, minus_h, td, eps_values, -value, lagrangian, constant)

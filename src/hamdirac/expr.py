@@ -81,7 +81,11 @@ def _mono_degree(m):
 
 def _mono_key(m):
     """Graded lex; lower symbol index is more significant (so it sorts as -index)."""
-    return _mono_degree(m), tuple((-i, e) for i, e in m)
+    degree, key = 0, []
+    for i, e in m:
+        degree += e
+        key.append((-i, e))
+    return degree, key
 
 
 # ---------------------------------------------------------------------------
@@ -655,27 +659,23 @@ def _pstr(table, poly, den=1) -> str:
     """The polynomial poly / den, each coefficient reduced by one gcd."""
     if not poly:
         return "0"
-    parts = []
+    names, parts = table.names(), []
     for m in sorted(poly, key=_mono_key, reverse=True):
         c = poly[m]
-        factors = [f"{table[i].name}" + (f"^{e}" if e > 1 else "") for i, e in m]
         mag = abs(c)
-        if not factors:
+        body = "*".join([names[i] if e == 1 else f"{names[i]}^{e}" for i, e in m])
+        if not m:
             body = _frac_str(mag, den)
-        elif mag == den:
-            body = "*".join(factors)
+        elif mag != den:
+            body = f"{_frac_str(mag, den)}*{body}"
+        if parts:
+            parts.append(("+ " if c > 0 else "- ") + body)
+        elif c > 0:
+            parts.append(body)
+        elif mag == den and m and (m[0][1] > 1 or "^" in names[m[0][0]]):
+            parts.append("-1*" + body)  # "-x^2" would parse as (-x)^2; spell the coefficient out
         else:
-            body = "*".join([_frac_str(mag, den)] + factors)
-        if not parts:
-            if c > 0:
-                parts.append(body)
-            elif mag == den and factors and "^" in factors[0]:
-                # "-x^2" would parse as (-x)^2; spell the coefficient out
-                parts.append(f"-1*{body}")
-            else:
-                parts.append(f"-{body}")
-        else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+            parts.append("-" + body)
     return " ".join(parts)
 
 

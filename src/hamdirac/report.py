@@ -5,13 +5,13 @@ iteration -> classification -> chart (`chart.build_chart`, or the system
 file's checked by `chart.import_chart`) -> embedding selection -> pullback
 and boundary prescription.  Input the analysis refuses raises
 `sysfile.InputError`.  The report dict is built in a fixed key order so
-serialized output is byte-stable.
+serialized output is byte-stable; `report_json` writes it, and every other
+JSON the CLI prints, as `json.dumps(value, indent=2)` would, byte for byte.
 """
 
 from __future__ import annotations
 
-import json
-from itertools import repeat
+from json.encoder import encode_basestring_ascii as _quote
 
 from .chart import CanonicalChart, build_chart, frobenius_check, import_chart, transform
 from .dirac import classify, dirac_iterate
@@ -251,25 +251,52 @@ def build_report(an: Analysis, stage: str = "report") -> dict:
 
 
 def chart_to_json(chart: CanonicalChart, phase, table, source: str) -> dict:
-    strs = [[_frac_str(x, r.row[1]) for x in map(dict(r.row[0]).get, range(2 * phase.n + 1), repeat(0))] for r in chart.rows]
-    return {
-        "source": source,
-        "z_order": [s.name for s in phase.z_order()],
-        "rows": [
-            {
-                "name": r.name,
-                "role": r.role,
-                "pair": r.pair,
-                "generation": r.generation,
-                "coeffs": s[:-1],
-                "offset": s[-1],
-                "expr": str(r.expr(table, phase)),
-            }
-            for r, s in zip(chart.rows, strs)
-        ],
-        "notes": chart.notes,
-    }
+    rows = []
+    for r in chart.rows:
+        (entries, den), strs = r.row, ["0"] * (2 * phase.n + 1)
+        for j, x in entries:  # the nonzero entries, over a row of "0"
+            strs[j] = _frac_str(x, den)
+        rows.append({"name": r.name, "role": r.role, "pair": r.pair, "generation": r.generation,
+                     "coeffs": strs[:-1], "offset": strs[-1], "expr": str(r.expr(table, phase))})
+    return {"source": source, "z_order": [s.name for s in phase.z_order()], "rows": rows, "notes": chart.notes}
 
 
-def report_json(rep: dict) -> str:
-    return json.dumps(rep, indent=2) + "\n"
+def report_json(value) -> str:
+    """`json.dumps(value, indent=2) + "\n"`, byte for byte, for the values the
+    CLI writes: dicts with str keys, lists and tuples, str, int, bool, None
+    and float; any other type raises TypeError.  json.dumps serves `indent`
+    only with its pure-Python encoder; this writer quotes each string with
+    the C `encode_basestring_ascii` and a list of strings in one join."""
+    out = []
+    _write(value, "\n", out)
+    return "".join(out) + "\n"
+
+
+def _write(v, pad: str, out: list):
+    """Append the JSON of v to out, pad the newline and indent of its line."""
+    inner = pad + "  "
+    if isinstance(v, str):
+        out.append(_quote(v))
+    elif isinstance(v, dict) and v:
+        for i, (k, x) in enumerate(v.items()):  # _quote raises TypeError on a key that is not a str
+            out.append(("," if i else "{") + inner + _quote(k) + ": ")
+            _write(x, inner, out)
+        out.append(pad + "}")
+    elif isinstance(v, (list, tuple)) and v:
+        try:  # a list of strings in one join; _quote raises TypeError at the first other item
+            out.append(f"[{inner}{(',' + inner).join(map(_quote, v))}{pad}]")
+        except TypeError:
+            for i, x in enumerate(v):
+                out.append(("," if i else "[") + inner)
+                _write(x, inner, out)
+            out.append(pad + "]")
+    elif isinstance(v, (dict, list, tuple)):
+        out.append("{}" if isinstance(v, dict) else "[]")
+    elif v is None or v is True or v is False:
+        out.append("null" if v is None else "true" if v else "false")
+    elif isinstance(v, int):
+        out.append(int.__repr__(v))
+    elif isinstance(v, float):  # as json writes it: repr, or the JavaScript names of nan and the infinities
+        out.append(float.__repr__(v) if v - v == 0 else "NaN" if v != v else "Infinity" if v > 0 else "-Infinity")
+    else:
+        raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")

@@ -107,12 +107,13 @@ class SymbolTable:
     """The registry every stage of one analysis registers its symbols in: the
     package's one mutable object, compared by identity."""
 
-    __slots__ = ("_by_name", "_by_index", "_fresh")
+    __slots__ = ("_by_name", "_by_index", "_fresh", "_names")
 
     def __init__(self):
         self._by_name = {}
         self._by_index = []
         self._fresh = {}  # (requested name, kind) -> the symbol register_fresh gave it
+        self._names = ()  # what names() last returned
 
     def register(self, name: str, kind: str, base: str | None = None, order: int = 0) -> Symbol:
         if kind not in KINDS:
@@ -171,3 +172,10 @@ class SymbolTable:
 
     def symbols(self):
         return tuple(self._by_index)
+
+    def names(self) -> tuple:
+        """Every symbol's name, by index; rebuilt only after the table grew (symbols are only appended)."""
+        names = self._names
+        if len(names) != len(self._by_index):
+            names = self._names = tuple(s.name for s in self._by_index)
+        return names

@@ -8,8 +8,7 @@ import pytest
 
 from hamdirac import parse_system_file
 from hamdirac.cli import main
-from hamdirac.embedding import GaugeError
-from hamdirac.numerics import NumericsError, compile_field
+from hamdirac.embedding import EmbeddingError, GaugeError
 from hamdirac.report import PipelineOptions, build_report, report_json, run_pipeline
 from hamdirac.sysfile import SysFileError, load_system_file
 
@@ -241,7 +240,8 @@ def test_cli_calls_sharing_one_parser_match_fresh_parsers(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
     fresh = _run_each(argvs, capsys)
     assert shared == fresh
-    assert [rc for rc, _, _ in shared] == [0, 0, 0, 0, 0, 2, 0, 0, 0, 2, 2, 0, 0]
+    # the first call's epsilon Psi2 leaves Xi1 loose in the embedded H (exit 2)
+    assert [rc for rc, _, _ in shared] == [2, 0, 0, 0, 0, 2, 0, 0, 0, 2, 2, 0, 0]
     assert shared[1] == shared[8] != shared[0]
     assert shared[5] == (2, "", "error: --bc missing for Q1: every physical position needs Q=V1:V2\n")
     assert "invalid choice: 'bogus'" in shared[9][2]
@@ -418,10 +418,9 @@ RATIONAL_SYS = "system rational\ncoordinates q1\norder 1\nL = (1/2)*q1^2*d(q1)^2
     ],
 )
 def test_cli_simulate_bytes_pinned(tmp_path, capsys, system, bc, t2, stdout_sha, csv_sha):
-    # digests of CPython 3.11 runs: the last bits of the floats follow its
-    # left-to-right float sum() and the platform's pow.  CPython 3.10.13,
-    # 3.12.1 and 3.13.0 give the same digests with the stdlib alone on x86-64
-    # Linux.
+    # CPython 3.10.13, 3.11.7, 3.12.1 and 3.13.0 give these digests on x86-64
+    # Linux, with the stdlib alone: the last bits of the floats follow the
+    # left-to-right float sum() and the platform's pow.
     if system is None:
         path = fixture("l2.sys")
     else:
@@ -513,25 +512,39 @@ def test_cli_simulate_labels_xi_by_the_initial_endpoint(tmp_path, capsys):
     assert captured.err == "error: --xi Xi1: not a gauge position fixed at t2 only (these are: Xi2)\n"
 
 
-def test_cli_simulate_refuses_a_hamiltonian_the_embedding_leaves_loose(tmp_path, capsys):
+LOOSE_XI1 = "error: the Hamiltonian on the embedding depends on Xi1, which the embedding does not fix (epsilon Psi2=1/2)\n"
+
+
+def l3_with_epsilon_psi2(tmp_path):
     # epsilon Psi2 = 1/2 brings the never-fixed gauge position Xi1 into the
-    # reduced H: simulate names both and exits 2 before compiling, report on
-    # the same file writes its report, and compile_field keeps its own check
+    # embedded H, linearly: Xi1's Euler-Lagrange equation would read 1/6 = 0
     path = tmp_path / "l3eps.sys"
     path.write_text(Path(fixture("l3.sys")).read_text(encoding="utf-8") + "\n[options]\nepsilon Psi2 = 1/2\n",
                     encoding="utf-8")
+    return path
+
+
+def test_cli_simulate_refuses_a_hamiltonian_the_embedding_leaves_loose(tmp_path, capsys):
+    # the pullback refuses it, so simulate exits 2 before its time and --bc checks
+    path = l3_with_epsilon_psi2(tmp_path)
     assert main(["simulate", str(path), "--bc", "Q1=1:0", "--t2", "1"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "error: the reduced Hamiltonian depends on Xi1, which the embedding does not fix (epsilon Psi2=1/2); "
-        "simulate integrates the (Q, P) block alone\n"
-    )
-    assert main(["report", str(path)]) == 0
-    assert "Xi1" in json.loads(capsys.readouterr().out)["pullback"]["minus_h_eps"]
-    an = run_pipeline(load_system_file(path), PipelineOptions(), stage="simulate")
-    with pytest.raises(NumericsError, match=r"stray symbols in reduced Hamiltonian: \['Xi1'\]"):
-        compile_field(an.pullback.hamiltonian, [(q.symbol, p.symbol) for q, p in an.chart.pairs("Q")])
+    assert capsys.readouterr() == ("", LOOSE_XI1)
+    assert main(["simulate", str(path), "--t2", "0"]) == 2
+    assert capsys.readouterr() == ("", LOOSE_XI1)
+
+
+def test_cli_report_refuses_a_hamiltonian_the_embedding_leaves_loose(tmp_path, capsys):
+    path = l3_with_epsilon_psi2(tmp_path)
+    assert main(["report", str(path)]) == 2
+    assert capsys.readouterr() == ("", LOOSE_XI1)
+    assert main(["report", fixture("l3.sys"), "--epsilon", "Psi2=1/2"]) == 2
+    assert capsys.readouterr() == ("", LOOSE_XI1)
+    with pytest.raises(EmbeddingError, match="depends on Xi1"):
+        run_pipeline(load_system_file(path), PipelineOptions(), stage="report")
+    # the chart stage stops before the embedding; ThU1 stays out of H
+    assert main(["chart", str(path)]) == 0
+    assert main(["report", fixture("l3.sys"), "--epsilon", "ThU1=1/2"]) == 0
+    capsys.readouterr()
 
 
 def test_cli_simulate_without_a_physical_block_exits_2(tmp_path, capsys):
